@@ -17,9 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from .conditioning import (
+    _correlation_from_entries,
+    _covariance_from_entries,
+    _square_from_csv,
     classify_definiteness,
     correlation_from_csv,
-    covariance_from_csv,
     default_floor,
     eigendecompose,
     matrix_report,
@@ -234,8 +236,11 @@ def run_analyze(config: RunConfig) -> int:
 
 
 def run_repair(config: RunConfig) -> int:
-    loader = correlation_from_csv if _looks_like_correlation(config.input_path) else covariance_from_csv
-    matrix = loader(config.input_path)
+    ids, entries = _square_from_csv(config.input_path)
+    if np.all(np.abs(np.diag(entries) - 1.0) <= 1e-12):
+        matrix = _correlation_from_entries(ids, entries)
+    else:
+        matrix = _covariance_from_entries(ids, entries)
     floor = config.repair_floor if config.repair_floor is not None else default_floor(matrix.n)
     repaired = rj_repair(matrix, floor)
     matrix_to_csv(repaired, config.output_path)
@@ -246,13 +251,6 @@ def run_repair(config: RunConfig) -> int:
     }
     _write_json(summary, Path(config.output_path).with_suffix(".json"))
     return EXIT_OK
-
-
-def _looks_like_correlation(path: str) -> bool:
-    from .conditioning import _square_from_csv
-
-    _, entries = _square_from_csv(path)
-    return bool(np.all(np.abs(np.diag(entries) - 1.0) <= 1e-12))
 
 
 def run_sweep(config: RunConfig) -> int:

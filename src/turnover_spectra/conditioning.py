@@ -292,13 +292,19 @@ def _square_from_csv(source: str | Path | IO[str]) -> tuple[tuple[str, ...], np.
 
 def correlation_from_csv(source: str | Path | IO[str]) -> CorrelationMatrix:
     """Load a correlation matrix from the square-CSV layout."""
-    ids, entries = _square_from_csv(source)
+    return _correlation_from_entries(*_square_from_csv(source))
+
+
+def _correlation_from_entries(ids: tuple[str, ...], entries: np.ndarray) -> CorrelationMatrix:
     return CorrelationMatrix(entries, EXTERNAL, "unverified", ids)
 
 
 def covariance_from_csv(source: str | Path | IO[str]) -> CovarianceMatrix:
     """Load a covariance matrix; vols come from the diagonal, counts are unknown."""
-    ids, entries = _square_from_csv(source)
+    return _covariance_from_entries(*_square_from_csv(source))
+
+
+def _covariance_from_entries(ids: tuple[str, ...], entries: np.ndarray) -> CovarianceMatrix:
     diag = np.diag(entries)
     if (diag <= 0).any():
         raise InvalidDiagonalError("covariance diagonal must be positive")

@@ -258,32 +258,96 @@ class CorrelationMatrix:
         return self.entries.shape[0]
 
 
-def _moments_kernel(
+def _coverage_error(ids: tuple[str, ...], counts: np.ndarray) -> CoverageError:
+    i, j = np.argwhere(counts < 2)[0]
+    return CoverageError(
+        f"series {ids[i]!r} and {ids[j]!r} share only {int(counts[i, j])} "
+        "joint observations; need at least 2"
+    )
+
+
+def _pair_degenerate_error(ids: tuple[str, ...], i: int, j: int) -> DegenerateSeriesError:
+    return DegenerateSeriesError(
+        (ids[i], ids[j]), note="constant on the pair's joint sample"
+    )
+
+
+def _assemble(
+    cov_joint: np.ndarray, var_joint: np.ndarray, own_sd: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    corr = cov_joint / np.sqrt(var_joint * var_joint.T)
+    np.clip(corr, -1.0, 1.0, out=corr)
+    np.fill_diagonal(corr, 1.0)
+    cov = np.outer(own_sd, own_sd) * corr
+    return cov, corr
+
+
+def _dense_moments(
+    ids: tuple[str, ...], values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Moments of a fully observed block: the masked algebra of
+    ``_masked_moments`` specialised to an all-true mask.
+
+    Every joint sample is the whole row, so the joint counts are the
+    constant M, the per-pair sums and variances collapse to per-series
+    N-vectors, and the only N x M x N product left is one ``x0 @ x0.T``
+    on the centered values. The degeneracy tests and their tolerances are
+    the masked kernel's, evaluated on those vectors.
+    """
+    n, m = values.shape
+    counts = np.full((n, n), m, dtype=np.int64)
+    if m < 2:
+        raise _coverage_error(ids, counts)
+    center = values.sum(axis=1) / m
+    x0 = values - center[:, None]
+
+    prods = x0 @ x0.T
+    prods = 0.5 * (prods + prods.T)
+    means = x0.sum(axis=1) / m  # residual means of the centered series
+    cov_joint = (prods - (m * means)[:, None] * means[None, :]) / (m - 1.0)
+    var = np.maximum((np.diag(prods) - m * means**2) / (m - 1.0), 0.0)
+
+    own_sd = np.sqrt(var)
+    constant = own_sd <= _CONSTANT_REL_TOL * np.maximum(1.0, np.abs(center))
+    if constant.any():
+        raise DegenerateSeriesError(ids[i] for i in np.flatnonzero(constant))
+    # a series constant on its joint sample with any partner is constant on
+    # every one, so the first flagged pair is (i, 0), or (0, 1) for i = 0
+    thresholds = (_CONSTANT_REL_TOL * np.maximum(1.0, np.abs(center + means))) ** 2
+    flagged = np.flatnonzero(var <= thresholds)
+    if flagged.size:
+        i = int(flagged[0])
+        raise _pair_degenerate_error(ids, i, 1 if i == 0 else 0)
+
+    var_joint = np.broadcast_to(var[:, None], (n, n))
+    cov, corr = _assemble(cov_joint, var_joint, own_sd)
+    return cov, corr, own_sd, counts
+
+
+def _masked_moments(
     ids: tuple[str, ...], values: np.ndarray, mask: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pairwise moment algebra shared by both estimation modes.
+    """Pairwise moment algebra for a panel with missing cells.
 
     Values are pre-centered per series (over that series' own observed
     cells) so the raw-moment formulas stay numerically stable. For every
     pair the correlation is the plain sample correlation on the pair's
     joint sample, with unbiased (count - 1) divisors; the covariance is
     assembled as vol_i * vol_j * corr_ij so the two matrices agree exactly.
+
+    The joint counts come from a float64 product of the 0/1 mask, which
+    BLAS evaluates exactly while every count stays below 2**53; they are
+    returned as int64.
     """
-    # canonical memory layout so both estimation modes hit identical BLAS paths
     values = np.ascontiguousarray(values)
     mask = np.ascontiguousarray(mask)
-    obs = mask.astype(np.int64)
-    counts = obs @ obs.T  # exact integer joint counts
+    o = mask.astype(float)
+    nf = o @ o.T
+    counts = nf.astype(np.int64)
     if (counts < 2).any():
-        i, j = np.argwhere(counts < 2)[0]
-        raise CoverageError(
-            f"series {ids[i]!r} and {ids[j]!r} share only {int(counts[i, j])} "
-            "joint observations; need at least 2"
-        )
-    center = np.where(mask, values, 0.0).sum(axis=1) / obs.sum(axis=1)
+        raise _coverage_error(ids, counts)
+    center = np.where(mask, values, 0.0).sum(axis=1) / o.sum(axis=1)
     x0 = np.where(mask, values - center[:, None], 0.0)
-    o = obs.astype(float)
-    nf = counts.astype(float)
 
     prods = x0 @ x0.T
     prods = 0.5 * (prods + prods.T)
@@ -302,16 +366,10 @@ def _moments_kernel(
     np.fill_diagonal(degenerate_pair, False)
     if degenerate_pair.any():
         i, j = np.argwhere(degenerate_pair)[0]
-        raise DegenerateSeriesError(
-            (ids[i], ids[j]), note="constant on the pair's joint sample"
-        )
+        raise _pair_degenerate_error(ids, i, j)
 
-    corr = cov_joint / np.sqrt(var_joint * var_joint.T)
-    np.clip(corr, -1.0, 1.0, out=corr)
-    np.fill_diagonal(corr, 1.0)
-    vols = own_sd
-    cov = np.outer(vols, vols) * corr
-    return cov, corr, vols, counts
+    cov, corr = _assemble(cov_joint, var_joint, own_sd)
+    return cov, corr, own_sd, counts
 
 
 def sample_moments(
@@ -322,8 +380,15 @@ def sample_moments(
     ``complete-cases`` uses only timestamps where every series is observed;
     ``pairwise-complete`` computes each entry on the joint sample of its
     pair, which keeps every correlation in [-1, 1] but may leave the
-    assembled matrix short of positive semi-definite. On a panel without
-    missing values the two modes agree exactly.
+    assembled matrix short of positive semi-definite.
+
+    The kernel is chosen by the mask. A fully observed panel, in either
+    mode, and the complete-cases sub-panel go to the dense kernel: one
+    ``x @ x.T`` on the centered values, with constant joint counts. So on a
+    panel without missing values the two modes agree exactly, by
+    construction. A ragged panel in ``pairwise-complete`` mode goes to the
+    masked kernel, whose joint counts are a float64 product of the mask,
+    exact below 2**53 observations.
 
     Raises
     ------
@@ -337,24 +402,22 @@ def sample_moments(
     if panel.n_series < 2:
         raise ValueError("sample moments need at least two series")
 
-    if mode == COMPLETE_CASES:
-        full = panel.observed_mask.all(axis=0)
+    ids = panel.series_ids
+    full = panel.observed_mask.all(axis=0)
+    if full.all():
+        cov, corr, vols, counts = _dense_moments(ids, panel.values)
+    elif mode == COMPLETE_CASES:
         n_full = int(full.sum())
         if n_full < 2:
             raise CoverageError(
                 f"only {n_full} timestamps observed across all series; need at least 2"
             )
-        sub = panel.values[:, full]
-        cov, corr, vols, counts = _moments_kernel(
-            panel.series_ids, sub, np.ones_like(sub, dtype=bool)
-        )
+        cov, corr, vols, counts = _dense_moments(ids, panel.values[:, full])
     else:
-        cov, corr, vols, counts = _moments_kernel(
-            panel.series_ids, panel.values, panel.observed_mask
-        )
+        cov, corr, vols, counts = _masked_moments(ids, panel.values, panel.observed_mask)
 
-    covariance = CovarianceMatrix(cov, vols, counts, mode, panel.series_ids)
-    correlation = CorrelationMatrix(corr, mode, "unverified", panel.series_ids)
+    covariance = CovarianceMatrix(cov, vols, counts, mode, ids)
+    correlation = CorrelationMatrix(corr, mode, "unverified", ids)
     return covariance, correlation
 
 

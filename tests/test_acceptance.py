@@ -158,7 +158,7 @@ def test_c04_factored_relation_one_factor():
 
 
 def test_c05_large_n_suppression():
-    with Criterion("C5 large-N suppression of non-leading components"):
+    with Criterion("C5 large-N suppression of non-leading components", budget_seconds=3.0):
         # panel aspect ratio held fixed (M = 10 N) so the decay isolates the
         # pure-N scaling; the tail share then shrinks like 1/N
         tail = {}

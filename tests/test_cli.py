@@ -1,11 +1,12 @@
 """End-to-end command-line runs: artifacts, exit codes, reproducibility."""
 
+import io
 import json
 
 import numpy as np
 import pytest
 
-from turnover_spectra import PAIRWISE_COMPLETE, load_panel, sample_moments
+from turnover_spectra import PAIRWISE_COMPLETE, cli, conditioning, load_panel, sample_moments
 from turnover_spectra.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, SEED_ENV_VAR, main
 
 _rng = np.random.default_rng(12345)
@@ -139,6 +140,49 @@ class TestRepair:
         assert main(["repair", "--input", matrix, "--output", str(out)]) == EXIT_OK
         repaired = np.loadtxt(out, delimiter=",", skiprows=1)
         np.testing.assert_allclose(np.diag(repaired), [4.0, 9.0], atol=1e-12)
+
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,b,c\n1.0,0.8,-0.8\n0.8,1.0,0.8\n-0.8,0.8,1.0\n",
+            "a,b,c\n4.0,4.8,-1.6\n4.8,9.0,2.4\n-1.6,2.4,1.0\n",
+        ],
+        ids=["correlation", "covariance"],
+    )
+    def test_parses_input_once_and_matches_separate_loaders(self, tmp_path, monkeypatch, text):
+        matrix = write(tmp_path / "in.csv", text)
+        calls = []
+        parse = conditioning._square_from_csv
+
+        def counting(source):
+            calls.append(source)
+            return parse(source)
+
+        monkeypatch.setattr(conditioning, "_square_from_csv", counting)
+        monkeypatch.setattr(cli, "_square_from_csv", counting)
+        out = tmp_path / "repaired.csv"
+        assert main(["repair", "--input", matrix, "--output", str(out)]) == EXIT_OK
+        assert len(calls) == 1
+        monkeypatch.undo()
+
+        # reference: pick the loader from the diagonal, then load again
+        diagonal = np.diag(np.loadtxt(matrix, delimiter=",", skiprows=1))
+        loader = (
+            conditioning.correlation_from_csv
+            if np.all(np.abs(diagonal - 1.0) <= 1e-12)
+            else conditioning.covariance_from_csv
+        )
+        loaded = loader(matrix)
+        floor = conditioning.default_floor(loaded.n)
+        repaired = conditioning.rj_repair(loaded, floor)
+        expected_csv = io.StringIO()
+        conditioning.matrix_to_csv(repaired, expected_csv)
+        assert out.read_text(encoding="utf-8") == expected_csv.getvalue()
+        summary = json.loads((tmp_path / "repaired.json").read_text())
+        assert summary["repair_floor"] == floor
+        expected_report = json.loads(json.dumps(cli._jsonable(conditioning.matrix_report(repaired))))
+        assert summary["report"] == expected_report
 
 
 class TestSweep:

@@ -22,6 +22,7 @@ from turnover_spectra import (
     sample_moments,
     write_panel,
 )
+from turnover_spectra.panel import _dense_moments, _masked_moments
 
 
 def panel_from_csv(text: str, **kwargs) -> TimeSeriesPanel:
@@ -330,3 +331,103 @@ def test_correlation_invariant_under_series_scaling(scale, seed):
     _, corr = sample_moments(panel)
     _, corr_scaled = sample_moments(scaled)
     np.testing.assert_allclose(corr_scaled.entries, corr.entries, atol=1e-10)
+
+
+def fully_observed_values(seed: int, n: int, m: int, max_offset: float) -> np.ndarray:
+    """One-factor returns with per-series offsets up to ``max_offset`` and
+    scales spanning six decades."""
+    rng = np.random.default_rng(seed)
+    common = rng.standard_normal(m)
+    loadings = rng.uniform(-1.0, 1.0, (n, 1))
+    offsets = rng.uniform(-max_offset, max_offset, (n, 1))
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+    return offsets + scales * (loadings * common + rng.standard_normal((n, m)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    m=st.integers(3, 60),
+    max_offset=st.sampled_from([0.0, 1.0, 1e3, 1e6]),
+)
+def test_dense_kernel_matches_masked_reference(seed, n, m, max_offset):
+    values = fully_observed_values(seed, n, m, max_offset)
+    ids = tuple(f"s{i}" for i in range(n))
+    cov, corr, vols, counts = _dense_moments(ids, values)
+    cov_r, corr_r, vols_r, counts_r = _masked_moments(ids, values, np.ones((n, m), bool))
+    np.testing.assert_allclose(corr, corr_r, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(vols, vols_r, rtol=1e-12, atol=0)
+    # covariance relative to each entry's natural scale vol_i * vol_j
+    scale = np.outer(vols_r, vols_r)
+    assert (np.abs(cov - cov_r) <= 1e-12 * scale).all()
+    assert np.issubdtype(counts.dtype, np.integer)
+    assert counts.dtype == counts_r.dtype
+    np.testing.assert_array_equal(counts, counts_r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    m=st.integers(3, 60),
+    max_offset=st.sampled_from([0.0, 1e6]),
+)
+def test_modes_bit_identical_on_unmasked_panels(seed, n, m, max_offset):
+    values = fully_observed_values(seed, n, m, max_offset)
+    panel = TimeSeriesPanel(tuple(f"s{i}" for i in range(n)), values, np.ones((n, m), bool))
+    cov_c, corr_c = sample_moments(panel, COMPLETE_CASES)
+    cov_p, corr_p = sample_moments(panel, PAIRWISE_COMPLETE)
+    np.testing.assert_array_equal(cov_c.entries, cov_p.entries)
+    np.testing.assert_array_equal(cov_c.vols, cov_p.vols)
+    np.testing.assert_array_equal(cov_c.pairwise_counts, cov_p.pairwise_counts)
+    np.testing.assert_array_equal(corr_c.entries, corr_p.entries)
+
+
+def _degenerate_cases():
+    """Each case: ids, fully observed values, and the ids the error names."""
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal(8)
+    y = rng.standard_normal(8)
+    # sd about 1e-8: above any absolute tolerance, below 1e-13 * |1e6|
+    near_flat = 1e6 + 1e-8 * rng.standard_normal(8)
+    flat = np.full(8, -2.5)
+    return {
+        "constant": (("a", "flat"), np.vstack([x, np.full(8, 5.0)]), ("flat",)),
+        "constant-at-large-offset": (("a", "b", "near"), np.vstack([x, y, near_flat]), ("near",)),
+        "duplicated-constant-pair": (("a", "c1", "c2"), np.vstack([x, flat, flat]), ("c1", "c2")),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_degenerate_cases()))
+def test_dense_and_masked_kernels_raise_identical_errors(case):
+    ids, values, named = _degenerate_cases()[case]
+    with pytest.raises(DegenerateSeriesError) as dense:
+        _dense_moments(ids, values)
+    with pytest.raises(DegenerateSeriesError) as masked:
+        _masked_moments(ids, values, np.ones(values.shape, bool))
+    assert dense.value.ids == masked.value.ids == named
+    assert str(dense.value) == str(masked.value)
+    panel = TimeSeriesPanel(ids, values, np.ones(values.shape, bool))
+    for mode in (COMPLETE_CASES, PAIRWISE_COMPLETE):
+        with pytest.raises(DegenerateSeriesError) as public:
+            sample_moments(panel, mode)
+        assert str(public.value) == str(dense.value)
+
+
+def test_too_few_complete_rows_raise_identical_errors_on_both_kernels():
+    values = np.arange(12.0).reshape(3, 4)
+    mask = np.ones((3, 4), bool)
+    mask[0, 0] = mask[1, 1] = mask[2, 2] = False
+    ids = ("a", "b", "c")
+    with pytest.raises(CoverageError) as public:
+        sample_moments(TimeSeriesPanel(ids, values, mask), COMPLETE_CASES)
+    assert str(public.value) == (
+        "only 1 timestamps observed across all series; need at least 2"
+    )
+    sub = values[:, mask.all(axis=0)]
+    with pytest.raises(CoverageError) as dense:
+        _dense_moments(ids, sub)
+    with pytest.raises(CoverageError) as masked:
+        _masked_moments(ids, sub, np.ones(sub.shape, bool))
+    assert str(dense.value) == str(masked.value)
