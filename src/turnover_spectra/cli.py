@@ -109,13 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="factor panel CSV; residualize the panel before estimating")
     analyze.add_argument("--matrix", action="store_true",
                          help="treat --input as a correlation matrix CSV")
-    analyze.add_argument("--seed", type=int, default=0)
 
     repair = sub.add_parser("repair", help="matrix CSV -> positive-definite matrix CSV")
     repair.add_argument("--input", required=True)
     repair.add_argument("--output", required=True, help="repaired matrix CSV (JSON summary alongside)")
     repair.add_argument("--floor", type=float, default=None)
-    repair.add_argument("--seed", type=int, default=0)
 
     sweep = sub.add_parser("sweep", help="rho_star * N versus N with through-origin fit")
     sweep.add_argument("--output", required=True, help="sweep CSV (JSON summary alongside)")
@@ -301,7 +299,8 @@ def run_simulate(config: RunConfig) -> int:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    seed = _resolve_seed(getattr(args, "seed", 0))
+    # only sweep and simulate draw random numbers, so only they take a seed
+    seed = _resolve_seed(args.seed) if "seed" in args else 0
     grid = _parse_grid(args.grid) if getattr(args, "grid", None) else None
     return RunConfig(
         command=args.command,

@@ -8,7 +8,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .errors import (
     InvalidMatrixError,
     PanelFormatError,
 )
-from .panel import EXTERNAL, CorrelationMatrix, CovarianceMatrix
+from .panel import EXTERNAL, CorrelationMatrix, CovarianceMatrix, _fast_grid, _read_csv
 
 _SYMMETRY_RTOL = 1e-10
 
@@ -143,10 +143,11 @@ def rj_repair(matrix: MatrixLike, floor: float) -> MatrixLike:
     One pass raises every eigenvalue below the floor to it and rescales each
     series by ``z_i = C_ii / sum_j U_ij^2 lifted_j`` so the diagonal is kept
     exactly. The rescaling can push a lifted eigenvalue slightly back under
-    the floor, so the pass is iterated to its fixed point: the returned
-    spectrum clears the floor (up to 1e-12 relative), which makes the
-    operation idempotent and strictly positive definite. Input whose
-    spectrum already clears the floor passes through unchanged.
+    the floor, so the pass is iterated until the spectrum clears the floor
+    up to the rounding of ``eigh`` itself (:func:`_eigh_rounding`), below
+    which a further pass cannot move it. Input that clears the floor passes
+    through unchanged, so the operation is idempotent, and its output is
+    strictly positive definite whenever the floor exceeds that rounding.
 
     Returns the same kind of object it was given (correlation in,
     correlation out with ``psd_status="verified-PD"``; covariance in,
@@ -162,7 +163,7 @@ def rj_repair(matrix: MatrixLike, floor: float) -> MatrixLike:
     np.fill_diagonal(current, diag)
     for _ in range(_REPAIR_MAX_PASSES):
         values, vectors = np.linalg.eigh(current)
-        if float(values.min()) >= floor * (1.0 - 1e-12):
+        if float(values.min()) >= floor - _eigh_rounding(values):
             break
         lifted = np.maximum(values, floor)
         denom = (vectors * vectors) @ lifted
@@ -194,6 +195,11 @@ def rj_repair(matrix: MatrixLike, floor: float) -> MatrixLike:
 
 def _psd_tolerance(values: np.ndarray) -> float:
     return 1e-12 * values.size * max(1.0, float(np.abs(values).max(initial=0.0)))
+
+
+def _eigh_rounding(values: np.ndarray) -> float:
+    """Rounding of eigenvalues computed by ``eigh``: N * eps * max|lambda|."""
+    return values.size * np.finfo(float).eps * float(np.abs(values).max(initial=0.0))
 
 
 def portfolio_volatility(
@@ -261,12 +267,21 @@ def matrix_to_csv(matrix: MatrixLike, dest: str | Path | IO[str]) -> None:
         emit(dest)
 
 
-def _square_from_csv(source: str | Path | IO[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            rows = list(csv.reader(handle))
-    else:
-        rows = list(csv.reader(source))
+def _fast_square(lines: Iterator[str]) -> tuple[tuple[str, ...], np.ndarray] | None:
+    try:
+        header = next(row for row in csv.reader(lines) if row)
+    except (StopIteration, csv.Error):
+        return None
+    ids = tuple(cell.strip() for cell in header)
+    entries = _fast_grid(lines, len(ids))
+    # an empty cell (NaN here) is the reference's "non-numeric cell ''" error
+    if entries is None or entries.shape[0] != len(ids) or np.isnan(entries).any():
+        return None
+    return ids, entries
+
+
+def _square_from_rows(rows: list[list[str]]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Per-cell reference parse of a square matrix CSV."""
     rows = [row for row in rows if row]
     if not rows:
         raise PanelFormatError("empty matrix CSV", row=0)
@@ -288,6 +303,15 @@ def _square_from_csv(source: str | Path | IO[str]) -> tuple[tuple[str, ...], np.
                     f"non-numeric cell {cell.strip()!r}", row=r + 1, column=ids[c]
                 ) from None
     return ids, entries
+
+
+def _square_from_csv(source: str | Path | IO[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Ids and entries of a square matrix CSV, parsed like ``load_panel``.
+
+    Cells are read as written, ``nan`` included, which the matrix types then
+    refuse; an empty cell is a parse error.
+    """
+    return _read_csv(source, _fast_square, _square_from_rows)
 
 
 def correlation_from_csv(source: str | Path | IO[str]) -> CorrelationMatrix:

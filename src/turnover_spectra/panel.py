@@ -4,10 +4,11 @@ missing-data policies, and factor residualization."""
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
@@ -83,42 +84,113 @@ class TimeSeriesPanel:
         return self.values.shape[1]
 
 
-def _read_rows(source: str | Path | IO[str]) -> list[list[str]]:
+def _rewind_point(handle: IO[str]) -> int | None:
+    try:
+        return handle.tell() if handle.seekable() else None
+    except (AttributeError, OSError):  # a list of lines, or a file iterated with next()
+        return None
+
+
+def _read_csv(source: str | Path | IO[str], fast: Callable, reference: Callable):
+    """Parse CSV text with ``fast``, falling back to ``reference`` when it declines.
+
+    ``fast`` gets an iterator over the lines and streams through them once;
+    it returns None when its result might differ from the reference's. The
+    ``reference`` then gets every ``csv`` row from the start of the text and
+    is the only one that raises on malformed input. A path is opened and, like
+    a seekable handle, rewound to where ``fast`` started; a handle that cannot
+    seek is first read once into a list of lines.
+    """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
-            return list(csv.reader(handle))
-    return list(csv.reader(source))
+            return _read_csv(handle, fast, reference)
+    start = _rewind_point(source)
+    lines = source if start is not None else list(source)
+    result = fast(iter(lines))
+    if result is not None:
+        return result
+    if start is not None:
+        source.seek(start)
+    return reference(list(csv.reader(lines)))
 
 
-def load_panel(source: str | Path | IO[str], *, oldest_first: bool = False) -> TimeSeriesPanel:
-    """Read a panel from CSV text.
+def _fast_grid(lines: Iterator[str], n_cols: int) -> np.ndarray | None:
+    """Parse the data lines of a numeric CSV grid in one ``np.loadtxt`` pass.
 
-    The header row carries the series ids; every following row is one
-    timestamp, most recent first (set ``oldest_first`` when the file is in
-    chronological order instead). Empty cells mark missing observations.
-
-    Raises
-    ------
-    PanelFormatError
-        Ragged rows, non-numeric or non-finite cells, duplicate or blank ids.
-    RejectedSeriesError
-        Any series ends up with fewer than two observed values.
+    Blank lines are skipped and empty cells read as NaN, so a NaN in the
+    result marks exactly an empty cell. Returns None when the per-cell
+    reference parse has to decide instead: on any line ``loadtxt`` rejects
+    (ragged rows, quoted or whitespace-only cells, ``1_0``, whitespace-only
+    lines), on a field longer than the ``csv`` field limit, when there are
+    no data lines or not ``n_cols`` columns, and when a cell's own text is
+    non-finite (``nan``, ``inf``, ``1e999``), which shows as more
+    non-finite values than empty cells.
     """
-    rows = _read_rows(source)
-    if not rows:
-        raise PanelFormatError("empty input: missing header row", row=0)
-    header = [cell.strip() for cell in rows[0]]
+    limit = csv.field_size_limit()
+    empty = 0
+
+    def filled() -> Iterator[str]:
+        nonlocal empty
+        for line in lines:
+            body = line.rstrip("\r\n")
+            if not body:
+                continue  # csv reads a blank line as an empty row, which callers skip
+            if len(body) > limit and max(map(len, body.split(","))) > limit:
+                raise ValueError("field larger than the csv field limit")
+            text = body.replace(",,", ",nan,").replace(",,", ",nan,")
+            if text[0] == ",":
+                text = "nan" + text
+            if text[-1] == ",":
+                text += "nan"
+            empty += (len(text) - len(body)) // 3
+            yield text
+
+    stream = filled()
+    try:
+        first = next(stream, None)
+        if first is None:  # loadtxt warns on empty input
+            return None
+        grid = np.loadtxt(
+            itertools.chain((first,), stream), delimiter=",", comments=None, ndmin=2
+        )
+    except ValueError:
+        return None
+    if grid.shape[1] != n_cols:
+        return None
+    if grid.size - np.count_nonzero(np.isfinite(grid)) != empty:
+        return None
+    return grid
+
+
+def _panel_header(row: list[str]) -> tuple[str, ...]:
+    header = tuple(cell.strip() for cell in row)
     if not header or any(not name for name in header):
         raise PanelFormatError("header must name every series", row=0)
     if len(set(header)) != len(header):
         raise PanelFormatError("duplicate series ids in header", row=0)
+    return header
+
+
+def _fast_panel(lines: Iterator[str]) -> tuple[tuple[str, ...], np.ndarray] | None:
+    try:
+        header = _panel_header(next(csv.reader(lines)))
+    except (StopIteration, csv.Error, PanelFormatError):
+        return None
+    values = _fast_grid(lines, len(header))
+    return None if values is None else (header, values)
+
+
+def _panel_from_rows(rows: list[list[str]]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Per-cell reference parse of a panel CSV; empty cells become NaN."""
+    if not rows:
+        raise PanelFormatError("empty input: missing header row", row=0)
+    header = _panel_header(rows[0])
     data_rows = [row for row in rows[1:] if row]  # tolerate blank lines
     if not data_rows:
         raise PanelFormatError("no data rows after the header", row=1)
 
     n_cols = len(header)
     values = np.empty((len(data_rows), n_cols))
-    observed = np.zeros((len(data_rows), n_cols), dtype=bool)
     for r, row in enumerate(data_rows):
         if len(row) != n_cols:
             raise PanelFormatError(
@@ -140,11 +212,35 @@ def load_panel(source: str | Path | IO[str], *, oldest_first: bool = False) -> T
                     f"non-finite cell {text!r}", row=r + 1, column=header[c]
                 )
             values[r, c] = parsed
-            observed[r, c] = True
+    return header, values
+
+
+def load_panel(source: str | Path | IO[str], *, oldest_first: bool = False) -> TimeSeriesPanel:
+    """Read a panel from CSV text.
+
+    The header row carries the series ids; every following row is one
+    timestamp, most recent first (set ``oldest_first`` when the file is in
+    chronological order instead). Empty cells mark missing observations.
+
+    The header is read with ``csv`` and the data rows in one streaming
+    ``np.loadtxt`` pass, with empty cells read as NaN; the text is not held
+    in memory whole, unless it comes from a handle that cannot seek. Input
+    that pass cannot take exactly as the per-cell reference parse would
+    (quoted, whitespace-only or non-finite cells, ragged rows, any parse
+    error) is parsed again from the start by that reference loop, which alone
+    raises, so every error keeps its row and column.
+
+    Raises
+    ------
+    PanelFormatError
+        Ragged rows, non-numeric or non-finite cells, duplicate or blank ids.
+    RejectedSeriesError
+        Any series ends up with fewer than two observed values.
+    """
+    header, values = _read_csv(source, _fast_panel, _panel_from_rows)
     if oldest_first:
         values = values[::-1]
-        observed = observed[::-1]
-    return TimeSeriesPanel(tuple(header), values.T, observed.T)
+    return TimeSeriesPanel(header, values.T, np.isfinite(values).T)
 
 
 def write_panel(panel: TimeSeriesPanel, dest: str | Path | IO[str]) -> None:

@@ -116,6 +116,16 @@ class TestAnalyze:
         code = main(["analyze", "--input", bad, "--output", str(tmp_path / "r.json")])
         assert code == EXIT_IO
 
+    def test_takes_no_seed(self, tmp_path, monkeypatch):
+        panel = write(tmp_path / "panel.csv", PANEL_CSV)
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as usage:
+            main(["analyze", "--input", panel, "--output", str(out), "--seed", "3"])
+        assert usage.value.code == EXIT_IO
+        monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
+        assert main(["analyze", "--input", panel, "--output", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["config"]["seed"] == 0
+
 
 class TestRepair:
     def test_repairs_matrix_and_writes_summary(self, tmp_path):

@@ -201,6 +201,39 @@ class TestRjRepair:
         with pytest.raises(ValueError):
             rj_repair(NON_PSD, 0.0)
 
+    def test_ragged_pairwise_matrix_converges_in_few_passes(self, monkeypatch):
+        # 300 one-factor series over 900 timestamps, 45 % missing: staggered
+        # starts plus random holes. A stop test tighter than eigh's own
+        # rounding (N * eps * max|lambda|) never clears the floor on it.
+        rng = np.random.default_rng(20260417)
+        n, m, missing = 300, 900, 0.45
+        values = 0.5 * rng.standard_normal(m) + math.sqrt(0.75) * rng.standard_normal((n, m))
+        life = rng.uniform(1.0 - missing / 2.0, 1.0, n)
+        mask = np.arange(m)[None, :] < np.round(life * m)[:, None]
+        mask &= rng.random((n, m)) >= 0.75 * missing / (1.0 - 0.25 * missing)
+        panel = TimeSeriesPanel(tuple(f"s{i}" for i in range(n)), values, mask)
+        _, corr = sample_moments(panel, PAIRWISE_COMPLETE)
+        floor = default_floor(n)
+        assert np.linalg.eigvalsh(corr.entries).min() < 0
+
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counting_eigh(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        repaired = rj_repair(corr, floor)
+        monkeypatch.undo()
+
+        assert len(calls) <= 10
+        spectrum = np.linalg.eigvalsh(repaired.entries)
+        assert spectrum.min() >= floor * (1.0 - 1e-6)
+        np.testing.assert_array_equal(np.diag(repaired.entries), 1.0)
+        again = rj_repair(repaired, floor)
+        np.testing.assert_array_equal(again.entries, repaired.entries)
+
 
 class TestPortfolioVolatility:
     def test_identity_unit_weight(self):
