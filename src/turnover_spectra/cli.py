@@ -19,6 +19,7 @@ import numpy as np
 from .conditioning import (
     _correlation_from_entries,
     _covariance_from_entries,
+    _spectrum,
     _square_from_csv,
     classify_definiteness,
     correlation_from_csv,
@@ -199,20 +200,22 @@ def run_analyze(config: RunConfig) -> int:
         _, corr = sample_moments(panel, config.estimation_mode)
     n_input = corr.n
 
-    kept, corr = prune_redundant(corr, config.prune_bound)
-    floor = config.repair_floor if config.repair_floor is not None else default_floor(corr.n)
-    status_before = classify_definiteness(corr)
-    if config.repair:
-        corr = rj_repair(corr, floor)
-    elif status_before == "verified-not-PSD":
+    kept, pruned = prune_redundant(corr, config.prune_bound)
+    floor = config.repair_floor if config.repair_floor is not None else default_floor(pruned.n)
+    status_before = classify_definiteness(pruned)
+    if not config.repair and status_before == "verified-not-PSD":
         print(
             "error: correlation matrix is not positive semi-definite; "
             "re-run with --repair to floor the spectrum",
             file=sys.stderr,
         )
         return EXIT_NUMERIC
+    corr = rj_repair(pruned, floor) if config.repair else pruned
 
-    basis = fix_sign_basis(eigendecompose(corr))
+    # the classification's solve serves the repair's first pass, and the
+    # repair hands its last solve on, so no spectrum below is solved again
+    decomposition = eigendecompose(corr)
+    basis = fix_sign_basis(decomposition)
     weighted = np.full(corr.n, 1.0 / corr.n)
     digest = {
         "n_series": n_input,
@@ -224,6 +227,11 @@ def run_analyze(config: RunConfig) -> int:
         "repaired": bool(config.repair),
         "repair_floor": floor if config.repair else None,
         "psd_status_input": status_before,
+        "min_eigenvalue_input": float(_spectrum(pruned)[0].min()),
+        "min_eigenvalue_output": float(decomposition.eigenvalues[-1]),
+        "repair_shift_fro": float(np.linalg.norm(corr.entries - pruned.entries)),
+        "top_gap": decomposition.top_gap,
+        "orthonormality_residual": decomposition.orthonormality_residual,
         "residualized": residualized,
         "factor_ids": factor_ids,
         "weights": "uniform (tau_i = 1, w_i = 1/N; turnovers are reduction factors)",

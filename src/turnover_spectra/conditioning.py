@@ -91,6 +91,29 @@ def _checked_symmetric(entries: np.ndarray) -> np.ndarray:
     return 0.5 * (entries + entries.T)
 
 
+def _remember(matrix: CorrelationMatrix | CovarianceMatrix, values, vectors) -> None:
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    object.__setattr__(matrix, "_eigensystem", (values, vectors))
+
+
+def _spectrum(matrix: MatrixLike) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending ``(values, vectors)`` of ``np.linalg.eigh`` on the symmetrized matrix.
+
+    The one way the package solves a spectrum. A matrix wrapper is solved at
+    most once: the read-only result is kept in its ``_eigensystem`` slot and
+    returned by every later call. A bare array is validated and solved on
+    every call.
+    """
+    memo = getattr(matrix, "_eigensystem", None)
+    if memo is not None:
+        return memo
+    values, vectors = np.linalg.eigh(_checked_symmetric(_matrix_entries(matrix)))
+    if isinstance(matrix, (CorrelationMatrix, CovarianceMatrix)):
+        _remember(matrix, values, vectors)
+    return values, vectors
+
+
 def eigendecompose(matrix: MatrixLike) -> SpectralDecomposition:
     """Eigenvalues (descending) and orthonormal eigenvectors of a symmetric matrix.
 
@@ -98,9 +121,11 @@ def eigendecompose(matrix: MatrixLike) -> SpectralDecomposition:
     averaging before solving. Equal eigenvalues keep their solver order
     (stable sort) and each eigenvector is sign-fixed so its largest-magnitude
     component is positive.
+
+    The solve goes through the matrix's memo (:func:`_spectrum`): a wrapper
+    already classified, repaired or decomposed costs no further ``eigh``.
     """
-    sym = _checked_symmetric(_matrix_entries(matrix))
-    values, vectors = np.linalg.eigh(sym)
+    values, vectors = _spectrum(matrix)
     order = np.argsort(-values, kind="stable")
     values = values[order]
     vectors = vectors[:, order]
@@ -150,8 +175,16 @@ def rj_repair(matrix: MatrixLike, floor: float) -> MatrixLike:
     strictly positive definite whenever the floor exceeds that rounding.
 
     Returns the same kind of object it was given (correlation in,
-    correlation out with ``psd_status="verified-PD"``; covariance in,
-    covariance out; bare array in, bare array out).
+    correlation out; covariance in, covariance out; bare array in, bare
+    array out). A correlation output's ``psd_status`` is read off the final
+    spectrum by the rule of :func:`classify_definiteness`, so the two agree;
+    it is "verified-PD" for the default floor.
+
+    The first pass takes the input's spectrum through :func:`_spectrum`, so
+    a wrapper already classified costs no solve there. A wrapper output
+    whose entries equal the final iterate bit for bit gets that iterate's
+    eigensystem as its memo, so decomposing or classifying it next costs no
+    solve either.
     """
     if floor <= 0:
         raise ValueError("floor must be positive")
@@ -161,10 +194,14 @@ def rj_repair(matrix: MatrixLike, floor: float) -> MatrixLike:
     if (diag <= 0).any():
         raise InvalidDiagonalError("diagonal entries must be positive to repair")
     np.fill_diagonal(current, diag)
-    for _ in range(_REPAIR_MAX_PASSES):
-        values, vectors = np.linalg.eigh(current)
-        if float(values.min()) >= floor - _eigh_rounding(values):
-            break
+    # symmetrizing by averaging keeps the diagonal, so this is ``current``'s spectrum
+    values, vectors = _spectrum(matrix)
+    passes = 1
+    while float(values.min()) < floor - _eigh_rounding(values):
+        if passes == _REPAIR_MAX_PASSES:
+            raise InvalidMatrixError(
+                f"eigenvalue-floor repair did not converge in {_REPAIR_MAX_PASSES} passes"
+            )
         lifted = np.maximum(values, floor)
         denom = (vectors * vectors) @ lifted
         # a positive floor makes every denominator a positive combination
@@ -174,23 +211,25 @@ def rj_repair(matrix: MatrixLike, floor: float) -> MatrixLike:
         current = half @ half.T
         current = 0.5 * (current + current.T)
         np.fill_diagonal(current, diag)
-    else:
-        raise InvalidMatrixError(
-            f"eigenvalue-floor repair did not converge in {_REPAIR_MAX_PASSES} passes"
-        )
+        values, vectors = np.linalg.eigh(current)
+        passes += 1
     if isinstance(matrix, CorrelationMatrix):
-        return CorrelationMatrix(
-            current, matrix.estimation_mode, "verified-PD", matrix.ids
+        out = CorrelationMatrix(
+            current, matrix.estimation_mode, _definiteness(values), matrix.ids
         )
-    if isinstance(matrix, CovarianceMatrix):
-        return CovarianceMatrix(
+    elif isinstance(matrix, CovarianceMatrix):
+        out = CovarianceMatrix(
             current,
             matrix.vols,
             matrix.pairwise_counts,
             matrix.estimation_mode,
             matrix.ids,
         )
-    return current
+    else:
+        return current
+    if np.array_equal(out.entries, current):
+        _remember(out, values, vectors)
+    return out
 
 
 def _psd_tolerance(values: np.ndarray) -> float:
@@ -211,15 +250,14 @@ def portfolio_volatility(
     form is then indefinite and the volatility undefined; run
     :func:`rj_repair` first.
     """
-    sym = _checked_symmetric(_matrix_entries(cov))
+    values, vectors = _spectrum(cov)
     w = np.asarray(weights, dtype=float)
-    if w.shape != (sym.shape[0],):
+    if w.shape != (values.size,):
         raise ValueError("weights length must match matrix dimension")
     if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
     if investment < 0:
         raise ValueError("investment must be nonnegative")
-    values, vectors = np.linalg.eigh(sym)
     if float(values.min()) < -_psd_tolerance(values):
         raise IllDefinedVolatilityError(
             f"matrix has eigenvalue {values.min():.3e} < 0, so the quadratic "
@@ -231,8 +269,17 @@ def portfolio_volatility(
 
 
 def classify_definiteness(matrix: MatrixLike) -> str:
-    """One of 'verified-PD', 'verified-not-PSD', 'unverified' (borderline)."""
-    values = np.linalg.eigvalsh(_checked_symmetric(_matrix_entries(matrix)))
+    """One of 'verified-PD', 'verified-not-PSD', 'unverified' (borderline).
+
+    The smallest eigenvalue is compared with ``1e-12 * N * max(1, max|lambda|)``.
+    The eigenvalues come from the matrix's memo (:func:`_spectrum`), so
+    classifying a wrapper and then repairing or decomposing it shares one
+    ``eigh``.
+    """
+    return _definiteness(_spectrum(matrix)[0])
+
+
+def _definiteness(values: np.ndarray) -> str:
     tol = _psd_tolerance(values)
     smallest = float(values.min())
     if smallest > tol:
@@ -337,7 +384,7 @@ def _covariance_from_entries(ids: tuple[str, ...], entries: np.ndarray) -> Covar
 
 
 def matrix_report(matrix: MatrixLike) -> dict:
-    """JSON-ready report: ids, entries, eigenvalues, psd_status."""
+    """JSON-ready report: ids, entries, eigenvalues, psd_status (one solve for a wrapper)."""
     entries = _matrix_entries(matrix)
     decomposition = eigendecompose(matrix)
     return {

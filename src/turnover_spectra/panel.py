@@ -6,9 +6,9 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Callable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -65,12 +65,12 @@ class TimeSeriesPanel:
             raise ValueError("series_ids length must match the number of series")
         if values.shape[0] < 1:
             raise ValueError("panel needs at least one series")
-        if not np.isfinite(values[mask]).all():
+        if (mask & ~np.isfinite(values)).any():
             raise ValueError("observed values must be finite")
         short = mask.sum(axis=1) < 2
         if short.any():
             raise RejectedSeriesError(ids[i] for i in np.flatnonzero(short))
-        values = np.where(mask, values, np.nan)
+        values[~mask] = np.nan  # ``values`` is this panel's own copy
         object.__setattr__(self, "series_ids", ids)
         object.__setattr__(self, "values", _readonly(values))
         object.__setattr__(self, "observed_mask", _readonly(mask))
@@ -97,7 +97,9 @@ def _read_csv(source: str | Path | IO[str], fast: Callable, reference: Callable)
     ``fast`` gets an iterator over the lines and streams through them once;
     it returns None when its result might differ from the reference's. The
     ``reference`` then gets every ``csv`` row from the start of the text and
-    is the only one that raises on malformed input. A path is opened and, like
+    is the only one that raises on malformed input, except for a line the
+    ``csv`` reader itself rejects (a field over its size limit), which raises
+    ``PanelFormatError`` with the reader's line number. A path is opened and, like
     a seekable handle, rewound to where ``fast`` started; a handle that cannot
     seek is first read once into a list of lines.
     """
@@ -111,7 +113,17 @@ def _read_csv(source: str | Path | IO[str], fast: Callable, reference: Callable)
         return result
     if start is not None:
         source.seek(start)
-    return reference(list(csv.reader(lines)))
+    return reference(_csv_rows(lines))
+
+
+def _csv_rows(lines: Iterable[str]) -> list[list[str]]:
+    """Every ``csv`` row of the lines; a line the reader rejects (a field over
+    its size limit, say) is a ``PanelFormatError`` naming the line."""
+    reader = csv.reader(lines)
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise PanelFormatError(f"{exc} at line {reader.line_num}") from None
 
 
 def _fast_grid(lines: Iterator[str], n_cols: int) -> np.ndarray | None:
@@ -233,7 +245,8 @@ def load_panel(source: str | Path | IO[str], *, oldest_first: bool = False) -> T
     Raises
     ------
     PanelFormatError
-        Ragged rows, non-numeric or non-finite cells, duplicate or blank ids.
+        Ragged rows, non-numeric or non-finite cells, duplicate or blank ids,
+        a field over the ``csv`` field size limit.
     RejectedSeriesError
         Any series ends up with fewer than two observed values.
     """
@@ -287,6 +300,11 @@ class CovarianceMatrix:
     pairwise_counts: np.ndarray
     estimation_mode: str
     ids: tuple[str, ...] | None = None
+    # ``(values, vectors)`` of ``np.linalg.eigh`` on the symmetrized entries,
+    # read-only; filled and read by ``conditioning._spectrum`` only.
+    _eigensystem: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         entries = np.array(self.entries, dtype=float)
@@ -327,6 +345,10 @@ class CorrelationMatrix:
     estimation_mode: str
     psd_status: str = "unverified"
     ids: tuple[str, ...] | None = None
+    # the memoised eigensystem, as in ``CovarianceMatrix``
+    _eigensystem: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         entries = np.array(self.entries, dtype=float)

@@ -76,16 +76,16 @@ def gen_one_factor_panel(config: SimConfig) -> TimeSeriesPanel:
     """Fully observed panel: series i = b_i * common + sqrt(1 - b_i^2) * own noise.
 
     Innovations are standard normal and the draw is fully determined by
-    ``master_seed``; population pairwise correlation is b_i * b_j.
+    ``master_seed``; population pairwise correlation is b_i * b_j. The noise
+    is scaled and shifted in place, which gives the same bits as the sum of
+    the two products (IEEE multiplication and addition commute).
     """
     b = config.loadings()
     rng = _rng(config.master_seed)
     common = rng.standard_normal(config.n_periods)
-    idiosyncratic = rng.standard_normal((config.n_alphas, config.n_periods))
-    values = (
-        b[:, None] * common[None, :]
-        + np.sqrt(1.0 - b**2)[:, None] * idiosyncratic
-    )
+    values = rng.standard_normal((config.n_alphas, config.n_periods))
+    values *= np.sqrt(1.0 - b**2)[:, None]
+    values += b[:, None] * common
     ids = tuple(f"a{i + 1:04d}" for i in range(config.n_alphas))
     return TimeSeriesPanel(ids, values, np.ones_like(values, dtype=bool))
 
@@ -269,19 +269,7 @@ def sweep_rho_star(
             np.random.SeedSequence([seed, n]).generate_state(1, np.uint64)[0]
         )
         try:
-            panel = generator(n, point_seed)
-            _, corr = sample_moments(panel, options.estimation_mode)
-            if options.repair:
-                floor = (
-                    options.repair_floor
-                    if options.repair_floor is not None
-                    else default_floor(corr.n)
-                )
-                corr = rj_repair(corr, floor)
-            basis = fix_sign_basis(eigendecompose(corr))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegenerateTopWarning)
-                rho_stars[idx] = rho_star(basis)
+            rho_stars[idx] = _sweep_point(generator(n, point_seed), options)
         except Exception as exc:  # record and continue; partial sweeps stay usable
             errors.append(f"N={n}: {exc}")
 
@@ -304,6 +292,27 @@ def sweep_rho_star(
         tuple(float(v) for v in residuals),
         tuple(errors),
     )
+
+
+def _sweep_point(panel: TimeSeriesPanel, options: SweepOptions) -> float:
+    """rho_star of one grid point's panel.
+
+    The panel and the matrices built from it die with this call, so no
+    point's arrays are alive while the next point's panel is generated.
+    """
+    _, corr = sample_moments(panel, options.estimation_mode)
+    del panel  # the caller holds no reference either
+    if options.repair:
+        floor = (
+            options.repair_floor
+            if options.repair_floor is not None
+            else default_floor(corr.n)
+        )
+        corr = rj_repair(corr, floor)
+    basis = fix_sign_basis(eigendecompose(corr))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateTopWarning)
+        return rho_star(basis)
 
 
 def one_factor_generator(rho: float, n_periods: int) -> PanelGenerator:

@@ -1,5 +1,6 @@
 """End-to-end command-line runs: artifacts, exit codes, reproducibility."""
 
+import csv
 import io
 import json
 
@@ -116,6 +117,47 @@ class TestAnalyze:
         code = main(["analyze", "--input", bad, "--output", str(tmp_path / "r.json")])
         assert code == EXIT_IO
 
+    def test_positive_definite_panel_costs_one_eigensolve(self, tmp_path, eigensolves):
+        panel = write(tmp_path / "panel.csv", PANEL_CSV)
+        assert main(["analyze", "--input", panel, "--output", str(tmp_path / "r.json")]) == EXIT_OK
+        assert eigensolves == [(3, 3)]
+
+    def test_report_carries_spectral_diagnostics(self, tmp_path):
+        panel = write(tmp_path / "panel.csv", NON_PSD_PANEL_CSV)
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--input", panel, "--output", str(out), "--mode", "pairwise"]) == EXIT_OK
+        inputs = json.loads(out.read_text())["report"]["inputs"]
+
+        _, corr = sample_moments(load_panel(panel), PAIRWISE_COMPLETE)
+        repaired = conditioning.rj_repair(corr, inputs["repair_floor"])
+        before = np.linalg.eigvalsh(corr.entries)
+        after = np.linalg.eigvalsh(repaired.entries)
+        assert inputs["min_eigenvalue_input"] == pytest.approx(-0.6, abs=1e-12)
+        assert inputs["min_eigenvalue_input"] == pytest.approx(before.min(), abs=1e-14)
+        assert inputs["min_eigenvalue_output"] == pytest.approx(after.min(), abs=1e-14)
+        assert inputs["min_eigenvalue_output"] >= inputs["repair_floor"] * (1 - 1e-6)
+        shift = np.linalg.norm(repaired.entries - corr.entries)
+        assert inputs["repair_shift_fro"] == pytest.approx(shift, rel=1e-12)
+        assert inputs["top_gap"] == pytest.approx(after[-1] - after[-2], rel=1e-9)
+        assert 0 <= inputs["orthonormality_residual"] < 1e-12
+
+    def test_without_repair_the_output_spectrum_is_the_input_one(self, tmp_path):
+        panel = write(tmp_path / "panel.csv", PANEL_CSV)
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--input", panel, "--output", str(out), "--no-repair"]) == EXIT_OK
+        inputs = json.loads(out.read_text())["report"]["inputs"]
+        assert inputs["min_eigenvalue_output"] == inputs["min_eigenvalue_input"] > 0
+        assert inputs["repair_shift_fro"] == 0.0
+
+    def test_report_is_byte_identical_from_run_to_run(self, tmp_path):
+        panel = write(tmp_path / "panel.csv", NON_PSD_PANEL_CSV)
+        out = tmp_path / "r.json"
+        args = ["analyze", "--input", panel, "--output", str(out), "--mode", "pairwise"]
+        assert main(args) == EXIT_OK
+        first = out.read_bytes()
+        assert main(args) == EXIT_OK
+        assert out.read_bytes() == first
+
     def test_takes_no_seed(self, tmp_path, monkeypatch):
         panel = write(tmp_path / "panel.csv", PANEL_CSV)
         out = tmp_path / "report.json"
@@ -127,7 +169,33 @@ class TestAnalyze:
         assert json.loads(out.read_text())["config"]["seed"] == 0
 
 
+def _oversized_field_text(layout):
+    cell = "0." + "0" * csv.field_size_limit() + "1"  # one character over the limit
+    if layout == "panel":
+        return f"a,b\n1,2\n3,{cell}\n4,5\n"
+    return f"a,b\n1.0,{cell}\n{cell},1.0\n"
+
+
+@pytest.mark.parametrize(
+    "layout, argv",
+    [("panel", ["analyze"]), ("matrix", ["repair"]), ("matrix", ["analyze", "--matrix"])],
+    ids=["panel-analyze", "matrix-repair", "matrix-analyze"],
+)
+def test_field_over_csv_limit_is_a_one_line_parse_error(tmp_path, capsys, layout, argv):
+    source = write(tmp_path / "in.csv", _oversized_field_text(layout))
+    code = main([*argv, "--input", source, "--output", str(tmp_path / "out.csv")])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    line = 3 if layout == "panel" else 2
+    assert err == f"error: field larger than field limit ({csv.field_size_limit()}) at line {line}\n"
+
+
 class TestRepair:
+    def test_positive_definite_matrix_costs_one_eigensolve(self, tmp_path, eigensolves):
+        matrix = write(tmp_path / "corr.csv", "a,b,c\n1.0,0.3,0.2\n0.3,1.0,0.1\n0.2,0.1,1.0\n")
+        assert main(["repair", "--input", matrix, "--output", str(tmp_path / "r.csv")]) == EXIT_OK
+        assert eigensolves == [(3, 3)]
+
     def test_repairs_matrix_and_writes_summary(self, tmp_path):
         matrix = write(
             tmp_path / "corr.csv",
@@ -213,6 +281,10 @@ class TestSweep:
         summary_b = json.loads(json_b)
         assert summary_a["rho_stars"] == summary_b["rho_stars"]
         assert summary_a["slope_no_intercept"] == summary_b["slope_no_intercept"]
+
+    def test_one_eigensolve_per_grid_point_without_repair_passes(self, tmp_path, eigensolves):
+        self.run_sweep(tmp_path, "sweep.csv")
+        assert eigensolves == [(8, 8), (16, 16)]
 
     def test_summary_embeds_config_and_seed(self, tmp_path):
         _, json_bytes = self.run_sweep(tmp_path, "sweep.csv")

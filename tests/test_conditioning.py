@@ -1,13 +1,17 @@
 """Eigendecomposition, pruning, eigenvalue-floor repair, and volatility."""
 
+import dataclasses
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from turnover_spectra import (
     COMPLETE_CASES,
+    EXTERNAL,
     PAIRWISE_COMPLETE,
     CorrelationMatrix,
     CovarianceMatrix,
@@ -27,6 +31,8 @@ from turnover_spectra import (
     rj_repair,
     sample_moments,
 )
+from turnover_spectra import conditioning
+from turnover_spectra.conditioning import _spectrum
 
 # eigenvalues (1.9, 1.9, -0.8): verified against the characteristic
 # polynomial (trace 3, pairwise-product sum 0.57, determinant -2.888)
@@ -233,6 +239,115 @@ class TestRjRepair:
         np.testing.assert_array_equal(np.diag(repaired.entries), 1.0)
         again = rj_repair(repaired, floor)
         np.testing.assert_array_equal(again.entries, repaired.entries)
+
+
+class TestSpectrumMemo:
+    def test_classify_repair_decompose_share_one_solve(self, eigensolves):
+        corr = random_correlation(5, 8)
+        assert classify_definiteness(corr) == "verified-PD"
+        repaired = rj_repair(corr, default_floor(8))
+        decomposition = eigendecompose(repaired)
+        assert matrix_report(repaired)["psd_status"] == "verified-PD"
+        portfolio_volatility(repaired, np.full(8, 0.125))
+        assert len(eigensolves) == 1
+        np.testing.assert_array_equal(decomposition.eigenvalues, _spectrum(corr)[0][::-1])
+
+    def test_repair_passes_after_the_first_are_fresh_solves(self, eigensolves):
+        corr = CorrelationMatrix(NON_PSD, PAIRWISE_COMPLETE)
+        classify_definiteness(corr)
+        repaired = rj_repair(corr, default_floor(3))
+        passes = len(eigensolves)  # the first pass reused the classification's solve
+        assert passes >= 2
+        eigendecompose(repaired)
+        classify_definiteness(repaired)
+        assert len(eigensolves) == passes
+
+    def test_bare_arrays_are_solved_on_every_call(self, eigensolves):
+        classify_definiteness(NON_PSD)
+        eigendecompose(NON_PSD)
+        matrix_report(NON_PSD)
+        assert len(eigensolves) == 4
+
+    def test_memo_slot_is_private_and_read_only(self):
+        for kind in (CorrelationMatrix, CovarianceMatrix):
+            (slot,) = [f for f in dataclasses.fields(kind) if f.name == "_eigensystem"]
+            assert not (slot.init or slot.repr or slot.compare)
+        corr = random_correlation(3, 5)
+        values, vectors = _spectrum(corr)
+        assert _spectrum(corr)[0] is values
+        assert not values.flags.writeable and not vectors.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+
+    def test_no_memo_is_handed_on_when_the_wrapper_changes_the_iterate(self, monkeypatch):
+        # the wrapper types clip and pin entries; stand in for a case where
+        # that moves the final iterate by nudging one pair by an ulp
+        class Nudged(CorrelationMatrix):
+            def __post_init__(self):
+                super().__post_init__()
+                entries = self.entries.copy()
+                entries[0, 1] = entries[1, 0] = np.nextafter(entries[0, 1], 0.0)
+                object.__setattr__(self, "entries", entries)
+
+        monkeypatch.setattr(conditioning, "CorrelationMatrix", Nudged)
+        repaired = rj_repair(Nudged(NON_PSD, EXTERNAL), 1e-4)
+        assert repaired._eigensystem is None
+        values, _ = _spectrum(repaired)
+        assert values.tobytes() == np.linalg.eigh(repaired.entries)[0].tobytes()
+
+    def test_repair_label_agrees_with_classification_below_the_tolerance(self):
+        repaired = rj_repair(CorrelationMatrix(NON_PSD, EXTERNAL), 1e-15)
+        assert 0 < np.linalg.eigvalsh(repaired.entries).min() < 1e-12
+        assert repaired.psd_status == "unverified"
+        assert classify_definiteness(repaired.entries) == repaired.psd_status
+        assert classify_definiteness(repaired) == repaired.psd_status
+
+    @pytest.mark.parametrize("n", [5, 12, 50])
+    def test_default_floor_repair_is_verified_pd(self, n):
+        rng = np.random.default_rng(n)
+        entries = rng.uniform(-1.0, 1.0, (n, n))
+        entries = (entries + entries.T) / 2
+        np.fill_diagonal(entries, 1.0)
+        corr = CorrelationMatrix(entries, EXTERNAL)
+        assert classify_definiteness(corr) == "verified-not-PSD"
+        repaired = rj_repair(corr, default_floor(n))
+        assert repaired.psd_status == "verified-PD"
+        assert classify_definiteness(repaired.entries) == "verified-PD"
+
+
+@st.composite
+def repair_inputs(draw):
+    """Correlation or covariance wrappers, positive definite or not, and a floor."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        entries = np.corrcoef(rng.standard_normal((n, n + draw(st.integers(2, 20)))))
+    else:
+        entries = rng.uniform(-1.0, 1.0, (n, n))
+        entries = (entries + entries.T) / 2
+        np.fill_diagonal(entries, 1.0)
+    floor = draw(st.sampled_from([default_floor(n), 1e-3, 1e-12, 1e-15]))
+    if draw(st.booleans()):
+        return CorrelationMatrix(entries, EXTERNAL), floor
+    vols = rng.uniform(0.1, 10.0, n)
+    counts = np.zeros((n, n), dtype=int)
+    return CovarianceMatrix(entries * np.outer(vols, vols), vols, counts, EXTERNAL), floor
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=repair_inputs(), classify_first=st.booleans())
+def test_repair_memo_equals_a_fresh_solve_bit_for_bit(case, classify_first):
+    matrix, floor = case
+    if classify_first:
+        classify_definiteness(matrix)
+    repaired = rj_repair(matrix, floor)
+    values, vectors = _spectrum(repaired)
+    fresh_values, fresh_vectors = np.linalg.eigh(repaired.entries)
+    assert values.tobytes() == fresh_values.tobytes()
+    assert vectors.tobytes() == fresh_vectors.tobytes()
+    assert not values.flags.writeable and not vectors.flags.writeable
+    if isinstance(repaired, CorrelationMatrix):
+        assert repaired.psd_status == classify_definiteness(repaired.entries)
 
 
 class TestPortfolioVolatility:

@@ -58,7 +58,7 @@ def _outcome(parse):
 
 
 def _reference_rows(text):
-    return list(csv.reader(io.StringIO(text)))
+    return panel._csv_rows(io.StringIO(text))
 
 
 def _panel_outcomes_agree(text):

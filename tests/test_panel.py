@@ -319,6 +319,35 @@ class TestMatrixTypes:
             TimeSeriesPanel(("a",), np.ones((1, 4)), np.ones((1, 3), bool))
 
 
+class TestPanelValidation:
+    RAGGED_MASK = np.array([[True, True, False, True], [False, True, True, True]])
+
+    def test_non_finite_observed_cell_under_ragged_mask_rejected(self):
+        values = np.ones((2, 4))
+        values[1, 2] = np.inf
+        with pytest.raises(ValueError, match="^observed values must be finite$"):
+            TimeSeriesPanel(("a", "b"), values, self.RAGGED_MASK)
+
+    def test_short_series_rejected_by_name(self):
+        mask = self.RAGGED_MASK.copy()
+        mask[1, 1:3] = False
+        with pytest.raises(RejectedSeriesError) as excinfo:
+            TimeSeriesPanel(("a", "b"), np.ones((2, 4)), mask)
+        assert str(excinfo.value) == "series with fewer than 2 observations: b"
+
+    def test_non_finite_unobserved_cells_accepted_and_masked(self):
+        values = np.arange(8.0).reshape(2, 4)
+        values[0, 2] = np.inf
+        values[1, 0] = np.nan
+        original = values.copy()
+        panel = TimeSeriesPanel(("a", "b"), values, self.RAGGED_MASK)
+        np.testing.assert_array_equal(np.isnan(panel.values), ~self.RAGGED_MASK)
+        np.testing.assert_array_equal(panel.values[self.RAGGED_MASK], original[self.RAGGED_MASK])
+        # the caller's array is copied, never written
+        np.testing.assert_array_equal(values, original)
+        assert values.flags.writeable
+
+
 @settings(max_examples=25, deadline=None)
 @given(scale=st.floats(min_value=1e-3, max_value=1e3), seed=st.integers(0, 10_000))
 def test_correlation_invariant_under_series_scaling(scale, seed):

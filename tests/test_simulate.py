@@ -71,6 +71,17 @@ class TestOneFactorPanel:
         expected = one_factor_correlation(loadings)
         assert np.abs(corr.entries - expected).max() <= 0.05
 
+    @pytest.mark.parametrize("target", [0.3, (0.2, 0.5, 0.9, 0.0, 1.0)])
+    def test_matches_two_product_formula_bit_for_bit(self, target):
+        config = SimConfig(5, 200, target_correlation=target, master_seed=41)
+        rng = np.random.default_rng(np.random.SeedSequence([41]))
+        common = rng.standard_normal(200)
+        idiosyncratic = rng.standard_normal((5, 200))
+        b = config.loadings()
+        expected = b[:, None] * common[None, :] + np.sqrt(1.0 - b**2)[:, None] * idiosyncratic
+        values = gen_one_factor_panel(config).values
+        assert values.tobytes() == expected.tobytes()
+
     def test_invalid_correlation_rejected(self):
         with pytest.raises(ValueError):
             SimConfig(4, 10, target_correlation=1.5)
