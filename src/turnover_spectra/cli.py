@@ -230,6 +230,7 @@ def run_analyze(config: RunConfig) -> int:
         "min_eigenvalue_input": float(_spectrum(pruned)[0].min()),
         "min_eigenvalue_output": float(decomposition.eigenvalues[-1]),
         "repair_shift_fro": float(np.linalg.norm(corr.entries - pruned.entries)),
+        "repair_passes": corr._repair_passes if config.repair else 0,
         "top_gap": decomposition.top_gap,
         "orthonormality_residual": decomposition.orthonormality_residual,
         "residualized": residualized,
@@ -277,6 +278,7 @@ def run_sweep(config: RunConfig) -> int:
         "f_statistic": result.f_statistic if result.f_statistic is not None else "not-available",
         "residuals": list(result.residuals),
         "errors": list(result.errors),
+        "solvers": list(result.solvers),
     }
     _write_json(summary, Path(config.output_path).with_suffix(".json"))
     return EXIT_OK

@@ -59,7 +59,8 @@ class SpectralDecomposition:
     Column ``p`` of ``eigenvectors`` pairs with ``eigenvalues[p]``; columns
     are orthonormal, with each one oriented so its largest-magnitude
     component is positive, making the decomposition deterministic for
-    identical inputs.
+    identical inputs. A decomposition from :func:`_leading_pair` holds the
+    top pair only; its ``source_dim`` is still the matrix dimension.
     """
 
     eigenvalues: np.ndarray
@@ -112,6 +113,86 @@ def _spectrum(matrix: MatrixLike) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(matrix, (CorrelationMatrix, CovarianceMatrix)):
         _remember(matrix, values, vectors)
     return values, vectors
+
+
+# Leading-pair solve: block size, power steps between Rayleigh-Ritz checks,
+# and the number of checks before giving up.
+_RITZ_BLOCK = 4
+_RITZ_STEPS = 3
+_RITZ_CHECKS = 12
+
+
+def _leading_pair(corr: CorrelationMatrix, floor: float | None) -> SpectralDecomposition | None:
+    """The top eigenpair of a correlation matrix without a full solve, or None.
+
+    With a ``floor``, the spectrum must first be certified to clear it: a
+    Cholesky factorisation of ``C - (floor + margin) I`` succeeds only when
+    the true smallest eigenvalue is at least the floor (:func:`_cholesky_margin`),
+    and then :func:`rj_repair`, whose stop test allows for ``eigh``'s rounding,
+    would return ``C`` unchanged. The pair comes
+    from block subspace iteration with Rayleigh-Ritz, started from the
+    all-ones vector and fixed cosine columns (no random numbers), and is
+    accepted only when
+
+    * its residual ``|C u - theta u|`` is within :func:`_ritz_tolerance`, so
+      an eigenvalue ``lambda`` lies within that radius of ``theta``; and
+    * ``lambda`` is isolated: the other eigenvalues' squares sum to
+      ``|C|_F^2 - lambda^2``, which bounds each of them, and that bound is at
+      most ``(1 - _TOP_GAP_RTOL) * lambda``. So ``lambda`` is the top
+      eigenvalue, ahead of the next by at least ``_TOP_GAP_RTOL * lambda``,
+      which clears ``fix_sign_basis``'s degeneracy tolerance (a correlation's
+      top eigenvalue is at least 1) and pins the vector down well enough for
+      this solve and ``eigh`` to agree to rounding.
+
+    The same isolation test, applied first to the upper bound
+    ``min(|C|_inf, |C|_F)`` on ``lambda_1``, turns away a matrix whose top
+    cannot pass before any work. Anything else (a failed factorisation, no
+    convergence within the check cap, a top not isolated) returns None, and
+    the caller takes the full ``eigh`` path. The result holds the one pair,
+    oriented like :func:`eigendecompose`'s columns; ``top_gap`` is the
+    certified lower bound on ``lambda_1 - lambda_2`` and ``source_dim`` is N.
+    Small ``k x k`` Rayleigh-Ritz problems are its only ``eigh`` calls.
+    """
+    a = _checked_symmetric(corr.entries)
+    n = a.shape[0]
+    fro2 = float(np.vdot(a, a)) * (1.0 + n * n * _EPS)  # |C|_F^2, rounded up
+
+    def runner_up(top: float) -> float:  # |other eigenvalues| when one is >= top
+        return math.sqrt(max(fro2 - top * top, 0.0))
+
+    top = min(float(np.linalg.norm(a, np.inf)), math.sqrt(fro2))
+    if runner_up(top) > (1.0 - _TOP_GAP_RTOL) * top:
+        return None
+    if floor is not None:
+        shifted = a.copy()
+        shifted.flat[:: n + 1] -= floor + _cholesky_margin(a)
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            return None
+        del shifted
+    k = min(_RITZ_BLOCK, n - 1)
+    basis = np.cos(np.pi / n * np.outer(np.arange(n) + 0.5, np.arange(k)))
+    for _ in range(_RITZ_CHECKS):
+        for _ in range(_RITZ_STEPS):
+            basis = np.linalg.qr(a @ basis)[0]
+        projected = basis.T @ (a @ basis)
+        u = basis @ np.linalg.eigh(projected)[1][:, -1]
+        u /= np.linalg.norm(u)
+        image = a @ u
+        theta = float(u @ image)
+        residual = float(np.linalg.norm(image - theta * u))
+        if residual <= _ritz_tolerance(n, theta):
+            break
+    else:
+        return None
+    low = theta - residual - _ritz_tolerance(n, theta)
+    if runner_up(low) > (1.0 - _TOP_GAP_RTOL) * low:
+        return None
+    if u[np.argmax(np.abs(u))] < 0:
+        u = -u
+    gap = low - runner_up(low)
+    return SpectralDecomposition(np.array([theta]), u[:, None], n, gap, abs(float(u @ u) - 1.0))
 
 
 def eigendecompose(matrix: MatrixLike) -> SpectralDecomposition:
@@ -184,7 +265,9 @@ def rj_repair(matrix: MatrixLike, floor: float) -> MatrixLike:
     a wrapper already classified costs no solve there. A wrapper output
     whose entries equal the final iterate bit for bit gets that iterate's
     eigensystem as its memo, so decomposing or classifying it next costs no
-    solve either.
+    solve either. A wrapper output also records in its ``_repair_passes``
+    slot how many eigen-passes the repair took, the first included (1 for
+    input that already clears the floor).
     """
     if floor <= 0:
         raise ValueError("floor must be positive")
@@ -229,6 +312,7 @@ def rj_repair(matrix: MatrixLike, floor: float) -> MatrixLike:
         return current
     if np.array_equal(out.entries, current):
         _remember(out, values, vectors)
+    object.__setattr__(out, "_repair_passes", passes)
     return out
 
 
@@ -236,9 +320,36 @@ def _psd_tolerance(values: np.ndarray) -> float:
     return 1e-12 * values.size * max(1.0, float(np.abs(values).max(initial=0.0)))
 
 
+_EPS = np.finfo(float).eps
+
+
 def _eigh_rounding(values: np.ndarray) -> float:
     """Rounding of eigenvalues computed by ``eigh``: N * eps * max|lambda|."""
-    return values.size * np.finfo(float).eps * float(np.abs(values).max(initial=0.0))
+    return values.size * _EPS * float(np.abs(values).max(initial=0.0))
+
+
+def _cholesky_margin(entries: np.ndarray) -> float:
+    """Bound on the backward error of a Cholesky factorisation that succeeds:
+    ``(N + 1)^2 * eps * max|A_ii|``.
+
+    A factor computed for ``A`` is exact for some ``A + E`` with
+    ``|E|_2 <= gamma_(N+1) * trace(A + E)`` (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, Thm 10.3), and the trace is at most
+    ``N * max|A_ii|``; so success on ``A - (f + margin) I`` shows that the
+    smallest eigenvalue of ``A`` is at least ``f``.
+    """
+    n = entries.shape[0]
+    return (n + 1) ** 2 * _EPS * float(np.abs(np.diagonal(entries)).max(initial=0.0))
+
+
+def _ritz_tolerance(n: int, theta: float) -> float:
+    """Residual at which a Ritz pair is as good as ``eigh``'s: N * eps * |theta|."""
+    return n * _EPS * abs(theta)
+
+
+# the leading pair is taken only when lambda_1 - lambda_2 >= this * lambda_1;
+# the vector is then within residual / gap <= 10 * N * eps of the true one
+_TOP_GAP_RTOL = 0.1
 
 
 def portfolio_volatility(

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
@@ -39,7 +39,25 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True)
+def _value_eq(self, other) -> bool:
+    """Value equality for the array-holding types: ``np.array_equal`` on array
+    fields (NaN equal to NaN), ``==`` on the others, and fields declared with
+    ``compare=False`` (the memo slots) skipped."""
+    if type(other) is not type(self):
+        return NotImplemented
+    for f in fields(self):
+        if not f.compare:
+            continue
+        mine, theirs = getattr(self, f.name), getattr(other, f.name)
+        if isinstance(mine, np.ndarray):
+            if not np.array_equal(mine, theirs, equal_nan=True):
+                return False
+        elif mine != theirs:
+            return False
+    return True
+
+
+@dataclass(frozen=True, eq=False)
 class TimeSeriesPanel:
     """N return series over M+1 timestamps.
 
@@ -52,6 +70,9 @@ class TimeSeriesPanel:
     values: np.ndarray
     observed_mask: np.ndarray
     time_order: str = "t0-first"
+
+    __eq__ = _value_eq
+    __hash__ = None  # equal by value, and the arrays are not hashable
 
     def __post_init__(self) -> None:
         ids = tuple(str(s) for s in self.series_ids)
@@ -287,7 +308,7 @@ def _check_square_symmetric(entries: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} matrix is not symmetric within tolerance")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
     """Symmetric sample covariance with per-entry observation counts.
 
@@ -305,6 +326,11 @@ class CovarianceMatrix:
     _eigensystem: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # eigen-passes ``conditioning.rj_repair`` took to make this matrix, if it did
+    _repair_passes: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    __eq__ = _value_eq
+    __hash__ = None
 
     def __post_init__(self) -> None:
         entries = np.array(self.entries, dtype=float)
@@ -337,7 +363,7 @@ class CovarianceMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
     """Unit-diagonal correlation matrix with estimator provenance."""
 
@@ -345,10 +371,14 @@ class CorrelationMatrix:
     estimation_mode: str
     psd_status: str = "unverified"
     ids: tuple[str, ...] | None = None
-    # the memoised eigensystem, as in ``CovarianceMatrix``
+    # the memoised eigensystem and the repair's pass count, as in ``CovarianceMatrix``
     _eigensystem: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _repair_passes: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    __eq__ = _value_eq
+    __hash__ = None
 
     def __post_init__(self) -> None:
         entries = np.array(self.entries, dtype=float)
@@ -418,12 +448,15 @@ def _dense_moments(
         raise _coverage_error(ids, counts)
     center = values.sum(axis=1) / m
     x0 = values - center[:, None]
-
-    prods = x0 @ x0.T
-    prods = 0.5 * (prods + prods.T)
     means = x0.sum(axis=1) / m  # residual means of the centered series
-    cov_joint = (prods - (m * means)[:, None] * means[None, :]) / (m - 1.0)
+    prods = x0 @ x0.T
+    del x0  # the N x N algebra below runs in place, with no N x M array alive
+    prods += prods.T
+    prods *= 0.5
     var = np.maximum((np.diag(prods) - m * means**2) / (m - 1.0), 0.0)
+    cov_joint = prods
+    cov_joint -= (m * means)[:, None] * means[None, :]
+    cov_joint /= m - 1.0
 
     own_sd = np.sqrt(var)
     constant = own_sd <= _CONSTANT_REL_TOL * np.maximum(1.0, np.abs(center))

@@ -12,8 +12,8 @@ from typing import IO, Callable
 
 import numpy as np
 
-from .conditioning import default_floor, eigendecompose, rj_repair
-from .errors import DegenerateTopWarning, UndefinedRegressorError
+from .conditioning import _leading_pair, default_floor, eigendecompose, rj_repair
+from .errors import DegenerateTopWarning, TurnoverSpectraError, UndefinedRegressorError
 from .panel import COMPLETE_CASES, ESTIMATION_MODES, TimeSeriesPanel, sample_moments
 from .turnover import fix_sign_basis, rho_star
 
@@ -77,15 +77,17 @@ def gen_one_factor_panel(config: SimConfig) -> TimeSeriesPanel:
 
     Innovations are standard normal and the draw is fully determined by
     ``master_seed``; population pairwise correlation is b_i * b_j. The noise
-    is scaled and shifted in place, which gives the same bits as the sum of
-    the two products (IEEE multiplication and addition commute).
+    is scaled in place and shifted row by row, which gives the same bits as
+    the sum of the two products (IEEE multiplication and addition commute)
+    without an N x M temporary.
     """
     b = config.loadings()
     rng = _rng(config.master_seed)
     common = rng.standard_normal(config.n_periods)
     values = rng.standard_normal((config.n_alphas, config.n_periods))
     values *= np.sqrt(1.0 - b**2)[:, None]
-    values += b[:, None] * common
+    for row, loading in zip(values, b):
+        row += loading * common
     ids = tuple(f"a{i + 1:04d}" for i in range(config.n_alphas))
     return TimeSeriesPanel(ids, values, np.ones_like(values, dtype=bool))
 
@@ -227,7 +229,9 @@ class SweepResult:
 
     Failed grid points carry NaN in the per-point tuples and a message in
     ``errors``; the regression uses the surviving points only.
-    ``f_statistic`` is None when fewer than two points survive.
+    ``f_statistic`` is None when fewer than two points survive. ``solvers``
+    names, per grid point, how its spectrum was solved: "leading-pair",
+    "full", or "failed" for a point with no value.
     """
 
     grid: tuple[int, ...]
@@ -237,6 +241,18 @@ class SweepResult:
     f_statistic: float | None
     residuals: tuple[float, ...]
     errors: tuple[str, ...] = ()
+    solvers: tuple[str, ...] = ()
+
+
+class _GeneratorFailure(TurnoverSpectraError):
+    """Any exception raised by a sweep's panel generator, re-raised as a package error."""
+
+
+def _generate(generator: PanelGenerator, n: int, seed: int) -> TimeSeriesPanel:
+    try:
+        return generator(n, seed)
+    except Exception as exc:  # a failing generator leaves a NaN point; the sweep goes on
+        raise _GeneratorFailure(str(exc)) from exc
 
 
 def sweep_rho_star(
@@ -249,9 +265,14 @@ def sweep_rho_star(
 
     For every N in the strictly increasing ``grid``: generate a panel with
     ``generator(n_alphas, point_seed)``, estimate the correlation matrix,
-    repair it when requested, fix the sign basis and record rho_star * N.
+    repair it when requested, fix the sign basis and record rho_star * N
+    (:func:`_sweep_point` describes the two ways the spectrum is solved).
     The fitted slope estimates the large-N limit of rho_star. Point seeds
     are derived by hashing (seed, N) so results do not depend on grid order.
+
+    A point whose generator raises, or whose estimation or solve raises a
+    package error, ``ValueError`` or ``LinAlgError``, is recorded as NaN
+    with its message in ``errors``; any other exception propagates.
     """
     grid = tuple(int(n) for n in grid)
     if not grid:
@@ -263,14 +284,18 @@ def sweep_rho_star(
     options = options or SweepOptions()
 
     rho_stars = np.full(len(grid), np.nan)
+    solvers = ["failed"] * len(grid)
     errors: list[str] = []
     for idx, n in enumerate(grid):
         point_seed = int(
             np.random.SeedSequence([seed, n]).generate_state(1, np.uint64)[0]
         )
         try:
-            rho_stars[idx] = _sweep_point(generator(n, point_seed), options)
-        except Exception as exc:  # record and continue; partial sweeps stay usable
+            # the panel goes straight into the call, which holds its only reference
+            rho_stars[idx], solvers[idx] = _sweep_point(
+                _generate(generator, n, point_seed), options
+            )
+        except (TurnoverSpectraError, ValueError, np.linalg.LinAlgError) as exc:
             errors.append(f"N={n}: {exc}")
 
     xs = np.asarray(grid, dtype=float)
@@ -291,28 +316,43 @@ def sweep_rho_star(
         f_stat,
         tuple(float(v) for v in residuals),
         tuple(errors),
+        tuple(solvers),
     )
 
 
-def _sweep_point(panel: TimeSeriesPanel, options: SweepOptions) -> float:
-    """rho_star of one grid point's panel.
+def _sweep_point(panel: TimeSeriesPanel, options: SweepOptions) -> tuple[float, str]:
+    """rho_star of one grid point's panel, and the solver that produced it.
+
+    rho_star needs only the top eigenpair, so the point first tries
+    ``conditioning._leading_pair``: with repair on, a Cholesky certificate
+    that the spectrum already clears the floor (so the repair would return
+    the matrix unchanged), then a subspace iteration for the top pair alone
+    ("leading-pair"; equal to the full path up to rounding). When that
+    declines, the point takes the full path: ``rj_repair``, a full
+    ``eigh`` in ``eigendecompose``, then the sign basis ("full"; the same
+    bits as a sweep that always takes it).
 
     The panel and the matrices built from it die with this call, so no
     point's arrays are alive while the next point's panel is generated.
     """
     _, corr = sample_moments(panel, options.estimation_mode)
     del panel  # the caller holds no reference either
+    floor = None
     if options.repair:
         floor = (
             options.repair_floor
             if options.repair_floor is not None
             else default_floor(corr.n)
         )
-        corr = rj_repair(corr, floor)
-    basis = fix_sign_basis(eigendecompose(corr))
+    decomposition, solver = _leading_pair(corr, floor), "leading-pair"
+    if decomposition is None:
+        if floor is not None:
+            corr = rj_repair(corr, floor)
+        decomposition, solver = eigendecompose(corr), "full"
+    basis = fix_sign_basis(decomposition)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateTopWarning)
-        return rho_star(basis)
+        return rho_star(basis), solver
 
 
 def one_factor_generator(rho: float, n_periods: int) -> PanelGenerator:

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from turnover_spectra import PAIRWISE_COMPLETE, cli, conditioning, load_panel, sample_moments
+from turnover_spectra import PAIRWISE_COMPLETE, cli, conditioning, load_panel, sample_moments, simulate
 from turnover_spectra.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, SEED_ENV_VAR, main
 
 _rng = np.random.default_rng(12345)
@@ -116,6 +116,21 @@ class TestAnalyze:
         bad = write(tmp_path / "bad.csv", "a,b\n1,2\n3\n")
         code = main(["analyze", "--input", bad, "--output", str(tmp_path / "r.json")])
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize(
+        "text, extra, passes",
+        [(PANEL_CSV, [], 1), (NON_PSD_PANEL_CSV, ["--mode", "pairwise"], None), (PANEL_CSV, ["--no-repair"], 0)],
+    )
+    def test_report_carries_repair_passes(self, tmp_path, text, extra, passes):
+        panel = write(tmp_path / "panel.csv", text)
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--input", panel, "--output", str(out), *extra]) == EXIT_OK
+        inputs = json.loads(out.read_text())["report"]["inputs"]
+        if passes is None:  # a real repair: the count the library reports
+            _, corr = sample_moments(load_panel(panel), PAIRWISE_COMPLETE)
+            passes = conditioning.rj_repair(corr, inputs["repair_floor"])._repair_passes
+            assert passes >= 2
+        assert inputs["repair_passes"] == passes
 
     def test_positive_definite_panel_costs_one_eigensolve(self, tmp_path, eigensolves):
         panel = write(tmp_path / "panel.csv", PANEL_CSV)
@@ -282,9 +297,21 @@ class TestSweep:
         assert summary_a["rho_stars"] == summary_b["rho_stars"]
         assert summary_a["slope_no_intercept"] == summary_b["slope_no_intercept"]
 
-    def test_one_eigensolve_per_grid_point_without_repair_passes(self, tmp_path, eigensolves):
-        self.run_sweep(tmp_path, "sweep.csv")
-        assert eigensolves == [(8, 8), (16, 16)]
+    def test_certified_points_solve_no_full_spectrum_and_a_fallback_solves_one(
+        self, tmp_path, eigensolves, monkeypatch
+    ):
+        _, json_bytes = self.run_sweep(tmp_path, "sweep.csv")
+        assert json.loads(json_bytes)["solvers"] == ["leading-pair", "leading-pair"]
+        assert eigensolves and all(shape[0] < 8 for shape in eigensolves)
+
+        leading_pair = simulate._leading_pair
+        monkeypatch.setattr(
+            simulate, "_leading_pair", lambda corr, floor: None if corr.n == 16 else leading_pair(corr, floor)
+        )
+        eigensolves.clear()
+        _, json_bytes = self.run_sweep(tmp_path, "forced.csv")
+        assert json.loads(json_bytes)["solvers"] == ["leading-pair", "full"]
+        assert [shape for shape in eigensolves if shape[0] >= 8] == [(16, 16)]
 
     def test_summary_embeds_config_and_seed(self, tmp_path):
         _, json_bytes = self.run_sweep(tmp_path, "sweep.csv")

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from turnover_spectra import (
     PAIRWISE_COMPLETE,
     CorrelationMatrix,
     CovarianceMatrix,
+    DegenerateTopWarning,
     IllDefinedVolatilityError,
     InvalidDiagonalError,
     InvalidMatrixError,
@@ -24,11 +26,13 @@ from turnover_spectra import (
     correlation_from_csv,
     default_floor,
     eigendecompose,
+    fix_sign_basis,
     matrix_report,
     matrix_to_csv,
     portfolio_volatility,
     prune_redundant,
     rj_repair,
+    rho_star,
     sample_moments,
 )
 from turnover_spectra import conditioning
@@ -413,3 +417,150 @@ class TestRepairConfig:
             RepairConfig(eigen_floor=1e-8, redundancy_bound=1.0)
         with pytest.raises(ValueError):
             RepairConfig(eigen_floor=1e-8, degeneracy_tolerance=-1.0)
+
+
+def with_smallest_eigenvalue(entries: np.ndarray, target: float) -> np.ndarray:
+    """Shift the spectrum of a unit-diagonal matrix and rescale it back to unit
+    diagonal, so that its smallest eigenvalue becomes ``target``."""
+    n = entries.shape[0]
+    smallest = float(np.linalg.eigvalsh(entries)[0])
+    shift = target * (1.0 - smallest) / (1.0 - target) - smallest
+    out = (entries + shift * np.eye(n)) / (1.0 + shift)
+    np.fill_diagonal(out, 1.0)
+    return out
+
+
+def full_path_rho_star(entries: np.ndarray, floor: float | None) -> float:
+    """rho_star by the full path: repair (when a floor is given), eigh, sign basis."""
+    corr = CorrelationMatrix(entries, EXTERNAL)
+    if floor is not None:
+        corr = rj_repair(corr, floor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateTopWarning)
+        return rho_star(fix_sign_basis(eigendecompose(corr)))
+
+
+def leading_pair_rho_star(entries: np.ndarray, floor: float | None) -> float | None:
+    decomposition = conditioning._leading_pair(CorrelationMatrix(entries, EXTERNAL), floor)
+    return None if decomposition is None else rho_star(fix_sign_basis(decomposition))
+
+
+@st.composite
+def leading_pair_inputs(draw):
+    """Unit-diagonal matrices of five kinds, and a floor (None: no repair)."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["one-factor", "multi-factor", "near-degenerate", "near-floor", "non-psd"]))
+    floor = draw(st.sampled_from([None, default_floor(n), 1e-3]))
+    if kind == "one-factor":
+        b = rng.uniform(draw(st.sampled_from([0.0, 0.3, 0.7])), 1.0, n)
+        entries = np.outer(b, b)
+    elif kind == "multi-factor":
+        factors = draw(st.integers(2, 4))
+        loadings = rng.standard_normal((n, factors)) * rng.uniform(0.2, 3.0, factors)
+        cov = loadings @ loadings.T + np.diag(rng.uniform(0.1, 1.0, n))
+        entries = cov / np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+    elif kind == "near-degenerate":
+        # two uncorrelated equicorrelated blocks: equal tops, split by ``delta``
+        half = max(n // 2, 1)
+        delta = draw(st.sampled_from([0.0, 1e-14, 1e-10, 1e-6, 1e-3, 0.05]))
+        entries = np.zeros((n, n))
+        entries[:half, :half] = 0.5
+        entries[half:, half:] = 0.5 + delta
+    elif kind == "near-floor":
+        entries = np.corrcoef(rng.standard_normal((n, n + 5)))
+        level = default_floor(n) if floor is None else floor
+        scale = draw(st.sampled_from([1 - 1e-3, 1.0, 1 + 1e-12, 1 + 1e-3, 2.0]))
+        entries = with_smallest_eigenvalue(entries, level * scale)
+    else:
+        entries = rng.uniform(-1.0, 1.0, (n, n))
+    entries = (entries + entries.T) / 2
+    np.fill_diagonal(entries, 1.0)
+    return np.clip(entries, -1.0, 1.0), floor
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=leading_pair_inputs())
+def test_leading_pair_declines_or_agrees_with_the_full_path(case):
+    entries, floor = case
+    got = leading_pair_rho_star(entries, floor)
+    if got is not None:
+        want = full_path_rho_star(entries, floor)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+class TestLeadingPair:
+    N = 50
+
+    def base(self):
+        """A one-factor sample correlation: its top clears the isolation test,
+        so whether the leading pair is taken rests on the floor certificate."""
+        rng = np.random.default_rng(3)
+        return np.corrcoef(rng.standard_normal((self.N, 4 * self.N)) + rng.standard_normal(4 * self.N))
+
+    def test_base_clear_of_the_floor_is_certified(self):
+        entries = with_smallest_eigenvalue(self.base(), 1e-3)
+        assert conditioning._leading_pair(CorrelationMatrix(entries, EXTERNAL), 1e-10) is not None
+        assert leading_pair_rho_star(entries, default_floor(self.N)) is not None
+
+    def test_solves_no_full_spectrum_and_fills_no_memo(self, eigensolves):
+        corr = CorrelationMatrix(uniform_correlation(self.N, 0.3), EXTERNAL)
+        decomposition = conditioning._leading_pair(corr, default_floor(self.N))
+        assert decomposition.eigenvalues == pytest.approx([1 + (self.N - 1) * 0.3], rel=1e-14)
+        assert decomposition.eigenvectors.shape == (self.N, 1)
+        assert decomposition.source_dim == self.N
+        assert eigensolves and all(shape[0] < self.N for shape in eigensolves)
+        assert corr._eigensystem is None
+
+    @pytest.mark.parametrize("scale", [1 - 1e-3, 1 - 1e-12, 1.0, 1 + 1e-3])
+    def test_floor_boundary_is_never_certified(self, scale):
+        # at this floor the whole band floor * (1 +- 1e-3) lies below floor + margin
+        floor = 1e-10
+        margin = conditioning._cholesky_margin(np.eye(self.N))
+        assert floor * 1e-3 < margin
+        entries = with_smallest_eigenvalue(self.base(), floor * scale)
+        assert conditioning._leading_pair(CorrelationMatrix(entries, EXTERNAL), floor) is None
+
+    @pytest.mark.parametrize("where", ["below", "inside-margin"])
+    def test_default_floor_boundary_is_never_certified(self, where):
+        floor = default_floor(self.N)
+        margin = conditioning._cholesky_margin(np.eye(self.N))
+        target = floor * (1 - 1e-3) if where == "below" else floor + margin / 2
+        entries = with_smallest_eigenvalue(self.base(), target)
+        assert conditioning._leading_pair(CorrelationMatrix(entries, EXTERNAL), floor) is None
+
+    def test_clear_of_the_floor_is_certified_and_agrees(self):
+        floor = default_floor(self.N)
+        entries = with_smallest_eigenvalue(uniform_correlation(self.N, 0.4), floor * (1 + 1e-3))
+        got = leading_pair_rho_star(entries, floor)
+        assert got == pytest.approx(full_path_rho_star(entries, floor), rel=1e-12)
+
+    def test_degenerate_top_is_declined(self):
+        entries = np.kron(np.eye(2), uniform_correlation(self.N // 2, 0.5))
+        assert leading_pair_rho_star(entries, None) is None
+        assert leading_pair_rho_star(entries, default_floor(self.N)) is None
+
+    @pytest.mark.parametrize("rho", [0.2, 0.5, 0.9])
+    def test_gap_is_a_lower_bound_on_the_top_gap(self, rho):
+        b = np.random.default_rng(4).uniform(np.sqrt(rho), 1.0, self.N)
+        entries = np.outer(b, b)
+        np.fill_diagonal(entries, 1.0)
+        values = np.linalg.eigvalsh(entries)
+        decomposition = conditioning._leading_pair(CorrelationMatrix(entries, EXTERNAL), None)
+        assert 0 < decomposition.top_gap <= values[-1] - values[-2]
+
+
+class TestRepairPasses:
+    def test_wrapper_outputs_record_the_pass_count(self, eigensolves):
+        clear = rj_repair(CorrelationMatrix(uniform_correlation(4, 0.2), EXTERNAL), 1e-6)
+        assert clear._repair_passes == len(eigensolves) == 1
+        repaired = rj_repair(CorrelationMatrix(NON_PSD, EXTERNAL), default_floor(3))
+        assert repaired._repair_passes == len(eigensolves) - 1 >= 2
+        vols = np.array([1.0, 2.0, 3.0])
+        cov = CovarianceMatrix(NON_PSD * np.outer(vols, vols), vols, np.zeros((3, 3), int), EXTERNAL)
+        assert rj_repair(cov, default_floor(3))._repair_passes == repaired._repair_passes
+
+    def test_unrepaired_matrices_carry_no_count(self):
+        assert CorrelationMatrix(NON_PSD, EXTERNAL)._repair_passes is None
+        (slot,) = [f for f in dataclasses.fields(CorrelationMatrix) if f.name == "_repair_passes"]
+        assert not (slot.init or slot.repr or slot.compare)

@@ -12,6 +12,7 @@ from turnover_spectra import (
     PAIRWISE_COMPLETE,
     CollinearFactorsError,
     CorrelationMatrix,
+    CovarianceMatrix,
     CoverageError,
     DegenerateSeriesError,
     PanelFormatError,
@@ -22,7 +23,8 @@ from turnover_spectra import (
     sample_moments,
     write_panel,
 )
-from turnover_spectra.panel import _dense_moments, _masked_moments
+from turnover_spectra.conditioning import _spectrum
+from turnover_spectra.panel import _assemble, _dense_moments, _masked_moments
 
 
 def panel_from_csv(text: str, **kwargs) -> TimeSeriesPanel:
@@ -319,6 +321,52 @@ class TestMatrixTypes:
             TimeSeriesPanel(("a",), np.ones((1, 4)), np.ones((1, 3), bool))
 
 
+class TestValueEquality:
+    ENTRIES = np.array([[1.0, 0.3], [0.3, 1.0]])
+
+    def covariance(self, entries=ENTRIES, ids=("a", "b")):
+        return CovarianceMatrix(entries, np.ones(2), np.full((2, 2), 5), COMPLETE_CASES, ids)
+
+    def panel(self, last=3.0):
+        values = np.array([[1.0, 2.0, np.nan], [1.0, 2.0, last]])
+        mask = np.array([[True, True, False], [True, True, True]])
+        return TimeSeriesPanel(("a", "b"), values, mask)
+
+    def test_equal_values_compare_equal(self):
+        assert CorrelationMatrix(self.ENTRIES, COMPLETE_CASES) == CorrelationMatrix(
+            self.ENTRIES.copy(), COMPLETE_CASES
+        )
+        assert self.covariance() == self.covariance()
+        assert self.panel() == self.panel()  # NaN under the mask compares equal
+
+    def test_any_differing_field_compares_unequal(self):
+        corr = CorrelationMatrix(self.ENTRIES, COMPLETE_CASES)
+        other = np.array([[1.0, 0.31], [0.31, 1.0]])
+        assert corr != CorrelationMatrix(other, COMPLETE_CASES)
+        assert corr != CorrelationMatrix(self.ENTRIES, PAIRWISE_COMPLETE)
+        assert corr != CorrelationMatrix(self.ENTRIES, COMPLETE_CASES, "verified-PD")
+        assert corr != CorrelationMatrix(self.ENTRIES, COMPLETE_CASES, ids=("a", "b"))
+        assert corr != CorrelationMatrix(np.eye(3), COMPLETE_CASES)  # shapes differ
+        assert self.covariance() != self.covariance(ids=("a", "c"))
+        assert self.panel() != self.panel(last=4.0)
+        assert corr != self.ENTRIES.tolist()
+        assert corr != self.covariance()
+
+    def test_memoised_and_fresh_matrices_compare_equal(self):
+        memoised = CorrelationMatrix(self.ENTRIES, COMPLETE_CASES)
+        _spectrum(memoised)
+        assert memoised._eigensystem is not None
+        assert memoised == CorrelationMatrix(self.ENTRIES, COMPLETE_CASES)
+        covariance = self.covariance()
+        _spectrum(covariance)
+        assert covariance == self.covariance()
+
+    def test_types_are_unhashable(self):
+        for value in (CorrelationMatrix(self.ENTRIES, COMPLETE_CASES), self.covariance(), self.panel()):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(value)
+
+
 class TestPanelValidation:
     RAGGED_MASK = np.array([[True, True, False, True], [False, True, True, True]])
 
@@ -393,6 +441,34 @@ def test_dense_kernel_matches_masked_reference(seed, n, m, max_offset):
     assert np.issubdtype(counts.dtype, np.integer)
     assert counts.dtype == counts_r.dtype
     np.testing.assert_array_equal(counts, counts_r)
+
+
+def out_of_place_dense_moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The dense kernel's algebra with every step out of place."""
+    n, m = values.shape
+    center = values.sum(axis=1) / m
+    x0 = values - center[:, None]
+    prods = x0 @ x0.T
+    prods = 0.5 * (prods + prods.T)
+    means = x0.sum(axis=1) / m
+    cov_joint = (prods - (m * means)[:, None] * means[None, :]) / (m - 1.0)
+    var = np.maximum((np.diag(prods) - m * means**2) / (m - 1.0), 0.0)
+    return _assemble(cov_joint, np.broadcast_to(var[:, None], (n, n)), np.sqrt(var))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    m=st.integers(3, 60),
+    max_offset=st.sampled_from([0.0, 1.0, 1e6]),
+)
+def test_dense_kernel_in_place_steps_keep_the_bits(seed, n, m, max_offset):
+    values = fully_observed_values(seed, n, m, max_offset)
+    cov, corr, _, _ = _dense_moments(tuple(f"s{i}" for i in range(n)), values)
+    cov_r, corr_r = out_of_place_dense_moments(values)
+    assert cov.tobytes() == cov_r.tobytes()
+    assert corr.tobytes() == corr_r.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

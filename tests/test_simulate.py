@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,21 +12,31 @@ from hypothesis.extra.numpy import arrays
 
 from turnover_spectra import (
     COMPLETE_CASES,
+    EXTERNAL,
+    CorrelationMatrix,
+    DegenerateTopWarning,
+    InvalidMatrixError,
     SimConfig,
     SweepOptions,
     TimeSeriesPanel,
     UndefinedRegressorError,
+    default_floor,
+    eigendecompose,
+    fix_sign_basis,
     gen_one_factor_panel,
     gen_trade_matrix,
     no_intercept_regression,
     one_factor_correlation,
     one_factor_generator,
+    rho_star,
+    rj_repair,
     sample_moments,
     simulate_crossing,
     simulate_crossing_paths,
     sweep_rho_star,
     sweep_to_csv,
 )
+from turnover_spectra import simulate
 
 
 def off_diagonal(matrix: np.ndarray) -> np.ndarray:
@@ -250,6 +261,36 @@ class TestSweep:
         assert math.isnan(result.rho_stars[1])
         assert math.isfinite(result.slope_no_intercept)
 
+    def test_points_record_their_solver(self):
+        def flaky(n_alphas, seed):
+            if n_alphas == 20:
+                raise RuntimeError("synthetic failure")
+            return one_factor_generator(0.3, 300)(n_alphas, seed)
+
+        result = sweep_rho_star([10, 20, 40], flaky, SweepOptions(), seed=3)
+        assert result.solvers == ("leading-pair", "failed", "leading-pair")
+
+    def test_non_package_errors_in_a_point_propagate(self, monkeypatch):
+        def broken(corr, floor):
+            raise TypeError("a bug, not a numeric failure")
+
+        monkeypatch.setattr(simulate, "_leading_pair", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            sweep_rho_star([10, 20], one_factor_generator(0.3, 300), SweepOptions(), seed=3)
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, ValueError, InvalidMatrixError])
+    def test_numeric_errors_in_a_point_leave_a_nan_point(self, monkeypatch, error):
+        def failing(corr, floor):
+            if corr.n == 20:
+                raise error("synthetic numeric failure")
+            return None
+
+        monkeypatch.setattr(simulate, "_leading_pair", failing)
+        result = sweep_rho_star([10, 20, 40], one_factor_generator(0.3, 300), SweepOptions(), seed=3)
+        assert result.errors == ("N=20: synthetic numeric failure",)
+        assert math.isnan(result.rho_stars[1])
+        assert result.solvers == ("full", "failed", "full")
+
     def test_grid_validation(self):
         gen = one_factor_generator(0.2, 100)
         with pytest.raises(ValueError):
@@ -303,3 +344,77 @@ class TestSimConfigValidation:
     def test_loading_vector_length_checked(self):
         with pytest.raises(ValueError):
             SimConfig(4, 10, target_correlation=(0.5, 0.5))
+
+
+def full_path_point(corr: CorrelationMatrix, options: SweepOptions) -> float:
+    """A grid point's rho_star by the full path alone: repair, eigh, sign basis."""
+    if options.repair:
+        floor = options.repair_floor if options.repair_floor is not None else default_floor(corr.n)
+        corr = rj_repair(corr, floor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateTopWarning)
+        return rho_star(fix_sign_basis(eigendecompose(corr)))
+
+
+def point_from_matrix(monkeypatch, entries: np.ndarray, options: SweepOptions) -> tuple[float, str]:
+    """Run ``_sweep_point`` on a panel whose estimated correlation is ``entries``."""
+    monkeypatch.setattr(
+        simulate, "sample_moments", lambda panel, mode: (None, CorrelationMatrix(entries, EXTERNAL))
+    )
+    return simulate._sweep_point(None, options)
+
+
+class TestSweepPointSolvers:
+    N = 40
+
+    def boundary_matrix(self, target: float) -> np.ndarray:
+        """A one-factor sample correlation whose smallest eigenvalue is ``target``."""
+        rng = np.random.default_rng(8)
+        entries = np.corrcoef(rng.standard_normal((self.N, 3 * self.N)) + rng.standard_normal(3 * self.N))
+        smallest = np.linalg.eigvalsh(entries)[0]
+        shift = target * (1 - smallest) / (1 - target) - smallest
+        entries = (entries + shift * np.eye(self.N)) / (1 + shift)
+        np.fill_diagonal(entries, 1.0)
+        return entries
+
+    @pytest.mark.parametrize(
+        "floor, target",
+        [
+            (None, 1.0 - 1e-3),  # default floor, just below it
+            (None, 1.0 + 1e-13),  # default floor, inside the certificate's margin
+            (1e-10, 1.0 - 1e-3),
+            (1e-10, 1.0 + 1e-3),  # floor * 1e-3 is inside the margin at this floor
+            (0.5, 1.0),  # a floor above the smallest eigenvalue: a real repair
+        ],
+    )
+    def test_uncertified_points_take_the_full_path_bit_for_bit(self, monkeypatch, floor, target):
+        options = SweepOptions(repair_floor=floor)
+        level = floor if floor is not None else default_floor(self.N)
+        entries = self.boundary_matrix(min(level * target, 0.3))
+        value, solver = point_from_matrix(monkeypatch, entries, options)
+        assert solver == "full"
+        assert value == full_path_point(CorrelationMatrix(entries, EXTERNAL), options)
+
+    def test_points_clear_of_the_floor_take_the_leading_pair(self, monkeypatch):
+        entries = self.boundary_matrix(1e-3)
+        for options in (SweepOptions(), SweepOptions(repair_floor=1e-10)):
+            value, solver = point_from_matrix(monkeypatch, entries, options)
+            assert solver == "leading-pair"
+            want = full_path_point(CorrelationMatrix(entries, EXTERNAL), options)
+            assert value == pytest.approx(want, rel=1e-12)
+
+    def test_unrepaired_degenerate_top_takes_the_full_path_bit_for_bit(self, monkeypatch):
+        entries = np.kron(np.eye(2), np.full((self.N // 2, self.N // 2), 0.5))
+        np.fill_diagonal(entries, 1.0)
+        options = SweepOptions(repair=False)
+        value, solver = point_from_matrix(monkeypatch, entries, options)
+        assert solver == "full"
+        assert value == full_path_point(CorrelationMatrix(entries, EXTERNAL), options)
+
+    @pytest.mark.parametrize("options", [SweepOptions(), SweepOptions(repair=False)])
+    def test_large_point_agrees_with_the_full_path(self, options):
+        panel = gen_one_factor_panel(SimConfig(1200, 1500, target_correlation=0.25, master_seed=12))
+        _, corr = sample_moments(panel, COMPLETE_CASES)
+        value, solver = simulate._sweep_point(panel, options)
+        assert solver == "leading-pair"
+        assert value == pytest.approx(full_path_point(corr, options), rel=1e-12)
