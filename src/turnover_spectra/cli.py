@@ -1,7 +1,12 @@
 """Command-line front end: analyze panels, repair matrices, sweep the
 reduction coefficient across N, and run crossing simulations.
 
-Exit codes: 0 success, 1 I/O or parse failure, 2 numeric-validity refusal.
+Exit codes: 0 success; 1 I/O or parse failure (a missing file, a bad
+argument, a malformed CSV); 2 numeric-validity refusal: a matrix that is not
+square, finite and symmetric (``InvalidMatrixError``, from ``repair`` and
+``analyze --matrix`` alike), a non-positive diagonal to repair, a repair that
+does not converge, a non-PSD matrix under ``--no-repair``, an indefinite
+quadratic form.
 """
 
 from __future__ import annotations

@@ -18,9 +18,15 @@ from .errors import (
     InvalidMatrixError,
     PanelFormatError,
 )
-from .panel import EXTERNAL, CorrelationMatrix, CovarianceMatrix, _fast_grid, _read_csv
-
-_SYMMETRY_RTOL = 1e-10
+from .panel import (
+    EXTERNAL,
+    CorrelationMatrix,
+    CovarianceMatrix,
+    _fast_grid,
+    _read_csv,
+    _symmetric,
+    _write_csv,
+)
 
 MatrixLike = CorrelationMatrix | CovarianceMatrix | np.ndarray
 
@@ -29,27 +35,6 @@ def default_floor(n: int) -> float:
     """Eigenvalue floor that lifts rounding-level negatives without moving
     the bulk spectrum."""
     return 1e-8 * n
-
-
-@dataclass(frozen=True)
-class RepairConfig:
-    """Conditioning knobs: eigenvalue floor, redundancy bound, top-gap tolerance."""
-
-    eigen_floor: float
-    redundancy_bound: float = 0.9
-    degeneracy_tolerance: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.eigen_floor <= 0:
-            raise ValueError("eigen_floor must be positive")
-        if not 0.0 < self.redundancy_bound < 1.0:
-            raise ValueError("redundancy_bound must lie in (0, 1)")
-        if self.degeneracy_tolerance < 0:
-            raise ValueError("degeneracy_tolerance must be nonnegative")
-
-    @classmethod
-    def for_dimension(cls, n: int) -> "RepairConfig":
-        return cls(default_floor(n), 0.9, 1e-10 * n)
 
 
 @dataclass(frozen=True)
@@ -74,22 +59,15 @@ class SpectralDecomposition:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
 
 
+_WRAPPERS = (CorrelationMatrix, CovarianceMatrix)
+
+
 def _matrix_entries(matrix: MatrixLike) -> np.ndarray:
-    if isinstance(matrix, (CorrelationMatrix, CovarianceMatrix)):
+    """A wrapper's own entries, symmetric since construction, or a bare array
+    checked and symmetrized by the wrappers' rule (:func:`panel._symmetric`)."""
+    if isinstance(matrix, _WRAPPERS):
         return matrix.entries
-    return np.asarray(matrix, dtype=float)
-
-
-def _checked_symmetric(entries: np.ndarray) -> np.ndarray:
-    """Validate finiteness/squareness/symmetry and average out asymmetry."""
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise InvalidMatrixError("matrix must be square")
-    if not np.isfinite(entries).all():
-        raise InvalidMatrixError("matrix entries must be finite")
-    scale = max(float(np.abs(entries).max(initial=0.0)), 1.0)
-    if float(np.abs(entries - entries.T).max(initial=0.0)) > _SYMMETRY_RTOL * scale:
-        raise InvalidMatrixError("matrix is not symmetric within tolerance")
-    return 0.5 * (entries + entries.T)
+    return _symmetric(matrix)
 
 
 def _remember(matrix: CorrelationMatrix | CovarianceMatrix, values, vectors) -> None:
@@ -99,18 +77,20 @@ def _remember(matrix: CorrelationMatrix | CovarianceMatrix, values, vectors) -> 
 
 
 def _spectrum(matrix: MatrixLike) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending ``(values, vectors)`` of ``np.linalg.eigh`` on the symmetrized matrix.
+    """Ascending ``(values, vectors)`` of ``np.linalg.eigh`` on the matrix.
 
-    The one way the package solves a spectrum. A matrix wrapper is solved at
-    most once: the read-only result is kept in its ``_eigensystem`` slot and
-    returned by every later call. A bare array is validated and solved on
-    every call.
+    The one way the package solves a spectrum. A matrix wrapper's entries
+    are symmetric from construction and go to ``eigh`` as they are, with no
+    copy; the wrapper is solved at most once, the read-only result kept in
+    its ``_eigensystem`` slot and returned by every later call. A bare array
+    is validated and symmetrized once by the same rule
+    (:func:`_matrix_entries`) and solved on every call.
     """
     memo = getattr(matrix, "_eigensystem", None)
     if memo is not None:
         return memo
-    values, vectors = np.linalg.eigh(_checked_symmetric(_matrix_entries(matrix)))
-    if isinstance(matrix, (CorrelationMatrix, CovarianceMatrix)):
+    values, vectors = np.linalg.eigh(_matrix_entries(matrix))
+    if isinstance(matrix, _WRAPPERS):
         _remember(matrix, values, vectors)
     return values, vectors
 
@@ -140,9 +120,9 @@ def _leading_pair(corr: CorrelationMatrix, floor: float | None) -> SpectralDecom
       ``|C|_F^2 - lambda^2``, which bounds each of them, and that bound is at
       most ``(1 - _TOP_GAP_RTOL) * lambda``. So ``lambda`` is the top
       eigenvalue, ahead of the next by at least ``_TOP_GAP_RTOL * lambda``,
-      which clears ``fix_sign_basis``'s degeneracy tolerance (a correlation's
-      top eigenvalue is at least 1) and pins the vector down well enough for
-      this solve and ``eigh`` to agree to rounding.
+      which clears ``fix_sign_basis``'s degeneracy tolerance
+      ``1e-10 * N * lambda`` and pins the vector down well enough for this
+      solve and ``eigh`` to agree to rounding.
 
     The same isolation test, applied first to the upper bound
     ``min(|C|_inf, |C|_F)`` on ``lambda_1``, turns away a matrix whose top
@@ -153,7 +133,7 @@ def _leading_pair(corr: CorrelationMatrix, floor: float | None) -> SpectralDecom
     certified lower bound on ``lambda_1 - lambda_2`` and ``source_dim`` is N.
     Small ``k x k`` Rayleigh-Ritz problems are its only ``eigh`` calls.
     """
-    a = _checked_symmetric(corr.entries)
+    a = corr.entries
     n = a.shape[0]
     fro2 = float(np.vdot(a, a)) * (1.0 + n * n * _EPS)  # |C|_F^2, rounded up
 
@@ -198,10 +178,11 @@ def _leading_pair(corr: CorrelationMatrix, floor: float | None) -> SpectralDecom
 def eigendecompose(matrix: MatrixLike) -> SpectralDecomposition:
     """Eigenvalues (descending) and orthonormal eigenvectors of a symmetric matrix.
 
-    Accepts the matrix wrappers or a bare array; the input is symmetrized by
-    averaging before solving. Equal eigenvalues keep their solver order
-    (stable sort) and each eigenvector is sign-fixed so its largest-magnitude
-    component is positive.
+    Accepts the matrix wrappers or a bare array. A wrapper's entries are
+    symmetric from construction and are solved as they are; a bare array is
+    validated and symmetrized once, by the wrappers' rule, before its solve.
+    Equal eigenvalues keep their solver order (stable sort) and each
+    eigenvector is sign-fixed so its largest-magnitude component is positive.
 
     The solve goes through the matrix's memo (:func:`_spectrum`): a wrapper
     already classified, repaired or decomposed costs no further ``eigh``.
@@ -261,24 +242,26 @@ def rj_repair(matrix: MatrixLike, floor: float) -> MatrixLike:
     spectrum by the rule of :func:`classify_definiteness`, so the two agree;
     it is "verified-PD" for the default floor.
 
-    The first pass takes the input's spectrum through :func:`_spectrum`, so
-    a wrapper already classified costs no solve there. A wrapper output
-    whose entries equal the final iterate bit for bit gets that iterate's
-    eigensystem as its memo, so decomposing or classifying it next costs no
-    solve either. A wrapper output also records in its ``_repair_passes``
-    slot how many eigen-passes the repair took, the first included (1 for
-    input that already clears the floor).
+    A wrapper's entries are symmetric from construction and are used as
+    they are; a bare array is validated and symmetrized once, by the
+    wrappers' rule. The first pass takes a wrapper's spectrum through
+    :func:`_spectrum`, so a wrapper already classified costs no solve there.
+    A wrapper output whose entries equal the final iterate bit for bit gets
+    that iterate's eigensystem as its memo, so decomposing or classifying it
+    next costs no solve either. A wrapper output also records in its
+    ``_repair_passes`` slot how many eigen-passes the repair took, the first
+    included (1 for input that already clears the floor).
     """
     if floor <= 0:
         raise ValueError("floor must be positive")
-    entries = _matrix_entries(matrix)
-    current = _checked_symmetric(entries)
-    diag = np.diag(entries).copy()
+    current = _matrix_entries(matrix)
+    diag = np.diag(current).copy()
     if (diag <= 0).any():
         raise InvalidDiagonalError("diagonal entries must be positive to repair")
-    np.fill_diagonal(current, diag)
-    # symmetrizing by averaging keeps the diagonal, so this is ``current``'s spectrum
-    values, vectors = _spectrum(matrix)
+    # a bare array's ``current`` is already its validated copy: solve it directly
+    values, vectors = (
+        _spectrum(matrix) if isinstance(matrix, _WRAPPERS) else np.linalg.eigh(current)
+    )
     passes = 1
     while float(values.min()) < floor - _eigh_rounding(values):
         if passes == _REPAIR_MAX_PASSES:
@@ -410,19 +393,8 @@ def _matrix_ids(matrix: MatrixLike, n: int) -> tuple[str, ...]:
 def matrix_to_csv(matrix: MatrixLike, dest: str | Path | IO[str]) -> None:
     """Write a square CSV with the ids as header."""
     entries = _matrix_entries(matrix)
-    ids = _matrix_ids(matrix, entries.shape[0])
-
-    def emit(handle: IO[str]) -> None:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(ids)
-        for row in entries:
-            writer.writerow([repr(float(x)) for x in row])
-
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as handle:
-            emit(handle)
-    else:
-        emit(dest)
+    rows = ([repr(float(x)) for x in row] for row in entries)
+    _write_csv(dest, _matrix_ids(matrix, entries.shape[0]), rows)
 
 
 def _fast_square(lines: Iterator[str]) -> tuple[tuple[str, ...], np.ndarray] | None:
@@ -433,23 +405,23 @@ def _fast_square(lines: Iterator[str]) -> tuple[tuple[str, ...], np.ndarray] | N
     ids = tuple(cell.strip() for cell in header)
     entries = _fast_grid(lines, len(ids))
     # an empty cell (NaN here) is the reference's "non-numeric cell ''" error
-    if entries is None or entries.shape[0] != len(ids) or np.isnan(entries).any():
+    if entries is None or np.isnan(entries).any():
         return None
     return ids, entries
 
 
 def _square_from_rows(rows: list[list[str]]) -> tuple[tuple[str, ...], np.ndarray]:
-    """Per-cell reference parse of a square matrix CSV."""
+    """Per-cell reference parse of a square matrix CSV.
+
+    Every data row must have one cell per id; whether there is one row per
+    id is the matrix types' squareness rule, not a parse error.
+    """
     rows = [row for row in rows if row]
     if not rows:
         raise PanelFormatError("empty matrix CSV", row=0)
     ids = tuple(cell.strip() for cell in rows[0])
     n = len(ids)
-    if len(rows) - 1 != n:
-        raise PanelFormatError(
-            f"square matrix expected: {n} columns but {len(rows) - 1} data rows"
-        )
-    entries = np.empty((n, n))
+    entries = np.empty((len(rows) - 1, n))
     for r, row in enumerate(rows[1:]):
         if len(row) != n:
             raise PanelFormatError(f"expected {n} cells, found {len(row)}", row=r + 1)
@@ -466,8 +438,10 @@ def _square_from_rows(rows: list[list[str]]) -> tuple[tuple[str, ...], np.ndarra
 def _square_from_csv(source: str | Path | IO[str]) -> tuple[tuple[str, ...], np.ndarray]:
     """Ids and entries of a square matrix CSV, parsed like ``load_panel``.
 
-    Cells are read as written, ``nan`` included, which the matrix types then
-    refuse; an empty cell is a parse error.
+    Cells are read as written, ``nan`` included, and rows are not counted
+    against the ids: the matrix types then refuse a non-finite or non-square
+    grid. An empty cell or a row with the wrong number of cells is a parse
+    error.
     """
     return _read_csv(source, _fast_square, _square_from_rows)
 

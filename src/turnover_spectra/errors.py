@@ -49,8 +49,15 @@ class CollinearFactorsError(TurnoverSpectraError):
     """Regression design matrix is rank deficient."""
 
 
-class InvalidMatrixError(TurnoverSpectraError):
-    """Matrix input violates a structural precondition (finite, symmetric)."""
+class InvalidMatrixError(TurnoverSpectraError, ValueError):
+    """Matrix input violates a structural precondition: it is not square, not
+    finite, or not symmetric within ``1e-12 * max(1, max|a|)``.
+
+    The matrix wrappers raise it at construction, and ``conditioning`` raises
+    it for a bare array by the same rule. A numeric-validity refusal, so the
+    command line exits 2 on it; also a ``ValueError``, as the wrappers' other
+    argument checks are.
+    """
 
 
 class InvalidDiagonalError(InvalidMatrixError):

@@ -16,6 +16,7 @@ from .errors import (
     CollinearFactorsError,
     CoverageError,
     DegenerateSeriesError,
+    InvalidMatrixError,
     PanelFormatError,
     RejectedSeriesError,
 )
@@ -135,6 +136,17 @@ def _read_csv(source: str | Path | IO[str], fast: Callable, reference: Callable)
     if start is not None:
         source.seek(start)
     return reference(_csv_rows(lines))
+
+
+def _write_csv(dest: str | Path | IO[str], header: Iterable, rows: Iterable[Iterable]) -> None:
+    """Write ``header`` and then ``rows`` as CSV with ``\n`` line ends, to a
+    path (created as UTF-8) or to an open text handle."""
+    if isinstance(dest, (str, Path)):
+        with open(dest, "w", encoding="utf-8", newline="") as handle:
+            return _write_csv(handle, header, rows)
+    writer = csv.writer(dest, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def _csv_rows(lines: Iterable[str]) -> list[list[str]]:
@@ -279,33 +291,39 @@ def load_panel(source: str | Path | IO[str], *, oldest_first: bool = False) -> T
 
 def write_panel(panel: TimeSeriesPanel, dest: str | Path | IO[str]) -> None:
     """Serialize a panel back to the CSV layout accepted by ``load_panel``."""
-
-    def emit(handle: IO[str]) -> None:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(panel.series_ids)
-        for s in range(panel.n_periods):
-            writer.writerow(
-                [
-                    repr(float(panel.values[i, s])) if panel.observed_mask[i, s] else ""
-                    for i in range(panel.n_series)
-                ]
-            )
-
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as handle:
-            emit(handle)
-    else:
-        emit(dest)
+    rows = (
+        [
+            repr(float(panel.values[i, s])) if panel.observed_mask[i, s] else ""
+            for i in range(panel.n_series)
+        ]
+        for s in range(panel.n_periods)
+    )
+    _write_csv(dest, panel.series_ids, rows)
 
 
-def _check_square_symmetric(entries: np.ndarray, what: str) -> None:
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise ValueError(f"{what} matrix must be square")
-    if not np.isfinite(entries).all():
-        raise ValueError(f"{what} matrix entries must be finite")
-    scale = max(float(np.abs(entries).max(initial=0.0)), 1.0)
-    if float(np.abs(entries - entries.T).max(initial=0.0)) > 1e-12 * scale:
-        raise ValueError(f"{what} matrix is not symmetric within tolerance")
+def _symmetric(entries, what: str = "matrix") -> np.ndarray:
+    """A float copy of ``entries``, checked and made exactly symmetric.
+
+    The package's one validity rule for a matrix: square, finite, and
+    symmetric within ``1e-12 * max(1, max|a|)``, else ``InvalidMatrixError``
+    (``what`` names the matrix in the message). The two triangles are then
+    averaged, ``0.5 * (a + a^T)``; exactly symmetric input, where that
+    average changes no bit, is returned as it is. The matrix wrappers apply
+    it at construction and ``conditioning`` to a bare array, so no solve
+    checks or symmetrizes again.
+    """
+    a = np.array(entries, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidMatrixError(f"{what} must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvalidMatrixError(f"{what} entries must be finite")
+    scale = max(1.0, float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
+    gap = a - a.T
+    asymmetry = float(np.abs(gap, out=gap).max(initial=0.0))
+    del gap
+    if asymmetry > 1e-12 * scale:
+        raise InvalidMatrixError(f"{what} is not symmetric within tolerance")
+    return 0.5 * (a + a.T) if asymmetry else a
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,8 +339,8 @@ class CovarianceMatrix:
     pairwise_counts: np.ndarray
     estimation_mode: str
     ids: tuple[str, ...] | None = None
-    # ``(values, vectors)`` of ``np.linalg.eigh`` on the symmetrized entries,
-    # read-only; filled and read by ``conditioning._spectrum`` only.
+    # ``(values, vectors)`` of ``np.linalg.eigh`` on the entries, read-only;
+    # filled and read by ``conditioning._spectrum`` only.
     _eigensystem: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -333,8 +351,7 @@ class CovarianceMatrix:
     __hash__ = None
 
     def __post_init__(self) -> None:
-        entries = np.array(self.entries, dtype=float)
-        _check_square_symmetric(entries, "covariance")
+        entries = _symmetric(self.entries, "covariance matrix")
         n = entries.shape[0]
         vols = np.array(self.vols, dtype=float)
         if vols.shape != (n,):
@@ -381,8 +398,7 @@ class CorrelationMatrix:
     __hash__ = None
 
     def __post_init__(self) -> None:
-        entries = np.array(self.entries, dtype=float)
-        _check_square_symmetric(entries, "correlation")
+        entries = _symmetric(self.entries, "correlation matrix")
         n = entries.shape[0]
         diag = np.diag(entries)
         if (np.abs(diag - 1.0) > 1e-12).any():

@@ -3,7 +3,6 @@ the reduction-coefficient sweep harness with through-origin regression."""
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -14,7 +13,7 @@ import numpy as np
 
 from .conditioning import _leading_pair, default_floor, eigendecompose, rj_repair
 from .errors import DegenerateTopWarning, TurnoverSpectraError, UndefinedRegressorError
-from .panel import COMPLETE_CASES, ESTIMATION_MODES, TimeSeriesPanel, sample_moments
+from .panel import COMPLETE_CASES, ESTIMATION_MODES, TimeSeriesPanel, _write_csv, sample_moments
 from .turnover import fix_sign_basis, rho_star
 
 PanelGenerator = Callable[[int, int], TimeSeriesPanel]
@@ -376,23 +375,10 @@ def _format_f(f_stat: float | None) -> str:
 
 def sweep_to_csv(result: SweepResult, dest: str | Path | IO[str]) -> None:
     """Plot-ready CSV with columns N, rho_star, rho_star_times_n, slope, F."""
-
-    def emit(handle: IO[str]) -> None:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["N", "rho_star", "rho_star_times_n", "slope", "F"])
-        for n, rho, y in zip(result.grid, result.rho_stars, result.rho_star_times_n):
-            writer.writerow(
-                [
-                    n,
-                    repr(float(rho)),
-                    repr(float(y)),
-                    repr(float(result.slope_no_intercept)),
-                    _format_f(result.f_statistic),
-                ]
-            )
-
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as handle:
-            emit(handle)
-    else:
-        emit(dest)
+    slope = repr(float(result.slope_no_intercept))
+    f_stat = _format_f(result.f_statistic)
+    rows = (
+        [n, repr(float(rho)), repr(float(y)), slope, f_stat]
+        for n, rho, y in zip(result.grid, result.rho_stars, result.rho_star_times_n)
+    )
+    _write_csv(dest, ["N", "rho_star", "rho_star_times_n", "slope", "F"], rows)

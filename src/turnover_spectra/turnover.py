@@ -15,10 +15,8 @@ from .errors import CalibrationError, DegenerateTopWarning
 
 _TRACE_RTOL = 1e-6
 _CONDITION_LIMIT = 1e12
-
-
-def _default_degeneracy_tol(n: int) -> float:
-    return 1e-10 * n
+# the top eigenvalue is degenerate when lambda_1 - lambda_2 <= this * N * |lambda_1|
+_DEGENERACY_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -28,7 +26,7 @@ class SignedBasis:
     ``signs`` records the per-series reflection applied row-wise to every
     eigenvector; eigenvalues are untouched. ``top_degenerate`` marks a
     leading eigenvalue too close to the next one for leading-eigenvector
-    quantities to be well defined.
+    quantities to be well defined (see :func:`fix_sign_basis`).
     """
 
     signs: np.ndarray
@@ -56,18 +54,19 @@ class SignedBasis:
         return _matrix_entries(matrix) * np.outer(self.signs, self.signs)
 
 
-def fix_sign_basis(
-    decomp: SpectralDecomposition, degeneracy_tol: float | None = None
-) -> SignedBasis:
+def fix_sign_basis(decomp: SpectralDecomposition) -> SignedBasis:
     """Flip series signs so every component of the leading eigenvector is >= 0.
 
     Components that are exactly zero keep sign +1. The same flip is applied
     to every eigenvector row, which re-expresses the source matrix in the
     reflected basis while leaving all eigenvalues unchanged. Applying the
     resulting signs twice recovers the original decomposition.
+
+    The top is flagged degenerate when ``top_gap <= 1e-10 * N * |lambda_1|``,
+    a tolerance relative to the spectrum's scale, so scaling the matrix
+    never changes the flag (and an all-zero spectrum is degenerate).
     """
-    if degeneracy_tol is None:
-        degeneracy_tol = _default_degeneracy_tol(decomp.source_dim)
+    tolerance = _DEGENERACY_RTOL * decomp.source_dim * abs(float(decomp.eigenvalues[0]))
     signs = np.where(decomp.eigenvectors[:, 0] < 0.0, -1.0, 1.0)
     flipped = decomp.eigenvectors * signs[:, None]
     resigned = SpectralDecomposition(
@@ -77,7 +76,7 @@ def fix_sign_basis(
         decomp.top_gap,
         decomp.orthonormality_residual,
     )
-    return SignedBasis(signs, resigned, bool(decomp.top_gap < degeneracy_tol))
+    return SignedBasis(signs, resigned, bool(decomp.top_gap <= tolerance))
 
 
 def _as_turnovers(weighted_turnovers, n: int | None = None) -> np.ndarray:
@@ -120,10 +119,11 @@ def spectral_turnover_full(basis: SignedBasis, weighted_turnovers) -> float:
 
 
 def p1_share(basis: SignedBasis, weighted_turnovers) -> float:
-    """Fraction of the full model carried by the leading component."""
+    """Fraction of the full model carried by the leading component; NaN when
+    the model's total is not positive, where a share has no meaning."""
     terms = spectral_terms(basis, weighted_turnovers)
     total = float(terms.sum())
-    if total == 0.0:
+    if total <= 0.0:
         return math.nan
     return float(terms[0]) / total
 
@@ -399,15 +399,15 @@ def turnover_report(
     ``rho_star`` and ``rho_prime`` can disagree at finite N, so both are
     reported (plus their max in the serialized form) rather than silently
     picking one. Degeneracy of the leading eigenvalue is recorded in
-    ``warnings`` instead of raising.
+    ``warnings`` instead of raising. ``T_full`` and ``p1_share`` come from
+    :func:`spectral_turnover_full` and :func:`p1_share`, so the basis must
+    come from a correlation matrix (eigenvalues summing to N).
     """
     t = _as_turnovers(weighted_turnovers, basis.size)
+    t_full = spectral_turnover_full(basis, t)
     notes: list[str] = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateTopWarning)
-        terms = spectral_terms(basis, t)
-        total = float(terms.sum())
-        t_full = total / math.sqrt(basis.size)
         t_large = spectral_turnover_large_n(basis, t)
         relation = rho_star_factored(basis, corr)
         t_t2 = turnover_t2(relation.rho_star, t)
@@ -416,7 +416,6 @@ def turnover_report(
             "degenerate-top: leading eigenvalue not isolated; rho_star and "
             "T_large_n depend on an arbitrary basis choice"
         )
-    share = float(terms[0]) / total if total > 0 else math.nan
     return TurnoverReport(
         t_full=t_full,
         t_large_n=t_large,
@@ -427,7 +426,7 @@ def turnover_report(
         rho_bar=relation.rho_bar,
         rho_one=relation.rho_one,
         rho_star_factored=relation.factored_value,
-        p1_share=share,
+        p1_share=p1_share(basis, t),
         warnings=notes,
         basis=basis,
         digest=digest or {},

@@ -205,6 +205,21 @@ def test_field_over_csv_limit_is_a_one_line_parse_error(tmp_path, capsys, layout
     assert err == f"error: field larger than field limit ({csv.field_size_limit()}) at line {line}\n"
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["a,b\n1.0,0.2\n0.3,1.0\n", "a,b\n1.0,nan\n0.2,1.0\n", "a,b\n1.0,0.2\n0.2,1.0\n0.1,0.1\n"],
+    ids=["asymmetric", "nan", "non-square"],
+)
+@pytest.mark.parametrize("command", [["repair"], ["analyze", "--matrix"]], ids=["repair", "analyze"])
+def test_invalid_matrix_csv_is_a_numeric_refusal(tmp_path, capsys, text, command):
+    matrix = write(tmp_path / "matrix.csv", text)
+    code = main([*command, "--input", matrix, "--output", str(tmp_path / "out.csv")])
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("error: correlation matrix ")
+    assert err.count("\n") == 1
+
+
 class TestRepair:
     def test_positive_definite_matrix_costs_one_eigensolve(self, tmp_path, eigensolves):
         matrix = write(tmp_path / "corr.csv", "a,b,c\n1.0,0.3,0.2\n0.3,1.0,0.1\n0.2,0.1,1.0\n")

@@ -20,7 +20,6 @@ from turnover_spectra import (
     IllDefinedVolatilityError,
     InvalidDiagonalError,
     InvalidMatrixError,
-    RepairConfig,
     TimeSeriesPanel,
     classify_definiteness,
     correlation_from_csv,
@@ -122,6 +121,95 @@ class TestEigendecompose:
         for p in np.flatnonzero(small):
             combination = decomp.eigenvectors[:, p] @ panel.values
             assert combination.var(ddof=1) <= tolerance * 1.01 + 1e-15
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """An exactly symmetric matrix: a random upper triangle mirrored, times a
+    scale, with a positive diagonal ``vols**2``; also returns the vols."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]))
+    upper = np.triu(rng.uniform(-scale, scale, (n, n)), 1)
+    vols = rng.uniform(0.5, 2.0, n) * math.sqrt(scale)
+    entries = upper + upper.T
+    np.fill_diagonal(entries, vols**2)
+    return entries, vols
+
+
+class TestSingleValidation:
+    """The matrix wrappers check and symmetrize their entries once; no solve
+    checks or symmetrizes them again."""
+
+    @given(symmetric_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_exactly_symmetric_input_is_stored_and_solved_bit_for_bit(self, matrix):
+        entries, vols = matrix
+        n = entries.shape[0]
+        cov = CovarianceMatrix(entries, vols, np.zeros((n, n), int), EXTERNAL)
+        np.testing.assert_array_equal(cov.entries, entries)
+        unit = entries / np.abs(entries).max()  # exactly symmetric, entries in [-1, 1]
+        np.fill_diagonal(unit, 1.0)
+        corr = CorrelationMatrix(unit, EXTERNAL)
+        np.testing.assert_array_equal(corr.entries, unit)
+        for wrapper, bare in ((cov, entries), (corr, unit)):
+            solved, reference = eigendecompose(wrapper), eigendecompose(bare)
+            np.testing.assert_array_equal(solved.eigenvalues, reference.eigenvalues)
+            np.testing.assert_array_equal(solved.eigenvectors, reference.eigenvectors)
+
+    @given(symmetric_matrices(), st.sampled_from([0.25, 4.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_one_tolerance_for_wrappers_and_bare_arrays(self, matrix, multiple):
+        entries, vols = matrix
+        n = entries.shape[0]
+        if n < 2:
+            return
+        bad = entries.copy()
+        bad[0, 1] += multiple * 1e-12 * max(1.0, float(np.abs(entries).max()))
+        counts = np.zeros((n, n), int)
+        if multiple > 1:
+            for build in (
+                lambda: CovarianceMatrix(bad, vols, counts, EXTERNAL),
+                lambda: eigendecompose(bad),
+                lambda: rj_repair(bad, 1e-8),
+            ):
+                with pytest.raises(InvalidMatrixError, match="not symmetric") as caught:
+                    build()
+                assert isinstance(caught.value, ValueError)
+        else:
+            cov = CovarianceMatrix(bad, vols, counts, EXTERNAL)
+            np.testing.assert_array_equal(cov.entries, cov.entries.T)
+            np.testing.assert_array_equal(cov.entries, 0.5 * (bad + bad.T))
+            solved, reference = eigendecompose(cov), eigendecompose(bad)
+            np.testing.assert_array_equal(solved.eigenvalues, reference.eigenvalues)
+
+    def test_wrappers_are_solved_from_their_own_entries(self, monkeypatch):
+        seen = []
+        solver = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            seen.append(a)
+            return solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        corr = random_correlation(3, 10)
+        eigendecompose(corr)
+        fresh = random_correlation(4, 10)
+        rj_repair(fresh, default_floor(10))
+        vols = np.full(3, 2.0)
+        cov = CovarianceMatrix(4.0 * np.eye(3), vols, np.zeros((3, 3), int), EXTERNAL)
+        classify_definiteness(cov)
+        assert len(seen) == 3
+        assert all(a is m.entries for a, m in zip(seen, (corr, fresh, cov)))
+
+    def test_pairwise_estimates_are_stored_exactly_symmetric(self):
+        rng = np.random.default_rng(8)
+        values = rng.standard_normal((30, 60))
+        mask = rng.random((30, 60)) > 0.3
+        ids = tuple(f"s{i}" for i in range(30))
+        cov, corr = sample_moments(TimeSeriesPanel(ids, values, mask), PAIRWISE_COMPLETE)
+        for matrix in (cov, corr):
+            np.testing.assert_array_equal(matrix.entries, matrix.entries.T)
 
 
 class TestPruneRedundant:
@@ -384,12 +472,16 @@ class TestPortfolioVolatility:
 
 
 class TestSerialization:
-    def test_csv_roundtrip(self):
+    def test_csv_roundtrip(self, tmp_path):
         corr = random_correlation(2, 6)
         buffer = io.StringIO()
         matrix_to_csv(corr, buffer)
         again = correlation_from_csv(io.StringIO(buffer.getvalue()))
         np.testing.assert_array_equal(again.entries, corr.entries)
+        path = tmp_path / "corr.csv"
+        matrix_to_csv(corr, path)
+        assert path.read_bytes() == buffer.getvalue().encode()
+        np.testing.assert_array_equal(correlation_from_csv(path).entries, corr.entries)
 
     def test_report_fields(self):
         report = matrix_report(rj_repair(CorrelationMatrix(NON_PSD, PAIRWISE_COMPLETE), 1e-6))
@@ -402,21 +494,6 @@ class TestSerialization:
         assert classify_definiteness(np.eye(3)) == "verified-PD"
         v = np.array([1.0, 2.0])
         assert classify_definiteness(np.outer(v, v)) == "unverified"
-
-
-class TestRepairConfig:
-    def test_defaults(self):
-        config = RepairConfig.for_dimension(50)
-        assert config.eigen_floor == pytest.approx(5e-7)
-        assert config.redundancy_bound == 0.9
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RepairConfig(eigen_floor=0.0)
-        with pytest.raises(ValueError):
-            RepairConfig(eigen_floor=1e-8, redundancy_bound=1.0)
-        with pytest.raises(ValueError):
-            RepairConfig(eigen_floor=1e-8, degeneracy_tolerance=-1.0)
 
 
 def with_smallest_eigenvalue(entries: np.ndarray, target: float) -> np.ndarray:

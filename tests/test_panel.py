@@ -90,10 +90,14 @@ class TestLoadPanel:
         oldest = panel_from_csv("a1\n3\n2\n1\n", oldest_first=True)
         np.testing.assert_array_equal(newest.values, oldest.values)
 
-    def test_roundtrip_through_write_panel(self):
+    def test_roundtrip_through_write_panel(self, tmp_path):
         panel = random_masked_panel(11)
         buffer = io.StringIO()
         write_panel(panel, buffer)
+        write_panel(panel, tmp_path / "panel.csv")
+        write_panel(panel, str(tmp_path / "again.csv"))
+        for path in ("panel.csv", "again.csv"):  # a path and a handle get the same bytes
+            assert (tmp_path / path).read_bytes() == buffer.getvalue().encode()
         again = panel_from_csv(buffer.getvalue())
         assert again.series_ids == panel.series_ids
         np.testing.assert_array_equal(again.observed_mask, panel.observed_mask)

@@ -300,12 +300,14 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_rho_star([20, 10], gen)
 
-    def test_csv_layout(self):
+    def test_csv_layout(self, tmp_path):
         result = sweep_rho_star(
             [10, 20], one_factor_generator(0.3, 200), SweepOptions(), seed=1
         )
         buffer = io.StringIO()
         sweep_to_csv(result, buffer)
+        sweep_to_csv(result, tmp_path / "sweep.csv")
+        assert (tmp_path / "sweep.csv").read_bytes() == buffer.getvalue().encode()
         lines = buffer.getvalue().strip().splitlines()
         assert lines[0] == "N,rho_star,rho_star_times_n,slope,F"
         assert len(lines) == 3

@@ -119,6 +119,12 @@ class TestFixSignBasis:
             assert basis_of(np.eye(4)).top_degenerate
         assert not basis_of(uniform_correlation(4, 0.5)).top_degenerate
 
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+    def test_degeneracy_flag_is_scale_invariant(self, scale):
+        # a gap of 1e-9 * lambda_1 clears the 1e-10 * N * lambda_1 tolerance at every scale
+        assert not basis_of(np.diag([1.0, 1.0 - 1e-9]) * scale).top_degenerate
+        assert basis_of(np.eye(2) * scale).top_degenerate
+
 
 class TestFullModel:
     def test_two_by_two_equal_turnovers(self):
@@ -468,6 +474,23 @@ class TestReport:
             assert key in payload
         assert payload["inputs"]["n_series"] == 20
         assert payload["warnings"] == []
+
+    def test_share_and_full_model_come_from_the_model_functions(self):
+        corr = random_pd_correlation(9, 12)
+        basis = basis_of(corr)
+        t = np.random.default_rng(1).uniform(0.0, 1.0, 12)
+        report = turnover_report(basis, corr, t)
+        assert report.t_full == spectral_turnover_full(basis, t)
+        assert report.p1_share == p1_share(basis, t)
+
+    def test_requires_a_correlation_basis(self):
+        covariance = 2.0 * THREE_BY_THREE
+        with pytest.raises(ValueError, match="correlation"):
+            turnover_report(basis_of(covariance), covariance, np.full(3, 1.0 / 3))
+
+    def test_share_of_a_non_positive_total_is_nan(self):
+        negative = SpectralDecomposition(np.array([-1.0, -2.0]), np.eye(2), 2, 1.0, 0.0)
+        assert math.isnan(p1_share(fix_sign_basis(negative), [0.5, 0.5]))
 
     def test_degenerate_top_is_recorded_not_raised(self):
         basis = basis_of(np.eye(6))
