@@ -1,12 +1,18 @@
 """Command-line front end: analyze panels, repair matrices, sweep the
 reduction coefficient across N, and run crossing simulations.
 
+Each command reads its own parsed arguments, and its artifact's ``config``
+block echoes exactly those arguments (the flags' ``dest`` names), after
+``main`` has resolved the seed, the grid and the estimation mode.
+
 Exit codes: 0 success; 1 I/O or parse failure (a missing file, a bad
 argument, a malformed CSV); 2 numeric-validity refusal: a matrix that is not
-square, finite and symmetric (``InvalidMatrixError``, from ``repair`` and
-``analyze --matrix`` alike), a non-positive diagonal to repair, a repair that
-does not converge, a non-PSD matrix under ``--no-repair``, an indefinite
-quadratic form.
+square, finite and symmetric, a correlation matrix whose diagonal is off 1 or
+whose entries leave [-1, 1], a covariance matrix whose diagonal disagrees
+with its vols (``InvalidMatrixError``, from ``repair`` and ``analyze
+--matrix`` alike), a non-positive diagonal to repair, a repair that does not
+converge, a non-PSD matrix under ``--no-repair``, an indefinite quadratic
+form.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +45,14 @@ from .errors import (
     InvalidMatrixError,
     TurnoverSpectraError,
 )
-from .panel import COMPLETE_CASES, PAIRWISE_COMPLETE, load_panel, ols_residualize, sample_moments
+from .panel import (
+    COMPLETE_CASES,
+    PAIRWISE_COMPLETE,
+    UNIT_DIAGONAL_TOL,
+    load_panel,
+    ols_residualize,
+    sample_moments,
+)
 from .simulate import (
     SimConfig,
     SweepOptions,
@@ -57,31 +69,6 @@ EXIT_IO = 1
 EXIT_NUMERIC = 2
 
 _MODE_BY_FLAG = {"complete": COMPLETE_CASES, "pairwise": PAIRWISE_COMPLETE}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Echoed verbatim into every output artifact for reproducibility."""
-
-    command: str
-    input_path: str | None = None
-    output_path: str | None = None
-    estimation_mode: str = COMPLETE_CASES
-    prune_bound: float = 0.9
-    repair: bool = True
-    repair_floor: float | None = None
-    factor_path: str | None = None
-    matrix_input: bool = False
-    grid: tuple[int, ...] | None = None
-    rho: float = 0.25
-    seed: int = 0
-    n_paths: int = 1
-    n_alphas: int = 0
-    n_instruments: int = 0
-    n_periods: int = 0
-
-    def echo(self) -> dict:
-        return asdict(self)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,41 +89,47 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     analyze = sub.add_parser("analyze", help="panel -> conditioned turnover report")
-    analyze.add_argument("--input", required=True, help="panel CSV (or matrix CSV with --matrix)")
-    analyze.add_argument("--output", required=True, help="JSON report path")
-    analyze.add_argument("--mode", choices=sorted(_MODE_BY_FLAG), default="complete")
-    analyze.add_argument("--prune", type=float, default=0.9, metavar="BOUND",
+    analyze.add_argument("--input", dest="input_path", required=True,
+                         help="panel CSV (or matrix CSV with --matrix)")
+    analyze.add_argument("--output", dest="output_path", required=True, help="JSON report path")
+    analyze.add_argument("--mode", dest="estimation_mode", choices=sorted(_MODE_BY_FLAG),
+                         default="complete")
+    analyze.add_argument("--prune", dest="prune_bound", type=float, default=0.9, metavar="BOUND",
                          help="redundancy bound on |correlation| (default 0.9)")
     analyze.add_argument("--repair", action=argparse.BooleanOptionalAction, default=True,
                          help="floor the spectrum to force positive definiteness")
-    analyze.add_argument("--floor", type=float, default=None,
+    analyze.add_argument("--floor", dest="repair_floor", type=float, default=None,
                          help="eigenvalue floor (default 1e-8 * N)")
-    analyze.add_argument("--factors", default=None, metavar="PATH",
+    analyze.add_argument("--factors", dest="factor_path", default=None, metavar="PATH",
                          help="factor panel CSV; residualize the panel before estimating")
-    analyze.add_argument("--matrix", action="store_true",
+    analyze.add_argument("--matrix", dest="matrix_input", action="store_true",
                          help="treat --input as a correlation matrix CSV")
 
     repair = sub.add_parser("repair", help="matrix CSV -> positive-definite matrix CSV")
-    repair.add_argument("--input", required=True)
-    repair.add_argument("--output", required=True, help="repaired matrix CSV (JSON summary alongside)")
-    repair.add_argument("--floor", type=float, default=None)
+    repair.add_argument("--input", dest="input_path", required=True)
+    repair.add_argument("--output", dest="output_path", required=True,
+                        help="repaired matrix CSV (JSON summary alongside)")
+    repair.add_argument("--floor", dest="repair_floor", type=float, default=None)
 
     sweep = sub.add_parser("sweep", help="rho_star * N versus N with through-origin fit")
-    sweep.add_argument("--output", required=True, help="sweep CSV (JSON summary alongside)")
+    sweep.add_argument("--output", dest="output_path", required=True,
+                       help="sweep CSV (JSON summary alongside)")
     sweep.add_argument("--grid", required=True, help="comma-separated N values, e.g. 50,100,200,400")
     sweep.add_argument("--rho", type=float, default=0.25)
-    sweep.add_argument("--periods", type=int, default=2000, help="panel length per grid point")
-    sweep.add_argument("--mode", choices=sorted(_MODE_BY_FLAG), default="complete")
+    sweep.add_argument("--periods", dest="n_periods", type=int, default=2000,
+                       help="panel length per grid point")
+    sweep.add_argument("--mode", dest="estimation_mode", choices=sorted(_MODE_BY_FLAG),
+                       default="complete")
     sweep.add_argument("--repair", action=argparse.BooleanOptionalAction, default=True)
-    sweep.add_argument("--floor", type=float, default=None)
+    sweep.add_argument("--floor", dest="repair_floor", type=float, default=None)
     sweep.add_argument("--seed", type=int, default=0)
 
     simulate = sub.add_parser("simulate", help="Monte-Carlo trade-netting experiment")
-    simulate.add_argument("--output", required=True, help="JSON result path")
+    simulate.add_argument("--output", dest="output_path", required=True, help="JSON result path")
     simulate.add_argument("--rho", type=float, default=0.25)
     simulate.add_argument("--n-alphas", type=int, default=50)
-    simulate.add_argument("--instruments", type=int, default=4)
-    simulate.add_argument("--paths", type=int, default=256)
+    simulate.add_argument("--instruments", dest="n_instruments", type=int, default=4)
+    simulate.add_argument("--paths", dest="n_paths", type=int, default=256)
     simulate.add_argument("--seed", type=int, default=0)
 
     return parser
@@ -188,34 +181,34 @@ def _parse_grid(spec: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def run_analyze(config: RunConfig) -> int:
+def run_analyze(args: argparse.Namespace) -> int:
     residualized = False
     factor_ids: list[str] = []
     n_timestamps = None
-    if config.matrix_input:
-        corr = correlation_from_csv(config.input_path)
+    if args.matrix_input:
+        corr = correlation_from_csv(args.input_path)
     else:
-        panel = load_panel(config.input_path)
+        panel = load_panel(args.input_path)
         n_timestamps = panel.n_periods
-        if config.factor_path:
-            factors = load_panel(config.factor_path)
+        if args.factor_path:
+            factors = load_panel(args.factor_path)
             panel = ols_residualize(panel, factors, with_intercept=True, keep_intercept=True)
             residualized = True
             factor_ids = list(factors.series_ids)
-        _, corr = sample_moments(panel, config.estimation_mode)
+        _, corr = sample_moments(panel, args.estimation_mode)
     n_input = corr.n
 
-    kept, pruned = prune_redundant(corr, config.prune_bound)
-    floor = config.repair_floor if config.repair_floor is not None else default_floor(pruned.n)
+    kept, pruned = prune_redundant(corr, args.prune_bound)
+    floor = args.repair_floor if args.repair_floor is not None else default_floor(pruned.n)
     status_before = classify_definiteness(pruned)
-    if not config.repair and status_before == "verified-not-PSD":
+    if not args.repair and status_before == "verified-not-PSD":
         print(
             "error: correlation matrix is not positive semi-definite; "
             "re-run with --repair to floor the spectrum",
             file=sys.stderr,
         )
         return EXIT_NUMERIC
-    corr = rj_repair(pruned, floor) if config.repair else pruned
+    corr = rj_repair(pruned, floor) if args.repair else pruned
 
     # the classification's solve serves the repair's first pass, and the
     # repair hands its last solve on, so no spectrum below is solved again
@@ -227,15 +220,15 @@ def run_analyze(config: RunConfig) -> int:
         "n_kept": corr.n,
         "kept_indices": list(kept),
         "n_timestamps": n_timestamps,
-        "estimation_mode": config.estimation_mode,
-        "prune_bound": config.prune_bound,
-        "repaired": bool(config.repair),
-        "repair_floor": floor if config.repair else None,
+        "estimation_mode": args.estimation_mode,
+        "prune_bound": args.prune_bound,
+        "repaired": bool(args.repair),
+        "repair_floor": floor if args.repair else None,
         "psd_status_input": status_before,
         "min_eigenvalue_input": float(_spectrum(pruned)[0].min()),
         "min_eigenvalue_output": float(decomposition.eigenvalues[-1]),
         "repair_shift_fro": float(np.linalg.norm(corr.entries - pruned.entries)),
-        "repair_passes": corr._repair_passes if config.repair else 0,
+        "repair_passes": corr._repair_passes if args.repair else 0,
         "top_gap": decomposition.top_gap,
         "orthonormality_residual": decomposition.orthonormality_residual,
         "residualized": residualized,
@@ -243,39 +236,39 @@ def run_analyze(config: RunConfig) -> int:
         "weights": "uniform (tau_i = 1, w_i = 1/N; turnovers are reduction factors)",
     }
     report = turnover_report(basis, corr, weighted, digest=digest)
-    _write_json({"config": config.echo(), "report": report.to_dict()}, config.output_path)
+    _write_json({"config": vars(args), "report": report.to_dict()}, args.output_path)
     return EXIT_OK
 
 
-def run_repair(config: RunConfig) -> int:
-    ids, entries = _square_from_csv(config.input_path)
-    if np.all(np.abs(np.diag(entries) - 1.0) <= 1e-12):
+def run_repair(args: argparse.Namespace) -> int:
+    ids, entries = _square_from_csv(args.input_path)
+    if np.all(np.abs(np.diag(entries) - 1.0) <= UNIT_DIAGONAL_TOL):
         matrix = _correlation_from_entries(ids, entries)
     else:
         matrix = _covariance_from_entries(ids, entries)
-    floor = config.repair_floor if config.repair_floor is not None else default_floor(matrix.n)
+    floor = args.repair_floor if args.repair_floor is not None else default_floor(matrix.n)
     repaired = rj_repair(matrix, floor)
-    matrix_to_csv(repaired, config.output_path)
+    matrix_to_csv(repaired, args.output_path)
     summary = {
-        "config": config.echo(),
+        "config": vars(args),
         "repair_floor": floor,
         "report": matrix_report(repaired),
     }
-    _write_json(summary, Path(config.output_path).with_suffix(".json"))
+    _write_json(summary, Path(args.output_path).with_suffix(".json"))
     return EXIT_OK
 
 
-def run_sweep(config: RunConfig) -> int:
-    generator = one_factor_generator(config.rho, config.n_periods)
+def run_sweep(args: argparse.Namespace) -> int:
+    generator = one_factor_generator(args.rho, args.n_periods)
     options = SweepOptions(
-        estimation_mode=config.estimation_mode,
-        repair=config.repair,
-        repair_floor=config.repair_floor,
+        estimation_mode=args.estimation_mode,
+        repair=args.repair,
+        repair_floor=args.repair_floor,
     )
-    result = sweep_rho_star(config.grid, generator, options, config.seed)
-    sweep_to_csv(result, config.output_path)
+    result = sweep_rho_star(args.grid, generator, options, args.seed)
+    sweep_to_csv(result, args.output_path)
     summary = {
-        "config": config.echo(),
+        "config": vars(args),
         "grid": list(result.grid),
         "rho_stars": list(result.rho_stars),
         "rho_star_times_n": list(result.rho_star_times_n),
@@ -285,22 +278,22 @@ def run_sweep(config: RunConfig) -> int:
         "errors": list(result.errors),
         "solvers": list(result.solvers),
     }
-    _write_json(summary, Path(config.output_path).with_suffix(".json"))
+    _write_json(summary, Path(args.output_path).with_suffix(".json"))
     return EXIT_OK
 
 
-def run_simulate(config: RunConfig) -> int:
+def run_simulate(args: argparse.Namespace) -> int:
     sim_config = SimConfig(
-        n_alphas=config.n_alphas,
+        n_alphas=args.n_alphas,
         n_periods=2,
-        n_instruments=config.n_instruments,
-        target_correlation=config.rho,
-        master_seed=config.seed,
-        n_paths=config.n_paths,
+        n_instruments=args.n_instruments,
+        target_correlation=args.rho,
+        master_seed=args.seed,
+        n_paths=args.n_paths,
     )
     result = simulate_crossing_paths(sim_config)
     payload = {
-        "config": config.echo(),
+        "config": vars(args),
         "gross_traded": result.gross_traded,
         "netted_traded": result.netted_traded,
         "crossing_ratio": result.crossing_ratio,
@@ -309,32 +302,8 @@ def run_simulate(config: RunConfig) -> int:
         "zero_gross_paths": result.zero_gross_paths,
         "per_path_ratios": list(result.per_path_ratios),
     }
-    _write_json(payload, config.output_path)
+    _write_json(payload, args.output_path)
     return EXIT_OK
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    # only sweep and simulate draw random numbers, so only they take a seed
-    seed = _resolve_seed(args.seed) if "seed" in args else 0
-    grid = _parse_grid(args.grid) if getattr(args, "grid", None) else None
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        output_path=getattr(args, "output", None),
-        estimation_mode=_MODE_BY_FLAG[getattr(args, "mode", "complete")],
-        prune_bound=getattr(args, "prune", 0.9),
-        repair=getattr(args, "repair", True),
-        repair_floor=getattr(args, "floor", None),
-        factor_path=getattr(args, "factors", None),
-        matrix_input=getattr(args, "matrix", False),
-        grid=grid,
-        rho=getattr(args, "rho", 0.25),
-        seed=seed,
-        n_paths=getattr(args, "paths", 1),
-        n_alphas=getattr(args, "n_alphas", 0),
-        n_instruments=getattr(args, "instruments", 0),
-        n_periods=getattr(args, "periods", 0),
-    )
 
 
 _RUNNERS = {
@@ -348,8 +317,14 @@ _RUNNERS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return _RUNNERS[args.command](config)
+        # only sweep and simulate draw random numbers, so only they take a seed
+        if "seed" in args:
+            args.seed = _resolve_seed(args.seed)
+        if "grid" in args:
+            args.grid = _parse_grid(args.grid)
+        if "estimation_mode" in args:
+            args.estimation_mode = _MODE_BY_FLAG[args.estimation_mode]
+        return _RUNNERS[args.command](args)
     except (InvalidMatrixError, IllDefinedVolatilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

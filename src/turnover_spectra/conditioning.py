@@ -469,12 +469,12 @@ def _covariance_from_entries(ids: tuple[str, ...], entries: np.ndarray) -> Covar
 
 
 def matrix_report(matrix: MatrixLike) -> dict:
-    """JSON-ready report: ids, entries, eigenvalues, psd_status (one solve for a wrapper)."""
+    """JSON-ready report: ids, entries, eigenvalues, psd_status (one solve)."""
     entries = _matrix_entries(matrix)
     decomposition = eigendecompose(matrix)
     return {
         "ids": list(_matrix_ids(matrix, entries.shape[0])),
         "entries": entries.tolist(),
         "eigenvalues": decomposition.eigenvalues.tolist(),
-        "psd_status": classify_definiteness(matrix),
+        "psd_status": _definiteness(decomposition.eigenvalues),
     }

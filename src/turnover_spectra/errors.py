@@ -50,13 +50,16 @@ class CollinearFactorsError(TurnoverSpectraError):
 
 
 class InvalidMatrixError(TurnoverSpectraError, ValueError):
-    """Matrix input violates a structural precondition: it is not square, not
-    finite, or not symmetric within ``1e-12 * max(1, max|a|)``.
+    """Matrix input violates a precondition on its values: it is not square,
+    not finite, or not symmetric within ``1e-12 * max(1, max|a|)``; or, for a
+    correlation matrix, its diagonal is off 1 or an entry leaves [-1, 1]; or,
+    for a covariance matrix, its diagonal disagrees with ``vols**2``.
 
     The matrix wrappers raise it at construction, and ``conditioning`` raises
-    it for a bare array by the same rule. A numeric-validity refusal, so the
-    command line exits 2 on it; also a ``ValueError``, as the wrappers' other
-    argument checks are.
+    the structural part for a bare array by the same rule. A numeric-validity
+    refusal, so the command line exits 2 on it; also a ``ValueError``, as the
+    wrappers' other argument checks (shapes of vols, counts and ids, positive
+    vols, mode and status tags) are.
     """
 
 

@@ -29,6 +29,9 @@ EXTERNAL = "external"
 ESTIMATION_MODES = (COMPLETE_CASES, PAIRWISE_COMPLETE)
 _KNOWN_MODES = ESTIMATION_MODES + (EXTERNAL,)
 PSD_STATUSES = ("verified-PD", "verified-not-PSD", "unverified")
+#: How far a correlation matrix's diagonal may sit from 1, and its entries
+#: outside [-1, 1], before the wrapper refuses it.
+UNIT_DIAGONAL_TOL = 1e-12
 
 # A sample is treated as constant when its standard deviation falls below
 # this tolerance relative to the magnitude of its mean.
@@ -360,7 +363,7 @@ class CovarianceMatrix:
             raise ValueError("vols must be positive and finite")
         diag = np.diag(entries)
         if (np.abs(diag - vols**2) > 1e-6 * vols**2).any():
-            raise ValueError("diagonal disagrees with vols**2")
+            raise InvalidMatrixError("covariance matrix diagonal disagrees with vols**2")
         np.fill_diagonal(entries, vols**2)
         counts = np.array(self.pairwise_counts, dtype=int)
         if counts.shape != entries.shape:
@@ -401,10 +404,12 @@ class CorrelationMatrix:
         entries = _symmetric(self.entries, "correlation matrix")
         n = entries.shape[0]
         diag = np.diag(entries)
-        if (np.abs(diag - 1.0) > 1e-12).any():
-            raise ValueError("correlation diagonal must be 1 within 1e-12")
-        if (np.abs(entries) > 1.0 + 1e-12).any():
-            raise ValueError("correlation entries must lie in [-1, 1]")
+        if (np.abs(diag - 1.0) > UNIT_DIAGONAL_TOL).any():
+            raise InvalidMatrixError(
+                f"correlation matrix diagonal must be 1 within {UNIT_DIAGONAL_TOL:g}"
+            )
+        if (np.abs(entries) > 1.0 + UNIT_DIAGONAL_TOL).any():
+            raise InvalidMatrixError("correlation matrix entries must lie in [-1, 1]")
         np.clip(entries, -1.0, 1.0, out=entries)
         np.fill_diagonal(entries, 1.0)
         if self.estimation_mode not in _KNOWN_MODES:

@@ -355,7 +355,12 @@ def _sweep_point(panel: TimeSeriesPanel, options: SweepOptions) -> tuple[float, 
 
 
 def one_factor_generator(rho: float, n_periods: int) -> PanelGenerator:
-    """Panel generator for ``sweep_rho_star`` with uniform pairwise correlation."""
+    """Panel generator for ``sweep_rho_star`` with uniform pairwise correlation.
+
+    ``rho`` and ``n_periods`` are checked here, by ``SimConfig``'s rule, so a
+    bad value raises ``ValueError`` at once rather than at every grid point.
+    """
+    SimConfig(2, n_periods, 1, rho)
 
     def generate(n_alphas: int, seed: int) -> TimeSeriesPanel:
         return gen_one_factor_panel(

@@ -1,5 +1,6 @@
 """End-to-end command-line runs: artifacts, exit codes, reproducibility."""
 
+import argparse
 import csv
 import io
 import json
@@ -181,7 +182,7 @@ class TestAnalyze:
         assert usage.value.code == EXIT_IO
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
         assert main(["analyze", "--input", panel, "--output", str(out)]) == EXIT_OK
-        assert json.loads(out.read_text())["config"]["seed"] == 0
+        assert "seed" not in json.loads(out.read_text())["config"]
 
 
 def _oversized_field_text(layout):
@@ -205,13 +206,25 @@ def test_field_over_csv_limit_is_a_one_line_parse_error(tmp_path, capsys, layout
     assert err == f"error: field larger than field limit ({csv.field_size_limit()}) at line {line}\n"
 
 
+_INVALID_MATRICES = {
+    "asymmetric": "a,b\n1.0,0.2\n0.3,1.0\n",
+    "nan": "a,b\n1.0,nan\n0.2,1.0\n",
+    "non-square": "a,b\n1.0,0.2\n0.2,1.0\n0.1,0.1\n",
+    "entry-range": "a,b\n1.0,1.5\n1.5,1.0\n",
+}
+
+
 @pytest.mark.parametrize(
-    "text",
-    ["a,b\n1.0,0.2\n0.3,1.0\n", "a,b\n1.0,nan\n0.2,1.0\n", "a,b\n1.0,0.2\n0.2,1.0\n0.1,0.1\n"],
-    ids=["asymmetric", "nan", "non-square"],
+    "command, text",
+    [
+        pytest.param(command, text, id=f"{name}-{kind}")
+        for name, command in [("repair", ["repair"]), ("analyze", ["analyze", "--matrix"])]
+        for kind, text in _INVALID_MATRICES.items()
+    ]
+    # repair reads a diagonal off 1 as a covariance matrix
+    + [pytest.param(["analyze", "--matrix"], "a,b\n2.0,0.2\n0.2,2.0\n", id="analyze-diagonal")],
 )
-@pytest.mark.parametrize("command", [["repair"], ["analyze", "--matrix"]], ids=["repair", "analyze"])
-def test_invalid_matrix_csv_is_a_numeric_refusal(tmp_path, capsys, text, command):
+def test_invalid_matrix_csv_is_a_numeric_refusal(tmp_path, capsys, command, text):
     matrix = write(tmp_path / "matrix.csv", text)
     code = main([*command, "--input", matrix, "--output", str(tmp_path / "out.csv")])
     assert code == EXIT_NUMERIC
@@ -341,6 +354,18 @@ class TestSweep:
         ])
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--rho", "1.5"], ["--rho", "-0.2"], ["--periods", "1"]],
+        ids=["rho-1.5", "rho-neg", "periods-1"],
+    )
+    def test_bad_generator_arguments_exit_1_before_any_output(self, tmp_path, capsys, extra):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--output", str(out), "--grid", "10,20", *extra]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_csv_has_f_column(self, tmp_path):
         csv_bytes, _ = self.run_sweep(tmp_path, "sweep.csv")
         header = csv_bytes.decode().splitlines()[0]
@@ -382,6 +407,109 @@ class TestSimulate:
         assert 0.0 <= payload["crossing_ratio"] <= 1.0
         assert len(payload["per_path_ratios"]) == 40
         assert payload["config"]["rho"] == 0.5
+
+
+# the keys of each command's echoed ``config``: exactly the arguments it takes
+CONFIG_KEYS = {
+    "analyze": {
+        "command", "input_path", "output_path", "estimation_mode", "prune_bound",
+        "repair", "repair_floor", "factor_path", "matrix_input",
+    },
+    "repair": {"command", "input_path", "output_path", "repair_floor"},
+    "sweep": {
+        "command", "output_path", "grid", "rho", "n_periods", "estimation_mode",
+        "repair", "repair_floor", "seed",
+    },
+    "simulate": {"command", "output_path", "rho", "n_alphas", "n_instruments", "n_paths", "seed"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
+def test_config_echoes_exactly_the_arguments_its_command_takes(tmp_path, command):
+    panel = write(tmp_path / "panel.csv", PANEL_CSV)
+    matrix = write(tmp_path / "corr.csv", "a,b\n1.0,0.4\n0.4,1.0\n")
+    output, extra, expected = {
+        "analyze": (
+            "report.json",
+            ["--input", panel, "--mode", "pairwise", "--prune", "0.95"],
+            {"estimation_mode": "pairwise-complete", "prune_bound": 0.95, "input_path": panel},
+        ),
+        "repair": ("out.csv", ["--input", matrix, "--floor", "0.001"], {"repair_floor": 0.001}),
+        "sweep": (
+            "sweep.csv",
+            ["--grid", "16,8", "--periods", "120", "--mode", "pairwise", "--no-repair"],
+            {
+                "grid": [8, 16], "n_periods": 120,
+                "estimation_mode": "pairwise-complete", "repair": False,
+            },
+        ),
+        "simulate": (
+            "sim.json",
+            ["--n-alphas", "6", "--instruments", "2", "--paths", "5", "--rho", "0.4"],
+            {"n_alphas": 6, "n_instruments": 2, "n_paths": 5, "rho": 0.4, "seed": 0},
+        ),
+    }[command]
+    out = tmp_path / output
+    assert main([command, "--output", str(out), *extra]) == EXIT_OK
+    config = json.loads(out.with_suffix(".json").read_text())["config"]
+    assert set(config) == CONFIG_KEYS[command]
+    assert config["command"] == command
+    assert config["output_path"] == str(out)
+    for key, value in expected.items():
+        assert config[key] == value
+
+
+# every option of every command: (default, choices, required), as the flags were first defined
+PARSER_OPTIONS = {
+    "analyze": {
+        "--input": (None, None, True),
+        "--output": (None, None, True),
+        "--mode": ("complete", ["complete", "pairwise"], False),
+        "--prune": (0.9, None, False),
+        "--repair/--no-repair": (True, None, False),
+        "--floor": (None, None, False),
+        "--factors": (None, None, False),
+        "--matrix": (False, None, False),
+    },
+    "repair": {
+        "--input": (None, None, True),
+        "--output": (None, None, True),
+        "--floor": (None, None, False),
+    },
+    "sweep": {
+        "--output": (None, None, True),
+        "--grid": (None, None, True),
+        "--rho": (0.25, None, False),
+        "--periods": (2000, None, False),
+        "--mode": ("complete", ["complete", "pairwise"], False),
+        "--repair/--no-repair": (True, None, False),
+        "--floor": (None, None, False),
+        "--seed": (0, None, False),
+    },
+    "simulate": {
+        "--output": (None, None, True),
+        "--rho": (0.25, None, False),
+        "--n-alphas": (50, None, False),
+        "--instruments": (4, None, False),
+        "--paths": (256, None, False),
+        "--seed": (0, None, False),
+    },
+}
+
+
+def test_parser_keeps_every_flag_default_and_choice():
+    (commands,) = [
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert set(commands.choices) == set(PARSER_OPTIONS)
+    for name, parser in commands.choices.items():
+        options = {
+            "/".join(action.option_strings): (action.default, action.choices, action.required)
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+        }
+        assert options == PARSER_OPTIONS[name], name
 
 
 class TestJsonSentinels:

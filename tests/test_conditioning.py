@@ -358,7 +358,7 @@ class TestSpectrumMemo:
         classify_definiteness(NON_PSD)
         eigendecompose(NON_PSD)
         matrix_report(NON_PSD)
-        assert len(eigensolves) == 4
+        assert len(eigensolves) == 3
 
     def test_memo_slot_is_private_and_read_only(self):
         for kind in (CorrelationMatrix, CovarianceMatrix):

@@ -15,6 +15,7 @@ from turnover_spectra import (
     CovarianceMatrix,
     CoverageError,
     DegenerateSeriesError,
+    InvalidMatrixError,
     PanelFormatError,
     RejectedSeriesError,
     TimeSeriesPanel,
@@ -319,6 +320,36 @@ class TestMatrixTypes:
     def test_correlation_requires_symmetry(self):
         with pytest.raises(ValueError):
             CorrelationMatrix([[1.0, 0.2], [0.3, 1.0]], COMPLETE_CASES)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: CorrelationMatrix([[1.0, 0.2], [0.2, 0.9]], COMPLETE_CASES),
+             "correlation matrix diagonal must be 1 within 1e-12"),
+            (lambda: CorrelationMatrix([[1.0, 1.2], [1.2, 1.0]], COMPLETE_CASES),
+             "correlation matrix entries must lie in [-1, 1]"),
+            (lambda: CovarianceMatrix([[4.0, 0.1], [0.1, 9.0]], [2.0, 2.0], np.ones((2, 2)),
+                                      COMPLETE_CASES),
+             "covariance matrix diagonal disagrees with vols**2"),
+        ],
+        ids=["unit-diagonal", "entry-range", "vols"],
+    )
+    def test_value_checks_are_invalid_matrix_errors(self, build, message):
+        with pytest.raises(InvalidMatrixError) as refused:
+            build()
+        assert str(refused.value) == message
+
+    def test_shape_and_tag_checks_stay_plain_value_errors(self):
+        entries = np.eye(2)
+        for build in (
+            lambda: CovarianceMatrix(entries, [1.0], np.ones((2, 2)), COMPLETE_CASES),
+            lambda: CovarianceMatrix(entries, [1.0, -1.0], np.ones((2, 2)), COMPLETE_CASES),
+            lambda: CorrelationMatrix(entries, "guessed"),
+            lambda: CorrelationMatrix(entries, COMPLETE_CASES, ids=("a",)),
+        ):
+            with pytest.raises(ValueError) as refused:
+                build()
+            assert not isinstance(refused.value, InvalidMatrixError)
 
     def test_panel_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -291,6 +291,11 @@ class TestSweep:
         assert math.isnan(result.rho_stars[1])
         assert result.solvers == ("full", "failed", "full")
 
+    @pytest.mark.parametrize("rho, n_periods", [(1.5, 100), (-0.2, 100), (0.3, 1)])
+    def test_generator_checks_its_arguments_when_built(self, rho, n_periods):
+        with pytest.raises(ValueError):
+            one_factor_generator(rho, n_periods)
+
     def test_grid_validation(self):
         gen = one_factor_generator(0.2, 100)
         with pytest.raises(ValueError):
