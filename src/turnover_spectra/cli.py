@@ -5,14 +5,16 @@ Each command reads its own parsed arguments, and its artifact's ``config``
 block echoes exactly those arguments (the flags' ``dest`` names), after
 ``main`` has resolved the seed, the grid and the estimation mode.
 
-Exit codes: 0 success; 1 I/O or parse failure (a missing file, a bad
-argument, a malformed CSV); 2 numeric-validity refusal: a matrix that is not
-square, finite and symmetric, a correlation matrix whose diagonal is off 1 or
-whose entries leave [-1, 1], a covariance matrix whose diagonal disagrees
-with its vols (``InvalidMatrixError``, from ``repair`` and ``analyze
---matrix`` alike), a non-positive diagonal to repair, a repair that does not
-converge, a non-PSD matrix under ``--no-repair``, an indefinite quadratic
-form.
+Exit codes: 0 success; 1 I/O or parse failure: a missing file, a bad
+argument or a numeric flag out of range, a malformed CSV. Panels and matrix
+CSVs share one reader and one header rule, so a blank or repeated id, or a
+header with no data rows after it (a header-only matrix CSV included), exits
+1 in either layout. 2 numeric-validity refusal: a matrix that is not square,
+finite and symmetric, a correlation matrix whose diagonal is off 1 or whose
+entries leave [-1, 1], a covariance matrix whose diagonal disagrees with its
+vols (``InvalidMatrixError``, from ``repair`` and ``analyze --matrix``
+alike), a non-positive diagonal to repair, a repair that does not converge, a
+non-PSD matrix under ``--no-repair``, an indefinite quadratic form.
 """
 
 from __future__ import annotations
@@ -100,10 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="floor the spectrum to force positive definiteness")
     analyze.add_argument("--floor", dest="repair_floor", type=float, default=None,
                          help="eigenvalue floor (default 1e-8 * N)")
-    analyze.add_argument("--factors", dest="factor_path", default=None, metavar="PATH",
-                         help="factor panel CSV; residualize the panel before estimating")
-    analyze.add_argument("--matrix", dest="matrix_input", action="store_true",
-                         help="treat --input as a correlation matrix CSV")
+    # factors residualize a panel, so they have nothing to act on in a matrix
+    source = analyze.add_mutually_exclusive_group()
+    source.add_argument("--factors", dest="factor_path", default=None, metavar="PATH",
+                        help="factor panel CSV; residualize the panel before estimating")
+    source.add_argument("--matrix", dest="matrix_input", action="store_true",
+                        help="treat --input as a correlation matrix CSV")
 
     repair = sub.add_parser("repair", help="matrix CSV -> positive-definite matrix CSV")
     repair.add_argument("--input", dest="input_path", required=True)
@@ -133,6 +137,25 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=0)
 
     return parser
+
+
+# Each numeric flag's refusal rule, the library's own, checked before a command
+# runs so that the message names the flag typed rather than a library field.
+_FLAG_RULES = {
+    "rho": ("--rho", "must lie in [0, 1]", lambda v: not 0.0 <= v <= 1.0),
+    "n_periods": ("--periods", "must be at least 2", lambda v: v < 2),
+    "n_alphas": ("--n-alphas", "must be at least 2", lambda v: v < 2),
+    "n_instruments": ("--instruments", "must be at least 1", lambda v: v < 1),
+    "n_paths": ("--paths", "must be at least 1", lambda v: v < 1),
+    "prune_bound": ("--prune", "must lie in (0, 1)", lambda v: not 0.0 < v < 1.0),
+    "repair_floor": ("--floor", "must be positive", lambda v: v is not None and v <= 0),
+}
+
+
+def _check_flags(args: argparse.Namespace) -> None:
+    for dest, (flag, rule, refused) in _FLAG_RULES.items():
+        if dest in args and refused(getattr(args, dest)):
+            raise ValueError(f"{flag} {rule}, got {getattr(args, dest)}")
 
 
 def _resolve_seed(cli_seed: int) -> int:
@@ -220,7 +243,7 @@ def run_analyze(args: argparse.Namespace) -> int:
         "n_kept": corr.n,
         "kept_indices": list(kept),
         "n_timestamps": n_timestamps,
-        "estimation_mode": args.estimation_mode,
+        "estimation_mode": corr.estimation_mode,
         "prune_bound": args.prune_bound,
         "repaired": bool(args.repair),
         "repair_floor": floor if args.repair else None,
@@ -324,6 +347,7 @@ def main(argv: list[str] | None = None) -> int:
             args.grid = _parse_grid(args.grid)
         if "estimation_mode" in args:
             args.estimation_mode = _MODE_BY_FLAG[args.estimation_mode]
+        _check_flags(args)
         return _RUNNERS[args.command](args)
     except (InvalidMatrixError, IllDefinedVolatilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

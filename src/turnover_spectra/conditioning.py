@@ -4,11 +4,10 @@ portfolio volatility."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO
 
 import numpy as np
 
@@ -22,8 +21,7 @@ from .panel import (
     EXTERNAL,
     CorrelationMatrix,
     CovarianceMatrix,
-    _fast_grid,
-    _read_csv,
+    _read_grid,
     _symmetric,
     _write_csv,
 )
@@ -397,53 +395,19 @@ def matrix_to_csv(matrix: MatrixLike, dest: str | Path | IO[str]) -> None:
     _write_csv(dest, _matrix_ids(matrix, entries.shape[0]), rows)
 
 
-def _fast_square(lines: Iterator[str]) -> tuple[tuple[str, ...], np.ndarray] | None:
-    try:
-        header = next(row for row in csv.reader(lines) if row)
-    except (StopIteration, csv.Error):
-        return None
-    ids = tuple(cell.strip() for cell in header)
-    entries = _fast_grid(lines, len(ids))
-    # an empty cell (NaN here) is the reference's "non-numeric cell ''" error
-    if entries is None or np.isnan(entries).any():
-        return None
-    return ids, entries
-
-
-def _square_from_rows(rows: list[list[str]]) -> tuple[tuple[str, ...], np.ndarray]:
-    """Per-cell reference parse of a square matrix CSV.
-
-    Every data row must have one cell per id; whether there is one row per
-    id is the matrix types' squareness rule, not a parse error.
-    """
-    rows = [row for row in rows if row]
-    if not rows:
-        raise PanelFormatError("empty matrix CSV", row=0)
-    ids = tuple(cell.strip() for cell in rows[0])
-    n = len(ids)
-    entries = np.empty((len(rows) - 1, n))
-    for r, row in enumerate(rows[1:]):
-        if len(row) != n:
-            raise PanelFormatError(f"expected {n} cells, found {len(row)}", row=r + 1)
-        for c, cell in enumerate(row):
-            try:
-                entries[r, c] = float(cell)
-            except ValueError:
-                raise PanelFormatError(
-                    f"non-numeric cell {cell.strip()!r}", row=r + 1, column=ids[c]
-                ) from None
-    return ids, entries
-
-
 def _square_from_csv(source: str | Path | IO[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """Ids and entries of a square matrix CSV, parsed like ``load_panel``.
+    """Ids and entries of a square matrix CSV, read by the reader ``load_panel``
+    uses (:func:`panel._read_grid`), header rule included.
 
-    Cells are read as written, ``nan`` included, and rows are not counted
-    against the ids: the matrix types then refuse a non-finite or non-square
-    grid. An empty cell or a row with the wrong number of cells is a parse
-    error.
+    The matrix's one cell rule: an empty cell is a parse error. Other cells
+    are kept as read, ``nan`` included, and rows are not counted against the
+    ids: the matrix types then refuse a non-finite or non-square grid.
     """
-    return _read_csv(source, _fast_square, _square_from_rows)
+    ids, entries, empty = _read_grid(source)
+    if empty.any():
+        r, c = np.argwhere(empty)[0].tolist()
+        raise PanelFormatError("non-numeric cell ''", row=r + 1, column=ids[c])
+    return ids, entries
 
 
 def correlation_from_csv(source: str | Path | IO[str]) -> CorrelationMatrix:

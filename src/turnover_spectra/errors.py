@@ -10,7 +10,11 @@ class TurnoverSpectraError(Exception):
 
 
 class PanelFormatError(TurnoverSpectraError):
-    """Malformed tabular input (ragged row, bad cell, duplicate header)."""
+    """Malformed CSV input, panel or square matrix: both are read by one reader
+    under one header rule (no blank or repeated id, at least one data row),
+    so the same defect gets the same message, row and column in either
+    layout. Also a ragged row, a non-numeric cell, or a cell its layout
+    refuses: a non-finite value in a panel, an empty cell in a matrix."""
 
     def __init__(self, message: str, *, row: int | None = None, column: str | None = None):
         self.row = row

@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import csv
 import itertools
-import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -116,29 +115,32 @@ def _rewind_point(handle: IO[str]) -> int | None:
         return None
 
 
-def _read_csv(source: str | Path | IO[str], fast: Callable, reference: Callable):
-    """Parse CSV text with ``fast``, falling back to ``reference`` when it declines.
+def _read_grid(source: str | Path | IO[str]) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """The package's one CSV reader, for panels and square matrices alike.
 
-    ``fast`` gets an iterator over the lines and streams through them once;
-    it returns None when its result might differ from the reference's. The
-    ``reference`` then gets every ``csv`` row from the start of the text and
-    is the only one that raises on malformed input, except for a line the
-    ``csv`` reader itself rejects (a field over its size limit), which raises
-    ``PanelFormatError`` with the reader's line number. A path is opened and, like
-    a seekable handle, rewound to where ``fast`` started; a handle that cannot
-    seek is first read once into a list of lines.
+    Both layouts are a header row of ids and then rows of numbers. Returns the
+    ids, the values (NaN at empty cells) and the mask of empty cells; what a
+    cell may hold beyond that is each layout's own rule, applied by its
+    caller. The data rows are parsed by :func:`_fast_grid` in one streaming
+    pass; when it declines, the per-cell reference :func:`_grid_from_rows`
+    gets every ``csv`` row from the start of the text and is the only one
+    that raises on malformed input, except for a line the ``csv`` reader
+    itself rejects (a field over its size limit), which raises
+    ``PanelFormatError`` with the reader's line number. A path is opened and,
+    like a seekable handle, rewound to where the fast pass started; a handle
+    that cannot seek is first read once into a list of lines.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
-            return _read_csv(handle, fast, reference)
+            return _read_grid(handle)
     start = _rewind_point(source)
     lines = source if start is not None else list(source)
-    result = fast(iter(lines))
+    result = _fast_grid(iter(lines))
     if result is not None:
         return result
     if start is not None:
         source.seek(start)
-    return reference(_csv_rows(lines))
+    return _grid_from_rows(_csv_rows(lines))
 
 
 def _write_csv(dest: str | Path | IO[str], header: Iterable, rows: Iterable[Iterable]) -> None:
@@ -162,18 +164,33 @@ def _csv_rows(lines: Iterable[str]) -> list[list[str]]:
         raise PanelFormatError(f"{exc} at line {reader.line_num}") from None
 
 
-def _fast_grid(lines: Iterator[str], n_cols: int) -> np.ndarray | None:
-    """Parse the data lines of a numeric CSV grid in one ``np.loadtxt`` pass.
+def _header(row: list[str]) -> tuple[str, ...]:
+    """The ids of a header row: each one non-blank after stripping, none repeated."""
+    header = tuple(cell.strip() for cell in row)
+    if not header or any(not name for name in header):
+        raise PanelFormatError("header must name every series", row=0)
+    if len(set(header)) != len(header):
+        raise PanelFormatError("duplicate series ids in header", row=0)
+    return header
 
-    Blank lines are skipped and empty cells read as NaN, so a NaN in the
-    result marks exactly an empty cell. Returns None when the per-cell
-    reference parse has to decide instead: on any line ``loadtxt`` rejects
-    (ragged rows, quoted or whitespace-only cells, ``1_0``, whitespace-only
-    lines), on a field longer than the ``csv`` field limit, when there are
-    no data lines or not ``n_cols`` columns, and when a cell's own text is
-    non-finite (``nan``, ``inf``, ``1e999``), which shows as more
-    non-finite values than empty cells.
+
+def _fast_grid(lines: Iterator[str]) -> tuple[tuple[str, ...], np.ndarray, np.ndarray] | None:
+    """Parse a numeric CSV grid: the header with ``csv``, the data lines in one
+    ``np.loadtxt`` pass.
+
+    Blank lines are skipped and empty cells read as NaN. Returns None when the
+    per-cell reference parse has to decide instead: on a header the reference
+    would refuse, on any line ``loadtxt`` rejects (ragged rows, quoted or
+    whitespace-only cells, ``1_0``, whitespace-only lines), on a field longer
+    than the ``csv`` field limit, when there are no data lines or not one
+    column per id, and when a cell's own text is non-finite (``nan``,
+    ``inf``, ``1e999``), which shows as more non-finite values than empty
+    cells. So a non-finite value in the result marks exactly an empty cell.
     """
+    try:
+        header = _header(next(csv.reader(lines)))
+    except (StopIteration, csv.Error, PanelFormatError):
+        return None
     limit = csv.field_size_limit()
     empty = 0
 
@@ -182,7 +199,7 @@ def _fast_grid(lines: Iterator[str], n_cols: int) -> np.ndarray | None:
         for line in lines:
             body = line.rstrip("\r\n")
             if not body:
-                continue  # csv reads a blank line as an empty row, which callers skip
+                continue  # csv reads a blank line as an empty row, which the reference skips
             if len(body) > limit and max(map(len, body.split(","))) > limit:
                 raise ValueError("field larger than the csv field limit")
             text = body.replace(",,", ",nan,").replace(",,", ",nan,")
@@ -203,42 +220,28 @@ def _fast_grid(lines: Iterator[str], n_cols: int) -> np.ndarray | None:
         )
     except ValueError:
         return None
-    if grid.shape[1] != n_cols:
+    if grid.shape[1] != len(header):
         return None
-    if grid.size - np.count_nonzero(np.isfinite(grid)) != empty:
+    finite = np.isfinite(grid)
+    if grid.size - np.count_nonzero(finite) != empty:
         return None
-    return grid
+    return header, grid, ~finite
 
 
-def _panel_header(row: list[str]) -> tuple[str, ...]:
-    header = tuple(cell.strip() for cell in row)
-    if not header or any(not name for name in header):
-        raise PanelFormatError("header must name every series", row=0)
-    if len(set(header)) != len(header):
-        raise PanelFormatError("duplicate series ids in header", row=0)
-    return header
-
-
-def _fast_panel(lines: Iterator[str]) -> tuple[tuple[str, ...], np.ndarray] | None:
-    try:
-        header = _panel_header(next(csv.reader(lines)))
-    except (StopIteration, csv.Error, PanelFormatError):
-        return None
-    values = _fast_grid(lines, len(header))
-    return None if values is None else (header, values)
-
-
-def _panel_from_rows(rows: list[list[str]]) -> tuple[tuple[str, ...], np.ndarray]:
-    """Per-cell reference parse of a panel CSV; empty cells become NaN."""
+def _grid_from_rows(rows: list[list[str]]) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Per-cell reference parse of a numeric CSV grid, to the same result as
+    :func:`_fast_grid`. Cells are stripped; an empty one reads as NaN and is
+    flagged, any other is read with ``float``, non-finite text included."""
     if not rows:
         raise PanelFormatError("empty input: missing header row", row=0)
-    header = _panel_header(rows[0])
+    header = _header(rows[0])
     data_rows = [row for row in rows[1:] if row]  # tolerate blank lines
     if not data_rows:
         raise PanelFormatError("no data rows after the header", row=1)
 
     n_cols = len(header)
     values = np.empty((len(data_rows), n_cols))
+    empty = np.zeros(values.shape, dtype=bool)
     for r, row in enumerate(data_rows):
         if len(row) != n_cols:
             raise PanelFormatError(
@@ -248,19 +251,15 @@ def _panel_from_rows(rows: list[list[str]]) -> tuple[tuple[str, ...], np.ndarray
             text = cell.strip()
             if not text:
                 values[r, c] = np.nan
+                empty[r, c] = True
                 continue
             try:
-                parsed = float(text)
+                values[r, c] = float(text)
             except ValueError:
                 raise PanelFormatError(
                     f"non-numeric cell {text!r}", row=r + 1, column=header[c]
                 ) from None
-            if not math.isfinite(parsed):
-                raise PanelFormatError(
-                    f"non-finite cell {text!r}", row=r + 1, column=header[c]
-                )
-            values[r, c] = parsed
-    return header, values
+    return header, values, empty
 
 
 def load_panel(source: str | Path | IO[str], *, oldest_first: bool = False) -> TimeSeriesPanel:
@@ -270,26 +269,31 @@ def load_panel(source: str | Path | IO[str], *, oldest_first: bool = False) -> T
     timestamp, most recent first (set ``oldest_first`` when the file is in
     chronological order instead). Empty cells mark missing observations.
 
-    The header is read with ``csv`` and the data rows in one streaming
-    ``np.loadtxt`` pass, with empty cells read as NaN; the text is not held
-    in memory whole, unless it comes from a handle that cannot seek. Input
-    that pass cannot take exactly as the per-cell reference parse would
-    (quoted, whitespace-only or non-finite cells, ragged rows, any parse
-    error) is parsed again from the start by that reference loop, which alone
-    raises, so every error keeps its row and column.
+    The text is read by the package's one CSV reader (:func:`_read_grid`),
+    which square-matrix CSVs share, header rule included: a streaming
+    ``np.loadtxt`` pass, with the per-cell reference parse deciding whatever
+    that pass cannot take exactly, so every error keeps its row and column.
+    The panel's own cell rule then refuses a non-finite value in a non-empty
+    cell, quoting the value as parsed (``'nan'``, ``'inf'``).
 
     Raises
     ------
     PanelFormatError
         Ragged rows, non-numeric or non-finite cells, duplicate or blank ids,
-        a field over the ``csv`` field size limit.
+        no data rows, a field over the ``csv`` field size limit.
     RejectedSeriesError
         Any series ends up with fewer than two observed values.
     """
-    header, values = _read_csv(source, _fast_panel, _panel_from_rows)
+    header, values, empty = _read_grid(source)
+    bad = ~(empty | np.isfinite(values))
+    if bad.any():
+        r, c = np.argwhere(bad)[0].tolist()
+        raise PanelFormatError(
+            f"non-finite cell '{values[r, c]}'", row=r + 1, column=header[c]
+        )
     if oldest_first:
-        values = values[::-1]
-    return TimeSeriesPanel(header, values.T, np.isfinite(values).T)
+        values, empty = values[::-1], empty[::-1]
+    return TimeSeriesPanel(header, values.T, ~empty.T)
 
 
 def write_panel(panel: TimeSeriesPanel, dest: str | Path | IO[str]) -> None:

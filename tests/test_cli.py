@@ -105,6 +105,20 @@ class TestAnalyze:
         assert main(["analyze", "--input", matrix, "--output", str(out), "--matrix"]) == EXIT_OK
         report = json.loads(out.read_text())["report"]
         assert report["rho_star"] == pytest.approx(0.7, abs=1e-10)
+        # the matrix's provenance, not the --mode default
+        assert report["inputs"]["estimation_mode"] == "external"
+
+    def test_factors_with_matrix_is_a_usage_error(self, tmp_path, capsys):
+        matrix = write(tmp_path / "corr.csv", "x,y\n1.0,0.4\n0.4,1.0\n")
+        factors = write(tmp_path / "factors.csv", FACTORS_CSV)
+        with pytest.raises(SystemExit) as usage:
+            main([
+                "analyze", "--input", matrix, "--output", str(tmp_path / "r.json"),
+                "--matrix", "--factors", factors,
+            ])
+        assert usage.value.code == EXIT_IO
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["corr.csv", "factors.csv"]
 
     def test_missing_input_exits_1(self, tmp_path):
         code = main([
@@ -233,6 +247,25 @@ def test_invalid_matrix_csv_is_a_numeric_refusal(tmp_path, capsys, command, text
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["repair"], ["analyze", "--matrix"]], ids=["repair", "analyze"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a,a\n1.0,0.2\n0.2,1.0\n", "duplicate series ids in header (row 0)"),
+        ("a,\n1.0,0.2\n0.2,1.0\n", "header must name every series (row 0)"),
+        ("\na,b\n1.0,0.2\n0.2,1.0\n", "header must name every series (row 0)"),
+        ("a,b\n", "no data rows after the header (row 1)"),
+    ],
+    ids=["duplicate-id", "blank-id", "blank-first-line", "header-only"],
+)
+def test_matrix_csv_header_follows_the_panel_rule(tmp_path, capsys, command, text, message):
+    matrix = write(tmp_path / "matrix.csv", text)
+    code = main([*command, "--input", matrix, "--output", str(tmp_path / "out.csv")])
+    assert code == EXIT_IO
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "matrix.csv"]
+
+
 class TestRepair:
     def test_positive_definite_matrix_costs_one_eigensolve(self, tmp_path, eigensolves):
         matrix = write(tmp_path / "corr.csv", "a,b,c\n1.0,0.3,0.2\n0.3,1.0,0.1\n0.2,0.1,1.0\n")
@@ -355,15 +388,18 @@ class TestSweep:
         assert code == EXIT_IO
 
     @pytest.mark.parametrize(
-        "extra",
-        [["--rho", "1.5"], ["--rho", "-0.2"], ["--periods", "1"]],
+        "extra, message",
+        [
+            (["--rho", "1.5"], "--rho must lie in [0, 1], got 1.5"),
+            (["--rho", "-0.2"], "--rho must lie in [0, 1], got -0.2"),
+            (["--periods", "1"], "--periods must be at least 2, got 1"),
+        ],
         ids=["rho-1.5", "rho-neg", "periods-1"],
     )
-    def test_bad_generator_arguments_exit_1_before_any_output(self, tmp_path, capsys, extra):
+    def test_bad_generator_arguments_exit_1_before_any_output(self, tmp_path, capsys, extra, message):
         out = tmp_path / "s.csv"
         assert main(["sweep", "--output", str(out), "--grid", "10,20", *extra]) == EXIT_IO
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_csv_has_f_column(self, tmp_path):
@@ -390,6 +426,36 @@ class TestSweep:
             "sweep", "--output", str(tmp_path / "s.csv"), "--grid", "8,16",
         ])
         assert code == EXIT_IO
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--rho", "1.5"], "--rho must lie in [0, 1], got 1.5"),
+        (["simulate", "--n-alphas", "1"], "--n-alphas must be at least 2, got 1"),
+        (["simulate", "--instruments", "0"], "--instruments must be at least 1, got 0"),
+        (["simulate", "--paths", "0"], "--paths must be at least 1, got 0"),
+        (["analyze", "--input", "PANEL", "--prune", "1.5"], "--prune must lie in (0, 1), got 1.5"),
+        (["analyze", "--input", "PANEL", "--floor", "-1"], "--floor must be positive, got -1.0"),
+        (["repair", "--input", "MATRIX", "--floor", "0"], "--floor must be positive, got 0.0"),
+        (["sweep", "--grid", "10,20", "--floor", "-1"], "--floor must be positive, got -1.0"),
+    ],
+    ids=["simulate-rho", "n-alphas", "instruments", "paths", "prune", "analyze-floor",
+         "repair-floor", "sweep-floor"],
+)
+def test_numeric_flag_refusal_names_the_flag(tmp_path, capsys, argv, message):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    paths = {
+        "PANEL": write(inputs / "panel.csv", PANEL_CSV),
+        "MATRIX": write(inputs / "corr.csv", "a,b\n1.0,0.4\n0.4,1.0\n"),
+    }
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [paths.get(arg, arg) for arg in argv]
+    assert main([*argv, "--output", str(out / "result.csv")]) == EXIT_IO
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.iterdir()) == []
 
 
 class TestSimulate:

@@ -1,14 +1,18 @@
 """CSV ingest: the streaming ``np.loadtxt`` parse against the per-cell reference.
 
-Both CSV layouts, panels (``load_panel``) and square matrices
-(``_square_from_csv``), parse their data rows in one streaming pass and fall
-back to a per-cell loop on anything that pass cannot take exactly. These
-tests hold the two paths to the same values, bit for bit, and to the same
-errors, row and column included.
+Panels (``load_panel``) and square matrices (``_square_from_csv``) share one
+reader, ``panel._read_grid``: one header rule, one streaming pass over the
+data rows, and one per-cell reference loop for anything that pass cannot take
+exactly. Each layout then applies its own cell rule (a panel refuses a
+non-finite value, a matrix an empty cell). These tests hold each layout's
+public outcome to the same values, bit for bit, and to the same errors, row
+and column included, whichever path read the text; and the two layouts to
+the same ids and values on a grid both accept.
 """
 
 import csv
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,12 +37,16 @@ LINE_ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
 
 @st.composite
 def csv_texts(draw, square=False):
-    """Header of ids, then rows of adversarial cells, with CRLF or CR endings,
-    blank and whitespace-only lines, and the odd ragged row."""
+    """Header of ids (now and then a bad one), then rows of adversarial cells,
+    with CRLF or CR endings, blank and whitespace-only lines, and the odd
+    ragged row."""
     n_cols = draw(st.integers(1, 4))
     n_rows = n_cols if square and draw(st.integers(0, 4)) else draw(st.integers(0, 6))
     cells = PLAIN_CELLS if draw(st.booleans()) else st.one_of(FLOAT_CELLS, ODD_CELLS)
-    lines = [",".join(f"s{i}" for i in range(n_cols))]
+    ids = [f"s{i}" for i in range(n_cols)]
+    if draw(st.integers(0, 9)) == 0:  # a blank or repeated id
+        ids[draw(st.integers(0, n_cols - 1))] = draw(st.sampled_from(["", " ", "s0"]))
+    lines = [",".join(ids)] if draw(st.integers(0, 19)) else ["", ",".join(ids)]  # blank first line
     for _ in range(n_rows):
         if draw(st.integers(0, 9)) == 0:
             lines.append(draw(st.sampled_from(["", " ", "\t "])))
@@ -49,47 +57,50 @@ def csv_texts(draw, square=False):
 
 
 def _outcome(parse):
-    """Bits of the parsed values, or the error's type, message, row and column."""
+    """Ids and bits of the parsed values, or the error's type, message, row and column."""
     try:
-        ids, values = parse()
+        result = parse()
     except Exception as exc:  # the outcome under test is the exception itself
         return ("error", type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None))
+    if isinstance(result, TimeSeriesPanel):  # NaN marks exactly the unobserved cells
+        result = result.series_ids, result.values
+    ids, values = result
     return ("ok", ids, values.shape, np.ascontiguousarray(values).view(np.int64).tobytes())
 
 
-def _reference_rows(text):
-    return panel._csv_rows(io.StringIO(text))
-
-
-def _panel_outcomes_agree(text):
-    fast = _outcome(lambda: panel._read_csv(io.StringIO(text), panel._fast_panel, panel._panel_from_rows))
-    return fast == _outcome(lambda: panel._panel_from_rows(_reference_rows(text)))
+def _paths_agree(read, text):
+    """``read``'s outcome on ``text`` is the same with the fast pass as with
+    the per-cell reference alone."""
+    fast = _outcome(lambda: read(io.StringIO(text)))
+    with mock.patch.object(panel, "_fast_grid", lambda lines: None):
+        reference = _outcome(lambda: read(io.StringIO(text)))
+    return fast == reference
 
 
 @settings(max_examples=400, deadline=None)
 @given(text=csv_texts())
 def test_panel_fast_parse_matches_per_cell_reference(text):
-    assert _panel_outcomes_agree(text)
+    assert _paths_agree(load_panel, text)
 
 
 @settings(max_examples=300, deadline=None)
 @given(text=csv_texts(square=True))
 def test_square_fast_parse_matches_per_cell_reference(text):
-    fast = _outcome(lambda: conditioning._square_from_csv(io.StringIO(text)))
-    reference = _outcome(lambda: conditioning._square_from_rows(_reference_rows(text)))
-    assert fast == reference
+    assert _paths_agree(conditioning._square_from_csv, text)
 
 
 def test_fast_pass_takes_well_formed_grids():
     text = "a,b,c\n1.5,,-2\r\n,0.25,3e-5\n\n-0.0,7,\n"
-    header, values = panel._fast_panel(iter(io.StringIO(text)))
+    header, values, empty = panel._fast_grid(iter(io.StringIO(text)))
     assert header == ("a", "b", "c")
     expected = np.array([[1.5, np.nan, -2.0], [np.nan, 0.25, 3e-5], [-0.0, 7.0, np.nan]])
     np.testing.assert_array_equal(values, expected)
+    np.testing.assert_array_equal(empty, np.isnan(expected))
     assert np.signbit(values[2, 0])
-    ids, entries = conditioning._fast_square(iter(io.StringIO("x,y\n1.0,0.4\n0.4,1.0\n")))
+    ids, entries, empty = panel._fast_grid(iter(io.StringIO("x,y\n1.0,0.4\n0.4,1.0\n")))
     assert ids == ("x", "y")
     np.testing.assert_array_equal(entries, [[1.0, 0.4], [0.4, 1.0]])
+    assert not empty.any()
 
 
 @pytest.mark.parametrize(
@@ -101,12 +112,57 @@ def test_fast_pass_takes_well_formed_grids():
         "a,b\n1, \n2,3\n",
         "a,b\n1,1_0\n2,3\n",
         "a,b\n1,0." + "0" * csv.field_size_limit() + "1\n2,3\n",
+        "a,a\n1,2\n3,4\n",
+        "a,\n1,2\n3,4\n",
+        "\na,b\n1,2\n3,4\n",
     ],
-    ids=["nan-text", "ragged", "quoted", "whitespace-cell", "digit-separator", "oversized-field"],
+    ids=["nan-text", "ragged", "quoted", "whitespace-cell", "digit-separator", "oversized-field",
+         "duplicate-id", "blank-id", "blank-first-line"],
 )
 def test_fast_pass_declines_what_only_the_reference_may_decide(text):
-    assert panel._fast_panel(iter(io.StringIO(text))) is None
-    assert _panel_outcomes_agree(text)
+    assert panel._fast_grid(iter(io.StringIO(text))) is None
+    assert _paths_agree(load_panel, text)
+    assert _paths_agree(conditioning._square_from_csv, text)
+
+
+@pytest.mark.parametrize(
+    "cell, quoted", [("NaN", "nan"), ("1e999", "inf"), ("-inf", "-inf")]
+)
+def test_non_finite_panel_cell_is_quoted_as_parsed(cell, quoted):
+    with pytest.raises(PanelFormatError) as excinfo:
+        load_panel(io.StringIO(f"a,b\n1,2\n3,{cell}\n"))
+    assert str(excinfo.value) == f"non-finite cell '{quoted}' (row 2, column 'b')"
+
+
+# entries whose text keeps their bits through both layouts: no empty cell, and
+# each value already what a correlation matrix stores
+UNIT_ENTRIES = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def correlation_texts(draw):
+    """A symmetric grid with a unit diagonal, written with the odd quoted or
+    padded cell, CRLF endings and blank lines."""
+    n = draw(st.integers(2, 5))
+    grid = np.eye(n)
+    for i in range(n):
+        for j in range(i):
+            grid[i, j] = grid[j, i] = draw(UNIT_ENTRIES)
+    spell = st.sampled_from(["{}", '"{}"', " {} "])
+    rows = [",".join(draw(spell).format(repr(x)) for x in row) for row in grid.tolist()]
+    lines = [",".join(f"s{i}" for i in range(n))]
+    for row in rows:
+        lines.extend([""] * draw(st.integers(0, 1)) + [row])
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=correlation_texts())
+def test_panel_and_matrix_layouts_read_the_same_grid(text):
+    loaded = load_panel(io.StringIO(text))
+    matrix = conditioning.correlation_from_csv(io.StringIO(text))
+    assert loaded.series_ids == matrix.ids
+    assert loaded.values.T.tobytes() == matrix.entries.tobytes()
 
 
 @st.composite
