@@ -148,7 +148,9 @@ _FLAG_RULES = {
     "n_instruments": ("--instruments", "must be at least 1", lambda v: v < 1),
     "n_paths": ("--paths", "must be at least 1", lambda v: v < 1),
     "prune_bound": ("--prune", "must lie in (0, 1)", lambda v: not 0.0 < v < 1.0),
-    "repair_floor": ("--floor", "must be positive", lambda v: v is not None and v <= 0),
+    "repair_floor": (
+        "--floor", "must be positive and finite", lambda v: v is not None and not 0 < v < math.inf
+    ),
 }
 
 
@@ -159,13 +161,20 @@ def _check_flags(args: argparse.Namespace) -> None:
 
 
 def _resolve_seed(cli_seed: int) -> int:
+    """The seed from ``TURNOVER_SPECTRA_SEED`` when it is set, else ``--seed``;
+    either must be an unsigned 64-bit integer (``SimConfig``'s rule, which
+    ``sweep`` shares), and a refusal names the one that supplied it."""
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None or not raw.strip():
-        return cli_seed
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+        source, seed = "--seed", cli_seed
+    else:
+        try:
+            source, seed = SEED_ENV_VAR, int(raw)
+        except ValueError:
+            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{source} must be an unsigned 64-bit integer, got {seed}")
+    return seed
 
 
 def _jsonable(value):

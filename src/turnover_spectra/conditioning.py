@@ -250,8 +250,8 @@ def rj_repair(matrix: MatrixLike, floor: float) -> MatrixLike:
     ``_repair_passes`` slot how many eigen-passes the repair took, the first
     included (1 for input that already clears the floor).
     """
-    if floor <= 0:
-        raise ValueError("floor must be positive")
+    if not 0 < floor < math.inf:
+        raise ValueError("floor must be positive and finite")
     current = _matrix_entries(matrix)
     diag = np.diag(current).copy()
     if (diag <= 0).any():
@@ -397,7 +397,7 @@ def matrix_to_csv(matrix: MatrixLike, dest: str | Path | IO[str]) -> None:
 
 def _square_from_csv(source: str | Path | IO[str]) -> tuple[tuple[str, ...], np.ndarray]:
     """Ids and entries of a square matrix CSV, read by the reader ``load_panel``
-    uses (:func:`panel._read_grid`), header rule included.
+    uses (:func:`panel._read_grid`), header rule and forked parts included.
 
     The matrix's one cell rule: an empty cell is a parse error. Other cells
     are kept as read, ``nan`` included, and rows are not counted against the

@@ -218,8 +218,8 @@ class SweepOptions:
     def __post_init__(self) -> None:
         if self.estimation_mode not in ESTIMATION_MODES:
             raise ValueError(f"estimation_mode must be one of {ESTIMATION_MODES}")
-        if self.repair_floor is not None and self.repair_floor <= 0:
-            raise ValueError("repair_floor must be positive")
+        if self.repair_floor is not None and not 0 < self.repair_floor < math.inf:
+            raise ValueError("repair_floor must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -436,12 +436,27 @@ class TestSweep:
         (["simulate", "--instruments", "0"], "--instruments must be at least 1, got 0"),
         (["simulate", "--paths", "0"], "--paths must be at least 1, got 0"),
         (["analyze", "--input", "PANEL", "--prune", "1.5"], "--prune must lie in (0, 1), got 1.5"),
-        (["analyze", "--input", "PANEL", "--floor", "-1"], "--floor must be positive, got -1.0"),
-        (["repair", "--input", "MATRIX", "--floor", "0"], "--floor must be positive, got 0.0"),
-        (["sweep", "--grid", "10,20", "--floor", "-1"], "--floor must be positive, got -1.0"),
+        (["analyze", "--input", "PANEL", "--floor", "-1"],
+         "--floor must be positive and finite, got -1.0"),
+        (["repair", "--input", "MATRIX", "--floor", "0"],
+         "--floor must be positive and finite, got 0.0"),
+        (["sweep", "--grid", "10,20", "--floor", "-1"],
+         "--floor must be positive and finite, got -1.0"),
+        (["analyze", "--input", "PANEL", "--floor", "nan"],
+         "--floor must be positive and finite, got nan"),
+        (["analyze", "--input", "PANEL", "--no-repair", "--floor", "inf"],
+         "--floor must be positive and finite, got inf"),
+        (["repair", "--input", "MATRIX", "--floor", "inf"],
+         "--floor must be positive and finite, got inf"),
+        (["sweep", "--grid", "10,20", "--floor", "nan"],
+         "--floor must be positive and finite, got nan"),
+        (["simulate", "--seed", "-1"], "--seed must be an unsigned 64-bit integer, got -1"),
+        (["sweep", "--grid", "10,20", "--seed", str(2**64)],
+         f"--seed must be an unsigned 64-bit integer, got {2**64}"),
     ],
     ids=["simulate-rho", "n-alphas", "instruments", "paths", "prune", "analyze-floor",
-         "repair-floor", "sweep-floor"],
+         "repair-floor", "sweep-floor", "analyze-floor-nan", "analyze-floor-inf",
+         "repair-floor-inf", "sweep-floor-nan", "simulate-seed", "sweep-seed"],
 )
 def test_numeric_flag_refusal_names_the_flag(tmp_path, capsys, argv, message):
     inputs = tmp_path / "inputs"
@@ -454,6 +469,21 @@ def test_numeric_flag_refusal_names_the_flag(tmp_path, capsys, argv, message):
     out.mkdir()
     argv = [paths.get(arg, arg) for arg in argv]
     assert main([*argv, "--output", str(out / "result.csv")]) == EXIT_IO
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["sweep", "--grid", "10,20"]],
+                         ids=["simulate", "sweep"])
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2**64"])
+def test_seed_out_of_range_from_the_environment_names_the_variable(
+    tmp_path, capsys, monkeypatch, command, seed
+):
+    monkeypatch.setenv(SEED_ENV_VAR, str(seed))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([*command, "--seed", "3", "--output", str(out / "result.csv")]) == EXIT_IO
+    message = f"{SEED_ENV_VAR} must be an unsigned 64-bit integer, got {seed}"
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(out.iterdir()) == []
 

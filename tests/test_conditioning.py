@@ -299,6 +299,11 @@ class TestRjRepair:
         with pytest.raises(ValueError):
             rj_repair(NON_PSD, 0.0)
 
+    @pytest.mark.parametrize("floor", [math.nan, math.inf])
+    def test_non_finite_floor_rejected(self, floor):
+        with pytest.raises(ValueError, match="floor must be positive and finite"):
+            rj_repair(NON_PSD, floor)
+
     def test_ragged_pairwise_matrix_converges_in_few_passes(self, monkeypatch):
         # 300 one-factor series over 900 timestamps, 45 % missing: staggered
         # starts plus random holes. A stop test tighter than eigh's own

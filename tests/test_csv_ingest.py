@@ -1,17 +1,29 @@
-"""CSV ingest: the streaming ``np.loadtxt`` parse against the per-cell reference.
+"""CSV ingest: the ``np.loadtxt`` fast pass against the per-cell reference.
 
 Panels (``load_panel``) and square matrices (``_square_from_csv``) share one
-reader, ``panel._read_grid``: one header rule, one streaming pass over the
-data rows, and one per-cell reference loop for anything that pass cannot take
-exactly. Each layout then applies its own cell rule (a panel refuses a
-non-finite value, a matrix an empty cell). These tests hold each layout's
-public outcome to the same values, bit for bit, and to the same errors, row
-and column included, whichever path read the text; and the two layouts to
-the same ids and values on a grid both accept.
+reader, ``panel._read_grid``: one header rule, one fast pass over the data
+rows, and one per-cell reference loop for anything that pass cannot take
+exactly. The fast pass parses a file in byte-range parts at once, each part
+but the first in a short-lived forked child, when the platform has
+``os.fork`` and ``os.sched_getaffinity``, the process may use more than one
+CPU and each part keeps at least ``_MIN_PART_BYTES`` of data rows; an open
+handle streams through the same per-part parse as one part. Any part that
+declines, or a child that dies or sends its part short, sends the whole text
+to the reference. Each layout then applies its own cell rule (a panel
+refuses a non-finite value, a matrix an empty cell).
+
+These tests hold each layout's public outcome to the same values, bit for
+bit, and to the same errors, row and column included, whichever path read
+the text; a file read in any number of parts to the reference's outcome; the
+two layouts to the same ids and values on a grid both accept; and the forked
+parts to leaving no child process and no open descriptor behind.
 """
 
 import csv
 import io
+import os
+import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -22,7 +34,16 @@ from hypothesis import strategies as st
 from turnover_spectra import PanelFormatError, TimeSeriesPanel, load_panel, write_panel
 from turnover_spectra import conditioning, panel
 
-FLOAT_CELLS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# finite cells, with signed zeros, subnormals and 17 significant digits drawn
+# often enough to show in all-plain grids: a parse that loses a bit of them
+# (the sign of -0.0, say) must fail the fast-vs-reference properties
+FLOAT_CELLS = st.one_of(
+    FINITE.map(repr),
+    st.sampled_from(["-0.0", "0.0", "-0", "0e0", "-0e-5"]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308).map(repr),
+    FINITE.map("{:.16e}".format),
+)
 # cells the fast pass takes as they are
 PLAIN_CELLS = st.one_of(FLOAT_CELLS, st.just(""))
 # cells it must leave to the reference: whitespace-only (missing in a panel),
@@ -57,15 +78,17 @@ def csv_texts(draw, square=False):
 
 
 def _outcome(parse):
-    """Ids and bits of the parsed values, or the error's type, message, row and column."""
+    """Ids and bits of the parsed values (and of the empty-cell mask, where the
+    parse returns one), or the error's type, message, row and column."""
     try:
         result = parse()
     except Exception as exc:  # the outcome under test is the exception itself
         return ("error", type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None))
     if isinstance(result, TimeSeriesPanel):  # NaN marks exactly the unobserved cells
         result = result.series_ids, result.values
-    ids, values = result
-    return ("ok", ids, values.shape, np.ascontiguousarray(values).view(np.int64).tobytes())
+    ids, values, *empty = result
+    bits = np.ascontiguousarray(values).view(np.int64).tobytes()
+    return ("ok", ids, values.shape, bits, [mask.tobytes() for mask in empty])
 
 
 def _paths_agree(read, text):
@@ -156,6 +179,126 @@ def correlation_texts(draw):
     return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
 
 
+def _reference_grid(path):
+    with open(path, encoding="utf-8", newline="") as handle:
+        return panel._grid_from_rows(panel._csv_rows(handle))
+
+
+# cells for the parts property beyond the floats: non-ASCII digits that
+# ``float`` takes and ``loadtxt`` does not, a non-ASCII word, a Unicode minus
+UNICODE_CELLS = st.sampled_from(["\uff11.5", "\u0663", "\u00e9t\u00e9", "\u22121", "\u00a02"])
+
+
+@st.composite
+def part_texts(draw):
+    """Small panels whose parts, cut at any line, start or end at the edge
+    cases: blank lines, CRLF or CR-only endings, non-ASCII ids and cells,
+    empty cells at line starts and ends, and now and then a malformed row
+    that only the last part holds."""
+    n_cols = draw(st.integers(1, 4))
+    prefixes = st.sampled_from(["s", "\u00e9", "\u03b1", "\u6570"])
+    lines = [",".join(draw(prefixes) + str(i) for i in range(n_cols))]
+    cells = [FLOAT_CELLS, st.just("")]
+    if draw(st.integers(0, 3)) == 0:
+        cells.append(UNICODE_CELLS)
+    for _ in range(draw(st.integers(1, 10))):
+        lines.extend([""] * draw(st.integers(0, 2)))
+        lines.append(",".join(draw(st.one_of(cells)) for _ in range(n_cols)))
+    if draw(st.integers(0, 3)) == 0:  # malformed: ragged, non-numeric, a bare CR
+        lines.append(draw(st.sampled_from([",".join(["1"] * (n_cols + 1)), "oops", "1,2\r3"])))
+    ending = draw(LINE_ENDINGS)
+    return ending.join(lines) + draw(st.sampled_from(["", ending, ending * 2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.one_of(csv_texts(), part_texts()))
+def test_file_read_in_parts_matches_per_cell_reference(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "parts.csv"
+    path.write_bytes(text.encode("utf-8"))
+    reference = _outcome(lambda: _reference_grid(path))
+    for parts in (1, 2, 3, 4):
+        assert _outcome(lambda: panel._read_grid(path, _parts=parts)) == reference, parts
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+_SEND = panel._send
+
+
+def _send_then_fail(pipe, grid, empty):
+    _SEND(pipe, grid, empty)
+    raise OSError("the child fails after sending its whole part")
+
+
+def _send_short(pipe, grid, empty):
+    pipe.write(np.array([*grid.shape, empty], dtype=np.int64).tobytes())
+    pipe.write(grid.tobytes()[: grid.nbytes // 2])
+    raise OSError("the child dies halfway through its part")
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or not os.path.isdir("/proc/self/fd"),
+    reason="forked parts need os.fork; the descriptor count needs /proc",
+)
+@pytest.mark.parametrize("case", ["read", "decline", "child-fails", "child-sends-short"])
+def test_forked_parts_leave_no_child_and_no_open_descriptor(tmp_path, case):
+    path = tmp_path / "panel.csv"
+    text = "a,b\n" + "".join(f"{i},{i / 7!r}\n" for i in range(300))
+    path.write_text(text + ("1,oops\n" if case == "decline" else ""), encoding="utf-8")
+    send = {"child-fails": _send_then_fail, "child-sends-short": _send_short}.get(case, _SEND)
+    before = _open_fds()
+    with mock.patch.object(panel, "_grid_from_rows", wraps=panel._grid_from_rows) as reference, \
+            mock.patch.object(panel, "_send", send):
+        outcome = _outcome(lambda: panel._read_grid(path, _parts=3))
+    assert reference.called == (case != "read")  # every part taken, or the reference decided
+    assert outcome == _outcome(lambda: _reference_grid(path))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == before
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forked parts need os.fork")
+def test_file_replaced_while_read_in_parts_reads_as_the_new_file(tmp_path):
+    path, replacement = tmp_path / "panel.csv", tmp_path / "new.csv"
+    # equal line lengths, so the old cuts fall on line starts of the new file
+    path.write_text("a,b\n" + "".join(f"{i:04d},1.0\n" for i in range(300)), encoding="utf-8")
+    replacement.write_text("a,b\n" + "".join(f"{i:04d},2.0\n" for i in range(300)), encoding="utf-8")
+    bounds = panel._bounds
+
+    def bounds_then_replace(*args):
+        cuts = bounds(*args)
+        os.replace(replacement, path)  # after the header was read, before the forks
+        return cuts
+
+    with mock.patch.object(panel, "_bounds", bounds_then_replace):
+        outcome = _outcome(lambda: panel._read_grid(path, _parts=3))
+    assert outcome == _outcome(lambda: _reference_grid(path))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forked parts need os.fork")
+def test_fork_warning_of_a_threaded_process_is_not_raised(tmp_path, monkeypatch):
+    # From Python 3.12 os.fork warns, as below, once numpy's BLAS threads run;
+    # the reader forks on purpose and silences exactly that warning.
+    fork = os.fork
+
+    def warning_fork():
+        warnings.warn(
+            f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+            "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2,
+        )
+        return fork()
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    path = tmp_path / "panel.csv"
+    path.write_text("a,b\n1,2\n3,4\n5,6\n", encoding="utf-8")
+    ids, values, empty = panel._read_grid(path, _parts=3)
+    assert ids == ("a", "b")
+    np.testing.assert_array_equal(values, [[1, 2], [3, 4], [5, 6]])
+    assert not empty.any()
+
+
 @settings(max_examples=150, deadline=None)
 @given(text=correlation_texts())
 def test_panel_and_matrix_layouts_read_the_same_grid(text):
@@ -224,6 +367,26 @@ def test_file_handle_advanced_with_next_parses_from_its_position(tmp_path):
         with pytest.raises(PanelFormatError) as excinfo:
             load_panel(handle)
     assert (excinfo.value.row, excinfo.value.column) == (2, "b")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_path_to_a_pipe_streams_as_one_part(tmp_path):
+    fifo = tmp_path / "panel.fifo"
+    os.mkfifo(fifo)
+
+    def feed(text):
+        with open(fifo, "w", encoding="utf-8") as pipe:
+            pipe.write(text)
+
+    for text in (GOOD_PANEL, BAD_PANEL):
+        writer = threading.Thread(target=feed, args=(text,))
+        writer.start()
+        with mock.patch.object(panel, "_fast_file") as fast_file:
+            outcome = _outcome(lambda: load_panel(fifo))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert not fast_file.called
+        assert outcome == _outcome(lambda: load_panel(io.StringIO(text)))
 
 
 def test_seekable_handle_falls_back_from_its_starting_position():

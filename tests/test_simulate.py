@@ -228,6 +228,11 @@ class TestNoInterceptRegression:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("floor", [0.0, -1.0, math.nan, math.inf])
+    def test_options_refuse_a_floor_that_is_not_positive_and_finite(self, floor):
+        with pytest.raises(ValueError, match="repair_floor must be positive and finite"):
+            SweepOptions(repair_floor=floor)
+
     def test_small_sweep_smoke(self):
         result = sweep_rho_star(
             [10, 20], one_factor_generator(0.3, 400), SweepOptions(), seed=5
