@@ -231,6 +231,11 @@ def run_analyze(args: argparse.Namespace) -> int:
     n_input = corr.n
 
     kept, pruned = prune_redundant(corr, args.prune_bound)
+    if pruned.n < 2:  # the mean off-diagonal correlation needs a pair
+        raise ValueError(
+            f"--prune {args.prune_bound} kept {pruned.n} of {n_input} series; "
+            "the report needs at least 2"
+        )
     floor = args.repair_floor if args.repair_floor is not None else default_floor(pruned.n)
     status_before = classify_definiteness(pruned)
     if not args.repair and status_before == "verified-not-PSD":

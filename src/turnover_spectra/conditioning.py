@@ -93,13 +93,6 @@ def _spectrum(matrix: MatrixLike) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-# Leading-pair solve: block size, power steps between Rayleigh-Ritz checks,
-# and the number of checks before giving up.
-_RITZ_BLOCK = 4
-_RITZ_STEPS = 3
-_RITZ_CHECKS = 12
-
-
 def _leading_pair(corr: CorrelationMatrix, floor: float | None) -> SpectralDecomposition | None:
     """The top eigenpair of a correlation matrix without a full solve, or None.
 
@@ -107,10 +100,11 @@ def _leading_pair(corr: CorrelationMatrix, floor: float | None) -> SpectralDecom
     Cholesky factorisation of ``C - (floor + margin) I`` succeeds only when
     the true smallest eigenvalue is at least the floor (:func:`_cholesky_margin`),
     and then :func:`rj_repair`, whose stop test allows for ``eigh``'s rounding,
-    would return ``C`` unchanged. The pair comes
-    from block subspace iteration with Rayleigh-Ritz, started from the
-    all-ones vector and fixed cosine columns (no random numbers), and is
-    accepted only when
+    would return ``C`` unchanged. The pair comes from power iteration started
+    from the all-ones vector (no random numbers): each step maps the unit
+    vector ``u`` to ``C u``, takes the Rayleigh quotient ``theta = u . C u``,
+    and stops once the pair passes the residual test below, or gives up after
+    ``_POWER_STEPS`` steps. The pair is accepted only when
 
     * its residual ``|C u - theta u|`` is within :func:`_ritz_tolerance`, so
       an eigenvalue ``lambda`` lies within that radius of ``theta``; and
@@ -122,14 +116,18 @@ def _leading_pair(corr: CorrelationMatrix, floor: float | None) -> SpectralDecom
       ``1e-10 * N * lambda`` and pins the vector down well enough for this
       solve and ``eigh`` to agree to rounding.
 
+    The cap is derived from the isolation test, not tuned: an accepted top
+    makes each step shrink the iterate's error by ``1 - _TOP_GAP_RTOL`` or
+    more, and ``_POWER_STEPS`` steps shrink it by eps (see its comment).
+
     The same isolation test, applied first to the upper bound
     ``min(|C|_inf, |C|_F)`` on ``lambda_1``, turns away a matrix whose top
     cannot pass before any work. Anything else (a failed factorisation, no
-    convergence within the check cap, a top not isolated) returns None, and
-    the caller takes the full ``eigh`` path. The result holds the one pair,
+    convergence within the cap, a top not isolated) returns None, and the
+    caller takes the full ``eigh`` path. The result holds the one pair,
     oriented like :func:`eigendecompose`'s columns; ``top_gap`` is the
     certified lower bound on ``lambda_1 - lambda_2`` and ``source_dim`` is N.
-    Small ``k x k`` Rayleigh-Ritz problems are its only ``eigh`` calls.
+    It makes no ``eigh`` call.
     """
     a = corr.entries
     n = a.shape[0]
@@ -149,19 +147,14 @@ def _leading_pair(corr: CorrelationMatrix, floor: float | None) -> SpectralDecom
         except np.linalg.LinAlgError:
             return None
         del shifted
-    k = min(_RITZ_BLOCK, n - 1)
-    basis = np.cos(np.pi / n * np.outer(np.arange(n) + 0.5, np.arange(k)))
-    for _ in range(_RITZ_CHECKS):
-        for _ in range(_RITZ_STEPS):
-            basis = np.linalg.qr(a @ basis)[0]
-        projected = basis.T @ (a @ basis)
-        u = basis @ np.linalg.eigh(projected)[1][:, -1]
-        u /= np.linalg.norm(u)
+    u = np.full(n, 1.0 / math.sqrt(n))
+    for _ in range(_POWER_STEPS):
         image = a @ u
         theta = float(u @ image)
         residual = float(np.linalg.norm(image - theta * u))
         if residual <= _ritz_tolerance(n, theta):
             break
+        u = image / np.linalg.norm(image)
     else:
         return None
     low = theta - residual - _ritz_tolerance(n, theta)
@@ -324,13 +317,22 @@ def _cholesky_margin(entries: np.ndarray) -> float:
 
 
 def _ritz_tolerance(n: int, theta: float) -> float:
-    """Residual at which a Ritz pair is as good as ``eigh``'s: N * eps * |theta|."""
+    """Residual at which a Ritz pair (a Rayleigh quotient and its unit vector)
+    is as good as ``eigh``'s: N * eps * |theta|."""
     return n * _EPS * abs(theta)
 
 
 # the leading pair is taken only when lambda_1 - lambda_2 >= this * lambda_1;
 # the vector is then within residual / gap <= 10 * N * eps of the true one
 _TOP_GAP_RTOL = 0.1
+# Power steps before the leading pair gives up: 343. A top the isolation test
+# accepts leads every other eigenvalue in magnitude by the factor
+# 1 - _TOP_GAP_RTOL, so each step shrinks the tangent of the iterate's angle
+# to the top vector by at least that factor, and this many steps shrink it by
+# eps. The residual, at most about 2 * lambda_1 times that tangent, then
+# passes the N * eps * lambda_1 test from any start whose tangent is at most
+# N / 2. A start further off, or a top not isolated, takes the full path.
+_POWER_STEPS = math.ceil(math.log(_EPS) / math.log(1.0 - _TOP_GAP_RTOL))
 
 
 def portfolio_volatility(

@@ -124,8 +124,6 @@ class TimeSeriesPanel:
 
 # a CSV grid's ids, values and empty-cell mask
 _Grid = tuple[tuple[str, ...], np.ndarray, np.ndarray]
-# a part's values and its number of empty cells
-_Part = tuple[np.ndarray, int]
 
 
 def _rewind_point(handle: IO[str]) -> int | None:
@@ -135,7 +133,7 @@ def _rewind_point(handle: IO[str]) -> int | None:
         return None
 
 
-def _read_grid(source: str | Path | IO[str], *, _parts: int | None = None) -> _Grid:
+def _read_grid(source: str | Path | IO[str]) -> _Grid:
     """The package's one CSV reader, for panels and square matrices alike.
 
     Both layouts are a header row of ids and then rows of numbers. Returns the
@@ -143,30 +141,29 @@ def _read_grid(source: str | Path | IO[str], *, _parts: int | None = None) -> _G
     cell may hold beyond that is each layout's own rule, applied by its
     caller.
 
-    The data rows are parsed by one fast pass, which takes the whole text or
-    declines. When it declines, the per-cell reference :func:`_grid_from_rows`
-    gets every ``csv`` row from the start of the text and is the only one
-    that raises on malformed input, except for a line the ``csv`` reader
-    itself rejects (a field over its size limit), which raises
-    ``PanelFormatError`` with the reader's line number.
-
-    A path to a regular file is read in byte-range parts at once
-    (:func:`_fast_file`): where ``os.fork`` and ``os.sched_getaffinity``
-    exist, a file is cut into one part per usable CPU while each part keeps
-    at least ``_MIN_PART_BYTES`` of data rows, and every part but the first
-    is parsed in a short-lived forked child. A smaller file, or any file on
-    another platform, is one part, parsed with no child. An open handle, or
+    The reader's parts-and-decline rule, stated here once: the data rows are
+    read by a fast pass in parts, each parsed by :func:`_parse_part`, which
+    takes its rows whole or declines. A path to a regular file is cut into
+    one byte-range part per usable CPU while each part keeps at least
+    ``_MIN_PART_BYTES`` of data rows (:func:`_part_count`), and every part
+    but the first is parsed in a short-lived forked child (:func:`_fast_file`);
+    a smaller file, or any file on a platform without ``os.fork`` and
+    ``os.sched_getaffinity``, is one part with no child. An open handle, or
     a path that is not a regular file (a pipe, say), streams its lines
-    through the same per-part parse as one part (:func:`_fast_grid`); a
-    seekable handle is rewound to where that pass started for the
-    reference, and one that cannot seek is first read once into a list of
-    lines. ``_parts`` forces the number of parts of a file, for tests.
+    through the same parse as one part (:func:`_fast_grid`). When any part
+    declines, or a child dies or sends its part short, the whole text goes to
+    the per-cell reference :func:`_grid_from_rows`: a seekable handle is
+    rewound to where the fast pass started, and one that cannot seek is first
+    read once into a list of lines. The reference is the only one that
+    raises on malformed input, except for a line the ``csv`` reader itself
+    rejects (a field over its size limit), which raises ``PanelFormatError``
+    with the reader's line number.
     """
     if isinstance(source, (str, Path)):
         if not os.path.isfile(source):
             with open(source, "r", encoding="utf-8", newline="") as handle:
                 return _read_grid(handle)
-        result = _fast_file(source, _parts)
+        result = _fast_file(source)
         if result is not None:
             return result
         with open(source, "r", encoding="utf-8", newline="") as handle:
@@ -219,24 +216,22 @@ def _fast_grid(lines: Iterator[str]) -> _Grid | None:
     :func:`_parse_part` or :func:`_joined` declines."""
     try:
         header = _header(next(csv.reader(lines)))
-        return _joined(header, [_parse_part(lines)])
+        return _joined(header, [_parse_part(lines, len(header))])
     except (StopIteration, csv.Error, PanelFormatError, ValueError):
         return None
 
 
-def _fast_file(path: str | Path, parts: int | None) -> _Grid | None:
-    """The fast pass over a regular file, its data rows cut into byte-range parts.
+def _fast_file(path: str | Path) -> _Grid | None:
+    """The fast pass over a regular file, its data rows cut into byte-range
+    parts as :func:`_read_grid` describes; None when the reference has to
+    decide.
 
-    The header is read with ``csv`` from the file's first lines. The data
-    rows are cut into ``parts`` ranges (by default :func:`_part_count`), each
-    ending just after a ``\\n``, so that no line and no UTF-8 character is
-    split. Every range but the first is parsed by :func:`_parse_part` in a
-    forked child (:func:`_fork_part`) while this process parses the first;
-    the parts are then joined in file order by :func:`_joined`. When any part
-    declines, or a child dies or sends its part short, the whole pass
-    declines. Every child is reaped and every pipe closed before this
-    returns, so the children's CPU time and memory are charged to this
-    process (as ``os.wait4`` on it reports them).
+    The header is read with ``csv`` from the file's first lines. Each range
+    ends just after a ``\\n``, so that no line and no UTF-8 character is
+    split. The parts are joined in file order by :func:`_joined`. Every child
+    is reaped and every pipe closed before this returns, so the children's
+    CPU time and memory are charged to this process (as ``os.wait4`` on it
+    reports them).
     """
     with open(path, "rb") as handle:
         stat = os.fstat(handle.fileno())
@@ -245,15 +240,16 @@ def _fast_file(path: str | Path, parts: int | None) -> _Grid | None:
             header = _header(next(csv.reader(_decoded(handle, end))))
         except (StopIteration, csv.Error, PanelFormatError, ValueError):
             return None
+        width = len(header)
         start = handle.tell()
-        bounds = _bounds(handle, start, end, parts or _part_count(end - start))
+        bounds = _bounds(handle, start, end, _part_count(end - start))
         children: list[tuple[int, BinaryIO]] = []
         grids = None
         try:
             for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                children.append(_fork_part(path, stat, lo, hi))
+                children.append(_fork_part(path, stat, lo, hi, width))
             handle.seek(start)
-            first = _parse_part(_decoded(handle, bounds[1]))
+            first = _parse_part(_decoded(handle, bounds[1]), width)
             grids = [first, *(_received(pipe) for _, pipe in children)]
         except (ValueError, OSError):
             pass  # a part declined, a child sent short, or a fork failed: decline
@@ -295,10 +291,11 @@ def _decoded(handle: BinaryIO, stop: int) -> Iterator[str]:
 
 
 def _fork_part(
-    path: str | Path, stat: os.stat_result, lo: int, hi: int
+    path: str | Path, stat: os.stat_result, lo: int, hi: int, width: int
 ) -> tuple[int, BinaryIO]:
-    """Fork a child that parses bytes ``[lo, hi)`` of the file and sends the
-    part through a pipe; return its pid and the pipe's read end.
+    """Fork a child that parses bytes ``[lo, hi)`` of the file as a part of
+    ``width`` columns and sends it through a pipe; return its pid and the
+    pipe's read end.
 
     The child opens the file anew, so that its reads move no offset of the
     caller's, and declines unless it opened the file ``stat`` describes: a
@@ -330,9 +327,9 @@ def _fork_part(
                 if not os.path.samestat(os.fstat(handle.fileno()), stat):
                     raise ValueError("the file was replaced")
                 handle.seek(lo)
-                part = _parse_part(_decoded(handle, hi))
+                part = _parse_part(_decoded(handle, hi), width)
             with open(write_end, "wb") as pipe:
-                _send(pipe, *part)
+                _send(pipe, part)
             status = 0
         finally:
             os._exit(status)
@@ -340,24 +337,23 @@ def _fork_part(
     return pid, open(read_end, "rb")
 
 
-_PART_HEAD = 3 * 8  # rows, columns and empty cells, as int64
+_PART_HEAD = 2 * 8  # rows and columns, as int64
 
 
-def _send(pipe: BinaryIO, grid: np.ndarray, empty: int) -> None:
-    pipe.write(np.array([*grid.shape, empty], dtype=np.int64).tobytes())
+def _send(pipe: BinaryIO, grid: np.ndarray) -> None:
+    pipe.write(np.array(grid.shape, dtype=np.int64).tobytes())
     pipe.write(grid.reshape(-1).view(np.uint8))
 
 
-def _received(pipe: BinaryIO) -> _Part:
+def _received(pipe: BinaryIO) -> np.ndarray:
     """The part a child sent; ``ValueError`` when it sent nothing or too little."""
     head = pipe.read(_PART_HEAD)
     if len(head) != _PART_HEAD:
         raise ValueError("no part sent")
-    rows, cols, empty = np.frombuffer(head, dtype=np.int64).tolist()
-    grid = np.empty((rows, cols))
+    grid = np.empty(np.frombuffer(head, dtype=np.int64).tolist())
     if pipe.readinto(grid.reshape(-1).view(np.uint8)) != grid.nbytes:
         raise ValueError("part sent short")
-    return grid, empty
+    return grid
 
 
 def _reap(children: list[tuple[int, BinaryIO]], kill: bool) -> bool:
@@ -372,16 +368,22 @@ def _reap(children: list[tuple[int, BinaryIO]], kill: bool) -> bool:
     return clean
 
 
-def _parse_part(lines: Iterable[str]) -> _Part:
-    """One part of the fast pass: its data lines in one ``np.loadtxt`` pass.
+def _parse_part(lines: Iterable[str], width: int) -> np.ndarray:
+    """One part of the fast pass: its data lines in one ``np.loadtxt`` pass,
+    checked to hold exactly what the per-cell reference would read.
 
     Blank lines are skipped and empty cells read as NaN. Returns the values,
-    shape (0, 0) when the part has no data line, and the number of empty
-    cells. Raises ``ValueError`` where the per-cell reference has to decide
-    instead: on any line ``loadtxt`` rejects (ragged rows, quoted or
-    whitespace-only cells, ``1_0``, whitespace-only lines), on a line holding
-    a bare ``\\r`` (a line end to ``csv``, but not to a cut at ``\\n``), and
-    on a field longer than the ``csv`` field limit.
+    shape ``(0, width)`` when the part has no data line. Raises
+    ``ValueError`` where the per-cell reference has to decide instead: on
+    any line ``loadtxt`` rejects (ragged rows, quoted or whitespace-only
+    cells, ``1_0``, whitespace-only lines), on a line holding a bare ``\\r``
+    (a line end to ``csv``, but not to a cut at ``\\n``), on a field longer
+    than the ``csv`` field limit, when the rows do not hold one column per id
+    (``width``), and when a cell's own text is non-finite (``nan``, ``inf``,
+    ``1e999``). Every empty cell reads as NaN, so the part has at least as
+    many non-finite values as empty cells, and exactly as many unless some
+    cell's text is non-finite: a non-finite value in a part that passes marks
+    exactly an empty cell.
     """
     limit = csv.field_size_limit()
     empty = 0
@@ -407,31 +409,30 @@ def _parse_part(lines: Iterable[str]) -> _Part:
     stream = filled()
     first = next(stream, None)
     if first is None:  # loadtxt warns on empty input
-        return np.empty((0, 0)), 0
+        return np.empty((0, width))
     grid = np.loadtxt(itertools.chain((first,), stream), delimiter=",", comments=None, ndmin=2)
-    return grid, empty
+    if grid.shape[1] != width:
+        raise ValueError("not one column per id")
+    if grid.size - np.count_nonzero(np.isfinite(grid)) != empty:
+        raise ValueError("a cell's own text is non-finite")
+    return grid
 
 
-def _joined(header: tuple[str, ...], parts: list[_Part]) -> _Grid | None:
-    """The parts' rows in order, or None where the reference has to decide:
-    when there are no data rows or not one column per id, and when a cell's
-    own text is non-finite (``nan``, ``inf``, ``1e999``), which shows as more
-    non-finite values than empty cells. So a non-finite value in the result
-    marks exactly an empty cell."""
-    grids = [grid for grid, _ in parts if len(grid)]
-    if not grids or any(grid.shape[1] != len(header) for grid in grids):
-        return None
+def _joined(header: tuple[str, ...], grids: list[np.ndarray]) -> _Grid | None:
+    """The parts' rows in file order and the mask of their empty cells, which
+    are the non-finite values of parts :func:`_parse_part` returned; None
+    when there is no data row."""
     grid = grids[0] if len(grids) == 1 else np.concatenate(grids)
-    finite = np.isfinite(grid)
-    if grid.size - np.count_nonzero(finite) != sum(empty for _, empty in parts):
+    if not len(grid):
         return None
-    return header, grid, ~finite
+    return header, grid, ~np.isfinite(grid)
 
 
 def _grid_from_rows(rows: list[list[str]]) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """Per-cell reference parse of a numeric CSV grid, to the same result as
-    the fast pass (:func:`_fast_grid`, :func:`_fast_file`). Cells are stripped; an empty one reads as NaN and is
-    flagged, any other is read with ``float``, non-finite text included."""
+    the fast pass (:func:`_read_grid`). Cells are stripped; an empty one reads
+    as NaN and is flagged, any other is read with ``float``, non-finite text
+    included."""
     if not rows:
         raise PanelFormatError("empty input: missing header row", row=0)
     header = _header(rows[0])
@@ -469,17 +470,12 @@ def load_panel(source: str | Path | IO[str], *, oldest_first: bool = False) -> T
     timestamp, most recent first (set ``oldest_first`` when the file is in
     chronological order instead). Empty cells mark missing observations.
 
-    The text is read by the package's one CSV reader (:func:`_read_grid`),
-    which square-matrix CSVs share, header rule included: an ``np.loadtxt``
-    fast pass, with the per-cell reference parse deciding whatever that pass
-    cannot take exactly, so every error keeps its row and column. A path to
-    a large file is parsed in byte-range parts at once, one per usable CPU
-    where each part keeps at least ``_MIN_PART_BYTES`` of data rows, every
-    part but the first in a short-lived forked child (on platforms with
-    ``os.fork``); if any part declines, the whole file goes to the
-    reference. A handle, or a small file, is one part with no child. The
-    panel's own cell rule then refuses a non-finite value in a non-empty
-    cell, quoting the value as parsed (``'nan'``, ``'inf'``).
+    The text is read by the package's one CSV reader, which square-matrix
+    CSVs share, header rule included; :func:`_read_grid` states when it reads
+    in parts and when its per-cell reference decides, so that every error
+    keeps its row and column. The panel's own cell rule then refuses a
+    non-finite value in a non-empty cell, quoting the value as parsed
+    (``'nan'``, ``'inf'``).
 
     Raises
     ------
@@ -644,20 +640,41 @@ def _coverage_error(ids: tuple[str, ...], counts: np.ndarray) -> CoverageError:
     )
 
 
-def _pair_degenerate_error(ids: tuple[str, ...], i: int, j: int) -> DegenerateSeriesError:
-    return DegenerateSeriesError(
-        (ids[i], ids[j]), note="constant on the pair's joint sample"
-    )
-
-
 def _assemble(
-    cov_joint: np.ndarray, var_joint: np.ndarray, own_sd: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    ids: tuple[str, ...],
+    center: np.ndarray,
+    means: np.ndarray,
+    cov_joint: np.ndarray,
+    var_joint: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Covariance, correlation and vols from the joint-sample moments, after
+    the package's one degeneracy rule. A standard deviation is degenerate
+    within ``_CONSTANT_REL_TOL * max(1, |mean|)`` of zero. Every series
+    degenerate on its own sample raises one ``DegenerateSeriesError`` naming
+    them all; failing that, the first pair ``(i, j)``, ``i != j``, in
+    row-major order on whose joint sample series ``i`` is degenerate raises
+    one naming the pair.
+
+    ``center`` holds each series' own mean, and ``means[i, j]`` and
+    ``var_joint[i, j]`` the mean and variance of centered series ``i`` over
+    its joint sample with ``j``; either may be a read-only broadcast.
+    """
+    own_sd = np.sqrt(np.diag(var_joint))
+    constant = own_sd <= _CONSTANT_REL_TOL * np.maximum(1.0, np.abs(center))
+    if constant.any():
+        raise DegenerateSeriesError(ids[i] for i in np.flatnonzero(constant))
+    thresholds = (_CONSTANT_REL_TOL * np.maximum(1.0, np.abs(center[:, None] + means))) ** 2
+    degenerate_pair = var_joint <= thresholds
+    np.fill_diagonal(degenerate_pair, False)
+    if degenerate_pair.any():
+        i, j = np.argwhere(degenerate_pair)[0]
+        raise DegenerateSeriesError((ids[i], ids[j]), note="constant on the pair's joint sample")
+
     corr = cov_joint / np.sqrt(var_joint * var_joint.T)
     np.clip(corr, -1.0, 1.0, out=corr)
     np.fill_diagonal(corr, 1.0)
     cov = np.outer(own_sd, own_sd) * corr
-    return cov, corr
+    return cov, corr, own_sd
 
 
 def _dense_moments(
@@ -669,8 +686,9 @@ def _dense_moments(
     Every joint sample is the whole row, so the joint counts are the
     constant M, the per-pair sums and variances collapse to per-series
     N-vectors, and the only N x M x N product left is one ``x0 @ x0.T``
-    on the centered values. The degeneracy tests and their tolerances are
-    the masked kernel's, evaluated on those vectors.
+    on the centered values. The vectors go to :func:`_assemble` broadcast
+    along each row, so the degeneracy rule is the masked kernel's, to the
+    same pair: a series flagged with one partner is flagged with every one.
     """
     n, m = values.shape
     counts = np.full((n, n), m, dtype=np.int64)
@@ -688,20 +706,8 @@ def _dense_moments(
     cov_joint -= (m * means)[:, None] * means[None, :]
     cov_joint /= m - 1.0
 
-    own_sd = np.sqrt(var)
-    constant = own_sd <= _CONSTANT_REL_TOL * np.maximum(1.0, np.abs(center))
-    if constant.any():
-        raise DegenerateSeriesError(ids[i] for i in np.flatnonzero(constant))
-    # a series constant on its joint sample with any partner is constant on
-    # every one, so the first flagged pair is (i, 0), or (0, 1) for i = 0
-    thresholds = (_CONSTANT_REL_TOL * np.maximum(1.0, np.abs(center + means))) ** 2
-    flagged = np.flatnonzero(var <= thresholds)
-    if flagged.size:
-        i = int(flagged[0])
-        raise _pair_degenerate_error(ids, i, 1 if i == 0 else 0)
-
-    var_joint = np.broadcast_to(var[:, None], (n, n))
-    cov, corr = _assemble(cov_joint, var_joint, own_sd)
+    means, var = (np.broadcast_to(v[:, None], (n, n)) for v in (means, var))
+    cov, corr, own_sd = _assemble(ids, center, means, cov_joint, var)
     return cov, corr, own_sd, counts
 
 
@@ -737,19 +743,7 @@ def _masked_moments(
     means = sums / nf
     cov_joint = (prods - nf * means * means.T) / (nf - 1.0)
     var_joint = np.maximum((sq - nf * means**2) / (nf - 1.0), 0.0)
-
-    own_sd = np.sqrt(np.diag(var_joint))
-    constant = own_sd <= _CONSTANT_REL_TOL * np.maximum(1.0, np.abs(center))
-    if constant.any():
-        raise DegenerateSeriesError(ids[i] for i in np.flatnonzero(constant))
-    thresholds = (_CONSTANT_REL_TOL * np.maximum(1.0, np.abs(center[:, None] + means))) ** 2
-    degenerate_pair = var_joint <= thresholds
-    np.fill_diagonal(degenerate_pair, False)
-    if degenerate_pair.any():
-        i, j = np.argwhere(degenerate_pair)[0]
-        raise _pair_degenerate_error(ids, i, j)
-
-    cov, corr = _assemble(cov_joint, var_joint, own_sd)
+    cov, corr, own_sd = _assemble(ids, center, means, cov_joint, var_joint)
     return cov, corr, own_sd, counts
 
 

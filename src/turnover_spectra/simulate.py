@@ -4,7 +4,6 @@ the reduction-coefficient sweep harness with through-origin regression."""
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Callable
@@ -12,9 +11,9 @@ from typing import IO, Callable
 import numpy as np
 
 from .conditioning import _leading_pair, default_floor, eigendecompose, rj_repair
-from .errors import DegenerateTopWarning, TurnoverSpectraError, UndefinedRegressorError
+from .errors import TurnoverSpectraError, UndefinedRegressorError
 from .panel import COMPLETE_CASES, ESTIMATION_MODES, TimeSeriesPanel, _write_csv, sample_moments
-from .turnover import fix_sign_basis, rho_star
+from .turnover import _rho_star, fix_sign_basis
 
 PanelGenerator = Callable[[int, int], TimeSeriesPanel]
 
@@ -325,11 +324,12 @@ def _sweep_point(panel: TimeSeriesPanel, options: SweepOptions) -> tuple[float, 
     rho_star needs only the top eigenpair, so the point first tries
     ``conditioning._leading_pair``: with repair on, a Cholesky certificate
     that the spectrum already clears the floor (so the repair would return
-    the matrix unchanged), then a subspace iteration for the top pair alone
+    the matrix unchanged), then power iteration for the top pair alone
     ("leading-pair"; equal to the full path up to rounding). When that
     declines, the point takes the full path: ``rj_repair``, a full
     ``eigh`` in ``eigendecompose``, then the sign basis ("full"; the same
-    bits as a sweep that always takes it).
+    bits as a sweep that always takes it). A degenerate top is not warned
+    about: the point's rho_star comes from ``turnover._rho_star``.
 
     The panel and the matrices built from it die with this call, so no
     point's arrays are alive while the next point's panel is generated.
@@ -348,10 +348,7 @@ def _sweep_point(panel: TimeSeriesPanel, options: SweepOptions) -> tuple[float, 
         if floor is not None:
             corr = rj_repair(corr, floor)
         decomposition, solver = eigendecompose(corr), "full"
-    basis = fix_sign_basis(decomposition)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateTopWarning)
-        return rho_star(basis), solver
+    return _rho_star(fix_sign_basis(decomposition)), solver
 
 
 def one_factor_generator(rho: float, n_periods: int) -> PanelGenerator:

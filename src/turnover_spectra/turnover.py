@@ -143,6 +143,11 @@ def spectral_turnover_large_n(basis: SignedBasis, weighted_turnovers) -> float:
             DegenerateTopWarning,
             stacklevel=2,
         )
+    return _large_n(basis, t)
+
+
+def _large_n(basis: SignedBasis, t: np.ndarray) -> float:
+    """:func:`spectral_turnover_large_n` on checked turnovers, without its warning."""
     return float(
         basis.eigenvalues[0] * (basis.first_eigenvector @ t) / math.sqrt(basis.size)
     )
@@ -161,6 +166,12 @@ def rho_star(basis: SignedBasis) -> float:
             DegenerateTopWarning,
             stacklevel=2,
         )
+    return _rho_star(basis)
+
+
+def _rho_star(basis: SignedBasis) -> float:
+    """:func:`rho_star` without its warning, for callers that record the
+    degeneracy themselves."""
     n = basis.size
     return float(
         basis.eigenvalues[0] * basis.first_eigenvector.sum() / (n * math.sqrt(n))
@@ -223,9 +234,7 @@ def rho_star_factored(basis: SignedBasis, corr: MatrixLike) -> FactoredRelation:
     rho_one = float(basis.eigenvalues[0]) / n
     product = rho_one * rho_p
     factored = math.sqrt(product) if product >= 0 else math.nan
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateTopWarning)
-        star = rho_star(basis)
+    star = _rho_star(basis)
     column_sums = basis.eigenvectors.sum(axis=0)
     spectral = float((column_sums**2 * basis.eigenvalues).sum()) / n**2
     if star > 0:
@@ -405,12 +414,10 @@ def turnover_report(
     """
     t = _as_turnovers(weighted_turnovers, basis.size)
     t_full = spectral_turnover_full(basis, t)
+    t_large = _large_n(basis, t)
+    relation = rho_star_factored(basis, corr)
+    t_t2 = turnover_t2(relation.rho_star, t)
     notes: list[str] = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateTopWarning)
-        t_large = spectral_turnover_large_n(basis, t)
-        relation = rho_star_factored(basis, corr)
-        t_t2 = turnover_t2(relation.rho_star, t)
     if basis.top_degenerate:
         notes.append(
             "degenerate-top: leading eigenvalue not isolated; rho_star and "

@@ -1,5 +1,8 @@
 """Fixtures shared by the test modules."""
 
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -17,3 +20,19 @@ def eigensolves(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+@pytest.fixture
+def fixed_warning_filters():
+    """A context in which any change to the process-wide warning filters fails:
+    ``warnings.catch_warnings``, ``simplefilter`` and ``filterwarnings`` raise
+    ``AssertionError`` (``catch_warnings`` is not thread-safe). Leaving the
+    context restores them, so pytest, which calls them itself, can still
+    report a failure."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the warning filters were changed")
+
+    return lambda: mock.patch.multiple(
+        warnings, catch_warnings=refuse, simplefilter=refuse, filterwarnings=refuse
+    )

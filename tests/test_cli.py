@@ -120,6 +120,25 @@ class TestAnalyze:
         assert "not allowed with argument" in capsys.readouterr().err
         assert sorted(path.name for path in tmp_path.iterdir()) == ["corr.csv", "factors.csv"]
 
+    @pytest.mark.parametrize(
+        "text, extra, message",
+        [
+            ("a,b\n1,1.000001\n2,2.000001\n3,3.5\n", [], "kept 1 of 2 series"),
+            ("a\n1.0\n", ["--matrix"], "kept 1 of 1 series"),
+        ],
+        ids=["near-duplicate-pair", "one-by-one-matrix"],
+    )
+    def test_prune_keeping_one_series_exits_1_before_any_output(
+        self, tmp_path, capsys, text, extra, message
+    ):
+        source = write(tmp_path / "input.csv", text)
+        code = main(["analyze", "--input", source, "--output", str(tmp_path / "r.json"), *extra])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"error: --prune 0.9 {message}; the report needs at least 2\n"
+        )
+        assert [path.name for path in tmp_path.iterdir()] == ["input.csv"]
+
     def test_missing_input_exits_1(self, tmp_path):
         code = main([
             "analyze", "--input", str(tmp_path / "absent.csv"),
@@ -363,7 +382,7 @@ class TestSweep:
     ):
         _, json_bytes = self.run_sweep(tmp_path, "sweep.csv")
         assert json.loads(json_bytes)["solvers"] == ["leading-pair", "leading-pair"]
-        assert eigensolves and all(shape[0] < 8 for shape in eigensolves)
+        assert eigensolves == []  # certified points call no eigh at all
 
         leading_pair = simulate._leading_pair
         monkeypatch.setattr(
@@ -372,7 +391,7 @@ class TestSweep:
         eigensolves.clear()
         _, json_bytes = self.run_sweep(tmp_path, "forced.csv")
         assert json.loads(json_bytes)["solvers"] == ["leading-pair", "full"]
-        assert [shape for shape in eigensolves if shape[0] >= 8] == [(16, 16)]
+        assert eigensolves == [(16, 16)]
 
     def test_summary_embeds_config_and_seed(self, tmp_path):
         _, json_bytes = self.run_sweep(tmp_path, "sweep.csv")

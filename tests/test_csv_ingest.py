@@ -1,22 +1,17 @@
 """CSV ingest: the ``np.loadtxt`` fast pass against the per-cell reference.
 
 Panels (``load_panel``) and square matrices (``_square_from_csv``) share one
-reader, ``panel._read_grid``: one header rule, one fast pass over the data
-rows, and one per-cell reference loop for anything that pass cannot take
-exactly. The fast pass parses a file in byte-range parts at once, each part
-but the first in a short-lived forked child, when the platform has
-``os.fork`` and ``os.sched_getaffinity``, the process may use more than one
-CPU and each part keeps at least ``_MIN_PART_BYTES`` of data rows; an open
-handle streams through the same per-part parse as one part. Any part that
-declines, or a child that dies or sends its part short, sends the whole text
-to the reference. Each layout then applies its own cell rule (a panel
-refuses a non-finite value, a matrix an empty cell).
+reader, ``panel._read_grid``, whose docstring states when it reads a text in
+parts, forked children included, and when its per-cell reference decides.
+Each layout then applies its own cell rule (a panel refuses a non-finite
+value, a matrix an empty cell).
 
 These tests hold each layout's public outcome to the same values, bit for
 bit, and to the same errors, row and column included, whichever path read
-the text; a file read in any number of parts to the reference's outcome; the
-two layouts to the same ids and values on a grid both accept; and the forked
-parts to leaving no child process and no open descriptor behind.
+the text; a file read in any number of parts to the reference's outcome, a
+defect in a child's part alone included; the two layouts to the same ids and
+values on a grid both accept; and the forked parts to leaving no child process
+and no open descriptor behind.
 """
 
 import csv
@@ -210,6 +205,11 @@ def part_texts(draw):
     return ending.join(lines) + draw(st.sampled_from(["", ending, ending * 2]))
 
 
+def _in_parts(parts):
+    """Within this context every file is cut into ``parts`` parts, whatever its size."""
+    return mock.patch.object(panel, "_part_count", lambda data_bytes: parts)
+
+
 @settings(max_examples=200, deadline=None)
 @given(text=st.one_of(csv_texts(), part_texts()))
 def test_file_read_in_parts_matches_per_cell_reference(tmp_path_factory, text):
@@ -217,7 +217,28 @@ def test_file_read_in_parts_matches_per_cell_reference(tmp_path_factory, text):
     path.write_bytes(text.encode("utf-8"))
     reference = _outcome(lambda: _reference_grid(path))
     for parts in (1, 2, 3, 4):
-        assert _outcome(lambda: panel._read_grid(path, _parts=parts)) == reference, parts
+        with _in_parts(parts):
+            assert _outcome(lambda: panel._read_grid(path)) == reference, parts
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forked parts need os.fork")
+@pytest.mark.parametrize(
+    "last", ["7.5,8.5,nan", "7.5,8.5,inf", "7.5,8.5"], ids=["nan-text", "inf-text", "short-row"]
+)
+def test_defect_in_the_last_part_alone_sends_the_file_to_the_reference(tmp_path, last):
+    # each check a part makes on itself (a non-finite count equal to its empty
+    # cells, one column per id) must decline the whole file from a child's part
+    path = tmp_path / "panel.csv"
+    path.write_text(f"a,b,c\n1.5,2.5,3.5\n4.5,5.5,6.5\n{last}\n", encoding="utf-8")
+    data = path.read_bytes()
+    with open(path, "rb") as handle:
+        bounds = panel._bounds(handle, data.index(b"\n") + 1, len(data), 3)
+    assert len(bounds) == 4 and data[bounds[2]:] == f"{last}\n".encode()
+    for read in (load_panel, conditioning._square_from_csv):
+        with _in_parts(3):
+            fast = _outcome(lambda: read(path))
+        with mock.patch.object(panel, "_fast_file", lambda path: None):
+            assert fast == _outcome(lambda: read(path)), read
 
 
 def _open_fds():
@@ -227,13 +248,13 @@ def _open_fds():
 _SEND = panel._send
 
 
-def _send_then_fail(pipe, grid, empty):
-    _SEND(pipe, grid, empty)
+def _send_then_fail(pipe, grid):
+    _SEND(pipe, grid)
     raise OSError("the child fails after sending its whole part")
 
 
-def _send_short(pipe, grid, empty):
-    pipe.write(np.array([*grid.shape, empty], dtype=np.int64).tobytes())
+def _send_short(pipe, grid):
+    pipe.write(np.array(grid.shape, dtype=np.int64).tobytes())
     pipe.write(grid.tobytes()[: grid.nbytes // 2])
     raise OSError("the child dies halfway through its part")
 
@@ -250,8 +271,8 @@ def test_forked_parts_leave_no_child_and_no_open_descriptor(tmp_path, case):
     send = {"child-fails": _send_then_fail, "child-sends-short": _send_short}.get(case, _SEND)
     before = _open_fds()
     with mock.patch.object(panel, "_grid_from_rows", wraps=panel._grid_from_rows) as reference, \
-            mock.patch.object(panel, "_send", send):
-        outcome = _outcome(lambda: panel._read_grid(path, _parts=3))
+            mock.patch.object(panel, "_send", send), _in_parts(3):
+        outcome = _outcome(lambda: panel._read_grid(path))
     assert reference.called == (case != "read")  # every part taken, or the reference decided
     assert outcome == _outcome(lambda: _reference_grid(path))
     with pytest.raises(ChildProcessError):
@@ -272,8 +293,8 @@ def test_file_replaced_while_read_in_parts_reads_as_the_new_file(tmp_path):
         os.replace(replacement, path)  # after the header was read, before the forks
         return cuts
 
-    with mock.patch.object(panel, "_bounds", bounds_then_replace):
-        outcome = _outcome(lambda: panel._read_grid(path, _parts=3))
+    with mock.patch.object(panel, "_bounds", bounds_then_replace), _in_parts(3):
+        outcome = _outcome(lambda: panel._read_grid(path))
     assert outcome == _outcome(lambda: _reference_grid(path))
 
 
@@ -293,7 +314,8 @@ def test_fork_warning_of_a_threaded_process_is_not_raised(tmp_path, monkeypatch)
     monkeypatch.setattr(os, "fork", warning_fork)
     path = tmp_path / "panel.csv"
     path.write_text("a,b\n1,2\n3,4\n5,6\n", encoding="utf-8")
-    ids, values, empty = panel._read_grid(path, _parts=3)
+    with _in_parts(3):
+        ids, values, empty = panel._read_grid(path)
     assert ids == ("a", "b")
     np.testing.assert_array_equal(values, [[1, 2], [3, 4], [5, 6]])
     assert not empty.any()

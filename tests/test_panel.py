@@ -488,7 +488,9 @@ def out_of_place_dense_moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarr
     means = x0.sum(axis=1) / m
     cov_joint = (prods - (m * means)[:, None] * means[None, :]) / (m - 1.0)
     var = np.maximum((np.diag(prods) - m * means**2) / (m - 1.0), 0.0)
-    return _assemble(cov_joint, np.broadcast_to(var[:, None], (n, n)), np.sqrt(var))
+    ids = tuple(f"s{i}" for i in range(n))
+    rows = np.tile(means[:, None], (1, n)), np.tile(var[:, None], (1, n))
+    return _assemble(ids, center, rows[0], cov_joint, rows[1])[:2]
 
 
 @settings(max_examples=40, deadline=None)

@@ -249,6 +249,20 @@ class TestSweep:
         second = sweep_rho_star([10, 20, 40], gen, SweepOptions(), seed=9)
         assert first == second
 
+    def test_degenerate_top_changes_no_warning_filter(self, fixed_warning_filters):
+        # rows of a Hadamard matrix: zero-mean, orthogonal series whose sample
+        # correlation is exactly the identity, a fully degenerate spectrum
+        hadamard = np.array([[1.0, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+
+        def orthogonal(n_alphas, seed):
+            ids = tuple(f"s{i}" for i in range(n_alphas))
+            return TimeSeriesPanel(ids, hadamard[:n_alphas], np.ones((n_alphas, 4), bool))
+
+        with fixed_warning_filters():
+            result = sweep_rho_star([2, 3], orthogonal, SweepOptions(), seed=0)
+        assert result.solvers == ("full", "full") and result.errors == ()
+        assert np.isfinite(result.rho_stars).all()  # values of an arbitrary basis
+
     def test_single_grid_point_slope_without_f(self):
         result = sweep_rho_star([16], one_factor_generator(0.4, 300), SweepOptions(), seed=2)
         assert result.f_statistic is None

@@ -496,3 +496,11 @@ class TestReport:
         basis = basis_of(np.eye(6))
         report = turnover_report(basis, np.eye(6), np.full(6, 1.0 / 6))
         assert any("degenerate-top" in note for note in report.warnings)
+
+    def test_degenerate_top_changes_no_warning_filter(self, fixed_warning_filters):
+        basis = basis_of(np.eye(6))
+        with fixed_warning_filters():
+            report = turnover_report(basis, np.eye(6), np.full(6, 1.0 / 6))
+            relation = rho_star_factored(basis, np.eye(6))
+        assert any("degenerate-top" in note for note in report.warnings)
+        assert relation.rho_star == report.rho_star
