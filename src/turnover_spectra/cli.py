@@ -15,6 +15,31 @@ entries leave [-1, 1], a covariance matrix whose diagonal disagrees with its
 vols (``InvalidMatrixError``, from ``repair`` and ``analyze --matrix``
 alike), a non-positive diagonal to repair, a repair that does not converge, a
 non-PSD matrix under ``--no-repair``, an indefinite quadratic form.
+
+Artifacts. Each command writes a JSON object with sorted keys and a
+``config`` block; ``repair`` and ``sweep`` also write a CSV, and their JSON
+goes beside it, the CSV's path with a ``.json`` suffix.
+
+- ``analyze``: JSON ``config`` and ``report`` (the turnover models and
+  coefficients, ``warnings``, which may hold ``degenerate-top``, and an
+  ``inputs`` digest).
+- ``repair``: CSV with the ids as header and one row of entries per id, the
+  only copy of the repaired matrix; JSON ``config``, ``repair_floor`` and
+  ``report`` with ``ids``, ``eigenvalues`` (descending) and ``psd_status``.
+- ``sweep``: CSV with header ``N,rho_star,rho_star_times_n,slope,F``, one row
+  per grid point; JSON ``config``, ``grid``, ``rho_stars``,
+  ``rho_star_times_n``, ``slope_no_intercept``, ``f_statistic``,
+  ``residuals``, ``errors``, ``solvers`` and ``degenerate_top``.
+- ``simulate``: JSON ``config``, ``gross_traded``, ``netted_traded``,
+  ``crossing_ratio``, ``mean``, ``std_error``, ``zero_gross_paths`` and
+  ``per_path_ratios``.
+
+Numbers as text: a CSV float is its shortest round-trip ``repr`` and a
+missing panel cell is empty (``panel._write_csv``); in JSON, infinity is the
+string ``"inf"`` (``"-inf"``) and NaN is ``null``, so a failed sweep point is
+``nan`` in the CSV and ``null`` in the JSON. An F statistic that cannot be
+computed (fewer than two points) is ``not-available`` in both, and an exact
+fit's is ``inf``.
 """
 
 from __future__ import annotations
@@ -310,10 +335,11 @@ def run_sweep(args: argparse.Namespace) -> int:
         "rho_stars": list(result.rho_stars),
         "rho_star_times_n": list(result.rho_star_times_n),
         "slope_no_intercept": result.slope_no_intercept,
-        "f_statistic": result.f_statistic if result.f_statistic is not None else "not-available",
+        "f_statistic": result.reported_f,
         "residuals": list(result.residuals),
         "errors": list(result.errors),
         "solvers": list(result.solvers),
+        "degenerate_top": list(result.degenerate_top),
     }
     _write_json(summary, Path(args.output_path).with_suffix(".json"))
     return EXIT_OK

@@ -198,14 +198,17 @@ def prune_redundant(
     Greedy scan in ascending index order: index i survives when no kept k
     has ``|corr[k, i]| > bound``, so the pruned matrix satisfies
     max off-diagonal |corr| <= bound. Returns (kept indices, pruned matrix).
+    ``blocked[i]`` holds exactly "some kept k has ``|corr[k, i]| > bound``":
+    each kept row is ORed in as it is kept.
     """
     if not 0.0 < bound < 1.0:
         raise ValueError("bound must lie in (0, 1)")
-    magnitude = np.abs(corr.entries)
+    blocked = np.zeros(corr.n, dtype=bool)
     kept: list[int] = []
     for i in range(corr.n):
-        if all(magnitude[k, i] <= bound for k in kept):
+        if not blocked[i]:
             kept.append(i)
+            blocked |= np.abs(corr.entries[i]) > bound
     sub = corr.entries[np.ix_(kept, kept)]
     ids = tuple(corr.ids[i] for i in kept) if corr.ids is not None else None
     status = "verified-PD" if corr.psd_status == "verified-PD" else "unverified"
@@ -391,10 +394,10 @@ def _matrix_ids(matrix: MatrixLike, n: int) -> tuple[str, ...]:
 
 
 def matrix_to_csv(matrix: MatrixLike, dest: str | Path | IO[str]) -> None:
-    """Write a square CSV with the ids as header."""
+    """Write a square CSV with the ids as header; the artifact that holds a
+    matrix's entries (:func:`matrix_report` leaves them out)."""
     entries = _matrix_entries(matrix)
-    rows = ([repr(float(x)) for x in row] for row in entries)
-    _write_csv(dest, _matrix_ids(matrix, entries.shape[0]), rows)
+    _write_csv(dest, _matrix_ids(matrix, entries.shape[0]), entries)
 
 
 def _square_from_csv(source: str | Path | IO[str]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -435,12 +438,11 @@ def _covariance_from_entries(ids: tuple[str, ...], entries: np.ndarray) -> Covar
 
 
 def matrix_report(matrix: MatrixLike) -> dict:
-    """JSON-ready report: ids, entries, eigenvalues, psd_status (one solve)."""
-    entries = _matrix_entries(matrix)
+    """JSON-ready report: ids, eigenvalues, psd_status (one solve). The
+    entries are not repeated here: :func:`matrix_to_csv` writes them."""
     decomposition = eigendecompose(matrix)
     return {
-        "ids": list(_matrix_ids(matrix, entries.shape[0])),
-        "entries": entries.tolist(),
+        "ids": list(_matrix_ids(matrix, decomposition.source_dim)),
         "eigenvalues": decomposition.eigenvalues.tolist(),
         "psd_status": _definiteness(decomposition.eigenvalues),
     }

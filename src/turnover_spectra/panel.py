@@ -86,7 +86,6 @@ class TimeSeriesPanel:
     series_ids: tuple[str, ...]
     values: np.ndarray
     observed_mask: np.ndarray
-    time_order: str = "t0-first"
 
     __eq__ = _value_eq
     __hash__ = None  # equal by value, and the arrays are not hashable
@@ -178,15 +177,24 @@ def _read_grid(source: str | Path | IO[str]) -> _Grid:
     return _grid_from_rows(_csv_rows(lines))
 
 
-def _write_csv(dest: str | Path | IO[str], header: Iterable, rows: Iterable[Iterable]) -> None:
+def _write_csv(dest: str | Path | IO[str], header: Iterable, rows: Iterable) -> None:
     """Write ``header`` and then ``rows`` as CSV with ``\n`` line ends, to a
-    path (created as UTF-8) or to an open text handle."""
+    path (created as UTF-8) or to an open text handle.
+
+    The package's one rule from numbers to artifact text. A 2-D array's rows
+    are taken by ``tolist()`` one at a time, so every cell reaches the
+    writer as a Python float (or int, or None in an object array). The
+    ``csv`` writer spells a float by ``repr``, the shortest text that reads
+    back to the same bits (``-0.0``, ``5e-324``, ``inf``, ``nan``), an int in
+    decimal, a string as it is, and None as an empty cell, which is how a
+    panel's missing cell is written.
+    """
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as handle:
             return _write_csv(handle, header, rows)
     writer = csv.writer(dest, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows(map(np.ndarray.tolist, rows) if isinstance(rows, np.ndarray) else rows)
 
 
 def _csv_rows(lines: Iterable[str]) -> list[list[str]]:
@@ -498,15 +506,9 @@ def load_panel(source: str | Path | IO[str], *, oldest_first: bool = False) -> T
 
 
 def write_panel(panel: TimeSeriesPanel, dest: str | Path | IO[str]) -> None:
-    """Serialize a panel back to the CSV layout accepted by ``load_panel``."""
-    rows = (
-        [
-            repr(float(panel.values[i, s])) if panel.observed_mask[i, s] else ""
-            for i in range(panel.n_series)
-        ]
-        for s in range(panel.n_periods)
-    )
-    _write_csv(dest, panel.series_ids, rows)
+    """Serialize a panel back to the CSV layout accepted by ``load_panel``:
+    one row per timestamp, a missing cell empty (:func:`_write_csv`)."""
+    _write_csv(dest, panel.series_ids, np.where(panel.observed_mask, panel.values, None).T)
 
 
 def _symmetric(entries, what: str = "matrix") -> np.ndarray:
@@ -847,4 +849,4 @@ def ols_residualize(
             resid = resid + coef[0]
         out_values[i, joint] = resid
         out_mask[i, joint] = True
-    return TimeSeriesPanel(panel.series_ids, out_values, out_mask, panel.time_order)
+    return TimeSeriesPanel(panel.series_ids, out_values, out_mask)

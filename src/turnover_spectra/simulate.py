@@ -229,7 +229,10 @@ class SweepResult:
     ``errors``; the regression uses the surviving points only.
     ``f_statistic`` is None when fewer than two points survive. ``solvers``
     names, per grid point, how its spectrum was solved: "leading-pair",
-    "full", or "failed" for a point with no value.
+    "full", or "failed" for a point with no value. ``degenerate_top`` marks,
+    per grid point, a top eigenvalue not isolated by ``fix_sign_basis``'s
+    rule, whose rho_star depends on an arbitrary basis choice (False for a
+    failed point).
     """
 
     grid: tuple[int, ...]
@@ -240,6 +243,13 @@ class SweepResult:
     residuals: tuple[float, ...]
     errors: tuple[str, ...] = ()
     solvers: tuple[str, ...] = ()
+    degenerate_top: tuple[bool, ...] = ()
+
+    @property
+    def reported_f(self) -> float | str:
+        """``f_statistic`` as the sweep's CSV and JSON spell it: a float
+        (``inf`` for an exact fit), or "not-available" when it is None."""
+        return "not-available" if self.f_statistic is None else float(self.f_statistic)
 
 
 class _GeneratorFailure(TurnoverSpectraError):
@@ -283,6 +293,7 @@ def sweep_rho_star(
 
     rho_stars = np.full(len(grid), np.nan)
     solvers = ["failed"] * len(grid)
+    degenerate = [False] * len(grid)
     errors: list[str] = []
     for idx, n in enumerate(grid):
         point_seed = int(
@@ -290,7 +301,7 @@ def sweep_rho_star(
         )
         try:
             # the panel goes straight into the call, which holds its only reference
-            rho_stars[idx], solvers[idx] = _sweep_point(
+            rho_stars[idx], solvers[idx], degenerate[idx] = _sweep_point(
                 _generate(generator, n, point_seed), options
             )
         except (TurnoverSpectraError, ValueError, np.linalg.LinAlgError) as exc:
@@ -315,11 +326,13 @@ def sweep_rho_star(
         tuple(float(v) for v in residuals),
         tuple(errors),
         tuple(solvers),
+        tuple(degenerate),
     )
 
 
-def _sweep_point(panel: TimeSeriesPanel, options: SweepOptions) -> tuple[float, str]:
-    """rho_star of one grid point's panel, and the solver that produced it.
+def _sweep_point(panel: TimeSeriesPanel, options: SweepOptions) -> tuple[float, str, bool]:
+    """rho_star of one grid point's panel, the solver that produced it, and
+    whether its top eigenvalue is degenerate.
 
     rho_star needs only the top eigenpair, so the point first tries
     ``conditioning._leading_pair``: with repair on, a Cholesky certificate
@@ -328,8 +341,10 @@ def _sweep_point(panel: TimeSeriesPanel, options: SweepOptions) -> tuple[float, 
     ("leading-pair"; equal to the full path up to rounding). When that
     declines, the point takes the full path: ``rj_repair``, a full
     ``eigh`` in ``eigendecompose``, then the sign basis ("full"; the same
-    bits as a sweep that always takes it). A degenerate top is not warned
-    about: the point's rho_star comes from ``turnover._rho_star``.
+    bits as a sweep that always takes it). A degenerate top is flagged, not
+    warned about: the point's rho_star comes from ``turnover._rho_star``.
+    The leading pair accepts only an isolated top, so only a "full" point
+    can be flagged.
 
     The panel and the matrices built from it die with this call, so no
     point's arrays are alive while the next point's panel is generated.
@@ -348,7 +363,8 @@ def _sweep_point(panel: TimeSeriesPanel, options: SweepOptions) -> tuple[float, 
         if floor is not None:
             corr = rj_repair(corr, floor)
         decomposition, solver = eigendecompose(corr), "full"
-    return _rho_star(fix_sign_basis(decomposition)), solver
+    basis = fix_sign_basis(decomposition)
+    return _rho_star(basis), solver, basis.top_degenerate
 
 
 def one_factor_generator(rho: float, n_periods: int) -> PanelGenerator:
@@ -367,20 +383,10 @@ def one_factor_generator(rho: float, n_periods: int) -> PanelGenerator:
     return generate
 
 
-def _format_f(f_stat: float | None) -> str:
-    if f_stat is None:
-        return "not-available"
-    if math.isinf(f_stat):
-        return "inf"
-    return repr(float(f_stat))
-
-
 def sweep_to_csv(result: SweepResult, dest: str | Path | IO[str]) -> None:
-    """Plot-ready CSV with columns N, rho_star, rho_star_times_n, slope, F."""
-    slope = repr(float(result.slope_no_intercept))
-    f_stat = _format_f(result.f_statistic)
-    rows = (
-        [n, repr(float(rho)), repr(float(y)), slope, f_stat]
-        for n, rho, y in zip(result.grid, result.rho_stars, result.rho_star_times_n)
-    )
+    """Plot-ready CSV with columns N, rho_star, rho_star_times_n, slope, F;
+    a failed point's values are ``nan`` and F is ``SweepResult.reported_f``."""
+    values = np.array([result.rho_stars, result.rho_star_times_n], dtype=float).T.tolist()
+    fit = [float(result.slope_no_intercept), result.reported_f]
+    rows = ([n, *point, *fit] for n, point in zip(result.grid, values))
     _write_csv(dest, ["N", "rho_star", "rho_star_times_n", "slope", "F"], rows)

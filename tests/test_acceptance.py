@@ -253,6 +253,7 @@ def test_c09_sweep_slope_recovers_uniform_correlation():
         generator = one_factor_generator(0.25, 5000)
         result = sweep_rho_star([50, 100, 200, 400], generator, SweepOptions(), seed=MASTER_SEED)
         assert result.errors == ()
+        assert result.degenerate_top == (False,) * 4  # a one-factor top is isolated
         assert abs(result.slope_no_intercept - 0.25) <= 0.025
         assert result.f_statistic is not None and result.f_statistic > 1e3
         # a correlation-free population stays far below the correlated slope

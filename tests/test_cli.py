@@ -4,11 +4,28 @@ import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from turnover_spectra import PAIRWISE_COMPLETE, cli, conditioning, load_panel, sample_moments, simulate
+import turnover_spectra
+from turnover_spectra import (
+    PAIRWISE_COMPLETE,
+    SimConfig,
+    TimeSeriesPanel,
+    cli,
+    conditioning,
+    eigendecompose,
+    gen_one_factor_panel,
+    load_panel,
+    sample_moments,
+    simulate,
+    write_panel,
+)
 from turnover_spectra.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, SEED_ENV_VAR, main
 
 _rng = np.random.default_rng(12345)
@@ -356,6 +373,9 @@ class TestRepair:
         assert summary["repair_floor"] == floor
         expected_report = json.loads(json.dumps(cli._jsonable(conditioning.matrix_report(repaired))))
         assert summary["report"] == expected_report
+        # the CSV is the one copy of the repaired matrix
+        assert set(summary) == {"config", "repair_floor", "report"}
+        assert set(summary["report"]) == {"ids", "eigenvalues", "psd_status"}
 
 
 class TestSweep:
@@ -382,6 +402,7 @@ class TestSweep:
     ):
         _, json_bytes = self.run_sweep(tmp_path, "sweep.csv")
         assert json.loads(json_bytes)["solvers"] == ["leading-pair", "leading-pair"]
+        assert json.loads(json_bytes)["degenerate_top"] == [False, False]
         assert eigensolves == []  # certified points call no eigh at all
 
         leading_pair = simulate._leading_pair
@@ -635,3 +656,77 @@ class TestJsonSentinels:
         assert _jsonable(float("-inf")) == "-inf"
         assert _jsonable(float("nan")) is None
         assert _jsonable({"x": (1, np.float64(2.5))}) == {"x": [1, 2.5]}
+
+
+def _thread_env(threads: int) -> dict[str, str]:
+    """This process's environment with every BLAS thread count set, and the
+    package's source importable."""
+    src = str(Path(turnover_spectra.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.update(dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], str(threads)))
+    return env
+
+
+def _run_with_threads(threads: int, *args: str) -> None:
+    subprocess.run(
+        [sys.executable, "-m", "turnover_spectra.cli", *args],
+        env=_thread_env(threads), check=True, timeout=300,
+    )
+
+
+def _assert_close_json(one, two, tolerance: float, path: str = "") -> None:
+    """Every float within ``tolerance``; every other value equal."""
+    assert type(one) is type(two), path
+    if isinstance(one, dict):
+        assert one.keys() == two.keys(), path
+        for key in one:
+            _assert_close_json(one[key], two[key], tolerance, f"{path}/{key}")
+    elif isinstance(one, list):
+        assert len(one) == len(two), path
+        for i, (a, b) in enumerate(zip(one, two)):
+            _assert_close_json(a, b, tolerance, f"{path}[{i}]")
+    elif isinstance(one, float):
+        assert abs(one - two) <= tolerance, (path, one, two)
+    else:
+        assert one == two, path
+
+
+class TestThreadCounts:
+    """Artifacts under one and two BLAS threads agree within N * eps * max|lambda|.
+
+    The sizes are where BLAS threads its products and ``eigh`` its updates:
+    at 120 x 300 and 200 x 1000 the two runs are bit-identical, so a smaller
+    case would show nothing. Values inside a degenerate eigenvalue cluster
+    (``T_full`` on a floored spectrum) are not covered here.
+    """
+
+    N = 300
+
+    def test_analyze_on_a_complete_panel(self, tmp_path):
+        panel = gen_one_factor_panel(SimConfig(self.N, 3000, target_correlation=0.3, master_seed=5))
+        panel = TimeSeriesPanel(panel.series_ids, np.round(panel.values, 4), panel.observed_mask)
+        write_panel(panel, tmp_path / "panel.csv")
+        top = eigendecompose(sample_moments(panel)[1]).eigenvalues[0]
+        reports = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}.json"
+            _run_with_threads(threads, "analyze", "--input", str(tmp_path / "panel.csv"), "--output", str(out))
+            reports.append(json.loads(out.read_text())["report"])
+        _assert_close_json(*reports, self.N * np.finfo(float).eps * top)
+
+    def test_repair_of_a_non_psd_pairwise_matrix(self, tmp_path):
+        values = gen_one_factor_panel(SimConfig(self.N, 900, target_correlation=0.3, master_seed=6)).values
+        mask = np.random.default_rng(3).random(values.shape) > 0.45
+        ids = tuple(f"s{i}" for i in range(self.N))
+        _, corr = sample_moments(TimeSeriesPanel(ids, values, mask), PAIRWISE_COMPLETE)
+        assert conditioning.classify_definiteness(corr) == "verified-not-PSD"
+        conditioning.matrix_to_csv(corr, tmp_path / "pairwise.csv")
+        entries, summaries = [], []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}.csv"
+            _run_with_threads(threads, "repair", "--input", str(tmp_path / "pairwise.csv"), "--output", str(out))
+            entries.append(np.loadtxt(out, delimiter=",", skiprows=1))
+            summaries.append(json.loads(out.with_suffix(".json").read_text())["report"])
+        tolerance = self.N * np.finfo(float).eps * max(map(abs, summaries[0]["eigenvalues"]))
+        _assert_close_json(*summaries, tolerance)
+        assert np.abs(entries[0] - entries[1]).max() <= tolerance

@@ -249,6 +249,28 @@ class TestPruneRedundant:
         kept_b, _ = prune_redundant(corr, (lo + 2 * hi) / 3)
         assert kept_a == kept_b
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_per_pair_scan(self, data):
+        """The kept list is the greedy scan's, entries exactly at the bound
+        (and one ulp either side of it) included."""
+        n = data.draw(st.integers(1, 9))
+        bound = data.draw(st.sampled_from([0.5, 0.9]) | st.floats(0.01, 0.99))
+        near = [bound, -bound, np.nextafter(bound, 1.0), np.nextafter(bound, 0.0)]
+        cell = st.sampled_from(near) | st.floats(-1.0, 1.0)
+        upper = np.array([[data.draw(cell) for _ in range(n)] for _ in range(n)])
+        entries = np.where(np.triu(np.ones((n, n), dtype=bool)), upper, upper.T)
+        np.fill_diagonal(entries, 1.0)
+        corr = CorrelationMatrix(entries, COMPLETE_CASES)
+
+        scanned: list[int] = []
+        for i in range(n):
+            if all(abs(entries[k, i]) <= bound for k in scanned):
+                scanned.append(i)
+        kept, pruned = prune_redundant(corr, bound)
+        assert kept == scanned
+        np.testing.assert_array_equal(pruned.entries, entries[np.ix_(scanned, scanned)])
+
     def test_bound_outside_open_interval_rejected(self):
         corr = CorrelationMatrix(np.eye(3), COMPLETE_CASES)
         for bad in (0.0, 1.0, -0.2, 1.5):
@@ -490,7 +512,8 @@ class TestSerialization:
 
     def test_report_fields(self):
         report = matrix_report(rj_repair(CorrelationMatrix(NON_PSD, PAIRWISE_COMPLETE), 1e-6))
-        assert set(report) == {"ids", "entries", "eigenvalues", "psd_status"}
+        # the entries are the CSV's (matrix_to_csv), not repeated in the report
+        assert set(report) == {"ids", "eigenvalues", "psd_status"}
         assert report["psd_status"] == "verified-PD"
         assert len(report["eigenvalues"]) == 3
 

@@ -262,6 +262,7 @@ class TestSweep:
             result = sweep_rho_star([2, 3], orthogonal, SweepOptions(), seed=0)
         assert result.solvers == ("full", "full") and result.errors == ()
         assert np.isfinite(result.rho_stars).all()  # values of an arbitrary basis
+        assert result.degenerate_top == (True, True)
 
     def test_single_grid_point_slope_without_f(self):
         result = sweep_rho_star([16], one_factor_generator(0.4, 300), SweepOptions(), seed=2)
@@ -288,6 +289,7 @@ class TestSweep:
 
         result = sweep_rho_star([10, 20, 40], flaky, SweepOptions(), seed=3)
         assert result.solvers == ("leading-pair", "failed", "leading-pair")
+        assert result.degenerate_top == (False, False, False)  # a failed point included
 
     def test_non_package_errors_in_a_point_propagate(self, monkeypatch):
         def broken(corr, floor):
@@ -382,7 +384,7 @@ def full_path_point(corr: CorrelationMatrix, options: SweepOptions) -> float:
         return rho_star(fix_sign_basis(eigendecompose(corr)))
 
 
-def point_from_matrix(monkeypatch, entries: np.ndarray, options: SweepOptions) -> tuple[float, str]:
+def point_from_matrix(monkeypatch, entries: np.ndarray, options: SweepOptions) -> tuple[float, str, bool]:
     """Run ``_sweep_point`` on a panel whose estimated correlation is ``entries``."""
     monkeypatch.setattr(
         simulate, "sample_moments", lambda panel, mode: (None, CorrelationMatrix(entries, EXTERNAL))
@@ -417,15 +419,15 @@ class TestSweepPointSolvers:
         options = SweepOptions(repair_floor=floor)
         level = floor if floor is not None else default_floor(self.N)
         entries = self.boundary_matrix(min(level * target, 0.3))
-        value, solver = point_from_matrix(monkeypatch, entries, options)
-        assert solver == "full"
+        value, solver, degenerate = point_from_matrix(monkeypatch, entries, options)
+        assert solver == "full" and not degenerate
         assert value == full_path_point(CorrelationMatrix(entries, EXTERNAL), options)
 
     def test_points_clear_of_the_floor_take_the_leading_pair(self, monkeypatch):
         entries = self.boundary_matrix(1e-3)
         for options in (SweepOptions(), SweepOptions(repair_floor=1e-10)):
-            value, solver = point_from_matrix(monkeypatch, entries, options)
-            assert solver == "leading-pair"
+            value, solver, degenerate = point_from_matrix(monkeypatch, entries, options)
+            assert solver == "leading-pair" and not degenerate
             want = full_path_point(CorrelationMatrix(entries, EXTERNAL), options)
             assert value == pytest.approx(want, rel=1e-12)
 
@@ -433,14 +435,14 @@ class TestSweepPointSolvers:
         entries = np.kron(np.eye(2), np.full((self.N // 2, self.N // 2), 0.5))
         np.fill_diagonal(entries, 1.0)
         options = SweepOptions(repair=False)
-        value, solver = point_from_matrix(monkeypatch, entries, options)
-        assert solver == "full"
+        value, solver, degenerate = point_from_matrix(monkeypatch, entries, options)
+        assert solver == "full" and degenerate
         assert value == full_path_point(CorrelationMatrix(entries, EXTERNAL), options)
 
     @pytest.mark.parametrize("options", [SweepOptions(), SweepOptions(repair=False)])
     def test_large_point_agrees_with_the_full_path(self, options):
         panel = gen_one_factor_panel(SimConfig(1200, 1500, target_correlation=0.25, master_seed=12))
         _, corr = sample_moments(panel, COMPLETE_CASES)
-        value, solver = simulate._sweep_point(panel, options)
-        assert solver == "leading-pair"
+        value, solver, degenerate = simulate._sweep_point(panel, options)
+        assert solver == "leading-pair" and not degenerate
         assert value == pytest.approx(full_path_point(corr, options), rel=1e-12)
