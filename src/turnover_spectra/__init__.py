@@ -9,152 +9,63 @@ eigenvalue/eigenvector, and a Monte-Carlo netting simulator for empirical
 comparison.
 """
 
-from .conditioning import (
-    MatrixLike,
-    SpectralDecomposition,
-    classify_definiteness,
-    correlation_from_csv,
-    covariance_from_csv,
-    default_floor,
-    eigendecompose,
-    matrix_report,
-    matrix_to_csv,
-    portfolio_volatility,
-    prune_redundant,
-    rj_repair,
-)
-from .errors import (
-    CalibrationError,
-    CollinearFactorsError,
-    CoverageError,
-    DegenerateSeriesError,
-    DegenerateTopWarning,
-    IllDefinedVolatilityError,
-    InvalidDiagonalError,
-    InvalidMatrixError,
-    PanelFormatError,
-    RejectedSeriesError,
-    TurnoverSpectraError,
-    UndefinedRegressorError,
-)
-from .panel import (
-    COMPLETE_CASES,
-    ESTIMATION_MODES,
-    EXTERNAL,
-    PAIRWISE_COMPLETE,
-    CorrelationMatrix,
-    CovarianceMatrix,
-    TimeSeriesPanel,
-    load_panel,
-    ols_residualize,
-    sample_moments,
-    write_panel,
-)
-from .simulate import (
-    SimConfig,
-    SimResult,
-    SweepOptions,
-    SweepResult,
-    gen_one_factor_panel,
-    gen_trade_matrix,
-    no_intercept_regression,
-    one_factor_correlation,
-    one_factor_generator,
-    simulate_crossing,
-    simulate_crossing_paths,
-    sweep_rho_star,
-    sweep_to_csv,
-)
-from .turnover import (
-    ExactCalibration,
-    FactoredRelation,
-    SignedBasis,
-    TurnoverInputs,
-    TurnoverReport,
-    calibrate_exact_B,
-    fix_sign_basis,
-    naive_turnover,
-    p1_share,
-    pnl_with_costs,
-    rho_prime,
-    rho_star,
-    rho_star_factored,
-    spectral_terms,
-    spectral_turnover_full,
-    spectral_turnover_large_n,
-    turnover_exact_b,
-    turnover_report,
-    turnover_t2,
-)
+from __future__ import annotations
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "COMPLETE_CASES",
-    "ESTIMATION_MODES",
-    "EXTERNAL",
-    "PAIRWISE_COMPLETE",
-    "CalibrationError",
-    "CollinearFactorsError",
-    "CorrelationMatrix",
-    "CovarianceMatrix",
-    "CoverageError",
-    "DegenerateSeriesError",
-    "DegenerateTopWarning",
-    "ExactCalibration",
-    "FactoredRelation",
-    "IllDefinedVolatilityError",
-    "InvalidDiagonalError",
-    "InvalidMatrixError",
-    "MatrixLike",
-    "PanelFormatError",
-    "RejectedSeriesError",
-    "SignedBasis",
-    "SimConfig",
-    "SimResult",
-    "SpectralDecomposition",
-    "SweepOptions",
-    "SweepResult",
-    "TimeSeriesPanel",
-    "TurnoverInputs",
-    "TurnoverReport",
-    "TurnoverSpectraError",
-    "UndefinedRegressorError",
-    "calibrate_exact_B",
-    "classify_definiteness",
-    "correlation_from_csv",
-    "covariance_from_csv",
-    "default_floor",
-    "eigendecompose",
-    "fix_sign_basis",
-    "gen_one_factor_panel",
-    "gen_trade_matrix",
-    "load_panel",
-    "matrix_report",
-    "matrix_to_csv",
-    "naive_turnover",
-    "no_intercept_regression",
-    "ols_residualize",
-    "one_factor_correlation",
-    "one_factor_generator",
-    "p1_share",
-    "pnl_with_costs",
-    "portfolio_volatility",
-    "prune_redundant",
-    "rho_prime",
-    "rho_star",
-    "rho_star_factored",
-    "rj_repair",
-    "sample_moments",
-    "simulate_crossing",
-    "simulate_crossing_paths",
-    "spectral_terms",
-    "spectral_turnover_full",
-    "spectral_turnover_large_n",
-    "sweep_rho_star",
-    "sweep_to_csv",
-    "turnover_exact_b",
-    "turnover_report",
-    "turnover_t2",
-    "write_panel",
-]
+# The public names, by the submodule that defines each. A name is imported on
+# first use (PEP 562), so ``import turnover_spectra`` loads no numpy, and the
+# command line can still choose numpy's BLAS thread count (see ``cli``).
+_EXPORTS = {
+    "conditioning": (
+        "MatrixLike", "SpectralDecomposition", "classify_definiteness",
+        "correlation_from_csv", "covariance_from_csv", "default_floor",
+        "eigendecompose", "matrix_report", "matrix_to_csv",
+        "portfolio_volatility", "prune_redundant", "rj_repair",
+    ),
+    "errors": (
+        "CalibrationError", "CollinearFactorsError", "CoverageError",
+        "DegenerateSeriesError", "DegenerateTopWarning",
+        "IllDefinedVolatilityError", "InvalidDiagonalError",
+        "InvalidMatrixError", "PanelFormatError", "RejectedSeriesError",
+        "TurnoverSpectraError", "UndefinedRegressorError",
+    ),
+    "panel": (
+        "COMPLETE_CASES", "ESTIMATION_MODES", "EXTERNAL", "PAIRWISE_COMPLETE",
+        "CorrelationMatrix", "CovarianceMatrix", "TimeSeriesPanel",
+        "load_panel", "ols_residualize", "sample_moments", "write_panel",
+    ),
+    "simulate": (
+        "SimConfig", "SimResult", "SweepOptions", "SweepResult",
+        "gen_one_factor_panel", "gen_trade_matrix", "no_intercept_regression",
+        "one_factor_correlation", "one_factor_generator", "simulate_crossing",
+        "simulate_crossing_paths", "sweep_rho_star", "sweep_to_csv",
+    ),
+    "turnover": (
+        "ExactCalibration", "FactoredRelation", "SignedBasis",
+        "TurnoverInputs", "TurnoverReport", "calibrate_exact_B",
+        "fix_sign_basis", "naive_turnover", "p1_share", "pnl_with_costs",
+        "rho_prime", "rho_star", "rho_star_factored", "spectral_terms",
+        "spectral_turnover_full", "spectral_turnover_large_n",
+        "turnover_exact_b", "turnover_report", "turnover_t2",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """A public name, from the submodule that defines it; or one of those
+    submodules, which the package used to import eagerly."""
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

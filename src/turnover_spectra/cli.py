@@ -40,6 +40,16 @@ string ``"inf"`` (``"-inf"``) and NaN is ``null``, so a failed sweep point is
 ``nan`` in the CSV and ``null`` in the JSON. An F statistic that cannot be
 computed (fewer than two points) is ``not-available`` in both, and an exact
 fit's is ``inf``.
+
+Threads. A command runs numpy's BLAS on one thread: importing this module
+sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``
+to ``1`` before numpy loads, unless the caller has set any of the three
+(that choice is kept) or numpy is already loaded (a library caller's own
+process, whose environment this leaves alone). The matrices here are small
+enough (N up to about 800) that a second thread saves no wall time but
+spin-waits on a core, and a fixed count keeps a command's floats from
+depending on how many cores the machine has. Set ``OPENBLAS_NUM_THREADS``
+for inputs of a few thousand series, where more threads do pay off.
 """
 
 from __future__ import annotations
@@ -50,6 +60,11 @@ import math
 import os
 import sys
 from pathlib import Path
+
+# Threads, as the module docstring says: BLAS reads these when numpy loads.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(var in os.environ for var in _THREAD_VARS):
+    os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))
 
 import numpy as np
 

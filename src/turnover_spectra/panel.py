@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import itertools
 import os
+import re
 import signal
 import warnings
 from dataclasses import dataclass, field, fields
@@ -43,12 +44,16 @@ _CONSTANT_REL_TOL = 1e-13
 # at once (see ``_read_grid``). Measured on a 2-vCPU VM (Python 3.11, numpy
 # 2.4.6): one core parses about 40 MB/s of panel text. A forked part costs
 # about 2 ms of wall time to fork and reap plus 1.5 ms per MB of float64 sent
-# back, but about 30 ms of CPU over an ``analyze`` command: 3-5 MB panels cut
-# in two parts took 10-20 ms more CPU to read, and the command about 5,800
-# more page faults (copy-on-write after the fork, and numpy's BLAS thread
-# pool, which fork shuts down and the next matrix product starts again).
-# An 8 MiB part parses for about 0.2 s, some seven times that cost.
+# back, but more over a whole ``analyze`` command. With numpy's BLAS on the
+# command's one thread, so that a fork has no thread pool to shut down,
+# 3.5-4.7 MB panels cut in two parts took 15 ms more CPU to read, and the
+# command 30-35 ms more CPU, 30-37 ms more wall time and about 7,500 more
+# page faults (copy-on-write after the fork; medians of 21 alternated
+# runs). An 8 MiB part parses for about 0.2 s, some six times that cost.
 _MIN_PART_BYTES = 8 << 20
+
+# The characters besides the comma that make the ``csv`` writer quote a field.
+_QUOTED = re.compile('["\r\n]').search
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -181,20 +186,33 @@ def _write_csv(dest: str | Path | IO[str], header: Iterable, rows: Iterable) -> 
     """Write ``header`` and then ``rows`` as CSV with ``\n`` line ends, to a
     path (created as UTF-8) or to an open text handle.
 
-    The package's one rule from numbers to artifact text. A 2-D array's rows
-    are taken by ``tolist()`` one at a time, so every cell reaches the
-    writer as a Python float (or int, or None in an object array). The
-    ``csv`` writer spells a float by ``repr``, the shortest text that reads
-    back to the same bits (``-0.0``, ``5e-324``, ``inf``, ``nan``), an int in
+    The package's one rule from numbers to artifact text, the ``csv``
+    writer's own. A 2-D array's rows are taken by ``tolist()`` one at a
+    time, so every cell is a Python float (or int, or None in an object
+    array). A float is spelled by ``repr``, the shortest text that reads back
+    to the same bits (``-0.0``, ``5e-324``, ``inf``, ``nan``), an int in
     decimal, a string as it is, and None as an empty cell, which is how a
-    panel's missing cell is written.
+    panel's missing cell is written. A data row is its cells joined by
+    commas; the ``csv`` writer, which costs about half as much again per
+    cell, writes the header and any row it has to quote: a row of one empty
+    cell (``""``, which a reader would otherwise skip as a blank line) and a
+    row whose strings hold a comma, a quote or a line break.
     """
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as handle:
             return _write_csv(handle, header, rows)
     writer = csv.writer(dest, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(map(np.ndarray.tolist, rows) if isinstance(rows, np.ndarray) else rows)
+    for row in map(np.ndarray.tolist, rows) if isinstance(rows, np.ndarray) else rows:
+        line = ",".join(map(_cell_text, row))
+        if line and line.count(",") == len(row) - 1 and not _QUOTED(line):
+            dest.write(line + "\n")
+        else:
+            writer.writerow(row)
+
+
+def _cell_text(cell) -> str:
+    return "" if cell is None else repr(cell) if isinstance(cell, float) else str(cell)
 
 
 def _csv_rows(lines: Iterable[str]) -> list[list[str]]:
@@ -317,8 +335,10 @@ def _fork_part(
     try:
         with warnings.catch_warnings():
             # From Python 3.12, fork warns in a process with threads, which
-            # numpy's BLAS pool starts at import. The child calls no BLAS and
-            # waits on no lock those threads hold: it parses text and exits.
+            # numpy's BLAS pool starts at import unless it is held to one
+            # thread (as the command line holds it by default). The child
+            # calls no BLAS and waits on no lock those threads hold: it
+            # parses text and exits.
             warnings.filterwarnings(
                 "ignore", r"This process .* is multi-threaded", DeprecationWarning
             )

@@ -658,16 +658,33 @@ class TestJsonSentinels:
         assert _jsonable({"x": (1, np.float64(2.5))}) == {"x": [1, 2.5]}
 
 
-def _thread_env(threads: int) -> dict[str, str]:
-    """This process's environment with every BLAS thread count set, and the
-    package's source importable."""
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _thread_env(threads: int | None = None) -> dict[str, str]:
+    """This process's environment with the package's source importable and
+    every BLAS thread count set to ``threads``, or none of them set."""
     src = str(Path(turnover_spectra.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.update(dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], str(threads)))
+    env = {key: value for key, value in os.environ.items() if key not in _THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if threads is not None:
+        env.update(dict.fromkeys(_THREAD_VARS, str(threads)))
     return env
 
 
-def _run_with_threads(threads: int, *args: str) -> None:
+def _after_import(statement: str, env: dict[str, str]) -> tuple[dict, bool]:
+    """The three thread counts, and whether numpy is loaded, in a fresh
+    interpreter after ``statement``."""
+    probe = (
+        f"import json, os, sys; {statement}; "
+        f"print(json.dumps([{{v: os.environ.get(v) for v in {_THREAD_VARS!r}}}, 'numpy' in sys.modules]))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=60,
+                         capture_output=True, text=True).stdout
+    return tuple(json.loads(out))
+
+
+def _run_with_threads(threads: int | None, *args: str) -> None:
     subprocess.run(
         [sys.executable, "-m", "turnover_spectra.cli", *args],
         env=_thread_env(threads), check=True, timeout=300,
@@ -692,7 +709,8 @@ def _assert_close_json(one, two, tolerance: float, path: str = "") -> None:
 
 
 class TestThreadCounts:
-    """Artifacts under one and two BLAS threads agree within N * eps * max|lambda|.
+    """A command runs BLAS on one thread unless its caller sets a count, and
+    artifacts under one and two threads agree within N * eps * max|lambda|.
 
     The sizes are where BLAS threads its products and ``eigh`` its updates:
     at 120 x 300 and 200 x 1000 the two runs are bit-identical, so a smaller
@@ -701,6 +719,43 @@ class TestThreadCounts:
     """
 
     N = 300
+
+    def _pairwise_panel(self) -> TimeSeriesPanel:
+        """N x 900 with 45 % of cells missing: its pairwise matrix is not PSD,
+        and the repair floors a cluster of eigenvalues."""
+        values = gen_one_factor_panel(SimConfig(self.N, 900, target_correlation=0.3, master_seed=6)).values
+        mask = np.random.default_rng(3).random(values.shape) > 0.45
+        return TimeSeriesPanel(tuple(f"s{i}" for i in range(self.N)), values, mask)
+
+    def test_importing_the_cli_sets_one_thread(self):
+        counts, _ = _after_import("import turnover_spectra.cli", _thread_env())
+        assert counts == dict.fromkeys(_THREAD_VARS, "1")
+
+    def test_a_count_the_caller_set_is_kept(self):
+        env = dict(_thread_env(), OMP_NUM_THREADS="2")
+        counts, _ = _after_import("import turnover_spectra.cli", env)
+        assert counts == {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None}
+
+    def test_the_package_import_loads_no_numpy_and_sets_nothing(self):
+        counts, numpy_loaded = _after_import("import turnover_spectra", _thread_env())
+        assert counts == dict.fromkeys(_THREAD_VARS) and not numpy_loaded
+        # a library caller that reaches numpy through the package keeps its environment
+        counts, numpy_loaded = _after_import(
+            "import turnover_spectra; turnover_spectra.rho_star; import turnover_spectra.cli", _thread_env()
+        )
+        assert counts == dict.fromkeys(_THREAD_VARS) and numpy_loaded
+
+    def test_pairwise_analyze_by_default_is_the_one_thread_run(self, tmp_path):
+        write_panel(self._pairwise_panel(), tmp_path / "panel.csv")
+        outputs = []
+        for threads in (None, 1):
+            out = tmp_path / f"threads{threads}.json"
+            _run_with_threads(threads, "analyze", "--mode", "pairwise",
+                              "--input", str(tmp_path / "panel.csv"), "--output", str(out))
+            artifact = json.loads(out.read_text())
+            del artifact["config"]
+            outputs.append(json.dumps(artifact, sort_keys=True))
+        assert outputs[0] == outputs[1]
 
     def test_analyze_on_a_complete_panel(self, tmp_path):
         panel = gen_one_factor_panel(SimConfig(self.N, 3000, target_correlation=0.3, master_seed=5))
@@ -715,10 +770,7 @@ class TestThreadCounts:
         _assert_close_json(*reports, self.N * np.finfo(float).eps * top)
 
     def test_repair_of_a_non_psd_pairwise_matrix(self, tmp_path):
-        values = gen_one_factor_panel(SimConfig(self.N, 900, target_correlation=0.3, master_seed=6)).values
-        mask = np.random.default_rng(3).random(values.shape) > 0.45
-        ids = tuple(f"s{i}" for i in range(self.N))
-        _, corr = sample_moments(TimeSeriesPanel(ids, values, mask), PAIRWISE_COMPLETE)
+        _, corr = sample_moments(self._pairwise_panel(), PAIRWISE_COMPLETE)
         assert conditioning.classify_definiteness(corr) == "verified-not-PSD"
         conditioning.matrix_to_csv(corr, tmp_path / "pairwise.csv")
         entries, summaries = [], []

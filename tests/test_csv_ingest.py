@@ -353,6 +353,26 @@ def test_write_load_round_trip_is_bit_exact(original):
     assert loaded.values.tobytes() == original.values.tobytes()  # NaN where unobserved
 
 
+
+_CELLS = st.one_of(
+    st.none(), st.floats(), st.integers(), st.booleans(),
+    st.text(alphabet=st.sampled_from(list('a,"\r\n \t0')), max_size=4),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=st.lists(st.lists(_CELLS, max_size=4), max_size=5))
+def test_writer_joins_what_the_csv_writer_writes(rows):
+    """Rows joined by commas read as the ``csv`` writer's own text: a row of
+    one empty cell and a string the writer quotes included."""
+    joined, reference = io.StringIO(), io.StringIO()
+    panel._write_csv(joined, ["id"], rows)
+    writer = csv.writer(reference, lineterminator="\n")
+    writer.writerow(["id"])
+    writer.writerows(rows)
+    assert joined.getvalue() == reference.getvalue()
+
+
 class _Unseekable(io.TextIOBase):
     """A text stream that can only be read forward, like a pipe."""
 
