@@ -11,14 +11,16 @@ CSVs share one reader and one header rule, so a blank or repeated id, or a
 header with no data rows after it (a header-only matrix CSV included), exits
 1 in either layout. 2 numeric-validity refusal: a matrix that is not square,
 finite and symmetric, a correlation matrix whose diagonal is off 1 or whose
-entries leave [-1, 1], a covariance matrix whose diagonal disagrees with its
-vols (``InvalidMatrixError``, from ``repair`` and ``analyze --matrix``
-alike), a non-positive diagonal to repair, a repair that does not converge, a
+entries leave [-1, 1] (``InvalidMatrixError``, from ``repair`` and
+``analyze --matrix`` alike), a covariance matrix with a non-positive
+diagonal entry (``InvalidDiagonalError``), a repair that does not converge, a
 non-PSD matrix under ``--no-repair``, an indefinite quadratic form.
 
 Artifacts. Each command writes a JSON object with sorted keys and a
 ``config`` block; ``repair`` and ``sweep`` also write a CSV, and their JSON
-goes beside it, the CSV's path with a ``.json`` suffix.
+goes beside it, the CSV's path with a ``.json`` suffix. So their
+``--output`` may not itself end in ``.json``, where the JSON would overwrite
+the CSV: ``main`` refuses it (exit 1) before any input is read.
 
 - ``analyze``: JSON ``config`` and ``report`` (the turnover models and
   coefficients, ``warnings``, which may hold ``degenerate-top``, and an
@@ -59,6 +61,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 # Threads, as the module docstring says: BLAS reads these when numpy loads.
@@ -264,7 +267,7 @@ def run_analyze(args: argparse.Namespace) -> int:
         n_timestamps = panel.n_periods
         if args.factor_path:
             factors = load_panel(args.factor_path)
-            panel = ols_residualize(panel, factors, with_intercept=True, keep_intercept=True)
+            panel = ols_residualize(panel, factors, keep_intercept=True)
             residualized = True
             factor_ids = list(factors.series_ids)
         _, corr = sample_moments(panel, args.estimation_mode)
@@ -344,18 +347,7 @@ def run_sweep(args: argparse.Namespace) -> int:
     )
     result = sweep_rho_star(args.grid, generator, options, args.seed)
     sweep_to_csv(result, args.output_path)
-    summary = {
-        "config": vars(args),
-        "grid": list(result.grid),
-        "rho_stars": list(result.rho_stars),
-        "rho_star_times_n": list(result.rho_star_times_n),
-        "slope_no_intercept": result.slope_no_intercept,
-        "f_statistic": result.reported_f,
-        "residuals": list(result.residuals),
-        "errors": list(result.errors),
-        "solvers": list(result.solvers),
-        "degenerate_top": list(result.degenerate_top),
-    }
+    summary = {"config": vars(args), **asdict(result), "f_statistic": result.reported_f}
     _write_json(summary, Path(args.output_path).with_suffix(".json"))
     return EXIT_OK
 
@@ -370,17 +362,7 @@ def run_simulate(args: argparse.Namespace) -> int:
         n_paths=args.n_paths,
     )
     result = simulate_crossing_paths(sim_config)
-    payload = {
-        "config": vars(args),
-        "gross_traded": result.gross_traded,
-        "netted_traded": result.netted_traded,
-        "crossing_ratio": result.crossing_ratio,
-        "mean": result.mean,
-        "std_error": result.std_error,
-        "zero_gross_paths": result.zero_gross_paths,
-        "per_path_ratios": list(result.per_path_ratios),
-    }
-    _write_json(payload, args.output_path)
+    _write_json({"config": vars(args), **asdict(result)}, args.output_path)
     return EXIT_OK
 
 
@@ -403,6 +385,11 @@ def main(argv: list[str] | None = None) -> int:
         if "estimation_mode" in args:
             args.estimation_mode = _MODE_BY_FLAG[args.estimation_mode]
         _check_flags(args)
+        if args.command in ("repair", "sweep") and Path(args.output_path).suffix == ".json":
+            raise ValueError(
+                f"--output {args.output_path} ends in .json, where the JSON summary "
+                "would overwrite the CSV; give the CSV another suffix"
+            )
         return _RUNNERS[args.command](args)
     except (InvalidMatrixError, IllDefinedVolatilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -211,8 +211,7 @@ def prune_redundant(
             blocked |= np.abs(corr.entries[i]) > bound
     sub = corr.entries[np.ix_(kept, kept)]
     ids = tuple(corr.ids[i] for i in kept) if corr.ids is not None else None
-    status = "verified-PD" if corr.psd_status == "verified-PD" else "unverified"
-    return kept, CorrelationMatrix(sub, corr.estimation_mode, status, ids)
+    return kept, CorrelationMatrix(sub, corr.estimation_mode, ids=ids)
 
 
 _REPAIR_MAX_PASSES = 1000
@@ -232,9 +231,7 @@ def rj_repair(matrix: MatrixLike, floor: float) -> MatrixLike:
 
     Returns the same kind of object it was given (correlation in,
     correlation out; covariance in, covariance out; bare array in, bare
-    array out). A correlation output's ``psd_status`` is read off the final
-    spectrum by the rule of :func:`classify_definiteness`, so the two agree;
-    it is "verified-PD" for the default floor.
+    array out).
 
     A wrapper's entries are symmetric from construction and are used as
     they are; a bare array is validated and symmetrized once, by the
@@ -274,16 +271,10 @@ def rj_repair(matrix: MatrixLike, floor: float) -> MatrixLike:
         values, vectors = np.linalg.eigh(current)
         passes += 1
     if isinstance(matrix, CorrelationMatrix):
-        out = CorrelationMatrix(
-            current, matrix.estimation_mode, _definiteness(values), matrix.ids
-        )
+        out = CorrelationMatrix(current, matrix.estimation_mode, ids=matrix.ids)
     elif isinstance(matrix, CovarianceMatrix):
         out = CovarianceMatrix(
-            current,
-            matrix.vols,
-            matrix.pairwise_counts,
-            matrix.estimation_mode,
-            matrix.ids,
+            current, matrix.pairwise_counts, matrix.estimation_mode, ids=matrix.ids
         )
     else:
         return current
@@ -421,20 +412,16 @@ def correlation_from_csv(source: str | Path | IO[str]) -> CorrelationMatrix:
 
 
 def _correlation_from_entries(ids: tuple[str, ...], entries: np.ndarray) -> CorrelationMatrix:
-    return CorrelationMatrix(entries, EXTERNAL, "unverified", ids)
+    return CorrelationMatrix(entries, EXTERNAL, ids=ids)
 
 
 def covariance_from_csv(source: str | Path | IO[str]) -> CovarianceMatrix:
-    """Load a covariance matrix; vols come from the diagonal, counts are unknown."""
+    """Load a covariance matrix; its counts are unknown (zero)."""
     return _covariance_from_entries(*_square_from_csv(source))
 
 
 def _covariance_from_entries(ids: tuple[str, ...], entries: np.ndarray) -> CovarianceMatrix:
-    diag = np.diag(entries)
-    if (diag <= 0).any():
-        raise InvalidDiagonalError("covariance diagonal must be positive")
-    counts = np.zeros(entries.shape, dtype=int)
-    return CovarianceMatrix(entries, np.sqrt(diag), counts, EXTERNAL, ids)
+    return CovarianceMatrix(entries, np.zeros(entries.shape, dtype=int), EXTERNAL, ids=ids)
 
 
 def matrix_report(matrix: MatrixLike) -> dict:

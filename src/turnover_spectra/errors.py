@@ -57,18 +57,20 @@ class InvalidMatrixError(TurnoverSpectraError, ValueError):
     """Matrix input violates a precondition on its values: it is not square,
     not finite, or not symmetric within ``1e-12 * max(1, max|a|)``; or, for a
     correlation matrix, its diagonal is off 1 or an entry leaves [-1, 1]; or,
-    for a covariance matrix, its diagonal disagrees with ``vols**2``.
+    for a covariance matrix, its diagonal is not strictly positive
+    (:class:`InvalidDiagonalError`).
 
     The matrix wrappers raise it at construction, and ``conditioning`` raises
     the structural part for a bare array by the same rule. A numeric-validity
     refusal, so the command line exits 2 on it; also a ``ValueError``, as the
-    wrappers' other argument checks (shapes of vols, counts and ids, positive
-    vols, mode and status tags) are.
+    wrappers' other argument checks (shapes of counts and ids, the mode tag)
+    are.
     """
 
 
 class InvalidDiagonalError(InvalidMatrixError):
-    """Diagonal entries must be strictly positive for repair."""
+    """A diagonal entry is not strictly positive: refused by a covariance
+    matrix at construction, and by ``rj_repair`` for a bare array."""
 
 
 class IllDefinedVolatilityError(TurnoverSpectraError):

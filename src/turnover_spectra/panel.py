@@ -19,6 +19,7 @@ from .errors import (
     CollinearFactorsError,
     CoverageError,
     DegenerateSeriesError,
+    InvalidDiagonalError,
     InvalidMatrixError,
     PanelFormatError,
     RejectedSeriesError,
@@ -31,7 +32,6 @@ EXTERNAL = "external"
 
 ESTIMATION_MODES = (COMPLETE_CASES, PAIRWISE_COMPLETE)
 _KNOWN_MODES = ESTIMATION_MODES + (EXTERNAL,)
-PSD_STATUSES = ("verified-PD", "verified-not-PSD", "unverified")
 #: How far a correlation matrix's diagonal may sit from 1, and its entries
 #: outside [-1, 1], before the wrapper refuses it.
 UNIT_DIAGONAL_TOL = 1e-12
@@ -560,15 +560,16 @@ def _symmetric(entries, what: str = "matrix") -> np.ndarray:
 class CovarianceMatrix:
     """Symmetric sample covariance with per-entry observation counts.
 
-    The diagonal is pinned to ``vols**2`` so covariance, vols and the derived
-    correlation stay mutually consistent entrywise.
+    The entries are the one stored copy of the matrix: ``vols`` is derived
+    from their diagonal, which must be strictly positive
+    (``InvalidDiagonalError``), and definiteness from their spectrum
+    (``conditioning.classify_definiteness``). ``ids`` is keyword-only.
     """
 
     entries: np.ndarray
-    vols: np.ndarray
     pairwise_counts: np.ndarray
     estimation_mode: str
-    ids: tuple[str, ...] | None = None
+    ids: tuple[str, ...] | None = field(default=None, kw_only=True)
     # ``(values, vectors)`` of ``np.linalg.eigh`` on the entries, read-only;
     # filled and read by ``conditioning._spectrum`` only.
     _eigensystem: tuple[np.ndarray, np.ndarray] | None = field(
@@ -583,15 +584,8 @@ class CovarianceMatrix:
     def __post_init__(self) -> None:
         entries = _symmetric(self.entries, "covariance matrix")
         n = entries.shape[0]
-        vols = np.array(self.vols, dtype=float)
-        if vols.shape != (n,):
-            raise ValueError("vols length must match matrix dimension")
-        if not np.isfinite(vols).all() or (vols <= 0).any():
-            raise ValueError("vols must be positive and finite")
-        diag = np.diag(entries)
-        if (np.abs(diag - vols**2) > 1e-6 * vols**2).any():
-            raise InvalidMatrixError("covariance matrix diagonal disagrees with vols**2")
-        np.fill_diagonal(entries, vols**2)
+        if (np.diag(entries) <= 0).any():
+            raise InvalidDiagonalError("covariance diagonal must be positive")
         counts = np.array(self.pairwise_counts, dtype=int)
         if counts.shape != entries.shape:
             raise ValueError("pairwise_counts shape must match entries")
@@ -601,7 +595,6 @@ class CovarianceMatrix:
         if ids is not None and len(ids) != n:
             raise ValueError("ids length must match matrix dimension")
         object.__setattr__(self, "entries", _readonly(entries))
-        object.__setattr__(self, "vols", _readonly(vols))
         object.__setattr__(self, "pairwise_counts", _readonly(counts))
         object.__setattr__(self, "ids", ids)
 
@@ -609,15 +602,26 @@ class CovarianceMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
+    @property
+    def vols(self) -> np.ndarray:
+        """``sqrt(diag(entries))``. A diagonal built as ``v * v`` gives back
+        ``v`` bit for bit, short of overflow and underflow, since the square
+        root is correctly rounded."""
+        return np.sqrt(np.diag(self.entries))
+
 
 @dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
-    """Unit-diagonal correlation matrix with estimator provenance."""
+    """Unit-diagonal correlation matrix with estimator provenance.
+
+    Definiteness is not stored: it is derived from the entries' spectrum
+    (``conditioning.classify_definiteness``), which is solved once and kept.
+    ``ids`` is keyword-only.
+    """
 
     entries: np.ndarray
     estimation_mode: str
-    psd_status: str = "unverified"
-    ids: tuple[str, ...] | None = None
+    ids: tuple[str, ...] | None = field(default=None, kw_only=True)
     # the memoised eigensystem and the repair's pass count, as in ``CovarianceMatrix``
     _eigensystem: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
@@ -641,8 +645,6 @@ class CorrelationMatrix:
         np.fill_diagonal(entries, 1.0)
         if self.estimation_mode not in _KNOWN_MODES:
             raise ValueError(f"unknown estimation_mode {self.estimation_mode!r}")
-        if self.psd_status not in PSD_STATUSES:
-            raise ValueError(f"unknown psd_status {self.psd_status!r}")
         ids = tuple(self.ids) if self.ids is not None else None
         if ids is not None and len(ids) != n:
             raise ValueError("ids length must match matrix dimension")
@@ -668,8 +670,8 @@ def _assemble(
     means: np.ndarray,
     cov_joint: np.ndarray,
     var_joint: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Covariance, correlation and vols from the joint-sample moments, after
+) -> tuple[np.ndarray, np.ndarray]:
+    """Covariance and correlation from the joint-sample moments, after
     the package's one degeneracy rule. A standard deviation is degenerate
     within ``_CONSTANT_REL_TOL * max(1, |mean|)`` of zero. Every series
     degenerate on its own sample raises one ``DegenerateSeriesError`` naming
@@ -696,12 +698,12 @@ def _assemble(
     np.clip(corr, -1.0, 1.0, out=corr)
     np.fill_diagonal(corr, 1.0)
     cov = np.outer(own_sd, own_sd) * corr
-    return cov, corr, own_sd
+    return cov, corr
 
 
 def _dense_moments(
     ids: tuple[str, ...], values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Moments of a fully observed block: the masked algebra of
     ``_masked_moments`` specialised to an all-true mask.
 
@@ -729,13 +731,13 @@ def _dense_moments(
     cov_joint /= m - 1.0
 
     means, var = (np.broadcast_to(v[:, None], (n, n)) for v in (means, var))
-    cov, corr, own_sd = _assemble(ids, center, means, cov_joint, var)
-    return cov, corr, own_sd, counts
+    cov, corr = _assemble(ids, center, means, cov_joint, var)
+    return cov, corr, counts
 
 
 def _masked_moments(
     ids: tuple[str, ...], values: np.ndarray, mask: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pairwise moment algebra for a panel with missing cells.
 
     Values are pre-centered per series (over that series' own observed
@@ -765,8 +767,8 @@ def _masked_moments(
     means = sums / nf
     cov_joint = (prods - nf * means * means.T) / (nf - 1.0)
     var_joint = np.maximum((sq - nf * means**2) / (nf - 1.0), 0.0)
-    cov, corr, own_sd = _assemble(ids, center, means, cov_joint, var_joint)
-    return cov, corr, own_sd, counts
+    cov, corr = _assemble(ids, center, means, cov_joint, var_joint)
+    return cov, corr, counts
 
 
 def sample_moments(
@@ -802,36 +804,32 @@ def sample_moments(
     ids = panel.series_ids
     full = panel.observed_mask.all(axis=0)
     if full.all():
-        cov, corr, vols, counts = _dense_moments(ids, panel.values)
+        cov, corr, counts = _dense_moments(ids, panel.values)
     elif mode == COMPLETE_CASES:
         n_full = int(full.sum())
         if n_full < 2:
             raise CoverageError(
                 f"only {n_full} timestamps observed across all series; need at least 2"
             )
-        cov, corr, vols, counts = _dense_moments(ids, panel.values[:, full])
+        cov, corr, counts = _dense_moments(ids, panel.values[:, full])
     else:
-        cov, corr, vols, counts = _masked_moments(ids, panel.values, panel.observed_mask)
-
-    covariance = CovarianceMatrix(cov, vols, counts, mode, ids)
-    correlation = CorrelationMatrix(corr, mode, "unverified", ids)
-    return covariance, correlation
+        cov, corr, counts = _masked_moments(ids, panel.values, panel.observed_mask)
+    return CovarianceMatrix(cov, counts, mode, ids=ids), CorrelationMatrix(corr, mode, ids=ids)
 
 
 def ols_residualize(
     panel: TimeSeriesPanel,
     factors: TimeSeriesPanel,
-    with_intercept: bool = True,
     *,
     keep_intercept: bool = False,
 ) -> TimeSeriesPanel:
-    """Regress every series on the factor series and return the residuals.
+    """Regress every series on a constant and the factor series and return
+    the residuals.
 
     Each series is fit over the timestamps where it and all factors are
-    observed. ``with_intercept`` adds a constant column to the design; the
-    fitted intercept is removed from the residual unless ``keep_intercept``
-    is set, which adds it back (a pure level shift with no effect on
-    downstream correlations).
+    observed. The fitted intercept is removed from the residual unless
+    ``keep_intercept`` is set, which adds it back (a pure level shift with no
+    effect on downstream correlations).
 
     Raises
     ------
@@ -855,9 +853,7 @@ def ols_residualize(
                 f"series {sid!r} has {n_joint} rows jointly observed with the "
                 f"factors; need at least {needed}"
             )
-        design = factors.values[:, joint].T
-        if with_intercept:
-            design = np.column_stack([np.ones(n_joint), design])
+        design = np.column_stack([np.ones(n_joint), factors.values[:, joint].T])
         if np.linalg.matrix_rank(design) < design.shape[1]:
             raise CollinearFactorsError(
                 f"rank-deficient factor design for series {sid!r}"
@@ -865,7 +861,7 @@ def ols_residualize(
         y = panel.values[i, joint]
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         resid = y - design @ coef
-        if with_intercept and keep_intercept:
+        if keep_intercept:
             resid = resid + coef[0]
         out_values[i, joint] = resid
         out_mask[i, joint] = True

@@ -378,7 +378,6 @@ class TurnoverReport:
     rho_star_factored: float
     p1_share: float
     warnings: list[str]
-    basis: SignedBasis = field(repr=False)
     digest: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -435,6 +434,5 @@ def turnover_report(
         rho_star_factored=relation.factored_value,
         p1_share=p1_share(basis, t),
         warnings=notes,
-        basis=basis,
         digest=digest or {},
     )

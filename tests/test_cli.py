@@ -331,6 +331,16 @@ class TestRepair:
         repaired = np.loadtxt(out, delimiter=",", skiprows=1)
         np.testing.assert_allclose(np.diag(repaired), [4.0, 9.0], atol=1e-12)
 
+    def test_covariance_diagonal_is_kept_bit_for_bit(self, tmp_path):
+        # neither 2.0 nor 3.0 is the square of a double: sqrt(2.0)**2 reads
+        # 2.0000000000000004, so vols stored beside the entries would move them
+        matrix = write(tmp_path / "cov.csv", "a,b\n2.0,3.0\n3.0,3.0\n")  # not PSD
+        out = tmp_path / "repaired.csv"
+        assert main(["repair", "--input", matrix, "--output", str(out)]) == EXIT_OK
+        repaired = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert repaired[0, 1] < 3.0
+        np.testing.assert_array_equal(np.diag(repaired), [2.0, 3.0])
+
 
     @pytest.mark.parametrize(
         "text",
@@ -509,6 +519,26 @@ def test_numeric_flag_refusal_names_the_flag(tmp_path, capsys, argv, message):
     out.mkdir()
     argv = [paths.get(arg, arg) for arg in argv]
     assert main([*argv, "--output", str(out / "result.csv")]) == EXIT_IO
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv", [["repair", "--input", "MATRIX"], ["sweep", "--grid", "10,20"]], ids=["repair", "sweep"]
+)
+def test_csv_output_ending_in_json_is_refused_before_any_work(tmp_path, capsys, argv):
+    # the JSON summary goes to the CSV's path with a .json suffix, which would
+    # then overwrite the CSV, the only copy of the repaired matrix or sweep
+    matrix = write(tmp_path / "corr.csv", "a,b\n1.0,0.4\n0.4,1.0\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    target = out / "result.json"
+    argv = [matrix if arg == "MATRIX" else arg for arg in argv]
+    assert main([*argv, "--output", str(target)]) == EXIT_IO
+    message = (
+        f"--output {target} ends in .json, where the JSON summary would overwrite "
+        "the CSV; give the CSV another suffix"
+    )
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(out.iterdir()) == []
 

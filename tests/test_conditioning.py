@@ -23,6 +23,7 @@ from turnover_spectra import (
     TimeSeriesPanel,
     classify_definiteness,
     correlation_from_csv,
+    covariance_from_csv,
     default_floor,
     eigendecompose,
     fix_sign_basis,
@@ -126,7 +127,7 @@ class TestEigendecompose:
 @st.composite
 def symmetric_matrices(draw):
     """An exactly symmetric matrix: a random upper triangle mirrored, times a
-    scale, with a positive diagonal ``vols**2``; also returns the vols."""
+    scale, with a positive diagonal."""
     n = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]))
@@ -134,7 +135,7 @@ def symmetric_matrices(draw):
     vols = rng.uniform(0.5, 2.0, n) * math.sqrt(scale)
     entries = upper + upper.T
     np.fill_diagonal(entries, vols**2)
-    return entries, vols
+    return entries
 
 
 class TestSingleValidation:
@@ -143,10 +144,9 @@ class TestSingleValidation:
 
     @given(symmetric_matrices())
     @settings(max_examples=60, deadline=None)
-    def test_exactly_symmetric_input_is_stored_and_solved_bit_for_bit(self, matrix):
-        entries, vols = matrix
+    def test_exactly_symmetric_input_is_stored_and_solved_bit_for_bit(self, entries):
         n = entries.shape[0]
-        cov = CovarianceMatrix(entries, vols, np.zeros((n, n), int), EXTERNAL)
+        cov = CovarianceMatrix(entries, np.zeros((n, n), int), EXTERNAL)
         np.testing.assert_array_equal(cov.entries, entries)
         unit = entries / np.abs(entries).max()  # exactly symmetric, entries in [-1, 1]
         np.fill_diagonal(unit, 1.0)
@@ -159,8 +159,7 @@ class TestSingleValidation:
 
     @given(symmetric_matrices(), st.sampled_from([0.25, 4.0]))
     @settings(max_examples=60, deadline=None)
-    def test_one_tolerance_for_wrappers_and_bare_arrays(self, matrix, multiple):
-        entries, vols = matrix
+    def test_one_tolerance_for_wrappers_and_bare_arrays(self, entries, multiple):
         n = entries.shape[0]
         if n < 2:
             return
@@ -169,7 +168,7 @@ class TestSingleValidation:
         counts = np.zeros((n, n), int)
         if multiple > 1:
             for build in (
-                lambda: CovarianceMatrix(bad, vols, counts, EXTERNAL),
+                lambda: CovarianceMatrix(bad, counts, EXTERNAL),
                 lambda: eigendecompose(bad),
                 lambda: rj_repair(bad, 1e-8),
             ):
@@ -177,7 +176,7 @@ class TestSingleValidation:
                     build()
                 assert isinstance(caught.value, ValueError)
         else:
-            cov = CovarianceMatrix(bad, vols, counts, EXTERNAL)
+            cov = CovarianceMatrix(bad, counts, EXTERNAL)
             np.testing.assert_array_equal(cov.entries, cov.entries.T)
             np.testing.assert_array_equal(cov.entries, 0.5 * (bad + bad.T))
             solved, reference = eigendecompose(cov), eigendecompose(bad)
@@ -196,8 +195,7 @@ class TestSingleValidation:
         eigendecompose(corr)
         fresh = random_correlation(4, 10)
         rj_repair(fresh, default_floor(10))
-        vols = np.full(3, 2.0)
-        cov = CovarianceMatrix(4.0 * np.eye(3), vols, np.zeros((3, 3), int), EXTERNAL)
+        cov = CovarianceMatrix(4.0 * np.eye(3), np.zeros((3, 3), int), EXTERNAL)
         classify_definiteness(cov)
         assert len(seen) == 3
         assert all(a is m.entries for a, m in zip(seen, (corr, fresh, cov)))
@@ -291,7 +289,7 @@ class TestRjRepair:
         values = np.linalg.eigvalsh(repaired.entries)
         assert values.min() > 0
         np.testing.assert_allclose(np.diag(repaired.entries), 1.0, atol=1e-12)
-        assert repaired.psd_status == "verified-PD"
+        assert classify_definiteness(repaired) == "verified-PD"
 
     def test_repaired_minimum_clears_half_floor(self):
         floor = default_floor(3)
@@ -306,11 +304,27 @@ class TestRjRepair:
     def test_covariance_diagonal_preserved_exactly(self):
         vols = np.array([2.0, 0.5, 1.5])
         entries = NON_PSD * np.outer(vols, vols)
-        cov = CovarianceMatrix(entries, vols, np.full((3, 3), 9), PAIRWISE_COMPLETE)
+        cov = CovarianceMatrix(entries, np.full((3, 3), 9), PAIRWISE_COMPLETE)
         repaired = rj_repair(cov, 1e-4)
         np.testing.assert_array_equal(np.diag(repaired.entries), vols**2)
         np.testing.assert_array_equal(repaired.vols, vols)
         assert np.linalg.eigvalsh(repaired.entries).min() > 0
+
+    @pytest.mark.parametrize("mode", [COMPLETE_CASES, PAIRWISE_COMPLETE])
+    def test_vols_square_to_the_diagonal_through_csv_and_repair(self, mode):
+        rng = np.random.default_rng(12)
+        values = rng.standard_normal((8, 12)) * rng.uniform(0.01, 100.0, (8, 1))
+        mask = rng.random((8, 12)) > 0.45
+        mask[:, :4] = True  # every series and pair stays estimable
+        cov, _ = sample_moments(TimeSeriesPanel(tuple("abcdefgh"), values, mask), mode)
+        buffer = io.StringIO()
+        matrix_to_csv(cov, buffer)
+        loaded = covariance_from_csv(io.StringIO(buffer.getvalue()))
+        np.testing.assert_array_equal(loaded.entries, cov.entries)
+        repaired = rj_repair(loaded, default_floor(8))
+        for matrix in (cov, loaded, repaired):
+            assert (matrix.vols**2).tobytes() == np.diag(matrix.entries).tobytes()
+        np.testing.assert_array_equal(repaired.vols, cov.vols)
 
     def test_nonpositive_diagonal_rejected(self):
         bad = np.array([[0.0, 0.1], [0.1, 1.0]])
@@ -417,9 +431,9 @@ class TestSpectrumMemo:
     def test_repair_label_agrees_with_classification_below_the_tolerance(self):
         repaired = rj_repair(CorrelationMatrix(NON_PSD, EXTERNAL), 1e-15)
         assert 0 < np.linalg.eigvalsh(repaired.entries).min() < 1e-12
-        assert repaired.psd_status == "unverified"
-        assert classify_definiteness(repaired.entries) == repaired.psd_status
-        assert classify_definiteness(repaired) == repaired.psd_status
+        # the memo the repair hands on classifies as a fresh solve does
+        assert classify_definiteness(repaired) == "unverified"
+        assert classify_definiteness(repaired.entries) == "unverified"
 
     @pytest.mark.parametrize("n", [5, 12, 50])
     def test_default_floor_repair_is_verified_pd(self, n):
@@ -430,7 +444,7 @@ class TestSpectrumMemo:
         corr = CorrelationMatrix(entries, EXTERNAL)
         assert classify_definiteness(corr) == "verified-not-PSD"
         repaired = rj_repair(corr, default_floor(n))
-        assert repaired.psd_status == "verified-PD"
+        assert classify_definiteness(repaired) == "verified-PD"
         assert classify_definiteness(repaired.entries) == "verified-PD"
 
 
@@ -450,7 +464,7 @@ def repair_inputs(draw):
         return CorrelationMatrix(entries, EXTERNAL), floor
     vols = rng.uniform(0.1, 10.0, n)
     counts = np.zeros((n, n), dtype=int)
-    return CovarianceMatrix(entries * np.outer(vols, vols), vols, counts, EXTERNAL), floor
+    return CovarianceMatrix(entries * np.outer(vols, vols), counts, EXTERNAL), floor
 
 
 @settings(max_examples=150, deadline=None)
@@ -465,8 +479,7 @@ def test_repair_memo_equals_a_fresh_solve_bit_for_bit(case, classify_first):
     assert values.tobytes() == fresh_values.tobytes()
     assert vectors.tobytes() == fresh_vectors.tobytes()
     assert not values.flags.writeable and not vectors.flags.writeable
-    if isinstance(repaired, CorrelationMatrix):
-        assert repaired.psd_status == classify_definiteness(repaired.entries)
+    assert classify_definiteness(repaired) == classify_definiteness(repaired.entries)
 
 
 class TestPortfolioVolatility:
@@ -677,7 +690,7 @@ class TestRepairPasses:
         repaired = rj_repair(CorrelationMatrix(NON_PSD, EXTERNAL), default_floor(3))
         assert repaired._repair_passes == len(eigensolves) - 1 >= 2
         vols = np.array([1.0, 2.0, 3.0])
-        cov = CovarianceMatrix(NON_PSD * np.outer(vols, vols), vols, np.zeros((3, 3), int), EXTERNAL)
+        cov = CovarianceMatrix(NON_PSD * np.outer(vols, vols), np.zeros((3, 3), int), EXTERNAL)
         assert rj_repair(cov, default_floor(3))._repair_passes == repaired._repair_passes
 
     def test_unrepaired_matrices_carry_no_count(self):

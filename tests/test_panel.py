@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from turnover_spectra import (
     COMPLETE_CASES,
+    EXTERNAL,
     PAIRWISE_COMPLETE,
     CollinearFactorsError,
     CorrelationMatrix,
     CovarianceMatrix,
     CoverageError,
     DegenerateSeriesError,
+    InvalidDiagonalError,
     InvalidMatrixError,
     PanelFormatError,
     RejectedSeriesError,
@@ -222,7 +224,7 @@ class TestResidualize:
         y = np.array([1.0, -0.5, 2.5, 0.25, -1.75])
         panel = self.one_series_panel(y)
         factors = self.one_series_panel(y, ids=("f",))
-        resid = ols_residualize(panel, factors, with_intercept=True)
+        resid = ols_residualize(panel, factors)
         np.testing.assert_allclose(resid.values[0], 0.0, atol=1e-12)
 
     def test_exact_linear_fit_zero_residuals(self):
@@ -230,7 +232,7 @@ class TestResidualize:
         y = 2.0 * f + 1.0
         panel = self.one_series_panel(y)
         factors = self.one_series_panel(f, ids=("f",))
-        resid = ols_residualize(panel, factors, with_intercept=True)
+        resid = ols_residualize(panel, factors)
         np.testing.assert_allclose(resid.values[0], 0.0, atol=1e-12)
 
     def test_orthogonal_factor_leaves_demeaned_series(self):
@@ -240,7 +242,7 @@ class TestResidualize:
         assert abs((f - f.mean()) @ (y - y.mean())) < 1e-12
         panel = self.one_series_panel(y)
         factors = self.one_series_panel(f, ids=("f",))
-        resid = ols_residualize(panel, factors, with_intercept=True)
+        resid = ols_residualize(panel, factors)
         np.testing.assert_allclose(resid.values[0], y - y.mean(), atol=1e-12)
 
     def test_keep_intercept_only_shifts_levels(self):
@@ -249,8 +251,8 @@ class TestResidualize:
         f = rng.standard_normal(12)
         panel = self.one_series_panel(y)
         factors = self.one_series_panel(f, ids=("f",))
-        pure = ols_residualize(panel, factors, with_intercept=True)
-        kept = ols_residualize(panel, factors, with_intercept=True, keep_intercept=True)
+        pure = ols_residualize(panel, factors)
+        kept = ols_residualize(panel, factors, keep_intercept=True)
         shift = kept.values[0] - pure.values[0]
         np.testing.assert_allclose(shift, shift[0], atol=1e-12)
         assert abs(shift[0]) > 1e-6  # the fitted intercept is genuinely nonzero
@@ -322,34 +324,44 @@ class TestMatrixTypes:
             CorrelationMatrix([[1.0, 0.2], [0.3, 1.0]], COMPLETE_CASES)
 
     @pytest.mark.parametrize(
-        "build, message",
+        "build, error, message",
         [
             (lambda: CorrelationMatrix([[1.0, 0.2], [0.2, 0.9]], COMPLETE_CASES),
-             "correlation matrix diagonal must be 1 within 1e-12"),
+             InvalidMatrixError, "correlation matrix diagonal must be 1 within 1e-12"),
             (lambda: CorrelationMatrix([[1.0, 1.2], [1.2, 1.0]], COMPLETE_CASES),
-             "correlation matrix entries must lie in [-1, 1]"),
-            (lambda: CovarianceMatrix([[4.0, 0.1], [0.1, 9.0]], [2.0, 2.0], np.ones((2, 2)),
-                                      COMPLETE_CASES),
-             "covariance matrix diagonal disagrees with vols**2"),
+             InvalidMatrixError, "correlation matrix entries must lie in [-1, 1]"),
+            (lambda: CovarianceMatrix([[4.0, 0.1], [0.1, 0.0]], np.ones((2, 2)), COMPLETE_CASES),
+             InvalidDiagonalError, "covariance diagonal must be positive"),
+            (lambda: CovarianceMatrix([[-4.0, 0.1], [0.1, 9.0]], np.ones((2, 2)), COMPLETE_CASES),
+             InvalidDiagonalError, "covariance diagonal must be positive"),
         ],
-        ids=["unit-diagonal", "entry-range", "vols"],
+        ids=["unit-diagonal", "entry-range", "zero-diagonal", "negative-diagonal"],
     )
-    def test_value_checks_are_invalid_matrix_errors(self, build, message):
-        with pytest.raises(InvalidMatrixError) as refused:
+    def test_value_checks_are_invalid_matrix_errors(self, build, error, message):
+        with pytest.raises(error) as refused:
             build()
+        assert isinstance(refused.value, InvalidMatrixError)
         assert str(refused.value) == message
 
     def test_shape_and_tag_checks_stay_plain_value_errors(self):
         entries = np.eye(2)
         for build in (
-            lambda: CovarianceMatrix(entries, [1.0], np.ones((2, 2)), COMPLETE_CASES),
-            lambda: CovarianceMatrix(entries, [1.0, -1.0], np.ones((2, 2)), COMPLETE_CASES),
+            lambda: CovarianceMatrix(entries, np.ones((1, 1)), COMPLETE_CASES),
+            lambda: CovarianceMatrix(entries, np.ones((2, 2)), "guessed"),
             lambda: CorrelationMatrix(entries, "guessed"),
             lambda: CorrelationMatrix(entries, COMPLETE_CASES, ids=("a",)),
         ):
             with pytest.raises(ValueError) as refused:
                 build()
             assert not isinstance(refused.value, InvalidMatrixError)
+
+    def test_ids_are_keyword_only(self):
+        # so a call still passing the removed psd_status or vols argument
+        # cannot bind it to another field
+        with pytest.raises(TypeError):
+            CorrelationMatrix(np.eye(10), COMPLETE_CASES, "unverified")
+        with pytest.raises(TypeError):
+            CovarianceMatrix(np.eye(2), np.ones(2), np.ones((2, 2)), COMPLETE_CASES)
 
     def test_panel_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -360,7 +372,7 @@ class TestValueEquality:
     ENTRIES = np.array([[1.0, 0.3], [0.3, 1.0]])
 
     def covariance(self, entries=ENTRIES, ids=("a", "b")):
-        return CovarianceMatrix(entries, np.ones(2), np.full((2, 2), 5), COMPLETE_CASES, ids)
+        return CovarianceMatrix(entries, np.full((2, 2), 5), COMPLETE_CASES, ids=ids)
 
     def panel(self, last=3.0):
         values = np.array([[1.0, 2.0, np.nan], [1.0, 2.0, last]])
@@ -379,7 +391,6 @@ class TestValueEquality:
         other = np.array([[1.0, 0.31], [0.31, 1.0]])
         assert corr != CorrelationMatrix(other, COMPLETE_CASES)
         assert corr != CorrelationMatrix(self.ENTRIES, PAIRWISE_COMPLETE)
-        assert corr != CorrelationMatrix(self.ENTRIES, COMPLETE_CASES, "verified-PD")
         assert corr != CorrelationMatrix(self.ENTRIES, COMPLETE_CASES, ids=("a", "b"))
         assert corr != CorrelationMatrix(np.eye(3), COMPLETE_CASES)  # shapes differ
         assert self.covariance() != self.covariance(ids=("a", "c"))
@@ -466,8 +477,9 @@ def fully_observed_values(seed: int, n: int, m: int, max_offset: float) -> np.nd
 def test_dense_kernel_matches_masked_reference(seed, n, m, max_offset):
     values = fully_observed_values(seed, n, m, max_offset)
     ids = tuple(f"s{i}" for i in range(n))
-    cov, corr, vols, counts = _dense_moments(ids, values)
-    cov_r, corr_r, vols_r, counts_r = _masked_moments(ids, values, np.ones((n, m), bool))
+    cov, corr, counts = _dense_moments(ids, values)
+    cov_r, corr_r, counts_r = _masked_moments(ids, values, np.ones((n, m), bool))
+    vols, vols_r = np.sqrt(np.diag(cov)), np.sqrt(np.diag(cov_r))
     np.testing.assert_allclose(corr, corr_r, rtol=0, atol=1e-12)
     np.testing.assert_allclose(vols, vols_r, rtol=1e-12, atol=0)
     # covariance relative to each entry's natural scale vol_i * vol_j
@@ -490,7 +502,7 @@ def out_of_place_dense_moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarr
     var = np.maximum((np.diag(prods) - m * means**2) / (m - 1.0), 0.0)
     ids = tuple(f"s{i}" for i in range(n))
     rows = np.tile(means[:, None], (1, n)), np.tile(var[:, None], (1, n))
-    return _assemble(ids, center, rows[0], cov_joint, rows[1])[:2]
+    return _assemble(ids, center, rows[0], cov_joint, rows[1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -502,7 +514,7 @@ def out_of_place_dense_moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarr
 )
 def test_dense_kernel_in_place_steps_keep_the_bits(seed, n, m, max_offset):
     values = fully_observed_values(seed, n, m, max_offset)
-    cov, corr, _, _ = _dense_moments(tuple(f"s{i}" for i in range(n)), values)
+    cov, corr, _ = _dense_moments(tuple(f"s{i}" for i in range(n)), values)
     cov_r, corr_r = out_of_place_dense_moments(values)
     assert cov.tobytes() == cov_r.tobytes()
     assert corr.tobytes() == corr_r.tobytes()
@@ -524,6 +536,22 @@ def test_modes_bit_identical_on_unmasked_panels(seed, n, m, max_offset):
     np.testing.assert_array_equal(cov_c.vols, cov_p.vols)
     np.testing.assert_array_equal(cov_c.pairwise_counts, cov_p.pairwise_counts)
     np.testing.assert_array_equal(corr_c.entries, corr_p.entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    exponents=st.lists(st.floats(-150.0, 150.0), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_vols_give_back_the_scales_bit_for_bit(exponents, seed):
+    # fl(v * v) is the diagonal, and a correctly rounded sqrt of it is v again
+    v = 10.0 ** np.array(exponents)
+    n = v.size
+    corr = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n))
+    corr = (corr + corr.T) / 2
+    np.fill_diagonal(corr, 1.0)
+    cov = CovarianceMatrix(np.outer(v, v) * corr, np.zeros((n, n), int), EXTERNAL)
+    assert cov.vols.tobytes() == v.tobytes()
 
 
 def _degenerate_cases():
