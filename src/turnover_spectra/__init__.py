@@ -33,7 +33,7 @@ _EXPORTS = {
         "TurnoverSpectraError", "UndefinedRegressorError",
     ),
     "panel": (
-        "COMPLETE_CASES", "ESTIMATION_MODES", "EXTERNAL", "PAIRWISE_COMPLETE",
+        "COMPLETE_CASES", "ESTIMATION_MODES", "PAIRWISE_COMPLETE",
         "CorrelationMatrix", "CovarianceMatrix", "TimeSeriesPanel",
         "load_panel", "ols_residualize", "sample_moments", "write_panel",
     ),

@@ -3,24 +3,31 @@ reduction coefficient across N, and run crossing simulations.
 
 Each command reads its own parsed arguments, and its artifact's ``config``
 block echoes exactly those arguments (the flags' ``dest`` names), after
-``main`` has resolved the seed, the grid and the estimation mode.
+``main`` has resolved the seed, the grid and the estimation mode (``null``
+for ``analyze --matrix``, whose estimator is unknown; its report's
+``inputs`` names it ``external``).
 
 Exit codes: 0 success; 1 I/O or parse failure: a missing file, a bad
-argument or a numeric flag out of range, a malformed CSV. Panels and matrix
-CSVs share one reader and one header rule, so a blank or repeated id, or a
-header with no data rows after it (a header-only matrix CSV included), exits
-1 in either layout. 2 numeric-validity refusal: a matrix that is not square,
-finite and symmetric, a correlation matrix whose diagonal is off 1 or whose
-entries leave [-1, 1] (``InvalidMatrixError``, from ``repair`` and
-``analyze --matrix`` alike), a covariance matrix with a non-positive
-diagonal entry (``InvalidDiagonalError``), a repair that does not converge, a
-non-PSD matrix under ``--no-repair``, an indefinite quadratic form.
+argument or a numeric flag out of range, ``--mode`` given with ``--matrix``
+(refused before any input is read, as ``--factors`` with ``--matrix`` is),
+a malformed CSV. Panels and matrix CSVs share one reader and one header
+rule, so a blank or repeated id, or a header with no data rows after it (a
+header-only matrix CSV included), exits 1 in either layout. 2
+numeric-validity refusal: a matrix that is not square, finite and
+symmetric, a correlation matrix whose diagonal is off 1 or whose entries
+leave [-1, 1] (``InvalidMatrixError``, from ``repair`` and ``analyze
+--matrix`` alike), a covariance matrix with a non-positive diagonal entry
+(``InvalidDiagonalError``), a repair that does not converge, a non-PSD
+matrix under ``--no-repair`` (also an ``InvalidMatrixError``), an
+indefinite quadratic form.
 
-Artifacts. Each command writes a JSON object with sorted keys and a
-``config`` block; ``repair`` and ``sweep`` also write a CSV, and their JSON
-goes beside it, the CSV's path with a ``.json`` suffix. So their
-``--output`` may not itself end in ``.json``, where the JSON would overwrite
-the CSV: ``main`` refuses it (exit 1) before any input is read.
+Artifacts. Each command's runner returns the body of its JSON artifact,
+and ``main`` alone writes it, with sorted keys and the ``config`` block.
+``repair`` and ``sweep`` also write a CSV, and their JSON goes beside it,
+the CSV's path with a ``.json`` suffix (``_json_path``). So their
+``--output`` may not itself end in ``.json``, in any case (``.JSON`` names
+the same file on a case-insensitive file system), where the JSON would
+overwrite the CSV: ``main`` refuses it (exit 1) before any input is read.
 
 - ``analyze``: JSON ``config`` and ``report`` (the turnover models and
   coefficients, ``warnings``, which may hold ``degenerate-top``, and an
@@ -72,7 +79,6 @@ if "numpy" not in sys.modules and not any(var in os.environ for var in _THREAD_V
 import numpy as np
 
 from .conditioning import (
-    _correlation_from_entries,
     _covariance_from_entries,
     _spectrum,
     _square_from_csv,
@@ -94,6 +100,7 @@ from .panel import (
     COMPLETE_CASES,
     PAIRWISE_COMPLETE,
     UNIT_DIAGONAL_TOL,
+    CorrelationMatrix,
     load_panel,
     ols_residualize,
     sample_moments,
@@ -138,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="panel CSV (or matrix CSV with --matrix)")
     analyze.add_argument("--output", dest="output_path", required=True, help="JSON report path")
     analyze.add_argument("--mode", dest="estimation_mode", choices=sorted(_MODE_BY_FLAG),
-                         default="complete")
+                         help="estimator for a panel (default complete); not with --matrix")
     analyze.add_argument("--prune", dest="prune_bound", type=float, default=0.9, metavar="BOUND",
                          help="redundancy bound on |correlation| (default 0.9)")
     analyze.add_argument("--repair", action=argparse.BooleanOptionalAction, default=True,
@@ -244,6 +251,18 @@ def _write_json(payload: dict, path: str | Path) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
+# the commands whose ``--output`` is a CSV, with the JSON artifact beside it
+_CSV_COMMANDS = ("repair", "sweep")
+
+
+def _json_path(args: argparse.Namespace) -> Path:
+    """Where the command's JSON artifact goes: ``--output`` itself, or for a
+    command in ``_CSV_COMMANDS`` the CSV's path with a ``.json`` suffix (a
+    path with no name, ``.`` say, then fails where the CSV is written)."""
+    output = Path(args.output_path)
+    return output.parent / f"{output.stem}.json" if args.command in _CSV_COMMANDS else output
+
+
 def _parse_grid(spec: str) -> tuple[int, ...]:
     try:
         values = sorted({int(part) for part in spec.split(",") if part.strip()})
@@ -256,7 +275,7 @@ def _parse_grid(spec: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def run_analyze(args: argparse.Namespace) -> int:
+def run_analyze(args: argparse.Namespace) -> dict:
     residualized = False
     factor_ids: list[str] = []
     n_timestamps = None
@@ -282,12 +301,10 @@ def run_analyze(args: argparse.Namespace) -> int:
     floor = args.repair_floor if args.repair_floor is not None else default_floor(pruned.n)
     status_before = classify_definiteness(pruned)
     if not args.repair and status_before == "verified-not-PSD":
-        print(
-            "error: correlation matrix is not positive semi-definite; "
-            "re-run with --repair to floor the spectrum",
-            file=sys.stderr,
+        raise InvalidMatrixError(
+            "correlation matrix is not positive semi-definite; "
+            "re-run with --repair to floor the spectrum"
         )
-        return EXIT_NUMERIC
     corr = rj_repair(pruned, floor) if args.repair else pruned
 
     # the classification's solve serves the repair's first pass, and the
@@ -300,7 +317,7 @@ def run_analyze(args: argparse.Namespace) -> int:
         "n_kept": corr.n,
         "kept_indices": list(kept),
         "n_timestamps": n_timestamps,
-        "estimation_mode": corr.estimation_mode,
+        "estimation_mode": "external" if args.matrix_input else args.estimation_mode,
         "prune_bound": args.prune_bound,
         "repaired": bool(args.repair),
         "repair_floor": floor if args.repair else None,
@@ -316,29 +333,22 @@ def run_analyze(args: argparse.Namespace) -> int:
         "weights": "uniform (tau_i = 1, w_i = 1/N; turnovers are reduction factors)",
     }
     report = turnover_report(basis, corr, weighted, digest=digest)
-    _write_json({"config": vars(args), "report": report.to_dict()}, args.output_path)
-    return EXIT_OK
+    return {"report": report.to_dict()}
 
 
-def run_repair(args: argparse.Namespace) -> int:
+def run_repair(args: argparse.Namespace) -> dict:
     ids, entries = _square_from_csv(args.input_path)
     if np.all(np.abs(np.diag(entries) - 1.0) <= UNIT_DIAGONAL_TOL):
-        matrix = _correlation_from_entries(ids, entries)
+        matrix = CorrelationMatrix(entries, ids=ids)
     else:
         matrix = _covariance_from_entries(ids, entries)
     floor = args.repair_floor if args.repair_floor is not None else default_floor(matrix.n)
     repaired = rj_repair(matrix, floor)
     matrix_to_csv(repaired, args.output_path)
-    summary = {
-        "config": vars(args),
-        "repair_floor": floor,
-        "report": matrix_report(repaired),
-    }
-    _write_json(summary, Path(args.output_path).with_suffix(".json"))
-    return EXIT_OK
+    return {"repair_floor": floor, "report": matrix_report(repaired)}
 
 
-def run_sweep(args: argparse.Namespace) -> int:
+def run_sweep(args: argparse.Namespace) -> dict:
     generator = one_factor_generator(args.rho, args.n_periods)
     options = SweepOptions(
         estimation_mode=args.estimation_mode,
@@ -347,12 +357,10 @@ def run_sweep(args: argparse.Namespace) -> int:
     )
     result = sweep_rho_star(args.grid, generator, options, args.seed)
     sweep_to_csv(result, args.output_path)
-    summary = {"config": vars(args), **asdict(result), "f_statistic": result.reported_f}
-    _write_json(summary, Path(args.output_path).with_suffix(".json"))
-    return EXIT_OK
+    return {**asdict(result), "f_statistic": result.reported_f}
 
 
-def run_simulate(args: argparse.Namespace) -> int:
+def run_simulate(args: argparse.Namespace) -> dict:
     sim_config = SimConfig(
         n_alphas=args.n_alphas,
         n_periods=2,
@@ -361,9 +369,7 @@ def run_simulate(args: argparse.Namespace) -> int:
         master_seed=args.seed,
         n_paths=args.n_paths,
     )
-    result = simulate_crossing_paths(sim_config)
-    _write_json({"config": vars(args), **asdict(result)}, args.output_path)
-    return EXIT_OK
+    return asdict(simulate_crossing_paths(sim_config))
 
 
 _RUNNERS = {
@@ -382,15 +388,26 @@ def main(argv: list[str] | None = None) -> int:
             args.seed = _resolve_seed(args.seed)
         if "grid" in args:
             args.grid = _parse_grid(args.grid)
-        if "estimation_mode" in args:
-            args.estimation_mode = _MODE_BY_FLAG[args.estimation_mode]
+        if args.command == "analyze" and args.matrix_input:
+            if args.estimation_mode is not None:
+                raise ValueError(
+                    "--mode does not apply with --matrix: the matrix's estimator is unknown"
+                )
+        elif "estimation_mode" in args:
+            args.estimation_mode = _MODE_BY_FLAG[args.estimation_mode or "complete"]
         _check_flags(args)
-        if args.command in ("repair", "sweep") and Path(args.output_path).suffix == ".json":
+        json_path = _json_path(args)
+        # compared without case, as a case-insensitive file system names files
+        if args.command in _CSV_COMMANDS and (
+            json_path.name.lower() == Path(args.output_path).name.lower()
+        ):
             raise ValueError(
                 f"--output {args.output_path} ends in .json, where the JSON summary "
                 "would overwrite the CSV; give the CSV another suffix"
             )
-        return _RUNNERS[args.command](args)
+        body = _RUNNERS[args.command](args)
+        _write_json({"config": vars(args), **body}, json_path)
+        return EXIT_OK
     except (InvalidMatrixError, IllDefinedVolatilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -18,7 +18,6 @@ from .errors import (
     PanelFormatError,
 )
 from .panel import (
-    EXTERNAL,
     CorrelationMatrix,
     CovarianceMatrix,
     _read_grid,
@@ -42,15 +41,19 @@ class SpectralDecomposition:
     Column ``p`` of ``eigenvectors`` pairs with ``eigenvalues[p]``; columns
     are orthonormal, with each one oriented so its largest-magnitude
     component is positive, making the decomposition deterministic for
-    identical inputs. A decomposition from :func:`_leading_pair` holds the
-    top pair only; its ``source_dim`` is still the matrix dimension.
+    identical inputs. ``source_dim``, the matrix dimension, is derived from
+    the vectors' length, so a decomposition from :func:`_leading_pair`,
+    which holds the top pair only as one N x 1 column, has it too.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    source_dim: int
     top_gap: float
     orthonormality_residual: float
+
+    @property
+    def source_dim(self) -> int:
+        return self.eigenvectors.shape[0]
 
     def reconstruct(self) -> np.ndarray:
         """V diag(w) V^T."""
@@ -126,7 +129,7 @@ def _leading_pair(corr: CorrelationMatrix, floor: float | None) -> SpectralDecom
     convergence within the cap, a top not isolated) returns None, and the
     caller takes the full ``eigh`` path. The result holds the one pair,
     oriented like :func:`eigendecompose`'s columns; ``top_gap`` is the
-    certified lower bound on ``lambda_1 - lambda_2`` and ``source_dim`` is N.
+    certified lower bound on ``lambda_1 - lambda_2``.
     It makes no ``eigh`` call.
     """
     a = corr.entries
@@ -163,7 +166,7 @@ def _leading_pair(corr: CorrelationMatrix, floor: float | None) -> SpectralDecom
     if u[np.argmax(np.abs(u))] < 0:
         u = -u
     gap = low - runner_up(low)
-    return SpectralDecomposition(np.array([theta]), u[:, None], n, gap, abs(float(u @ u) - 1.0))
+    return SpectralDecomposition(np.array([theta]), u[:, None], gap, abs(float(u @ u) - 1.0))
 
 
 def eigendecompose(matrix: MatrixLike) -> SpectralDecomposition:
@@ -187,7 +190,7 @@ def eigendecompose(matrix: MatrixLike) -> SpectralDecomposition:
     vectors = np.where(flip[None, :], -vectors, vectors)
     residual = float(np.abs(vectors.T @ vectors - np.eye(n)).max())
     top_gap = float(values[0] - values[1]) if n > 1 else math.inf
-    return SpectralDecomposition(values, vectors, n, top_gap, residual)
+    return SpectralDecomposition(values, vectors, top_gap, residual)
 
 
 def prune_redundant(
@@ -211,7 +214,7 @@ def prune_redundant(
             blocked |= np.abs(corr.entries[i]) > bound
     sub = corr.entries[np.ix_(kept, kept)]
     ids = tuple(corr.ids[i] for i in kept) if corr.ids is not None else None
-    return kept, CorrelationMatrix(sub, corr.estimation_mode, ids=ids)
+    return kept, CorrelationMatrix(sub, ids=ids)
 
 
 _REPAIR_MAX_PASSES = 1000
@@ -271,11 +274,9 @@ def rj_repair(matrix: MatrixLike, floor: float) -> MatrixLike:
         values, vectors = np.linalg.eigh(current)
         passes += 1
     if isinstance(matrix, CorrelationMatrix):
-        out = CorrelationMatrix(current, matrix.estimation_mode, ids=matrix.ids)
+        out = CorrelationMatrix(current, ids=matrix.ids)
     elif isinstance(matrix, CovarianceMatrix):
-        out = CovarianceMatrix(
-            current, matrix.pairwise_counts, matrix.estimation_mode, ids=matrix.ids
-        )
+        out = CovarianceMatrix(current, matrix.pairwise_counts, ids=matrix.ids)
     else:
         return current
     if np.array_equal(out.entries, current):
@@ -408,11 +409,8 @@ def _square_from_csv(source: str | Path | IO[str]) -> tuple[tuple[str, ...], np.
 
 def correlation_from_csv(source: str | Path | IO[str]) -> CorrelationMatrix:
     """Load a correlation matrix from the square-CSV layout."""
-    return _correlation_from_entries(*_square_from_csv(source))
-
-
-def _correlation_from_entries(ids: tuple[str, ...], entries: np.ndarray) -> CorrelationMatrix:
-    return CorrelationMatrix(entries, EXTERNAL, ids=ids)
+    ids, entries = _square_from_csv(source)
+    return CorrelationMatrix(entries, ids=ids)
 
 
 def covariance_from_csv(source: str | Path | IO[str]) -> CovarianceMatrix:
@@ -421,7 +419,7 @@ def covariance_from_csv(source: str | Path | IO[str]) -> CovarianceMatrix:
 
 
 def _covariance_from_entries(ids: tuple[str, ...], entries: np.ndarray) -> CovarianceMatrix:
-    return CovarianceMatrix(entries, np.zeros(entries.shape, dtype=int), EXTERNAL, ids=ids)
+    return CovarianceMatrix(entries, np.zeros(entries.shape, dtype=int), ids=ids)
 
 
 def matrix_report(matrix: MatrixLike) -> dict:

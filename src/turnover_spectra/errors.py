@@ -63,8 +63,7 @@ class InvalidMatrixError(TurnoverSpectraError, ValueError):
     The matrix wrappers raise it at construction, and ``conditioning`` raises
     the structural part for a bare array by the same rule. A numeric-validity
     refusal, so the command line exits 2 on it; also a ``ValueError``, as the
-    wrappers' other argument checks (shapes of counts and ids, the mode tag)
-    are.
+    wrappers' other argument checks (the shapes of counts and ids) are.
     """
 
 

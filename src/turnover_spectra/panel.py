@@ -27,11 +27,7 @@ from .errors import (
 
 COMPLETE_CASES = "complete-cases"
 PAIRWISE_COMPLETE = "pairwise-complete"
-#: Mode tag for matrices deserialized from disk, where the estimator is unknown.
-EXTERNAL = "external"
-
 ESTIMATION_MODES = (COMPLETE_CASES, PAIRWISE_COMPLETE)
-_KNOWN_MODES = ESTIMATION_MODES + (EXTERNAL,)
 #: How far a correlation matrix's diagonal may sit from 1, and its entries
 #: outside [-1, 1], before the wrapper refuses it.
 UNIT_DIAGONAL_TOL = 1e-12
@@ -84,13 +80,15 @@ class TimeSeriesPanel:
     """N return series over M+1 timestamps.
 
     ``values[i, s]`` holds series ``i`` at timestamp ``t_s`` where ``s = 0``
-    is the most recent period; unobserved cells are NaN and flagged False in
-    ``observed_mask``. Every series must carry at least two observations.
+    is the most recent period. NaN is the one marker of an unobserved cell,
+    so the values are the panel's only stored copy: ``observed_mask`` is
+    derived from them. An infinite value is refused (``ValueError``), and
+    every series must carry at least two observations
+    (``RejectedSeriesError``).
     """
 
     series_ids: tuple[str, ...]
     values: np.ndarray
-    observed_mask: np.ndarray
 
     __eq__ = _value_eq
     __hash__ = None  # equal by value, and the arrays are not hashable
@@ -98,24 +96,25 @@ class TimeSeriesPanel:
     def __post_init__(self) -> None:
         ids = tuple(str(s) for s in self.series_ids)
         values = np.array(self.values, dtype=float)
-        mask = np.array(self.observed_mask, dtype=bool)
         if values.ndim != 2:
             raise ValueError("values must be a 2-D array (series x timestamps)")
-        if mask.shape != values.shape:
-            raise ValueError("observed_mask shape must match values")
         if len(ids) != values.shape[0]:
             raise ValueError("series_ids length must match the number of series")
         if values.shape[0] < 1:
             raise ValueError("panel needs at least one series")
-        if (mask & ~np.isfinite(values)).any():
-            raise ValueError("observed values must be finite")
-        short = mask.sum(axis=1) < 2
+        if np.isinf(values).any():
+            raise ValueError("values must be finite, or NaN where unobserved")
+        short = np.count_nonzero(~np.isnan(values), axis=1) < 2
         if short.any():
             raise RejectedSeriesError(ids[i] for i in np.flatnonzero(short))
-        values[~mask] = np.nan  # ``values`` is this panel's own copy
         object.__setattr__(self, "series_ids", ids)
         object.__setattr__(self, "values", _readonly(values))
-        object.__setattr__(self, "observed_mask", _readonly(mask))
+
+    @property
+    def observed_mask(self) -> np.ndarray:
+        """``isfinite(values)``: True at every observed cell, computed anew
+        on each read."""
+        return _readonly(np.isfinite(self.values))
 
     @property
     def n_series(self) -> int:
@@ -491,12 +490,12 @@ def _grid_from_rows(rows: list[list[str]]) -> tuple[tuple[str, ...], np.ndarray,
     return header, values, empty
 
 
-def load_panel(source: str | Path | IO[str], *, oldest_first: bool = False) -> TimeSeriesPanel:
+def load_panel(source: str | Path | IO[str]) -> TimeSeriesPanel:
     """Read a panel from CSV text.
 
     The header row carries the series ids; every following row is one
-    timestamp, most recent first (set ``oldest_first`` when the file is in
-    chronological order instead). Empty cells mark missing observations.
+    timestamp, most recent first. Empty cells mark missing observations and
+    read as NaN, the panel's one marker of a missing cell.
 
     The text is read by the package's one CSV reader, which square-matrix
     CSVs share, header rule included; :func:`_read_grid` states when it reads
@@ -520,9 +519,7 @@ def load_panel(source: str | Path | IO[str], *, oldest_first: bool = False) -> T
         raise PanelFormatError(
             f"non-finite cell '{values[r, c]}'", row=r + 1, column=header[c]
         )
-    if oldest_first:
-        values, empty = values[::-1], empty[::-1]
-    return TimeSeriesPanel(header, values.T, ~empty.T)
+    return TimeSeriesPanel(header, values.T)
 
 
 def write_panel(panel: TimeSeriesPanel, dest: str | Path | IO[str]) -> None:
@@ -563,12 +560,13 @@ class CovarianceMatrix:
     The entries are the one stored copy of the matrix: ``vols`` is derived
     from their diagonal, which must be strictly positive
     (``InvalidDiagonalError``), and definiteness from their spectrum
-    (``conditioning.classify_definiteness``). ``ids`` is keyword-only.
+    (``conditioning.classify_definiteness``). The estimator that made the
+    entries is not stored: it is the caller's to report. ``ids`` is
+    keyword-only.
     """
 
     entries: np.ndarray
     pairwise_counts: np.ndarray
-    estimation_mode: str
     ids: tuple[str, ...] | None = field(default=None, kw_only=True)
     # ``(values, vectors)`` of ``np.linalg.eigh`` on the entries, read-only;
     # filled and read by ``conditioning._spectrum`` only.
@@ -589,8 +587,6 @@ class CovarianceMatrix:
         counts = np.array(self.pairwise_counts, dtype=int)
         if counts.shape != entries.shape:
             raise ValueError("pairwise_counts shape must match entries")
-        if self.estimation_mode not in _KNOWN_MODES:
-            raise ValueError(f"unknown estimation_mode {self.estimation_mode!r}")
         ids = tuple(self.ids) if self.ids is not None else None
         if ids is not None and len(ids) != n:
             raise ValueError("ids length must match matrix dimension")
@@ -612,15 +608,15 @@ class CovarianceMatrix:
 
 @dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
-    """Unit-diagonal correlation matrix with estimator provenance.
+    """Unit-diagonal correlation matrix.
 
     Definiteness is not stored: it is derived from the entries' spectrum
     (``conditioning.classify_definiteness``), which is solved once and kept.
-    ``ids`` is keyword-only.
+    Nor is the estimator that made the entries: it is the caller's to
+    report. ``ids`` is keyword-only.
     """
 
     entries: np.ndarray
-    estimation_mode: str
     ids: tuple[str, ...] | None = field(default=None, kw_only=True)
     # the memoised eigensystem and the repair's pass count, as in ``CovarianceMatrix``
     _eigensystem: tuple[np.ndarray, np.ndarray] | None = field(
@@ -643,8 +639,6 @@ class CorrelationMatrix:
             raise InvalidMatrixError("correlation matrix entries must lie in [-1, 1]")
         np.clip(entries, -1.0, 1.0, out=entries)
         np.fill_diagonal(entries, 1.0)
-        if self.estimation_mode not in _KNOWN_MODES:
-            raise ValueError(f"unknown estimation_mode {self.estimation_mode!r}")
         ids = tuple(self.ids) if self.ids is not None else None
         if ids is not None and len(ids) != n:
             raise ValueError("ids length must match matrix dimension")
@@ -802,7 +796,8 @@ def sample_moments(
         raise ValueError("sample moments need at least two series")
 
     ids = panel.series_ids
-    full = panel.observed_mask.all(axis=0)
+    mask = panel.observed_mask
+    full = mask.all(axis=0)
     if full.all():
         cov, corr, counts = _dense_moments(ids, panel.values)
     elif mode == COMPLETE_CASES:
@@ -813,8 +808,8 @@ def sample_moments(
             )
         cov, corr, counts = _dense_moments(ids, panel.values[:, full])
     else:
-        cov, corr, counts = _masked_moments(ids, panel.values, panel.observed_mask)
-    return CovarianceMatrix(cov, counts, mode, ids=ids), CorrelationMatrix(corr, mode, ids=ids)
+        cov, corr, counts = _masked_moments(ids, panel.values, mask)
+    return CovarianceMatrix(cov, counts, ids=ids), CorrelationMatrix(corr, ids=ids)
 
 
 def ols_residualize(
@@ -843,10 +838,10 @@ def ols_residualize(
     factor_obs = factors.observed_mask.all(axis=0)
     needed = factors.n_series + 2
 
+    observed = panel.observed_mask
     out_values = np.full(panel.values.shape, np.nan)
-    out_mask = np.zeros(panel.values.shape, dtype=bool)
     for i, sid in enumerate(panel.series_ids):
-        joint = panel.observed_mask[i] & factor_obs
+        joint = observed[i] & factor_obs
         n_joint = int(joint.sum())
         if n_joint < needed:
             raise CoverageError(
@@ -864,5 +859,4 @@ def ols_residualize(
         if keep_intercept:
             resid = resid + coef[0]
         out_values[i, joint] = resid
-        out_mask[i, joint] = True
-    return TimeSeriesPanel(panel.series_ids, out_values, out_mask)
+    return TimeSeriesPanel(panel.series_ids, out_values)

@@ -87,7 +87,7 @@ def gen_one_factor_panel(config: SimConfig) -> TimeSeriesPanel:
     for row, loading in zip(values, b):
         row += loading * common
     ids = tuple(f"a{i + 1:04d}" for i in range(config.n_alphas))
-    return TimeSeriesPanel(ids, values, np.ones_like(values, dtype=bool))
+    return TimeSeriesPanel(ids, values)
 
 
 def one_factor_correlation(loadings) -> np.ndarray:

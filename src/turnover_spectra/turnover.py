@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,14 +68,7 @@ def fix_sign_basis(decomp: SpectralDecomposition) -> SignedBasis:
     """
     tolerance = _DEGENERACY_RTOL * decomp.source_dim * abs(float(decomp.eigenvalues[0]))
     signs = np.where(decomp.eigenvectors[:, 0] < 0.0, -1.0, 1.0)
-    flipped = decomp.eigenvectors * signs[:, None]
-    resigned = SpectralDecomposition(
-        decomp.eigenvalues,
-        flipped,
-        decomp.source_dim,
-        decomp.top_gap,
-        decomp.orthonormality_residual,
-    )
+    resigned = replace(decomp, eigenvectors=decomp.eigenvectors * signs[:, None])
     return SignedBasis(signs, resigned, bool(decomp.top_gap <= tolerance))
 
 

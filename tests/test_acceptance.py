@@ -82,7 +82,7 @@ def uniform_basis(n: int, rho: float):
         vectors[:p, p] = 1.0 / math.sqrt(p * (p + 1))
         vectors[p, p] = -p / math.sqrt(p * (p + 1))
     eigenvalues = np.concatenate([[1.0 + (n - 1) * rho], np.full(n - 1, 1.0 - rho)])
-    return fix_sign_basis(SpectralDecomposition(eigenvalues, vectors, n, n * rho, 0.0))
+    return fix_sign_basis(SpectralDecomposition(eigenvalues, vectors, n * rho, 0.0))
 
 
 def random_pd_correlation(seed: int, n: int) -> np.ndarray:
@@ -100,7 +100,7 @@ def masked_panel(seed: int, n: int = 50, t: int = 40, missing: float = 0.45) -> 
     values = rng.standard_normal((n, t))
     mask = rng.random((n, t)) > missing
     mask[:, :2] = True  # keep every series and pair estimable
-    return TimeSeriesPanel(tuple(f"s{i}" for i in range(n)), values, mask)
+    return TimeSeriesPanel(tuple(f"s{i}" for i in range(n)), np.where(mask, values, np.nan))
 
 
 def test_c01_uniform_correlation_exactness():

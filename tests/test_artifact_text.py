@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turnover_spectra import (
-    EXTERNAL,
     CorrelationMatrix,
     SweepResult,
     TimeSeriesPanel,
@@ -59,7 +58,7 @@ def panels(draw):
     mask = np.array([[draw(st.booleans()) for _ in range(m)] for _ in range(n)])
     for row in mask:
         row[draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))] = True
-    return TimeSeriesPanel(tuple(f"s{i}" for i in range(n)), values, mask)
+    return TimeSeriesPanel(tuple(f"s{i}" for i in range(n)), np.where(mask, values, np.nan))
 
 
 @settings(max_examples=200, deadline=None)
@@ -90,7 +89,7 @@ def test_matrix_to_csv_matches_the_per_cell_rule(entries, wrapped):
     if wrapped:  # a correlation wrapper keeps the unit diagonal and [-1, 1]
         entries = np.clip(entries, -1.0, 1.0)
         np.fill_diagonal(entries, 1.0)
-        matrix = CorrelationMatrix(entries, EXTERNAL, ids=ids)
+        matrix = CorrelationMatrix(entries, ids=ids)
     else:
         matrix = entries
     rows = [[repr(float(x)) for x in row] for row in entries]

@@ -82,7 +82,11 @@ class TestAnalyze:
             "--mode", "pairwise", "--no-repair",
         ])
         assert code == EXIT_NUMERIC
-        assert "--repair" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: correlation matrix is not positive semi-definite; "
+            "re-run with --repair to floor the spectrum\n"
+        )
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["panel.csv"]
 
     def test_non_psd_pairwise_with_repair_succeeds(self, tmp_path):
         panel = write(tmp_path / "panel.csv", NON_PSD_PANEL_CSV)
@@ -124,6 +128,35 @@ class TestAnalyze:
         assert report["rho_star"] == pytest.approx(0.7, abs=1e-10)
         # the matrix's provenance, not the --mode default
         assert report["inputs"]["estimation_mode"] == "external"
+
+    @pytest.mark.parametrize("mode", ["complete", "pairwise"])
+    def test_mode_with_matrix_is_refused_before_any_input_is_read(self, tmp_path, capsys, mode):
+        # the input does not exist: a refusal after reading it would say so instead
+        out = tmp_path / "r.json"
+        argv = ["analyze", "--input", str(tmp_path / "absent.csv"), "--output", str(out)]
+        assert main([*argv, "--matrix", "--mode", mode]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            "error: --mode does not apply with --matrix: the matrix's estimator is unknown\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "extra, echoed, reported",
+        [
+            ([], "complete-cases", "complete-cases"),
+            (["--mode", "pairwise"], "pairwise-complete", "pairwise-complete"),
+            (["--matrix"], None, "external"),
+        ],
+        ids=["panel-default", "panel-pairwise", "matrix"],
+    )
+    def test_config_and_report_echo_the_estimation_mode(self, tmp_path, extra, echoed, reported):
+        matrix = "a,b,c\n1.0,0.4,0.1\n0.4,1.0,0.2\n0.1,0.2,1.0\n"
+        source = write(tmp_path / "input.csv", matrix if "--matrix" in extra else PANEL_CSV)
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--input", source, "--output", str(out), *extra]) == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["config"]["estimation_mode"] == echoed
+        assert payload["report"]["inputs"]["estimation_mode"] == reported
 
     def test_factors_with_matrix_is_a_usage_error(self, tmp_path, capsys):
         matrix = write(tmp_path / "corr.csv", "x,y\n1.0,0.4\n0.4,1.0\n")
@@ -529,18 +562,33 @@ def test_numeric_flag_refusal_names_the_flag(tmp_path, capsys, argv, message):
 def test_csv_output_ending_in_json_is_refused_before_any_work(tmp_path, capsys, argv):
     # the JSON summary goes to the CSV's path with a .json suffix, which would
     # then overwrite the CSV, the only copy of the repaired matrix or sweep
+    # (in any case: on a case-insensitive file system result.JSON is result.json)
     matrix = write(tmp_path / "corr.csv", "a,b\n1.0,0.4\n0.4,1.0\n")
     out = tmp_path / "out"
     out.mkdir()
-    target = out / "result.json"
     argv = [matrix if arg == "MATRIX" else arg for arg in argv]
-    assert main([*argv, "--output", str(target)]) == EXIT_IO
-    message = (
-        f"--output {target} ends in .json, where the JSON summary would overwrite "
-        "the CSV; give the CSV another suffix"
-    )
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert list(out.iterdir()) == []
+    for name in ("result.json", "result.JSON"):
+        target = out / name
+        assert main([*argv, "--output", str(target)]) == EXIT_IO
+        message = (
+            f"--output {target} ends in .json, where the JSON summary would overwrite "
+            "the CSV; give the CSV another suffix"
+        )
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv", [["repair", "--input", "MATRIX"], ["sweep", "--grid", "10,20"]], ids=["repair", "sweep"]
+)
+def test_csv_output_with_no_name_fails_where_the_csv_is_written(tmp_path, capsys, monkeypatch, argv):
+    # the JSON path is derived without raising, so the error is the CSV write's own
+    matrix = write(tmp_path / "corr.csv", "a,b\n1.0,0.4\n0.4,1.0\n")
+    monkeypatch.chdir(tmp_path)
+    argv = [matrix if arg == "MATRIX" else arg for arg in argv]
+    assert main([*argv, "--output", "."]) == EXIT_IO
+    assert capsys.readouterr().err == "error: [Errno 21] Is a directory: '.'\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["corr.csv"]
 
 
 @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--grid", "10,20"]],
@@ -630,7 +678,8 @@ PARSER_OPTIONS = {
     "analyze": {
         "--input": (None, None, True),
         "--output": (None, None, True),
-        "--mode": ("complete", ["complete", "pairwise"], False),
+        # no default, so that main can refuse --mode with --matrix
+        "--mode": (None, ["complete", "pairwise"], False),
         "--prune": (0.9, None, False),
         "--repair/--no-repair": (True, None, False),
         "--floor": (None, None, False),
@@ -755,7 +804,8 @@ class TestThreadCounts:
         and the repair floors a cluster of eigenvalues."""
         values = gen_one_factor_panel(SimConfig(self.N, 900, target_correlation=0.3, master_seed=6)).values
         mask = np.random.default_rng(3).random(values.shape) > 0.45
-        return TimeSeriesPanel(tuple(f"s{i}" for i in range(self.N)), values, mask)
+        ids = tuple(f"s{i}" for i in range(self.N))
+        return TimeSeriesPanel(ids, np.where(mask, values, np.nan))
 
     def test_importing_the_cli_sets_one_thread(self):
         counts, _ = _after_import("import turnover_spectra.cli", _thread_env())
@@ -789,7 +839,7 @@ class TestThreadCounts:
 
     def test_analyze_on_a_complete_panel(self, tmp_path):
         panel = gen_one_factor_panel(SimConfig(self.N, 3000, target_correlation=0.3, master_seed=5))
-        panel = TimeSeriesPanel(panel.series_ids, np.round(panel.values, 4), panel.observed_mask)
+        panel = TimeSeriesPanel(panel.series_ids, np.round(panel.values, 4))
         write_panel(panel, tmp_path / "panel.csv")
         top = eigendecompose(sample_moments(panel)[1]).eigenvalues[0]
         reports = []

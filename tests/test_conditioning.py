@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from turnover_spectra import (
     COMPLETE_CASES,
-    EXTERNAL,
     PAIRWISE_COMPLETE,
     CorrelationMatrix,
     CovarianceMatrix,
@@ -20,6 +19,7 @@ from turnover_spectra import (
     IllDefinedVolatilityError,
     InvalidDiagonalError,
     InvalidMatrixError,
+    SpectralDecomposition,
     TimeSeriesPanel,
     classify_definiteness,
     correlation_from_csv,
@@ -54,7 +54,7 @@ def random_correlation(seed: int, n: int) -> CorrelationMatrix:
     vols = np.sqrt(np.diag(cov))
     corr = cov / np.outer(vols, vols)
     np.fill_diagonal(corr, 1.0)
-    return CorrelationMatrix(corr, COMPLETE_CASES)
+    return CorrelationMatrix(corr)
 
 
 class TestEigendecompose:
@@ -111,9 +111,7 @@ class TestEigendecompose:
         # and each one is a combination with matching (tiny) sample variance
         rng = np.random.default_rng(42)
         values = rng.standard_normal((12, 8))
-        panel = TimeSeriesPanel(
-            tuple(f"s{i}" for i in range(12)), values, np.ones((12, 8), bool)
-        )
+        panel = TimeSeriesPanel(tuple(f"s{i}" for i in range(12)), values)
         cov, _ = sample_moments(panel, COMPLETE_CASES)
         decomp = eigendecompose(cov)
         tolerance = 1e-10 * decomp.eigenvalues[0] * cov.n
@@ -146,11 +144,11 @@ class TestSingleValidation:
     @settings(max_examples=60, deadline=None)
     def test_exactly_symmetric_input_is_stored_and_solved_bit_for_bit(self, entries):
         n = entries.shape[0]
-        cov = CovarianceMatrix(entries, np.zeros((n, n), int), EXTERNAL)
+        cov = CovarianceMatrix(entries, np.zeros((n, n), int))
         np.testing.assert_array_equal(cov.entries, entries)
         unit = entries / np.abs(entries).max()  # exactly symmetric, entries in [-1, 1]
         np.fill_diagonal(unit, 1.0)
-        corr = CorrelationMatrix(unit, EXTERNAL)
+        corr = CorrelationMatrix(unit)
         np.testing.assert_array_equal(corr.entries, unit)
         for wrapper, bare in ((cov, entries), (corr, unit)):
             solved, reference = eigendecompose(wrapper), eigendecompose(bare)
@@ -168,7 +166,7 @@ class TestSingleValidation:
         counts = np.zeros((n, n), int)
         if multiple > 1:
             for build in (
-                lambda: CovarianceMatrix(bad, counts, EXTERNAL),
+                lambda: CovarianceMatrix(bad, counts),
                 lambda: eigendecompose(bad),
                 lambda: rj_repair(bad, 1e-8),
             ):
@@ -176,7 +174,7 @@ class TestSingleValidation:
                     build()
                 assert isinstance(caught.value, ValueError)
         else:
-            cov = CovarianceMatrix(bad, counts, EXTERNAL)
+            cov = CovarianceMatrix(bad, counts)
             np.testing.assert_array_equal(cov.entries, cov.entries.T)
             np.testing.assert_array_equal(cov.entries, 0.5 * (bad + bad.T))
             solved, reference = eigendecompose(cov), eigendecompose(bad)
@@ -195,7 +193,7 @@ class TestSingleValidation:
         eigendecompose(corr)
         fresh = random_correlation(4, 10)
         rj_repair(fresh, default_floor(10))
-        cov = CovarianceMatrix(4.0 * np.eye(3), np.zeros((3, 3), int), EXTERNAL)
+        cov = CovarianceMatrix(4.0 * np.eye(3), np.zeros((3, 3), int))
         classify_definiteness(cov)
         assert len(seen) == 3
         assert all(a is m.entries for a, m in zip(seen, (corr, fresh, cov)))
@@ -205,7 +203,8 @@ class TestSingleValidation:
         values = rng.standard_normal((30, 60))
         mask = rng.random((30, 60)) > 0.3
         ids = tuple(f"s{i}" for i in range(30))
-        cov, corr = sample_moments(TimeSeriesPanel(ids, values, mask), PAIRWISE_COMPLETE)
+        panel = TimeSeriesPanel(ids, np.where(mask, values, np.nan))
+        cov, corr = sample_moments(panel, PAIRWISE_COMPLETE)
         for matrix in (cov, corr):
             np.testing.assert_array_equal(matrix.entries, matrix.entries.T)
 
@@ -214,7 +213,6 @@ class TestPruneRedundant:
     def test_spec_triangle(self):
         corr = CorrelationMatrix(
             [[1.0, 0.95, 0.2], [0.95, 1.0, 0.1], [0.2, 0.1, 1.0]],
-            COMPLETE_CASES,
             ids=("a", "b", "c"),
         )
         kept, pruned = prune_redundant(corr, 0.9)
@@ -223,12 +221,12 @@ class TestPruneRedundant:
         assert pruned.entries[0, 1] == 0.2
 
     def test_identity_keeps_everything(self):
-        corr = CorrelationMatrix(np.eye(5), COMPLETE_CASES)
+        corr = CorrelationMatrix(np.eye(5))
         kept, _ = prune_redundant(corr, 0.5)
         assert kept == [0, 1, 2, 3, 4]
 
     def test_chain_removal_keeps_first_only(self):
-        corr = CorrelationMatrix(uniform_correlation(4, 0.99), COMPLETE_CASES)
+        corr = CorrelationMatrix(uniform_correlation(4, 0.99))
         kept, pruned = prune_redundant(corr, 0.9)
         assert kept == [0]
         assert pruned.n == 1
@@ -259,7 +257,7 @@ class TestPruneRedundant:
         upper = np.array([[data.draw(cell) for _ in range(n)] for _ in range(n)])
         entries = np.where(np.triu(np.ones((n, n), dtype=bool)), upper, upper.T)
         np.fill_diagonal(entries, 1.0)
-        corr = CorrelationMatrix(entries, COMPLETE_CASES)
+        corr = CorrelationMatrix(entries)
 
         scanned: list[int] = []
         for i in range(n):
@@ -270,7 +268,7 @@ class TestPruneRedundant:
         np.testing.assert_array_equal(pruned.entries, entries[np.ix_(scanned, scanned)])
 
     def test_bound_outside_open_interval_rejected(self):
-        corr = CorrelationMatrix(np.eye(3), COMPLETE_CASES)
+        corr = CorrelationMatrix(np.eye(3))
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 prune_redundant(corr, bad)
@@ -284,7 +282,7 @@ class TestRjRepair:
         assert np.abs(repaired.entries - corr.entries).max() <= 1e-10
 
     def test_non_psd_triangle_repaired(self):
-        corr = CorrelationMatrix(NON_PSD, PAIRWISE_COMPLETE)
+        corr = CorrelationMatrix(NON_PSD)
         repaired = rj_repair(corr, 1e-4)
         values = np.linalg.eigvalsh(repaired.entries)
         assert values.min() > 0
@@ -304,7 +302,7 @@ class TestRjRepair:
     def test_covariance_diagonal_preserved_exactly(self):
         vols = np.array([2.0, 0.5, 1.5])
         entries = NON_PSD * np.outer(vols, vols)
-        cov = CovarianceMatrix(entries, np.full((3, 3), 9), PAIRWISE_COMPLETE)
+        cov = CovarianceMatrix(entries, np.full((3, 3), 9))
         repaired = rj_repair(cov, 1e-4)
         np.testing.assert_array_equal(np.diag(repaired.entries), vols**2)
         np.testing.assert_array_equal(repaired.vols, vols)
@@ -316,7 +314,8 @@ class TestRjRepair:
         values = rng.standard_normal((8, 12)) * rng.uniform(0.01, 100.0, (8, 1))
         mask = rng.random((8, 12)) > 0.45
         mask[:, :4] = True  # every series and pair stays estimable
-        cov, _ = sample_moments(TimeSeriesPanel(tuple("abcdefgh"), values, mask), mode)
+        panel = TimeSeriesPanel(tuple("abcdefgh"), np.where(mask, values, np.nan))
+        cov, _ = sample_moments(panel, mode)
         buffer = io.StringIO()
         matrix_to_csv(cov, buffer)
         loaded = covariance_from_csv(io.StringIO(buffer.getvalue()))
@@ -350,7 +349,7 @@ class TestRjRepair:
         life = rng.uniform(1.0 - missing / 2.0, 1.0, n)
         mask = np.arange(m)[None, :] < np.round(life * m)[:, None]
         mask &= rng.random((n, m)) >= 0.75 * missing / (1.0 - 0.25 * missing)
-        panel = TimeSeriesPanel(tuple(f"s{i}" for i in range(n)), values, mask)
+        panel = TimeSeriesPanel(tuple(f"s{i}" for i in range(n)), np.where(mask, values, np.nan))
         _, corr = sample_moments(panel, PAIRWISE_COMPLETE)
         floor = default_floor(n)
         assert np.linalg.eigvalsh(corr.entries).min() < 0
@@ -386,7 +385,7 @@ class TestSpectrumMemo:
         np.testing.assert_array_equal(decomposition.eigenvalues, _spectrum(corr)[0][::-1])
 
     def test_repair_passes_after_the_first_are_fresh_solves(self, eigensolves):
-        corr = CorrelationMatrix(NON_PSD, PAIRWISE_COMPLETE)
+        corr = CorrelationMatrix(NON_PSD)
         classify_definiteness(corr)
         repaired = rj_repair(corr, default_floor(3))
         passes = len(eigensolves)  # the first pass reused the classification's solve
@@ -423,13 +422,13 @@ class TestSpectrumMemo:
                 object.__setattr__(self, "entries", entries)
 
         monkeypatch.setattr(conditioning, "CorrelationMatrix", Nudged)
-        repaired = rj_repair(Nudged(NON_PSD, EXTERNAL), 1e-4)
+        repaired = rj_repair(Nudged(NON_PSD), 1e-4)
         assert repaired._eigensystem is None
         values, _ = _spectrum(repaired)
         assert values.tobytes() == np.linalg.eigh(repaired.entries)[0].tobytes()
 
     def test_repair_label_agrees_with_classification_below_the_tolerance(self):
-        repaired = rj_repair(CorrelationMatrix(NON_PSD, EXTERNAL), 1e-15)
+        repaired = rj_repair(CorrelationMatrix(NON_PSD), 1e-15)
         assert 0 < np.linalg.eigvalsh(repaired.entries).min() < 1e-12
         # the memo the repair hands on classifies as a fresh solve does
         assert classify_definiteness(repaired) == "unverified"
@@ -441,7 +440,7 @@ class TestSpectrumMemo:
         entries = rng.uniform(-1.0, 1.0, (n, n))
         entries = (entries + entries.T) / 2
         np.fill_diagonal(entries, 1.0)
-        corr = CorrelationMatrix(entries, EXTERNAL)
+        corr = CorrelationMatrix(entries)
         assert classify_definiteness(corr) == "verified-not-PSD"
         repaired = rj_repair(corr, default_floor(n))
         assert classify_definiteness(repaired) == "verified-PD"
@@ -461,10 +460,10 @@ def repair_inputs(draw):
         np.fill_diagonal(entries, 1.0)
     floor = draw(st.sampled_from([default_floor(n), 1e-3, 1e-12, 1e-15]))
     if draw(st.booleans()):
-        return CorrelationMatrix(entries, EXTERNAL), floor
+        return CorrelationMatrix(entries), floor
     vols = rng.uniform(0.1, 10.0, n)
     counts = np.zeros((n, n), dtype=int)
-    return CovarianceMatrix(entries * np.outer(vols, vols), counts, EXTERNAL), floor
+    return CovarianceMatrix(entries * np.outer(vols, vols), counts), floor
 
 
 @settings(max_examples=150, deadline=None)
@@ -524,7 +523,7 @@ class TestSerialization:
         np.testing.assert_array_equal(correlation_from_csv(path).entries, corr.entries)
 
     def test_report_fields(self):
-        report = matrix_report(rj_repair(CorrelationMatrix(NON_PSD, PAIRWISE_COMPLETE), 1e-6))
+        report = matrix_report(rj_repair(CorrelationMatrix(NON_PSD), 1e-6))
         # the entries are the CSV's (matrix_to_csv), not repeated in the report
         assert set(report) == {"ids", "eigenvalues", "psd_status"}
         assert report["psd_status"] == "verified-PD"
@@ -550,7 +549,7 @@ def with_smallest_eigenvalue(entries: np.ndarray, target: float) -> np.ndarray:
 
 def full_path_rho_star(entries: np.ndarray, floor: float | None) -> float:
     """rho_star by the full path: repair (when a floor is given), eigh, sign basis."""
-    corr = CorrelationMatrix(entries, EXTERNAL)
+    corr = CorrelationMatrix(entries)
     if floor is not None:
         corr = rj_repair(corr, floor)
     with warnings.catch_warnings():
@@ -559,7 +558,7 @@ def full_path_rho_star(entries: np.ndarray, floor: float | None) -> float:
 
 
 def leading_pair_rho_star(entries: np.ndarray, floor: float | None) -> float | None:
-    decomposition = conditioning._leading_pair(CorrelationMatrix(entries, EXTERNAL), floor)
+    decomposition = conditioning._leading_pair(CorrelationMatrix(entries), floor)
     return None if decomposition is None else rho_star(fix_sign_basis(decomposition))
 
 
@@ -618,11 +617,11 @@ class TestLeadingPair:
 
     def test_base_clear_of_the_floor_is_certified(self):
         entries = with_smallest_eigenvalue(self.base(), 1e-3)
-        assert conditioning._leading_pair(CorrelationMatrix(entries, EXTERNAL), 1e-10) is not None
+        assert conditioning._leading_pair(CorrelationMatrix(entries), 1e-10) is not None
         assert leading_pair_rho_star(entries, default_floor(self.N)) is not None
 
     def test_solves_no_full_spectrum_and_fills_no_memo(self, eigensolves):
-        corr = CorrelationMatrix(uniform_correlation(self.N, 0.3), EXTERNAL)
+        corr = CorrelationMatrix(uniform_correlation(self.N, 0.3))
         decomposition = conditioning._leading_pair(corr, default_floor(self.N))
         assert decomposition.eigenvalues == pytest.approx([1 + (self.N - 1) * 0.3], rel=1e-14)
         assert decomposition.eigenvectors.shape == (self.N, 1)
@@ -637,7 +636,7 @@ class TestLeadingPair:
         margin = conditioning._cholesky_margin(np.eye(self.N))
         assert floor * 1e-3 < margin
         entries = with_smallest_eigenvalue(self.base(), floor * scale)
-        assert conditioning._leading_pair(CorrelationMatrix(entries, EXTERNAL), floor) is None
+        assert conditioning._leading_pair(CorrelationMatrix(entries), floor) is None
 
     @pytest.mark.parametrize("where", ["below", "inside-margin"])
     def test_default_floor_boundary_is_never_certified(self, where):
@@ -645,7 +644,7 @@ class TestLeadingPair:
         margin = conditioning._cholesky_margin(np.eye(self.N))
         target = floor * (1 - 1e-3) if where == "below" else floor + margin / 2
         entries = with_smallest_eigenvalue(self.base(), target)
-        assert conditioning._leading_pair(CorrelationMatrix(entries, EXTERNAL), floor) is None
+        assert conditioning._leading_pair(CorrelationMatrix(entries), floor) is None
 
     def test_clear_of_the_floor_is_certified_and_agrees(self):
         floor = default_floor(self.N)
@@ -679,21 +678,33 @@ class TestLeadingPair:
         entries = np.outer(b, b)
         np.fill_diagonal(entries, 1.0)
         values = np.linalg.eigvalsh(entries)
-        decomposition = conditioning._leading_pair(CorrelationMatrix(entries, EXTERNAL), None)
+        decomposition = conditioning._leading_pair(CorrelationMatrix(entries), None)
         assert 0 < decomposition.top_gap <= values[-1] - values[-2]
 
 
 class TestRepairPasses:
     def test_wrapper_outputs_record_the_pass_count(self, eigensolves):
-        clear = rj_repair(CorrelationMatrix(uniform_correlation(4, 0.2), EXTERNAL), 1e-6)
+        clear = rj_repair(CorrelationMatrix(uniform_correlation(4, 0.2)), 1e-6)
         assert clear._repair_passes == len(eigensolves) == 1
-        repaired = rj_repair(CorrelationMatrix(NON_PSD, EXTERNAL), default_floor(3))
+        repaired = rj_repair(CorrelationMatrix(NON_PSD), default_floor(3))
         assert repaired._repair_passes == len(eigensolves) - 1 >= 2
         vols = np.array([1.0, 2.0, 3.0])
-        cov = CovarianceMatrix(NON_PSD * np.outer(vols, vols), np.zeros((3, 3), int), EXTERNAL)
+        cov = CovarianceMatrix(NON_PSD * np.outer(vols, vols), np.zeros((3, 3), int))
         assert rj_repair(cov, default_floor(3))._repair_passes == repaired._repair_passes
 
     def test_unrepaired_matrices_carry_no_count(self):
-        assert CorrelationMatrix(NON_PSD, EXTERNAL)._repair_passes is None
+        assert CorrelationMatrix(NON_PSD)._repair_passes is None
         (slot,) = [f for f in dataclasses.fields(CorrelationMatrix) if f.name == "_repair_passes"]
         assert not (slot.init or slot.repr or slot.compare)
+
+
+@pytest.mark.parametrize("n", [2, 7])
+def test_source_dim_is_the_length_of_the_vectors(n):
+    # a property, not a field: the leading pair's one N x 1 column carries it too
+    assert "source_dim" not in {f.name for f in dataclasses.fields(SpectralDecomposition)}
+    entries = uniform_correlation(n, 0.3)
+    full = eigendecompose(CorrelationMatrix(entries))
+    leading = conditioning._leading_pair(CorrelationMatrix(entries), default_floor(n))
+    assert leading.eigenvectors.shape == (n, 1)
+    for decomposition in (full, leading):
+        assert decomposition.source_dim == decomposition.eigenvectors.shape[0] == n

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from turnover_spectra import (
     COMPLETE_CASES,
-    EXTERNAL,
     PAIRWISE_COMPLETE,
     CollinearFactorsError,
     CorrelationMatrix,
@@ -30,8 +29,8 @@ from turnover_spectra.conditioning import _spectrum
 from turnover_spectra.panel import _assemble, _dense_moments, _masked_moments
 
 
-def panel_from_csv(text: str, **kwargs) -> TimeSeriesPanel:
-    return load_panel(io.StringIO(text), **kwargs)
+def panel_from_csv(text: str) -> TimeSeriesPanel:
+    return load_panel(io.StringIO(text))
 
 
 def random_masked_panel(seed: int, n: int = 6, t: int = 40, missing: float = 0.2) -> TimeSeriesPanel:
@@ -40,7 +39,7 @@ def random_masked_panel(seed: int, n: int = 6, t: int = 40, missing: float = 0.2
     mask = rng.random((n, t)) > missing
     mask[:, :3] = True  # keep every series and pair estimable
     ids = tuple(f"s{i}" for i in range(n))
-    return TimeSeriesPanel(ids, values, mask)
+    return TimeSeriesPanel(ids, np.where(mask, values, np.nan))
 
 
 class TestLoadPanel:
@@ -88,11 +87,6 @@ class TestLoadPanel:
         with pytest.raises(PanelFormatError):
             panel_from_csv("a1,a1\n1,2\n3,4\n")
 
-    def test_oldest_first_reverses_rows(self):
-        newest = panel_from_csv("a1\n1\n2\n3\n")
-        oldest = panel_from_csv("a1\n3\n2\n1\n", oldest_first=True)
-        np.testing.assert_array_equal(newest.values, oldest.values)
-
     def test_roundtrip_through_write_panel(self, tmp_path):
         panel = random_masked_panel(11)
         buffer = io.StringIO()
@@ -101,31 +95,26 @@ class TestLoadPanel:
         write_panel(panel, str(tmp_path / "again.csv"))
         for path in ("panel.csv", "again.csv"):  # a path and a handle get the same bytes
             assert (tmp_path / path).read_bytes() == buffer.getvalue().encode()
-        again = panel_from_csv(buffer.getvalue())
-        assert again.series_ids == panel.series_ids
-        np.testing.assert_array_equal(again.observed_mask, panel.observed_mask)
-        np.testing.assert_array_equal(
-            again.values[again.observed_mask], panel.values[panel.observed_mask]
-        )
+        assert panel_from_csv(buffer.getvalue()) == panel
 
 
 class TestSampleMoments:
     def test_identical_series_perfectly_correlated(self):
         x = np.arange(6.0)
-        panel = TimeSeriesPanel(("a", "b"), np.vstack([x, x]), np.ones((2, 6), bool))
+        panel = TimeSeriesPanel(("a", "b"), np.vstack([x, x]))
         _, corr = sample_moments(panel)
         assert corr.entries[0, 1] == 1.0
 
     def test_negated_series_perfectly_anticorrelated(self):
         x = np.array([0.3, -1.2, 0.7, 2.0, -0.4])
-        panel = TimeSeriesPanel(("a", "b"), np.vstack([x, -x]), np.ones((2, 5), bool))
+        panel = TimeSeriesPanel(("a", "b"), np.vstack([x, -x]))
         _, corr = sample_moments(panel)
         assert corr.entries[0, 1] == -1.0
 
     def test_constant_series_is_degenerate(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         const = np.full(4, 5.0)
-        panel = TimeSeriesPanel(("a", "flat"), np.vstack([x, const]), np.ones((2, 4), bool))
+        panel = TimeSeriesPanel(("a", "flat"), np.vstack([x, const]))
         with pytest.raises(DegenerateSeriesError) as excinfo:
             sample_moments(panel)
         assert "flat" in str(excinfo.value)
@@ -157,7 +146,7 @@ class TestSampleMoments:
     def test_modes_agree_exactly_without_missing_values(self):
         rng = np.random.default_rng(2)
         values = rng.standard_normal((4, 25))
-        panel = TimeSeriesPanel(tuple("abcd"), values, np.ones((4, 25), bool))
+        panel = TimeSeriesPanel(tuple("abcd"), values)
         cov_c, corr_c = sample_moments(panel, COMPLETE_CASES)
         cov_p, corr_p = sample_moments(panel, PAIRWISE_COMPLETE)
         np.testing.assert_array_equal(cov_c.entries, cov_p.entries)
@@ -166,11 +155,7 @@ class TestSampleMoments:
     def test_permutation_equivariance(self):
         panel = random_masked_panel(31)
         perm = np.array([3, 0, 5, 1, 4, 2])
-        permuted = TimeSeriesPanel(
-            tuple(panel.series_ids[p] for p in perm),
-            panel.values[perm],
-            panel.observed_mask[perm],
-        )
+        permuted = TimeSeriesPanel(tuple(panel.series_ids[p] for p in perm), panel.values[perm])
         for mode in (COMPLETE_CASES, PAIRWISE_COMPLETE):
             cov, corr = sample_moments(panel, mode)
             cov_p, corr_p = sample_moments(permuted, mode)
@@ -190,7 +175,7 @@ class TestSampleMoments:
         values = np.arange(12.0).reshape(3, 4)
         mask = np.ones((3, 4), bool)
         mask[0, 0] = mask[1, 1] = mask[2, 2] = False
-        panel = TimeSeriesPanel(("a", "b", "c"), values, mask)
+        panel = TimeSeriesPanel(("a", "b", "c"), np.where(mask, values, np.nan))
         with pytest.raises(CoverageError):
             sample_moments(panel, COMPLETE_CASES)
 
@@ -202,7 +187,7 @@ class TestSampleMoments:
                 [False, False, False, True, True, True],
             ]
         )
-        panel = TimeSeriesPanel(("left", "right"), values, mask)
+        panel = TimeSeriesPanel(("left", "right"), np.where(mask, values, np.nan))
         with pytest.raises(CoverageError) as excinfo:
             sample_moments(panel, PAIRWISE_COMPLETE)
         message = str(excinfo.value)
@@ -217,8 +202,7 @@ class TestSampleMoments:
 class TestResidualize:
     @staticmethod
     def one_series_panel(values, ids=("y",)):
-        arr = np.atleast_2d(np.asarray(values, float))
-        return TimeSeriesPanel(ids, arr, np.ones_like(arr, bool))
+        return TimeSeriesPanel(ids, np.atleast_2d(np.asarray(values, float)))
 
     def test_self_regression_zero_residuals(self):
         y = np.array([1.0, -0.5, 2.5, 0.25, -1.75])
@@ -259,14 +243,10 @@ class TestResidualize:
 
     def test_factor_rescaling_leaves_residuals(self):
         rng = np.random.default_rng(7)
-        panel = TimeSeriesPanel(
-            ("y1", "y2"), rng.standard_normal((2, 30)), np.ones((2, 30), bool)
-        )
+        panel = TimeSeriesPanel(("y1", "y2"), rng.standard_normal((2, 30)))
         f = rng.standard_normal((2, 30))
-        factors = TimeSeriesPanel(("f1", "f2"), f, np.ones((2, 30), bool))
-        scaled = TimeSeriesPanel(
-            ("f1", "f2"), f * np.array([[17.0], [-0.003]]), np.ones((2, 30), bool)
-        )
+        factors = TimeSeriesPanel(("f1", "f2"), f)
+        scaled = TimeSeriesPanel(("f1", "f2"), f * np.array([[17.0], [-0.003]]))
         base = ols_residualize(panel, factors)
         other = ols_residualize(panel, scaled)
         np.testing.assert_allclose(base.values, other.values, atol=1e-10)
@@ -275,14 +255,13 @@ class TestResidualize:
         rng = np.random.default_rng(9)
         panel = self.one_series_panel(rng.standard_normal(10))
         f = rng.standard_normal(10)
-        factors = TimeSeriesPanel(("f1", "f2"), np.vstack([f, 3.0 * f]), np.ones((2, 10), bool))
+        factors = TimeSeriesPanel(("f1", "f2"), np.vstack([f, 3.0 * f]))
         with pytest.raises(CollinearFactorsError):
             ols_residualize(panel, factors)
 
     def test_too_few_joint_rows(self):
         y = np.array([1.0, 2.0, np.nan, np.nan, np.nan, np.nan])
-        mask = ~np.isnan(y)
-        panel = TimeSeriesPanel(("y",), y[None, :], mask[None, :])
+        panel = TimeSeriesPanel(("y",), y[None, :])
         factors = self.one_series_panel(np.arange(6.0), ids=("f",))
         with pytest.raises(CoverageError) as excinfo:
             ols_residualize(panel, factors)
@@ -291,13 +270,11 @@ class TestResidualize:
     def test_mask_propagates_joint_observability(self):
         rng = np.random.default_rng(13)
         values = rng.standard_normal((1, 12))
-        mask = np.ones((1, 12), bool)
-        mask[0, 2] = False
-        panel = TimeSeriesPanel(("y",), values, mask)
+        values[0, 2] = np.nan
+        panel = TimeSeriesPanel(("y",), values)
         f_values = rng.standard_normal((1, 12))
-        f_mask = np.ones((1, 12), bool)
-        f_mask[0, 7] = False
-        factors = TimeSeriesPanel(("f",), f_values, f_mask)
+        f_values[0, 7] = np.nan
+        factors = TimeSeriesPanel(("f",), f_values)
         resid = ols_residualize(panel, factors)
         assert not resid.observed_mask[0, 2]
         assert not resid.observed_mask[0, 7]
@@ -313,26 +290,26 @@ class TestResidualize:
 class TestMatrixTypes:
     def test_correlation_requires_unit_diagonal(self):
         with pytest.raises(ValueError):
-            CorrelationMatrix([[1.0, 0.2], [0.2, 0.9]], COMPLETE_CASES)
+            CorrelationMatrix([[1.0, 0.2], [0.2, 0.9]])
 
     def test_correlation_requires_entries_in_range(self):
         with pytest.raises(ValueError):
-            CorrelationMatrix([[1.0, 1.2], [1.2, 1.0]], COMPLETE_CASES)
+            CorrelationMatrix([[1.0, 1.2], [1.2, 1.0]])
 
     def test_correlation_requires_symmetry(self):
         with pytest.raises(ValueError):
-            CorrelationMatrix([[1.0, 0.2], [0.3, 1.0]], COMPLETE_CASES)
+            CorrelationMatrix([[1.0, 0.2], [0.3, 1.0]])
 
     @pytest.mark.parametrize(
         "build, error, message",
         [
-            (lambda: CorrelationMatrix([[1.0, 0.2], [0.2, 0.9]], COMPLETE_CASES),
+            (lambda: CorrelationMatrix([[1.0, 0.2], [0.2, 0.9]]),
              InvalidMatrixError, "correlation matrix diagonal must be 1 within 1e-12"),
-            (lambda: CorrelationMatrix([[1.0, 1.2], [1.2, 1.0]], COMPLETE_CASES),
+            (lambda: CorrelationMatrix([[1.0, 1.2], [1.2, 1.0]]),
              InvalidMatrixError, "correlation matrix entries must lie in [-1, 1]"),
-            (lambda: CovarianceMatrix([[4.0, 0.1], [0.1, 0.0]], np.ones((2, 2)), COMPLETE_CASES),
+            (lambda: CovarianceMatrix([[4.0, 0.1], [0.1, 0.0]], np.ones((2, 2))),
              InvalidDiagonalError, "covariance diagonal must be positive"),
-            (lambda: CovarianceMatrix([[-4.0, 0.1], [0.1, 9.0]], np.ones((2, 2)), COMPLETE_CASES),
+            (lambda: CovarianceMatrix([[-4.0, 0.1], [0.1, 9.0]], np.ones((2, 2))),
              InvalidDiagonalError, "covariance diagonal must be positive"),
         ],
         ids=["unit-diagonal", "entry-range", "zero-diagonal", "negative-diagonal"],
@@ -343,72 +320,64 @@ class TestMatrixTypes:
         assert isinstance(refused.value, InvalidMatrixError)
         assert str(refused.value) == message
 
-    def test_shape_and_tag_checks_stay_plain_value_errors(self):
+    def test_shape_checks_stay_plain_value_errors(self):
         entries = np.eye(2)
         for build in (
-            lambda: CovarianceMatrix(entries, np.ones((1, 1)), COMPLETE_CASES),
-            lambda: CovarianceMatrix(entries, np.ones((2, 2)), "guessed"),
-            lambda: CorrelationMatrix(entries, "guessed"),
-            lambda: CorrelationMatrix(entries, COMPLETE_CASES, ids=("a",)),
+            lambda: CovarianceMatrix(entries, np.ones((1, 1))),
+            lambda: CovarianceMatrix(entries, np.ones((2, 2)), ids=("a",)),
+            lambda: CorrelationMatrix(entries, ids=("a",)),
         ):
             with pytest.raises(ValueError) as refused:
                 build()
             assert not isinstance(refused.value, InvalidMatrixError)
 
     def test_ids_are_keyword_only(self):
-        # so a call still passing the removed psd_status or vols argument
-        # cannot bind it to another field
+        # so a call still passing a removed argument (the estimation mode, a
+        # psd_status, vols or a panel's mask) cannot bind it to another field
         with pytest.raises(TypeError):
-            CorrelationMatrix(np.eye(10), COMPLETE_CASES, "unverified")
+            CorrelationMatrix(np.eye(10), COMPLETE_CASES)
         with pytest.raises(TypeError):
-            CovarianceMatrix(np.eye(2), np.ones(2), np.ones((2, 2)), COMPLETE_CASES)
-
-    def test_panel_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            TimeSeriesPanel(("a",), np.ones((1, 4)), np.ones((1, 3), bool))
+            CovarianceMatrix(np.eye(2), np.ones((2, 2)), COMPLETE_CASES)
+        with pytest.raises(TypeError):
+            TimeSeriesPanel(("a",), np.ones((1, 4)), np.ones((1, 4), bool))
 
 
 class TestValueEquality:
     ENTRIES = np.array([[1.0, 0.3], [0.3, 1.0]])
 
     def covariance(self, entries=ENTRIES, ids=("a", "b")):
-        return CovarianceMatrix(entries, np.full((2, 2), 5), COMPLETE_CASES, ids=ids)
+        return CovarianceMatrix(entries, np.full((2, 2), 5), ids=ids)
 
     def panel(self, last=3.0):
-        values = np.array([[1.0, 2.0, np.nan], [1.0, 2.0, last]])
-        mask = np.array([[True, True, False], [True, True, True]])
-        return TimeSeriesPanel(("a", "b"), values, mask)
+        return TimeSeriesPanel(("a", "b"), np.array([[1.0, 2.0, np.nan], [1.0, 2.0, last]]))
 
     def test_equal_values_compare_equal(self):
-        assert CorrelationMatrix(self.ENTRIES, COMPLETE_CASES) == CorrelationMatrix(
-            self.ENTRIES.copy(), COMPLETE_CASES
-        )
+        assert CorrelationMatrix(self.ENTRIES) == CorrelationMatrix(self.ENTRIES.copy())
         assert self.covariance() == self.covariance()
-        assert self.panel() == self.panel()  # NaN under the mask compares equal
+        assert self.panel() == self.panel()  # NaN at the missing cell compares equal
 
     def test_any_differing_field_compares_unequal(self):
-        corr = CorrelationMatrix(self.ENTRIES, COMPLETE_CASES)
+        corr = CorrelationMatrix(self.ENTRIES)
         other = np.array([[1.0, 0.31], [0.31, 1.0]])
-        assert corr != CorrelationMatrix(other, COMPLETE_CASES)
-        assert corr != CorrelationMatrix(self.ENTRIES, PAIRWISE_COMPLETE)
-        assert corr != CorrelationMatrix(self.ENTRIES, COMPLETE_CASES, ids=("a", "b"))
-        assert corr != CorrelationMatrix(np.eye(3), COMPLETE_CASES)  # shapes differ
+        assert corr != CorrelationMatrix(other)
+        assert corr != CorrelationMatrix(self.ENTRIES, ids=("a", "b"))
+        assert corr != CorrelationMatrix(np.eye(3))  # shapes differ
         assert self.covariance() != self.covariance(ids=("a", "c"))
         assert self.panel() != self.panel(last=4.0)
         assert corr != self.ENTRIES.tolist()
         assert corr != self.covariance()
 
     def test_memoised_and_fresh_matrices_compare_equal(self):
-        memoised = CorrelationMatrix(self.ENTRIES, COMPLETE_CASES)
+        memoised = CorrelationMatrix(self.ENTRIES)
         _spectrum(memoised)
         assert memoised._eigensystem is not None
-        assert memoised == CorrelationMatrix(self.ENTRIES, COMPLETE_CASES)
+        assert memoised == CorrelationMatrix(self.ENTRIES)
         covariance = self.covariance()
         _spectrum(covariance)
         assert covariance == self.covariance()
 
     def test_types_are_unhashable(self):
-        for value in (CorrelationMatrix(self.ENTRIES, COMPLETE_CASES), self.covariance(), self.panel()):
+        for value in (CorrelationMatrix(self.ENTRIES), self.covariance(), self.panel()):
             with pytest.raises(TypeError, match="unhashable"):
                 hash(value)
 
@@ -416,30 +385,64 @@ class TestValueEquality:
 class TestPanelValidation:
     RAGGED_MASK = np.array([[True, True, False, True], [False, True, True, True]])
 
+    def ragged(self, values) -> np.ndarray:
+        return np.where(self.RAGGED_MASK, values, np.nan)
+
     def test_non_finite_observed_cell_under_ragged_mask_rejected(self):
-        values = np.ones((2, 4))
-        values[1, 2] = np.inf
-        with pytest.raises(ValueError, match="^observed values must be finite$"):
-            TimeSeriesPanel(("a", "b"), values, self.RAGGED_MASK)
+        for infinity in (np.inf, -np.inf):
+            values = self.ragged(np.ones((2, 4)))
+            values[1, 2] = infinity
+            with pytest.raises(ValueError, match="^values must be finite, or NaN where unobserved$"):
+                TimeSeriesPanel(("a", "b"), values)
 
     def test_short_series_rejected_by_name(self):
-        mask = self.RAGGED_MASK.copy()
-        mask[1, 1:3] = False
+        values = self.ragged(np.ones((2, 4)))
+        values[1, 1:3] = np.nan
         with pytest.raises(RejectedSeriesError) as excinfo:
-            TimeSeriesPanel(("a", "b"), np.ones((2, 4)), mask)
+            TimeSeriesPanel(("a", "b"), values)
         assert str(excinfo.value) == "series with fewer than 2 observations: b"
 
     def test_non_finite_unobserved_cells_accepted_and_masked(self):
-        values = np.arange(8.0).reshape(2, 4)
-        values[0, 2] = np.inf
-        values[1, 0] = np.nan
+        values = self.ragged(np.arange(8.0).reshape(2, 4))
         original = values.copy()
-        panel = TimeSeriesPanel(("a", "b"), values, self.RAGGED_MASK)
-        np.testing.assert_array_equal(np.isnan(panel.values), ~self.RAGGED_MASK)
-        np.testing.assert_array_equal(panel.values[self.RAGGED_MASK], original[self.RAGGED_MASK])
+        panel = TimeSeriesPanel(("a", "b"), values)
+        np.testing.assert_array_equal(panel.observed_mask, self.RAGGED_MASK)
+        assert panel.values.tobytes() == original.tobytes()
         # the caller's array is copied, never written
-        np.testing.assert_array_equal(values, original)
+        assert values.tobytes() == original.tobytes()
         assert values.flags.writeable
+        assert not panel.values.flags.writeable and not panel.observed_mask.flags.writeable
+
+
+@st.composite
+def holed_values(draw):
+    """Finite values with NaN holes and, now and then, one infinity."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    cells = draw(st.lists(finite, min_size=n * m, max_size=n * m))
+    holes = draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m))
+    values = np.where(holes, np.nan, cells).reshape(n, m)
+    if draw(st.integers(0, 4)) == 0:
+        values[draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))] = draw(
+            st.sampled_from([np.inf, -np.inf])
+        )
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=holed_values())
+def test_panel_mask_is_derived_from_its_nans(values):
+    ids = tuple(f"s{i}" for i in range(values.shape[0]))
+    if np.isinf(values).any():
+        with pytest.raises(ValueError, match="finite"):
+            TimeSeriesPanel(ids, values)
+    elif (np.isfinite(values).sum(axis=1) < 2).any():
+        with pytest.raises(RejectedSeriesError):
+            TimeSeriesPanel(ids, values)
+    else:
+        panel = TimeSeriesPanel(ids, values)
+        np.testing.assert_array_equal(panel.observed_mask, np.isfinite(values))
+        assert panel.values.tobytes() == values.tobytes()
 
 
 @settings(max_examples=25, deadline=None)
@@ -447,10 +450,8 @@ class TestPanelValidation:
 def test_correlation_invariant_under_series_scaling(scale, seed):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((3, 20))
-    panel = TimeSeriesPanel(("a", "b", "c"), values, np.ones((3, 20), bool))
-    scaled = TimeSeriesPanel(
-        ("a", "b", "c"), values * scale, np.ones((3, 20), bool)
-    )
+    panel = TimeSeriesPanel(("a", "b", "c"), values)
+    scaled = TimeSeriesPanel(("a", "b", "c"), values * scale)
     _, corr = sample_moments(panel)
     _, corr_scaled = sample_moments(scaled)
     np.testing.assert_allclose(corr_scaled.entries, corr.entries, atol=1e-10)
@@ -529,7 +530,7 @@ def test_dense_kernel_in_place_steps_keep_the_bits(seed, n, m, max_offset):
 )
 def test_modes_bit_identical_on_unmasked_panels(seed, n, m, max_offset):
     values = fully_observed_values(seed, n, m, max_offset)
-    panel = TimeSeriesPanel(tuple(f"s{i}" for i in range(n)), values, np.ones((n, m), bool))
+    panel = TimeSeriesPanel(tuple(f"s{i}" for i in range(n)), values)
     cov_c, corr_c = sample_moments(panel, COMPLETE_CASES)
     cov_p, corr_p = sample_moments(panel, PAIRWISE_COMPLETE)
     np.testing.assert_array_equal(cov_c.entries, cov_p.entries)
@@ -550,7 +551,7 @@ def test_vols_give_back_the_scales_bit_for_bit(exponents, seed):
     corr = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n))
     corr = (corr + corr.T) / 2
     np.fill_diagonal(corr, 1.0)
-    cov = CovarianceMatrix(np.outer(v, v) * corr, np.zeros((n, n), int), EXTERNAL)
+    cov = CovarianceMatrix(np.outer(v, v) * corr, np.zeros((n, n), int))
     assert cov.vols.tobytes() == v.tobytes()
 
 
@@ -578,7 +579,7 @@ def test_dense_and_masked_kernels_raise_identical_errors(case):
         _masked_moments(ids, values, np.ones(values.shape, bool))
     assert dense.value.ids == masked.value.ids == named
     assert str(dense.value) == str(masked.value)
-    panel = TimeSeriesPanel(ids, values, np.ones(values.shape, bool))
+    panel = TimeSeriesPanel(ids, values)
     for mode in (COMPLETE_CASES, PAIRWISE_COMPLETE):
         with pytest.raises(DegenerateSeriesError) as public:
             sample_moments(panel, mode)
@@ -591,7 +592,7 @@ def test_too_few_complete_rows_raise_identical_errors_on_both_kernels():
     mask[0, 0] = mask[1, 1] = mask[2, 2] = False
     ids = ("a", "b", "c")
     with pytest.raises(CoverageError) as public:
-        sample_moments(TimeSeriesPanel(ids, values, mask), COMPLETE_CASES)
+        sample_moments(TimeSeriesPanel(ids, np.where(mask, values, np.nan)), COMPLETE_CASES)
     assert str(public.value) == (
         "only 1 timestamps observed across all series; need at least 2"
     )

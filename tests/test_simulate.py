@@ -12,7 +12,6 @@ from hypothesis.extra.numpy import arrays
 
 from turnover_spectra import (
     COMPLETE_CASES,
-    EXTERNAL,
     CorrelationMatrix,
     DegenerateTopWarning,
     InvalidMatrixError,
@@ -256,7 +255,7 @@ class TestSweep:
 
         def orthogonal(n_alphas, seed):
             ids = tuple(f"s{i}" for i in range(n_alphas))
-            return TimeSeriesPanel(ids, hadamard[:n_alphas], np.ones((n_alphas, 4), bool))
+            return TimeSeriesPanel(ids, hadamard[:n_alphas])
 
         with fixed_warning_filters():
             result = sweep_rho_star([2, 3], orthogonal, SweepOptions(), seed=0)
@@ -387,7 +386,7 @@ def full_path_point(corr: CorrelationMatrix, options: SweepOptions) -> float:
 def point_from_matrix(monkeypatch, entries: np.ndarray, options: SweepOptions) -> tuple[float, str, bool]:
     """Run ``_sweep_point`` on a panel whose estimated correlation is ``entries``."""
     monkeypatch.setattr(
-        simulate, "sample_moments", lambda panel, mode: (None, CorrelationMatrix(entries, EXTERNAL))
+        simulate, "sample_moments", lambda panel, mode: (None, CorrelationMatrix(entries))
     )
     return simulate._sweep_point(None, options)
 
@@ -421,14 +420,14 @@ class TestSweepPointSolvers:
         entries = self.boundary_matrix(min(level * target, 0.3))
         value, solver, degenerate = point_from_matrix(monkeypatch, entries, options)
         assert solver == "full" and not degenerate
-        assert value == full_path_point(CorrelationMatrix(entries, EXTERNAL), options)
+        assert value == full_path_point(CorrelationMatrix(entries), options)
 
     def test_points_clear_of_the_floor_take_the_leading_pair(self, monkeypatch):
         entries = self.boundary_matrix(1e-3)
         for options in (SweepOptions(), SweepOptions(repair_floor=1e-10)):
             value, solver, degenerate = point_from_matrix(monkeypatch, entries, options)
             assert solver == "leading-pair" and not degenerate
-            want = full_path_point(CorrelationMatrix(entries, EXTERNAL), options)
+            want = full_path_point(CorrelationMatrix(entries), options)
             assert value == pytest.approx(want, rel=1e-12)
 
     def test_unrepaired_degenerate_top_takes_the_full_path_bit_for_bit(self, monkeypatch):
@@ -437,7 +436,7 @@ class TestSweepPointSolvers:
         options = SweepOptions(repair=False)
         value, solver, degenerate = point_from_matrix(monkeypatch, entries, options)
         assert solver == "full" and degenerate
-        assert value == full_path_point(CorrelationMatrix(entries, EXTERNAL), options)
+        assert value == full_path_point(CorrelationMatrix(entries), options)
 
     @pytest.mark.parametrize("options", [SweepOptions(), SweepOptions(repair=False)])
     def test_large_point_agrees_with_the_full_path(self, options):

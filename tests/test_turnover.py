@@ -55,7 +55,7 @@ def uniform_basis(n: int, rho: float):
         vectors[:p, p] = 1.0 / math.sqrt(p * (p + 1))
         vectors[p, p] = -p / math.sqrt(p * (p + 1))
     eigenvalues = np.concatenate([[1.0 + (n - 1) * rho], np.full(n - 1, 1.0 - rho)])
-    decomp = SpectralDecomposition(eigenvalues, vectors, n, n * rho, 0.0)
+    decomp = SpectralDecomposition(eigenvalues, vectors, n * rho, 0.0)
     return fix_sign_basis(decomp)
 
 
@@ -78,7 +78,7 @@ class TestFixSignBasis:
     def decomposition_2x2(first_column):
         a, b = first_column
         vectors = np.array([[a, -b], [b, a]])  # orthonormal when a^2 + b^2 = 1
-        return SpectralDecomposition(np.array([1.5, 0.5]), vectors, 2, 1.0, 0.0)
+        return SpectralDecomposition(np.array([1.5, 0.5]), vectors, 1.0, 0.0)
 
     def test_global_flip(self):
         basis = fix_sign_basis(self.decomposition_2x2((-0.6, -0.8)))
@@ -489,7 +489,7 @@ class TestReport:
             turnover_report(basis_of(covariance), covariance, np.full(3, 1.0 / 3))
 
     def test_share_of_a_non_positive_total_is_nan(self):
-        negative = SpectralDecomposition(np.array([-1.0, -2.0]), np.eye(2), 2, 1.0, 0.0)
+        negative = SpectralDecomposition(np.array([-1.0, -2.0]), np.eye(2), 1.0, 0.0)
         assert math.isnan(p1_share(fix_sign_basis(negative), [0.5, 0.5]))
 
     def test_degenerate_top_is_recorded_not_raised(self):
