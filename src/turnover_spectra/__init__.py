@@ -38,14 +38,14 @@ _EXPORTS = {
         "load_panel", "ols_residualize", "sample_moments", "write_panel",
     ),
     "simulate": (
-        "SimConfig", "SimResult", "SweepOptions", "SweepResult",
+        "SimConfig", "SimResult", "SweepResult",
         "gen_one_factor_panel", "gen_trade_matrix", "no_intercept_regression",
         "one_factor_correlation", "one_factor_generator", "simulate_crossing",
         "simulate_crossing_paths", "sweep_rho_star", "sweep_to_csv",
     ),
     "turnover": (
         "ExactCalibration", "FactoredRelation", "SignedBasis",
-        "TurnoverInputs", "TurnoverReport", "calibrate_exact_B",
+        "TurnoverInputs", "calibrate_exact_B",
         "fix_sign_basis", "naive_turnover", "p1_share", "pnl_with_costs",
         "rho_prime", "rho_star", "rho_star_factored", "spectral_terms",
         "spectral_turnover_full", "spectral_turnover_large_n",

@@ -3,17 +3,20 @@ reduction coefficient across N, and run crossing simulations.
 
 Each command reads its own parsed arguments, and its artifact's ``config``
 block echoes exactly those arguments (the flags' ``dest`` names), after
-``main`` has resolved the seed, the grid and the estimation mode (``null``
-for ``analyze --matrix``, whose estimator is unknown; its report's
-``inputs`` names it ``external``).
+``main`` has resolved the seed, the grid and ``analyze``'s estimation mode
+(``null`` for ``analyze --matrix``, whose estimator is unknown; its
+report's ``inputs`` names it ``external``). ``sweep`` takes no mode: its
+panels have no missing cell, so it estimates from complete cases.
 
 Exit codes: 0 success; 1 I/O or parse failure: a missing file, a bad
 argument or a numeric flag out of range, ``--mode`` given with ``--matrix``
-(refused before any input is read, as ``--factors`` with ``--matrix`` is),
-a malformed CSV. Panels and matrix CSVs share one reader and one header
-rule, so a blank or repeated id, or a header with no data rows after it (a
-header-only matrix CSV included), exits 1 in either layout. 2
-numeric-validity refusal: a matrix that is not square, finite and
+or ``--floor`` with ``--no-repair``, an output (the CSV or the JSON) that is
+the same file as ``--input`` or ``--factors``, by its own path or through a
+link (each refused before any input is read, as ``--factors`` with
+``--matrix`` is), a malformed CSV. Panels and matrix CSVs share one reader
+and one header rule, so a blank or repeated id, or a header with no data
+rows after it (a header-only matrix CSV included), exits 1 in either
+layout. 2 numeric-validity refusal: a matrix that is not square, finite and
 symmetric, a correlation matrix whose diagonal is off 1 or whose entries
 leave [-1, 1] (``InvalidMatrixError``, from ``repair`` and ``analyze
 --matrix`` alike), a covariance matrix with a non-positive diagonal entry
@@ -29,9 +32,9 @@ the CSV's path with a ``.json`` suffix (``_json_path``). So their
 the same file on a case-insensitive file system), where the JSON would
 overwrite the CSV: ``main`` refuses it (exit 1) before any input is read.
 
-- ``analyze``: JSON ``config`` and ``report`` (the turnover models and
-  coefficients, ``warnings``, which may hold ``degenerate-top``, and an
-  ``inputs`` digest).
+- ``analyze``: JSON ``config`` and ``report``: ``turnover.turnover_report``'s
+  models, coefficients and ``warnings`` (which may hold ``degenerate-top``),
+  and the ``inputs`` digest that ``run_analyze`` adds.
 - ``repair``: CSV with the ids as header and one row of entries per id, the
   only copy of the repaired matrix; JSON ``config``, ``repair_floor`` and
   ``report`` with ``ids``, ``eigenvalues`` (descending) and ``psd_status``.
@@ -107,7 +110,6 @@ from .panel import (
 )
 from .simulate import (
     SimConfig,
-    SweepOptions,
     one_factor_generator,
     simulate_crossing_paths,
     sweep_rho_star,
@@ -172,8 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--rho", type=float, default=0.25)
     sweep.add_argument("--periods", dest="n_periods", type=int, default=2000,
                        help="panel length per grid point")
-    sweep.add_argument("--mode", dest="estimation_mode", choices=sorted(_MODE_BY_FLAG),
-                       default="complete")
     sweep.add_argument("--repair", action=argparse.BooleanOptionalAction, default=True)
     sweep.add_argument("--floor", dest="repair_floor", type=float, default=None)
     sweep.add_argument("--seed", type=int, default=0)
@@ -253,6 +253,8 @@ def _write_json(payload: dict, path: str | Path) -> None:
 
 # the commands whose ``--output`` is a CSV, with the JSON artifact beside it
 _CSV_COMMANDS = ("repair", "sweep")
+# the flags that name a file a command reads, by their ``dest``
+_INPUT_FLAGS = (("--input", "input_path"), ("--factors", "factor_path"))
 
 
 def _json_path(args: argparse.Namespace) -> Path:
@@ -261,6 +263,22 @@ def _json_path(args: argparse.Namespace) -> Path:
     path with no name, ``.`` say, then fails where the CSV is written)."""
     output = Path(args.output_path)
     return output.parent / f"{output.stem}.json" if args.command in _CSV_COMMANDS else output
+
+
+def _refuse_overwriting_an_input(args: argparse.Namespace, json_path: Path) -> None:
+    """Refuse an output, the CSV or the JSON, that is the same file as
+    ``--input`` or ``--factors`` (through a symlink or a hard link too): the
+    command would write over what it reads. A path that does not exist yet
+    names no input."""
+    inputs = [(flag, getattr(args, dest, None)) for flag, dest in _INPUT_FLAGS]
+    for output in (Path(args.output_path), json_path):
+        for flag, source in inputs:
+            both_exist = bool(source) and output.exists() and Path(source).exists()
+            if both_exist and os.path.samefile(output, source):
+                raise ValueError(
+                    f"{output} is the {flag} file {source}; the command would overwrite "
+                    "its input, so give --output another path"
+                )
 
 
 def _parse_grid(spec: str) -> tuple[int, ...]:
@@ -332,8 +350,7 @@ def run_analyze(args: argparse.Namespace) -> dict:
         "factor_ids": factor_ids,
         "weights": "uniform (tau_i = 1, w_i = 1/N; turnovers are reduction factors)",
     }
-    report = turnover_report(basis, corr, weighted, digest=digest)
-    return {"report": report.to_dict()}
+    return {"report": {**turnover_report(basis, corr, weighted), "inputs": digest}}
 
 
 def run_repair(args: argparse.Namespace) -> dict:
@@ -350,12 +367,9 @@ def run_repair(args: argparse.Namespace) -> dict:
 
 def run_sweep(args: argparse.Namespace) -> dict:
     generator = one_factor_generator(args.rho, args.n_periods)
-    options = SweepOptions(
-        estimation_mode=args.estimation_mode,
-        repair=args.repair,
-        repair_floor=args.repair_floor,
+    result = sweep_rho_star(
+        args.grid, generator, seed=args.seed, repair=args.repair, floor=args.repair_floor
     )
-    result = sweep_rho_star(args.grid, generator, options, args.seed)
     sweep_to_csv(result, args.output_path)
     return {**asdict(result), "f_statistic": result.reported_f}
 
@@ -396,7 +410,12 @@ def main(argv: list[str] | None = None) -> int:
         elif "estimation_mode" in args:
             args.estimation_mode = _MODE_BY_FLAG[args.estimation_mode or "complete"]
         _check_flags(args)
+        if "repair" in args and not args.repair and args.repair_floor is not None:
+            raise ValueError(
+                "--floor does not apply with --no-repair: only a repair floors the spectrum"
+            )
         json_path = _json_path(args)
+        _refuse_overwriting_an_input(args, json_path)
         # compared without case, as a case-insensitive file system names files
         if args.command in _CSV_COMMANDS and (
             json_path.name.lower() == Path(args.output_path).name.lower()

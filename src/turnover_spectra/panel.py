@@ -849,12 +849,13 @@ def ols_residualize(
                 f"factors; need at least {needed}"
             )
         design = np.column_stack([np.ones(n_joint), factors.values[:, joint].T])
-        if np.linalg.matrix_rank(design) < design.shape[1]:
+        y = panel.values[i, joint]
+        # lstsq's rank counts singular values as matrix_rank does, from the same SVD
+        coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+        if rank < design.shape[1]:
             raise CollinearFactorsError(
                 f"rank-deficient factor design for series {sid!r}"
             )
-        y = panel.values[i, joint]
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         resid = y - design @ coef
         if keep_intercept:
             resid = resid + coef[0]

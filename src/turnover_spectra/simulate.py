@@ -12,7 +12,7 @@ import numpy as np
 
 from .conditioning import _leading_pair, default_floor, eigendecompose, rj_repair
 from .errors import TurnoverSpectraError, UndefinedRegressorError
-from .panel import COMPLETE_CASES, ESTIMATION_MODES, TimeSeriesPanel, _write_csv, sample_moments
+from .panel import TimeSeriesPanel, _write_csv, sample_moments
 from .turnover import _rho_star, fix_sign_basis
 
 PanelGenerator = Callable[[int, int], TimeSeriesPanel]
@@ -207,21 +207,6 @@ def no_intercept_regression(x, y) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class SweepOptions:
-    """Conditioning choices applied at every sweep grid point."""
-
-    estimation_mode: str = COMPLETE_CASES
-    repair: bool = True
-    repair_floor: float | None = None  # None -> default_floor(n)
-
-    def __post_init__(self) -> None:
-        if self.estimation_mode not in ESTIMATION_MODES:
-            raise ValueError(f"estimation_mode must be one of {ESTIMATION_MODES}")
-        if self.repair_floor is not None and not 0 < self.repair_floor < math.inf:
-            raise ValueError("repair_floor must be positive and finite")
-
-
-@dataclass(frozen=True)
 class SweepResult:
     """rho_star * N against N, plus the through-origin fit.
 
@@ -266,21 +251,28 @@ def _generate(generator: PanelGenerator, n: int, seed: int) -> TimeSeriesPanel:
 def sweep_rho_star(
     grid,
     generator: PanelGenerator,
-    options: SweepOptions | None = None,
+    *,
     seed: int = 0,
+    repair: bool = True,
+    floor: float | None = None,
 ) -> SweepResult:
     """Estimate rho_star across panel sizes and fit rho_star*N ~ N through the origin.
 
     For every N in the strictly increasing ``grid``: generate a panel with
-    ``generator(n_alphas, point_seed)``, estimate the correlation matrix,
-    repair it when requested, fix the sign basis and record rho_star * N
-    (:func:`_sweep_point` describes the two ways the spectrum is solved).
-    The fitted slope estimates the large-N limit of rho_star. Point seeds
-    are derived by hashing (seed, N) so results do not depend on grid order.
+    ``generator(n_alphas, point_seed)``, estimate its correlation matrix
+    from complete cases, floor its spectrum at ``floor`` when ``repair`` is
+    set (``default_floor(N)`` when ``floor`` is None), fix the sign basis
+    and record rho_star * N (:func:`_sweep_point` describes the two ways
+    the spectrum is solved). With ``repair`` off the matrix is used as
+    estimated, and a ``floor`` is refused. The fitted slope estimates the
+    large-N limit of rho_star. Point seeds are derived by hashing (seed, N)
+    so results do not depend on grid order.
 
-    A point whose generator raises, or whose estimation or solve raises a
-    package error, ``ValueError`` or ``LinAlgError``, is recorded as NaN
-    with its message in ``errors``; any other exception propagates.
+    The grid and the floor are checked before the generator is first
+    called: a bad one raises ``ValueError``. A point whose generator
+    raises, or whose estimation or solve raises a package error,
+    ``ValueError`` or ``LinAlgError``, is recorded as NaN with its message
+    in ``errors``; any other exception propagates.
     """
     grid = tuple(int(n) for n in grid)
     if not grid:
@@ -289,7 +281,11 @@ def sweep_rho_star(
         raise ValueError("grid values must be at least 2")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
-    options = options or SweepOptions()
+    if floor is not None:
+        if not repair:
+            raise ValueError("a floor applies only with repair")
+        if not 0 < floor < math.inf:
+            raise ValueError(f"floor must be positive and finite, got {floor}")
 
     rho_stars = np.full(len(grid), np.nan)
     solvers = ["failed"] * len(grid)
@@ -302,7 +298,7 @@ def sweep_rho_star(
         try:
             # the panel goes straight into the call, which holds its only reference
             rho_stars[idx], solvers[idx], degenerate[idx] = _sweep_point(
-                _generate(generator, n, point_seed), options
+                _generate(generator, n, point_seed), repair, floor
             )
         except (TurnoverSpectraError, ValueError, np.linalg.LinAlgError) as exc:
             errors.append(f"N={n}: {exc}")
@@ -330,9 +326,15 @@ def sweep_rho_star(
     )
 
 
-def _sweep_point(panel: TimeSeriesPanel, options: SweepOptions) -> tuple[float, str, bool]:
+def _sweep_point(
+    panel: TimeSeriesPanel, repair: bool, floor: float | None
+) -> tuple[float, str, bool]:
     """rho_star of one grid point's panel, the solver that produced it, and
     whether its top eigenvalue is degenerate.
+
+    The correlation is estimated from complete cases. With ``repair`` on,
+    the spectrum is floored at ``floor`` (``default_floor(N)`` when None);
+    with it off, ``floor`` must be None, as ``sweep_rho_star`` ensures.
 
     rho_star needs only the top eigenpair, so the point first tries
     ``conditioning._leading_pair``: with repair on, a Cholesky certificate
@@ -349,15 +351,10 @@ def _sweep_point(panel: TimeSeriesPanel, options: SweepOptions) -> tuple[float, 
     The panel and the matrices built from it die with this call, so no
     point's arrays are alive while the next point's panel is generated.
     """
-    _, corr = sample_moments(panel, options.estimation_mode)
+    _, corr = sample_moments(panel)
     del panel  # the caller holds no reference either
-    floor = None
-    if options.repair:
-        floor = (
-            options.repair_floor
-            if options.repair_floor is not None
-            else default_floor(corr.n)
-        )
+    if repair and floor is None:
+        floor = default_floor(corr.n)
     decomposition, solver = _leading_pair(corr, floor), "leading-pair"
     if decomposition is None:
         if floor is not None:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -356,51 +356,18 @@ def pnl_with_costs(inputs: TurnoverInputs, turnover: float) -> float:
     return gross - inputs.linear_cost_rate * traded
 
 
-@dataclass
-class TurnoverReport:
-    """Every turnover estimate and reduction coefficient for one matrix."""
-
-    t_full: float
-    t_large_n: float
-    t_t2: float
-    rho_star: float
-    rho_prime: float
-    psi_star: float
-    rho_bar: float
-    rho_one: float
-    rho_star_factored: float
-    p1_share: float
-    warnings: list[str]
-    digest: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "T_full": self.t_full,
-            "T_large_n": self.t_large_n,
-            "T_t2": self.t_t2,
-            "rho_star": self.rho_star,
-            "rho_prime": self.rho_prime,
-            "psi_star": self.psi_star,
-            "rho_bar": self.rho_bar,
-            "rho_one": self.rho_one,
-            "rho_star_factored": self.rho_star_factored,
-            "rho_star_prime_max": max(self.rho_star, self.rho_prime),
-            "p1_share": self.p1_share,
-            "normalization": "inverse-sqrt-trace",
-            "warnings": list(self.warnings),
-            "inputs": dict(self.digest),
-        }
-
-
-def turnover_report(
-    basis: SignedBasis, corr: MatrixLike, weighted_turnovers, digest: dict | None = None
-) -> TurnoverReport:
+def turnover_report(basis: SignedBasis, corr: MatrixLike, weighted_turnovers) -> dict:
     """Evaluate all models and coefficients on one matrix/basis pair.
 
+    The report holds ``T_full``, ``T_large_n``, ``T_t2``, ``rho_star``,
+    ``rho_prime``, ``psi_star``, ``rho_bar``, ``rho_one``,
+    ``rho_star_factored``, ``rho_star_prime_max``, ``p1_share``,
+    ``normalization`` and ``warnings``; a caller that records where the
+    matrix came from adds that itself (``analyze`` adds ``inputs``).
     ``rho_star`` and ``rho_prime`` can disagree at finite N, so both are
-    reported (plus their max in the serialized form) rather than silently
-    picking one. Degeneracy of the leading eigenvalue is recorded in
-    ``warnings`` instead of raising. ``T_full`` and ``p1_share`` come from
+    reported, with their max, rather than silently picking one. Degeneracy
+    of the leading eigenvalue is recorded in ``warnings`` instead of
+    raising. ``T_full`` and ``p1_share`` come from
     :func:`spectral_turnover_full` and :func:`p1_share`, so the basis must
     come from a correlation matrix (eigenvalues summing to N).
     """
@@ -408,24 +375,24 @@ def turnover_report(
     t_full = spectral_turnover_full(basis, t)
     t_large = _large_n(basis, t)
     relation = rho_star_factored(basis, corr)
-    t_t2 = turnover_t2(relation.rho_star, t)
     notes: list[str] = []
     if basis.top_degenerate:
         notes.append(
             "degenerate-top: leading eigenvalue not isolated; rho_star and "
             "T_large_n depend on an arbitrary basis choice"
         )
-    return TurnoverReport(
-        t_full=t_full,
-        t_large_n=t_large,
-        t_t2=t_t2,
-        rho_star=relation.rho_star,
-        rho_prime=relation.rho_prime,
-        psi_star=relation.psi_star,
-        rho_bar=relation.rho_bar,
-        rho_one=relation.rho_one,
-        rho_star_factored=relation.factored_value,
-        p1_share=p1_share(basis, t),
-        warnings=notes,
-        digest=digest or {},
-    )
+    return {
+        "T_full": t_full,
+        "T_large_n": t_large,
+        "T_t2": turnover_t2(relation.rho_star, t),
+        "rho_star": relation.rho_star,
+        "rho_prime": relation.rho_prime,
+        "psi_star": relation.psi_star,
+        "rho_bar": relation.rho_bar,
+        "rho_one": relation.rho_one,
+        "rho_star_factored": relation.factored_value,
+        "rho_star_prime_max": max(relation.rho_star, relation.rho_prime),
+        "p1_share": p1_share(basis, t),
+        "normalization": "inverse-sqrt-trace",
+        "warnings": notes,
+    }

@@ -59,12 +59,21 @@ def write(path, text):
 
 
 class TestAnalyze:
-    def test_happy_path_writes_full_report(self, tmp_path):
+    def test_happy_path_writes_full_report(self, tmp_path, monkeypatch):
         panel = write(tmp_path / "panel.csv", PANEL_CSV)
         out = tmp_path / "report.json"
+        returned = []
+        report_of = cli.turnover_report
+
+        def recorded(*args):
+            returned.append(report_of(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(cli, "turnover_report", recorded)
         assert main(["analyze", "--input", panel, "--output", str(out)]) == EXIT_OK
         payload = json.loads(out.read_text())
         report = payload["report"]
+        assert set(report) - {"inputs"} == set(returned[0])
         for key in (
             "T_full", "T_large_n", "T_t2", "rho_star", "rho_prime", "psi_star",
             "rho_bar", "rho_one", "rho_star_factored", "rho_star_prime_max",
@@ -557,6 +566,61 @@ def test_numeric_flag_refusal_names_the_flag(tmp_path, capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv", [["analyze", "--input", "ABSENT"], ["sweep", "--grid", "10,20"]], ids=["analyze", "sweep"]
+)
+def test_floor_with_no_repair_is_refused_before_any_input_is_read(tmp_path, capsys, argv):
+    # the input does not exist: a refusal after reading it would say so instead
+    argv = [str(tmp_path / "absent.csv") if arg == "ABSENT" else arg for arg in argv]
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([*argv, "--no-repair", "--floor", "0.5", "--output", str(out / "r.csv")]) == EXIT_IO
+    assert capsys.readouterr().err == (
+        "error: --floor does not apply with --no-repair: only a repair floors the spectrum\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["same-path", "symlink", "hardlink"])
+@pytest.mark.parametrize(
+    "command, flag, source_name, output_name",
+    [
+        ("analyze", "--input", "panel.csv", "panel.csv"),
+        ("analyze", "--factors", "factors.csv", "factors.csv"),
+        ("repair", "--input", "corr.csv", "corr.csv"),
+        ("repair", "--input", "corr.json", "corr.csv"),  # the JSON summary lands on the input
+    ],
+    ids=["analyze-input", "analyze-factors", "repair-csv", "repair-json"],
+)
+def test_an_output_that_is_an_input_is_refused_and_nothing_is_written(
+    tmp_path, capsys, command, flag, source_name, output_name, kind
+):
+    texts = {"panel.csv": PANEL_CSV, "factors.csv": FACTORS_CSV}
+    source = Path(write(tmp_path / source_name, texts.get(source_name, "a,b\n1.0,0.4\n0.4,1.0\n")))
+    argv = [command, flag, str(source)]
+    if flag == "--factors":
+        argv += ["--input", write(tmp_path / "panel.csv", PANEL_CSV)]
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    # the output reaches the input by its own path, or through a link in another directory
+    where = tmp_path
+    if kind != "same-path":
+        where = tmp_path / "links"
+        where.mkdir()
+        if kind == "symlink":
+            (where / source_name).symlink_to(source)
+        else:
+            os.link(source, where / source_name)
+    assert main([*argv, "--output", str(where / output_name)]) == EXIT_IO
+    message = (
+        f"{where / source_name} is the {flag} file {source}; the command would "
+        "overwrite its input, so give --output another path"
+    )
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
+    if kind != "same-path":
+        assert [path.name for path in where.iterdir()] == [source_name]
+
+
+@pytest.mark.parametrize(
     "argv", [["repair", "--input", "MATRIX"], ["sweep", "--grid", "10,20"]], ids=["repair", "sweep"]
 )
 def test_csv_output_ending_in_json_is_refused_before_any_work(tmp_path, capsys, argv):
@@ -631,7 +695,7 @@ CONFIG_KEYS = {
     },
     "repair": {"command", "input_path", "output_path", "repair_floor"},
     "sweep": {
-        "command", "output_path", "grid", "rho", "n_periods", "estimation_mode",
+        "command", "output_path", "grid", "rho", "n_periods",
         "repair", "repair_floor", "seed",
     },
     "simulate": {"command", "output_path", "rho", "n_alphas", "n_instruments", "n_paths", "seed"},
@@ -651,11 +715,8 @@ def test_config_echoes_exactly_the_arguments_its_command_takes(tmp_path, command
         "repair": ("out.csv", ["--input", matrix, "--floor", "0.001"], {"repair_floor": 0.001}),
         "sweep": (
             "sweep.csv",
-            ["--grid", "16,8", "--periods", "120", "--mode", "pairwise", "--no-repair"],
-            {
-                "grid": [8, 16], "n_periods": 120,
-                "estimation_mode": "pairwise-complete", "repair": False,
-            },
+            ["--grid", "16,8", "--periods", "120", "--no-repair"],
+            {"grid": [8, 16], "n_periods": 120, "repair": False, "repair_floor": None},
         ),
         "simulate": (
             "sim.json",
@@ -696,7 +757,6 @@ PARSER_OPTIONS = {
         "--grid": (None, None, True),
         "--rho": (0.25, None, False),
         "--periods": (2000, None, False),
-        "--mode": ("complete", ["complete", "pairwise"], False),
         "--repair/--no-repair": (True, None, False),
         "--floor": (None, None, False),
         "--seed": (0, None, False),

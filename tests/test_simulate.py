@@ -15,8 +15,8 @@ from turnover_spectra import (
     CorrelationMatrix,
     DegenerateTopWarning,
     InvalidMatrixError,
+    PAIRWISE_COMPLETE,
     SimConfig,
-    SweepOptions,
     TimeSeriesPanel,
     UndefinedRegressorError,
     default_floor,
@@ -229,13 +229,39 @@ class TestNoInterceptRegression:
 class TestSweep:
     @pytest.mark.parametrize("floor", [0.0, -1.0, math.nan, math.inf])
     def test_options_refuse_a_floor_that_is_not_positive_and_finite(self, floor):
-        with pytest.raises(ValueError, match="repair_floor must be positive and finite"):
-            SweepOptions(repair_floor=floor)
+        calls = []
+        with pytest.raises(ValueError, match="floor must be positive and finite"):
+            sweep_rho_star([10, 20], lambda n, seed: calls.append(n), floor=floor)
+        assert calls == []
+
+    def test_a_floor_without_repair_is_refused_before_any_panel(self):
+        calls = []
+        with pytest.raises(ValueError, match="a floor applies only with repair"):
+            sweep_rho_star([10, 20], lambda n, seed: calls.append(n), repair=False, floor=0.5)
+        assert calls == []
+
+    def test_a_ragged_panel_is_estimated_from_complete_cases(self):
+        panels = []
+
+        def ragged(n_alphas, seed):
+            panel = one_factor_generator(0.3, 400)(n_alphas, seed)
+            panel.values[np.arange(n_alphas), 7 * np.arange(n_alphas)] = np.nan  # a cell per series
+            panels.append(TimeSeriesPanel(panel.series_ids, panel.values))
+            return panels[-1]
+
+        result = sweep_rho_star([6, 12], ragged, seed=4)
+        for value, panel in zip(result.rho_stars, panels):
+            complete = full_path_point(sample_moments(panel, COMPLETE_CASES)[1], True, None)
+            pairwise = full_path_point(sample_moments(panel, PAIRWISE_COMPLETE)[1], True, None)
+            assert value == pytest.approx(complete, rel=1e-12)
+            assert value != pytest.approx(pairwise, rel=1e-6)
+
+    def test_options_after_the_generator_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            sweep_rho_star([10, 20], one_factor_generator(0.3, 200), 5)
 
     def test_small_sweep_smoke(self):
-        result = sweep_rho_star(
-            [10, 20], one_factor_generator(0.3, 400), SweepOptions(), seed=5
-        )
+        result = sweep_rho_star([10, 20], one_factor_generator(0.3, 400), seed=5)
         assert result.grid == (10, 20)
         assert result.errors == ()
         assert all(math.isfinite(v) for v in result.rho_stars)
@@ -244,8 +270,8 @@ class TestSweep:
 
     def test_deterministic(self):
         gen = one_factor_generator(0.3, 300)
-        first = sweep_rho_star([10, 20, 40], gen, SweepOptions(), seed=9)
-        second = sweep_rho_star([10, 20, 40], gen, SweepOptions(), seed=9)
+        first = sweep_rho_star([10, 20, 40], gen, seed=9)
+        second = sweep_rho_star([10, 20, 40], gen, seed=9)
         assert first == second
 
     def test_degenerate_top_changes_no_warning_filter(self, fixed_warning_filters):
@@ -258,13 +284,13 @@ class TestSweep:
             return TimeSeriesPanel(ids, hadamard[:n_alphas])
 
         with fixed_warning_filters():
-            result = sweep_rho_star([2, 3], orthogonal, SweepOptions(), seed=0)
+            result = sweep_rho_star([2, 3], orthogonal, seed=0)
         assert result.solvers == ("full", "full") and result.errors == ()
         assert np.isfinite(result.rho_stars).all()  # values of an arbitrary basis
         assert result.degenerate_top == (True, True)
 
     def test_single_grid_point_slope_without_f(self):
-        result = sweep_rho_star([16], one_factor_generator(0.4, 300), SweepOptions(), seed=2)
+        result = sweep_rho_star([16], one_factor_generator(0.4, 300), seed=2)
         assert result.f_statistic is None
         assert result.slope_no_intercept == pytest.approx(result.rho_stars[0])
 
@@ -274,7 +300,7 @@ class TestSweep:
                 raise RuntimeError("synthetic failure")
             return one_factor_generator(0.3, 300)(n_alphas, seed)
 
-        result = sweep_rho_star([10, 20, 40], flaky, SweepOptions(), seed=3)
+        result = sweep_rho_star([10, 20, 40], flaky, seed=3)
         assert len(result.errors) == 1
         assert "N=20" in result.errors[0]
         assert math.isnan(result.rho_stars[1])
@@ -286,7 +312,7 @@ class TestSweep:
                 raise RuntimeError("synthetic failure")
             return one_factor_generator(0.3, 300)(n_alphas, seed)
 
-        result = sweep_rho_star([10, 20, 40], flaky, SweepOptions(), seed=3)
+        result = sweep_rho_star([10, 20, 40], flaky, seed=3)
         assert result.solvers == ("leading-pair", "failed", "leading-pair")
         assert result.degenerate_top == (False, False, False)  # a failed point included
 
@@ -296,7 +322,7 @@ class TestSweep:
 
         monkeypatch.setattr(simulate, "_leading_pair", broken)
         with pytest.raises(TypeError, match="a bug"):
-            sweep_rho_star([10, 20], one_factor_generator(0.3, 300), SweepOptions(), seed=3)
+            sweep_rho_star([10, 20], one_factor_generator(0.3, 300), seed=3)
 
     @pytest.mark.parametrize("error", [np.linalg.LinAlgError, ValueError, InvalidMatrixError])
     def test_numeric_errors_in_a_point_leave_a_nan_point(self, monkeypatch, error):
@@ -306,7 +332,7 @@ class TestSweep:
             return None
 
         monkeypatch.setattr(simulate, "_leading_pair", failing)
-        result = sweep_rho_star([10, 20, 40], one_factor_generator(0.3, 300), SweepOptions(), seed=3)
+        result = sweep_rho_star([10, 20, 40], one_factor_generator(0.3, 300), seed=3)
         assert result.errors == ("N=20: synthetic numeric failure",)
         assert math.isnan(result.rho_stars[1])
         assert result.solvers == ("full", "failed", "full")
@@ -326,9 +352,7 @@ class TestSweep:
             sweep_rho_star([20, 10], gen)
 
     def test_csv_layout(self, tmp_path):
-        result = sweep_rho_star(
-            [10, 20], one_factor_generator(0.3, 200), SweepOptions(), seed=1
-        )
+        result = sweep_rho_star([10, 20], one_factor_generator(0.3, 200), seed=1)
         buffer = io.StringIO()
         sweep_to_csv(result, buffer)
         sweep_to_csv(result, tmp_path / "sweep.csv")
@@ -339,9 +363,7 @@ class TestSweep:
         assert lines[1].startswith("10,")
 
     def test_csv_inf_sentinel(self):
-        result = sweep_rho_star(
-            [10, 20], one_factor_generator(0.3, 200), SweepOptions(), seed=1
-        )
+        result = sweep_rho_star([10, 20], one_factor_generator(0.3, 200), seed=1)
         exact = type(result)(
             grid=result.grid,
             rho_stars=result.rho_stars,
@@ -373,22 +395,21 @@ class TestSimConfigValidation:
             SimConfig(4, 10, target_correlation=(0.5, 0.5))
 
 
-def full_path_point(corr: CorrelationMatrix, options: SweepOptions) -> float:
+def full_path_point(corr: CorrelationMatrix, repair: bool, floor: float | None) -> float:
     """A grid point's rho_star by the full path alone: repair, eigh, sign basis."""
-    if options.repair:
-        floor = options.repair_floor if options.repair_floor is not None else default_floor(corr.n)
-        corr = rj_repair(corr, floor)
+    if repair:
+        corr = rj_repair(corr, floor if floor is not None else default_floor(corr.n))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateTopWarning)
         return rho_star(fix_sign_basis(eigendecompose(corr)))
 
 
-def point_from_matrix(monkeypatch, entries: np.ndarray, options: SweepOptions) -> tuple[float, str, bool]:
+def point_from_matrix(
+    monkeypatch, entries: np.ndarray, repair: bool, floor: float | None
+) -> tuple[float, str, bool]:
     """Run ``_sweep_point`` on a panel whose estimated correlation is ``entries``."""
-    monkeypatch.setattr(
-        simulate, "sample_moments", lambda panel, mode: (None, CorrelationMatrix(entries))
-    )
-    return simulate._sweep_point(None, options)
+    monkeypatch.setattr(simulate, "sample_moments", lambda panel: (None, CorrelationMatrix(entries)))
+    return simulate._sweep_point(None, repair, floor)
 
 
 class TestSweepPointSolvers:
@@ -415,33 +436,31 @@ class TestSweepPointSolvers:
         ],
     )
     def test_uncertified_points_take_the_full_path_bit_for_bit(self, monkeypatch, floor, target):
-        options = SweepOptions(repair_floor=floor)
         level = floor if floor is not None else default_floor(self.N)
         entries = self.boundary_matrix(min(level * target, 0.3))
-        value, solver, degenerate = point_from_matrix(monkeypatch, entries, options)
+        value, solver, degenerate = point_from_matrix(monkeypatch, entries, True, floor)
         assert solver == "full" and not degenerate
-        assert value == full_path_point(CorrelationMatrix(entries), options)
+        assert value == full_path_point(CorrelationMatrix(entries), True, floor)
 
     def test_points_clear_of_the_floor_take_the_leading_pair(self, monkeypatch):
         entries = self.boundary_matrix(1e-3)
-        for options in (SweepOptions(), SweepOptions(repair_floor=1e-10)):
-            value, solver, degenerate = point_from_matrix(monkeypatch, entries, options)
+        for floor in (None, 1e-10):
+            value, solver, degenerate = point_from_matrix(monkeypatch, entries, True, floor)
             assert solver == "leading-pair" and not degenerate
-            want = full_path_point(CorrelationMatrix(entries), options)
+            want = full_path_point(CorrelationMatrix(entries), True, floor)
             assert value == pytest.approx(want, rel=1e-12)
 
     def test_unrepaired_degenerate_top_takes_the_full_path_bit_for_bit(self, monkeypatch):
         entries = np.kron(np.eye(2), np.full((self.N // 2, self.N // 2), 0.5))
         np.fill_diagonal(entries, 1.0)
-        options = SweepOptions(repair=False)
-        value, solver, degenerate = point_from_matrix(monkeypatch, entries, options)
+        value, solver, degenerate = point_from_matrix(monkeypatch, entries, False, None)
         assert solver == "full" and degenerate
-        assert value == full_path_point(CorrelationMatrix(entries), options)
+        assert value == full_path_point(CorrelationMatrix(entries), False, None)
 
-    @pytest.mark.parametrize("options", [SweepOptions(), SweepOptions(repair=False)])
+    @pytest.mark.parametrize("options", [{"repair": True, "floor": None}, {"repair": False, "floor": None}])
     def test_large_point_agrees_with_the_full_path(self, options):
         panel = gen_one_factor_panel(SimConfig(1200, 1500, target_correlation=0.25, master_seed=12))
         _, corr = sample_moments(panel, COMPLETE_CASES)
-        value, solver, degenerate = simulate._sweep_point(panel, options)
+        value, solver, degenerate = simulate._sweep_point(panel, **options)
         assert solver == "leading-pair" and not degenerate
-        assert value == pytest.approx(full_path_point(corr, options), rel=1e-12)
+        assert value == pytest.approx(full_path_point(corr, **options), rel=1e-12)

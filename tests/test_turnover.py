@@ -456,32 +456,31 @@ class TestReport:
         corr = random_pd_correlation(8, 20)
         basis = basis_of(corr)
         t = np.full(20, 1.0 / 20)
-        report = turnover_report(basis, corr, t, digest={"n_series": 20})
+        report = turnover_report(basis, corr, t)
         n = basis.size
         recomputed = float(
             basis.eigenvalues[0] * (basis.first_eigenvector @ t) / math.sqrt(n)
         )
-        assert report.t_large_n == pytest.approx(recomputed, abs=1e-12)
-        assert report.t_full >= 0
-        assert 0 <= report.p1_share <= 1
-        assert report.rho_star >= 0
-        payload = report.to_dict()
-        assert payload["rho_star_prime_max"] == max(payload["rho_star"], payload["rho_prime"])
-        for key in (
+        assert report["T_large_n"] == pytest.approx(recomputed, abs=1e-12)
+        assert report["T_full"] >= 0
+        assert 0 <= report["p1_share"] <= 1
+        assert report["rho_star"] >= 0
+        assert report["rho_star_prime_max"] == max(report["rho_star"], report["rho_prime"])
+        assert set(report) == {
             "T_full", "T_large_n", "T_t2", "rho_star", "rho_prime", "psi_star",
-            "rho_bar", "rho_one", "rho_star_factored", "p1_share", "warnings", "inputs",
-        ):
-            assert key in payload
-        assert payload["inputs"]["n_series"] == 20
-        assert payload["warnings"] == []
+            "rho_bar", "rho_one", "rho_star_factored", "rho_star_prime_max",
+            "p1_share", "normalization", "warnings",
+        }
+        assert report["warnings"] == []
+        assert report == turnover_report(basis, corr, t)
 
     def test_share_and_full_model_come_from_the_model_functions(self):
         corr = random_pd_correlation(9, 12)
         basis = basis_of(corr)
         t = np.random.default_rng(1).uniform(0.0, 1.0, 12)
         report = turnover_report(basis, corr, t)
-        assert report.t_full == spectral_turnover_full(basis, t)
-        assert report.p1_share == p1_share(basis, t)
+        assert report["T_full"] == spectral_turnover_full(basis, t)
+        assert report["p1_share"] == p1_share(basis, t)
 
     def test_requires_a_correlation_basis(self):
         covariance = 2.0 * THREE_BY_THREE
@@ -495,12 +494,12 @@ class TestReport:
     def test_degenerate_top_is_recorded_not_raised(self):
         basis = basis_of(np.eye(6))
         report = turnover_report(basis, np.eye(6), np.full(6, 1.0 / 6))
-        assert any("degenerate-top" in note for note in report.warnings)
+        assert any("degenerate-top" in note for note in report["warnings"])
 
     def test_degenerate_top_changes_no_warning_filter(self, fixed_warning_filters):
         basis = basis_of(np.eye(6))
         with fixed_warning_filters():
             report = turnover_report(basis, np.eye(6), np.full(6, 1.0 / 6))
             relation = rho_star_factored(basis, np.eye(6))
-        assert any("degenerate-top" in note for note in report.warnings)
-        assert relation.rho_star == report.rho_star
+        assert any("degenerate-top" in note for note in report["warnings"])
+        assert relation.rho_star == report["rho_star"]
