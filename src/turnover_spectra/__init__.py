@@ -21,19 +21,17 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "conditioning": (
         "MatrixLike", "SpectralDecomposition", "classify_definiteness",
-        "correlation_from_csv", "covariance_from_csv", "default_floor",
-        "eigendecompose", "matrix_report", "matrix_to_csv",
-        "portfolio_volatility", "prune_redundant", "rj_repair",
+        "correlation_from_csv", "default_floor", "eigendecompose",
+        "matrix_report", "matrix_to_csv", "prune_redundant", "rj_repair",
     ),
     "errors": (
         "CalibrationError", "CollinearFactorsError", "CoverageError",
         "DegenerateSeriesError", "DegenerateTopWarning",
-        "IllDefinedVolatilityError", "InvalidDiagonalError",
-        "InvalidMatrixError", "PanelFormatError", "RejectedSeriesError",
-        "TurnoverSpectraError", "UndefinedRegressorError",
+        "InvalidDiagonalError", "InvalidMatrixError", "PanelFormatError",
+        "RejectedSeriesError", "TurnoverSpectraError", "UndefinedRegressorError",
     ),
     "panel": (
-        "COMPLETE_CASES", "ESTIMATION_MODES", "PAIRWISE_COMPLETE",
+        "COMPLETE_CASES", "PAIRWISE_COMPLETE",
         "CorrelationMatrix", "CovarianceMatrix", "TimeSeriesPanel",
         "load_panel", "ols_residualize", "sample_moments", "write_panel",
     ),
@@ -45,11 +43,11 @@ _EXPORTS = {
     ),
     "turnover": (
         "ExactCalibration", "FactoredRelation", "SignedBasis",
-        "TurnoverInputs", "calibrate_exact_B",
-        "fix_sign_basis", "naive_turnover", "p1_share", "pnl_with_costs",
-        "rho_prime", "rho_star", "rho_star_factored", "spectral_terms",
-        "spectral_turnover_full", "spectral_turnover_large_n",
-        "turnover_exact_b", "turnover_report", "turnover_t2",
+        "TurnoverInputs", "calibrate_exact_B", "fix_sign_basis",
+        "naive_turnover", "p1_share", "rho_prime", "rho_star",
+        "rho_star_factored", "spectral_terms", "spectral_turnover_full",
+        "spectral_turnover_large_n", "turnover_exact_b", "turnover_report",
+        "turnover_t2",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -21,8 +21,7 @@ symmetric, a correlation matrix whose diagonal is off 1 or whose entries
 leave [-1, 1] (``InvalidMatrixError``, from ``repair`` and ``analyze
 --matrix`` alike), a covariance matrix with a non-positive diagonal entry
 (``InvalidDiagonalError``), a repair that does not converge, a non-PSD
-matrix under ``--no-repair`` (also an ``InvalidMatrixError``), an
-indefinite quadratic form.
+matrix under ``--no-repair`` (also an ``InvalidMatrixError``).
 
 Artifacts. Each command's runner returns the body of its JSON artifact,
 and ``main`` alone writes it, with sorted keys and the ``config`` block.
@@ -94,11 +93,7 @@ from .conditioning import (
     prune_redundant,
     rj_repair,
 )
-from .errors import (
-    IllDefinedVolatilityError,
-    InvalidMatrixError,
-    TurnoverSpectraError,
-)
+from .errors import InvalidMatrixError, TurnoverSpectraError
 from .panel import (
     COMPLETE_CASES,
     PAIRWISE_COMPLETE,
@@ -427,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
         body = _RUNNERS[args.command](args)
         _write_json({"config": vars(args), **body}, json_path)
         return EXIT_OK
-    except (InvalidMatrixError, IllDefinedVolatilityError) as exc:
+    except InvalidMatrixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (TurnoverSpectraError, OSError, ValueError) as exc:

@@ -1,6 +1,5 @@
 """Spectral analysis and conditioning of covariance/correlation matrices:
-eigendecomposition, redundancy pruning, eigenvalue-floor repair, and
-portfolio volatility."""
+eigendecomposition, redundancy pruning and eigenvalue-floor repair."""
 
 from __future__ import annotations
 
@@ -11,12 +10,7 @@ from typing import IO
 
 import numpy as np
 
-from .errors import (
-    IllDefinedVolatilityError,
-    InvalidDiagonalError,
-    InvalidMatrixError,
-    PanelFormatError,
-)
+from .errors import InvalidDiagonalError, InvalidMatrixError, PanelFormatError
 from .panel import (
     CorrelationMatrix,
     CovarianceMatrix,
@@ -54,10 +48,6 @@ class SpectralDecomposition:
     @property
     def source_dim(self) -> int:
         return self.eigenvectors.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        """V diag(w) V^T."""
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
 
 
 _WRAPPERS = (CorrelationMatrix, CovarianceMatrix)
@@ -330,33 +320,6 @@ _TOP_GAP_RTOL = 0.1
 _POWER_STEPS = math.ceil(math.log(_EPS) / math.log(1.0 - _TOP_GAP_RTOL))
 
 
-def portfolio_volatility(
-    cov: MatrixLike, weights: np.ndarray, investment: float = 1.0
-) -> float:
-    """``investment * sqrt(w' C w)``, evaluated in the eigenbasis.
-
-    Rejects matrices with materially negative eigenvalues: the quadratic
-    form is then indefinite and the volatility undefined; run
-    :func:`rj_repair` first.
-    """
-    values, vectors = _spectrum(cov)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (values.size,):
-        raise ValueError("weights length must match matrix dimension")
-    if not np.isfinite(w).all():
-        raise ValueError("weights must be finite")
-    if investment < 0:
-        raise ValueError("investment must be nonnegative")
-    if float(values.min()) < -_psd_tolerance(values):
-        raise IllDefinedVolatilityError(
-            f"matrix has eigenvalue {values.min():.3e} < 0, so the quadratic "
-            "form is indefinite; repair the matrix (rj_repair) first"
-        )
-    rotated = vectors.T @ w
-    quad = float(np.sum(values * rotated**2))
-    return float(investment) * math.sqrt(max(quad, 0.0))
-
-
 def classify_definiteness(matrix: MatrixLike) -> str:
     """One of 'verified-PD', 'verified-not-PSD', 'unverified' (borderline).
 
@@ -413,12 +376,8 @@ def correlation_from_csv(source: str | Path | IO[str]) -> CorrelationMatrix:
     return CorrelationMatrix(entries, ids=ids)
 
 
-def covariance_from_csv(source: str | Path | IO[str]) -> CovarianceMatrix:
-    """Load a covariance matrix; its counts are unknown (zero)."""
-    return _covariance_from_entries(*_square_from_csv(source))
-
-
 def _covariance_from_entries(ids: tuple[str, ...], entries: np.ndarray) -> CovarianceMatrix:
+    """A covariance matrix read from CSV; its counts are unknown (zero)."""
     return CovarianceMatrix(entries, np.zeros(entries.shape, dtype=int), ids=ids)
 
 

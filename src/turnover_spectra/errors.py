@@ -72,10 +72,6 @@ class InvalidDiagonalError(InvalidMatrixError):
     matrix at construction, and by ``rj_repair`` for a bare array."""
 
 
-class IllDefinedVolatilityError(TurnoverSpectraError):
-    """Quadratic form is indefinite; volatility has no real value."""
-
-
 class CalibrationError(TurnoverSpectraError):
     """Single-alpha calibration system is singular or ill-conditioned."""
 

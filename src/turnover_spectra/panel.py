@@ -84,7 +84,8 @@ class TimeSeriesPanel:
     so the values are the panel's only stored copy: ``observed_mask`` is
     derived from them. An infinite value is refused (``ValueError``), and
     every series must carry at least two observations
-    (``RejectedSeriesError``).
+    (``RejectedSeriesError``). The ids follow the CSV header's rule
+    (:func:`_checked_ids`).
     """
 
     series_ids: tuple[str, ...]
@@ -94,12 +95,10 @@ class TimeSeriesPanel:
     __hash__ = None  # equal by value, and the arrays are not hashable
 
     def __post_init__(self) -> None:
-        ids = tuple(str(s) for s in self.series_ids)
         values = np.array(self.values, dtype=float)
         if values.ndim != 2:
             raise ValueError("values must be a 2-D array (series x timestamps)")
-        if len(ids) != values.shape[0]:
-            raise ValueError("series_ids length must match the number of series")
+        ids = _checked_ids(self.series_ids, values.shape[0])
         if values.shape[0] < 1:
             raise ValueError("panel needs at least one series")
         if np.isinf(values).any():
@@ -232,6 +231,23 @@ def _header(row: list[str]) -> tuple[str, ...]:
     if len(set(header)) != len(header):
         raise PanelFormatError("duplicate series ids in header", row=0)
     return header
+
+
+def _checked_ids(ids: Iterable, n: int) -> tuple[str, ...]:
+    """``ids`` as strings, refused (``ValueError``) unless the CSV reader would
+    read them back as they are: ``n`` of them, none blank and none repeated
+    (:func:`_header`'s rule), and none with surrounding whitespace, which the
+    reader strips. Every type that carries ids checks them here, so what
+    ``write_panel`` or ``matrix_to_csv`` writes, the readers accept."""
+    ids = tuple(map(str, ids))
+    if len(ids) != n:
+        raise ValueError(f"ids length must match the number of series: {len(ids)} for {n}")
+    for name in ids:
+        if not name or name != name.strip():
+            raise ValueError(f"id {name!r} is blank or has surrounding whitespace")
+    if len(set(ids)) != n:
+        raise ValueError("ids must not repeat")
+    return ids
 
 
 def _fast_grid(lines: Iterator[str]) -> _Grid | None:
@@ -562,7 +578,7 @@ class CovarianceMatrix:
     (``InvalidDiagonalError``), and definiteness from their spectrum
     (``conditioning.classify_definiteness``). The estimator that made the
     entries is not stored: it is the caller's to report. ``ids`` is
-    keyword-only.
+    keyword-only and follows the CSV header's rule (:func:`_checked_ids`).
     """
 
     entries: np.ndarray
@@ -581,15 +597,12 @@ class CovarianceMatrix:
 
     def __post_init__(self) -> None:
         entries = _symmetric(self.entries, "covariance matrix")
-        n = entries.shape[0]
         if (np.diag(entries) <= 0).any():
             raise InvalidDiagonalError("covariance diagonal must be positive")
         counts = np.array(self.pairwise_counts, dtype=int)
         if counts.shape != entries.shape:
             raise ValueError("pairwise_counts shape must match entries")
-        ids = tuple(self.ids) if self.ids is not None else None
-        if ids is not None and len(ids) != n:
-            raise ValueError("ids length must match matrix dimension")
+        ids = _checked_ids(self.ids, entries.shape[0]) if self.ids is not None else None
         object.__setattr__(self, "entries", _readonly(entries))
         object.__setattr__(self, "pairwise_counts", _readonly(counts))
         object.__setattr__(self, "ids", ids)
@@ -613,7 +626,8 @@ class CorrelationMatrix:
     Definiteness is not stored: it is derived from the entries' spectrum
     (``conditioning.classify_definiteness``), which is solved once and kept.
     Nor is the estimator that made the entries: it is the caller's to
-    report. ``ids`` is keyword-only.
+    report. ``ids`` is keyword-only and follows the CSV header's rule
+    (:func:`_checked_ids`).
     """
 
     entries: np.ndarray
@@ -629,7 +643,6 @@ class CorrelationMatrix:
 
     def __post_init__(self) -> None:
         entries = _symmetric(self.entries, "correlation matrix")
-        n = entries.shape[0]
         diag = np.diag(entries)
         if (np.abs(diag - 1.0) > UNIT_DIAGONAL_TOL).any():
             raise InvalidMatrixError(
@@ -639,9 +652,7 @@ class CorrelationMatrix:
             raise InvalidMatrixError("correlation matrix entries must lie in [-1, 1]")
         np.clip(entries, -1.0, 1.0, out=entries)
         np.fill_diagonal(entries, 1.0)
-        ids = tuple(self.ids) if self.ids is not None else None
-        if ids is not None and len(ids) != n:
-            raise ValueError("ids length must match matrix dimension")
+        ids = _checked_ids(self.ids, entries.shape[0]) if self.ids is not None else None
         object.__setattr__(self, "entries", _readonly(entries))
         object.__setattr__(self, "ids", ids)
 

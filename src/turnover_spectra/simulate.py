@@ -53,7 +53,7 @@ class SimConfig:
             loadings = np.asarray(target, dtype=float)
             if loadings.shape != (self.n_alphas,):
                 raise ValueError("loading vector must have one entry per alpha")
-            if ((loadings < 0) | (loadings > 1)).any():
+            if not ((loadings >= 0) & (loadings <= 1)).all():
                 raise ValueError("loadings must lie in [0, 1]")
             object.__setattr__(self, "target_correlation", tuple(loadings))
 
@@ -95,7 +95,7 @@ def one_factor_correlation(loadings) -> np.ndarray:
     b = np.asarray(loadings, dtype=float)
     if b.ndim != 1 or b.size < 2:
         raise ValueError("loadings must be a vector of length >= 2")
-    if ((b < 0) | (b > 1)).any():
+    if not ((b >= 0) & (b <= 1)).all():
         raise ValueError("loadings must lie in [0, 1]")
     corr = np.outer(b, b)
     np.fill_diagonal(corr, 1.0)

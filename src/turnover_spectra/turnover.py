@@ -1,6 +1,6 @@
 """Turnover models built on the correlation spectrum: sign-basis fixing,
 the full weighted component-sum model, its leading-eigenvalue limit,
-reduction coefficients, single-alpha calibration, and linear-cost P&L."""
+reduction coefficients and single-alpha calibration."""
 
 from __future__ import annotations
 
@@ -129,14 +129,20 @@ def spectral_turnover_large_n(basis: SignedBasis, weighted_turnovers) -> float:
     value is still returned but flagged with :class:`DegenerateTopWarning`.
     """
     t = _as_turnovers(weighted_turnovers, basis.size)
+    _warn_if_degenerate(basis, "large-N turnover")
+    return _large_n(basis, t)
+
+
+def _warn_if_degenerate(basis: SignedBasis, quantity: str) -> None:
+    """Warn, at the public function's caller, that ``quantity`` depends on an
+    arbitrary basis choice when the leading eigenvalue is degenerate."""
     if basis.top_degenerate:
         warnings.warn(
-            "leading eigenvalue is degenerate; large-N turnover depends on an "
+            f"leading eigenvalue is degenerate; {quantity} depends on an "
             "arbitrary basis choice",
             DegenerateTopWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return _large_n(basis, t)
 
 
 def _large_n(basis: SignedBasis, t: np.ndarray) -> float:
@@ -152,13 +158,7 @@ def rho_star(basis: SignedBasis) -> float:
     Nonnegative in the sign-fixed basis; warns when the leading eigenvalue
     is degenerate (the eigenvector, and hence the value, is then arbitrary).
     """
-    if basis.top_degenerate:
-        warnings.warn(
-            "leading eigenvalue is degenerate; rho_star depends on an arbitrary "
-            "basis choice",
-            DegenerateTopWarning,
-            stacklevel=2,
-        )
+    _warn_if_degenerate(basis, "rho_star")
     return _rho_star(basis)
 
 
@@ -242,11 +242,9 @@ def rho_star_factored(basis: SignedBasis, corr: MatrixLike) -> FactoredRelation:
 @dataclass(frozen=True)
 class ExactCalibration:
     """Coefficients making the |projection| model return tau_l on every
-    single-alpha input."""
+    single-alpha input; ``has_negative`` marks a negative coefficient."""
 
     coefficients: np.ndarray
-    abs_eigvec_matrix: np.ndarray
-    condition_estimate: float
     has_negative: bool
 
 
@@ -272,9 +270,7 @@ def calibrate_exact_B(basis: SignedBasis) -> ExactCalibration:
     residual = float(np.abs(a @ coefficients - 1.0).max())
     if residual > 1e-8:
         raise CalibrationError(f"calibration residual {residual:.3e} exceeds 1e-8")
-    return ExactCalibration(
-        coefficients, a, condition, bool((coefficients < 0).any())
-    )
+    return ExactCalibration(coefficients, bool((coefficients < 0).any()))
 
 
 def turnover_exact_b(
@@ -300,18 +296,15 @@ def turnover_t2(rho_star_value: float, weighted_turnovers) -> float:
 
 @dataclass(frozen=True)
 class TurnoverInputs:
-    """Per-alpha turnovers, weights and expected returns for P&L accounting.
+    """Per-alpha turnovers and weights.
 
     ``individual_turnovers`` are fractions of invested dollars traded per
     period; weights must satisfy ``sum |w_i| = 1`` (negative weights are
-    fine). ``linear_cost_rate`` is cost per dollar traded.
+    fine).
     """
 
     individual_turnovers: np.ndarray
     weights: np.ndarray
-    investment: float = 1.0
-    linear_cost_rate: float = 0.0
-    alphas_now: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         tau = np.asarray(self.individual_turnovers, dtype=float)
@@ -324,17 +317,8 @@ class TurnoverInputs:
             raise ValueError("weights must be finite")
         if abs(float(np.abs(w).sum()) - 1.0) > 1e-10:
             raise ValueError("weights must satisfy sum |w_i| = 1")
-        if self.investment <= 0:
-            raise ValueError("investment must be positive")
-        if self.linear_cost_rate < 0:
-            raise ValueError("linear_cost_rate must be nonnegative")
-        alphas = self.alphas_now
-        alphas = np.zeros_like(tau) if alphas is None else np.asarray(alphas, float)
-        if alphas.shape != tau.shape or not np.isfinite(alphas).all():
-            raise ValueError("alphas_now must be finite and match turnovers")
         object.__setattr__(self, "individual_turnovers", tau)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "alphas_now", alphas)
 
     @property
     def weighted_turnovers(self) -> np.ndarray:
@@ -345,15 +329,6 @@ class TurnoverInputs:
 def naive_turnover(inputs: TurnoverInputs) -> float:
     """No-crossing reference ``sum_i tau_i |w_i|``."""
     return float(inputs.weighted_turnovers.sum())
-
-
-def pnl_with_costs(inputs: TurnoverInputs, turnover: float) -> float:
-    """``I * sum(alpha_i w_i) - cost_rate * I * turnover``; may go negative."""
-    if turnover < 0:
-        raise ValueError("turnover must be nonnegative")
-    gross = inputs.investment * float(inputs.alphas_now @ inputs.weights)
-    traded = inputs.investment * turnover
-    return gross - inputs.linear_cost_rate * traded
 
 
 def turnover_report(basis: SignedBasis, corr: MatrixLike, weighted_turnovers) -> dict:

@@ -413,7 +413,9 @@ class TestRepair:
         loader = (
             conditioning.correlation_from_csv
             if np.all(np.abs(diagonal - 1.0) <= 1e-12)
-            else conditioning.covariance_from_csv
+            else lambda path: conditioning._covariance_from_entries(
+                *conditioning._square_from_csv(path)
+            )
         )
         loaded = loader(matrix)
         floor = conditioning.default_floor(loaded.n)

@@ -1,4 +1,4 @@
-"""Eigendecomposition, pruning, eigenvalue-floor repair, and volatility."""
+"""Eigendecomposition, pruning and eigenvalue-floor repair."""
 
 import dataclasses
 import io
@@ -16,27 +16,24 @@ from turnover_spectra import (
     CorrelationMatrix,
     CovarianceMatrix,
     DegenerateTopWarning,
-    IllDefinedVolatilityError,
     InvalidDiagonalError,
     InvalidMatrixError,
     SpectralDecomposition,
     TimeSeriesPanel,
     classify_definiteness,
     correlation_from_csv,
-    covariance_from_csv,
     default_floor,
     eigendecompose,
     fix_sign_basis,
     matrix_report,
     matrix_to_csv,
-    portfolio_volatility,
     prune_redundant,
     rj_repair,
     rho_star,
     sample_moments,
 )
 from turnover_spectra import conditioning
-from turnover_spectra.conditioning import _spectrum
+from turnover_spectra.conditioning import _covariance_from_entries, _spectrum, _square_from_csv
 
 # eigenvalues (1.9, 1.9, -0.8): verified against the characteristic
 # polynomial (trace 3, pairwise-product sum 0.57, determinant -2.888)
@@ -78,7 +75,8 @@ class TestEigendecompose:
     def test_reconstruction_orthonormality_trace(self, seed):
         corr = random_correlation(seed, 24)
         decomp = eigendecompose(corr)
-        assert np.abs(decomp.reconstruct() - corr.entries).max() <= 1e-8
+        v, w = decomp.eigenvectors, decomp.eigenvalues
+        assert np.abs((v * w) @ v.T - corr.entries).max() <= 1e-8
         assert decomp.orthonormality_residual <= 1e-8
         assert decomp.eigenvalues.sum() == pytest.approx(corr.n, rel=1e-8)
         assert (np.diff(decomp.eigenvalues) <= 1e-12).all()
@@ -318,7 +316,7 @@ class TestRjRepair:
         cov, _ = sample_moments(panel, mode)
         buffer = io.StringIO()
         matrix_to_csv(cov, buffer)
-        loaded = covariance_from_csv(io.StringIO(buffer.getvalue()))
+        loaded = _covariance_from_entries(*_square_from_csv(io.StringIO(buffer.getvalue())))
         np.testing.assert_array_equal(loaded.entries, cov.entries)
         repaired = rj_repair(loaded, default_floor(8))
         for matrix in (cov, loaded, repaired):
@@ -380,7 +378,6 @@ class TestSpectrumMemo:
         repaired = rj_repair(corr, default_floor(8))
         decomposition = eigendecompose(repaired)
         assert matrix_report(repaired)["psd_status"] == "verified-PD"
-        portfolio_volatility(repaired, np.full(8, 0.125))
         assert len(eigensolves) == 1
         np.testing.assert_array_equal(decomposition.eigenvalues, _spectrum(corr)[0][::-1])
 
@@ -479,35 +476,6 @@ def test_repair_memo_equals_a_fresh_solve_bit_for_bit(case, classify_first):
     assert vectors.tobytes() == fresh_vectors.tobytes()
     assert not values.flags.writeable and not vectors.flags.writeable
     assert classify_definiteness(repaired) == classify_definiteness(repaired.entries)
-
-
-class TestPortfolioVolatility:
-    def test_identity_unit_weight(self):
-        assert portfolio_volatility(np.eye(3), [1.0, 0.0, 0.0], 1.0) == 1.0
-
-    def test_diagonal_arithmetic(self):
-        value = portfolio_volatility(np.diag([4.0, 9.0]), [0.5, 0.5], 100.0)
-        assert value == pytest.approx(100.0 * math.sqrt(3.25), abs=1e-9)
-        assert value == pytest.approx(180.27756377319946, abs=1e-8)
-
-    def test_non_psd_matrix_rejected(self):
-        decomp = eigendecompose(NON_PSD)
-        negative_direction = decomp.eigenvectors[:, -1]
-        with pytest.raises(IllDefinedVolatilityError) as excinfo:
-            portfolio_volatility(NON_PSD, negative_direction, 1.0)
-        assert "rj_repair" in str(excinfo.value)
-
-    def test_rank_deficient_but_psd_accepted(self):
-        v = np.array([1.0, -2.0, 0.5])
-        cov = np.outer(v, v)  # rank one, eigenvalues {|v|^2, 0, 0}
-        assert portfolio_volatility(cov, [1.0, 0.0, 0.0], 1.0) == pytest.approx(1.0)
-
-    def test_matches_direct_quadratic_form(self):
-        corr = random_correlation(21, 7)
-        rng = np.random.default_rng(0)
-        w = rng.standard_normal(7)
-        direct = math.sqrt(w @ corr.entries @ w)
-        assert portfolio_volatility(corr, w, 3.0) == pytest.approx(3.0 * direct, rel=1e-12)
 
 
 class TestSerialization:

@@ -25,7 +25,7 @@ from turnover_spectra import (
     sample_moments,
     write_panel,
 )
-from turnover_spectra.conditioning import _spectrum
+from turnover_spectra.conditioning import _spectrum, correlation_from_csv, matrix_to_csv
 from turnover_spectra.panel import _assemble, _dense_moments, _masked_moments
 
 
@@ -340,6 +340,54 @@ class TestMatrixTypes:
             CovarianceMatrix(np.eye(2), np.ones((2, 2)), COMPLETE_CASES)
         with pytest.raises(TypeError):
             TimeSeriesPanel(("a",), np.ones((1, 4)), np.ones((1, 4), bool))
+
+
+class TestIds:
+    """Every type that carries ids refuses what its CSV reader would refuse or
+    read back as another id, so what the writers emit reads back unchanged."""
+
+    BUILDERS = {
+        "panel": lambda ids: TimeSeriesPanel(ids, np.arange(6.0).reshape(2, 3)),
+        "correlation": lambda ids: CorrelationMatrix(np.eye(2), ids=ids),
+        "covariance": lambda ids: CovarianceMatrix(np.eye(2), np.ones((2, 2)), ids=ids),
+    }
+    # ids a writer quotes, and a reader must give back as they are
+    QUOTED = ("a,b", 'say "hi"', "two words", "line\nbreak")
+
+    @pytest.mark.parametrize("build", sorted(BUILDERS))
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            (("a", ""), "blank"),
+            (("a", "   "), "blank"),
+            (("a", "a"), "must not repeat"),
+            ((" a", "b"), "surrounding whitespace"),
+            (("a", "b\t"), "surrounding whitespace"),
+            (("a",), "length"),
+        ],
+        ids=["empty", "spaces", "repeated", "leading-space", "trailing-tab", "too-few"],
+    )
+    def test_an_id_the_reader_would_not_give_back_is_refused(self, build, ids, message):
+        with pytest.raises(ValueError, match=message) as refused:
+            self.BUILDERS[build](ids)
+        assert not isinstance(refused.value, InvalidMatrixError)
+
+    def test_ids_are_stored_as_strings(self):
+        assert self.BUILDERS["panel"]((1, 2)).series_ids == ("1", "2")
+        assert self.BUILDERS["correlation"]((1, 2)).ids == ("1", "2")
+        assert self.BUILDERS["covariance"]((1, 2)).ids == ("1", "2")
+
+    def test_quoted_ids_round_trip_through_a_panel_csv(self):
+        panel = TimeSeriesPanel(self.QUOTED, np.arange(12.0).reshape(4, 3))
+        buffer = io.StringIO()
+        write_panel(panel, buffer)
+        assert load_panel(io.StringIO(buffer.getvalue())) == panel
+
+    def test_quoted_ids_round_trip_through_a_matrix_csv(self):
+        corr = CorrelationMatrix(np.eye(4), ids=self.QUOTED)
+        buffer = io.StringIO()
+        matrix_to_csv(corr, buffer)
+        assert correlation_from_csv(io.StringIO(buffer.getvalue())) == corr
 
 
 class TestValueEquality:

@@ -394,6 +394,14 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(4, 10, target_correlation=(0.5, 0.5))
 
+    def test_a_nan_loading_is_refused(self):
+        # NaN fails both halves of an out-of-range test, so the rule is written
+        # as an in-range test that NaN fails
+        with pytest.raises(ValueError, match=r"loadings must lie in \[0, 1\]"):
+            SimConfig(3, 4, 1, (0.5, math.nan, 0.5))
+        with pytest.raises(ValueError, match=r"loadings must lie in \[0, 1\]"):
+            one_factor_correlation([0.5, math.nan])
+
 
 def full_path_point(corr: CorrelationMatrix, repair: bool, floor: float | None) -> float:
     """A grid point's rho_star by the full path alone: repair, eigh, sign basis."""

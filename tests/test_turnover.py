@@ -1,5 +1,5 @@
-"""Sign-basis fixing, spectral turnover models, reduction coefficients,
-single-alpha calibration, and P&L accounting."""
+"""Sign-basis fixing, spectral turnover models, reduction coefficients and
+single-alpha calibration."""
 
 import itertools
 import math
@@ -23,7 +23,6 @@ from turnover_spectra import (
     naive_turnover,
     one_factor_correlation,
     p1_share,
-    pnl_with_costs,
     rho_prime,
     rho_star,
     rho_star_factored,
@@ -222,6 +221,24 @@ class TestRhoStar:
         assert rho_star(basis_of(random_pd_correlation(seed, 13))) >= 0.0
 
 
+@pytest.mark.parametrize(
+    "evaluate, quantity",
+    [
+        (lambda basis: rho_star(basis), "rho_star"),
+        (lambda basis: spectral_turnover_large_n(basis, np.ones(4)), "large-N turnover"),
+    ],
+    ids=["rho_star", "large_n"],
+)
+def test_the_degenerate_top_warning_points_at_the_caller(evaluate, quantity):
+    with pytest.warns(DegenerateTopWarning) as record:
+        evaluate(basis_of(np.eye(4)))
+    [warning] = record
+    assert warning.filename == __file__
+    assert str(warning.message) == (
+        f"leading eigenvalue is degenerate; {quantity} depends on an arbitrary basis choice"
+    )
+
+
 class TestRhoPrime:
     def test_uniform(self):
         psi, prime, bar = rho_prime(uniform_correlation(4, 0.5))
@@ -320,7 +337,7 @@ class TestExactCalibration:
         basis = basis_of(np.eye(4))
         calibration = calibrate_exact_B(basis)
         np.testing.assert_allclose(calibration.coefficients, 1.0, atol=1e-12)
-        np.testing.assert_array_equal(calibration.abs_eigvec_matrix, np.eye(4))
+        np.testing.assert_array_equal(np.abs(basis.eigenvectors), np.eye(4))
         assert not calibration.has_negative
         assert turnover_exact_b(basis, calibration, np.ones(4)) == pytest.approx(4.0)
 
@@ -332,7 +349,7 @@ class TestExactCalibration:
     def test_three_by_three_solution_and_recovery(self):
         basis = basis_of(THREE_BY_THREE)
         calibration = calibrate_exact_B(basis)
-        residual = calibration.abs_eigvec_matrix @ calibration.coefficients - 1.0
+        residual = np.abs(basis.eigenvectors) @ calibration.coefficients - 1.0
         assert np.abs(residual).max() <= 1e-8
         for series in range(3):
             tau = 0.7
@@ -377,36 +394,11 @@ class TestSimpleModels:
         inputs = TurnoverInputs([0.3, 0.3, 0.3], [0.5, -0.25, 0.25])
         assert naive_turnover(inputs) == pytest.approx(0.3, abs=1e-12)
 
-    def test_pnl_without_costs(self):
-        inputs = TurnoverInputs(
-            [0.1, 0.1], [0.5, 0.5], investment=1e6, linear_cost_rate=0.0,
-            alphas_now=[0.01, 0.02],
-        )
-        assert pnl_with_costs(inputs, 0.0) == pytest.approx(15_000.0)
-
-    def test_pnl_with_costs(self):
-        inputs = TurnoverInputs(
-            [0.1, 0.1], [0.5, 0.5], investment=1e6, linear_cost_rate=0.001,
-            alphas_now=[0.01, 0.02],
-        )
-        assert pnl_with_costs(inputs, 0.3) == pytest.approx(14_700.0)
-
-    def test_pnl_can_go_negative(self):
-        inputs = TurnoverInputs(
-            [0.9, 0.9], [0.5, 0.5], investment=1e6, linear_cost_rate=0.05,
-            alphas_now=[0.0001, 0.0001],
-        )
-        assert pnl_with_costs(inputs, 1.8) < 0.0
-
     def test_inputs_validation(self):
         with pytest.raises(ValueError):
             TurnoverInputs([0.1, -0.2], [0.5, 0.5])
         with pytest.raises(ValueError):
             TurnoverInputs([0.1, 0.2], [0.5, 0.6])
-        with pytest.raises(ValueError):
-            TurnoverInputs([0.1, 0.2], [0.5, 0.5], investment=0.0)
-        with pytest.raises(ValueError):
-            TurnoverInputs([0.1, 0.2], [0.5, 0.5], linear_cost_rate=-0.1)
 
 
 @settings(max_examples=60, deadline=None)
