@@ -21,7 +21,8 @@ symmetric, a correlation matrix whose diagonal is off 1 or whose entries
 leave [-1, 1] (``InvalidMatrixError``, from ``repair`` and ``analyze
 --matrix`` alike), a covariance matrix with a non-positive diagonal entry
 (``InvalidDiagonalError``), a repair that does not converge, a non-PSD
-matrix under ``--no-repair`` (also an ``InvalidMatrixError``).
+matrix under ``--no-repair``, a panel whose sample moments overflow
+float64 (also an ``InvalidMatrixError``).
 
 Artifacts. Each command's runner returns the body of its JSON artifact,
 and ``main`` alone writes it, with sorted keys and the ``config`` block.
@@ -81,7 +82,6 @@ if "numpy" not in sys.modules and not any(var in os.environ for var in _THREAD_V
 import numpy as np
 
 from .conditioning import (
-    _covariance_from_entries,
     _spectrum,
     _square_from_csv,
     classify_definiteness,
@@ -99,6 +99,7 @@ from .panel import (
     PAIRWISE_COMPLETE,
     UNIT_DIAGONAL_TOL,
     CorrelationMatrix,
+    CovarianceMatrix,
     load_panel,
     ols_residualize,
     sample_moments,
@@ -302,7 +303,7 @@ def run_analyze(args: argparse.Namespace) -> dict:
             panel = ols_residualize(panel, factors, keep_intercept=True)
             residualized = True
             factor_ids = list(factors.series_ids)
-        _, corr = sample_moments(panel, args.estimation_mode)
+        corr = sample_moments(panel, args.estimation_mode)
     n_input = corr.n
 
     kept, pruned = prune_redundant(corr, args.prune_bound)
@@ -353,7 +354,7 @@ def run_repair(args: argparse.Namespace) -> dict:
     if np.all(np.abs(np.diag(entries) - 1.0) <= UNIT_DIAGONAL_TOL):
         matrix = CorrelationMatrix(entries, ids=ids)
     else:
-        matrix = _covariance_from_entries(ids, entries)
+        matrix = CovarianceMatrix(entries, ids=ids)
     floor = args.repair_floor if args.repair_floor is not None else default_floor(matrix.n)
     repaired = rj_repair(matrix, floor)
     matrix_to_csv(repaired, args.output_path)

@@ -266,7 +266,7 @@ def rj_repair(matrix: MatrixLike, floor: float) -> MatrixLike:
     if isinstance(matrix, CorrelationMatrix):
         out = CorrelationMatrix(current, ids=matrix.ids)
     elif isinstance(matrix, CovarianceMatrix):
-        out = CovarianceMatrix(current, matrix.pairwise_counts, ids=matrix.ids)
+        out = CovarianceMatrix(current, ids=matrix.ids)
     else:
         return current
     if np.array_equal(out.entries, current):
@@ -374,11 +374,6 @@ def correlation_from_csv(source: str | Path | IO[str]) -> CorrelationMatrix:
     """Load a correlation matrix from the square-CSV layout."""
     ids, entries = _square_from_csv(source)
     return CorrelationMatrix(entries, ids=ids)
-
-
-def _covariance_from_entries(ids: tuple[str, ...], entries: np.ndarray) -> CovarianceMatrix:
-    """A covariance matrix read from CSV; its counts are unknown (zero)."""
-    return CovarianceMatrix(entries, np.zeros(entries.shape, dtype=int), ids=ids)
 
 
 def matrix_report(matrix: MatrixLike) -> dict:

@@ -1,5 +1,5 @@
-"""Alpha-panel ingestion: CSV loading, sample moments under explicit
-missing-data policies, and factor residualization."""
+"""Alpha-panel ingestion: CSV loading, the sample correlation under explicit
+missing-data policies, factor residualization, and the matrix types."""
 
 from __future__ import annotations
 
@@ -213,10 +213,22 @@ def _cell_text(cell) -> str:
     return "" if cell is None else repr(cell) if isinstance(cell, float) else str(cell)
 
 
+def _without_bom(lines: Iterable[str]) -> Iterator[str]:
+    """The lines with one leading U+FEFF, a UTF-8 byte-order mark as
+    spreadsheet programs write it, dropped from the first. Both read paths
+    take their header through it, so the first id is the same with the mark
+    or without it. Past the first line, it reads no line ahead of its
+    caller."""
+    lines = iter(lines)
+    first = next(lines, None)
+    return lines if first is None else itertools.chain((first.removeprefix("\ufeff"),), lines)
+
+
 def _csv_rows(lines: Iterable[str]) -> list[list[str]]:
-    """Every ``csv`` row of the lines; a line the reader rejects (a field over
-    its size limit, say) is a ``PanelFormatError`` naming the line."""
-    reader = csv.reader(lines)
+    """Every ``csv`` row of the lines, a leading byte-order mark dropped; a
+    line the reader rejects (a field over its size limit, say) is a
+    ``PanelFormatError`` naming the line."""
+    reader = csv.reader(_without_bom(lines))
     try:
         return list(reader)
     except csv.Error as exc:
@@ -251,11 +263,13 @@ def _checked_ids(ids: Iterable, n: int) -> tuple[str, ...]:
 
 
 def _fast_grid(lines: Iterator[str]) -> _Grid | None:
-    """The fast pass over a stream of lines: the header with ``csv``, then the
-    data lines as one part (:func:`_parse_part`). None when the reference
-    has to decide: on a header it would refuse, and wherever
-    :func:`_parse_part` or :func:`_joined` declines."""
+    """The fast pass over a stream of lines: the header with ``csv``, a
+    leading byte-order mark dropped, then the data lines as one part
+    (:func:`_parse_part`). None when the reference has to decide: on a
+    header it would refuse, and wherever :func:`_parse_part` or
+    :func:`_joined` declines."""
     try:
+        lines = _without_bom(lines)
         header = _header(next(csv.reader(lines)))
         return _joined(header, [_parse_part(lines, len(header))])
     except (StopIteration, csv.Error, PanelFormatError, ValueError):
@@ -267,7 +281,8 @@ def _fast_file(path: str | Path) -> _Grid | None:
     parts as :func:`_read_grid` describes; None when the reference has to
     decide.
 
-    The header is read with ``csv`` from the file's first lines. Each range
+    The header is read with ``csv`` from the file's first lines, a leading
+    byte-order mark dropped (:func:`_without_bom`). Each range
     ends just after a ``\\n``, so that no line and no UTF-8 character is
     split. The parts are joined in file order by :func:`_joined`. Every child
     is reaped and every pipe closed before this returns, so the children's
@@ -278,7 +293,7 @@ def _fast_file(path: str | Path) -> _Grid | None:
         stat = os.fstat(handle.fileno())
         end = stat.st_size
         try:
-            header = _header(next(csv.reader(_decoded(handle, end))))
+            header = _header(next(csv.reader(_without_bom(_decoded(handle, end)))))
         except (StopIteration, csv.Error, PanelFormatError, ValueError):
             return None
         width = len(header)
@@ -571,18 +586,15 @@ def _symmetric(entries, what: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
-    """Symmetric sample covariance with per-entry observation counts.
+    """Symmetric covariance matrix, as the ``repair`` command reads it from CSV.
 
-    The entries are the one stored copy of the matrix: ``vols`` is derived
-    from their diagonal, which must be strictly positive
-    (``InvalidDiagonalError``), and definiteness from their spectrum
-    (``conditioning.classify_definiteness``). The estimator that made the
-    entries is not stored: it is the caller's to report. ``ids`` is
+    The entries are the one stored copy of the matrix. Their diagonal must be
+    strictly positive (``InvalidDiagonalError``), and definiteness is derived
+    from their spectrum (``conditioning.classify_definiteness``). ``ids`` is
     keyword-only and follows the CSV header's rule (:func:`_checked_ids`).
     """
 
     entries: np.ndarray
-    pairwise_counts: np.ndarray
     ids: tuple[str, ...] | None = field(default=None, kw_only=True)
     # ``(values, vectors)`` of ``np.linalg.eigh`` on the entries, read-only;
     # filled and read by ``conditioning._spectrum`` only.
@@ -599,24 +611,13 @@ class CovarianceMatrix:
         entries = _symmetric(self.entries, "covariance matrix")
         if (np.diag(entries) <= 0).any():
             raise InvalidDiagonalError("covariance diagonal must be positive")
-        counts = np.array(self.pairwise_counts, dtype=int)
-        if counts.shape != entries.shape:
-            raise ValueError("pairwise_counts shape must match entries")
         ids = _checked_ids(self.ids, entries.shape[0]) if self.ids is not None else None
         object.__setattr__(self, "entries", _readonly(entries))
-        object.__setattr__(self, "pairwise_counts", _readonly(counts))
         object.__setattr__(self, "ids", ids)
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    @property
-    def vols(self) -> np.ndarray:
-        """``sqrt(diag(entries))``. A diagonal built as ``v * v`` gives back
-        ``v`` bit for bit, short of overflow and underflow, since the square
-        root is correctly rounded."""
-        return np.sqrt(np.diag(self.entries))
 
 
 @dataclass(frozen=True, eq=False)
@@ -661,10 +662,9 @@ class CorrelationMatrix:
         return self.entries.shape[0]
 
 
-def _coverage_error(ids: tuple[str, ...], counts: np.ndarray) -> CoverageError:
-    i, j = np.argwhere(counts < 2)[0]
+def _coverage_error(ids: tuple[str, ...], i: int, j: int, count: float) -> CoverageError:
     return CoverageError(
-        f"series {ids[i]!r} and {ids[j]!r} share only {int(counts[i, j])} "
+        f"series {ids[i]!r} and {ids[j]!r} share only {int(count)} "
         "joint observations; need at least 2"
     )
 
@@ -675,19 +675,34 @@ def _assemble(
     means: np.ndarray,
     cov_joint: np.ndarray,
     var_joint: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance and correlation from the joint-sample moments, after
-    the package's one degeneracy rule. A standard deviation is degenerate
-    within ``_CONSTANT_REL_TOL * max(1, |mean|)`` of zero. Every series
-    degenerate on its own sample raises one ``DegenerateSeriesError`` naming
-    them all; failing that, the first pair ``(i, j)``, ``i != j``, in
-    row-major order on whose joint sample series ``i`` is degenerate raises
-    one naming the pair.
+) -> np.ndarray:
+    """The correlation from the joint-sample moments, after the package's one
+    degeneracy rule. A standard deviation is degenerate within
+    ``_CONSTANT_REL_TOL * max(1, |mean|)`` of zero. Every series degenerate
+    on its own sample raises one ``DegenerateSeriesError`` naming them all;
+    failing that, the first pair ``(i, j)``, ``i != j``, in row-major order
+    on whose joint sample series ``i`` is degenerate raises one naming the
+    pair.
 
     ``center`` holds each series' own mean, and ``means[i, j]`` and
     ``var_joint[i, j]`` the mean and variance of centered series ``i`` over
     its joint sample with ``j``; either may be a read-only broadcast.
+    ``cov_joint`` is divided in place and returned as the correlation.
+
+    Before that rule, a covariance, or a product of two series' variances,
+    that is not finite raises ``InvalidMatrixError``: only an overflow of
+    float64 makes one, and an infinite product would read as a zero
+    correlation. The kernels call this with numpy's overflow and
+    invalid-value warnings off, so the refusal is the one report of an
+    overflow; a degeneracy threshold past float64 is rightly ``inf``.
     """
+    scale = var_joint * var_joint.T
+    np.sqrt(scale, out=scale)
+    np.fill_diagonal(scale, 1.0)  # the diagonal is set to 1 below, whatever its variance
+    if not (np.isfinite(cov_joint).all() and np.isfinite(scale).all()):
+        raise InvalidMatrixError(
+            "sample moments overflow float64: the panel's values are too large"
+        )
     own_sd = np.sqrt(np.diag(var_joint))
     constant = own_sd <= _CONSTANT_REL_TOL * np.maximum(1.0, np.abs(center))
     if constant.any():
@@ -699,87 +714,80 @@ def _assemble(
         i, j = np.argwhere(degenerate_pair)[0]
         raise DegenerateSeriesError((ids[i], ids[j]), note="constant on the pair's joint sample")
 
-    corr = cov_joint / np.sqrt(var_joint * var_joint.T)
+    corr = cov_joint
+    corr /= scale
     np.clip(corr, -1.0, 1.0, out=corr)
     np.fill_diagonal(corr, 1.0)
-    cov = np.outer(own_sd, own_sd) * corr
-    return cov, corr
+    return corr
 
 
-def _dense_moments(
-    ids: tuple[str, ...], values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Moments of a fully observed block: the masked algebra of
+def _dense_moments(ids: tuple[str, ...], values: np.ndarray) -> np.ndarray:
+    """The correlation of a fully observed block: the masked algebra of
     ``_masked_moments`` specialised to an all-true mask.
 
-    Every joint sample is the whole row, so the joint counts are the
-    constant M, the per-pair sums and variances collapse to per-series
-    N-vectors, and the only N x M x N product left is one ``x0 @ x0.T``
-    on the centered values. The vectors go to :func:`_assemble` broadcast
-    along each row, so the degeneracy rule is the masked kernel's, to the
-    same pair: a series flagged with one partner is flagged with every one.
+    Every joint sample is the whole row, so every pair shares all M rows, the
+    per-pair sums and variances collapse to per-series N-vectors, and the
+    only N x M x N product left is one ``x0 @ x0.T`` on the centered values.
+    The vectors go to :func:`_assemble` broadcast along each row, so the
+    degeneracy rule is the masked kernel's, to the same pair: a series
+    flagged with one partner is flagged with every one.
     """
     n, m = values.shape
-    counts = np.full((n, n), m, dtype=np.int64)
-    if m < 2:
-        raise _coverage_error(ids, counts)
-    center = values.sum(axis=1) / m
-    x0 = values - center[:, None]
-    means = x0.sum(axis=1) / m  # residual means of the centered series
-    prods = x0 @ x0.T
-    del x0  # the N x N algebra below runs in place, with no N x M array alive
-    prods += prods.T
-    prods *= 0.5
-    var = np.maximum((np.diag(prods) - m * means**2) / (m - 1.0), 0.0)
-    cov_joint = prods
-    cov_joint -= (m * means)[:, None] * means[None, :]
-    cov_joint /= m - 1.0
+    if m < 2:  # every pair is short; the first in row-major order is (0, 0)
+        raise _coverage_error(ids, 0, 0, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = values.sum(axis=1) / m
+        x0 = values - center[:, None]
+        means = x0.sum(axis=1) / m  # residual means of the centered series
+        prods = x0 @ x0.T
+        del x0  # the N x N algebra below runs in place, with no N x M array alive
+        prods += prods.T
+        prods *= 0.5
+        var = np.maximum((np.diag(prods) - m * means**2) / (m - 1.0), 0.0)
+        cov_joint = prods
+        cov_joint -= (m * means)[:, None] * means[None, :]
+        cov_joint /= m - 1.0
 
-    means, var = (np.broadcast_to(v[:, None], (n, n)) for v in (means, var))
-    cov, corr = _assemble(ids, center, means, cov_joint, var)
-    return cov, corr, counts
+        means, var = (np.broadcast_to(v[:, None], (n, n)) for v in (means, var))
+        return _assemble(ids, center, means, cov_joint, var)
 
 
-def _masked_moments(
-    ids: tuple[str, ...], values: np.ndarray, mask: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pairwise moment algebra for a panel with missing cells.
+def _masked_moments(ids: tuple[str, ...], values: np.ndarray) -> np.ndarray:
+    """Pairwise correlation of a panel's values, NaN at each missing cell.
 
     Values are pre-centered per series (over that series' own observed
-    cells) so the raw-moment formulas stay numerically stable. For every
-    pair the correlation is the plain sample correlation on the pair's
-    joint sample, with unbiased (count - 1) divisors; the covariance is
-    assembled as vol_i * vol_j * corr_ij so the two matrices agree exactly.
+    cells) so the raw-moment formulas stay numerically stable. Each entry is
+    the plain sample correlation on the pair's joint sample, with unbiased
+    (count - 1) divisors.
 
     The joint counts come from a float64 product of the 0/1 mask, which
-    BLAS evaluates exactly while every count stays below 2**53; they are
-    returned as int64.
+    BLAS evaluates exactly while every count stays below 2**53. The boolean
+    mask is dropped once the centered values are built, before the products.
     """
     values = np.ascontiguousarray(values)
-    mask = np.ascontiguousarray(mask)
+    mask = np.isfinite(values)
     o = mask.astype(float)
     nf = o @ o.T
-    counts = nf.astype(np.int64)
-    if (counts < 2).any():
-        raise _coverage_error(ids, counts)
-    center = np.where(mask, values, 0.0).sum(axis=1) / o.sum(axis=1)
-    x0 = np.where(mask, values - center[:, None], 0.0)
+    if (nf < 2).any():
+        i, j = np.argwhere(nf < 2)[0]
+        raise _coverage_error(ids, i, j, nf[i, j])
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = np.where(mask, values, 0.0).sum(axis=1) / o.sum(axis=1)
+        x0 = np.where(mask, values - center[:, None], 0.0)
+        del mask
 
-    prods = x0 @ x0.T
-    prods = 0.5 * (prods + prods.T)
-    sums = x0 @ o.T  # sums[i, j] = sum of centered series i over joint(i, j)
-    sq = (x0 * x0) @ o.T
-    means = sums / nf
-    cov_joint = (prods - nf * means * means.T) / (nf - 1.0)
-    var_joint = np.maximum((sq - nf * means**2) / (nf - 1.0), 0.0)
-    cov, corr = _assemble(ids, center, means, cov_joint, var_joint)
-    return cov, corr, counts
+        prods = x0 @ x0.T
+        prods = 0.5 * (prods + prods.T)
+        sums = x0 @ o.T  # sums[i, j] = sum of centered series i over joint(i, j)
+        sq = (x0 * x0) @ o.T
+        means = sums / nf
+        cov_joint = (prods - nf * means * means.T) / (nf - 1.0)
+        var_joint = np.maximum((sq - nf * means**2) / (nf - 1.0), 0.0)
+        return _assemble(ids, center, means, cov_joint, var_joint)
 
 
-def sample_moments(
-    panel: TimeSeriesPanel, mode: str = COMPLETE_CASES
-) -> tuple[CovarianceMatrix, CorrelationMatrix]:
-    """Estimate (covariance, correlation) from a panel.
+def sample_moments(panel: TimeSeriesPanel, mode: str = COMPLETE_CASES) -> CorrelationMatrix:
+    """Estimate the correlation matrix of a panel's series.
 
     ``complete-cases`` uses only timestamps where every series is observed;
     ``pairwise-complete`` computes each entry on the joint sample of its
@@ -788,11 +796,10 @@ def sample_moments(
 
     The kernel is chosen by the mask. A fully observed panel, in either
     mode, and the complete-cases sub-panel go to the dense kernel: one
-    ``x @ x.T`` on the centered values, with constant joint counts. So on a
-    panel without missing values the two modes agree exactly, by
-    construction. A ragged panel in ``pairwise-complete`` mode goes to the
-    masked kernel, whose joint counts are a float64 product of the mask,
-    exact below 2**53 observations.
+    ``x @ x.T`` on the centered values. So on a panel without missing
+    values the two modes agree exactly, by construction. A ragged panel in
+    ``pairwise-complete`` mode goes to the masked kernel, whose joint counts
+    are a float64 product of the mask, exact below 2**53 observations.
 
     Raises
     ------
@@ -800,6 +807,8 @@ def sample_moments(
         Fewer than 2 complete timestamps, or a pair with < 2 joint rows.
     DegenerateSeriesError
         A series (or a pair's joint sample) is constant.
+    InvalidMatrixError
+        A covariance, or a product of two variances, overflows float64.
     """
     if mode not in ESTIMATION_MODES:
         raise ValueError(f"mode must be one of {ESTIMATION_MODES}, got {mode!r}")
@@ -807,20 +816,19 @@ def sample_moments(
         raise ValueError("sample moments need at least two series")
 
     ids = panel.series_ids
-    mask = panel.observed_mask
-    full = mask.all(axis=0)
+    full = panel.observed_mask.all(axis=0)
     if full.all():
-        cov, corr, counts = _dense_moments(ids, panel.values)
+        corr = _dense_moments(ids, panel.values)
     elif mode == COMPLETE_CASES:
         n_full = int(full.sum())
         if n_full < 2:
             raise CoverageError(
                 f"only {n_full} timestamps observed across all series; need at least 2"
             )
-        cov, corr, counts = _dense_moments(ids, panel.values[:, full])
+        corr = _dense_moments(ids, panel.values[:, full])
     else:
-        cov, corr, counts = _masked_moments(ids, panel.values, mask)
-    return CovarianceMatrix(cov, counts, ids=ids), CorrelationMatrix(corr, ids=ids)
+        corr = _masked_moments(ids, panel.values)
+    return CorrelationMatrix(corr, ids=ids)
 
 
 def ols_residualize(

@@ -351,7 +351,7 @@ def _sweep_point(
     The panel and the matrices built from it die with this call, so no
     point's arrays are alive while the next point's panel is generated.
     """
-    _, corr = sample_moments(panel)
+    corr = sample_moments(panel)
     del panel  # the caller holds no reference either
     if repair and floor is None:
         floor = default_floor(corr.n)

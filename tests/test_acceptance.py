@@ -126,7 +126,7 @@ def test_c02_repair_contract_on_non_psd_ensemble():
         seed = 0
         while repaired_count < 100:
             assert seed < 500, "could not assemble 100 non-PSD matrices"
-            _, corr = sample_moments(masked_panel(seed), PAIRWISE_COMPLETE)
+            corr = sample_moments(masked_panel(seed), PAIRWISE_COMPLETE)
             seed += 1
             if np.linalg.eigvalsh(corr.entries).min() >= -1e-8:
                 continue
@@ -163,7 +163,7 @@ def test_c05_large_n_suppression():
         tail = {}
         for n in (50, 200, 800):
             config = SimConfig(n, 10 * n, 1, 0.25, MASTER_SEED, 1)
-            _, corr = sample_moments(gen_one_factor_panel(config), COMPLETE_CASES)
+            corr = sample_moments(gen_one_factor_panel(config), COMPLETE_CASES)
             basis = fix_sign_basis(eigendecompose(corr))
             tail[n] = 1.0 - p1_share(basis, np.full(n, 1.0 / n))
         assert tail[50] > tail[200] > tail[800] > 0.0

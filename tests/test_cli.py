@@ -15,6 +15,7 @@ import pytest
 import turnover_spectra
 from turnover_spectra import (
     PAIRWISE_COMPLETE,
+    CovarianceMatrix,
     SimConfig,
     TimeSeriesPanel,
     cli,
@@ -71,7 +72,7 @@ class TestAnalyze:
 
         monkeypatch.setattr(cli, "turnover_report", recorded)
         assert main(["analyze", "--input", panel, "--output", str(out)]) == EXIT_OK
-        payload = json.loads(out.read_text())
+        payload = json.loads(out.read_text(encoding="utf-8"))
         report = payload["report"]
         assert set(report) - {"inputs"} == set(returned[0])
         for key in (
@@ -104,13 +105,13 @@ class TestAnalyze:
             "analyze", "--input", panel, "--output", str(out), "--mode", "pairwise",
         ])
         assert code == EXIT_OK
-        report = json.loads(out.read_text())["report"]
+        report = json.loads(out.read_text(encoding="utf-8"))["report"]
         assert report["inputs"]["psd_status_input"] == "verified-not-PSD"
         assert report["inputs"]["repaired"] is True
 
     def test_engineered_panel_has_expected_pairwise_matrix(self, tmp_path):
         panel = load_panel(write(tmp_path / "panel.csv", NON_PSD_PANEL_CSV))
-        _, corr = sample_moments(panel, PAIRWISE_COMPLETE)
+        corr = sample_moments(panel, PAIRWISE_COMPLETE)
         expected = np.array([[1.0, 0.8, -0.8], [0.8, 1.0, 0.8], [-0.8, 0.8, 1.0]])
         np.testing.assert_allclose(corr.entries, expected, atol=1e-12)
 
@@ -122,7 +123,7 @@ class TestAnalyze:
             "analyze", "--input", panel, "--output", str(out), "--factors", factors,
         ])
         assert code == EXIT_OK
-        inputs = json.loads(out.read_text())["report"]["inputs"]
+        inputs = json.loads(out.read_text(encoding="utf-8"))["report"]["inputs"]
         assert inputs["residualized"] is True
         assert inputs["factor_ids"] == ["mkt"]
 
@@ -133,7 +134,7 @@ class TestAnalyze:
         )
         out = tmp_path / "report.json"
         assert main(["analyze", "--input", matrix, "--output", str(out), "--matrix"]) == EXIT_OK
-        report = json.loads(out.read_text())["report"]
+        report = json.loads(out.read_text(encoding="utf-8"))["report"]
         assert report["rho_star"] == pytest.approx(0.7, abs=1e-10)
         # the matrix's provenance, not the --mode default
         assert report["inputs"]["estimation_mode"] == "external"
@@ -163,7 +164,7 @@ class TestAnalyze:
         source = write(tmp_path / "input.csv", matrix if "--matrix" in extra else PANEL_CSV)
         out = tmp_path / "r.json"
         assert main(["analyze", "--input", source, "--output", str(out), *extra]) == EXIT_OK
-        payload = json.loads(out.read_text())
+        payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["config"]["estimation_mode"] == echoed
         assert payload["report"]["inputs"]["estimation_mode"] == reported
 
@@ -218,9 +219,9 @@ class TestAnalyze:
         panel = write(tmp_path / "panel.csv", text)
         out = tmp_path / "r.json"
         assert main(["analyze", "--input", panel, "--output", str(out), *extra]) == EXIT_OK
-        inputs = json.loads(out.read_text())["report"]["inputs"]
+        inputs = json.loads(out.read_text(encoding="utf-8"))["report"]["inputs"]
         if passes is None:  # a real repair: the count the library reports
-            _, corr = sample_moments(load_panel(panel), PAIRWISE_COMPLETE)
+            corr = sample_moments(load_panel(panel), PAIRWISE_COMPLETE)
             passes = conditioning.rj_repair(corr, inputs["repair_floor"])._repair_passes
             assert passes >= 2
         assert inputs["repair_passes"] == passes
@@ -234,9 +235,9 @@ class TestAnalyze:
         panel = write(tmp_path / "panel.csv", NON_PSD_PANEL_CSV)
         out = tmp_path / "r.json"
         assert main(["analyze", "--input", panel, "--output", str(out), "--mode", "pairwise"]) == EXIT_OK
-        inputs = json.loads(out.read_text())["report"]["inputs"]
+        inputs = json.loads(out.read_text(encoding="utf-8"))["report"]["inputs"]
 
-        _, corr = sample_moments(load_panel(panel), PAIRWISE_COMPLETE)
+        corr = sample_moments(load_panel(panel), PAIRWISE_COMPLETE)
         repaired = conditioning.rj_repair(corr, inputs["repair_floor"])
         before = np.linalg.eigvalsh(corr.entries)
         after = np.linalg.eigvalsh(repaired.entries)
@@ -253,7 +254,7 @@ class TestAnalyze:
         panel = write(tmp_path / "panel.csv", PANEL_CSV)
         out = tmp_path / "r.json"
         assert main(["analyze", "--input", panel, "--output", str(out), "--no-repair"]) == EXIT_OK
-        inputs = json.loads(out.read_text())["report"]["inputs"]
+        inputs = json.loads(out.read_text(encoding="utf-8"))["report"]["inputs"]
         assert inputs["min_eigenvalue_output"] == inputs["min_eigenvalue_input"] > 0
         assert inputs["repair_shift_fro"] == 0.0
 
@@ -274,7 +275,7 @@ class TestAnalyze:
         assert usage.value.code == EXIT_IO
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
         assert main(["analyze", "--input", panel, "--output", str(out)]) == EXIT_OK
-        assert "seed" not in json.loads(out.read_text())["config"]
+        assert "seed" not in json.loads(out.read_text(encoding="utf-8"))["config"]
 
 
 def _oversized_field_text(layout):
@@ -325,6 +326,29 @@ def test_invalid_matrix_csv_is_a_numeric_refusal(tmp_path, capsys, command, text
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "mode, text",
+    [
+        ("complete", "a,b\n1e308,1\n-1e308,2\n1e308,3\n"),
+        ("pairwise", "a,b\n1e308,1\n-1e308,2\n1e308,3\n,4\n"),
+    ],
+    ids=["dense", "masked"],
+)
+def test_overflowing_moments_exit_2_with_one_line(tmp_path, mode, text):
+    # a fresh interpreter, so that a numpy warning would be printed to stderr
+    panel = write(tmp_path / "panel.csv", text)
+    done = subprocess.run(
+        [sys.executable, "-m", "turnover_spectra.cli", "analyze", "--input", panel,
+         "--output", str(tmp_path / "r.json"), "--mode", mode],
+        env=_thread_env(), capture_output=True, encoding="utf-8", timeout=60,
+    )
+    assert done.returncode == EXIT_NUMERIC
+    assert done.stderr == (
+        "error: sample moments overflow float64: the panel's values are too large\n"
+    )
+    assert list(tmp_path.iterdir()) == [tmp_path / "panel.csv"]
+
+
 @pytest.mark.parametrize("command", [["repair"], ["analyze", "--matrix"]], ids=["repair", "analyze"])
 @pytest.mark.parametrize(
     "text, message",
@@ -357,11 +381,23 @@ class TestRepair:
         )
         out = tmp_path / "repaired.csv"
         assert main(["repair", "--input", matrix, "--output", str(out)]) == EXIT_OK
-        repaired = np.loadtxt(out, delimiter=",", skiprows=1)
+        repaired = np.loadtxt(out, delimiter=",", skiprows=1, encoding="utf-8")
         assert np.linalg.eigvalsh(repaired).min() > 0
         np.testing.assert_allclose(np.diag(repaired), 1.0, atol=1e-12)
-        summary = json.loads((tmp_path / "repaired.json").read_text())
+        summary = json.loads((tmp_path / "repaired.json").read_text(encoding="utf-8"))
         assert summary["report"]["psd_status"] == "verified-PD"
+
+    def test_byte_order_mark_reaches_neither_artifact(self, tmp_path):
+        text = "a,b\n4.0,1.0\n1.0,9.0\n"
+        for name, prefix in (("plain", ""), ("marked", "\ufeff")):
+            matrix = write(tmp_path / f"{name}.csv", prefix + text)
+            out = str(tmp_path / f"{name}-out.csv")
+            assert main(["repair", "--input", matrix, "--output", out]) == EXIT_OK
+        for suffix in ("-out.csv", "-out.json"):  # the JSON's config names its own paths
+            plain = (tmp_path / f"plain{suffix}").read_text(encoding="utf-8")
+            marked = (tmp_path / f"marked{suffix}").read_text(encoding="utf-8")
+            assert marked == plain.replace("plain", "marked")
+        assert (tmp_path / "marked-out.csv").read_text(encoding="utf-8").startswith("a,b\n")
 
     def test_covariance_input_detected(self, tmp_path):
         matrix = write(
@@ -370,7 +406,7 @@ class TestRepair:
         )
         out = tmp_path / "repaired.csv"
         assert main(["repair", "--input", matrix, "--output", str(out)]) == EXIT_OK
-        repaired = np.loadtxt(out, delimiter=",", skiprows=1)
+        repaired = np.loadtxt(out, delimiter=",", skiprows=1, encoding="utf-8")
         np.testing.assert_allclose(np.diag(repaired), [4.0, 9.0], atol=1e-12)
 
     def test_covariance_diagonal_is_kept_bit_for_bit(self, tmp_path):
@@ -379,7 +415,7 @@ class TestRepair:
         matrix = write(tmp_path / "cov.csv", "a,b\n2.0,3.0\n3.0,3.0\n")  # not PSD
         out = tmp_path / "repaired.csv"
         assert main(["repair", "--input", matrix, "--output", str(out)]) == EXIT_OK
-        repaired = np.loadtxt(out, delimiter=",", skiprows=1)
+        repaired = np.loadtxt(out, delimiter=",", skiprows=1, encoding="utf-8")
         assert repaired[0, 1] < 3.0
         np.testing.assert_array_equal(np.diag(repaired), [2.0, 3.0])
 
@@ -409,21 +445,18 @@ class TestRepair:
         monkeypatch.undo()
 
         # reference: pick the loader from the diagonal, then load again
-        diagonal = np.diag(np.loadtxt(matrix, delimiter=",", skiprows=1))
-        loader = (
-            conditioning.correlation_from_csv
-            if np.all(np.abs(diagonal - 1.0) <= 1e-12)
-            else lambda path: conditioning._covariance_from_entries(
-                *conditioning._square_from_csv(path)
-            )
-        )
-        loaded = loader(matrix)
+        diagonal = np.diag(np.loadtxt(matrix, delimiter=",", skiprows=1, encoding="utf-8"))
+        if np.all(np.abs(diagonal - 1.0) <= 1e-12):
+            loaded = conditioning.correlation_from_csv(matrix)
+        else:
+            ids, entries = conditioning._square_from_csv(matrix)
+            loaded = CovarianceMatrix(entries, ids=ids)
         floor = conditioning.default_floor(loaded.n)
         repaired = conditioning.rj_repair(loaded, floor)
         expected_csv = io.StringIO()
         conditioning.matrix_to_csv(repaired, expected_csv)
         assert out.read_text(encoding="utf-8") == expected_csv.getvalue()
-        summary = json.loads((tmp_path / "repaired.json").read_text())
+        summary = json.loads((tmp_path / "repaired.json").read_text(encoding="utf-8"))
         assert summary["repair_floor"] == floor
         expected_report = json.loads(json.dumps(cli._jsonable(conditioning.matrix_report(repaired))))
         assert summary["report"] == expected_report
@@ -512,7 +545,7 @@ class TestSweep:
         ])
         assert code == EXIT_OK
         assert out.read_bytes() == baseline_csv
-        assert json.loads(out.with_suffix(".json").read_text())["config"]["seed"] == 7
+        assert json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))["config"]["seed"] == 7
 
     def test_bad_env_seed_exits_1(self, tmp_path, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
@@ -683,7 +716,7 @@ class TestSimulate:
         first = out.read_bytes()
         assert main(args) == EXIT_OK
         assert out.read_bytes() == first
-        payload = json.loads(out.read_text())
+        payload = json.loads(out.read_text(encoding="utf-8"))
         assert 0.0 <= payload["crossing_ratio"] <= 1.0
         assert len(payload["per_path_ratios"]) == 40
         assert payload["config"]["rho"] == 0.5
@@ -728,7 +761,7 @@ def test_config_echoes_exactly_the_arguments_its_command_takes(tmp_path, command
     }[command]
     out = tmp_path / output
     assert main([command, "--output", str(out), *extra]) == EXIT_OK
-    config = json.loads(out.with_suffix(".json").read_text())["config"]
+    config = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))["config"]
     assert set(config) == CONFIG_KEYS[command]
     assert config["command"] == command
     assert config["output_path"] == str(out)
@@ -821,7 +854,7 @@ def _after_import(statement: str, env: dict[str, str]) -> tuple[dict, bool]:
         f"print(json.dumps([{{v: os.environ.get(v) for v in {_THREAD_VARS!r}}}, 'numpy' in sys.modules]))"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=60,
-                         capture_output=True, text=True).stdout
+                         capture_output=True, encoding="utf-8").stdout
     return tuple(json.loads(out))
 
 
@@ -894,7 +927,7 @@ class TestThreadCounts:
             out = tmp_path / f"threads{threads}.json"
             _run_with_threads(threads, "analyze", "--mode", "pairwise",
                               "--input", str(tmp_path / "panel.csv"), "--output", str(out))
-            artifact = json.loads(out.read_text())
+            artifact = json.loads(out.read_text(encoding="utf-8"))
             del artifact["config"]
             outputs.append(json.dumps(artifact, sort_keys=True))
         assert outputs[0] == outputs[1]
@@ -903,24 +936,24 @@ class TestThreadCounts:
         panel = gen_one_factor_panel(SimConfig(self.N, 3000, target_correlation=0.3, master_seed=5))
         panel = TimeSeriesPanel(panel.series_ids, np.round(panel.values, 4))
         write_panel(panel, tmp_path / "panel.csv")
-        top = eigendecompose(sample_moments(panel)[1]).eigenvalues[0]
+        top = eigendecompose(sample_moments(panel)).eigenvalues[0]
         reports = []
         for threads in (1, 2):
             out = tmp_path / f"threads{threads}.json"
             _run_with_threads(threads, "analyze", "--input", str(tmp_path / "panel.csv"), "--output", str(out))
-            reports.append(json.loads(out.read_text())["report"])
+            reports.append(json.loads(out.read_text(encoding="utf-8"))["report"])
         _assert_close_json(*reports, self.N * np.finfo(float).eps * top)
 
     def test_repair_of_a_non_psd_pairwise_matrix(self, tmp_path):
-        _, corr = sample_moments(self._pairwise_panel(), PAIRWISE_COMPLETE)
+        corr = sample_moments(self._pairwise_panel(), PAIRWISE_COMPLETE)
         assert conditioning.classify_definiteness(corr) == "verified-not-PSD"
         conditioning.matrix_to_csv(corr, tmp_path / "pairwise.csv")
         entries, summaries = [], []
         for threads in (1, 2):
             out = tmp_path / f"threads{threads}.csv"
             _run_with_threads(threads, "repair", "--input", str(tmp_path / "pairwise.csv"), "--output", str(out))
-            entries.append(np.loadtxt(out, delimiter=",", skiprows=1))
-            summaries.append(json.loads(out.with_suffix(".json").read_text())["report"])
+            entries.append(np.loadtxt(out, delimiter=",", skiprows=1, encoding="utf-8"))
+            summaries.append(json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))["report"])
         tolerance = self.N * np.finfo(float).eps * max(map(abs, summaries[0]["eigenvalues"]))
         _assert_close_json(*summaries, tolerance)
         assert np.abs(entries[0] - entries[1]).max() <= tolerance

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turnover_spectra import (
-    COMPLETE_CASES,
     PAIRWISE_COMPLETE,
     CorrelationMatrix,
     CovarianceMatrix,
@@ -33,7 +32,7 @@ from turnover_spectra import (
     sample_moments,
 )
 from turnover_spectra import conditioning
-from turnover_spectra.conditioning import _covariance_from_entries, _spectrum, _square_from_csv
+from turnover_spectra.conditioning import _spectrum, _square_from_csv
 
 # eigenvalues (1.9, 1.9, -0.8): verified against the characteristic
 # polynomial (trace 3, pairwise-product sum 0.57, determinant -2.888)
@@ -109,14 +108,13 @@ class TestEigendecompose:
         # and each one is a combination with matching (tiny) sample variance
         rng = np.random.default_rng(42)
         values = rng.standard_normal((12, 8))
-        panel = TimeSeriesPanel(tuple(f"s{i}" for i in range(12)), values)
-        cov, _ = sample_moments(panel, COMPLETE_CASES)
+        cov = CovarianceMatrix(np.cov(values))
         decomp = eigendecompose(cov)
         tolerance = 1e-10 * decomp.eigenvalues[0] * cov.n
         small = decomp.eigenvalues <= tolerance
         assert small.any()
         for p in np.flatnonzero(small):
-            combination = decomp.eigenvectors[:, p] @ panel.values
+            combination = decomp.eigenvectors[:, p] @ values
             assert combination.var(ddof=1) <= tolerance * 1.01 + 1e-15
 
 
@@ -142,7 +140,7 @@ class TestSingleValidation:
     @settings(max_examples=60, deadline=None)
     def test_exactly_symmetric_input_is_stored_and_solved_bit_for_bit(self, entries):
         n = entries.shape[0]
-        cov = CovarianceMatrix(entries, np.zeros((n, n), int))
+        cov = CovarianceMatrix(entries)
         np.testing.assert_array_equal(cov.entries, entries)
         unit = entries / np.abs(entries).max()  # exactly symmetric, entries in [-1, 1]
         np.fill_diagonal(unit, 1.0)
@@ -161,10 +159,9 @@ class TestSingleValidation:
             return
         bad = entries.copy()
         bad[0, 1] += multiple * 1e-12 * max(1.0, float(np.abs(entries).max()))
-        counts = np.zeros((n, n), int)
         if multiple > 1:
             for build in (
-                lambda: CovarianceMatrix(bad, counts),
+                lambda: CovarianceMatrix(bad),
                 lambda: eigendecompose(bad),
                 lambda: rj_repair(bad, 1e-8),
             ):
@@ -172,7 +169,7 @@ class TestSingleValidation:
                     build()
                 assert isinstance(caught.value, ValueError)
         else:
-            cov = CovarianceMatrix(bad, counts)
+            cov = CovarianceMatrix(bad)
             np.testing.assert_array_equal(cov.entries, cov.entries.T)
             np.testing.assert_array_equal(cov.entries, 0.5 * (bad + bad.T))
             solved, reference = eigendecompose(cov), eigendecompose(bad)
@@ -191,7 +188,7 @@ class TestSingleValidation:
         eigendecompose(corr)
         fresh = random_correlation(4, 10)
         rj_repair(fresh, default_floor(10))
-        cov = CovarianceMatrix(4.0 * np.eye(3), np.zeros((3, 3), int))
+        cov = CovarianceMatrix(4.0 * np.eye(3))
         classify_definiteness(cov)
         assert len(seen) == 3
         assert all(a is m.entries for a, m in zip(seen, (corr, fresh, cov)))
@@ -202,9 +199,8 @@ class TestSingleValidation:
         mask = rng.random((30, 60)) > 0.3
         ids = tuple(f"s{i}" for i in range(30))
         panel = TimeSeriesPanel(ids, np.where(mask, values, np.nan))
-        cov, corr = sample_moments(panel, PAIRWISE_COMPLETE)
-        for matrix in (cov, corr):
-            np.testing.assert_array_equal(matrix.entries, matrix.entries.T)
+        corr = sample_moments(panel, PAIRWISE_COMPLETE)
+        np.testing.assert_array_equal(corr.entries, corr.entries.T)
 
 
 class TestPruneRedundant:
@@ -300,28 +296,16 @@ class TestRjRepair:
     def test_covariance_diagonal_preserved_exactly(self):
         vols = np.array([2.0, 0.5, 1.5])
         entries = NON_PSD * np.outer(vols, vols)
-        cov = CovarianceMatrix(entries, np.full((3, 3), 9))
-        repaired = rj_repair(cov, 1e-4)
-        np.testing.assert_array_equal(np.diag(repaired.entries), vols**2)
-        np.testing.assert_array_equal(repaired.vols, vols)
-        assert np.linalg.eigvalsh(repaired.entries).min() > 0
-
-    @pytest.mark.parametrize("mode", [COMPLETE_CASES, PAIRWISE_COMPLETE])
-    def test_vols_square_to_the_diagonal_through_csv_and_repair(self, mode):
-        rng = np.random.default_rng(12)
-        values = rng.standard_normal((8, 12)) * rng.uniform(0.01, 100.0, (8, 1))
-        mask = rng.random((8, 12)) > 0.45
-        mask[:, :4] = True  # every series and pair stays estimable
-        panel = TimeSeriesPanel(tuple("abcdefgh"), np.where(mask, values, np.nan))
-        cov, _ = sample_moments(panel, mode)
+        cov = CovarianceMatrix(entries, ids=("a", "b", "c"))
+        # through the CSV the repair command reads, every bit of the entries survives
         buffer = io.StringIO()
         matrix_to_csv(cov, buffer)
-        loaded = _covariance_from_entries(*_square_from_csv(io.StringIO(buffer.getvalue())))
-        np.testing.assert_array_equal(loaded.entries, cov.entries)
-        repaired = rj_repair(loaded, default_floor(8))
-        for matrix in (cov, loaded, repaired):
-            assert (matrix.vols**2).tobytes() == np.diag(matrix.entries).tobytes()
-        np.testing.assert_array_equal(repaired.vols, cov.vols)
+        ids, read = _square_from_csv(io.StringIO(buffer.getvalue()))
+        loaded = CovarianceMatrix(read, ids=ids)
+        assert loaded == cov
+        repaired = rj_repair(loaded, 1e-4)
+        np.testing.assert_array_equal(np.diag(repaired.entries), vols**2)
+        assert np.linalg.eigvalsh(repaired.entries).min() > 0
 
     def test_nonpositive_diagonal_rejected(self):
         bad = np.array([[0.0, 0.1], [0.1, 1.0]])
@@ -348,7 +332,7 @@ class TestRjRepair:
         mask = np.arange(m)[None, :] < np.round(life * m)[:, None]
         mask &= rng.random((n, m)) >= 0.75 * missing / (1.0 - 0.25 * missing)
         panel = TimeSeriesPanel(tuple(f"s{i}" for i in range(n)), np.where(mask, values, np.nan))
-        _, corr = sample_moments(panel, PAIRWISE_COMPLETE)
+        corr = sample_moments(panel, PAIRWISE_COMPLETE)
         floor = default_floor(n)
         assert np.linalg.eigvalsh(corr.entries).min() < 0
 
@@ -459,8 +443,7 @@ def repair_inputs(draw):
     if draw(st.booleans()):
         return CorrelationMatrix(entries), floor
     vols = rng.uniform(0.1, 10.0, n)
-    counts = np.zeros((n, n), dtype=int)
-    return CovarianceMatrix(entries * np.outer(vols, vols), counts), floor
+    return CovarianceMatrix(entries * np.outer(vols, vols)), floor
 
 
 @settings(max_examples=150, deadline=None)
@@ -657,7 +640,7 @@ class TestRepairPasses:
         repaired = rj_repair(CorrelationMatrix(NON_PSD), default_floor(3))
         assert repaired._repair_passes == len(eigensolves) - 1 >= 2
         vols = np.array([1.0, 2.0, 3.0])
-        cov = CovarianceMatrix(NON_PSD * np.outer(vols, vols), np.zeros((3, 3), int))
+        cov = CovarianceMatrix(NON_PSD * np.outer(vols, vols))
         assert rj_repair(cov, default_floor(3))._repair_passes == repaired._repair_passes
 
     def test_unrepaired_matrices_carry_no_count(self):

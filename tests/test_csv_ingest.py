@@ -436,3 +436,33 @@ def test_seekable_handle_falls_back_from_its_starting_position():
     with pytest.raises(PanelFormatError) as excinfo:
         load_panel(handle)
     assert str(excinfo.value) == "non-finite cell 'nan' (row 2, column 'b')"
+
+
+# A UTF-8 byte-order mark, with which spreadsheet programs begin a "CSV UTF-8"
+# file. Each text below reads the same with the mark as without it; the
+# quoted cell in the reference cases makes the fast pass decline.
+BOM = "\ufeff"
+MARKED_TEXTS = {
+    "panel": (load_panel, GOOD_PANEL),
+    "panel-reference": (load_panel, 'a,b\n1.5,\n-2,"0.25"\n,3\n4,5\n'),
+    "matrix": (conditioning._square_from_csv, "a,b\n1.0,0.5\n0.5,1.0\n"),
+    "matrix-reference": (conditioning._square_from_csv, 'a,b\n1.0,"0.5"\n0.5,1.0\n'),
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forked parts need os.fork")
+@pytest.mark.parametrize("case", sorted(MARKED_TEXTS))
+def test_byte_order_mark_is_not_read_into_the_first_id(tmp_path, case):
+    read, text = MARKED_TEXTS[case]
+    plain = _outcome(lambda: read(io.StringIO(text)))
+    assert plain[:2] == ("ok", ("a", "b"))
+    path = tmp_path / "marked.csv"
+    path.write_bytes((BOM + text).encode("utf-8"))
+    for parts in (1, 2):  # two parts: the second is parsed in a forked child
+        with _in_parts(parts):
+            assert _outcome(lambda: read(path)) == plain, parts
+    with open(path, encoding="utf-8", newline="") as handle:
+        assert _outcome(lambda: read(handle)) == plain
+    assert _outcome(lambda: read(io.StringIO(BOM + text))) == plain
+    assert _outcome(lambda: read(_Unseekable(BOM + text))) == plain
+

@@ -45,7 +45,7 @@ def off_diagonal(matrix: np.ndarray) -> np.ndarray:
 class TestOneFactorPanel:
     def test_independent_series_have_small_sample_correlations(self):
         config = SimConfig(20, 10_000, target_correlation=0.0, master_seed=7)
-        _, corr = sample_moments(gen_one_factor_panel(config), COMPLETE_CASES)
+        corr = sample_moments(gen_one_factor_panel(config), COMPLETE_CASES)
         # 4-sigma bound for M = 10_000; holds for this seed
         assert np.abs(off_diagonal(corr.entries)).max() <= 4.0 / math.sqrt(10_000)
 
@@ -55,12 +55,12 @@ class TestOneFactorPanel:
         np.testing.assert_allclose(
             panel.values, np.broadcast_to(panel.values[0], panel.values.shape), atol=0
         )
-        _, corr = sample_moments(panel, COMPLETE_CASES)
+        corr = sample_moments(panel, COMPLETE_CASES)
         np.testing.assert_allclose(corr.entries, 1.0, atol=1e-12)
 
     def test_half_correlation_sample_mean(self):
         config = SimConfig(100, 5000, target_correlation=0.5, master_seed=20260810)
-        _, corr = sample_moments(gen_one_factor_panel(config), COMPLETE_CASES)
+        corr = sample_moments(gen_one_factor_panel(config), COMPLETE_CASES)
         mean = float(off_diagonal(corr.entries).mean())
         assert abs(mean - 0.5) <= 0.03
         # seeded value frozen for regression protection
@@ -77,7 +77,7 @@ class TestOneFactorPanel:
     def test_loading_vector_supported(self):
         loadings = np.array([0.2, 0.5, 0.9, 0.0])
         config = SimConfig(4, 30_000, target_correlation=tuple(loadings), master_seed=5)
-        _, corr = sample_moments(gen_one_factor_panel(config), COMPLETE_CASES)
+        corr = sample_moments(gen_one_factor_panel(config), COMPLETE_CASES)
         expected = one_factor_correlation(loadings)
         assert np.abs(corr.entries - expected).max() <= 0.05
 
@@ -251,8 +251,8 @@ class TestSweep:
 
         result = sweep_rho_star([6, 12], ragged, seed=4)
         for value, panel in zip(result.rho_stars, panels):
-            complete = full_path_point(sample_moments(panel, COMPLETE_CASES)[1], True, None)
-            pairwise = full_path_point(sample_moments(panel, PAIRWISE_COMPLETE)[1], True, None)
+            complete = full_path_point(sample_moments(panel, COMPLETE_CASES), True, None)
+            pairwise = full_path_point(sample_moments(panel, PAIRWISE_COMPLETE), True, None)
             assert value == pytest.approx(complete, rel=1e-12)
             assert value != pytest.approx(pairwise, rel=1e-6)
 
@@ -416,7 +416,7 @@ def point_from_matrix(
     monkeypatch, entries: np.ndarray, repair: bool, floor: float | None
 ) -> tuple[float, str, bool]:
     """Run ``_sweep_point`` on a panel whose estimated correlation is ``entries``."""
-    monkeypatch.setattr(simulate, "sample_moments", lambda panel: (None, CorrelationMatrix(entries)))
+    monkeypatch.setattr(simulate, "sample_moments", lambda panel: CorrelationMatrix(entries))
     return simulate._sweep_point(None, repair, floor)
 
 
@@ -468,7 +468,7 @@ class TestSweepPointSolvers:
     @pytest.mark.parametrize("options", [{"repair": True, "floor": None}, {"repair": False, "floor": None}])
     def test_large_point_agrees_with_the_full_path(self, options):
         panel = gen_one_factor_panel(SimConfig(1200, 1500, target_correlation=0.25, master_seed=12))
-        _, corr = sample_moments(panel, COMPLETE_CASES)
+        corr = sample_moments(panel, COMPLETE_CASES)
         value, solver, degenerate = simulate._sweep_point(panel, **options)
         assert solver == "leading-pair" and not degenerate
         assert value == pytest.approx(full_path_point(corr, **options), rel=1e-12)
