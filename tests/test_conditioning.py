@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turnover_spectra import (
+    COMPLETE_CASES,
     PAIRWISE_COMPLETE,
     CorrelationMatrix,
     CovarianceMatrix,
@@ -306,6 +307,25 @@ class TestRjRepair:
         repaired = rj_repair(loaded, 1e-4)
         np.testing.assert_array_equal(np.diag(repaired.entries), vols**2)
         assert np.linalg.eigvalsh(repaired.entries).min() > 0
+
+    @pytest.mark.parametrize("mode", [COMPLETE_CASES, PAIRWISE_COMPLETE])
+    def test_vols_square_to_the_diagonal_through_csv_and_repair(self, mode):
+        rng = np.random.default_rng(12)
+        values = rng.standard_normal((8, 12)) * rng.uniform(0.01, 100.0, (8, 1))
+        mask = rng.random((8, 12)) > 0.45
+        mask[:, :4] = True  # every series and pair stays estimable
+        panel = TimeSeriesPanel(tuple("abcdefgh"), np.where(mask, values, np.nan))
+        corr = sample_moments(panel, mode)
+        vols = np.nanstd(panel.values, axis=1, ddof=1)
+        cov = CovarianceMatrix(corr.entries * np.outer(vols, vols), ids=corr.ids)
+        buffer = io.StringIO()
+        matrix_to_csv(cov, buffer)
+        ids, read = _square_from_csv(io.StringIO(buffer.getvalue()))
+        loaded = CovarianceMatrix(read, ids=ids)
+        np.testing.assert_array_equal(loaded.entries, cov.entries)
+        repaired = rj_repair(loaded, default_floor(8))
+        for matrix in (cov, loaded, repaired):
+            assert (vols**2).tobytes() == np.diag(matrix.entries).tobytes()
 
     def test_nonpositive_diagonal_rejected(self):
         bad = np.array([[0.0, 0.1], [0.1, 1.0]])
