@@ -61,7 +61,13 @@ process, whose environment this leaves alone). The matrices here are small
 enough (N up to about 800) that a second thread saves no wall time but
 spin-waits on a core, and a fixed count keeps a command's floats from
 depending on how many cores the machine has. Set ``OPENBLAS_NUM_THREADS``
-for inputs of a few thousand series, where more threads do pay off.
+for inputs of a few thousand series, where more threads do pay off. The
+cores are used through processes instead: BLAS stays on its one thread in
+each, while the CSV reader parses a large file in parts and ``sweep`` solves
+its largest grid points in forked children, one per usable CPU beyond the
+first (``panel._fork``). Neither changes a byte of any artifact. A count set
+above one holds in every one of those processes, so a ``sweep`` then runs
+more BLAS threads than there are CPUs.
 """
 
 from __future__ import annotations

@@ -4,14 +4,16 @@ missing-data policies, factor residualization, and the matrix types."""
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import os
+import pickle
 import re
 import signal
 import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import IO, BinaryIO, Iterable, Iterator
+from typing import IO, BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -146,20 +148,21 @@ def _read_grid(source: str | Path | IO[str]) -> _Grid:
     The reader's parts-and-decline rule, stated here once: the data rows are
     read by a fast pass in parts, each parsed by :func:`_parse_part`, which
     takes its rows whole or declines. A path to a regular file is cut into
-    one byte-range part per usable CPU while each part keeps at least
-    ``_MIN_PART_BYTES`` of data rows (:func:`_part_count`), and every part
-    but the first is parsed in a short-lived forked child (:func:`_fast_file`);
-    a smaller file, or any file on a platform without ``os.fork`` and
-    ``os.sched_getaffinity``, is one part with no child. An open handle, or
-    a path that is not a regular file (a pipe, say), streams its lines
-    through the same parse as one part (:func:`_fast_grid`). When any part
-    declines, or a child dies or sends its part short, the whole text goes to
-    the per-cell reference :func:`_grid_from_rows`: a seekable handle is
-    rewound to where the fast pass started, and one that cannot seek is first
-    read once into a list of lines. The reference is the only one that
-    raises on malformed input, except for a line the ``csv`` reader itself
-    rejects (a field over its size limit), which raises ``PanelFormatError``
-    with the reader's line number.
+    one byte-range part per usable CPU (:func:`_usable_cpus`) while each part
+    keeps at least ``_MIN_PART_BYTES`` of data rows (:func:`_part_count`), and
+    every part but the first is parsed in a short-lived child forked by
+    :func:`_fork`, the fork, pipe and reap helper the sweep's points share
+    (:func:`_fast_file`); a smaller file, or any file on a platform without
+    ``os.fork`` and ``os.sched_getaffinity``, is one part with no child. An
+    open handle, or a path that is not a regular file (a pipe, say), streams
+    its lines through the same parse as one part (:func:`_fast_grid`). When
+    any part declines, or a child dies or sends its part short, the whole
+    text goes to the per-cell reference :func:`_grid_from_rows`: a seekable
+    handle is rewound to where the fast pass started, and one that cannot
+    seek is first read once into a list of lines. The reference is the only
+    one that raises on malformed input, except for a line the ``csv`` reader
+    itself rejects (a field over its size limit), which raises
+    ``PanelFormatError`` with the reader's line number.
     """
     if isinstance(source, (str, Path)):
         if not os.path.isfile(source):
@@ -248,15 +251,19 @@ def _header(row: list[str]) -> tuple[str, ...]:
 def _checked_ids(ids: Iterable, n: int) -> tuple[str, ...]:
     """``ids`` as strings, refused (``ValueError``) unless the CSV reader would
     read them back as they are: ``n`` of them, none blank and none repeated
-    (:func:`_header`'s rule), and none with surrounding whitespace, which the
-    reader strips. Every type that carries ids checks them here, so what
-    ``write_panel`` or ``matrix_to_csv`` writes, the readers accept."""
+    (:func:`_header`'s rule), none with surrounding whitespace, which the
+    reader strips, and no first id that begins with U+FEFF, which the reader
+    drops as a byte-order mark (:func:`_without_bom`). Every type that
+    carries ids checks them here, so what ``write_panel`` or
+    ``matrix_to_csv`` writes, the readers accept."""
     ids = tuple(map(str, ids))
     if len(ids) != n:
         raise ValueError(f"ids length must match the number of series: {len(ids)} for {n}")
     for name in ids:
         if not name or name != name.strip():
             raise ValueError(f"id {name!r} is blank or has surrounding whitespace")
+    if ids and ids[0].startswith("\ufeff"):
+        raise ValueError(f"first id {ids[0]!r} begins with U+FEFF, a mark the reader drops")
     if len(set(ids)) != n:
         raise ValueError("ids must not repeat")
     return ids
@@ -303,24 +310,22 @@ def _fast_file(path: str | Path) -> _Grid | None:
         grids = None
         try:
             for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                children.append(_fork_part(path, stat, lo, hi, width))
+                children.append(_fork(functools.partial(_file_part, path, stat, lo, hi, width)))
             handle.seek(start)
             first = _parse_part(_decoded(handle, bounds[1]), width)
             grids = [first, *(_received(pipe) for _, pipe in children)]
         except (ValueError, OSError):
             pass  # a part declined, a child sent short, or a fork failed: decline
         finally:
-            if not _reap(children, kill=grids is None):
+            if not all(_reap(children, kill=grids is None)):
                 grids = None
     return None if grids is None else _joined(header, grids)
 
 
 def _part_count(data_bytes: int) -> int:
-    """One part per usable CPU, as long as each keeps ``_MIN_PART_BYTES``; one
-    part where the platform cannot fork or tell the CPUs it may use."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), data_bytes // _MIN_PART_BYTES))
+    """One part per usable CPU (:func:`_usable_cpus`), as long as each keeps
+    ``_MIN_PART_BYTES``."""
+    return max(1, min(_usable_cpus(), data_bytes // _MIN_PART_BYTES))
 
 
 def _bounds(handle: BinaryIO, start: int, end: int, parts: int) -> list[int]:
@@ -346,29 +351,57 @@ def _decoded(handle: BinaryIO, stop: int) -> Iterator[str]:
         yield line.decode("utf-8")
 
 
-def _fork_part(
+def _file_part(
     path: str | Path, stat: os.stat_result, lo: int, hi: int, width: int
-) -> tuple[int, BinaryIO]:
-    """Fork a child that parses bytes ``[lo, hi)`` of the file as a part of
-    ``width`` columns and sends it through a pipe; return its pid and the
-    pipe's read end.
+) -> np.ndarray:
+    """Bytes ``[lo, hi)`` of the file as a part of ``width`` columns, the work
+    of a forked child of :func:`_fast_file`.
 
-    The child opens the file anew, so that its reads move no offset of the
-    caller's, and declines unless it opened the file ``stat`` describes: a
-    file replaced at ``path`` in the meantime is not mixed into the grid.
-    It only reads, parses and writes its pipe, and it always leaves
-    through ``os._exit``: it never returns into the caller, runs no atexit
-    handler and flushes no buffer it inherited. It exits 0 only once the
-    whole part is sent; a part that declines is sent as nothing.
+    The file is opened anew, so that its reads move no offset of the
+    caller's, and the part declines (``ValueError``) unless the open file is
+    the one ``stat`` describes: a file replaced at ``path`` in the meantime is
+    not mixed into the grid.
+    """
+    with open(path, "rb") as handle:
+        if not os.path.samestat(os.fstat(handle.fileno()), stat):
+            raise ValueError("the file was replaced")
+        handle.seek(lo)
+        return _parse_part(_decoded(handle, hi), width)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where the platform cannot fork
+    or tell them: the one rule by which the CSV reader cuts its parts and the
+    sweep forks its points."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork(work: Callable[[], object]) -> tuple[int, BinaryIO]:
+    """Fork a child that calls ``work()`` and sends its value back through a
+    pipe; return the child's pid and the pipe's read end.
+
+    The package's one way to work in another process: the CSV reader's parts
+    (:func:`_fast_file`) and the sweep's points (``simulate.sweep_rho_star``)
+    both go through it, and the caller takes the value with
+    :func:`_received` and then :func:`_reap` every child it forked, on every
+    path. The child runs on the caller's memory copy-on-write, so ``work``
+    needs no arguments sent to it. It always leaves through ``os._exit``: it
+    never returns into the caller, runs no atexit handler and flushes no
+    buffer it inherited. It exits 0 only once the whole value is sent; when
+    ``work`` raises, it sends nothing and exits 1.
     """
     read_end, write_end = os.pipe()
     try:
         with warnings.catch_warnings():
             # From Python 3.12, fork warns in a process with threads, which
             # numpy's BLAS pool starts at import unless it is held to one
-            # thread (as the command line holds it by default). The child
-            # calls no BLAS and waits on no lock those threads hold: it
-            # parses text and exits.
+            # thread (as the command line holds it by default). A reader's
+            # child calls no BLAS: it parses text and exits. A sweep's child
+            # does, which is safe because OpenBLAS shuts its thread pool down
+            # at fork and starts it again in the child; neither waits on a
+            # lock those threads hold.
             warnings.filterwarnings(
                 "ignore", r"This process .* is multi-threaded", DeprecationWarning
             )
@@ -381,13 +414,9 @@ def _fork_part(
         status = 1
         try:
             os.close(read_end)
-            with open(path, "rb") as handle:
-                if not os.path.samestat(os.fstat(handle.fileno()), stat):
-                    raise ValueError("the file was replaced")
-                handle.seek(lo)
-                part = _parse_part(_decoded(handle, hi), width)
+            value = work()
             with open(write_end, "wb") as pipe:
-                _send(pipe, part)
+                _send(pipe, value)
             status = 0
         finally:
             os._exit(status)
@@ -395,35 +424,29 @@ def _fork_part(
     return pid, open(read_end, "rb")
 
 
-_PART_HEAD = 2 * 8  # rows and columns, as int64
+def _send(pipe: BinaryIO, value: object) -> None:
+    # an array's bytes go to the pipe as they are, with no copy (protocol 5)
+    pickle.dump(value, pipe, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def _send(pipe: BinaryIO, grid: np.ndarray) -> None:
-    pipe.write(np.array(grid.shape, dtype=np.int64).tobytes())
-    pipe.write(grid.reshape(-1).view(np.uint8))
+def _received(pipe: BinaryIO) -> object:
+    """The value a child sent; ``ValueError`` when it sent nothing or too little."""
+    try:
+        return pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        raise ValueError("the child sent nothing, or sent short") from None
 
 
-def _received(pipe: BinaryIO) -> np.ndarray:
-    """The part a child sent; ``ValueError`` when it sent nothing or too little."""
-    head = pipe.read(_PART_HEAD)
-    if len(head) != _PART_HEAD:
-        raise ValueError("no part sent")
-    grid = np.empty(np.frombuffer(head, dtype=np.int64).tolist())
-    if pipe.readinto(grid.reshape(-1).view(np.uint8)) != grid.nbytes:
-        raise ValueError("part sent short")
-    return grid
-
-
-def _reap(children: list[tuple[int, BinaryIO]], kill: bool) -> bool:
+def _reap(children: list[tuple[int, BinaryIO]], kill: bool) -> list[bool]:
     """Close each child's pipe and wait for it, killing it first when ``kill``;
-    True when every child exited 0."""
-    clean = True
+    whether each child exited 0, in order."""
+    exited = []
     for pid, pipe in children:
         pipe.close()
         if kill:
             os.kill(pid, signal.SIGKILL)
-        clean = os.waitpid(pid, 0)[1] == 0 and clean
-    return clean
+        exited.append(os.waitpid(pid, 0)[1] == 0)
+    return exited
 
 
 def _parse_part(lines: Iterable[str], width: int) -> np.ndarray:
@@ -762,7 +785,10 @@ def _masked_moments(ids: tuple[str, ...], values: np.ndarray) -> np.ndarray:
 
     The joint counts come from a float64 product of the 0/1 mask, which
     BLAS evaluates exactly while every count stays below 2**53. The boolean
-    mask is dropped once the centered values are built, before the products.
+    mask is dropped once the centered values are built, before the products,
+    and the centered values are squared in place once their own products are
+    taken, so at most two N x M float arrays (the 0/1 mask and the centered
+    values) are alive at once, and none once the last product is taken.
     """
     values = np.ascontiguousarray(values)
     mask = np.isfinite(values)
@@ -773,13 +799,15 @@ def _masked_moments(ids: tuple[str, ...], values: np.ndarray) -> np.ndarray:
         raise _coverage_error(ids, i, j, nf[i, j])
     with np.errstate(over="ignore", invalid="ignore"):
         center = np.where(mask, values, 0.0).sum(axis=1) / o.sum(axis=1)
-        x0 = np.where(mask, values - center[:, None], 0.0)
+        x0 = np.zeros_like(values)
+        np.subtract(values, center[:, None], out=x0, where=mask)
         del mask
 
         prods = x0 @ x0.T
         prods = 0.5 * (prods + prods.T)
         sums = x0 @ o.T  # sums[i, j] = sum of centered series i over joint(i, j)
-        sq = (x0 * x0) @ o.T
+        sq = np.multiply(x0, x0, out=x0) @ o.T
+        del x0, o  # the N x N algebra below runs with no N x M array alive
         means = sums / nf
         cov_joint = (prods - nf * means * means.T) / (nf - 1.0)
         var_joint = np.maximum((sq - nf * means**2) / (nf - 1.0), 0.0)

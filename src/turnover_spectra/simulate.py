@@ -3,6 +3,7 @@ the reduction-coefficient sweep harness with through-origin regression."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -12,7 +13,15 @@ import numpy as np
 
 from .conditioning import _leading_pair, default_floor, eigendecompose, rj_repair
 from .errors import TurnoverSpectraError, UndefinedRegressorError
-from .panel import TimeSeriesPanel, _write_csv, sample_moments
+from .panel import (
+    TimeSeriesPanel,
+    _fork,
+    _reap,
+    _received,
+    _usable_cpus,
+    _write_csv,
+    sample_moments,
+)
 from .turnover import _rho_star, fix_sign_basis
 
 PanelGenerator = Callable[[int, int], TimeSeriesPanel]
@@ -248,6 +257,20 @@ def _generate(generator: PanelGenerator, n: int, seed: int) -> TimeSeriesPanel:
         raise _GeneratorFailure(str(exc)) from exc
 
 
+# what a grid point may fail with and leave a NaN point; anything else propagates
+_POINT_ERRORS = (TurnoverSpectraError, ValueError, np.linalg.LinAlgError)
+
+# a grid point's result: (rho_star, solver, degenerate_top), or a failure's message
+_Outcome = tuple[float, str, bool] | str
+
+
+def _point_outcome(panel: TimeSeriesPanel, repair: bool, floor: float | None) -> _Outcome:
+    try:
+        return _sweep_point(panel, repair, floor)
+    except _POINT_ERRORS as exc:
+        return str(exc)
+
+
 def sweep_rho_star(
     grid,
     generator: PanelGenerator,
@@ -266,13 +289,26 @@ def sweep_rho_star(
     the spectrum is solved). With ``repair`` off the matrix is used as
     estimated, and a ``floor`` is refused. The fitted slope estimates the
     large-N limit of rho_star. Point seeds are derived by hashing (seed, N)
-    so results do not depend on grid order.
+    so results do not depend on the order in which points are solved.
 
     The grid and the floor are checked before the generator is first
     called: a bad one raises ``ValueError``. A point whose generator
     raises, or whose estimation or solve raises a package error,
     ``ValueError`` or ``LinAlgError``, is recorded as NaN with its message
     in ``errors``; any other exception propagates.
+
+    Points are taken largest N first, and the generator is called for each
+    one in this process, once. The first ``usable CPUs - 1`` points in that
+    order (``panel._usable_cpus``; none where the platform cannot fork) are
+    each solved in a child forked by ``panel._fork`` on the panel it
+    inherits, while this process draws and solves the rest; which points go
+    to children depends only on the grid and the CPU count. The caller keeps
+    each child's panel until the child is reaped: a child that dies, exits
+    non-zero or sends its result short has its point solved again here, so
+    an unexpected exception propagates from this process as it would
+    without children. Every child is reaped, and every pipe closed, on
+    every path. ``rho_stars``, ``solvers``, ``degenerate_top`` and
+    ``errors`` are in grid order, the same as a run without children.
     """
     grid = tuple(int(n) for n in grid)
     if not grid:
@@ -287,21 +323,51 @@ def sweep_rho_star(
         if not 0 < floor < math.inf:
             raise ValueError(f"floor must be positive and finite, got {floor}")
 
+    slots = _usable_cpus() - 1
+    outcomes: list[_Outcome] = [""] * len(grid)
+    forked = []  # (index, panel, child) of each point solved in a child
+    sent: list[_Outcome | None] = []  # what each child sent, None when it sent short
+    try:
+        for position, idx in enumerate(reversed(range(len(grid)))):
+            n = grid[idx]
+            point_seed = int(
+                np.random.SeedSequence([seed, n]).generate_state(1, np.uint64)[0]
+            )
+            try:
+                if position >= slots:
+                    # the panel goes straight into the call, which holds its only reference
+                    outcomes[idx] = _sweep_point(_generate(generator, n, point_seed), repair, floor)
+                    continue
+                panel = _generate(generator, n, point_seed)
+            except _POINT_ERRORS as exc:
+                outcomes[idx] = str(exc)
+                continue
+            try:
+                work = functools.partial(_point_outcome, panel, repair, floor)
+                forked.append((idx, panel, _fork(work)))
+            except OSError:  # no process to spare: the point is solved here
+                outcomes[idx] = _point_outcome(panel, repair, floor)
+        for *_, (_, pipe) in forked:
+            try:
+                sent.append(_received(pipe))
+            except ValueError:
+                sent.append(None)
+    finally:
+        exited = _reap([child for *_, child in forked], kill=len(sent) < len(forked))
+    for (idx, panel, _), outcome, clean in zip(forked, sent, exited):
+        if not clean or outcome is None:  # the child died, exited non-zero or sent short
+            outcome = _point_outcome(panel, repair, floor)
+        outcomes[idx] = outcome
+
     rho_stars = np.full(len(grid), np.nan)
     solvers = ["failed"] * len(grid)
     degenerate = [False] * len(grid)
-    errors: list[str] = []
-    for idx, n in enumerate(grid):
-        point_seed = int(
-            np.random.SeedSequence([seed, n]).generate_state(1, np.uint64)[0]
-        )
-        try:
-            # the panel goes straight into the call, which holds its only reference
-            rho_stars[idx], solvers[idx], degenerate[idx] = _sweep_point(
-                _generate(generator, n, point_seed), repair, floor
-            )
-        except (TurnoverSpectraError, ValueError, np.linalg.LinAlgError) as exc:
-            errors.append(f"N={n}: {exc}")
+    errors = []
+    for idx, outcome in enumerate(outcomes):
+        if isinstance(outcome, str):
+            errors.append(f"N={grid[idx]}: {outcome}")
+        else:
+            rho_stars[idx], solvers[idx], degenerate[idx] = outcome
 
     xs = np.asarray(grid, dtype=float)
     ys = rho_stars * xs
@@ -348,11 +414,17 @@ def _sweep_point(
     The leading pair accepts only an isolated top, so only a "full" point
     can be flagged.
 
-    The panel and the matrices built from it die with this call, so no
-    point's arrays are alive while the next point's panel is generated.
+    The matrices built from the panel die with this call, and so does the
+    panel on a point ``sweep_rho_star`` solves in its own process, which
+    passes the panel straight in: no such point's arrays are alive while the
+    next point's panel is generated. A point solved in a forked child runs
+    this same function there, on the panel the child inherits, while the
+    caller keeps that panel to solve the point again should the child fail.
+    Failures are raised, as for a direct call; the sweep records a package
+    error, ``ValueError`` or ``LinAlgError`` as the point's message.
     """
     corr = sample_moments(panel)
-    del panel  # the caller holds no reference either
+    del panel  # on a point solved in the caller's process, the caller holds none either
     if repair and floor is None:
         floor = default_floor(corr.n)
     decomposition, solver = _leading_pair(corr, floor), "leading-pair"

@@ -487,6 +487,8 @@ class TestSweep:
     def test_certified_points_solve_no_full_spectrum_and_a_fallback_solves_one(
         self, tmp_path, eigensolves, monkeypatch
     ):
+        # every point in this process, where the eigh spy counts its solves
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
         _, json_bytes = self.run_sweep(tmp_path, "sweep.csv")
         assert json.loads(json_bytes)["solvers"] == ["leading-pair", "leading-pair"]
         assert json.loads(json_bytes)["degenerate_top"] == [False, False]
@@ -500,6 +502,74 @@ class TestSweep:
         _, json_bytes = self.run_sweep(tmp_path, "forced.csv")
         assert json.loads(json_bytes)["solvers"] == ["leading-pair", "full"]
         assert eigensolves == [(16, 16)]
+
+    @pytest.mark.parametrize("case", ["plain", "failing-points", "no-repair"])
+    def test_artifacts_with_children_match_a_serial_run(self, tmp_path, monkeypatch, case):
+        extra = ["--no-repair"] if case == "no-repair" else []
+        if case == "failing-points":
+            # N=32 fails in its generator, in this process; N=64 in its solve,
+            # in a child; N=16 is solved in a child and N=8 here
+            one_factor = cli.one_factor_generator
+
+            def failing_generator(rho, n_periods):
+                generate = one_factor(rho, n_periods)
+
+                def generator(n_alphas, seed):
+                    if n_alphas == 32:
+                        raise RuntimeError("synthetic generator failure")
+                    return generate(n_alphas, seed)
+
+                return generator
+
+            leading_pair = simulate._leading_pair
+
+            def failing_solve(corr, floor):
+                if corr.n == 64:
+                    raise np.linalg.LinAlgError("synthetic numeric failure")
+                return leading_pair(corr, floor)
+
+            monkeypatch.setattr(cli, "one_factor_generator", failing_generator)
+            monkeypatch.setattr(simulate, "_leading_pair", failing_solve)
+        artifacts = []
+        for cpus in (1, 4):  # every point here, then N = 64, 32 and 16 in children
+            monkeypatch.setattr(simulate, "_usable_cpus", lambda cpus=cpus: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            out.mkdir()
+            monkeypatch.chdir(out)
+            assert main([
+                "sweep", "--output", "sweep.csv", "--grid", "8,16,32,64", "--rho", "0.3",
+                "--periods", "200", "--seed", "7", *extra,
+            ]) == EXIT_OK
+            artifacts.append(((out / "sweep.csv").read_bytes(), (out / "sweep.json").read_bytes()))
+        assert artifacts[0] == artifacts[1]
+        summary = json.loads(artifacts[1][1])
+        if case == "failing-points":
+            assert summary["errors"] == [
+                "N=32: synthetic generator failure", "N=64: synthetic numeric failure",
+            ]
+            assert summary["solvers"] == ["leading-pair", "leading-pair", "failed", "failed"]
+        else:
+            assert summary["errors"] == [] and "failed" not in summary["solvers"]
+
+    def test_a_sweep_with_children_on_two_blas_threads_matches_the_serial_one(self, tmp_path):
+        # a child that calls BLAS after a fork from a process whose BLAS pool
+        # runs two threads; the usable CPUs are set in the command's process
+        script = (
+            "import sys; from turnover_spectra import cli, simulate; "
+            "simulate._usable_cpus = lambda: int(sys.argv[1]); sys.exit(cli.main(sys.argv[2:]))"
+        )
+        artifacts = []
+        for cpus in (1, 3):
+            out = tmp_path / f"cpus{cpus}"
+            out.mkdir()
+            subprocess.run(
+                [sys.executable, "-c", script, str(cpus), "sweep", "--output", "sweep.csv",
+                 "--grid", "50,100,200,400", "--periods", "1000", "--seed", "5"],
+                cwd=out, env=_thread_env(2), check=True, timeout=300,
+            )
+            artifacts.append(((out / "sweep.csv").read_bytes(), (out / "sweep.json").read_bytes()))
+        assert artifacts[0] == artifacts[1]
+        assert json.loads(artifacts[1][1])["errors"] == []
 
     def test_summary_embeds_config_and_seed(self, tmp_path):
         _, json_bytes = self.run_sweep(tmp_path, "sweep.csv")
@@ -688,6 +758,27 @@ def test_csv_output_with_no_name_fails_where_the_csv_is_written(tmp_path, capsys
     assert main([*argv, "--output", "."]) == EXIT_IO
     assert capsys.readouterr().err == "error: [Errno 21] Is a directory: '.'\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["corr.csv"]
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [("analyze", "a,b\n1.0,2.0\n2.0,1.0\n3.0,5.0\n"), ("repair", "a,b\n1.0,0.4\n0.4,1.0\n")],
+    ids=["analyze", "repair"],
+)
+def test_a_csv_that_begins_with_two_byte_order_marks_exits_1_and_writes_nothing(
+    tmp_path, capsys, command, text
+):
+    # the reader drops one mark, and the first id that the second one begins
+    # would not read back as written: it is refused, not carried into an artifact
+    source = tmp_path / "marked.csv"
+    source.write_bytes(("\ufeff\ufeff" + text).encode("utf-8"))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command, "--input", str(source), "--output", str(out / "result.csv")]) == EXIT_IO
+    assert capsys.readouterr().err == (
+        "error: first id '\\ufeffa' begins with U+FEFF, a mark the reader drops\n"
+    )
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--grid", "10,20"]],

@@ -254,8 +254,9 @@ def _send_then_fail(pipe, grid):
 
 
 def _send_short(pipe, grid):
-    pipe.write(np.array(grid.shape, dtype=np.int64).tobytes())
-    pipe.write(grid.tobytes()[: grid.nbytes // 2])
+    whole = io.BytesIO()
+    _SEND(whole, grid)
+    pipe.write(whole.getvalue()[: len(whole.getvalue()) // 2])
     raise OSError("the child dies halfway through its part")
 
 

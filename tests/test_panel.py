@@ -347,9 +347,13 @@ class TestIds:
             (("a", "a"), "must not repeat"),
             ((" a", "b"), "surrounding whitespace"),
             (("a", "b\t"), "surrounding whitespace"),
+            (("\ufeffa", "b"), r"begins with U\+FEFF"),  # the reader drops the mark
             (("a",), "length"),
         ],
-        ids=["empty", "spaces", "repeated", "leading-space", "trailing-tab", "too-few"],
+        ids=[
+            "empty", "spaces", "repeated", "leading-space", "trailing-tab",
+            "leading-byte-order-mark", "too-few",
+        ],
     )
     def test_an_id_the_reader_would_not_give_back_is_refused(self, build, ids, message):
         with pytest.raises(ValueError, match=message) as refused:
@@ -648,3 +652,20 @@ def test_dense_moments_peak_at_the_centered_copy_and_two_n_by_n_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= n * m * 8 + 2 * n * n * 8
+
+
+def test_masked_moments_peak_at_the_mask_and_the_centered_values():
+    # the centered values are squared in place, so no third N x M array lives
+    # beside the 0/1 mask and them, and neither outlives the last product
+    n, m = 200, 4000
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((n, m))
+    values[rng.random((n, m)) < 0.1] = np.nan
+    panel = TimeSeriesPanel(tuple(f"s{i}" for i in range(n)), values)
+    tracemalloc.start()
+    try:
+        sample_moments(panel, PAIRWISE_COMPLETE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * n * m * 8 + 4 * n * n * 8

@@ -2,6 +2,7 @@
 
 import io
 import math
+import os
 import warnings
 
 import numpy as np
@@ -274,10 +275,13 @@ class TestSweep:
         second = sweep_rho_star([10, 20, 40], gen, seed=9)
         assert first == second
 
-    def test_degenerate_top_changes_no_warning_filter(self, fixed_warning_filters):
+    def test_degenerate_top_changes_no_warning_filter(self, fixed_warning_filters, monkeypatch):
         # rows of a Hadamard matrix: zero-mean, orthogonal series whose sample
         # correlation is exactly the identity, a fully degenerate spectrum
         hadamard = np.array([[1.0, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+        # every point in this process: forking a child changes the filters
+        # for the fork itself (panel._fork), which is not the point's solve
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
 
         def orthogonal(n_alphas, seed):
             ids = tuple(f"s{i}" for i in range(n_alphas))
@@ -375,6 +379,80 @@ class TestSweep:
         buffer = io.StringIO()
         sweep_to_csv(exact, buffer)
         assert buffer.getvalue().strip().splitlines()[1].endswith(",inf")
+
+
+class TestSweepChildren:
+    """Points solved in forked children. The usable-CPU rule is patched, so
+    children are forked whatever CPUs this machine lets the process use."""
+
+    GRID = [10, 20, 40, 80]
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        return lambda count: monkeypatch.setattr(simulate, "_usable_cpus", lambda: count)
+
+    def test_a_child_that_dies_has_its_point_solved_again(self, cpus, monkeypatch, tmp_path):
+        generator = one_factor_generator(0.3, 300)
+        cpus(1)
+        serial = sweep_rho_star(self.GRID, generator, seed=3)
+        caller, sweep_point = os.getpid(), simulate._sweep_point
+
+        def die_in_a_child(panel, repair, floor):
+            if os.getpid() != caller:
+                (tmp_path / f"died-{panel.n_series}").touch()
+                os._exit(1)
+            return sweep_point(panel, repair, floor)
+
+        monkeypatch.setattr(simulate, "_sweep_point", die_in_a_child)
+        cpus(3)
+        assert sweep_rho_star(self.GRID, generator, seed=3) == serial
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["died-40", "died-80"]
+
+    def test_a_point_whose_fork_fails_is_solved_here(self, cpus, monkeypatch):
+        generator = one_factor_generator(0.3, 300)
+        cpus(1)
+        serial = sweep_rho_star(self.GRID, generator, seed=3)
+
+        def no_fork(work):
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(simulate, "_fork", no_fork)
+        cpus(3)
+        assert sweep_rho_star(self.GRID, generator, seed=3) == serial
+
+    def test_the_generator_runs_in_the_caller_once_per_n_largest_first(self, cpus, tmp_path):
+        # a file, not a list, so that a call made in a child would be seen too
+        log = tmp_path / "calls.txt"
+        generate = one_factor_generator(0.3, 300)
+
+        def logged(n_alphas, seed):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()} {n_alphas}\n")
+            return generate(n_alphas, seed)
+
+        cpus(3)
+        assert sweep_rho_star(self.GRID, logged, seed=3).errors == ()
+        calls = log.read_text(encoding="utf-8").splitlines()
+        assert calls == [f"{os.getpid()} {n}" for n in (80, 40, 20, 10)]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="the descriptor count needs /proc")
+    @pytest.mark.parametrize("case", ["solved", "a-bug-propagates"])
+    def test_children_leave_no_process_and_no_open_descriptor(self, cpus, monkeypatch, case):
+        if case == "a-bug-propagates":
+            def broken(corr, floor):
+                raise TypeError("a bug, not a numeric failure")
+
+            monkeypatch.setattr(simulate, "_leading_pair", broken)
+        cpus(3)
+        before = len(os.listdir("/proc/self/fd"))
+        if case == "solved":
+            assert sweep_rho_star(self.GRID, one_factor_generator(0.3, 300), seed=3).errors == ()
+        else:  # the children fail, and the point solved here raises while they may still run
+            with pytest.raises(TypeError, match="a bug"):
+                sweep_rho_star(self.GRID, one_factor_generator(0.3, 300), seed=3)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 class TestSimConfigValidation:
