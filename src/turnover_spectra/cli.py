@@ -65,9 +65,9 @@ for inputs of a few thousand series, where more threads do pay off. The
 cores are used through processes instead: BLAS stays on its one thread in
 each, while the CSV reader parses a large file in parts and ``sweep`` solves
 its largest grid points in forked children, one per usable CPU beyond the
-first (``panel._fork``). Neither changes a byte of any artifact. A count set
-above one holds in every one of those processes, so a ``sweep`` then runs
-more BLAS threads than there are CPUs.
+first (``panel._fork``). Neither changes a byte of any artifact. Unless all
+three variables read ``1``, as they do by default, ``sweep`` solves every
+point in its own process, so that no two BLAS pools share the cores.
 """
 
 from __future__ import annotations
@@ -80,8 +80,9 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+from . import _THREAD_VARS
+
 # Threads, as the module docstring says: BLAS reads these when numpy loads.
-_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 if "numpy" not in sys.modules and not any(var in os.environ for var in _THREAD_VARS):
     os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))
 

@@ -310,7 +310,8 @@ def _fast_file(path: str | Path) -> _Grid | None:
         grids = None
         try:
             for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                children.append(_fork(functools.partial(_file_part, path, stat, lo, hi, width)))
+                work = functools.partial(_file_part, path, stat, lo, hi, width)
+                children.append(_fork(work, blas=False))
             handle.seek(start)
             first = _parse_part(_decoded(handle, bounds[1]), width)
             grids = [first, *(_received(pipe) for _, pipe in children)]
@@ -378,7 +379,7 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _fork(work: Callable[[], object]) -> tuple[int, BinaryIO]:
+def _fork(work: Callable[[], object], *, blas: bool) -> tuple[int, BinaryIO]:
     """Fork a child that calls ``work()`` and sends its value back through a
     pipe; return the child's pid and the pipe's read end.
 
@@ -391,21 +392,26 @@ def _fork(work: Callable[[], object]) -> tuple[int, BinaryIO]:
     never returns into the caller, runs no atexit handler and flushes no
     buffer it inherited. It exits 0 only once the whole value is sent; when
     ``work`` raises, it sends nothing and exits 1.
+
+    ``blas`` says whether ``work`` calls numpy's BLAS. From Python 3.12, fork
+    warns in a process with threads, which numpy's BLAS pool starts at import
+    unless it is held to one thread. A child that calls no BLAS (a reader's
+    part: it parses text and exits) takes no lock such a thread may hold, so
+    that warning is silenced for it alone. A child that does is forked only
+    while BLAS runs on one thread (``simulate._blas_on_one_thread``), and its
+    fork changes no warning filter: the warning then arises only where the
+    caller runs threads of its own, and is true there.
     """
     read_end, write_end = os.pipe()
     try:
-        with warnings.catch_warnings():
-            # From Python 3.12, fork warns in a process with threads, which
-            # numpy's BLAS pool starts at import unless it is held to one
-            # thread (as the command line holds it by default). A reader's
-            # child calls no BLAS: it parses text and exits. A sweep's child
-            # does, which is safe because OpenBLAS shuts its thread pool down
-            # at fork and starts it again in the child; neither waits on a
-            # lock those threads hold.
-            warnings.filterwarnings(
-                "ignore", r"This process .* is multi-threaded", DeprecationWarning
-            )
+        if blas:
             pid = os.fork()
+        else:
+            with warnings.catch_warnings():
+                warnings.filterwarnings(
+                    "ignore", r"This process .* is multi-threaded", DeprecationWarning
+                )
+                pid = os.fork()
     except BaseException:
         os.close(read_end)
         os.close(write_end)

@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Callable
 
 import numpy as np
 
+from . import _THREAD_VARS
 from .conditioning import _leading_pair, default_floor, eigendecompose, rj_repair
 from .errors import TurnoverSpectraError, UndefinedRegressorError
 from .panel import (
@@ -271,6 +273,14 @@ def _point_outcome(panel: TimeSeriesPanel, repair: bool, floor: float | None) ->
         return str(exc)
 
 
+def _blas_on_one_thread() -> bool:
+    """Whether numpy's BLAS is held to one thread, as a command holds it by
+    default: each of the thread variables ``cli`` sets reads ``1``. A count
+    set above one, or none set (a library caller's numpy keeps its own
+    default), is not."""
+    return all(os.environ.get(var) == "1" for var in _THREAD_VARS)
+
+
 def sweep_rho_star(
     grid,
     generator: PanelGenerator,
@@ -299,16 +309,18 @@ def sweep_rho_star(
 
     Points are taken largest N first, and the generator is called for each
     one in this process, once. The first ``usable CPUs - 1`` points in that
-    order (``panel._usable_cpus``; none where the platform cannot fork) are
-    each solved in a child forked by ``panel._fork`` on the panel it
-    inherits, while this process draws and solves the rest; which points go
-    to children depends only on the grid and the CPU count. The caller keeps
-    each child's panel until the child is reaped: a child that dies, exits
-    non-zero or sends its result short has its point solved again here, so
-    an unexpected exception propagates from this process as it would
-    without children. Every child is reaped, and every pipe closed, on
-    every path. ``rho_stars``, ``solvers``, ``degenerate_top`` and
-    ``errors`` are in grid order, the same as a run without children.
+    order (``panel._usable_cpus``) are each solved in a child forked by
+    ``panel._fork`` on the panel it inherits, while this process draws and
+    solves the rest; which points go to children depends only on the grid,
+    the CPU count and :func:`_blas_on_one_thread`. No point goes to a child
+    where the platform cannot fork, or while BLAS may run more than one
+    thread: each process would then run its own pool on the same cores. The
+    caller keeps each child's panel until the child is reaped: a child that
+    dies, exits non-zero or sends its result short has its point solved
+    again here, so an unexpected exception propagates from this process as
+    it would without children. Every child is reaped, and every pipe
+    closed, on every path. ``rho_stars``, ``solvers``, ``degenerate_top``
+    and ``errors`` are in grid order, the same as a run without children.
     """
     grid = tuple(int(n) for n in grid)
     if not grid:
@@ -323,7 +335,7 @@ def sweep_rho_star(
         if not 0 < floor < math.inf:
             raise ValueError(f"floor must be positive and finite, got {floor}")
 
-    slots = _usable_cpus() - 1
+    slots = _usable_cpus() - 1 if _blas_on_one_thread() else 0
     outcomes: list[_Outcome] = [""] * len(grid)
     forked = []  # (index, panel, child) of each point solved in a child
     sent: list[_Outcome | None] = []  # what each child sent, None when it sent short
@@ -344,7 +356,7 @@ def sweep_rho_star(
                 continue
             try:
                 work = functools.partial(_point_outcome, panel, repair, floor)
-                forked.append((idx, panel, _fork(work)))
+                forked.append((idx, panel, _fork(work, blas=True)))
             except OSError:  # no process to spare: the point is solved here
                 outcomes[idx] = _point_outcome(panel, repair, floor)
         for *_, (_, pipe) in forked:

@@ -551,12 +551,13 @@ class TestSweep:
         else:
             assert summary["errors"] == [] and "failed" not in summary["solvers"]
 
-    def test_a_sweep_with_children_on_two_blas_threads_matches_the_serial_one(self, tmp_path):
-        # a child that calls BLAS after a fork from a process whose BLAS pool
-        # runs two threads; the usable CPUs are set in the command's process
+    def test_a_sweep_on_two_blas_threads_forks_no_child_and_matches_the_serial_one(self, tmp_path):
+        # two BLAS pools would share the cores, so no point goes to a child
+        # whatever the usable CPUs (set in the command's process); a fork exits 3
         script = (
             "import sys; from turnover_spectra import cli, simulate; "
-            "simulate._usable_cpus = lambda: int(sys.argv[1]); sys.exit(cli.main(sys.argv[2:]))"
+            "simulate._usable_cpus = lambda: int(sys.argv[1]); "
+            "simulate._fork = lambda work, blas: sys.exit(3); sys.exit(cli.main(sys.argv[2:]))"
         )
         artifacts = []
         for cpus in (1, 3):

@@ -275,13 +275,10 @@ class TestSweep:
         second = sweep_rho_star([10, 20, 40], gen, seed=9)
         assert first == second
 
-    def test_degenerate_top_changes_no_warning_filter(self, fixed_warning_filters, monkeypatch):
+    def test_degenerate_top_changes_no_warning_filter(self, fixed_warning_filters):
         # rows of a Hadamard matrix: zero-mean, orthogonal series whose sample
         # correlation is exactly the identity, a fully degenerate spectrum
         hadamard = np.array([[1.0, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
-        # every point in this process: forking a child changes the filters
-        # for the fork itself (panel._fork), which is not the point's solve
-        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
 
         def orthogonal(n_alphas, seed):
             ids = tuple(f"s{i}" for i in range(n_alphas))
@@ -381,6 +378,13 @@ class TestSweep:
         assert buffer.getvalue().strip().splitlines()[1].endswith(",inf")
 
 
+# the sweep forks no point while BLAS may run more than one thread, as under
+# a caller's OPENBLAS_NUM_THREADS=2; a test that needs a child is skipped then
+forks_points = pytest.mark.skipif(
+    not simulate._blas_on_one_thread(), reason="BLAS may run more than one thread here"
+)
+
+
 class TestSweepChildren:
     """Points solved in forked children. The usable-CPU rule is patched, so
     children are forked whatever CPUs this machine lets the process use."""
@@ -391,6 +395,50 @@ class TestSweepChildren:
     def cpus(self, monkeypatch):
         return lambda count: monkeypatch.setattr(simulate, "_usable_cpus", lambda: count)
 
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The grid sizes of the points handed to ``panel._fork``, in order."""
+        sizes, fork = [], simulate._fork
+
+        def counted(work, *, blas):
+            sizes.append(work.args[0].n_series)
+            return fork(work, blas=blas)
+
+        monkeypatch.setattr(simulate, "_fork", counted)
+        return sizes
+
+    @forks_points
+    def test_children_change_no_warning_filter(self, cpus, forks, fixed_warning_filters):
+        # the degenerate spectrum of TestSweep's Hadamard test, both points in
+        # children: neither their fork nor their solve touches the filters
+        hadamard = np.array([[1.0, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+
+        def orthogonal(n_alphas, seed):
+            return TimeSeriesPanel(tuple(f"s{i}" for i in range(n_alphas)), hadamard[:n_alphas])
+
+        cpus(3)
+        with fixed_warning_filters():
+            result = sweep_rho_star([2, 3], orthogonal, seed=0)
+        assert forks == [3, 2]
+        assert result.solvers == ("full", "full") and result.errors == ()
+        assert result.degenerate_top == (True, True)
+
+    @pytest.mark.parametrize("threads", ["two", "unset"])
+    def test_no_child_while_blas_may_run_more_than_one_thread(self, cpus, forks, monkeypatch, threads):
+        generator = one_factor_generator(0.3, 300)
+        cpus(1)
+        serial = sweep_rho_star(self.GRID, generator, seed=3)
+        for var in simulate._THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        if threads == "two":  # one variable above 1 is enough, the others at 1
+            monkeypatch.setenv("OMP_NUM_THREADS", "1")
+            monkeypatch.setenv("MKL_NUM_THREADS", "1")
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        cpus(3)
+        assert sweep_rho_star(self.GRID, generator, seed=3) == serial
+        assert forks == []
+
+    @forks_points
     def test_a_child_that_dies_has_its_point_solved_again(self, cpus, monkeypatch, tmp_path):
         generator = one_factor_generator(0.3, 300)
         cpus(1)
@@ -413,7 +461,7 @@ class TestSweepChildren:
         cpus(1)
         serial = sweep_rho_star(self.GRID, generator, seed=3)
 
-        def no_fork(work):
+        def no_fork(work, *, blas):
             raise BlockingIOError("fork: resource temporarily unavailable")
 
         monkeypatch.setattr(simulate, "_fork", no_fork)
