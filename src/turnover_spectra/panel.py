@@ -50,6 +50,9 @@ _CONSTANT_REL_TOL = 1e-13
 # runs). An 8 MiB part parses for about 0.2 s, some six times that cost.
 _MIN_PART_BYTES = 8 << 20
 
+# The most column blocks the dense kernel sums a panel in (``_block_width``).
+_MAX_BLOCKS = 16
+
 # The characters besides the comma that make the ``csv`` writer quote a field.
 _QUOTED = re.compile('["\r\n]').search
 
@@ -57,6 +60,19 @@ _QUOTED = re.compile('["\r\n]').search
 def _readonly(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+def _locked(array) -> bool:
+    """Whether ``array`` is a float64 ``ndarray`` that no array can write
+    through: it and every array it is a view of are read-only, and the last
+    of them owns its memory (not a ``bytearray``, say)."""
+    if type(array) is not np.ndarray or array.dtype != np.float64:
+        return False
+    while array.base is not None:
+        if array.flags.writeable or type(array.base) is not np.ndarray:
+            return False
+        array = array.base
+    return not array.flags.writeable
 
 
 def _value_eq(self, other) -> bool:
@@ -88,6 +104,16 @@ class TimeSeriesPanel:
     every series must carry at least two observations
     (``RejectedSeriesError``). The ids follow the CSV header's rule
     (:func:`_checked_ids`).
+
+    The values are read-only. A float64 ``ndarray`` is kept as given, with
+    no copy, when it and every array it is a view of are read-only and the
+    last of them owns its memory (:func:`_locked`); the package's own
+    producers (``load_panel``, ``ols_residualize`` and
+    ``simulate.gen_one_factor_panel``) hand their fresh arrays over so. Any
+    other input is copied, so a caller's writeable array, or a read-only
+    view of one, is never aliased. The limit of that rule: a writeable view
+    made before the array was locked, or a caller who sets the array's
+    ``writeable`` flag back, can still change the panel's values.
     """
 
     series_ids: tuple[str, ...]
@@ -97,7 +123,9 @@ class TimeSeriesPanel:
     __hash__ = None  # equal by value, and the arrays are not hashable
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
+        values = self.values
+        if not _locked(values):
+            values = _readonly(np.array(values, dtype=float))
         if values.ndim != 2:
             raise ValueError("values must be a 2-D array (series x timestamps)")
         ids = _checked_ids(self.series_ids, values.shape[0])
@@ -105,11 +133,12 @@ class TimeSeriesPanel:
             raise ValueError("panel needs at least one series")
         if np.isinf(values).any():
             raise ValueError("values must be finite, or NaN where unobserved")
-        short = np.count_nonzero(~np.isnan(values), axis=1) < 2
+        # with no infinity left, a finite cell is an observed one
+        short = np.count_nonzero(np.isfinite(values), axis=1) < 2
         if short.any():
             raise RejectedSeriesError(ids[i] for i in np.flatnonzero(short))
         object.__setattr__(self, "series_ids", ids)
-        object.__setattr__(self, "values", _readonly(values))
+        object.__setattr__(self, "values", values)
 
     @property
     def observed_mask(self) -> np.ndarray:
@@ -485,6 +514,9 @@ def _parse_part(lines: Iterable[str], width: int) -> np.ndarray:
                 raise ValueError("bare carriage return")
             if len(body) > limit and max(map(len, body.split(","))) > limit:
                 raise ValueError("field larger than the csv field limit")
+            if ",," not in body and body[0] != "," and body[-1] != ",":
+                yield body  # no empty cell
+                continue
             text = body.replace(",,", ",nan,").replace(",,", ",nan,")
             if text[0] == ",":
                 text = "nan" + text
@@ -564,6 +596,10 @@ def load_panel(source: str | Path | IO[str]) -> TimeSeriesPanel:
     non-finite value in a non-empty cell, quoting the value as parsed
     (``'nan'``, ``'inf'``).
 
+    The reader's grid, one row per timestamp, is locked and handed to the
+    panel transposed, so the panel's values are a read-only view of it in
+    Fortran order (each timestamp's cells adjacent), with no copy made.
+
     Raises
     ------
     PanelFormatError
@@ -579,7 +615,7 @@ def load_panel(source: str | Path | IO[str]) -> TimeSeriesPanel:
         raise PanelFormatError(
             f"non-finite cell '{values[r, c]}'", row=r + 1, column=header[c]
         )
-    return TimeSeriesPanel(header, values.T)
+    return TimeSeriesPanel(header, _readonly(values).T)
 
 
 def write_panel(panel: TimeSeriesPanel, dest: str | Path | IO[str]) -> None:
@@ -750,26 +786,89 @@ def _assemble(
     return corr
 
 
-def _dense_moments(ids: tuple[str, ...], values: np.ndarray) -> np.ndarray:
+def _block_width(n: int, m: int) -> int:
+    """The dense kernel's block width for N series over M timestamps: N, but
+    never fewer than ``ceil(M / _MAX_BLOCKS)`` columns nor more than M."""
+    return min(m, max(n, -(-m // _MAX_BLOCKS)))
+
+
+def _centered_products(
+    values: np.ndarray, columns: np.ndarray | None, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each series' center, the row sums of the centered values and their
+    N x N product ``x0 @ x0.T``, summed over column blocks of
+    :func:`_block_width` columns; the block is ``values``, or
+    ``values[:, columns]`` when ``columns`` is given (M of them).
+
+    A first pass sums the blocks for the centers. A second centers each
+    block into one N x width buffer, reused and held in the values' memory
+    order, and adds its row sums and its product to the totals. ``columns``
+    are gathered into that buffer, block by block, on each pass. So no
+    N x M array is built, and the buffer dies with this call.
+    """
+    n = values.shape[0]
+    width = _block_width(n, m)
+    order = "F" if np.isfortran(values) else "C"
+    buffer = np.empty(n * width)
+
+    def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        # each block of the values, and the buffer's contiguous view of its
+        # shape; "clip" lets take write straight into it ("raise" buffers)
+        for lo in range(0, m, width):
+            hi = min(lo + width, m)
+            out = buffer[: n * (hi - lo)].reshape((n, hi - lo), order=order)
+            if columns is None:
+                yield values[:, lo:hi], out
+            else:
+                yield np.take(values, columns[lo:hi], axis=1, out=out, mode="clip"), out
+
+    center = np.zeros(n)
+    for block, _ in blocks():
+        center += block.sum(axis=1)
+    center /= m
+    second = blocks()
+    block, out = next(second)
+    x0 = np.subtract(block, center[:, None], out=out)
+    sums, prods = x0.sum(axis=1), x0 @ x0.T  # the one-block algebra, where one block spans M
+    product = np.empty((n, n))
+    for block, out in second:
+        x0 = np.subtract(block, center[:, None], out=out)
+        sums += x0.sum(axis=1)
+        prods += np.matmul(x0, x0.T, out=product)
+    return center, sums, prods
+
+
+def _dense_moments(
+    ids: tuple[str, ...], values: np.ndarray, columns: np.ndarray | None = None
+) -> np.ndarray:
     """The correlation of a fully observed block: the masked algebra of
     ``_masked_moments`` specialised to an all-true mask.
 
-    Every joint sample is the whole row, so every pair shares all M rows, the
+    The block is ``values`` itself, or with ``columns`` (column indices)
+    the sub-panel ``values[:, columns]``, which is never built whole. Every
+    joint sample is the whole row, so every pair shares all M rows, the
     per-pair sums and variances collapse to per-series N-vectors, and the
-    only N x M x N product left is one ``x0 @ x0.T`` on the centered values.
+    only N x M x N product left is ``x0 @ x0.T`` on the centered values.
     The vectors go to :func:`_assemble` broadcast along each row, so the
     degeneracy rule is the masked kernel's, to the same pair: a series
     flagged with one partner is flagged with every one.
+
+    The sums over time run in column blocks (:func:`_centered_products`) of
+    N columns, but never fewer than ``ceil(M / _MAX_BLOCKS)`` nor more than
+    M: each block's product is then at least an N x N x N one, and a long,
+    narrow panel still takes few blocks. Beside the values, only one
+    N x width buffer and N x N arrays are alive, never an N x M copy.
+    Summing in blocks regroups the additions, which moves the result at
+    rounding level only; where one block spans M, every step is the
+    one-block algebra's on the same memory layout, to the bit.
     """
-    n, m = values.shape
+    n = values.shape[0]
+    m = values.shape[1] if columns is None else len(columns)
     if m < 2:  # every pair is short; the first in row-major order is (0, 0)
         raise _coverage_error(ids, 0, 0, m)
     with np.errstate(over="ignore", invalid="ignore"):
-        center = values.sum(axis=1) / m
-        x0 = values - center[:, None]
-        means = x0.sum(axis=1) / m  # residual means of the centered series
-        prods = x0 @ x0.T
-        del x0  # the N x N algebra below runs in place, with no N x M array alive
+        center, means, prods = _centered_products(values, columns, m)
+        means /= m  # residual means of the centered series
         prods += prods.T
         prods *= 0.5
         var = np.maximum((np.diag(prods) - m * means**2) / (m - 1.0), 0.0)
@@ -829,9 +928,11 @@ def sample_moments(panel: TimeSeriesPanel, mode: str = COMPLETE_CASES) -> Correl
     assembled matrix short of positive semi-definite.
 
     The kernel is chosen by the mask. A fully observed panel, in either
-    mode, and the complete-cases sub-panel go to the dense kernel: one
-    ``x @ x.T`` on the centered values. So on a panel without missing
-    values the two modes agree exactly, by construction. A ragged panel in
+    mode, and the complete-cases sub-panel go to the dense kernel:
+    ``x @ x.T`` on the centered values, summed over column blocks, the
+    complete columns gathered a block at a time, so that no N x M copy of
+    the values is made. So on a panel without missing values the two
+    modes agree exactly, by construction. A ragged panel in
     ``pairwise-complete`` mode goes to the masked kernel, whose joint counts
     are a float64 product of the mask, exact below 2**53 observations.
 
@@ -859,7 +960,7 @@ def sample_moments(panel: TimeSeriesPanel, mode: str = COMPLETE_CASES) -> Correl
             raise CoverageError(
                 f"only {n_full} timestamps observed across all series; need at least 2"
             )
-        corr = _dense_moments(ids, panel.values[:, full])
+        corr = _dense_moments(ids, panel.values, np.flatnonzero(full))
     else:
         corr = _masked_moments(ids, panel.values)
     return CorrelationMatrix(corr, ids=ids)
@@ -877,7 +978,8 @@ def ols_residualize(
     Each series is fit over the timestamps where it and all factors are
     observed. The fitted intercept is removed from the residual unless
     ``keep_intercept`` is set, which adds it back (a pure level shift with no
-    effect on downstream correlations).
+    effect on downstream correlations). The residuals are a fresh array,
+    locked and kept by the returned panel with no copy.
 
     Raises
     ------
@@ -913,4 +1015,4 @@ def ols_residualize(
         if keep_intercept:
             resid = resid + coef[0]
         out_values[i, joint] = resid
-    return TimeSeriesPanel(panel.series_ids, out_values)
+    return TimeSeriesPanel(panel.series_ids, _readonly(out_values))

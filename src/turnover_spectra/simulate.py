@@ -18,6 +18,7 @@ from .errors import TurnoverSpectraError, UndefinedRegressorError
 from .panel import (
     TimeSeriesPanel,
     _fork,
+    _readonly,
     _reap,
     _received,
     _usable_cpus,
@@ -88,7 +89,9 @@ def gen_one_factor_panel(config: SimConfig) -> TimeSeriesPanel:
     ``master_seed``; population pairwise correlation is b_i * b_j. The noise
     is scaled in place and shifted row by row, which gives the same bits as
     the sum of the two products (IEEE multiplication and addition commute)
-    without an N x M temporary.
+    without an N x M temporary. The array is then locked and handed to the
+    panel, which keeps it as its values with no copy, so the draw holds one
+    N x M array from first to last.
     """
     b = config.loadings()
     rng = _rng(config.master_seed)
@@ -98,7 +101,7 @@ def gen_one_factor_panel(config: SimConfig) -> TimeSeriesPanel:
     for row, loading in zip(values, b):
         row += loading * common
     ids = tuple(f"a{i + 1:04d}" for i in range(config.n_alphas))
-    return TimeSeriesPanel(ids, values)
+    return TimeSeriesPanel(ids, _readonly(values))
 
 
 def one_factor_correlation(loadings) -> np.ndarray:

@@ -27,7 +27,7 @@ from turnover_spectra import (
     write_panel,
 )
 from turnover_spectra.conditioning import _spectrum, correlation_from_csv, matrix_to_csv
-from turnover_spectra.panel import _assemble, _dense_moments, _masked_moments
+from turnover_spectra.panel import _assemble, _block_width, _dense_moments, _masked_moments
 
 
 def panel_from_csv(text: str) -> TimeSeriesPanel:
@@ -519,14 +519,18 @@ def test_dense_kernel_matches_masked_reference(seed, n, m, max_offset):
     np.testing.assert_allclose(corr, corr_r, rtol=0, atol=1e-12)
 
 
-def out_of_place_dense_moments(values: np.ndarray) -> np.ndarray:
-    """The dense kernel's algebra with every step out of place."""
+def out_of_place_dense_moments(values: np.ndarray, width: int | None = None) -> np.ndarray:
+    """The dense kernel's algebra with every step out of place, its sums over
+    time taken in column blocks of ``width`` columns (the kernel's own
+    ``_block_width`` unless given; ``width = M`` is the one-product algebra)."""
     n, m = values.shape
-    center = values.sum(axis=1) / m
-    x0 = values - center[:, None]
-    prods = x0 @ x0.T
+    width = _block_width(n, m) if width is None else width
+    blocks = [values[:, lo : lo + width] for lo in range(0, m, width)]
+    center = sum(block.sum(axis=1) for block in blocks) / m
+    x0s = [block - center[:, None] for block in blocks]
+    prods = sum(x0 @ x0.T for x0 in x0s)
     prods = 0.5 * (prods + prods.T)
-    means = x0.sum(axis=1) / m
+    means = sum(x0.sum(axis=1) for x0 in x0s) / m
     cov_joint = (prods - (m * means)[:, None] * means[None, :]) / (m - 1.0)
     var = np.maximum((np.diag(prods) - m * means**2) / (m - 1.0), 0.0)
     ids = tuple(f"s{i}" for i in range(n))
@@ -546,6 +550,44 @@ def test_dense_kernel_in_place_steps_keep_the_bits(seed, n, m, max_offset):
     corr = _dense_moments(tuple(f"s{i}" for i in range(n)), values)
     corr_r = out_of_place_dense_moments(values)
     assert corr.tobytes() == corr_r.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 24),
+    data=st.data(),
+    max_offset=st.sampled_from([0.0, 1.0, 1e6]),
+    fortran=st.booleans(),
+)
+def test_a_panel_whose_periods_fit_one_block_keeps_the_one_product_bits(
+    seed, n, data, max_offset, fortran
+):
+    # M <= N is one block of M columns, in either memory order
+    m = data.draw(st.integers(2, n), label="m")
+    values = fully_observed_values(seed, n, m, max_offset)
+    if fortran:
+        values = np.asfortranarray(values)
+    assert _block_width(n, m) == m
+    corr = _dense_moments(tuple(f"s{i}" for i in range(n)), values)
+    assert corr.tobytes() == out_of_place_dense_moments(values, width=m).tobytes()
+
+
+def test_complete_cases_of_a_loaded_panel_within_one_block_keep_the_one_product_bits():
+    # the loaded panel is the reader's grid transposed, in Fortran order; its
+    # complete columns are gathered into the kernel's buffer, not copied whole
+    n, m = 12, 20
+    values = fully_observed_values(3, n, m, 1e3)
+    values[np.arange(n), np.arange(n)] = np.nan  # 8 complete columns, one block
+    text = io.StringIO()
+    write_panel(TimeSeriesPanel(tuple(f"s{i}" for i in range(n)), values), text)
+    panel = panel_from_csv(text.getvalue())
+    assert np.isfortran(panel.values)
+    full = panel.observed_mask.all(axis=0)
+    assert _block_width(n, int(full.sum())) == full.sum() == 8
+    corr = sample_moments(panel, COMPLETE_CASES)
+    reference = out_of_place_dense_moments(panel.values[:, full], width=8)
+    assert corr.entries.tobytes() == reference.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -640,18 +682,76 @@ def test_one_huge_variance_is_no_overflow(mode):
     assert corr.entries[0, 1] == pytest.approx(expected, abs=1e-12)
 
 
-def test_dense_moments_peak_at_the_centered_copy_and_two_n_by_n_arrays():
-    # no N x N count matrix, and no N x M mask alive beside the centered values
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_moments_peak_at_one_block_buffer_and_n_by_n_arrays():
+    # no N x M centered copy: the values are centered a column block at a time
+    # into one N x 250 buffer, beside the running N x N totals
     n, m = 200, 4000
     values = np.random.default_rng(5).standard_normal((n, m))
     panel = TimeSeriesPanel(tuple(f"s{i}" for i in range(n)), values)
-    tracemalloc.start()
-    try:
-        sample_moments(panel)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= n * m * 8 + 2 * n * n * 8
+    assert _traced_peak(lambda: sample_moments(panel)) <= 4.5 * n * n * 8
+
+
+def test_complete_cases_of_a_ragged_panel_peak_with_no_n_by_m_copy():
+    # the complete columns are gathered into the block buffer, not copied out
+    n, m = 200, 4000
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((n, m))
+    values[rng.random((n, m)) < 0.0005] = np.nan  # about 10 % of the columns
+    panel = TimeSeriesPanel(tuple(f"s{i}" for i in range(n)), values)
+    assert 3000 < panel.observed_mask.all(axis=0).sum() < m
+    assert _traced_peak(lambda: sample_moments(panel, COMPLETE_CASES)) <= 4.5 * n * n * 8
+
+
+class TestPanelAdoptsLockedValues:
+    IDS = ("a", "b")
+
+    def test_a_read_only_array_is_kept_as_given(self):
+        values = np.arange(8.0).reshape(2, 4).copy()  # a reshape is a view of the arange
+        values.setflags(write=False)
+        assert TimeSeriesPanel(self.IDS, values).values is values
+
+    def test_a_read_only_view_of_a_locked_array_is_kept(self):
+        grid = np.arange(8.0).reshape(4, 2).copy()
+        grid.setflags(write=False)
+        panel = TimeSeriesPanel(self.IDS, grid.T)
+        assert panel.values.base is grid
+
+    def test_a_read_only_view_of_a_writeable_array_is_copied(self):
+        values = np.arange(8.0).reshape(2, 4)
+        view = values[:]
+        view.setflags(write=False)
+        panel = TimeSeriesPanel(self.IDS, view)
+        assert not np.shares_memory(panel.values, values)
+        values[0, 0] = 99.0
+        assert panel.values[0, 0] == 0.0
+
+    def test_a_read_only_array_over_a_writeable_buffer_is_copied(self):
+        buffer = bytearray(np.arange(8.0).tobytes())
+        values = np.frombuffer(buffer).reshape(2, 4)
+        values.setflags(write=False)
+        assert not np.shares_memory(TimeSeriesPanel(self.IDS, values).values, values)
+
+    def test_a_read_only_array_of_another_dtype_is_copied(self):
+        values = np.arange(8, dtype=np.float32).reshape(2, 4)
+        values.setflags(write=False)
+        panel = TimeSeriesPanel(self.IDS, values)
+        assert panel.values.dtype == np.float64 and not panel.values.flags.writeable
+
+    def test_the_producers_hand_over_values_a_panel_keeps(self):
+        text = "a,b\n1,2\n3,\n5,7\n8,9\n"
+        panel = panel_from_csv(text)
+        factors = TimeSeriesPanel(("f",), [[0.5, -1.0, 2.0, 0.25]])
+        for made in (panel, ols_residualize(panel, factors)):
+            assert TimeSeriesPanel(made.series_ids, made.values).values is made.values
 
 
 def test_masked_moments_peak_at_the_mask_and_the_centered_values():
@@ -662,10 +762,5 @@ def test_masked_moments_peak_at_the_mask_and_the_centered_values():
     values = rng.standard_normal((n, m))
     values[rng.random((n, m)) < 0.1] = np.nan
     panel = TimeSeriesPanel(tuple(f"s{i}" for i in range(n)), values)
-    tracemalloc.start()
-    try:
-        sample_moments(panel, PAIRWISE_COMPLETE)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: sample_moments(panel, PAIRWISE_COMPLETE))
     assert peak <= 2.25 * n * m * 8 + 4 * n * n * 8

@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -92,6 +93,18 @@ class TestOneFactorPanel:
         expected = b[:, None] * common[None, :] + np.sqrt(1.0 - b**2)[:, None] * idiosyncratic
         values = gen_one_factor_panel(config).values
         assert values.tobytes() == expected.tobytes()
+
+    def test_the_draw_holds_one_n_by_m_array(self):
+        # the panel keeps the drawn array, locked, instead of copying it
+        n, m = 200, 4000
+        tracemalloc.start()
+        try:
+            panel = gen_one_factor_panel(SimConfig(n, m, target_correlation=0.3, master_seed=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * n * m * 8
+        assert TimeSeriesPanel(panel.series_ids, panel.values).values is panel.values
 
     def test_invalid_correlation_rejected(self):
         with pytest.raises(ValueError):
@@ -246,11 +259,15 @@ class TestSweep:
 
         def ragged(n_alphas, seed):
             panel = one_factor_generator(0.3, 400)(n_alphas, seed)
-            panel.values[np.arange(n_alphas), 7 * np.arange(n_alphas)] = np.nan  # a cell per series
-            panels.append(TimeSeriesPanel(panel.series_ids, panel.values))
+            values = panel.values.copy()  # the panel's own values are read-only
+            values[np.arange(n_alphas), 7 * np.arange(n_alphas)] = np.nan  # a cell per series
+            panels.append(TimeSeriesPanel(panel.series_ids, values))
             return panels[-1]
 
         result = sweep_rho_star([6, 12], ragged, seed=4)
+        assert result.errors == ()
+        assert len(panels) == 2
+        panels.sort(key=lambda panel: panel.n_series)  # the sweep draws the largest N first
         for value, panel in zip(result.rho_stars, panels):
             complete = full_path_point(sample_moments(panel, COMPLETE_CASES), True, None)
             pairwise = full_path_point(sample_moments(panel, PAIRWISE_COMPLETE), True, None)
