@@ -855,8 +855,9 @@ def _dense_moments(
 
     The sums over time run in column blocks (:func:`_centered_products`) of
     N columns, but never fewer than ``ceil(M / _MAX_BLOCKS)`` nor more than
-    M: each block's product is then at least an N x N x N one, and a long,
-    narrow panel still takes few blocks. Beside the values, only one
+    M (:func:`_block_width`): every block but the last then feeds BLAS at
+    least an N x N x N product, and a long, narrow panel still takes at most
+    ``_MAX_BLOCKS`` blocks. Beside the values, only one
     N x width buffer and N x N arrays are alive, never an N x M copy.
     Summing in blocks regroups the additions, which moves the result at
     rounding level only; where one block spans M, every step is the
