@@ -235,12 +235,7 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
+    if isinstance(value, float):
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
         if math.isnan(value):

@@ -61,8 +61,8 @@ class InvalidMatrixError(TurnoverSpectraError, ValueError):
     (:class:`InvalidDiagonalError`).
 
     The matrix wrappers raise it at construction, and ``conditioning`` raises
-    the structural part for a bare array by the same rule. The moment
-    kernels raise it too, when a panel's covariances overflow float64. A
+    the structural part for a bare array by the same rule. The moments
+    kernel raises it too, when a panel's covariances overflow float64. A
     numeric-validity refusal, so the command line exits 2 on it; also a
     ``ValueError``, as the wrappers' other argument check (the number of
     ids) is.

@@ -50,7 +50,7 @@ _CONSTANT_REL_TOL = 1e-13
 # runs). An 8 MiB part parses for about 0.2 s, some six times that cost.
 _MIN_PART_BYTES = 8 << 20
 
-# The most column blocks the dense kernel sums a panel in (``_block_width``).
+# The most column blocks the moments kernel sums a panel in (``_block_width``).
 _MAX_BLOCKS = 16
 
 # The characters besides the comma that make the ``csv`` writer quote a field.
@@ -757,7 +757,7 @@ def _assemble(
     Before that rule, a covariance, or a product of two series' variances,
     that is not finite raises ``InvalidMatrixError``: only an overflow of
     float64 makes one, and an infinite product would read as a zero
-    correlation. The kernels call this with numpy's overflow and
+    correlation. The kernel calls this with numpy's overflow and
     invalid-value warnings off, so the refusal is the one report of an
     overflow; a degeneracy threshold past float64 is rightly ``inf``.
     """
@@ -787,26 +787,49 @@ def _assemble(
 
 
 def _block_width(n: int, m: int) -> int:
-    """The dense kernel's block width for N series over M timestamps: N, but
-    never fewer than ``ceil(M / _MAX_BLOCKS)`` columns nor more than M."""
+    """The moments kernel's block width for N series over M timestamps: N,
+    but never fewer than ``ceil(M / _MAX_BLOCKS)`` columns nor more than M."""
     return min(m, max(n, -(-m // _MAX_BLOCKS)))
 
 
-def _centered_products(
-    values: np.ndarray, columns: np.ndarray | None, m: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each series' center, the row sums of the centered values and their
-    N x N product ``x0 @ x0.T``, summed over column blocks of
-    :func:`_block_width` columns; the block is ``values``, or
-    ``values[:, columns]`` when ``columns`` is given (M of them).
+def _moments(
+    ids: tuple[str, ...], values: np.ndarray, columns: np.ndarray | None = None
+) -> np.ndarray:
+    """The package's one sample-correlation kernel: each entry is the plain
+    sample correlation of its pair over their joint sample, with unbiased
+    (count - 1) divisors, of ``values`` (NaN at a missing cell) or, with
+    ``columns`` (M column indices), of ``values[:, columns]``, which is never
+    built whole.
 
-    A first pass sums the blocks for the centers. A second centers each
-    block into one N x width buffer, reused and held in the values' memory
-    order, and adds its row sums and its product to the totals. ``columns``
-    are gathered into that buffer, block by block, on each pass. So no
-    N x M array is built, and the buffer dies with this call.
+    The values are walked twice in column blocks of :func:`_block_width`
+    columns (N, but never fewer than ``ceil(M / _MAX_BLOCKS)`` nor more than
+    M), so every block but the last feeds BLAS at least an N x N x N product
+    and a long, narrow panel takes at most ``_MAX_BLOCKS`` blocks. Each block
+    is centered into one N x width buffer held in the values' memory order,
+    ``columns`` gathered into it a block at a time, so no N x M array, mask
+    or copy outlives one block.
+
+    The first pass sums each series over its observed cells for its center;
+    a block whose row sums hold a NaN is summed through its mask. The panel
+    is ragged when a series has fewer than M observations. The second pass
+    centers each block, a missing cell to 0, and adds ``x0 @ x0.T``. On a
+    complete panel every pair shares all M periods, so a block adds only its
+    row sums, the joint squares are the diagonal of ``x0 @ x0.T`` and the
+    joint count is M, all per series. On a ragged panel every block also
+    adds, from its own 0/1 mask ``o``, the joint counts ``o @ o.T`` (exact
+    while each is below 2**53), sums ``x0 @ o.T`` and squares
+    ``x0**2 @ o.T``. One N x N algebra, broadcasting per-series moments
+    along each row, gives every covariance and variance, and
+    :func:`_assemble` applies the degeneracy rule; on a complete panel a
+    series flagged with one partner is flagged with every one.
+
+    Blocks regroup the additions, so a result depends on M's cut into blocks
+    and on the values' memory order, which sets the order of each row sum,
+    at rounding level only. Where one block spans M, a complete panel's
+    every step is the one-product algebra's on the same layout, to the bit.
     """
     n = values.shape[0]
+    m = values.shape[1] if columns is None else len(columns)
     width = _block_width(n, m)
     order = "F" if np.isfortran(values) else "C"
     buffer = np.empty(n * width)
@@ -822,102 +845,56 @@ def _centered_products(
             else:
                 yield np.take(values, columns[lo:hi], axis=1, out=out, mode="clip"), out
 
-    center = np.zeros(n)
-    for block, _ in blocks():
-        center += block.sum(axis=1)
-    center /= m
-    second = blocks()
-    block, out = next(second)
-    x0 = np.subtract(block, center[:, None], out=out)
-    sums, prods = x0.sum(axis=1), x0 @ x0.T  # the one-block algebra, where one block spans M
-    product = np.empty((n, n))
-    for block, out in second:
-        x0 = np.subtract(block, center[:, None], out=out)
-        sums += x0.sum(axis=1)
-        prods += np.matmul(x0, x0.T, out=product)
-    return center, sums, prods
-
-
-def _dense_moments(
-    ids: tuple[str, ...], values: np.ndarray, columns: np.ndarray | None = None
-) -> np.ndarray:
-    """The correlation of a fully observed block: the masked algebra of
-    ``_masked_moments`` specialised to an all-true mask.
-
-    The block is ``values`` itself, or with ``columns`` (column indices)
-    the sub-panel ``values[:, columns]``, which is never built whole. Every
-    joint sample is the whole row, so every pair shares all M rows, the
-    per-pair sums and variances collapse to per-series N-vectors, and the
-    only N x M x N product left is ``x0 @ x0.T`` on the centered values.
-    The vectors go to :func:`_assemble` broadcast along each row, so the
-    degeneracy rule is the masked kernel's, to the same pair: a series
-    flagged with one partner is flagged with every one.
-
-    The sums over time run in column blocks (:func:`_centered_products`) of
-    N columns, but never fewer than ``ceil(M / _MAX_BLOCKS)`` nor more than
-    M (:func:`_block_width`): every block but the last then feeds BLAS at
-    least an N x N x N product, and a long, narrow panel still takes at most
-    ``_MAX_BLOCKS`` blocks. Beside the values, only one
-    N x width buffer and N x N arrays are alive, never an N x M copy.
-    Summing in blocks regroups the additions, which moves the result at
-    rounding level only; where one block spans M, every step is the
-    one-block algebra's on the same memory layout, to the bit.
-    """
-    n = values.shape[0]
-    m = values.shape[1] if columns is None else len(columns)
-    if m < 2:  # every pair is short; the first in row-major order is (0, 0)
-        raise _coverage_error(ids, 0, 0, m)
     with np.errstate(over="ignore", invalid="ignore"):
-        center, means, prods = _centered_products(values, columns, m)
-        means /= m  # residual means of the centered series
+        center, observations = np.zeros(n), np.zeros(n)
+        for block, out in blocks():
+            row_sums = block.sum(axis=1)
+            if np.isnan(row_sums).any():  # a missing cell, or an overflow refused below
+                observed = np.isfinite(block)
+                row_sums = np.where(observed, block, 0.0).sum(axis=1)
+                observations += observed.sum(axis=1)
+            else:
+                observations += block.shape[1]
+            center += row_sums
+        center /= observations
+        ragged = bool((observations < m).any())
+
+        prods, product = None, np.empty((n, n))
+        count, sums, squares = (np.zeros((n, n if ragged else 1)) for _ in range(3))
+        for block, out in blocks():
+            o = np.isfinite(block) if ragged else None  # before a gathered block is centered
+            x0 = np.subtract(block, center[:, None], out=out)
+            if ragged:
+                x0[~o] = 0.0
+                o = o.astype(float)
+            if prods is None:  # the first block's product starts the total
+                prods = block_product = x0 @ x0.T
+            else:
+                block_product = np.matmul(x0, x0.T, out=product)
+                prods += block_product
+            if ragged:
+                count += np.matmul(o, o.T, out=product)
+                sums += np.matmul(x0, o.T, out=product)
+                squares += np.matmul(np.square(x0, out=x0), o.T, out=product)
+            else:
+                count += x0.shape[1]
+                sums += x0.sum(axis=1, keepdims=True)
+                squares += np.diagonal(block_product)[:, None]
+        del buffer, block, out, x0, o, product, block_product  # only N x N sums outlive the loop
+
+        short = count < 2
+        if short.any():
+            i, j = np.argwhere(short)[0]
+            raise _coverage_error(ids, i, j, count[i, j])
         prods += prods.T
         prods *= 0.5
-        var = np.maximum((np.diag(prods) - m * means**2) / (m - 1.0), 0.0)
+        means = sums / count  # residual means of the centered series
+        var = np.maximum((squares - count * means**2) / (count - 1.0), 0.0)
         cov_joint = prods
-        cov_joint -= (m * means)[:, None] * means[None, :]
-        cov_joint /= m - 1.0
-
-        means, var = (np.broadcast_to(v[:, None], (n, n)) for v in (means, var))
+        cov_joint -= count * means * means.T
+        cov_joint /= count - 1.0
+        means, var = (np.broadcast_to(v, (n, n)) for v in (means, var))
         return _assemble(ids, center, means, cov_joint, var)
-
-
-def _masked_moments(ids: tuple[str, ...], values: np.ndarray) -> np.ndarray:
-    """Pairwise correlation of a panel's values, NaN at each missing cell.
-
-    Values are pre-centered per series (over that series' own observed
-    cells) so the raw-moment formulas stay numerically stable. Each entry is
-    the plain sample correlation on the pair's joint sample, with unbiased
-    (count - 1) divisors.
-
-    The joint counts come from a float64 product of the 0/1 mask, which
-    BLAS evaluates exactly while every count stays below 2**53. The boolean
-    mask is dropped once the centered values are built, before the products,
-    and the centered values are squared in place once their own products are
-    taken, so at most two N x M float arrays (the 0/1 mask and the centered
-    values) are alive at once, and none once the last product is taken.
-    """
-    values = np.ascontiguousarray(values)
-    mask = np.isfinite(values)
-    o = mask.astype(float)
-    nf = o @ o.T
-    if (nf < 2).any():
-        i, j = np.argwhere(nf < 2)[0]
-        raise _coverage_error(ids, i, j, nf[i, j])
-    with np.errstate(over="ignore", invalid="ignore"):
-        center = np.where(mask, values, 0.0).sum(axis=1) / o.sum(axis=1)
-        x0 = np.zeros_like(values)
-        np.subtract(values, center[:, None], out=x0, where=mask)
-        del mask
-
-        prods = x0 @ x0.T
-        prods = 0.5 * (prods + prods.T)
-        sums = x0 @ o.T  # sums[i, j] = sum of centered series i over joint(i, j)
-        sq = np.multiply(x0, x0, out=x0) @ o.T
-        del x0, o  # the N x N algebra below runs with no N x M array alive
-        means = sums / nf
-        cov_joint = (prods - nf * means * means.T) / (nf - 1.0)
-        var_joint = np.maximum((sq - nf * means**2) / (nf - 1.0), 0.0)
-        return _assemble(ids, center, means, cov_joint, var_joint)
 
 
 def sample_moments(panel: TimeSeriesPanel, mode: str = COMPLETE_CASES) -> CorrelationMatrix:
@@ -928,14 +905,14 @@ def sample_moments(panel: TimeSeriesPanel, mode: str = COMPLETE_CASES) -> Correl
     pair, which keeps every correlation in [-1, 1] but may leave the
     assembled matrix short of positive semi-definite.
 
-    The kernel is chosen by the mask. A fully observed panel, in either
-    mode, and the complete-cases sub-panel go to the dense kernel:
-    ``x @ x.T`` on the centered values, summed over column blocks, the
-    complete columns gathered a block at a time, so that no N x M copy of
-    the values is made. So on a panel without missing values the two
-    modes agree exactly, by construction. A ragged panel in
-    ``pairwise-complete`` mode goes to the masked kernel, whose joint counts
-    are a float64 product of the mask, exact below 2**53 observations.
+    This only chooses the columns: the complete ones of a ragged panel in
+    ``complete-cases`` mode, every one otherwise. The one kernel,
+    :func:`_moments`, reads from the values whether they are ragged, and
+    walks them in column blocks with no N x M copy or mask. On a ragged
+    panel each block also adds the joint counts, sums and squares of its own
+    0/1 mask; the counts are exact below 2**53 observations. On a panel
+    without missing values the two modes agree exactly, by construction. A
+    result moves with the values' memory order at rounding level only.
 
     Raises
     ------
@@ -951,20 +928,18 @@ def sample_moments(panel: TimeSeriesPanel, mode: str = COMPLETE_CASES) -> Correl
     if panel.n_series < 2:
         raise ValueError("sample moments need at least two series")
 
+    columns = None
+    if mode == COMPLETE_CASES:
+        full = panel.observed_mask.all(axis=0)
+        if not full.all():
+            n_full = int(full.sum())
+            if n_full < 2:
+                raise CoverageError(
+                    f"only {n_full} timestamps observed across all series; need at least 2"
+                )
+            columns = np.flatnonzero(full)
     ids = panel.series_ids
-    full = panel.observed_mask.all(axis=0)
-    if full.all():
-        corr = _dense_moments(ids, panel.values)
-    elif mode == COMPLETE_CASES:
-        n_full = int(full.sum())
-        if n_full < 2:
-            raise CoverageError(
-                f"only {n_full} timestamps observed across all series; need at least 2"
-            )
-        corr = _dense_moments(ids, panel.values, np.flatnonzero(full))
-    else:
-        corr = _masked_moments(ids, panel.values)
-    return CorrelationMatrix(corr, ids=ids)
+    return CorrelationMatrix(_moments(ids, panel.values, columns), ids=ids)
 
 
 def ols_residualize(

@@ -145,6 +145,11 @@ class SimResult:
     zero_gross_paths: int = 0
 
 
+def _gross_and_netted(trades: np.ndarray) -> tuple[float, float]:
+    """``(sum |d_ik|, sum_k |sum_i d_ik|)`` of a trade matrix."""
+    return float(np.abs(trades).sum()), float(np.abs(trades.sum(axis=0)).sum())
+
+
 def simulate_crossing(trades) -> SimResult:
     """Net the desired trades instrument by instrument.
 
@@ -158,8 +163,7 @@ def simulate_crossing(trades) -> SimResult:
         raise ValueError("trades must be a 2-D matrix (alphas x instruments)")
     if not np.isfinite(d).all():
         raise ValueError("trades must be finite")
-    gross = float(np.abs(d).sum())
-    netted = float(np.abs(d.sum(axis=0)).sum())
+    gross, netted = _gross_and_netted(d)
     degenerate = gross == 0.0
     ratio = 1.0 if degenerate else netted / gross
     return SimResult(gross, netted, ratio, (ratio,), ratio, 0.0, int(degenerate))
@@ -169,18 +173,16 @@ def simulate_crossing_paths(config: SimConfig) -> SimResult:
     """Average the crossing ratio over independently seeded trade paths.
 
     Per-path streams are derived by hashing (master_seed, path index), so
-    results are bit-reproducible and independent of evaluation order.
+    results are bit-reproducible and independent of evaluation order. Each
+    path is netted as :func:`simulate_crossing` nets it, with no check of
+    the trades the generator just drew.
     """
-    grosses = np.empty(config.n_paths)
-    netteds = np.empty(config.n_paths)
-    ratios = np.empty(config.n_paths)
-    zero = 0
+    totals = np.empty((2, config.n_paths))
     for p in range(config.n_paths):
-        result = simulate_crossing(gen_trade_matrix(config, _rng(config.master_seed, p)))
-        grosses[p] = result.gross_traded
-        netteds[p] = result.netted_traded
-        ratios[p] = result.crossing_ratio
-        zero += result.zero_gross_paths
+        totals[:, p] = _gross_and_netted(gen_trade_matrix(config, _rng(config.master_seed, p)))
+    grosses, netteds = totals
+    zero = grosses == 0.0
+    ratios = np.divide(netteds, grosses, out=np.ones(config.n_paths), where=~zero)
     gross = float(np.sum(grosses))
     netted = float(np.sum(netteds))
     ratio = netted / gross if gross > 0 else 1.0
@@ -190,7 +192,7 @@ def simulate_crossing_paths(config: SimConfig) -> SimResult:
         if config.n_paths > 1
         else 0.0
     )
-    return SimResult(gross, netted, ratio, tuple(ratios), mean, std_error, zero)
+    return SimResult(gross, netted, ratio, tuple(ratios), mean, std_error, int(zero.sum()))
 
 
 def no_intercept_regression(x, y) -> tuple[float, float]:

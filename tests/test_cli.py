@@ -15,6 +15,7 @@ import pytest
 import turnover_spectra
 from turnover_spectra import (
     PAIRWISE_COMPLETE,
+    _THREAD_VARS,
     CovarianceMatrix,
     SimConfig,
     TimeSeriesPanel,
@@ -922,9 +923,6 @@ class TestJsonSentinels:
         assert _jsonable(float("-inf")) == "-inf"
         assert _jsonable(float("nan")) is None
         assert _jsonable({"x": (1, np.float64(2.5))}) == {"x": [1, 2.5]}
-
-
-_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _thread_env(threads: int | None = None) -> dict[str, str]:

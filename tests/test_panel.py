@@ -27,7 +27,7 @@ from turnover_spectra import (
     write_panel,
 )
 from turnover_spectra.conditioning import _spectrum, correlation_from_csv, matrix_to_csv
-from turnover_spectra.panel import _assemble, _block_width, _dense_moments, _masked_moments
+from turnover_spectra.panel import _assemble, _block_width, _coverage_error, _moments
 
 
 def panel_from_csv(text: str) -> TimeSeriesPanel:
@@ -512,17 +512,68 @@ def fully_observed_values(seed: int, n: int, m: int, max_offset: float) -> np.nd
     max_offset=st.sampled_from([0.0, 1.0, 1e3, 1e6]),
 )
 def test_dense_kernel_matches_masked_reference(seed, n, m, max_offset):
+    # the reference takes every block through its mask and N x N joint sums
     values = fully_observed_values(seed, n, m, max_offset)
-    ids = tuple(f"s{i}" for i in range(n))
-    corr = _dense_moments(ids, values)
-    corr_r = _masked_moments(ids, values)
+    corr = _moments(tuple(f"s{i}" for i in range(n)), values)
+    corr_r = out_of_place_masked_moments(values)
     np.testing.assert_allclose(corr, corr_r, rtol=0, atol=1e-12)
 
 
+def out_of_place_masked_moments(values: np.ndarray, ids: tuple[str, ...] | None = None) -> np.ndarray:
+    """The kernel's ragged algebra with every step out of place, every block
+    of the kernel's ``_block_width`` taken through its own 0/1 mask, on a
+    panel ragged or not: the joint counts, sums and squares are N x N sums
+    over blocks of ``o @ o.T``, ``x0 @ o.T`` and ``x0**2 @ o.T``."""
+    n, m = values.shape
+    ids = tuple(f"s{i}" for i in range(n)) if ids is None else ids
+    width = _block_width(n, m)
+    blocks = [values[:, lo : lo + width] for lo in range(0, m, width)]
+    masks = [np.isfinite(block) for block in blocks]
+    center = sum(np.where(mask, block, 0.0).sum(axis=1) for block, mask in zip(blocks, masks))
+    center = center / sum(mask.sum(axis=1) for mask in masks)
+    x0s = [np.where(mask, block - center[:, None], 0.0) for block, mask in zip(blocks, masks)]
+    ones = [mask.astype(float) for mask in masks]
+    count = sum(o @ o.T for o in ones)
+    short = count < 2
+    if short.any():
+        i, j = np.argwhere(short)[0]
+        raise _coverage_error(ids, i, j, count[i, j])
+    prods = sum(x0 @ x0.T for x0 in x0s)
+    prods = 0.5 * (prods + prods.T)
+    sums = sum(x0 @ o.T for x0, o in zip(x0s, ones))
+    squares = sum((x0 * x0) @ o.T for x0, o in zip(x0s, ones))
+    means = sums / count
+    cov_joint = (prods - count * means * means.T) / (count - 1.0)
+    var = np.maximum((squares - count * means**2) / (count - 1.0), 0.0)
+    return _assemble(ids, center, means, cov_joint, var)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    m=st.integers(4, 60),
+    missing=st.sampled_from([0.05, 0.3, 0.6]),
+    max_offset=st.sampled_from([0.0, 1.0, 1e6]),
+    fortran=st.booleans(),
+)
+def test_ragged_kernel_matches_masked_reference_bit_for_bit(seed, n, m, missing, max_offset, fortran):
+    values = fully_observed_values(seed, n, m, max_offset)
+    holes = np.random.default_rng(seed).random((n, m)) < missing
+    holes[:, :3] = False  # keep every series and pair estimable
+    holes[-1, -1] = True  # and the panel ragged
+    values[holes] = np.nan
+    if fortran:
+        values = np.asfortranarray(values)
+    corr = _moments(tuple(f"s{i}" for i in range(n)), values)
+    assert corr.tobytes() == out_of_place_masked_moments(values).tobytes()
+
+
 def out_of_place_dense_moments(values: np.ndarray, width: int | None = None) -> np.ndarray:
-    """The dense kernel's algebra with every step out of place, its sums over
-    time taken in column blocks of ``width`` columns (the kernel's own
-    ``_block_width`` unless given; ``width = M`` is the one-product algebra)."""
+    """The kernel's complete-panel algebra with every step out of place, its
+    sums over time taken in column blocks of ``width`` columns (the kernel's
+    own ``_block_width`` unless given; ``width = M`` is the one-product
+    algebra)."""
     n, m = values.shape
     width = _block_width(n, m) if width is None else width
     blocks = [values[:, lo : lo + width] for lo in range(0, m, width)]
@@ -547,7 +598,7 @@ def out_of_place_dense_moments(values: np.ndarray, width: int | None = None) -> 
 )
 def test_dense_kernel_in_place_steps_keep_the_bits(seed, n, m, max_offset):
     values = fully_observed_values(seed, n, m, max_offset)
-    corr = _dense_moments(tuple(f"s{i}" for i in range(n)), values)
+    corr = _moments(tuple(f"s{i}" for i in range(n)), values)
     corr_r = out_of_place_dense_moments(values)
     assert corr.tobytes() == corr_r.tobytes()
 
@@ -569,7 +620,7 @@ def test_a_panel_whose_periods_fit_one_block_keeps_the_one_product_bits(
     if fortran:
         values = np.asfortranarray(values)
     assert _block_width(n, m) == m
-    corr = _dense_moments(tuple(f"s{i}" for i in range(n)), values)
+    corr = _moments(tuple(f"s{i}" for i in range(n)), values)
     assert corr.tobytes() == out_of_place_dense_moments(values, width=m).tobytes()
 
 
@@ -624,9 +675,9 @@ def _degenerate_cases():
 def test_dense_and_masked_kernels_raise_identical_errors(case):
     ids, values, named = _degenerate_cases()[case]
     with pytest.raises(DegenerateSeriesError) as dense:
-        _dense_moments(ids, values)
+        _moments(ids, values)
     with pytest.raises(DegenerateSeriesError) as masked:
-        _masked_moments(ids, values)
+        out_of_place_masked_moments(values, ids)
     assert dense.value.ids == masked.value.ids == named
     assert str(dense.value) == str(masked.value)
     panel = TimeSeriesPanel(ids, values)
@@ -648,9 +699,9 @@ def test_too_few_complete_rows_raise_identical_errors_on_both_kernels():
     )
     sub = values[:, mask.all(axis=0)]
     with pytest.raises(CoverageError) as dense:
-        _dense_moments(ids, sub)
+        _moments(ids, sub)
     with pytest.raises(CoverageError) as masked:
-        _masked_moments(ids, sub)
+        out_of_place_masked_moments(sub, ids)
     assert str(dense.value) == str(masked.value)
 
 
@@ -754,13 +805,19 @@ class TestPanelAdoptsLockedValues:
             assert TimeSeriesPanel(made.series_ids, made.values).values is made.values
 
 
-def test_masked_moments_peak_at_the_mask_and_the_centered_values():
-    # the centered values are squared in place, so no third N x M array lives
-    # beside the 0/1 mask and them, and neither outlives the last product
+@pytest.mark.parametrize("loaded", [False, True], ids=["c-order", "loaded"])
+def test_pairwise_moments_peak_at_one_block_with_no_n_by_m_copy(loaded):
+    # the mask and the centered values live one block at a time, in the
+    # values' own memory order: a loaded panel (Fortran order) is not copied
     n, m = 200, 4000
     rng = np.random.default_rng(5)
     values = rng.standard_normal((n, m))
     values[rng.random((n, m)) < 0.1] = np.nan
     panel = TimeSeriesPanel(tuple(f"s{i}" for i in range(n)), values)
+    if loaded:
+        text = io.StringIO()
+        write_panel(panel, text)
+        panel = panel_from_csv(text.getvalue())
+        assert np.isfortran(panel.values)
     peak = _traced_peak(lambda: sample_moments(panel, PAIRWISE_COMPLETE))
-    assert peak <= 2.25 * n * m * 8 + 4 * n * n * 8
+    assert peak <= 16 * n * n * 8

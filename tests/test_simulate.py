@@ -19,6 +19,7 @@ from turnover_spectra import (
     InvalidMatrixError,
     PAIRWISE_COMPLETE,
     SimConfig,
+    SimResult,
     TimeSeriesPanel,
     UndefinedRegressorError,
     default_floor,
@@ -201,6 +202,33 @@ class TestCrossingPaths:
         assert 0.0 <= result.crossing_ratio <= 1.0
         assert result.mean == pytest.approx(np.mean(result.per_path_ratios))
         assert result.std_error > 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        n=st.integers(2, 30),
+        instruments=st.integers(1, 6),
+        paths=st.integers(1, 12),
+        data=st.data(),
+    )
+    def test_paths_equal_one_simulate_crossing_per_path(self, seed, n, instruments, paths, data):
+        scalar = st.floats(0.0, 1.0)
+        target = data.draw(scalar | st.tuples(*[scalar] * n), label="target_correlation")
+        config = SimConfig(n, 2, instruments, target, seed, paths)
+        per_path = [
+            simulate_crossing(gen_trade_matrix(config, simulate._rng(seed, p))) for p in range(paths)
+        ]
+        ratios = np.array([r.crossing_ratio for r in per_path])
+        gross = float(np.sum([r.gross_traded for r in per_path]))
+        netted = float(np.sum([r.netted_traded for r in per_path]))
+        std_error = float(ratios.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
+        expected = SimResult(
+            gross, netted, netted / gross if gross > 0 else 1.0, tuple(ratios),
+            float(ratios.mean()), std_error, sum(r.zero_gross_paths for r in per_path),
+        )
+        result = simulate_crossing_paths(config)
+        assert result == expected
+        assert repr(result) == repr(expected)
 
     def test_trade_matrix_shape(self):
         config = SimConfig(7, 2, 5, 0.3, master_seed=1)
