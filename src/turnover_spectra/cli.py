@@ -62,12 +62,11 @@ enough (N up to about 800) that a second thread saves no wall time but
 spin-waits on a core, and a fixed count keeps a command's floats from
 depending on how many cores the machine has. Set ``OPENBLAS_NUM_THREADS``
 for inputs of a few thousand series, where more threads do pay off. The
-cores are used through processes instead: BLAS stays on its one thread in
-each, while the CSV reader parses a large file in parts and ``sweep`` solves
-its largest grid points in forked children, one per usable CPU beyond the
-first (``panel._fork``). Neither changes a byte of any artifact. Unless all
-three variables read ``1``, as they do by default, ``sweep`` solves every
-point in its own process, so that no two BLAS pools share the cores.
+CSV reader uses the other cores through processes instead: it parses a
+large file in parts, one per usable CPU, all but the first in forked
+children that call no BLAS (``panel._fork``); that changes no byte of any
+artifact. ``sweep`` draws and solves every grid point in its own process,
+in grid order.
 """
 
 from __future__ import annotations

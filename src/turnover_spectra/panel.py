@@ -180,18 +180,18 @@ def _read_grid(source: str | Path | IO[str]) -> _Grid:
     one byte-range part per usable CPU (:func:`_usable_cpus`) while each part
     keeps at least ``_MIN_PART_BYTES`` of data rows (:func:`_part_count`), and
     every part but the first is parsed in a short-lived child forked by
-    :func:`_fork`, the fork, pipe and reap helper the sweep's points share
-    (:func:`_fast_file`); a smaller file, or any file on a platform without
-    ``os.fork`` and ``os.sched_getaffinity``, is one part with no child. An
-    open handle, or a path that is not a regular file (a pipe, say), streams
-    its lines through the same parse as one part (:func:`_fast_grid`). When
-    any part declines, or a child dies or sends its part short, the whole
-    text goes to the per-cell reference :func:`_grid_from_rows`: a seekable
-    handle is rewound to where the fast pass started, and one that cannot
-    seek is first read once into a list of lines. The reference is the only
-    one that raises on malformed input, except for a line the ``csv`` reader
-    itself rejects (a field over its size limit), which raises
-    ``PanelFormatError`` with the reader's line number.
+    :func:`_fork` (:func:`_fast_file`); a smaller file, or any file on a
+    platform without ``os.fork`` and ``os.sched_getaffinity``, is one part
+    with no child. An open handle, or a path that is not a regular file (a
+    pipe, say), streams its lines through the same parse as one part
+    (:func:`_fast_grid`). When any part declines, or a child dies or sends
+    its part short, the whole text goes to the per-cell reference
+    :func:`_grid_from_rows`: a seekable handle is rewound to where the fast
+    pass started, and one that cannot seek is first read once into a list of
+    lines. The reference is the only one that raises on malformed input,
+    except for a line the ``csv`` reader itself rejects (a field over its
+    size limit), which raises ``PanelFormatError`` with the reader's line
+    number.
     """
     if isinstance(source, (str, Path)):
         if not os.path.isfile(source):
@@ -340,7 +340,7 @@ def _fast_file(path: str | Path) -> _Grid | None:
         try:
             for lo, hi in zip(bounds[1:-1], bounds[2:]):
                 work = functools.partial(_file_part, path, stat, lo, hi, width)
-                children.append(_fork(work, blas=False))
+                children.append(_fork(work))
             handle.seek(start)
             first = _parse_part(_decoded(handle, bounds[1]), width)
             grids = [first, *(_received(pipe) for _, pipe in children)]
@@ -401,46 +401,38 @@ def _file_part(
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on, or 1 where the platform cannot fork
-    or tell them: the one rule by which the CSV reader cuts its parts and the
-    sweep forks its points."""
+    or tell them: the rule by which the CSV reader cuts its parts."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
 
 
-def _fork(work: Callable[[], object], *, blas: bool) -> tuple[int, BinaryIO]:
+def _fork(work: Callable[[], object]) -> tuple[int, BinaryIO]:
     """Fork a child that calls ``work()`` and sends its value back through a
     pipe; return the child's pid and the pipe's read end.
 
-    The package's one way to work in another process: the CSV reader's parts
-    (:func:`_fast_file`) and the sweep's points (``simulate.sweep_rho_star``)
-    both go through it, and the caller takes the value with
-    :func:`_received` and then :func:`_reap` every child it forked, on every
-    path. The child runs on the caller's memory copy-on-write, so ``work``
-    needs no arguments sent to it. It always leaves through ``os._exit``: it
-    never returns into the caller, runs no atexit handler and flushes no
-    buffer it inherited. It exits 0 only once the whole value is sent; when
-    ``work`` raises, it sends nothing and exits 1.
+    The CSV reader's parts (:func:`_fast_file`) are parsed through it: the
+    caller takes the value with :func:`_received` and then :func:`_reap`
+    every child it forked, on every path. The child runs on the caller's
+    memory copy-on-write, so ``work`` needs no arguments sent to it. It
+    always leaves through ``os._exit``: it never returns into the caller,
+    runs no atexit handler and flushes no buffer it inherited. It exits 0
+    only once the whole value is sent; when ``work`` raises, it sends
+    nothing and exits 1.
 
-    ``blas`` says whether ``work`` calls numpy's BLAS. From Python 3.12, fork
-    warns in a process with threads, which numpy's BLAS pool starts at import
-    unless it is held to one thread. A child that calls no BLAS (a reader's
-    part: it parses text and exits) takes no lock such a thread may hold, so
-    that warning is silenced for it alone. A child that does is forked only
-    while BLAS runs on one thread (``simulate._blas_on_one_thread``), and its
-    fork changes no warning filter: the warning then arises only where the
-    caller runs threads of its own, and is true there.
+    From Python 3.12, fork warns in a process with threads, which numpy's
+    BLAS pool starts at import unless it is held to one thread. ``work``
+    must call no BLAS (a reader's part parses text and exits), so the child
+    takes no lock such a thread may hold, and that warning is silenced for
+    the fork.
     """
     read_end, write_end = os.pipe()
     try:
-        if blas:
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore", r"This process .* is multi-threaded", DeprecationWarning
+            )
             pid = os.fork()
-        else:
-            with warnings.catch_warnings():
-                warnings.filterwarnings(
-                    "ignore", r"This process .* is multi-threaded", DeprecationWarning
-                )
-                pid = os.fork()
     except BaseException:
         os.close(read_end)
         os.close(write_end)
@@ -629,11 +621,16 @@ def _symmetric(entries, what: str = "matrix") -> np.ndarray:
 
     The package's one validity rule for a matrix: square, finite, and
     symmetric within ``1e-12 * max(1, max|a|)``, else ``InvalidMatrixError``
-    (``what`` names the matrix in the message). The two triangles are then
-    averaged, ``0.5 * (a + a^T)``; exactly symmetric input, where that
-    average changes no bit, is returned as it is. The matrix wrappers apply
-    it at construction and ``conditioning`` to a bare array, so no solve
-    checks or symmetrizes again.
+    (``what`` names the matrix in the message); a gap between the triangles
+    past the float64 limit is refused as asymmetric, with no numpy warning.
+    The two triangles are then averaged as ``0.5 * a + 0.5 * a^T``: halving
+    each first cannot overflow near the float64 limit, where ``a + a^T``
+    can, and is exact for normal numbers, so the average keeps the bits of
+    ``0.5 * (a + a^T)`` wherever that sum is finite and no entry is
+    subnormal. Exactly symmetric input, where the average changes no bit, is
+    returned as it is. The matrix wrappers apply it at construction and
+    ``conditioning`` to a bare array, so no solve checks or symmetrizes
+    again.
     """
     a = np.array(entries, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -641,12 +638,13 @@ def _symmetric(entries, what: str = "matrix") -> np.ndarray:
     if not np.isfinite(a).all():
         raise InvalidMatrixError(f"{what} entries must be finite")
     scale = max(1.0, float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
-    gap = a - a.T
+    with np.errstate(over="ignore"):  # a gap past the float64 limit is inf, refused below
+        gap = a - a.T
     asymmetry = float(np.abs(gap, out=gap).max(initial=0.0))
     del gap
     if asymmetry > 1e-12 * scale:
         raise InvalidMatrixError(f"{what} is not symmetric within tolerance")
-    return 0.5 * (a + a.T) if asymmetry else a
+    return 0.5 * a + 0.5 * a.T if asymmetry else a
 
 
 @dataclass(frozen=True, eq=False)

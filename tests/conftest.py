@@ -7,8 +7,8 @@ from unittest import mock
 from turnover_spectra import _THREAD_VARS
 
 # BLAS on one thread unless the caller set a count, as a command runs it
-# (``cli``), so that the sweep forks its points here as a command does. Set
-# before numpy loads, which is when BLAS reads them.
+# (``cli``), so that a test's floats match a command's. Set before numpy
+# loads, which is when BLAS reads them.
 if not any(var in os.environ for var in _THREAD_VARS):
     os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))
 

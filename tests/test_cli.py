@@ -302,6 +302,7 @@ def test_field_over_csv_limit_is_a_one_line_parse_error(tmp_path, capsys, layout
 
 _INVALID_MATRICES = {
     "asymmetric": "a,b\n1.0,0.2\n0.3,1.0\n",
+    "asymmetric-past-the-float64-limit": "a,b\n1,1e308\n-1e308,1\n",
     "nan": "a,b\n1.0,nan\n0.2,1.0\n",
     "non-square": "a,b\n1.0,0.2\n0.2,1.0\n0.1,0.1\n",
     "entry-range": "a,b\n1.0,1.5\n1.5,1.0\n",
@@ -325,6 +326,23 @@ def test_invalid_matrix_csv_is_a_numeric_refusal(tmp_path, capsys, command, text
     err = capsys.readouterr().err
     assert err.startswith("error: correlation matrix ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, code, err",
+    [
+        (["repair"], EXIT_OK, ""),
+        # a correlation matrix's diagonal is 1, so this one is refused by that rule alone
+        (["analyze", "--matrix"], EXIT_NUMERIC, "error: correlation matrix diagonal must be 1 within 1e-12\n"),
+    ],
+    ids=["repair", "analyze"],
+)
+def test_a_matrix_near_the_float64_limit_is_symmetrized_without_overflow(tmp_path, capsys, command, code, err):
+    # 1e308 + 1e308 overflows float64, and numpy's warning of it is an error
+    # under the pytest settings; half of each is summed instead
+    matrix = write(tmp_path / "matrix.csv", "a,b\n1e308,0.5\n0.5000000000000001,1e308\n")
+    assert main([*command, "--input", matrix, "--output", str(tmp_path / "out.csv")]) == code
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize(
@@ -488,8 +506,6 @@ class TestSweep:
     def test_certified_points_solve_no_full_spectrum_and_a_fallback_solves_one(
         self, tmp_path, eigensolves, monkeypatch
     ):
-        # every point in this process, where the eigh spy counts its solves
-        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
         _, json_bytes = self.run_sweep(tmp_path, "sweep.csv")
         assert json.loads(json_bytes)["solvers"] == ["leading-pair", "leading-pair"]
         assert json.loads(json_bytes)["degenerate_top"] == [False, False]
@@ -504,74 +520,39 @@ class TestSweep:
         assert json.loads(json_bytes)["solvers"] == ["leading-pair", "full"]
         assert eigensolves == [(16, 16)]
 
-    @pytest.mark.parametrize("case", ["plain", "failing-points", "no-repair"])
-    def test_artifacts_with_children_match_a_serial_run(self, tmp_path, monkeypatch, case):
-        extra = ["--no-repair"] if case == "no-repair" else []
-        if case == "failing-points":
-            # N=32 fails in its generator, in this process; N=64 in its solve,
-            # in a child; N=16 is solved in a child and N=8 here
-            one_factor = cli.one_factor_generator
+    def test_failing_points_leave_nan_points_and_their_messages(self, tmp_path, monkeypatch):
+        # N=32 fails in its generator, N=64 in its solve
+        one_factor = cli.one_factor_generator
 
-            def failing_generator(rho, n_periods):
-                generate = one_factor(rho, n_periods)
+        def failing_generator(rho, n_periods):
+            generate = one_factor(rho, n_periods)
 
-                def generator(n_alphas, seed):
-                    if n_alphas == 32:
-                        raise RuntimeError("synthetic generator failure")
-                    return generate(n_alphas, seed)
+            def generator(n_alphas, seed):
+                if n_alphas == 32:
+                    raise RuntimeError("synthetic generator failure")
+                return generate(n_alphas, seed)
 
-                return generator
+            return generator
 
-            leading_pair = simulate._leading_pair
+        leading_pair = simulate._leading_pair
 
-            def failing_solve(corr, floor):
-                if corr.n == 64:
-                    raise np.linalg.LinAlgError("synthetic numeric failure")
-                return leading_pair(corr, floor)
+        def failing_solve(corr, floor):
+            if corr.n == 64:
+                raise np.linalg.LinAlgError("synthetic numeric failure")
+            return leading_pair(corr, floor)
 
-            monkeypatch.setattr(cli, "one_factor_generator", failing_generator)
-            monkeypatch.setattr(simulate, "_leading_pair", failing_solve)
-        artifacts = []
-        for cpus in (1, 4):  # every point here, then N = 64, 32 and 16 in children
-            monkeypatch.setattr(simulate, "_usable_cpus", lambda cpus=cpus: cpus)
-            out = tmp_path / f"cpus{cpus}"
-            out.mkdir()
-            monkeypatch.chdir(out)
-            assert main([
-                "sweep", "--output", "sweep.csv", "--grid", "8,16,32,64", "--rho", "0.3",
-                "--periods", "200", "--seed", "7", *extra,
-            ]) == EXIT_OK
-            artifacts.append(((out / "sweep.csv").read_bytes(), (out / "sweep.json").read_bytes()))
-        assert artifacts[0] == artifacts[1]
-        summary = json.loads(artifacts[1][1])
-        if case == "failing-points":
-            assert summary["errors"] == [
-                "N=32: synthetic generator failure", "N=64: synthetic numeric failure",
-            ]
-            assert summary["solvers"] == ["leading-pair", "leading-pair", "failed", "failed"]
-        else:
-            assert summary["errors"] == [] and "failed" not in summary["solvers"]
-
-    def test_a_sweep_on_two_blas_threads_forks_no_child_and_matches_the_serial_one(self, tmp_path):
-        # two BLAS pools would share the cores, so no point goes to a child
-        # whatever the usable CPUs (set in the command's process); a fork exits 3
-        script = (
-            "import sys; from turnover_spectra import cli, simulate; "
-            "simulate._usable_cpus = lambda: int(sys.argv[1]); "
-            "simulate._fork = lambda work, blas: sys.exit(3); sys.exit(cli.main(sys.argv[2:]))"
-        )
-        artifacts = []
-        for cpus in (1, 3):
-            out = tmp_path / f"cpus{cpus}"
-            out.mkdir()
-            subprocess.run(
-                [sys.executable, "-c", script, str(cpus), "sweep", "--output", "sweep.csv",
-                 "--grid", "50,100,200,400", "--periods", "1000", "--seed", "5"],
-                cwd=out, env=_thread_env(2), check=True, timeout=300,
-            )
-            artifacts.append(((out / "sweep.csv").read_bytes(), (out / "sweep.json").read_bytes()))
-        assert artifacts[0] == artifacts[1]
-        assert json.loads(artifacts[1][1])["errors"] == []
+        monkeypatch.setattr(cli, "one_factor_generator", failing_generator)
+        monkeypatch.setattr(simulate, "_leading_pair", failing_solve)
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "sweep", "--output", str(out), "--grid", "8,16,32,64", "--rho", "0.3",
+            "--periods", "200", "--seed", "7",
+        ]) == EXIT_OK
+        summary = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
+        assert summary["errors"] == [
+            "N=32: synthetic generator failure", "N=64: synthetic numeric failure",
+        ]
+        assert summary["solvers"] == ["leading-pair", "leading-pair", "failed", "failed"]
 
     def test_summary_embeds_config_and_seed(self, tmp_path):
         _, json_bytes = self.run_sweep(tmp_path, "sweep.csv")

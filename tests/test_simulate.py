@@ -2,7 +2,6 @@
 
 import io
 import math
-import os
 import tracemalloc
 import warnings
 
@@ -294,8 +293,8 @@ class TestSweep:
 
         result = sweep_rho_star([6, 12], ragged, seed=4)
         assert result.errors == ()
-        assert len(panels) == 2
-        panels.sort(key=lambda panel: panel.n_series)  # the sweep draws the largest N first
+        # the generator is called once per N, in grid order
+        assert [panel.n_series for panel in panels] == [6, 12]
         for value, panel in zip(result.rho_stars, panels):
             complete = full_path_point(sample_moments(panel, COMPLETE_CASES), True, None)
             pairwise = full_path_point(sample_moments(panel, PAIRWISE_COMPLETE), True, None)
@@ -421,131 +420,6 @@ class TestSweep:
         buffer = io.StringIO()
         sweep_to_csv(exact, buffer)
         assert buffer.getvalue().strip().splitlines()[1].endswith(",inf")
-
-
-# the sweep forks no point while BLAS may run more than one thread, as under
-# a caller's OPENBLAS_NUM_THREADS=2; a test that needs a child is skipped then
-forks_points = pytest.mark.skipif(
-    not simulate._blas_on_one_thread(), reason="BLAS may run more than one thread here"
-)
-
-
-class TestSweepChildren:
-    """Points solved in forked children. The usable-CPU rule is patched, so
-    children are forked whatever CPUs this machine lets the process use."""
-
-    GRID = [10, 20, 40, 80]
-
-    @pytest.fixture
-    def cpus(self, monkeypatch):
-        return lambda count: monkeypatch.setattr(simulate, "_usable_cpus", lambda: count)
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """The grid sizes of the points handed to ``panel._fork``, in order."""
-        sizes, fork = [], simulate._fork
-
-        def counted(work, *, blas):
-            sizes.append(work.args[0].n_series)
-            return fork(work, blas=blas)
-
-        monkeypatch.setattr(simulate, "_fork", counted)
-        return sizes
-
-    @forks_points
-    def test_children_change_no_warning_filter(self, cpus, forks, fixed_warning_filters):
-        # the degenerate spectrum of TestSweep's Hadamard test, both points in
-        # children: neither their fork nor their solve touches the filters
-        hadamard = np.array([[1.0, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
-
-        def orthogonal(n_alphas, seed):
-            return TimeSeriesPanel(tuple(f"s{i}" for i in range(n_alphas)), hadamard[:n_alphas])
-
-        cpus(3)
-        with fixed_warning_filters():
-            result = sweep_rho_star([2, 3], orthogonal, seed=0)
-        assert forks == [3, 2]
-        assert result.solvers == ("full", "full") and result.errors == ()
-        assert result.degenerate_top == (True, True)
-
-    @pytest.mark.parametrize("threads", ["two", "unset"])
-    def test_no_child_while_blas_may_run_more_than_one_thread(self, cpus, forks, monkeypatch, threads):
-        generator = one_factor_generator(0.3, 300)
-        cpus(1)
-        serial = sweep_rho_star(self.GRID, generator, seed=3)
-        for var in simulate._THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        if threads == "two":  # one variable above 1 is enough, the others at 1
-            monkeypatch.setenv("OMP_NUM_THREADS", "1")
-            monkeypatch.setenv("MKL_NUM_THREADS", "1")
-            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        cpus(3)
-        assert sweep_rho_star(self.GRID, generator, seed=3) == serial
-        assert forks == []
-
-    @forks_points
-    def test_a_child_that_dies_has_its_point_solved_again(self, cpus, monkeypatch, tmp_path):
-        generator = one_factor_generator(0.3, 300)
-        cpus(1)
-        serial = sweep_rho_star(self.GRID, generator, seed=3)
-        caller, sweep_point = os.getpid(), simulate._sweep_point
-
-        def die_in_a_child(panel, repair, floor):
-            if os.getpid() != caller:
-                (tmp_path / f"died-{panel.n_series}").touch()
-                os._exit(1)
-            return sweep_point(panel, repair, floor)
-
-        monkeypatch.setattr(simulate, "_sweep_point", die_in_a_child)
-        cpus(3)
-        assert sweep_rho_star(self.GRID, generator, seed=3) == serial
-        assert sorted(path.name for path in tmp_path.iterdir()) == ["died-40", "died-80"]
-
-    def test_a_point_whose_fork_fails_is_solved_here(self, cpus, monkeypatch):
-        generator = one_factor_generator(0.3, 300)
-        cpus(1)
-        serial = sweep_rho_star(self.GRID, generator, seed=3)
-
-        def no_fork(work, *, blas):
-            raise BlockingIOError("fork: resource temporarily unavailable")
-
-        monkeypatch.setattr(simulate, "_fork", no_fork)
-        cpus(3)
-        assert sweep_rho_star(self.GRID, generator, seed=3) == serial
-
-    def test_the_generator_runs_in_the_caller_once_per_n_largest_first(self, cpus, tmp_path):
-        # a file, not a list, so that a call made in a child would be seen too
-        log = tmp_path / "calls.txt"
-        generate = one_factor_generator(0.3, 300)
-
-        def logged(n_alphas, seed):
-            with open(log, "a", encoding="utf-8") as handle:
-                handle.write(f"{os.getpid()} {n_alphas}\n")
-            return generate(n_alphas, seed)
-
-        cpus(3)
-        assert sweep_rho_star(self.GRID, logged, seed=3).errors == ()
-        calls = log.read_text(encoding="utf-8").splitlines()
-        assert calls == [f"{os.getpid()} {n}" for n in (80, 40, 20, 10)]
-
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="the descriptor count needs /proc")
-    @pytest.mark.parametrize("case", ["solved", "a-bug-propagates"])
-    def test_children_leave_no_process_and_no_open_descriptor(self, cpus, monkeypatch, case):
-        if case == "a-bug-propagates":
-            def broken(corr, floor):
-                raise TypeError("a bug, not a numeric failure")
-
-            monkeypatch.setattr(simulate, "_leading_pair", broken)
-        cpus(3)
-        before = len(os.listdir("/proc/self/fd"))
-        if case == "solved":
-            assert sweep_rho_star(self.GRID, one_factor_generator(0.3, 300), seed=3).errors == ()
-        else:  # the children fail, and the point solved here raises while they may still run
-            with pytest.raises(TypeError, match="a bug"):
-                sweep_rho_star(self.GRID, one_factor_generator(0.3, 300), seed=3)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert len(os.listdir("/proc/self/fd")) == before
 
 
 class TestSimConfigValidation:
