@@ -2,6 +2,7 @@
 
 import io
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -280,6 +281,17 @@ class TestSweep:
         with pytest.raises(ValueError, match="a floor applies only with repair"):
             sweep_rho_star([10, 20], lambda n, seed: calls.append(n), repair=False, floor=0.5)
         assert calls == []
+
+    def test_the_generator_runs_in_the_caller_once_per_n_in_grid_order(self):
+        calls = []
+        generate = one_factor_generator(0.3, 300)
+
+        def logged(n_alphas, seed):
+            calls.append((os.getpid(), n_alphas))
+            return generate(n_alphas, seed)
+
+        assert sweep_rho_star([10, 20, 40, 80], logged, seed=3).errors == ()
+        assert calls == [(os.getpid(), n) for n in (10, 20, 40, 80)]
 
     def test_a_ragged_panel_is_estimated_from_complete_cases(self):
         panels = []
