@@ -47,7 +47,7 @@ overwrite the CSV: ``main`` refuses it (exit 1) before any input is read.
   ``per_path_ratios``.
 
 Numbers as text: a CSV float is its shortest round-trip ``repr`` and a
-missing panel cell is empty (``panel._write_csv``); in JSON, infinity is the
+missing panel cell is empty (``_grid.write_csv``); in JSON, infinity is the
 string ``"inf"`` (``"-inf"``) and NaN is ``null``, so a failed sweep point is
 ``nan`` in the CSV and ``null`` in the JSON. An F statistic that cannot be
 computed (fewer than two points) is ``not-available`` in both, and an exact
@@ -64,7 +64,7 @@ depending on how many cores the machine has. Set ``OPENBLAS_NUM_THREADS``
 for inputs of a few thousand series, where more threads do pay off. The
 CSV reader uses the other cores through processes instead: it parses a
 large file in parts, one per usable CPU, all but the first in forked
-children that call no BLAS (``panel._fork``); that changes no byte of any
+children that call no BLAS (``_grid._fork``); that changes no byte of any
 artifact. ``sweep`` draws and solves every grid point in its own process,
 in grid order.
 """

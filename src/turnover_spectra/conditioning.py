@@ -10,14 +10,9 @@ from typing import IO
 
 import numpy as np
 
+from ._grid import read_grid, write_csv
 from .errors import InvalidDiagonalError, InvalidMatrixError, PanelFormatError
-from .panel import (
-    CorrelationMatrix,
-    CovarianceMatrix,
-    _read_grid,
-    _symmetric,
-    _write_csv,
-)
+from .panel import CorrelationMatrix, CovarianceMatrix, _Matrix, _symmetric
 
 MatrixLike = CorrelationMatrix | CovarianceMatrix | np.ndarray
 
@@ -50,18 +45,15 @@ class SpectralDecomposition:
         return self.eigenvectors.shape[0]
 
 
-_WRAPPERS = (CorrelationMatrix, CovarianceMatrix)
-
-
 def _matrix_entries(matrix: MatrixLike) -> np.ndarray:
     """A wrapper's own entries, symmetric since construction, or a bare array
     checked and symmetrized by the wrappers' rule (:func:`panel._symmetric`)."""
-    if isinstance(matrix, _WRAPPERS):
+    if isinstance(matrix, _Matrix):
         return matrix.entries
     return _symmetric(matrix)
 
 
-def _remember(matrix: CorrelationMatrix | CovarianceMatrix, values, vectors) -> None:
+def _remember(matrix: _Matrix, values, vectors) -> None:
     values.setflags(write=False)
     vectors.setflags(write=False)
     object.__setattr__(matrix, "_eigensystem", (values, vectors))
@@ -81,7 +73,7 @@ def _spectrum(matrix: MatrixLike) -> tuple[np.ndarray, np.ndarray]:
     if memo is not None:
         return memo
     values, vectors = np.linalg.eigh(_matrix_entries(matrix))
-    if isinstance(matrix, _WRAPPERS):
+    if isinstance(matrix, _Matrix):
         _remember(matrix, values, vectors)
     return values, vectors
 
@@ -244,7 +236,7 @@ def rj_repair(matrix: MatrixLike, floor: float) -> MatrixLike:
         raise InvalidDiagonalError("diagonal entries must be positive to repair")
     # a bare array's ``current`` is already its validated copy: solve it directly
     values, vectors = (
-        _spectrum(matrix) if isinstance(matrix, _WRAPPERS) else np.linalg.eigh(current)
+        _spectrum(matrix) if isinstance(matrix, _Matrix) else np.linalg.eigh(current)
     )
     passes = 1
     while float(values.min()) < floor - _eigh_rounding(values):
@@ -263,12 +255,9 @@ def rj_repair(matrix: MatrixLike, floor: float) -> MatrixLike:
         np.fill_diagonal(current, diag)
         values, vectors = np.linalg.eigh(current)
         passes += 1
-    if isinstance(matrix, CorrelationMatrix):
-        out = CorrelationMatrix(current, ids=matrix.ids)
-    elif isinstance(matrix, CovarianceMatrix):
-        out = CovarianceMatrix(current, ids=matrix.ids)
-    else:
+    if not isinstance(matrix, _Matrix):
         return current
+    out = type(matrix)(current, ids=matrix.ids)
     if np.array_equal(out.entries, current):
         _remember(out, values, vectors)
     object.__setattr__(out, "_repair_passes", passes)
@@ -352,18 +341,18 @@ def matrix_to_csv(matrix: MatrixLike, dest: str | Path | IO[str]) -> None:
     """Write a square CSV with the ids as header; the artifact that holds a
     matrix's entries (:func:`matrix_report` leaves them out)."""
     entries = _matrix_entries(matrix)
-    _write_csv(dest, _matrix_ids(matrix, entries.shape[0]), entries)
+    write_csv(dest, _matrix_ids(matrix, entries.shape[0]), entries)
 
 
 def _square_from_csv(source: str | Path | IO[str]) -> tuple[tuple[str, ...], np.ndarray]:
     """Ids and entries of a square matrix CSV, read by the reader ``load_panel``
-    uses (:func:`panel._read_grid`), header rule and forked parts included.
+    uses (:func:`_grid.read_grid`), header rule and forked parts included.
 
     The matrix's one cell rule: an empty cell is a parse error. Other cells
     are kept as read, ``nan`` included, and rows are not counted against the
     ids: the matrix types then refuse a non-finite or non-square grid.
     """
-    ids, entries, empty = _read_grid(source)
+    ids, entries, empty = read_grid(source)
     if empty.any():
         r, c = np.argwhere(empty)[0].tolist()
         raise PanelFormatError("non-numeric cell ''", row=r + 1, column=ids[c])

@@ -27,14 +27,19 @@ class PanelFormatError(TurnoverSpectraError):
         super().__init__(f"{message} ({', '.join(where)})" if where else message)
 
 
+def _listed(ids: tuple[str, ...]) -> str:
+    """The ids joined by commas for a message, each as it is unless it holds
+    a line break or another unprintable character, which ``repr`` spells
+    out, so that the message stays on one line."""
+    return ", ".join(name if name.isprintable() else repr(name) for name in ids)
+
+
 class RejectedSeriesError(TurnoverSpectraError):
     """Series with fewer than two observations are unusable and rejected."""
 
     def __init__(self, ids: Iterable[str]):
         self.ids = tuple(ids)
-        super().__init__(
-            "series with fewer than 2 observations: " + ", ".join(self.ids)
-        )
+        super().__init__("series with fewer than 2 observations: " + _listed(self.ids))
 
 
 class DegenerateSeriesError(TurnoverSpectraError):
@@ -42,7 +47,7 @@ class DegenerateSeriesError(TurnoverSpectraError):
 
     def __init__(self, ids: Iterable[str], note: str = "zero sample variance"):
         self.ids = tuple(ids)
-        super().__init__(f"{note}: " + ", ".join(self.ids))
+        super().__init__(f"{note}: " + _listed(self.ids))
 
 
 class CoverageError(TurnoverSpectraError):

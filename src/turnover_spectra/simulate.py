@@ -10,9 +10,10 @@ from typing import IO, Callable
 
 import numpy as np
 
+from ._grid import write_csv
 from .conditioning import _leading_pair, default_floor, eigendecompose, rj_repair
 from .errors import TurnoverSpectraError, UndefinedRegressorError
-from .panel import TimeSeriesPanel, _readonly, _write_csv, sample_moments
+from .panel import TimeSeriesPanel, _readonly, sample_moments
 from .turnover import _rho_star, fix_sign_basis
 
 PanelGenerator = Callable[[int, int], TimeSeriesPanel]
@@ -398,4 +399,4 @@ def sweep_to_csv(result: SweepResult, dest: str | Path | IO[str]) -> None:
     values = np.array([result.rho_stars, result.rho_star_times_n], dtype=float).T.tolist()
     fit = [float(result.slope_no_intercept), result.reported_f]
     rows = ([n, *point, *fit] for n, point in zip(result.grid, values))
-    _write_csv(dest, ["N", "rho_star", "rho_star_times_n", "slope", "F"], rows)
+    write_csv(dest, ["N", "rho_star", "rho_star_times_n", "slope", "F"], rows)

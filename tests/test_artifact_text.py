@@ -1,7 +1,7 @@
 """Artifact text: every CSV writer against a per-cell reference.
 
 ``write_panel``, ``matrix_to_csv`` and ``sweep_to_csv`` hand arrays or rows
-to ``panel._write_csv``, which owns the one rule from numbers to text. These
+to ``_grid.write_csv``, which owns the one rule from numbers to text. These
 properties pin each writer to the bytes of a reference that formats every
 cell on its own: a float as ``repr(float(x))``, a missing panel cell as
 ``""``, and the F statistic as "not-available" when it is None, "inf" when it

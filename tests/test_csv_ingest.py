@@ -1,7 +1,7 @@
 """CSV ingest: the ``np.loadtxt`` fast pass against the per-cell reference.
 
 Panels (``load_panel``) and square matrices (``_square_from_csv``) share one
-reader, ``panel._read_grid``, whose docstring states when it reads a text in
+reader, ``_grid.read_grid``, whose docstring states when it reads a text in
 parts, forked children included, and when its per-cell reference decides.
 Each layout then applies its own cell rule (a panel refuses a non-finite
 value, a matrix an empty cell).
@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turnover_spectra import PanelFormatError, TimeSeriesPanel, load_panel, write_panel
-from turnover_spectra import conditioning, panel
+from turnover_spectra import _grid, conditioning
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # finite cells, with signed zeros, subnormals and 17 significant digits drawn
@@ -90,7 +90,7 @@ def _paths_agree(read, text):
     """``read``'s outcome on ``text`` is the same with the fast pass as with
     the per-cell reference alone."""
     fast = _outcome(lambda: read(io.StringIO(text)))
-    with mock.patch.object(panel, "_fast_grid", lambda lines: None):
+    with mock.patch.object(_grid, "_fast_grid", lambda lines: None):
         reference = _outcome(lambda: read(io.StringIO(text)))
     return fast == reference
 
@@ -109,13 +109,13 @@ def test_square_fast_parse_matches_per_cell_reference(text):
 
 def test_fast_pass_takes_well_formed_grids():
     text = "a,b,c\n1.5,,-2\r\n,0.25,3e-5\n\n-0.0,7,\n"
-    header, values, empty = panel._fast_grid(iter(io.StringIO(text)))
+    header, values, empty = _grid._fast_grid(iter(io.StringIO(text)))
     assert header == ("a", "b", "c")
     expected = np.array([[1.5, np.nan, -2.0], [np.nan, 0.25, 3e-5], [-0.0, 7.0, np.nan]])
     np.testing.assert_array_equal(values, expected)
     np.testing.assert_array_equal(empty, np.isnan(expected))
     assert np.signbit(values[2, 0])
-    ids, entries, empty = panel._fast_grid(iter(io.StringIO("x,y\n1.0,0.4\n0.4,1.0\n")))
+    ids, entries, empty = _grid._fast_grid(iter(io.StringIO("x,y\n1.0,0.4\n0.4,1.0\n")))
     assert ids == ("x", "y")
     np.testing.assert_array_equal(entries, [[1.0, 0.4], [0.4, 1.0]])
     assert not empty.any()
@@ -138,7 +138,7 @@ def test_fast_pass_takes_well_formed_grids():
          "duplicate-id", "blank-id", "blank-first-line"],
 )
 def test_fast_pass_declines_what_only_the_reference_may_decide(text):
-    assert panel._fast_grid(iter(io.StringIO(text))) is None
+    assert _grid._fast_grid(iter(io.StringIO(text))) is None
     assert _paths_agree(load_panel, text)
     assert _paths_agree(conditioning._square_from_csv, text)
 
@@ -176,7 +176,7 @@ def correlation_texts(draw):
 
 def _reference_grid(path):
     with open(path, encoding="utf-8", newline="") as handle:
-        return panel._grid_from_rows(panel._csv_rows(handle))
+        return _grid._grid_from_rows(_grid._csv_rows(handle))
 
 
 # cells for the parts property beyond the floats: non-ASCII digits that
@@ -207,7 +207,7 @@ def part_texts(draw):
 
 def _in_parts(parts):
     """Within this context every file is cut into ``parts`` parts, whatever its size."""
-    return mock.patch.object(panel, "_part_count", lambda data_bytes: parts)
+    return mock.patch.object(_grid, "_part_count", lambda data_bytes: parts)
 
 
 @settings(max_examples=200, deadline=None)
@@ -218,7 +218,34 @@ def test_file_read_in_parts_matches_per_cell_reference(tmp_path_factory, text):
     reference = _outcome(lambda: _reference_grid(path))
     for parts in (1, 2, 3, 4):
         with _in_parts(parts):
-            assert _outcome(lambda: panel._read_grid(path)) == reference, parts
+            assert _outcome(lambda: _grid.read_grid(path)) == reference, parts
+
+
+MIN_PART = _grid._MIN_PART_BYTES
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forked parts need os.fork")
+@pytest.mark.parametrize(
+    "cpus, data_bytes, parts",
+    [
+        (1, 2 * MIN_PART - 1, 1), (1, 2 * MIN_PART, 1), (1, 5 * MIN_PART, 1),
+        (2, 2 * MIN_PART - 1, 1), (2, 2 * MIN_PART, 2), (2, 5 * MIN_PART, 2),
+        (8, 5 * MIN_PART, 5),
+    ],
+)
+def test_part_count_is_one_per_usable_cpu_while_each_part_keeps_the_minimum(
+    monkeypatch, cpus, data_bytes, parts
+):
+    # every test file is far below the minimum, so no other test reaches this rule
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert _grid._part_count(data_bytes) == parts
+
+
+@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+def test_part_count_is_one_where_the_platform_cannot_fork_or_tell_its_cpus(monkeypatch, missing):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.delattr(os, missing, raising=False)
+    assert _grid._part_count(5 * MIN_PART) == 1
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="forked parts need os.fork")
@@ -232,12 +259,12 @@ def test_defect_in_the_last_part_alone_sends_the_file_to_the_reference(tmp_path,
     path.write_text(f"a,b,c\n1.5,2.5,3.5\n4.5,5.5,6.5\n{last}\n", encoding="utf-8")
     data = path.read_bytes()
     with open(path, "rb") as handle:
-        bounds = panel._bounds(handle, data.index(b"\n") + 1, len(data), 3)
+        bounds = _grid._bounds(handle, data.index(b"\n") + 1, len(data), 3)
     assert len(bounds) == 4 and data[bounds[2]:] == f"{last}\n".encode()
     for read in (load_panel, conditioning._square_from_csv):
         with _in_parts(3):
             fast = _outcome(lambda: read(path))
-        with mock.patch.object(panel, "_fast_file", lambda path: None):
+        with mock.patch.object(_grid, "_fast_file", lambda path: None):
             assert fast == _outcome(lambda: read(path)), read
 
 
@@ -245,7 +272,7 @@ def _open_fds():
     return len(os.listdir("/proc/self/fd"))
 
 
-_SEND = panel._send
+_SEND = _grid._send
 
 
 def _send_then_fail(pipe, grid):
@@ -271,9 +298,9 @@ def test_forked_parts_leave_no_child_and_no_open_descriptor(tmp_path, case):
     path.write_text(text + ("1,oops\n" if case == "decline" else ""), encoding="utf-8")
     send = {"child-fails": _send_then_fail, "child-sends-short": _send_short}.get(case, _SEND)
     before = _open_fds()
-    with mock.patch.object(panel, "_grid_from_rows", wraps=panel._grid_from_rows) as reference, \
-            mock.patch.object(panel, "_send", send), _in_parts(3):
-        outcome = _outcome(lambda: panel._read_grid(path))
+    with mock.patch.object(_grid, "_grid_from_rows", wraps=_grid._grid_from_rows) as reference, \
+            mock.patch.object(_grid, "_send", send), _in_parts(3):
+        outcome = _outcome(lambda: _grid.read_grid(path))
     assert reference.called == (case != "read")  # every part taken, or the reference decided
     assert outcome == _outcome(lambda: _reference_grid(path))
     with pytest.raises(ChildProcessError):
@@ -287,15 +314,15 @@ def test_file_replaced_while_read_in_parts_reads_as_the_new_file(tmp_path):
     # equal line lengths, so the old cuts fall on line starts of the new file
     path.write_text("a,b\n" + "".join(f"{i:04d},1.0\n" for i in range(300)), encoding="utf-8")
     replacement.write_text("a,b\n" + "".join(f"{i:04d},2.0\n" for i in range(300)), encoding="utf-8")
-    bounds = panel._bounds
+    bounds = _grid._bounds
 
     def bounds_then_replace(*args):
         cuts = bounds(*args)
         os.replace(replacement, path)  # after the header was read, before the forks
         return cuts
 
-    with mock.patch.object(panel, "_bounds", bounds_then_replace), _in_parts(3):
-        outcome = _outcome(lambda: panel._read_grid(path))
+    with mock.patch.object(_grid, "_bounds", bounds_then_replace), _in_parts(3):
+        outcome = _outcome(lambda: _grid.read_grid(path))
     assert outcome == _outcome(lambda: _reference_grid(path))
 
 
@@ -316,7 +343,7 @@ def test_fork_warning_of_a_threaded_process_is_not_raised(tmp_path, monkeypatch)
     path = tmp_path / "panel.csv"
     path.write_text("a,b\n1,2\n3,4\n5,6\n", encoding="utf-8")
     with _in_parts(3):
-        ids, values, empty = panel._read_grid(path)
+        ids, values, empty = _grid.read_grid(path)
     assert ids == ("a", "b")
     np.testing.assert_array_equal(values, [[1, 2], [3, 4], [5, 6]])
     assert not empty.any()
@@ -366,7 +393,7 @@ def test_writer_joins_what_the_csv_writer_writes(rows):
     """Rows joined by commas read as the ``csv`` writer's own text: a row of
     one empty cell and a string the writer quotes included."""
     joined, reference = io.StringIO(), io.StringIO()
-    panel._write_csv(joined, ["id"], rows)
+    _grid.write_csv(joined, ["id"], rows)
     writer = csv.writer(reference, lineterminator="\n")
     writer.writerow(["id"])
     writer.writerows(rows)
@@ -423,7 +450,7 @@ def test_path_to_a_pipe_streams_as_one_part(tmp_path):
     for text in (GOOD_PANEL, BAD_PANEL):
         writer = threading.Thread(target=feed, args=(text,))
         writer.start()
-        with mock.patch.object(panel, "_fast_file") as fast_file:
+        with mock.patch.object(_grid, "_fast_file") as fast_file:
             outcome = _outcome(lambda: load_panel(fifo))
         writer.join(timeout=10)
         assert not writer.is_alive()
