@@ -35,6 +35,8 @@ _CONSTANT_REL_TOL = 1e-13
 
 # The most column blocks the moments kernel sums a panel in (``_block_width``).
 _MAX_BLOCKS = 16
+# The side of the square tiles in which the kernel adds its total's transpose.
+_TILE = 128
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -273,7 +275,10 @@ class CorrelationMatrix(_Matrix):
             raise InvalidMatrixError(
                 f"correlation matrix diagonal must be 1 within {UNIT_DIAGONAL_TOL:g}"
             )
-        if (np.abs(entries) > 1.0 + UNIT_DIAGONAL_TOL).any():
+        # |a| > bound as two reductions, with no N x N temporary; ``_symmetric``
+        # has refused non-finite entries, and negation is exact
+        bound = 1.0 + UNIT_DIAGONAL_TOL
+        if entries.max(initial=0.0) > bound or entries.min(initial=0.0) < -bound:
             raise InvalidMatrixError("correlation matrix entries must lie in [-1, 1]")
         np.clip(entries, -1.0, 1.0, out=entries)
         np.fill_diagonal(entries, 1.0)
@@ -293,6 +298,7 @@ def _assemble(
     means: np.ndarray,
     cov_joint: np.ndarray,
     var_joint: np.ndarray,
+    scratch: np.ndarray,
 ) -> np.ndarray:
     """The correlation from the joint-sample moments, after the package's one
     degeneracy rule. A standard deviation is degenerate within
@@ -313,8 +319,26 @@ def _assemble(
     correlation. The kernel calls this with numpy's overflow and
     invalid-value warnings off, so the refusal is the one report of an
     overflow; a degeneracy threshold past float64 is rightly ``inf``.
+
+    Its working set is ``cov_joint`` and the N x N ``scratch``, whose values
+    are overwritten, besides bools: the pair thresholds are built in the
+    scratch and kept only as the first degenerate pair, and then the scratch
+    holds the scale ``sqrt(var_joint * var_joint.T)``. Every float is the
+    out-of-place formula's, and the refusals keep their order: overflow,
+    then constant series, then degenerate pair.
     """
-    scale = var_joint * var_joint.T
+    thresholds = np.add(center[:, None], means, out=scratch)
+    np.abs(thresholds, out=thresholds)
+    np.maximum(1.0, thresholds, out=thresholds)
+    np.multiply(_CONSTANT_REL_TOL, thresholds, out=thresholds)
+    np.square(thresholds, out=thresholds)  # the bits of ``** 2``
+    degenerate_pair = var_joint <= thresholds
+    np.fill_diagonal(degenerate_pair, False)
+    first = np.unravel_index(degenerate_pair.argmax(), degenerate_pair.shape)  # row-major
+    pair = first if degenerate_pair[first] else None
+    del degenerate_pair
+
+    scale = np.multiply(var_joint, var_joint.T, out=scratch)
     np.sqrt(scale, out=scale)
     np.fill_diagonal(scale, 1.0)  # the diagonal is set to 1 below, whatever its variance
     if not (np.isfinite(cov_joint).all() and np.isfinite(scale).all()):
@@ -325,11 +349,8 @@ def _assemble(
     constant = own_sd <= _CONSTANT_REL_TOL * np.maximum(1.0, np.abs(center))
     if constant.any():
         raise DegenerateSeriesError(ids[i] for i in np.flatnonzero(constant))
-    thresholds = (_CONSTANT_REL_TOL * np.maximum(1.0, np.abs(center[:, None] + means))) ** 2
-    degenerate_pair = var_joint <= thresholds
-    np.fill_diagonal(degenerate_pair, False)
-    if degenerate_pair.any():
-        i, j = np.argwhere(degenerate_pair)[0]
+    if pair is not None:
+        i, j = pair
         raise DegenerateSeriesError((ids[i], ids[j]), note="constant on the pair's joint sample")
 
     corr = cov_joint
@@ -337,6 +358,22 @@ def _assemble(
     np.clip(corr, -1.0, 1.0, out=corr)
     np.fill_diagonal(corr, 1.0)
     return corr
+
+
+def _halve_sum_with_transpose(a: np.ndarray) -> None:
+    """``a = 0.5 * (a + a.T)`` in place, one pair of mirrored ``_TILE``-square
+    tiles at a time, so the transpose is never copied whole (numpy copies an
+    operand that overlaps the output). Each sum is written to both
+    triangles; ``a_ji + a_ij`` has the bits of ``a_ij + a_ji``."""
+    n = a.shape[0]
+    for lo in range(0, n, _TILE):
+        for lo2 in range(lo, n, _TILE):
+            upper = a[lo : lo + _TILE, lo2 : lo2 + _TILE]
+            lower = a[lo2 : lo2 + _TILE, lo : lo + _TILE]
+            tile = upper + lower.T
+            tile *= 0.5
+            upper[...] = tile
+            lower[...] = tile.T
 
 
 def _block_width(n: int, m: int) -> int:
@@ -375,6 +412,15 @@ def _moments(
     along each row, gives every covariance and variance, and
     :func:`_assemble` applies the degeneracy rule; on a complete panel a
     series flagged with one partner is flagged with every one.
+
+    The working set, besides the values: during the second pass, the block
+    buffer, the N x N running total and one N x N block product (a ragged
+    panel adds the N x N counts, sums and squares, and a block's mask).
+    After it, the total and one N x N scratch, the product's buffer: the
+    total's transpose is added tile by tile
+    (:func:`_halve_sum_with_transpose`), and each step of the N x N algebra
+    writes over an operand it has spent or into the scratch, in the
+    out-of-place formulas' order, so every float keeps their bits.
 
     Blocks regroup the additions, so a result depends on M's cut into blocks
     and on the values' memory order, which sets the order of each row sum,
@@ -433,21 +479,28 @@ def _moments(
                 count += x0.shape[1]
                 sums += x0.sum(axis=1, keepdims=True)
                 squares += np.diagonal(block_product)[:, None]
-        del buffer, block, out, x0, o, product, block_product  # only N x N sums outlive the loop
+        del buffer, block, out, x0, o, block_product  # only N x N sums outlive the loop
+        scratch = product  # and the product's buffer, whose values are spent
 
         short = count < 2
         if short.any():
             i, j = np.argwhere(short)[0]
             raise _coverage_error(ids, i, j, count[i, j])
-        prods += prods.T
-        prods *= 0.5
-        means = sums / count  # residual means of the centered series
-        var = np.maximum((squares - count * means**2) / (count - 1.0), 0.0)
+        # the out-of-place algebra's steps in its order, each written over an
+        # operand it no longer needs or into the scratch, so every float keeps
+        # its bits; a complete panel's per-series sums take a scratch column
+        _halve_sum_with_transpose(prods)
+        means = np.divide(sums, count, out=sums)  # residual means of the centered series
+        mean_squares = np.square(means, out=scratch[:, : means.shape[1]])  # means**2
+        var = np.subtract(squares, np.multiply(count, mean_squares, out=mean_squares), out=squares)
         cov_joint = prods
-        cov_joint -= count * means * means.T
-        cov_joint /= count - 1.0
+        cov_joint -= np.multiply(np.multiply(count, means, out=scratch), means.T, out=scratch)
+        count -= 1.0
+        var /= count
+        np.maximum(var, 0.0, out=var)
+        cov_joint /= count
         means, var = (np.broadcast_to(v, (n, n)) for v in (means, var))
-        return _assemble(ids, center, means, cov_joint, var)
+        return _assemble(ids, center, means, cov_joint, var, scratch)
 
 
 def sample_moments(panel: TimeSeriesPanel, mode: str = COMPLETE_CASES) -> CorrelationMatrix:

@@ -361,8 +361,9 @@ def _sweep_point(
 
     The matrices built from the panel die with this call, and so does the
     panel, which ``sweep_rho_star`` passes straight in: no point's arrays are
-    alive while the next point's panel is generated. Failures are raised, as for a direct call; the sweep records a package
-    error, ``ValueError`` or ``LinAlgError`` as the point's message.
+    alive while the next point's panel is generated. Failures are raised, as
+    for a direct call; the sweep records a package error, ``ValueError`` or
+    ``LinAlgError`` as the point's message.
     """
     corr = sample_moments(panel)
     del panel  # the caller holds no reference either

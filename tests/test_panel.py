@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from turnover_spectra import (
     COMPLETE_CASES,
@@ -27,7 +28,14 @@ from turnover_spectra import (
     write_panel,
 )
 from turnover_spectra.conditioning import _spectrum, correlation_from_csv, matrix_to_csv
-from turnover_spectra.panel import _assemble, _block_width, _coverage_error, _moments
+from turnover_spectra.panel import (
+    _CONSTANT_REL_TOL,
+    _TILE,
+    UNIT_DIAGONAL_TOL,
+    _block_width,
+    _coverage_error,
+    _moments,
+)
 
 
 def panel_from_csv(text: str) -> TimeSeriesPanel:
@@ -315,6 +323,26 @@ class TestMatrixTypes:
                 build()
             assert not isinstance(refused.value, InvalidMatrixError)
 
+    _BOUND = 1.0 + UNIT_DIAGONAL_TOL
+    _EDGES = [_BOUND, np.nextafter(_BOUND, 2.0), np.nextafter(_BOUND, 0.0), 1.0, 0.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 5))
+    def test_entry_range_decides_as_the_absolute_value_rule(self, data, n):
+        # the rule is two reductions; it must refuse exactly what
+        # ``abs(entries) > 1 + tol`` refuses, at the bound and one ulp past it
+        edge = st.sampled_from(self._EDGES + [-e for e in self._EDGES])
+        entry = st.one_of(edge, st.floats(-2.0, 2.0))
+        upper = np.triu(data.draw(arrays(np.float64, (n, n), elements=entry)), 1)
+        entries = upper + upper.T + np.eye(n)
+        if (np.abs(entries) > self._BOUND).any():
+            with pytest.raises(InvalidMatrixError) as refused:
+                CorrelationMatrix(entries)
+            assert str(refused.value) == "correlation matrix entries must lie in [-1, 1]"
+        else:
+            expected = np.clip(entries, -1.0, 1.0)
+            assert CorrelationMatrix(entries).entries.tobytes() == expected.tobytes()
+
     def test_ids_are_keyword_only(self):
         # so a call still passing a removed argument (the estimation mode, a
         # psd_status, vols, counts or a panel's mask) cannot bind it to another field
@@ -519,6 +547,7 @@ def test_dense_kernel_matches_masked_reference(seed, n, m, max_offset):
     np.testing.assert_allclose(corr, corr_r, rtol=0, atol=1e-12)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as the kernel runs
 def out_of_place_masked_moments(values: np.ndarray, ids: tuple[str, ...] | None = None) -> np.ndarray:
     """The kernel's ragged algebra with every step out of place, every block
     of the kernel's ``_block_width`` taken through its own 0/1 mask, on a
@@ -545,7 +574,32 @@ def out_of_place_masked_moments(values: np.ndarray, ids: tuple[str, ...] | None 
     means = sums / count
     cov_joint = (prods - count * means * means.T) / (count - 1.0)
     var = np.maximum((squares - count * means**2) / (count - 1.0), 0.0)
-    return _assemble(ids, center, means, cov_joint, var)
+    return out_of_place_assemble(ids, center, means, cov_joint, var)
+
+
+def out_of_place_assemble(ids, center, means, cov_joint, var_joint) -> np.ndarray:
+    """The kernel's ``_assemble`` with every step out of place: the overflow
+    refusal, then the constant series, then the first degenerate pair in
+    row-major order, then the clipped correlation with a unit diagonal."""
+    scale = np.sqrt(var_joint * var_joint.T)
+    np.fill_diagonal(scale, 1.0)
+    if not (np.isfinite(cov_joint).all() and np.isfinite(scale).all()):
+        raise InvalidMatrixError(
+            "sample moments overflow float64: the panel's values are too large"
+        )
+    own_sd = np.sqrt(np.diag(var_joint))
+    constant = own_sd <= _CONSTANT_REL_TOL * np.maximum(1.0, np.abs(center))
+    if constant.any():
+        raise DegenerateSeriesError(ids[i] for i in np.flatnonzero(constant))
+    thresholds = (_CONSTANT_REL_TOL * np.maximum(1.0, np.abs(center[:, None] + means))) ** 2
+    degenerate_pair = var_joint <= thresholds
+    np.fill_diagonal(degenerate_pair, False)
+    if degenerate_pair.any():
+        i, j = np.argwhere(degenerate_pair)[0]
+        raise DegenerateSeriesError((ids[i], ids[j]), note="constant on the pair's joint sample")
+    corr = np.clip(cov_joint / scale, -1.0, 1.0)
+    np.fill_diagonal(corr, 1.0)
+    return corr
 
 
 @settings(max_examples=60, deadline=None)
@@ -569,6 +623,7 @@ def test_ragged_kernel_matches_masked_reference_bit_for_bit(seed, n, m, missing,
     assert corr.tobytes() == out_of_place_masked_moments(values).tobytes()
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as the kernel runs
 def out_of_place_dense_moments(values: np.ndarray, width: int | None = None) -> np.ndarray:
     """The kernel's complete-panel algebra with every step out of place, its
     sums over time taken in column blocks of ``width`` columns (the kernel's
@@ -586,7 +641,7 @@ def out_of_place_dense_moments(values: np.ndarray, width: int | None = None) -> 
     var = np.maximum((np.diag(prods) - m * means**2) / (m - 1.0), 0.0)
     ids = tuple(f"s{i}" for i in range(n))
     rows = np.tile(means[:, None], (1, n)), np.tile(var[:, None], (1, n))
-    return _assemble(ids, center, rows[0], cov_joint, rows[1])
+    return out_of_place_assemble(ids, center, rows[0], cov_joint, rows[1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -622,6 +677,23 @@ def test_a_panel_whose_periods_fit_one_block_keeps_the_one_product_bits(
     assert _block_width(n, m) == m
     corr = _moments(tuple(f"s{i}" for i in range(n)), values)
     assert corr.tobytes() == out_of_place_dense_moments(values, width=m).tobytes()
+
+
+@pytest.mark.parametrize("fortran", [False, True], ids=["c-order", "fortran"])
+@pytest.mark.parametrize("missing", [0.0, 0.2], ids=["complete", "ragged"])
+def test_in_place_algebra_keeps_the_bits_over_several_transpose_tiles(missing, fortran):
+    # N spans two whole tiles and a part, so the mirrored tile pairs, the
+    # diagonal tiles and a ragged edge all add the total's transpose
+    n, m = 2 * _TILE + 44, 320
+    values = fully_observed_values(7, n, m, 1e3)
+    holes = np.random.default_rng(7).random((n, m)) < missing
+    holes[:, :3] = False
+    values[holes] = np.nan
+    if fortran:
+        values = np.asfortranarray(values)
+    corr = _moments(tuple(f"s{i}" for i in range(n)), values)
+    reference = out_of_place_masked_moments if missing else out_of_place_dense_moments
+    assert corr.tobytes() == reference(values).tobytes()
 
 
 def test_complete_cases_of_a_loaded_panel_within_one_block_keep_the_one_product_bits():
@@ -687,6 +759,60 @@ def test_dense_and_masked_kernels_raise_identical_errors(case):
         assert str(public.value) == str(dense.value)
 
 
+@st.composite
+def panels_with_several_refusals(draw):
+    """A ragged panel of ordinary series beside at least two defects, rows in
+    a drawn order: a series whose moments overflow float64 (or, at 1e100, only
+    its variance's product with another such), a constant series, and a
+    series constant on its joint sample with a partner but not on its own.
+    Every row is observed in the first three columns, so every pair is
+    covered and those columns are complete."""
+    m = draw(st.integers(8, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        row = rng.standard_normal(m)
+        row[3:][rng.random(m - 3) < 0.2] = np.nan
+        rows.append(row)
+    defects = st.sampled_from(["overflow", "constant", "pair"])
+    for defect in draw(st.lists(defects, min_size=2, max_size=4)):
+        if defect == "overflow":
+            rows.append(draw(st.sampled_from([1e100, 1e160, 1e300])) * rng.standard_normal(m))
+        elif defect == "constant":
+            rows.append(np.full(m, draw(st.sampled_from([0.0, -2.5, 1e6]))))
+        else:
+            k = draw(st.integers(3, m - 2), label="partner's observed columns")
+            series = rng.standard_normal(m)
+            series[:k] = rng.standard_normal()
+            partner = rng.standard_normal(m)
+            partner[k:] = np.nan
+            rows.extend([series, partner])
+    order = draw(st.permutations(range(len(rows))))
+    return np.array([rows[i] for i in order])
+
+
+def _outcome(call):
+    """The correlation's bytes, or the type and message of the refusal."""
+    try:
+        return call().tobytes()
+    except (DegenerateSeriesError, InvalidMatrixError) as refused:
+        return type(refused), str(refused)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=panels_with_several_refusals())
+def test_several_refusals_at_once_raise_the_reference_error(values):
+    # the kernel builds the pair thresholds before the scale, in one scratch,
+    # yet must refuse as the out-of-place formulas do: overflow, then the
+    # constant series, then the first degenerate pair
+    ids = tuple(f"s{i}" for i in range(values.shape[0]))
+    full = np.flatnonzero(np.isfinite(values).all(axis=0))
+    masked = _outcome(lambda: _moments(ids, values))
+    assert masked == _outcome(lambda: out_of_place_masked_moments(values, ids))
+    dense = _outcome(lambda: _moments(ids, values, full))
+    assert dense == _outcome(lambda: out_of_place_dense_moments(values[:, full]))
+
+
 def test_too_few_complete_rows_raise_identical_errors_on_both_kernels():
     values = np.arange(12.0).reshape(3, 4)
     mask = np.ones((3, 4), bool)
@@ -744,11 +870,13 @@ def _traced_peak(call) -> int:
 
 def test_dense_moments_peak_at_one_block_buffer_and_n_by_n_arrays():
     # no N x M centered copy: the values are centered a column block at a time
-    # into one N x 250 buffer, beside the running N x N totals
-    n, m = 200, 4000
+    # into one N x N buffer, beside the running total and one block product;
+    # after the loop the algebra runs in the total and that product's buffer
+    n, m = 300, 900
+    assert _block_width(n, m) == n
     values = np.random.default_rng(5).standard_normal((n, m))
     panel = TimeSeriesPanel(tuple(f"s{i}" for i in range(n)), values)
-    assert _traced_peak(lambda: sample_moments(panel)) <= 4.5 * n * n * 8
+    assert _traced_peak(lambda: sample_moments(panel)) <= 3.5 * n * n * 8
 
 
 def test_complete_cases_of_a_ragged_panel_peak_with_no_n_by_m_copy():
@@ -808,8 +936,10 @@ class TestPanelAdoptsLockedValues:
 @pytest.mark.parametrize("loaded", [False, True], ids=["c-order", "loaded"])
 def test_pairwise_moments_peak_at_one_block_with_no_n_by_m_copy(loaded):
     # the mask and the centered values live one block at a time, in the
-    # values' own memory order: a loaded panel (Fortran order) is not copied
-    n, m = 200, 4000
+    # values' own memory order: a loaded panel (Fortran order) is not copied;
+    # after the loop the algebra runs in the N x N totals and one scratch
+    n, m = 300, 900
+    assert _block_width(n, m) == n
     rng = np.random.default_rng(5)
     values = rng.standard_normal((n, m))
     values[rng.random((n, m)) < 0.1] = np.nan
@@ -820,4 +950,4 @@ def test_pairwise_moments_peak_at_one_block_with_no_n_by_m_copy(loaded):
         panel = panel_from_csv(text.getvalue())
         assert np.isfortran(panel.values)
     peak = _traced_peak(lambda: sample_moments(panel, PAIRWISE_COMPLETE))
-    assert peak <= 16 * n * n * 8
+    assert peak <= 8 * n * n * 8
