@@ -20,9 +20,11 @@ layout. 2 numeric-validity refusal: a matrix that is not square, finite and
 symmetric, a correlation matrix whose diagonal is off 1 or whose entries
 leave [-1, 1] (``InvalidMatrixError``, from ``repair`` and ``analyze
 --matrix`` alike), a covariance matrix with a non-positive diagonal entry
-(``InvalidDiagonalError``), a repair that does not converge, a non-PSD
-matrix under ``--no-repair``, a panel whose sample moments overflow
-float64 (also an ``InvalidMatrixError``).
+(``InvalidDiagonalError``), a matrix whose spectrum overflows float64, a
+repair floor above the matrix's mean diagonal (refused before any repair
+pass), a repair that does not converge, a non-PSD matrix under
+``--no-repair``, a panel whose sample moments overflow float64 (also an
+``InvalidMatrixError``).
 
 Artifacts. Each command's runner returns the body of its JSON artifact,
 and ``main`` alone writes it, with sorted keys and the ``config`` block.

@@ -11,10 +11,10 @@ from typing import IO
 import numpy as np
 
 from ._grid import read_grid, write_csv
-from .errors import InvalidDiagonalError, InvalidMatrixError, PanelFormatError
-from .panel import CorrelationMatrix, CovarianceMatrix, _Matrix, _symmetric
+from .errors import InvalidMatrixError, PanelFormatError
+from .panel import CorrelationMatrix, CovarianceMatrix
 
-MatrixLike = CorrelationMatrix | CovarianceMatrix | np.ndarray
+MatrixLike = CorrelationMatrix | CovarianceMatrix
 
 
 def default_floor(n: int) -> float:
@@ -45,37 +45,37 @@ class SpectralDecomposition:
         return self.eigenvectors.shape[0]
 
 
-def _matrix_entries(matrix: MatrixLike) -> np.ndarray:
-    """A wrapper's own entries, symmetric since construction, or a bare array
-    checked and symmetrized by the wrappers' rule (:func:`panel._symmetric`)."""
-    if isinstance(matrix, _Matrix):
-        return matrix.entries
-    return _symmetric(matrix)
-
-
-def _remember(matrix: _Matrix, values, vectors) -> None:
+def _remember(matrix: MatrixLike, values, vectors) -> None:
     values.setflags(write=False)
     vectors.setflags(write=False)
     object.__setattr__(matrix, "_eigensystem", (values, vectors))
 
 
-def _spectrum(matrix: MatrixLike) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending ``(values, vectors)`` of ``np.linalg.eigh`` on the matrix.
+def _eigh(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending ``(values, vectors)`` of ``np.linalg.eigh`` on ``entries``:
+    the package's one eigensolve, which reads the lower triangle alone.
 
-    The one way the package solves a spectrum. A matrix wrapper's entries
-    are symmetric from construction and go to ``eigh`` as they are, with no
-    copy; the wrapper is solved at most once, the read-only result kept in
-    its ``_eigensystem`` slot and returned by every later call. A bare array
-    is validated and symmetrized once by the same rule
-    (:func:`_matrix_entries`) and solved on every call.
+    A spectrum that overflows float64 (an eigenvalue that is not finite, as
+    a finite matrix near the float64 limit can have) raises
+    ``InvalidMatrixError``: no stop test, order or gap can be read from it.
     """
-    memo = getattr(matrix, "_eigensystem", None)
-    if memo is not None:
-        return memo
-    values, vectors = np.linalg.eigh(_matrix_entries(matrix))
-    if isinstance(matrix, _Matrix):
-        _remember(matrix, values, vectors)
+    values, vectors = np.linalg.eigh(entries)
+    if not np.isfinite(values).all():
+        raise InvalidMatrixError("matrix spectrum overflows float64: an eigenvalue is not finite")
     return values, vectors
+
+
+def _spectrum(matrix: MatrixLike) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending ``(values, vectors)`` of a matrix wrapper, by :func:`_eigh`.
+
+    A wrapper's entries are symmetric from construction and go to the solve
+    as they are, with no copy; the wrapper is solved at most once, the
+    read-only result kept in its ``_eigensystem`` slot and returned by every
+    later call.
+    """
+    if matrix._eigensystem is None:
+        _remember(matrix, *_eigh(matrix.entries))
+    return matrix._eigensystem
 
 
 def _leading_pair(corr: CorrelationMatrix, floor: float | None) -> SpectralDecomposition | None:
@@ -152,16 +152,16 @@ def _leading_pair(corr: CorrelationMatrix, floor: float | None) -> SpectralDecom
 
 
 def eigendecompose(matrix: MatrixLike) -> SpectralDecomposition:
-    """Eigenvalues (descending) and orthonormal eigenvectors of a symmetric matrix.
+    """Eigenvalues (descending) and orthonormal eigenvectors of a matrix wrapper.
 
-    Accepts the matrix wrappers or a bare array. A wrapper's entries are
-    symmetric from construction and are solved as they are; a bare array is
-    validated and symmetrized once, by the wrappers' rule, before its solve.
-    Equal eigenvalues keep their solver order (stable sort) and each
-    eigenvector is sign-fixed so its largest-magnitude component is positive.
+    The wrapper's entries are symmetric from construction and are solved as
+    they are. Equal eigenvalues keep their solver order (stable sort) and
+    each eigenvector is sign-fixed so its largest-magnitude component is
+    positive.
 
     The solve goes through the matrix's memo (:func:`_spectrum`): a wrapper
-    already classified, repaired or decomposed costs no further ``eigh``.
+    already classified, repaired or decomposed costs no further ``eigh``. A
+    spectrum that overflows float64 raises ``InvalidMatrixError``.
     """
     values, vectors = _spectrum(matrix)
     order = np.argsort(-values, kind="stable")
@@ -214,30 +214,38 @@ def rj_repair(matrix: MatrixLike, floor: float) -> MatrixLike:
     through unchanged, so the operation is idempotent, and its output is
     strictly positive definite whenever the floor exceeds that rounding.
 
-    Returns the same kind of object it was given (correlation in,
-    correlation out; covariance in, covariance out; bare array in, bare
-    array out).
+    Returns the same kind of wrapper it was given (correlation in,
+    correlation out; covariance in, covariance out), whose construction
+    symmetrizes the last iterate. Each iterate is ``half @ half.T``, which
+    numpy computes from one triangle and mirrors, and the solve reads one
+    triangle, so no pass symmetrizes.
 
-    A wrapper's entries are symmetric from construction and are used as
-    they are; a bare array is validated and symmetrized once, by the
-    wrappers' rule. The first pass takes a wrapper's spectrum through
-    :func:`_spectrum`, so a wrapper already classified costs no solve there.
-    A wrapper output whose entries equal the final iterate bit for bit gets
-    that iterate's eigensystem as its memo, so decomposing or classifying it
-    next costs no solve either. A wrapper output also records in its
-    ``_repair_passes`` slot how many eigen-passes the repair took, the first
-    included (1 for input that already clears the floor).
+    Raises ``InvalidMatrixError``, before any solve, when the floor exceeds
+    the mean diagonal: the repair keeps the diagonal, and so the trace, and
+    the smallest eigenvalue is at most trace / N, so no pass can meet that
+    floor. It raises the same error when a spectrum overflows float64
+    (:func:`_eigh`) or the passes do not converge.
+
+    Every pass solves by :func:`_eigh`. The first takes the wrapper's
+    spectrum through :func:`_spectrum`, so a wrapper already classified
+    costs no solve there. An output whose entries equal the final iterate
+    bit for bit gets that iterate's eigensystem as its memo, so decomposing
+    or classifying it next costs no solve either. The output also records in
+    its ``_repair_passes`` slot how many eigen-passes the repair took, the
+    first included (1 for input that already clears the floor).
     """
     if not 0 < floor < math.inf:
         raise ValueError("floor must be positive and finite")
-    current = _matrix_entries(matrix)
+    current = matrix.entries
     diag = np.diag(current).copy()
-    if (diag <= 0).any():
-        raise InvalidDiagonalError("diagonal entries must be positive to repair")
-    # a bare array's ``current`` is already its validated copy: solve it directly
-    values, vectors = (
-        _spectrum(matrix) if isinstance(matrix, _Matrix) else np.linalg.eigh(current)
-    )
+    with np.errstate(over="ignore"):  # a trace past float64 is inf, which no floor exceeds
+        mean_diagonal = float(diag.mean())
+    if floor > mean_diagonal:
+        raise InvalidMatrixError(
+            f"eigenvalue floor {floor!r} exceeds the mean diagonal {mean_diagonal!r}, "
+            "which the repair keeps and the smallest eigenvalue cannot exceed"
+        )
+    values, vectors = _spectrum(matrix)
     passes = 1
     while float(values.min()) < floor - _eigh_rounding(values):
         if passes == _REPAIR_MAX_PASSES:
@@ -251,12 +259,9 @@ def rj_repair(matrix: MatrixLike, floor: float) -> MatrixLike:
         scale = np.sqrt(diag / denom)
         half = scale[:, None] * vectors * np.sqrt(lifted)[None, :]
         current = half @ half.T
-        current = 0.5 * (current + current.T)
         np.fill_diagonal(current, diag)
-        values, vectors = np.linalg.eigh(current)
+        values, vectors = _eigh(current)
         passes += 1
-    if not isinstance(matrix, _Matrix):
-        return current
     out = type(matrix)(current, ids=matrix.ids)
     if np.array_equal(out.entries, current):
         _remember(out, values, vectors)
@@ -313,9 +318,9 @@ def classify_definiteness(matrix: MatrixLike) -> str:
     """One of 'verified-PD', 'verified-not-PSD', 'unverified' (borderline).
 
     The smallest eigenvalue is compared with ``1e-12 * N * max(1, max|lambda|)``.
-    The eigenvalues come from the matrix's memo (:func:`_spectrum`), so
+    The eigenvalues come from the wrapper's memo (:func:`_spectrum`), so
     classifying a wrapper and then repairing or decomposing it shares one
-    ``eigh``.
+    ``eigh``. A spectrum that overflows float64 raises ``InvalidMatrixError``.
     """
     return _definiteness(_spectrum(matrix)[0])
 
@@ -330,18 +335,18 @@ def _definiteness(values: np.ndarray) -> str:
     return "unverified"
 
 
-def _matrix_ids(matrix: MatrixLike, n: int) -> tuple[str, ...]:
-    ids = getattr(matrix, "ids", None)
-    if ids is not None:
-        return tuple(ids)
-    return tuple(f"a{i + 1}" for i in range(n))
+def _matrix_ids(matrix: MatrixLike) -> tuple[str, ...]:
+    """The wrapper's ids, or ``a1`` ... ``aN`` when it has none."""
+    if matrix.ids is not None:
+        return matrix.ids
+    return tuple(f"a{i + 1}" for i in range(matrix.n))
 
 
 def matrix_to_csv(matrix: MatrixLike, dest: str | Path | IO[str]) -> None:
-    """Write a square CSV with the ids as header; the artifact that holds a
-    matrix's entries (:func:`matrix_report` leaves them out)."""
-    entries = _matrix_entries(matrix)
-    write_csv(dest, _matrix_ids(matrix, entries.shape[0]), entries)
+    """Write a wrapper's entries as a square CSV with the ids as header; the
+    artifact that holds a matrix's entries (:func:`matrix_report` leaves
+    them out)."""
+    write_csv(dest, _matrix_ids(matrix), matrix.entries)
 
 
 def _square_from_csv(source: str | Path | IO[str]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -370,7 +375,7 @@ def matrix_report(matrix: MatrixLike) -> dict:
     entries are not repeated here: :func:`matrix_to_csv` writes them."""
     decomposition = eigendecompose(matrix)
     return {
-        "ids": list(_matrix_ids(matrix, decomposition.source_dim)),
+        "ids": list(_matrix_ids(matrix)),
         "eigenvalues": decomposition.eigenvalues.tolist(),
         "psd_status": _definiteness(decomposition.eigenvalues),
     }

@@ -65,18 +65,20 @@ class InvalidMatrixError(TurnoverSpectraError, ValueError):
     for a covariance matrix, its diagonal is not strictly positive
     (:class:`InvalidDiagonalError`).
 
-    The matrix wrappers raise it at construction, and ``conditioning`` raises
-    the structural part for a bare array by the same rule. The moments
-    kernel raises it too, when a panel's covariances overflow float64. A
-    numeric-validity refusal, so the command line exits 2 on it; also a
-    ``ValueError``, as the wrappers' other argument check (the number of
-    ids) is.
+    The matrix wrappers raise it at construction; a matrix reaches the
+    spectral layer only in a wrapper. The moments kernel raises it too, when
+    a panel's covariances overflow float64, and ``conditioning`` when a
+    wrapper's spectrum overflows float64 (an eigenvalue is not finite), when
+    a repair floor exceeds the mean diagonal, which no repair can reach, and
+    when a repair does not converge. A numeric-validity refusal, so the
+    command line exits 2 on it; also a ``ValueError``, as the wrappers'
+    other argument check (the number of ids) is.
     """
 
 
 class InvalidDiagonalError(InvalidMatrixError):
     """A diagonal entry is not strictly positive: refused by a covariance
-    matrix at construction, and by ``rj_repair`` for a bare array."""
+    matrix at construction."""
 
 
 class CalibrationError(TurnoverSpectraError):

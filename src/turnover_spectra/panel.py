@@ -35,8 +35,6 @@ _CONSTANT_REL_TOL = 1e-13
 
 # The most column blocks the moments kernel sums a panel in (``_block_width``).
 _MAX_BLOCKS = 16
-# The side of the square tiles in which the kernel adds its total's transpose.
-_TILE = 128
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -191,9 +189,12 @@ def _symmetric(entries, what: str = "matrix") -> np.ndarray:
     can, and is exact for normal numbers, so the average keeps the bits of
     ``0.5 * (a + a^T)`` wherever that sum is finite and no entry is
     subnormal. Exactly symmetric input, where the average changes no bit, is
-    returned as it is. The matrix wrappers apply it at construction and
-    ``conditioning`` to a bare array, so no solve checks or symmetrizes
-    again.
+    returned as it is.
+
+    The package's one symmetrization: the matrix wrappers apply it at
+    construction, and a matrix reaches the spectral layer only in a wrapper,
+    so no solve checks or symmetrizes again. The moments kernel and the
+    repair hand their results to a wrapper unsymmetrized.
     """
     a = np.array(entries, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -360,22 +361,6 @@ def _assemble(
     return corr
 
 
-def _halve_sum_with_transpose(a: np.ndarray) -> None:
-    """``a = 0.5 * (a + a.T)`` in place, one pair of mirrored ``_TILE``-square
-    tiles at a time, so the transpose is never copied whole (numpy copies an
-    operand that overlaps the output). Each sum is written to both
-    triangles; ``a_ji + a_ij`` has the bits of ``a_ij + a_ji``."""
-    n = a.shape[0]
-    for lo in range(0, n, _TILE):
-        for lo2 in range(lo, n, _TILE):
-            upper = a[lo : lo + _TILE, lo2 : lo2 + _TILE]
-            lower = a[lo2 : lo2 + _TILE, lo : lo + _TILE]
-            tile = upper + lower.T
-            tile *= 0.5
-            upper[...] = tile
-            lower[...] = tile.T
-
-
 def _block_width(n: int, m: int) -> int:
     """The moments kernel's block width for N series over M timestamps: N,
     but never fewer than ``ceil(M / _MAX_BLOCKS)`` columns nor more than M."""
@@ -416,11 +401,18 @@ def _moments(
     The working set, besides the values: during the second pass, the block
     buffer, the N x N running total and one N x N block product (a ragged
     panel adds the N x N counts, sums and squares, and a block's mask).
-    After it, the total and one N x N scratch, the product's buffer: the
-    total's transpose is added tile by tile
-    (:func:`_halve_sum_with_transpose`), and each step of the N x N algebra
-    writes over an operand it has spent or into the scratch, in the
-    out-of-place formulas' order, so every float keeps their bits.
+    After it, the total and one N x N scratch, the product's buffer: each
+    step of the N x N algebra writes over an operand it has spent or into
+    the scratch, in the out-of-place formulas' order, so every float keeps
+    their bits.
+
+    The total is not symmetrized: each block adds ``x0 @ x0.T``, which numpy
+    computes from one triangle and mirrors, so the total is exactly
+    symmetric, and ``0.5 * (a + a.T)`` of it would change no bit short of an
+    overflow. What the algebra after the loop leaves off symmetric at
+    rounding level (``count * means * means.T`` multiplies in another order
+    below the diagonal than above it) is averaged by ``CorrelationMatrix``,
+    whose :func:`_symmetric` is the package's one symmetrization.
 
     Blocks regroup the additions, so a result depends on M's cut into blocks
     and on the values' memory order, which sets the order of each row sum,
@@ -489,7 +481,6 @@ def _moments(
         # the out-of-place algebra's steps in its order, each written over an
         # operand it no longer needs or into the scratch, so every float keeps
         # its bits; a complete panel's per-series sums take a scratch column
-        _halve_sum_with_transpose(prods)
         means = np.divide(sums, count, out=sums)  # residual means of the centered series
         mean_squares = np.square(means, out=scratch[:, : means.shape[1]])  # means**2
         var = np.subtract(squares, np.multiply(count, mean_squares, out=mean_squares), out=squares)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conditioning import MatrixLike, SpectralDecomposition, _matrix_entries
+from .conditioning import MatrixLike, SpectralDecomposition
 from .errors import CalibrationError, DegenerateTopWarning
 
 _TRACE_RTOL = 1e-6
@@ -50,8 +50,9 @@ class SignedBasis:
         return self.decomposition.source_dim
 
     def reflect(self, matrix: MatrixLike) -> np.ndarray:
-        """Matrix entries re-expressed in the re-signed series basis."""
-        return _matrix_entries(matrix) * np.outer(self.signs, self.signs)
+        """A wrapper's entries re-expressed in the re-signed series basis: a
+        fresh array, exactly symmetric as the entries are."""
+        return matrix.entries * np.outer(self.signs, self.signs)
 
 
 def fix_sign_basis(decomp: SpectralDecomposition) -> SignedBasis:
@@ -172,14 +173,19 @@ def _rho_star(basis: SignedBasis) -> float:
 
 
 def rho_prime(corr: MatrixLike) -> tuple[float, float, float]:
-    """Mean-based proxies ``(psi_star, rho_prime, rho_bar)``.
+    """Mean-based proxies ``(psi_star, rho_prime, rho_bar)`` of a matrix wrapper.
 
     ``psi_star = sum_ij corr_ij / N`` is the least-squares scalar matching
     the row sums (i.e. their mean), ``rho_prime = psi_star / N`` and
     ``rho_bar = (psi_star - 1) / (N - 1)`` is the mean off-diagonal
     correlation. Assumes a unit-diagonal matrix.
     """
-    entries = _matrix_entries(corr)
+    return _mean_proxies(corr.entries)
+
+
+def _mean_proxies(entries: np.ndarray) -> tuple[float, float, float]:
+    """:func:`rho_prime` of entries already checked, such as the reflection
+    :func:`rho_star_factored` builds from a wrapper's."""
     n = entries.shape[0]
     if n < 2:
         raise ValueError("mean off-diagonal correlation undefined for one series")
@@ -222,7 +228,7 @@ def rho_star_factored(basis: SignedBasis, corr: MatrixLike) -> FactoredRelation:
     """
     reflected = basis.reflect(corr)
     _check_matches_basis(basis, reflected)
-    psi_star, rho_p, rho_bar = rho_prime(reflected)
+    psi_star, rho_p, rho_bar = _mean_proxies(reflected)
     n = basis.size
     rho_one = float(basis.eigenvalues[0]) / n
     product = rho_one * rho_p

@@ -16,6 +16,7 @@ from turnover_spectra import (
     COMPLETE_CASES,
     PAIRWISE_COMPLETE,
     CalibrationError,
+    CorrelationMatrix,
     SimConfig,
     SpectralDecomposition,
     TimeSeriesPanel,
@@ -66,8 +67,8 @@ class Criterion:
         return False
 
 
-def uniform_correlation(n: int, rho: float) -> np.ndarray:
-    return (1.0 - rho) * np.eye(n) + rho * np.ones((n, n))
+def uniform_correlation(n: int, rho: float) -> CorrelationMatrix:
+    return CorrelationMatrix((1.0 - rho) * np.eye(n) + rho * np.ones((n, n)))
 
 
 def uniform_basis(n: int, rho: float):
@@ -84,14 +85,14 @@ def uniform_basis(n: int, rho: float):
     return fix_sign_basis(SpectralDecomposition(eigenvalues, vectors, n * rho, 0.0))
 
 
-def random_pd_correlation(seed: int, n: int) -> np.ndarray:
+def random_pd_correlation(seed: int, n: int) -> CorrelationMatrix:
     rng = np.random.default_rng(seed)
     loadings = rng.standard_normal((n, max(2, n // 2)))
     cov = loadings @ loadings.T + np.diag(rng.uniform(0.5, 1.5, n))
     vols = np.sqrt(np.diag(cov))
     corr = cov / np.outer(vols, vols)
     np.fill_diagonal(corr, 1.0)
-    return corr
+    return CorrelationMatrix(corr)
 
 
 def masked_panel(seed: int, n: int = 50, t: int = 40, missing: float = 0.45) -> TimeSeriesPanel:
@@ -151,7 +152,7 @@ def test_c03_mean_correlation_spectral_identity():
 def test_c04_factored_relation_one_factor():
     with Criterion("C4 factored relation (one-factor N=500)", budget_seconds=30.0):
         rng = np.random.default_rng(MASTER_SEED)
-        corr = one_factor_correlation(rng.uniform(0.3, 0.9, 500))
+        corr = CorrelationMatrix(one_factor_correlation(rng.uniform(0.3, 0.9, 500)))
         relation = rho_star_factored(fix_sign_basis(eigendecompose(corr)), corr)
         assert relation.relative_gap <= 0.05
 
@@ -206,7 +207,7 @@ def test_c07_exact_calibration_recovers_single_alpha():
                 assert abs(turnover_exact_b(basis, calibration, t) - tau) <= 1e-8
         # every 2x2 correlation with nonzero off-diagonal is unsolvable
         for rho in (-0.9, -0.3, 0.1, 0.5, 0.95):
-            basis = fix_sign_basis(eigendecompose(np.array([[1.0, rho], [rho, 1.0]])))
+            basis = fix_sign_basis(eigendecompose(CorrelationMatrix([[1.0, rho], [rho, 1.0]])))
             with pytest.raises(CalibrationError):
                 calibrate_exact_B(basis)
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from turnover_spectra import (
     CorrelationMatrix,
+    CovarianceMatrix,
     SweepResult,
     TimeSeriesPanel,
     matrix_to_csv,
@@ -83,15 +84,17 @@ def symmetric_matrices(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(entries=symmetric_matrices(), wrapped=st.booleans())
-def test_matrix_to_csv_matches_the_per_cell_rule(entries, wrapped):
+@given(entries=symmetric_matrices(), correlation=st.booleans())
+def test_matrix_to_csv_matches_the_per_cell_rule(entries, correlation):
     ids = [f"a{i + 1}" for i in range(entries.shape[0])]
-    if wrapped:  # a correlation wrapper keeps the unit diagonal and [-1, 1]
+    if correlation:  # a correlation wrapper keeps the unit diagonal and [-1, 1]
         entries = np.clip(entries, -1.0, 1.0)
         np.fill_diagonal(entries, 1.0)
         matrix = CorrelationMatrix(entries, ids=ids)
-    else:
-        matrix = entries
+    else:  # a covariance wrapper keeps every entry, given a positive diagonal
+        diagonal = np.abs(np.diag(entries))
+        np.fill_diagonal(entries, np.where(diagonal > 0.0, diagonal, 1.0))
+        matrix = CovarianceMatrix(entries, ids=ids)
     rows = [[repr(float(x)) for x in row] for row in entries]
     assert written(matrix_to_csv, matrix) == reference_csv(ids, rows)
 

@@ -345,6 +345,51 @@ def test_a_matrix_near_the_float64_limit_is_symmetrized_without_overflow(tmp_pat
     assert capsys.readouterr().err == err
 
 
+def test_a_repair_near_the_float64_limit_runs_without_overflow(tmp_path, capsys):
+    # every repair pass's iterate has a 9.5e307 diagonal, whose doubling
+    # overflows float64; no pass symmetrizes, so nothing doubles it
+    text = "a,b,c\n9.5e307,6.65e307,6.65e307\n6.65e307,9.5e307,-6.65e307\n6.65e307,-6.65e307,9.5e307\n"
+    matrix = write(tmp_path / "matrix.csv", text)
+    output = tmp_path / "out.csv"
+    assert main(["repair", "--input", matrix, "--output", str(output)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    ids, entries = conditioning._square_from_csv(output)
+    assert ids == ("a", "b", "c")
+    np.testing.assert_array_equal(np.diag(entries), 9.5e307)
+    signs = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
+    np.testing.assert_allclose(entries, np.where(np.eye(3) == 1, 9.5e307, 4.75e307 * signs), rtol=1e-12)
+    expected = io.StringIO()
+    loaded = CovarianceMatrix(conditioning._square_from_csv(matrix)[1], ids=ids)
+    conditioning.matrix_to_csv(conditioning.rj_repair(loaded, conditioning.default_floor(3)), expected)
+    assert output.read_text(encoding="utf-8") == expected.getvalue()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # finite, symmetric and a positive diagonal, but eigh's spectrum is inf, inf, -4.8e307
+        (
+            "a,b,c\n1.2e308,8.4e307,8.4e307\n8.4e307,1.2e308,-8.4e307\n8.4e307,-8.4e307,1.2e308\n",
+            "error: matrix spectrum overflows float64: an eigenvalue is not finite\n",
+        ),
+        # positive definite, but the default floor 2e-08 exceeds the mean diagonal
+        (
+            "a,b\n1e-300,0\n0,1e-300\n",
+            "error: eigenvalue floor 2e-08 exceeds the mean diagonal 1e-300, which the "
+            "repair keeps and the smallest eigenvalue cannot exceed\n",
+        ),
+    ],
+    ids=["spectrum-past-float64", "floor-above-the-mean-diagonal"],
+)
+def test_a_repair_that_cannot_succeed_is_a_numeric_refusal(tmp_path, capsys, eigensolves, text, message):
+    matrix = write(tmp_path / "matrix.csv", text)
+    assert main(["repair", "--input", matrix, "--output", str(tmp_path / "out.csv")]) == EXIT_NUMERIC
+    assert capsys.readouterr().err == message
+    assert list(tmp_path.iterdir()) == [tmp_path / "matrix.csv"]
+    # the overflowing spectrum is the input's one solve; the floor is refused before any
+    assert len(eigensolves) == (1 if "overflows" in message else 0)
+
+
 @pytest.mark.parametrize(
     "mode, text",
     [

@@ -1,9 +1,10 @@
 """The command line's exit-code contract, as a property over mutated inputs.
 
-Small panel and matrix CSVs are mutated by inserting, deleting and replacing
-tokens from an alphabet of the inputs that have broken the contract before:
-``nan``, ``1e308``, quotes, CR, NUL, a byte-order mark, ``1_0``, bytes that
-are not UTF-8, and the separators. Each text goes through ``cli.main``
+Small panel and matrix CSVs, one of them a covariance near the float64
+limit, are mutated by inserting, deleting and replacing tokens from an
+alphabet of the inputs that have broken the contract before: ``nan``,
+``1e308``, cells near the float64 limit or far below 1, quotes, CR, NUL, a
+byte-order mark, ``1_0``, bytes that are not UTF-8, and the separators. Each text goes through ``cli.main``
 in-process as ``analyze`` (both modes), ``analyze --matrix`` and ``repair``,
 once with the CSV reader in one part and once with every file cut into two
 parts, the second parsed in a forked child. Every run must keep the
@@ -36,16 +37,20 @@ from hypothesis import strategies as st
 from turnover_spectra import _grid
 from turnover_spectra.cli import main
 
-# the texts mutated: a ragged panel (one empty cell), a correlation matrix and
-# a covariance matrix, each accepted by the commands of its layout
+# the texts mutated: a ragged panel (one empty cell), a correlation matrix, a
+# covariance matrix and a non-PSD covariance whose repair runs near the float64
+# limit, each accepted by the commands of its layout
 BASES = {
     "panel": b"a,b,c\n0.5,-1.25,2\n1.5,0.75,\n-0.5,2.25,1\n2.5,-0.25,-1.5\n-1,1,0.5\n0.25,-2,3\n",
     "correlation": b"a,b,c\n1,0.5,0.25\n0.5,1,-0.3\n0.25,-0.3,1\n",
     "covariance": b"a,b\n2.0,0.5\n0.5,3.0\n",
+    "near-limit-covariance": b"a,b,c\n9.5e307,6.65e307,6.65e307\n6.65e307,9.5e307,-6.65e307\n"
+    b"6.65e307,-6.65e307,9.5e307\n",
 }
 TOKENS = [
     b"nan", b"1e308", b"-1e308", b'"', b"\r", b"\x00", b"\xef\xbb\xbf", b"1_0",
     b"\xff", b"\xc3", b",", b"\n", b"", b"1", b"-0.0", b"inf",
+    b"1.2e308", b"8.4e307", b"-8.4e307", b"1e-300",
 ]
 COMMANDS = {
     "analyze-complete": ["analyze", "--mode", "complete"],
@@ -113,6 +118,12 @@ def _numbers(value):
 # a quoted header id holding line breaks, which an id-list message once
 # printed as it is, over three lines of stderr
 @example(text=b'"b,c\n1,0.5,0.25\n"0.5,1,-0.3\n0.25,-0.3,1\n')
+# a repair whose passes once overflowed symmetrizing their iterates (a numpy warning)
+@example(text=BASES["near-limit-covariance"])
+# a spectrum past float64, once written back unchanged as "repaired"
+@example(text=b"a,b,c\n1.2e308,8.4e307,8.4e307\n8.4e307,1.2e308,-8.4e307\n8.4e307,-8.4e307,1.2e308\n")
+# a floor above the mean diagonal, once refused only after 1000 passes
+@example(text=b"a,b\n1e-300,0\n0,1e-300\n")
 def test_every_command_keeps_the_exit_code_contract(text):
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)

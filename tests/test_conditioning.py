@@ -44,6 +44,12 @@ def uniform_correlation(n: int, rho: float) -> np.ndarray:
     return (1.0 - rho) * np.eye(n) + rho * np.ones((n, n))
 
 
+def unsolved(matrix):
+    """A fresh wrapper of the same kind over the same entries, with no memo,
+    so that its spectrum is solved anew."""
+    return type(matrix)(matrix.entries, ids=matrix.ids)
+
+
 def random_correlation(seed: int, n: int) -> CorrelationMatrix:
     rng = np.random.default_rng(seed)
     loadings = rng.standard_normal((n, max(2, n // 3)))
@@ -56,16 +62,16 @@ def random_correlation(seed: int, n: int) -> CorrelationMatrix:
 
 class TestEigendecompose:
     def test_identity_spectrum(self):
-        decomp = eigendecompose(np.eye(4))
+        decomp = eigendecompose(CorrelationMatrix(np.eye(4)))
         np.testing.assert_array_equal(decomp.eigenvalues, np.ones(4))
         assert decomp.top_gap == 0.0
 
     def test_uniform_three_by_three(self):
-        decomp = eigendecompose(uniform_correlation(3, 0.5))
+        decomp = eigendecompose(CorrelationMatrix(uniform_correlation(3, 0.5)))
         np.testing.assert_allclose(decomp.eigenvalues, [2.0, 0.5, 0.5], atol=1e-12)
 
     def test_two_by_two_closed_form(self):
-        decomp = eigendecompose(np.array([[1.0, 0.6], [0.6, 1.0]]))
+        decomp = eigendecompose(CorrelationMatrix([[1.0, 0.6], [0.6, 1.0]]))
         np.testing.assert_allclose(decomp.eigenvalues, [1.6, 0.4], atol=1e-12)
         np.testing.assert_allclose(
             np.abs(decomp.eigenvectors[:, 0]), np.full(2, 1 / math.sqrt(2)), atol=1e-12
@@ -98,11 +104,11 @@ class TestEigendecompose:
         bad = np.eye(3)
         bad[0, 1] = bad[1, 0] = np.nan
         with pytest.raises(InvalidMatrixError):
-            eigendecompose(bad)
+            eigendecompose(CorrelationMatrix(bad))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(InvalidMatrixError):
-            eigendecompose(np.array([[1.0, 0.5], [0.2, 1.0]]))
+            eigendecompose(CorrelationMatrix([[1.0, 0.5], [0.2, 1.0]]))
 
     def test_degenerate_direction_has_matching_sample_variance(self):
         # more series than timestamps: the spectrum has near-zero directions,
@@ -148,33 +154,27 @@ class TestSingleValidation:
         corr = CorrelationMatrix(unit)
         np.testing.assert_array_equal(corr.entries, unit)
         for wrapper, bare in ((cov, entries), (corr, unit)):
-            solved, reference = eigendecompose(wrapper), eigendecompose(bare)
-            np.testing.assert_array_equal(solved.eigenvalues, reference.eigenvalues)
-            np.testing.assert_array_equal(solved.eigenvectors, reference.eigenvectors)
+            values, vectors = _spectrum(wrapper)
+            reference_values, reference_vectors = np.linalg.eigh(bare)
+            np.testing.assert_array_equal(values, reference_values)
+            np.testing.assert_array_equal(vectors, reference_vectors)
 
     @given(symmetric_matrices(), st.sampled_from([0.25, 4.0]))
     @settings(max_examples=60, deadline=None)
-    def test_one_tolerance_for_wrappers_and_bare_arrays(self, entries, multiple):
+    def test_one_asymmetry_tolerance_at_construction(self, entries, multiple):
         n = entries.shape[0]
         if n < 2:
             return
         bad = entries.copy()
         bad[0, 1] += multiple * 1e-12 * max(1.0, float(np.abs(entries).max()))
         if multiple > 1:
-            for build in (
-                lambda: CovarianceMatrix(bad),
-                lambda: eigendecompose(bad),
-                lambda: rj_repair(bad, 1e-8),
-            ):
-                with pytest.raises(InvalidMatrixError, match="not symmetric") as caught:
-                    build()
-                assert isinstance(caught.value, ValueError)
+            with pytest.raises(InvalidMatrixError, match="not symmetric") as caught:
+                CovarianceMatrix(bad)
+            assert isinstance(caught.value, ValueError)
         else:
             cov = CovarianceMatrix(bad)
             np.testing.assert_array_equal(cov.entries, cov.entries.T)
             np.testing.assert_array_equal(cov.entries, 0.5 * (bad + bad.T))
-            solved, reference = eigendecompose(cov), eigendecompose(bad)
-            np.testing.assert_array_equal(solved.eigenvalues, reference.eigenvalues)
 
     def test_wrappers_are_solved_from_their_own_entries(self, monkeypatch):
         seen = []
@@ -286,13 +286,13 @@ class TestRjRepair:
 
     def test_repaired_minimum_clears_half_floor(self):
         floor = default_floor(3)
-        repaired = rj_repair(NON_PSD, floor)
-        assert np.linalg.eigvalsh(repaired).min() >= floor / 2
+        repaired = rj_repair(CorrelationMatrix(NON_PSD), floor)
+        assert np.linalg.eigvalsh(repaired.entries).min() >= floor / 2
 
     def test_idempotent(self):
-        repaired = rj_repair(NON_PSD, 1e-4)
+        repaired = rj_repair(CorrelationMatrix(NON_PSD), 1e-4)
         again = rj_repair(repaired, 1e-4)
-        assert np.abs(again - repaired).max() <= 1e-10
+        assert np.abs(again.entries - repaired.entries).max() <= 1e-10
 
     def test_covariance_diagonal_preserved_exactly(self):
         vols = np.array([2.0, 0.5, 1.5])
@@ -328,18 +328,53 @@ class TestRjRepair:
             assert (vols**2).tobytes() == np.diag(matrix.entries).tobytes()
 
     def test_nonpositive_diagonal_rejected(self):
+        # refused by the wrapper, before the repair is reached
         bad = np.array([[0.0, 0.1], [0.1, 1.0]])
         with pytest.raises(InvalidDiagonalError):
-            rj_repair(bad, 1e-4)
+            rj_repair(CovarianceMatrix(bad), 1e-4)
 
     def test_nonpositive_floor_rejected(self):
         with pytest.raises(ValueError):
-            rj_repair(NON_PSD, 0.0)
+            rj_repair(CorrelationMatrix(NON_PSD), 0.0)
 
     @pytest.mark.parametrize("floor", [math.nan, math.inf])
     def test_non_finite_floor_rejected(self, floor):
         with pytest.raises(ValueError, match="floor must be positive and finite"):
-            rj_repair(NON_PSD, floor)
+            rj_repair(CorrelationMatrix(NON_PSD), floor)
+
+    @pytest.mark.parametrize(
+        "matrix, floor",
+        [
+            (CovarianceMatrix(1e-300 * np.eye(2)), default_floor(2)),
+            (CovarianceMatrix(np.diag([3.0, 1.0, 2.0])), np.nextafter(2.0, 3.0)),
+            (CorrelationMatrix(NON_PSD), 1.5),
+        ],
+        ids=["tiny-covariance", "one-ulp-past-the-mean", "correlation"],
+    )
+    def test_a_floor_above_the_mean_diagonal_is_refused_before_any_solve(
+        self, matrix, floor, eigensolves
+    ):
+        # the repair keeps the trace, and the smallest eigenvalue is at most
+        # trace / N, so no pass could meet such a floor
+        with pytest.raises(InvalidMatrixError, match="exceeds the mean diagonal"):
+            rj_repair(matrix, floor)
+        assert eigensolves == []
+
+    def test_a_floor_at_the_mean_diagonal_is_met(self):
+        repaired = rj_repair(CovarianceMatrix(2.0 * np.eye(3)), 2.0)
+        assert repaired._repair_passes == 1
+        np.testing.assert_array_equal(repaired.entries, 2.0 * np.eye(3))
+
+    def test_a_spectrum_past_the_float64_limit_is_refused(self):
+        # finite, symmetric, a positive diagonal, and eigenvalues inf, inf, -4.8e307
+        entries = np.array([[1.2, 0.84, 0.84], [0.84, 1.2, -0.84], [0.84, -0.84, 1.2]]) * 1e308
+        for solve in (
+            lambda matrix: rj_repair(matrix, default_floor(3)),
+            classify_definiteness,
+            eigendecompose,
+        ):
+            with pytest.raises(InvalidMatrixError, match="spectrum overflows float64"):
+                solve(CovarianceMatrix(entries))
 
     def test_ragged_pairwise_matrix_converges_in_few_passes(self, monkeypatch):
         # 300 one-factor series over 900 timestamps, 45 % missing: staggered
@@ -395,12 +430,6 @@ class TestSpectrumMemo:
         classify_definiteness(repaired)
         assert len(eigensolves) == passes
 
-    def test_bare_arrays_are_solved_on_every_call(self, eigensolves):
-        classify_definiteness(NON_PSD)
-        eigendecompose(NON_PSD)
-        matrix_report(NON_PSD)
-        assert len(eigensolves) == 3
-
     def test_memo_slot_is_private_and_read_only(self):
         for kind in (CorrelationMatrix, CovarianceMatrix):
             (slot,) = [f for f in dataclasses.fields(kind) if f.name == "_eigensystem"]
@@ -433,7 +462,7 @@ class TestSpectrumMemo:
         assert 0 < np.linalg.eigvalsh(repaired.entries).min() < 1e-12
         # the memo the repair hands on classifies as a fresh solve does
         assert classify_definiteness(repaired) == "unverified"
-        assert classify_definiteness(repaired.entries) == "unverified"
+        assert classify_definiteness(unsolved(repaired)) == "unverified"
 
     @pytest.mark.parametrize("n", [5, 12, 50])
     def test_default_floor_repair_is_verified_pd(self, n):
@@ -445,7 +474,7 @@ class TestSpectrumMemo:
         assert classify_definiteness(corr) == "verified-not-PSD"
         repaired = rj_repair(corr, default_floor(n))
         assert classify_definiteness(repaired) == "verified-PD"
-        assert classify_definiteness(repaired.entries) == "verified-PD"
+        assert classify_definiteness(unsolved(repaired)) == "verified-PD"
 
 
 @st.composite
@@ -478,7 +507,7 @@ def test_repair_memo_equals_a_fresh_solve_bit_for_bit(case, classify_first):
     assert values.tobytes() == fresh_values.tobytes()
     assert vectors.tobytes() == fresh_vectors.tobytes()
     assert not values.flags.writeable and not vectors.flags.writeable
-    assert classify_definiteness(repaired) == classify_definiteness(repaired.entries)
+    assert classify_definiteness(repaired) == classify_definiteness(unsolved(repaired))
 
 
 class TestSerialization:
@@ -501,10 +530,10 @@ class TestSerialization:
         assert len(report["eigenvalues"]) == 3
 
     def test_classify_definiteness(self):
-        assert classify_definiteness(NON_PSD) == "verified-not-PSD"
-        assert classify_definiteness(np.eye(3)) == "verified-PD"
+        assert classify_definiteness(CorrelationMatrix(NON_PSD)) == "verified-not-PSD"
+        assert classify_definiteness(CorrelationMatrix(np.eye(3))) == "verified-PD"
         v = np.array([1.0, 2.0])
-        assert classify_definiteness(np.outer(v, v)) == "unverified"
+        assert classify_definiteness(CovarianceMatrix(np.outer(v, v))) == "unverified"
 
 
 def with_smallest_eigenvalue(entries: np.ndarray, target: float) -> np.ndarray:

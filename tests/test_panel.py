@@ -30,7 +30,6 @@ from turnover_spectra import (
 from turnover_spectra.conditioning import _spectrum, correlation_from_csv, matrix_to_csv
 from turnover_spectra.panel import (
     _CONSTANT_REL_TOL,
-    _TILE,
     UNIT_DIAGONAL_TOL,
     _block_width,
     _coverage_error,
@@ -681,10 +680,11 @@ def test_a_panel_whose_periods_fit_one_block_keeps_the_one_product_bits(
 
 @pytest.mark.parametrize("fortran", [False, True], ids=["c-order", "fortran"])
 @pytest.mark.parametrize("missing", [0.0, 0.2], ids=["complete", "ragged"])
-def test_in_place_algebra_keeps_the_bits_over_several_transpose_tiles(missing, fortran):
-    # N spans two whole tiles and a part, so the mirrored tile pairs, the
-    # diagonal tiles and a ragged edge all add the total's transpose
-    n, m = 2 * _TILE + 44, 320
+def test_unsymmetrized_total_keeps_the_bits_of_the_halved_reference(missing, fortran):
+    # the references halve ``prods + prods.T`` before the algebra, and the
+    # kernel does not: its total is a sum of ``x0 @ x0.T``, which numpy
+    # computes from one triangle and mirrors, so the halving changes no bit
+    n, m = 300, 320
     values = fully_observed_values(7, n, m, 1e3)
     holes = np.random.default_rng(7).random((n, m)) < missing
     holes[:, :3] = False

@@ -14,6 +14,7 @@ from turnover_spectra import (
     COMPLETE_CASES,
     CalibrationError,
     CorrelationMatrix,
+    CovarianceMatrix,
     DegenerateTopWarning,
     SpectralDecomposition,
     TurnoverInputs,
@@ -59,7 +60,9 @@ def uniform_basis(n: int, rho: float):
 
 
 def basis_of(entries: np.ndarray):
-    return fix_sign_basis(eigendecompose(np.asarray(entries, float)))
+    """The sign basis of a symmetric array with a positive diagonal, wrapped
+    as a covariance matrix, which keeps every entry as it is."""
+    return fix_sign_basis(eigendecompose(CovarianceMatrix(entries)))
 
 
 def random_pd_correlation(seed: int, n: int) -> np.ndarray:
@@ -241,18 +244,18 @@ def test_the_degenerate_top_warning_points_at_the_caller(evaluate, quantity):
 
 class TestRhoPrime:
     def test_uniform(self):
-        psi, prime, bar = rho_prime(uniform_correlation(4, 0.5))
+        psi, prime, bar = rho_prime(CorrelationMatrix(uniform_correlation(4, 0.5)))
         assert psi == pytest.approx(2.5, abs=1e-12)
         assert prime == pytest.approx(0.625, abs=1e-12)
         assert bar == pytest.approx(0.5, abs=1e-12)
 
     def test_identity(self):
-        psi, prime, bar = rho_prime(np.eye(5))
+        psi, prime, bar = rho_prime(CorrelationMatrix(np.eye(5)))
         assert (psi, prime, bar) == (1.0, 0.2, 0.0)
 
     def test_least_squares_minimizer(self):
         entries = random_pd_correlation(6, 9)
-        psi, _, _ = rho_prime(entries)
+        psi, _, _ = rho_prime(CorrelationMatrix(entries))
         row_sums = entries.sum(axis=1)
 
         def objective(value):
@@ -263,45 +266,47 @@ class TestRhoPrime:
 
     def test_single_series_rejected(self):
         with pytest.raises(ValueError):
-            rho_prime(np.eye(1))
+            rho_prime(CorrelationMatrix(np.eye(1)))
 
 
 class TestFactoredRelation:
     def test_uniform_gap_vanishes(self):
         corr = uniform_correlation(10, 0.3)
-        relation = rho_star_factored(basis_of(corr), corr)
+        relation = rho_star_factored(basis_of(corr), CorrelationMatrix(corr))
         assert relation.relative_gap <= 1e-12
         assert not relation.gap_is_absolute
 
     def test_exact_identity_on_three_by_three(self):
-        relation = rho_star_factored(basis_of(THREE_BY_THREE), THREE_BY_THREE)
+        relation = rho_star_factored(basis_of(THREE_BY_THREE), CorrelationMatrix(THREE_BY_THREE))
         assert relation.rho_prime == pytest.approx(relation.rho_prime_spectral, abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_exact_identity_on_random_matrices(self, seed):
         corr = random_pd_correlation(seed, 40)
-        relation = rho_star_factored(basis_of(corr), corr)
+        relation = rho_star_factored(basis_of(corr), CorrelationMatrix(corr))
         assert relation.rho_prime == pytest.approx(relation.rho_prime_spectral, abs=1e-10)
 
     def test_one_factor_gap_small(self):
         rng = np.random.default_rng(20260810)
         corr = one_factor_correlation(rng.uniform(0.3, 0.9, 500))
-        relation = rho_star_factored(basis_of(corr), corr)
+        relation = rho_star_factored(basis_of(corr), CorrelationMatrix(corr))
         assert relation.relative_gap <= 0.05
 
     def test_mean_quantities_use_sign_fixed_matrix(self):
         corr = random_pd_correlation(15, 12)
         signs = np.where(np.random.default_rng(1).random(12) < 0.5, -1.0, 1.0)
         reflected = corr * np.outer(signs, signs)
-        relation = rho_star_factored(basis_of(reflected), reflected)
+        relation = rho_star_factored(basis_of(reflected), CorrelationMatrix(reflected))
         # identical to the unreflected run: the sign fix canonicalizes
-        base = rho_star_factored(basis_of(corr), corr)
+        base = rho_star_factored(basis_of(corr), CorrelationMatrix(corr))
         assert relation.rho_prime == pytest.approx(base.rho_prime, abs=1e-10)
         assert relation.rho_star == pytest.approx(base.rho_star, abs=1e-10)
 
     def test_mismatched_matrix_rejected(self):
         with pytest.raises(ValueError):
-            rho_star_factored(basis_of(THREE_BY_THREE), uniform_correlation(3, 0.7))
+            rho_star_factored(
+                basis_of(THREE_BY_THREE), CorrelationMatrix(uniform_correlation(3, 0.7))
+            )
 
 
 class TestReflectionCovariance:
@@ -321,7 +326,7 @@ class TestSignOptimality:
     @pytest.mark.parametrize("seed", range(20))
     def test_chosen_signs_maximize_leading_projection(self, seed):
         corr = random_pd_correlation(seed, 8)
-        decomp = eigendecompose(corr)
+        decomp = eigendecompose(CorrelationMatrix(corr))
         basis = fix_sign_basis(decomp)
         original = decomp.eigenvectors[:, 0]
         chosen = float(basis.signs @ original) ** 2
@@ -448,7 +453,7 @@ class TestReport:
         corr = random_pd_correlation(8, 20)
         basis = basis_of(corr)
         t = np.full(20, 1.0 / 20)
-        report = turnover_report(basis, corr, t)
+        report = turnover_report(basis, CorrelationMatrix(corr), t)
         n = basis.size
         recomputed = float(
             basis.eigenvalues[0] * (basis.first_eigenvector @ t) / math.sqrt(n)
@@ -464,20 +469,22 @@ class TestReport:
             "p1_share", "normalization", "warnings",
         }
         assert report["warnings"] == []
-        assert report == turnover_report(basis, corr, t)
+        assert report == turnover_report(basis, CorrelationMatrix(corr), t)
 
     def test_share_and_full_model_come_from_the_model_functions(self):
         corr = random_pd_correlation(9, 12)
         basis = basis_of(corr)
         t = np.random.default_rng(1).uniform(0.0, 1.0, 12)
-        report = turnover_report(basis, corr, t)
+        report = turnover_report(basis, CorrelationMatrix(corr), t)
         assert report["T_full"] == spectral_turnover_full(basis, t)
         assert report["p1_share"] == p1_share(basis, t)
 
     def test_requires_a_correlation_basis(self):
         covariance = 2.0 * THREE_BY_THREE
         with pytest.raises(ValueError, match="correlation"):
-            turnover_report(basis_of(covariance), covariance, np.full(3, 1.0 / 3))
+            turnover_report(
+                basis_of(covariance), CovarianceMatrix(covariance), np.full(3, 1.0 / 3)
+            )
 
     def test_share_of_a_non_positive_total_is_nan(self):
         negative = SpectralDecomposition(np.array([-1.0, -2.0]), np.eye(2), 1.0, 0.0)
@@ -485,13 +492,13 @@ class TestReport:
 
     def test_degenerate_top_is_recorded_not_raised(self):
         basis = basis_of(np.eye(6))
-        report = turnover_report(basis, np.eye(6), np.full(6, 1.0 / 6))
+        report = turnover_report(basis, CorrelationMatrix(np.eye(6)), np.full(6, 1.0 / 6))
         assert any("degenerate-top" in note for note in report["warnings"])
 
     def test_degenerate_top_changes_no_warning_filter(self, fixed_warning_filters):
         basis = basis_of(np.eye(6))
         with fixed_warning_filters():
-            report = turnover_report(basis, np.eye(6), np.full(6, 1.0 / 6))
-            relation = rho_star_factored(basis, np.eye(6))
+            report = turnover_report(basis, CorrelationMatrix(np.eye(6)), np.full(6, 1.0 / 6))
+            relation = rho_star_factored(basis, CorrelationMatrix(np.eye(6)))
         assert any("degenerate-top" in note for note in report["warnings"])
         assert relation.rho_star == report["rho_star"]
