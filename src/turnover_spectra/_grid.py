@@ -5,8 +5,9 @@ Both layouts are a header row of ids and then rows of numbers. The reader
 (:func:`read_grid`) returns the grid and leaves what a cell may hold to each
 layout; the writer (:func:`write_csv`) owns the one rule from numbers to
 artifact text; and :func:`checked_ids` refuses an id the reader would not
-read back as written. A large file is parsed in parts, all but the first in
-forked children (:func:`_fork`), which serve the reader alone.
+read back as written. A large file is parsed in byte-range parts, each by
+:func:`_file_part`, all but the first in forked children (:func:`_fork`) that
+send their rows back as raw float64 bytes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import csv
 import functools
 import itertools
 import os
-import pickle
 import re
 import signal
 import warnings
@@ -63,19 +63,22 @@ def read_grid(source: str | Path | IO[str]) -> _Grid:
     read by a fast pass in parts, each parsed by :func:`_parse_part`, which
     takes its rows whole or declines. A path to a regular file is cut into
     one byte-range part per usable CPU while each part keeps at least
-    ``_MIN_PART_BYTES`` of data rows (:func:`_part_count`), and every part
-    but the first is parsed in a short-lived child forked by :func:`_fork`
-    (:func:`_fast_file`); a smaller file, or any file on a platform without
-    ``os.fork`` and ``os.sched_getaffinity``, is one part with no child. An
-    open handle, or a path that is not a regular file (a pipe, say), streams
-    its lines through the same parse as one part (:func:`_fast_grid`). When
-    any part declines, or a child dies or sends its part short, the whole
-    text goes to the per-cell reference :func:`_grid_from_rows`: a seekable
-    handle is rewound to where the fast pass started, and one that cannot
-    seek is first read once into a list of lines. The reference is the only
-    one that raises on malformed input, except for a line the ``csv`` reader
-    itself rejects (a field over its size limit), which raises
-    ``PanelFormatError`` with the reader's line number.
+    ``_MIN_PART_BYTES`` of data rows (:func:`_part_count`). Every byte range,
+    the first included, is opened and parsed by :func:`_file_part`, and
+    every one but the first in a short-lived child forked by :func:`_fork`,
+    which sends its rows back as raw float64 bytes (:func:`_fast_file`); a
+    smaller file, or any file on a platform without ``os.fork`` and
+    ``os.sched_getaffinity``, is one part with no child. An open handle, or
+    a path that is not a regular file (a pipe, say), streams its lines
+    through the same parse as one part (:func:`_fast_grid`). When any part
+    declines, or a child does not exit 0 or sends a byte count that is not
+    whole rows, the whole text goes to the per-cell reference
+    :func:`_grid_from_rows`: a seekable handle is rewound to where the fast
+    pass started, and one that cannot seek is first read once into a list
+    of lines. The reference is the only one that raises on malformed input,
+    except for a line the ``csv`` reader itself rejects (a field over its
+    size limit), which raises ``PanelFormatError`` with the reader's line
+    number.
     """
     if isinstance(source, (str, Path)):
         if not os.path.isfile(source):
@@ -219,11 +222,15 @@ def _file_parts(
     end, in file order; ``ValueError`` when any declines.
 
     Each byte range ends just after a ``\\n``, so that no line and no UTF-8
-    character is split. A part declines when it does not parse, when its
-    child dies or sends it short, and when a fork or a read fails. Every
-    child is reaped and every pipe closed before this returns, so the
-    children's CPU time and memory are charged to this process (as
-    ``os.wait4`` on it reports them).
+    character is split. Every range, the first included, is parsed by
+    :func:`_file_part`: the first in this process while the others' children
+    (:func:`_fork`) parse theirs. A child's pipe is read to its end and its
+    bytes viewed as rows of ``width`` float64 columns. A part declines when
+    it does not parse, when its child does not exit 0 or sends a byte count
+    that is not whole rows, and when a fork or a read fails. Every child is
+    reaped and every pipe closed before this returns, so the children's CPU
+    time and memory are charged to this process (as ``os.wait4`` on it
+    reports them).
     """
     start, end = handle.tell(), stat.st_size
     bounds = _bounds(handle, start, end, _part_count(end - start))
@@ -231,10 +238,9 @@ def _file_parts(
     grids = None
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            children.append(_fork(functools.partial(_file_part, path, stat, lo, hi, width)))
-        handle.seek(start)
-        first = _parse_part(_decoded(handle, bounds[1]), width)
-        grids = [first, *(_received(pipe) for _, pipe in children)]
+            children.append(_fork(path, stat, lo, hi, width))
+        first = _file_part(path, stat, bounds[0], bounds[1], width)
+        grids = [first, *(np.frombuffer(pipe.read()).reshape(-1, width) for _, pipe in children)]
     except OSError:
         raise ValueError("a fork or a read failed") from None
     finally:
@@ -279,8 +285,9 @@ def _decoded(handle: BinaryIO, stop: int) -> Iterator[str]:
 def _file_part(
     path: str | Path, stat: os.stat_result, lo: int, hi: int, width: int
 ) -> np.ndarray:
-    """Bytes ``[lo, hi)`` of the file as a part of ``width`` columns, the work
-    of a forked child of :func:`_file_parts`.
+    """Bytes ``[lo, hi)`` of the file as a part of ``width`` columns: the one
+    routine every part of :func:`_file_parts` is parsed by, in this process
+    or in a forked child.
 
     The file is opened anew, so that its reads move no offset of the
     caller's, and the part declines (``ValueError``) unless the open file is
@@ -294,24 +301,25 @@ def _file_part(
         return _parse_part(_decoded(handle, hi), width)
 
 
-def _fork(work: Callable[[], object]) -> tuple[int, BinaryIO]:
-    """Fork a child that calls ``work()`` and sends its value back through a
-    pipe; return the child's pid and the pipe's read end.
+def _fork(
+    path: str | Path, stat: os.stat_result, lo: int, hi: int, width: int
+) -> tuple[int, BinaryIO]:
+    """Fork a child that parses bytes ``[lo, hi)`` of the file with
+    :func:`_file_part` and sends its rows back through a pipe; return the
+    child's pid and the pipe's read end.
 
-    The reader's parts (:func:`_file_parts`) are parsed through it: the
-    caller takes the value with :func:`_received` and then :func:`_reap`
-    every child it forked, on every path. The child runs on the caller's
-    memory copy-on-write, so ``work`` needs no arguments sent to it. It
-    always leaves through ``os._exit``: it never returns into the caller,
-    runs no atexit handler and flushes no buffer it inherited. It exits 0
-    only once the whole value is sent; when ``work`` raises, it sends
+    The caller reads the pipe to its end and then reaps every child it
+    forked with :func:`_reap`, on every path. The child runs on the
+    caller's memory copy-on-write, so nothing is sent to it. It always
+    leaves through ``os._exit``: it never returns into the caller, runs no
+    atexit handler and flushes no buffer it inherited. It exits 0 only once
+    all its rows are sent (:func:`_send`); when its part declines, it sends
     nothing and exits 1.
 
     From Python 3.12, fork warns in a process with threads, which numpy's
-    BLAS pool starts at import unless it is held to one thread. ``work``
-    must call no BLAS (a reader's part parses text and exits), so the child
-    takes no lock such a thread may hold, and that warning is silenced for
-    the fork.
+    BLAS pool starts at import unless it is held to one thread. The child
+    calls no BLAS (it parses text and exits), so it takes no lock such a
+    thread may hold, and that warning is silenced for the fork.
     """
     read_end, write_end = os.pipe()
     try:
@@ -328,9 +336,9 @@ def _fork(work: Callable[[], object]) -> tuple[int, BinaryIO]:
         status = 1
         try:
             os.close(read_end)
-            value = work()
+            rows = _file_part(path, stat, lo, hi, width)
             with open(write_end, "wb") as pipe:
-                _send(pipe, value)
+                _send(pipe, rows)
             status = 0
         finally:
             os._exit(status)
@@ -338,17 +346,9 @@ def _fork(work: Callable[[], object]) -> tuple[int, BinaryIO]:
     return pid, open(read_end, "rb")
 
 
-def _send(pipe: BinaryIO, value: object) -> None:
-    # an array's bytes go to the pipe as they are, with no copy (protocol 5)
-    pickle.dump(value, pipe, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _received(pipe: BinaryIO) -> object:
-    """The value a child sent; ``ValueError`` when it sent nothing or too little."""
-    try:
-        return pickle.load(pipe)
-    except (EOFError, pickle.UnpicklingError):
-        raise ValueError("the child sent nothing, or sent short") from None
+def _send(pipe: BinaryIO, rows: np.ndarray) -> None:
+    # the rows' float64 bytes as they are, in row order, with no copy and no framing
+    pipe.write(rows)
 
 
 def _reap(children: list[tuple[int, BinaryIO]], kill: bool) -> list[bool]:

@@ -22,7 +22,9 @@ leave [-1, 1] (``InvalidMatrixError``, from ``repair`` and ``analyze
 --matrix`` alike), a covariance matrix with a non-positive diagonal entry
 (``InvalidDiagonalError``), a matrix whose spectrum overflows float64, a
 repair floor above the matrix's mean diagonal (refused before any repair
-pass), a repair that does not converge, a non-PSD matrix under
+pass; ``analyze`` and ``sweep``, which repair only correlations, refuse a
+``--floor`` above 1 before any input is read or any panel drawn, and
+write nothing), a repair that does not converge, a non-PSD matrix under
 ``--no-repair``, a panel whose sample moments overflow float64 (also an
 ``InvalidMatrixError``).
 
@@ -90,6 +92,7 @@ if "numpy" not in sys.modules and not any(var in os.environ for var in _THREAD_V
 import numpy as np
 
 from .conditioning import (
+    _check_floor,
     _spectrum,
     _square_from_csv,
     classify_definiteness,
@@ -157,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--repair", action=argparse.BooleanOptionalAction, default=True,
                          help="floor the spectrum to force positive definiteness")
     analyze.add_argument("--floor", dest="repair_floor", type=float, default=None,
-                         help="eigenvalue floor (default 1e-8 * N)")
+                         help="eigenvalue floor <= 1, checked before any read (default 1e-8 * N)")
     # factors residualize a panel, so they have nothing to act on in a matrix
     source = analyze.add_mutually_exclusive_group()
     source.add_argument("--factors", dest="factor_path", default=None, metavar="PATH",
@@ -179,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--periods", dest="n_periods", type=int, default=2000,
                        help="panel length per grid point")
     sweep.add_argument("--repair", action=argparse.BooleanOptionalAction, default=True)
-    sweep.add_argument("--floor", dest="repair_floor", type=float, default=None)
+    sweep.add_argument("--floor", dest="repair_floor", type=float, default=None,
+                       help="eigenvalue floor <= 1, checked before any draw (default 1e-8 * N)")
     sweep.add_argument("--seed", type=int, default=0)
 
     simulate = sub.add_parser("simulate", help="Monte-Carlo trade-netting experiment")
@@ -293,6 +297,8 @@ def _parse_grid(spec: str) -> tuple[int, ...]:
 
 
 def run_analyze(args: argparse.Namespace) -> dict:
+    if args.repair_floor is not None:  # every matrix repaired here is a correlation
+        _check_floor(args.repair_floor, 1.0)
     residualized = False
     factor_ids: list[str] = []
     n_timestamps = None

@@ -221,10 +221,10 @@ def rj_repair(matrix: MatrixLike, floor: float) -> MatrixLike:
     triangle, so no pass symmetrizes.
 
     Raises ``InvalidMatrixError``, before any solve, when the floor exceeds
-    the mean diagonal: the repair keeps the diagonal, and so the trace, and
-    the smallest eigenvalue is at most trace / N, so no pass can meet that
-    floor. It raises the same error when a spectrum overflows float64
-    (:func:`_eigh`) or the passes do not converge.
+    the mean diagonal (:func:`_check_floor`): the repair keeps the diagonal,
+    and so the trace, and the smallest eigenvalue is at most trace / N, so
+    no pass can meet that floor. It raises the same error when a spectrum
+    overflows float64 (:func:`_eigh`) or the passes do not converge.
 
     Every pass solves by :func:`_eigh`. The first takes the wrapper's
     spectrum through :func:`_spectrum`, so a wrapper already classified
@@ -234,17 +234,10 @@ def rj_repair(matrix: MatrixLike, floor: float) -> MatrixLike:
     its ``_repair_passes`` slot how many eigen-passes the repair took, the
     first included (1 for input that already clears the floor).
     """
-    if not 0 < floor < math.inf:
-        raise ValueError("floor must be positive and finite")
     current = matrix.entries
     diag = np.diag(current).copy()
     with np.errstate(over="ignore"):  # a trace past float64 is inf, which no floor exceeds
-        mean_diagonal = float(diag.mean())
-    if floor > mean_diagonal:
-        raise InvalidMatrixError(
-            f"eigenvalue floor {floor!r} exceeds the mean diagonal {mean_diagonal!r}, "
-            "which the repair keeps and the smallest eigenvalue cannot exceed"
-        )
+        _check_floor(floor, float(diag.mean()))
     values, vectors = _spectrum(matrix)
     passes = 1
     while float(values.min()) < floor - _eigh_rounding(values):
@@ -267,6 +260,22 @@ def rj_repair(matrix: MatrixLike, floor: float) -> MatrixLike:
         _remember(out, values, vectors)
     object.__setattr__(out, "_repair_passes", passes)
     return out
+
+
+def _check_floor(floor: float, mean_diagonal: float) -> None:
+    """The rule of every repair floor: ``ValueError`` unless it is positive
+    and finite, and ``InvalidMatrixError`` when it exceeds the mean diagonal,
+    which :func:`rj_repair` keeps and the smallest eigenvalue cannot exceed.
+    A correlation's mean diagonal is exactly 1, so a caller that repairs
+    only correlations checks its floor against 1.0 before it draws or reads
+    one."""
+    if not 0 < floor < math.inf:
+        raise ValueError(f"floor must be positive and finite, got {floor}")
+    if floor > mean_diagonal:
+        raise InvalidMatrixError(
+            f"eigenvalue floor {floor!r} exceeds the mean diagonal {mean_diagonal!r}, "
+            "which the repair keeps and the smallest eigenvalue cannot exceed"
+        )
 
 
 def _psd_tolerance(values: np.ndarray) -> float:
@@ -371,11 +380,13 @@ def correlation_from_csv(source: str | Path | IO[str]) -> CorrelationMatrix:
 
 
 def matrix_report(matrix: MatrixLike) -> dict:
-    """JSON-ready report: ids, eigenvalues, psd_status (one solve). The
-    entries are not repeated here: :func:`matrix_to_csv` writes them."""
-    decomposition = eigendecompose(matrix)
+    """JSON-ready report: ids, eigenvalues (descending, equal ones in the
+    solver's order, as :func:`eigendecompose` orders them) and psd_status,
+    from the matrix's memoized spectrum (:func:`_spectrum`). The entries are
+    not repeated here: :func:`matrix_to_csv` writes them."""
+    values = _spectrum(matrix)[0]
     return {
         "ids": list(_matrix_ids(matrix)),
-        "eigenvalues": decomposition.eigenvalues.tolist(),
-        "psd_status": _definiteness(decomposition.eigenvalues),
+        "eigenvalues": values[np.argsort(-values, kind="stable")].tolist(),
+        "psd_status": _definiteness(values),
     }

@@ -11,7 +11,7 @@ from typing import IO, Callable
 import numpy as np
 
 from ._grid import write_csv
-from .conditioning import _leading_pair, default_floor, eigendecompose, rj_repair
+from .conditioning import _check_floor, _leading_pair, default_floor, eigendecompose, rj_repair
 from .errors import TurnoverSpectraError, UndefinedRegressorError
 from .panel import TimeSeriesPanel, _readonly, sample_moments
 from .turnover import _rho_star, fix_sign_basis
@@ -278,10 +278,12 @@ def sweep_rho_star(
     so results do not depend on the order in which points are solved.
 
     The grid and the floor are checked before the generator is first
-    called: a bad one raises ``ValueError``. A point whose generator
-    raises, or whose estimation or solve raises a package error,
-    ``ValueError`` or ``LinAlgError``, is recorded as NaN with its message
-    in ``errors``; any other exception propagates.
+    called: a bad one raises ``ValueError``, and a floor above 1, the mean
+    diagonal of every correlation matrix, which no repair can meet, raises
+    ``InvalidMatrixError`` (:func:`conditioning._check_floor`). A point
+    whose generator raises, or whose estimation or solve raises a package
+    error, ``ValueError`` or ``LinAlgError``, is recorded as NaN with its
+    message in ``errors``; any other exception propagates.
 
     Points are drawn and solved one at a time, in grid order, in this
     process: the generator is called once per N, and no point's arrays are
@@ -297,8 +299,7 @@ def sweep_rho_star(
     if floor is not None:
         if not repair:
             raise ValueError("a floor applies only with repair")
-        if not 0 < floor < math.inf:
-            raise ValueError(f"floor must be positive and finite, got {floor}")
+        _check_floor(floor, 1.0)
 
     rho_stars = np.full(len(grid), np.nan)
     solvers = ["failed"] * len(grid)

@@ -713,6 +713,47 @@ def test_floor_with_no_repair_is_refused_before_any_input_is_read(tmp_path, caps
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--input", "ABSENT"], ["analyze", "--input", "ABSENT", "--matrix"],
+     ["sweep", "--grid", "10,20"]],
+    ids=["analyze", "analyze-matrix", "sweep"],
+)
+def test_a_floor_above_1_is_refused_before_any_input_is_read_or_panel_drawn(
+    tmp_path, capsys, monkeypatch, argv
+):
+    # every matrix these commands repair is a correlation, whose mean diagonal
+    # is 1; the input does not exist, so a refusal after reading it would say so
+    draws = []
+    monkeypatch.setattr(simulate, "gen_one_factor_panel", draws.append)
+    argv = [str(tmp_path / "absent.csv") if arg == "ABSENT" else arg for arg in argv]
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([*argv, "--floor", "2", "--output", str(out / "r.csv")]) == EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        "error: eigenvalue floor 2.0 exceeds the mean diagonal 1.0, which the repair keeps "
+        "and the smallest eigenvalue cannot exceed\n"
+    )
+    assert draws == [] and list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--input", "PANEL"], ["analyze", "--input", "MATRIX", "--matrix"],
+     ["sweep", "--grid", "5,10", "--periods", "50"]],
+    ids=["analyze", "analyze-matrix", "sweep"],
+)
+def test_a_floor_of_1_is_accepted(tmp_path, argv):
+    paths = {
+        "PANEL": write(tmp_path / "panel.csv", PANEL_CSV),
+        "MATRIX": write(tmp_path / "corr.csv", "a,b\n1.0,0.4\n0.4,1.0\n"),
+    }
+    argv = [paths.get(arg, arg) for arg in argv]
+    assert main([*argv, "--floor", "1", "--output", str(tmp_path / "result.csv")]) == EXIT_OK
+    summary = tmp_path / ("result.json" if argv[0] == "sweep" else "result.csv")
+    assert json.loads(summary.read_text(encoding="utf-8"))["config"]["repair_floor"] == 1.0
+
+
 @pytest.mark.parametrize("kind", ["same-path", "symlink", "hardlink"])
 @pytest.mark.parametrize(
     "command, flag, source_name, output_name",

@@ -529,6 +529,21 @@ class TestSerialization:
         assert report["psd_status"] == "verified-PD"
         assert len(report["eigenvalues"]) == 3
 
+    def test_report_reads_the_memoized_spectrum_in_descending_order(
+        self, monkeypatch, eigensolves
+    ):
+        # eigendecompose's values, bit for bit, without its vector work
+        matrix = rj_repair(CorrelationMatrix(NON_PSD), 1e-6)
+        solves = len(eigensolves)
+
+        def refused(matrix):
+            raise AssertionError("the report decomposed the matrix")
+
+        monkeypatch.setattr(conditioning, "eigendecompose", refused)
+        report = matrix_report(matrix)
+        assert len(eigensolves) == solves
+        assert report["eigenvalues"] == eigendecompose(matrix).eigenvalues.tolist()
+
     def test_classify_definiteness(self):
         assert classify_definiteness(CorrelationMatrix(NON_PSD)) == "verified-not-PSD"
         assert classify_definiteness(CorrelationMatrix(np.eye(3))) == "verified-PD"

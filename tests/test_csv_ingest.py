@@ -9,9 +9,11 @@ value, a matrix an empty cell).
 These tests hold each layout's public outcome to the same values, bit for
 bit, and to the same errors, row and column included, whichever path read
 the text; a file read in any number of parts to the reference's outcome, a
-defect in a child's part alone included; the two layouts to the same ids and
-values on a grid both accept; and the forked parts to leaving no child process
-and no open descriptor behind.
+defect in a child's part alone included; ``analyze`` to the same report
+whether the real part rule cuts its input or not; the two layouts to the same
+ids and values on a grid both accept; and the forked parts to leaving no child
+process and no open descriptor behind, whether a child sends its rows whole,
+sends part of them and exits 0, or fails.
 """
 
 import csv
@@ -27,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turnover_spectra import PanelFormatError, TimeSeriesPanel, load_panel, write_panel
-from turnover_spectra import _grid, conditioning
+from turnover_spectra import _grid, cli, conditioning
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # finite cells, with signed zeros, subnormals and 17 significant digits drawn
@@ -236,7 +238,8 @@ MIN_PART = _grid._MIN_PART_BYTES
 def test_part_count_is_one_per_usable_cpu_while_each_part_keeps_the_minimum(
     monkeypatch, cpus, data_bytes, parts
 ):
-    # every test file is far below the minimum, so no other test reaches this rule
+    # every test file is far below the minimum: only the analyze test that shrinks
+    # the part size reaches this rule, and only on the CPUs it runs on
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     assert _grid._part_count(data_bytes) == parts
 
@@ -275,28 +278,41 @@ def _open_fds():
 _SEND = _grid._send
 
 
-def _send_then_fail(pipe, grid):
-    _SEND(pipe, grid)
+def _send_then_fail(pipe, rows):
+    _SEND(pipe, rows)
     raise OSError("the child fails after sending its whole part")
 
 
-def _send_short(pipe, grid):
-    whole = io.BytesIO()
-    _SEND(whole, grid)
-    pipe.write(whole.getvalue()[: len(whole.getvalue()) // 2])
+def _send_short(pipe, rows):
+    pipe.write(rows.tobytes()[: rows.nbytes // 2])
     raise OSError("the child dies halfway through its part")
+
+
+def _send_cut(cut):
+    """A send that leaves out the last ``cut`` bytes of the rows, after which
+    the child exits 0."""
+    return lambda pipe, rows: pipe.write(rows.tobytes()[:-cut])
+
+
+_SENDS = {
+    "child-fails": _send_then_fail,
+    "child-sends-short": _send_short,
+    # two float64 columns: neither count is whole rows
+    "child-exits-0-one-byte-short": _send_cut(1),
+    "child-exits-0-one-cell-short": _send_cut(8),
+}
 
 
 @pytest.mark.skipif(
     not hasattr(os, "fork") or not os.path.isdir("/proc/self/fd"),
     reason="forked parts need os.fork; the descriptor count needs /proc",
 )
-@pytest.mark.parametrize("case", ["read", "decline", "child-fails", "child-sends-short"])
+@pytest.mark.parametrize("case", ["read", "decline", *_SENDS])
 def test_forked_parts_leave_no_child_and_no_open_descriptor(tmp_path, case):
     path = tmp_path / "panel.csv"
     text = "a,b\n" + "".join(f"{i},{i / 7!r}\n" for i in range(300))
     path.write_text(text + ("1,oops\n" if case == "decline" else ""), encoding="utf-8")
-    send = {"child-fails": _send_then_fail, "child-sends-short": _send_short}.get(case, _SEND)
+    send = _SENDS.get(case, _SEND)
     before = _open_fds()
     with mock.patch.object(_grid, "_grid_from_rows", wraps=_grid._grid_from_rows) as reference, \
             mock.patch.object(_grid, "_send", send), _in_parts(3):
@@ -306,6 +322,34 @@ def test_forked_parts_leave_no_child_and_no_open_descriptor(tmp_path, case):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert _open_fds() == before
+
+
+@pytest.mark.parametrize("mode", ["complete", "pairwise"])
+def test_analyze_reads_a_file_in_parts_by_the_real_part_rule_to_the_same_report(
+    tmp_path, mode
+):
+    # only the part size is made small: the real rule (_part_count) cuts the
+    # file into one part per usable CPU, so a machine with two forks a child
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((600, 6)) + rng.standard_normal((600, 1))
+    missing = rng.random(values.shape) < (0.2 if mode == "pairwise" else 0.0)
+    rows = (
+        [None if gone else value for value, gone in zip(cells, holes)]
+        for cells, holes in zip(values.tolist(), missing.tolist())
+    )
+    path, out = tmp_path / "panel.csv", tmp_path / "report.json"
+    _grid.write_csv(path, [f"s{i}" for i in range(6)], rows)
+    argv = ["analyze", "--input", str(path), "--output", str(out), "--mode", mode]
+    assert cli.main(argv) == cli.EXIT_OK  # a file this small is one part
+    one_part = out.read_bytes()
+    out.unlink()
+    with mock.patch.object(_grid, "_MIN_PART_BYTES", 4096), \
+            mock.patch.object(_grid, "_fork", wraps=_grid._fork) as fork, \
+            mock.patch.object(_grid, "_grid_from_rows", wraps=_grid._grid_from_rows) as reference:
+        parts = _grid._part_count(path.stat().st_size)
+        assert cli.main(argv) == cli.EXIT_OK
+    assert fork.call_count == parts - 1 and not reference.called
+    assert out.read_bytes() == one_part
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="forked parts need os.fork")

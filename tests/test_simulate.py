@@ -276,6 +276,15 @@ class TestSweep:
             sweep_rho_star([10, 20], lambda n, seed: calls.append(n), floor=floor)
         assert calls == []
 
+    @pytest.mark.parametrize("floor", [np.nextafter(1.0, 2.0), 2.0])
+    def test_a_floor_above_1_is_refused_before_any_panel(self, floor):
+        # every sweep matrix is a correlation, whose mean diagonal is 1, so no
+        # repair can meet such a floor
+        calls = []
+        with pytest.raises(InvalidMatrixError, match="exceeds the mean diagonal 1.0"):
+            sweep_rho_star([10, 20], lambda n, seed: calls.append(n), floor=floor)
+        assert calls == []
+
     def test_a_floor_without_repair_is_refused_before_any_panel(self):
         calls = []
         with pytest.raises(ValueError, match="a floor applies only with repair"):
