@@ -43,8 +43,8 @@ _EXPORTS = {
     "simulate": (
         "SimConfig", "SimResult", "SweepResult",
         "gen_one_factor_panel", "gen_trade_matrix", "no_intercept_regression",
-        "one_factor_correlation", "one_factor_generator", "simulate_crossing",
-        "simulate_crossing_paths", "sweep_rho_star", "sweep_to_csv",
+        "one_factor_correlation", "one_factor_source", "panel_source",
+        "simulate_crossing", "simulate_crossing_paths", "sweep_rho_star", "sweep_to_csv",
     ),
     "turnover": (
         "ExactCalibration", "FactoredRelation", "SignedBasis",

@@ -5,8 +5,9 @@ Each command reads its own parsed arguments, and its artifact's ``config``
 block echoes exactly those arguments (the flags' ``dest`` names), after
 ``main`` has resolved the seed, the grid and ``analyze``'s estimation mode
 (``null`` for ``analyze --matrix``, whose estimator is unknown; its
-report's ``inputs`` names it ``external``). ``sweep`` takes no mode: its
-panels have no missing cell, so it estimates from complete cases.
+report's ``inputs`` names it ``external``). ``sweep`` takes no mode: it
+draws each grid point's complete-cases sample correlation of a one-factor
+panel straight from its Wishart law, with no panel to estimate from.
 
 Exit codes: 0 success; 1 I/O or parse failure: a missing file, a bad
 argument or a numeric flag out of range, ``--mode`` given with ``--matrix``
@@ -23,7 +24,7 @@ leave [-1, 1] (``InvalidMatrixError``, from ``repair`` and ``analyze
 (``InvalidDiagonalError``), a matrix whose spectrum overflows float64, a
 repair floor above the matrix's mean diagonal (refused before any repair
 pass; ``analyze`` and ``sweep``, which repair only correlations, refuse a
-``--floor`` above 1 before any input is read or any panel drawn, and
+``--floor`` above 1 before any input is read or any matrix drawn, and
 write nothing), a repair that does not converge, a non-PSD matrix under
 ``--no-repair``, a panel whose sample moments overflow float64 (also an
 ``InvalidMatrixError``).
@@ -117,7 +118,7 @@ from .panel import (
 )
 from .simulate import (
     SimConfig,
-    one_factor_generator,
+    one_factor_source,
     simulate_crossing_paths,
     sweep_rho_star,
     sweep_to_csv,
@@ -180,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--grid", required=True, help="comma-separated N values, e.g. 50,100,200,400")
     sweep.add_argument("--rho", type=float, default=0.25)
     sweep.add_argument("--periods", dest="n_periods", type=int, default=2000,
-                       help="panel length per grid point")
+                       help="periods per grid point; the sample matrix is drawn from its Wishart law")
     sweep.add_argument("--repair", action=argparse.BooleanOptionalAction, default=True)
     sweep.add_argument("--floor", dest="repair_floor", type=float, default=None,
                        help="eigenvalue floor <= 1, checked before any draw (default 1e-8 * N)")
@@ -371,9 +372,9 @@ def run_repair(args: argparse.Namespace) -> dict:
 
 
 def run_sweep(args: argparse.Namespace) -> dict:
-    generator = one_factor_generator(args.rho, args.n_periods)
+    source = one_factor_source(args.rho, args.n_periods)
     result = sweep_rho_star(
-        args.grid, generator, seed=args.seed, repair=args.repair, floor=args.repair_floor
+        args.grid, source, seed=args.seed, repair=args.repair, floor=args.repair_floor
     )
     sweep_to_csv(result, args.output_path)
     return {**asdict(result), "f_statistic": result.reported_f}

@@ -189,18 +189,23 @@ def _symmetric(entries, what: str = "matrix") -> np.ndarray:
     can, and is exact for normal numbers, so the average keeps the bits of
     ``0.5 * (a + a^T)`` wherever that sum is finite and no entry is
     subnormal. Exactly symmetric input, where the average changes no bit, is
-    returned as it is.
+    returned as it is, found by an exact comparison of the triangles before
+    any gap is formed, so it costs no N x N float temporary (``0.0`` equals
+    ``-0.0``, whose gap is 0 too).
 
     The package's one symmetrization: the matrix wrappers apply it at
     construction, and a matrix reaches the spectral layer only in a wrapper,
-    so no solve checks or symmetrizes again. The moments kernel and the
-    repair hand their results to a wrapper unsymmetrized.
+    so no solve checks or symmetrizes again. The moments kernel, the repair
+    and the sweep's Wishart source hand their results to a wrapper
+    unsymmetrized.
     """
     a = np.array(entries, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidMatrixError(f"{what} must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise InvalidMatrixError(f"{what} entries must be finite")
+    if np.array_equal(a, a.T):
+        return a
     scale = max(1.0, float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
     with np.errstate(over="ignore"):  # a gap past the float64 limit is inf, refused below
         gap = a - a.T
@@ -208,7 +213,7 @@ def _symmetric(entries, what: str = "matrix") -> np.ndarray:
     del gap
     if asymmetry > 1e-12 * scale:
         raise InvalidMatrixError(f"{what} is not symmetric within tolerance")
-    return 0.5 * a + 0.5 * a.T if asymmetry else a
+    return 0.5 * a + 0.5 * a.T
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,6 @@
-"""Synthetic one-factor panels, a Monte-Carlo trade-netting simulator, and
-the reduction-coefficient sweep harness with through-origin regression."""
+"""Synthetic one-factor panels and sample correlations, a Monte-Carlo
+trade-netting simulator, and the reduction-coefficient sweep harness with
+through-origin regression."""
 
 from __future__ import annotations
 
@@ -13,10 +14,13 @@ import numpy as np
 from ._grid import write_csv
 from .conditioning import _check_floor, _leading_pair, default_floor, eigendecompose, rj_repair
 from .errors import TurnoverSpectraError, UndefinedRegressorError
-from .panel import TimeSeriesPanel, _readonly, sample_moments
+from .panel import CorrelationMatrix, TimeSeriesPanel, _readonly, sample_moments
 from .turnover import _rho_star, fix_sign_basis
 
 PanelGenerator = Callable[[int, int], TimeSeriesPanel]
+#: What ``sweep_rho_star`` draws each grid point from: ``(n, seed)`` to the
+#: point's sample correlation.
+MatrixSource = Callable[[int, int], CorrelationMatrix]
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,51 @@ def gen_one_factor_panel(config: SimConfig) -> TimeSeriesPanel:
         row += loading * common
     ids = tuple(f"a{i + 1:04d}" for i in range(config.n_alphas))
     return TimeSeriesPanel(ids, _readonly(values))
+
+
+def _one_factor_wishart(config: SimConfig) -> CorrelationMatrix:
+    """A draw of the complete-cases sample correlation of
+    ``gen_one_factor_panel(config)``, from its law, with no panel.
+
+    The panel's periods are independent Gaussian vectors with covariance
+    Sigma = b b^T + diag(1 - b^2), so its centered cross products, M - 1
+    times its sample covariance, follow the Wishart law W_N(M - 1, Sigma).
+    Sigma = G G^T for the N x (N + 1) factor G = [b | diag(sqrt(1 - b^2))],
+    and by the Bartlett (1933) decomposition (see also Odell & Feiveson
+    1966) the draw is X X^T with X = G A. A is (N + 1) x k with
+    k = min(N + 1, M - 1) and lower-trapezoidal: sqrt(chi^2_{M-1-i}) at
+    ``[i, i]``, N(0, 1) below the diagonal and 0 above. Where M - 1 < N + 1
+    that is the law of the L factor in an LQ decomposition of an
+    (N + 1) x (M - 1) Gaussian matrix, so the singular case takes the same
+    form.
+
+    A's first row holds only ``A[0, 0]``, so X is diag(sqrt(1 - b^2)) A[1:]
+    with ``b * A[0, 0]`` added to its first column, built in A's own memory.
+    ``X @ X.T`` is one syrk, which numpy mirrors from one triangle, and
+    scaling it by the outer product of 1 / sqrt(diag) keeps it exactly
+    symmetric. The draw costs O(N^3) time, and its peak, the wrapper's copy
+    included, is about 2.4 (N + 1) x (N + 1) float arrays, whatever M is. It
+    is fully determined by ``master_seed``, but its bits are not those of
+    the panel's estimate.
+    """
+    n, m = config.n_alphas, config.n_periods
+    k = min(n + 1, m - 1)
+    b = config.loadings()
+    rng = _rng(config.master_seed)
+    a = np.zeros((n + 1, k))
+    below = np.tri(n + 1, k, -1, dtype=bool)
+    a[below] = rng.standard_normal(np.count_nonzero(below))
+    del below
+    diagonal = np.arange(k)
+    a[diagonal, diagonal] = np.sqrt(rng.chisquare(m - 1 - diagonal))
+    x = a[1:]
+    x *= np.sqrt(1.0 - b**2)[:, None]
+    x[:, 0] += b * a[0, 0]
+    w = x @ x.T
+    del a, x
+    scale = 1.0 / np.sqrt(np.diag(w))
+    w *= np.multiply.outer(scale, scale)
+    return CorrelationMatrix(w)
 
 
 def one_factor_correlation(loadings) -> np.ndarray:
@@ -242,15 +291,21 @@ class SweepResult:
         return "not-available" if self.f_statistic is None else float(self.f_statistic)
 
 
-class _GeneratorFailure(TurnoverSpectraError):
-    """Any exception raised by a sweep's panel generator, re-raised as a package error."""
+class _SourceFailure(TurnoverSpectraError):
+    """Any exception raised by a sweep's matrix source, re-raised as a package error."""
 
 
-def _generate(generator: PanelGenerator, n: int, seed: int) -> TimeSeriesPanel:
+def _draw(source: MatrixSource, n: int, seed: int) -> CorrelationMatrix:
     try:
-        return generator(n, seed)
-    except Exception as exc:  # a failing generator leaves a NaN point; the sweep goes on
-        raise _GeneratorFailure(str(exc)) from exc
+        corr = source(n, seed)
+    except Exception as exc:  # a failing source leaves a NaN point; the sweep goes on
+        raise _SourceFailure(str(exc)) from exc
+    if not isinstance(corr, CorrelationMatrix):  # a caller's bug, not a numeric failure
+        raise TypeError(
+            f"a sweep's source must return a CorrelationMatrix, got {type(corr).__name__}"
+            " (wrap a panel generator in panel_source)"
+        )
+    return corr
 
 
 # what a grid point may fail with and leave a NaN point; anything else propagates
@@ -259,35 +314,39 @@ _POINT_ERRORS = (TurnoverSpectraError, ValueError, np.linalg.LinAlgError)
 
 def sweep_rho_star(
     grid,
-    generator: PanelGenerator,
+    source: MatrixSource,
     *,
     seed: int = 0,
     repair: bool = True,
     floor: float | None = None,
 ) -> SweepResult:
-    """Estimate rho_star across panel sizes and fit rho_star*N ~ N through the origin.
+    """Estimate rho_star across sizes N and fit rho_star*N ~ N through the origin.
 
-    For every N in the strictly increasing ``grid``: generate a panel with
-    ``generator(n_alphas, point_seed)``, estimate its correlation matrix
-    from complete cases, floor its spectrum at ``floor`` when ``repair`` is
-    set (``default_floor(N)`` when ``floor`` is None), fix the sign basis
-    and record rho_star * N (:func:`_sweep_point` describes the two ways
-    the spectrum is solved). With ``repair`` off the matrix is used as
-    estimated, and a ``floor`` is refused. The fitted slope estimates the
-    large-N limit of rho_star. Point seeds are derived by hashing (seed, N)
-    so results do not depend on the order in which points are solved.
+    For every N in the strictly increasing ``grid``: draw the point's sample
+    correlation with ``source(n_alphas, point_seed)``
+    (:func:`one_factor_source` draws it from its Wishart law; a panel
+    generator goes through :func:`panel_source`), floor its spectrum at
+    ``floor`` when ``repair`` is set (``default_floor(N)`` when ``floor`` is
+    None), fix the sign basis and record rho_star * N (:func:`_sweep_point`
+    describes the two ways the spectrum is solved). With ``repair`` off the
+    matrix is used as drawn, and a ``floor`` is refused. The fitted slope
+    estimates the large-N limit of rho_star. Point seeds are derived by
+    hashing (seed, N) so results do not depend on the order in which points
+    are solved.
 
-    The grid and the floor are checked before the generator is first
-    called: a bad one raises ``ValueError``, and a floor above 1, the mean
-    diagonal of every correlation matrix, which no repair can meet, raises
+    The grid and the floor are checked before the source is first called:
+    a bad one raises ``ValueError``, and a floor above 1, the mean diagonal
+    of every correlation matrix, which no repair can meet, raises
     ``InvalidMatrixError`` (:func:`conditioning._check_floor`). A point
-    whose generator raises, or whose estimation or solve raises a package
-    error, ``ValueError`` or ``LinAlgError``, is recorded as NaN with its
-    message in ``errors``; any other exception propagates.
+    whose source raises, or whose solve raises a package error,
+    ``ValueError`` or ``LinAlgError``, is recorded as NaN with its message
+    in ``errors``; any other exception propagates. A source that returns
+    anything but a ``CorrelationMatrix`` raises ``TypeError``, which is not
+    recorded as a point.
 
     Points are drawn and solved one at a time, in grid order, in this
-    process: the generator is called once per N, and no point's arrays are
-    alive while the next point's panel is generated.
+    process: the source is called once per N, and no point's arrays are
+    alive while the next point's matrix is drawn.
     """
     grid = tuple(int(n) for n in grid)
     if not grid:
@@ -308,9 +367,9 @@ def sweep_rho_star(
     for idx, n in enumerate(grid):
         point_seed = int(np.random.SeedSequence([seed, n]).generate_state(1, np.uint64)[0])
         try:
-            # the panel goes straight into the call, which holds its only reference
+            # the matrix goes straight into the call, which holds its only reference
             rho_stars[idx], solvers[idx], degenerate[idx] = _sweep_point(
-                _generate(generator, n, point_seed), repair, floor
+                _draw(source, n, point_seed), repair, floor
             )
         except _POINT_ERRORS as exc:
             errors.append(f"N={n}: {exc}")
@@ -339,14 +398,14 @@ def sweep_rho_star(
 
 
 def _sweep_point(
-    panel: TimeSeriesPanel, repair: bool, floor: float | None
+    corr: CorrelationMatrix, repair: bool, floor: float | None
 ) -> tuple[float, str, bool]:
-    """rho_star of one grid point's panel, the solver that produced it, and
-    whether its top eigenvalue is degenerate.
+    """rho_star of one grid point's sample correlation, the solver that
+    produced it, and whether its top eigenvalue is degenerate.
 
-    The correlation is estimated from complete cases. With ``repair`` on,
-    the spectrum is floored at ``floor`` (``default_floor(N)`` when None);
-    with it off, ``floor`` must be None, as ``sweep_rho_star`` ensures.
+    With ``repair`` on, the spectrum is floored at ``floor``
+    (``default_floor(N)`` when None); with it off, ``floor`` must be None,
+    as ``sweep_rho_star`` ensures.
 
     rho_star needs only the top eigenpair, so the point first tries
     ``conditioning._leading_pair``: with repair on, a Cholesky certificate
@@ -360,14 +419,12 @@ def _sweep_point(
     The leading pair accepts only an isolated top, so only a "full" point
     can be flagged.
 
-    The matrices built from the panel die with this call, and so does the
-    panel, which ``sweep_rho_star`` passes straight in: no point's arrays are
-    alive while the next point's panel is generated. Failures are raised, as
-    for a direct call; the sweep records a package error, ``ValueError`` or
+    The matrices made here die with this call, and so does the drawn one,
+    which ``sweep_rho_star`` passes straight in: no point's arrays are alive
+    while the next point's matrix is drawn. Failures are raised, as for a
+    direct call; the sweep records a package error, ``ValueError`` or
     ``LinAlgError`` as the point's message.
     """
-    corr = sample_moments(panel)
-    del panel  # the caller holds no reference either
     if repair and floor is None:
         floor = default_floor(corr.n)
     decomposition, solver = _leading_pair(corr, floor), "leading-pair"
@@ -379,20 +436,27 @@ def _sweep_point(
     return _rho_star(basis), solver, basis.top_degenerate
 
 
-def one_factor_generator(rho: float, n_periods: int) -> PanelGenerator:
-    """Panel generator for ``sweep_rho_star`` with uniform pairwise correlation.
+def one_factor_source(rho: float, n_periods: int) -> MatrixSource:
+    """Matrix source for ``sweep_rho_star`` with uniform pairwise correlation
+    ``rho``: each call draws the sample correlation of an ``n_periods``-long
+    one-factor panel from its Wishart law (:func:`_one_factor_wishart`),
+    without the panel, so its cost does not grow with ``n_periods``.
 
     ``rho`` and ``n_periods`` are checked here, by ``SimConfig``'s rule, so a
     bad value raises ``ValueError`` at once rather than at every grid point.
     """
     SimConfig(2, n_periods, 1, rho)
 
-    def generate(n_alphas: int, seed: int) -> TimeSeriesPanel:
-        return gen_one_factor_panel(
-            SimConfig(n_alphas, n_periods, 1, rho, seed, 1)
-        )
+    def draw(n_alphas: int, seed: int) -> CorrelationMatrix:
+        return _one_factor_wishart(SimConfig(n_alphas, n_periods, 1, rho, seed, 1))
 
-    return generate
+    return draw
+
+
+def panel_source(generator: PanelGenerator) -> MatrixSource:
+    """Matrix source for ``sweep_rho_star`` from a panel generator: each
+    point's panel, estimated from complete cases by ``sample_moments``."""
+    return lambda n_alphas, seed: sample_moments(generator(n_alphas, seed))
 
 
 def sweep_to_csv(result: SweepResult, dest: str | Path | IO[str]) -> None:

@@ -28,7 +28,7 @@ from turnover_spectra import (
     gen_one_factor_panel,
     naive_turnover,
     one_factor_correlation,
-    one_factor_generator,
+    one_factor_source,
     p1_share,
     rho_star,
     rho_star_factored,
@@ -250,15 +250,15 @@ def test_c08_homogeneity_of_every_model():
 
 def test_c09_sweep_slope_recovers_uniform_correlation():
     with Criterion("C9 sweep slope (rho=0.25, grid 50..400, M=5000)", budget_seconds=120.0):
-        generator = one_factor_generator(0.25, 5000)
-        result = sweep_rho_star([50, 100, 200, 400], generator, seed=MASTER_SEED)
+        source = one_factor_source(0.25, 5000)
+        result = sweep_rho_star([50, 100, 200, 400], source, seed=MASTER_SEED)
         assert result.errors == ()
         assert result.degenerate_top == (False,) * 4  # a one-factor top is isolated
         assert abs(result.slope_no_intercept - 0.25) <= 0.025
         assert result.f_statistic is not None and result.f_statistic > 1e3
         # a correlation-free population stays far below the correlated slope
         null = sweep_rho_star(
-            [50, 100, 200, 400], one_factor_generator(0.0, 5000), seed=MASTER_SEED
+            [50, 100, 200, 400], one_factor_source(0.0, 5000), seed=MASTER_SEED
         )
         assert null.slope_no_intercept < 0.5 * result.slope_no_intercept
 

@@ -566,18 +566,18 @@ class TestSweep:
         assert eigensolves == [(16, 16)]
 
     def test_failing_points_leave_nan_points_and_their_messages(self, tmp_path, monkeypatch):
-        # N=32 fails in its generator, N=64 in its solve
-        one_factor = cli.one_factor_generator
+        # N=32 fails in its source, N=64 in its solve
+        one_factor = cli.one_factor_source
 
-        def failing_generator(rho, n_periods):
-            generate = one_factor(rho, n_periods)
+        def failing_source(rho, n_periods):
+            draw = one_factor(rho, n_periods)
 
-            def generator(n_alphas, seed):
+            def source(n_alphas, seed):
                 if n_alphas == 32:
                     raise RuntimeError("synthetic generator failure")
-                return generate(n_alphas, seed)
+                return draw(n_alphas, seed)
 
-            return generator
+            return source
 
         leading_pair = simulate._leading_pair
 
@@ -586,7 +586,7 @@ class TestSweep:
                 raise np.linalg.LinAlgError("synthetic numeric failure")
             return leading_pair(corr, floor)
 
-        monkeypatch.setattr(cli, "one_factor_generator", failing_generator)
+        monkeypatch.setattr(cli, "one_factor_source", failing_source)
         monkeypatch.setattr(simulate, "_leading_pair", failing_solve)
         out = tmp_path / "sweep.csv"
         assert main([
@@ -725,7 +725,7 @@ def test_a_floor_above_1_is_refused_before_any_input_is_read_or_panel_drawn(
     # every matrix these commands repair is a correlation, whose mean diagonal
     # is 1; the input does not exist, so a refusal after reading it would say so
     draws = []
-    monkeypatch.setattr(simulate, "gen_one_factor_panel", draws.append)
+    monkeypatch.setattr(simulate, "_one_factor_wishart", draws.append)
     argv = [str(tmp_path / "absent.csv") if arg == "ABSENT" else arg for arg in argv]
     out = tmp_path / "out"
     out.mkdir()

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -175,6 +176,21 @@ class TestSingleValidation:
             cov = CovarianceMatrix(bad)
             np.testing.assert_array_equal(cov.entries, cov.entries.T)
             np.testing.assert_array_equal(cov.entries, 0.5 * (bad + bad.T))
+
+    def test_exactly_symmetric_input_is_checked_with_no_float_temporary(self):
+        # an exact comparison of the triangles comes first, so the wrapper
+        # holds its copy of the entries and one N x N bool, not a float gap
+        n = 800
+        entries = np.eye(n)
+        entries[0, 1], entries[1, 0] = 0.0, -0.0  # equal, as their gap of 0 says
+        tracemalloc.start()
+        try:
+            corr = CorrelationMatrix(entries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n * n * 8
+        assert corr.entries.tobytes() == entries.tobytes()
 
     def test_wrappers_are_solved_from_their_own_entries(self, monkeypatch):
         seen = []

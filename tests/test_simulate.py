@@ -1,4 +1,5 @@
-"""One-factor generators, trade-netting simulation, regression, and sweeps."""
+"""One-factor generators and matrix sources, trade-netting simulation,
+regression, and sweeps."""
 
 import io
 import math
@@ -29,7 +30,8 @@ from turnover_spectra import (
     gen_trade_matrix,
     no_intercept_regression,
     one_factor_correlation,
-    one_factor_generator,
+    one_factor_source,
+    panel_source,
     rho_star,
     rj_repair,
     sample_moments,
@@ -293,26 +295,25 @@ class TestSweep:
 
     def test_the_generator_runs_in_the_caller_once_per_n_in_grid_order(self):
         calls = []
-        generate = one_factor_generator(0.3, 300)
 
         def logged(n_alphas, seed):
             calls.append((os.getpid(), n_alphas))
-            return generate(n_alphas, seed)
+            return gen_one_factor_panel(SimConfig(n_alphas, 300, 1, 0.3, seed))
 
-        assert sweep_rho_star([10, 20, 40, 80], logged, seed=3).errors == ()
+        assert sweep_rho_star([10, 20, 40, 80], panel_source(logged), seed=3).errors == ()
         assert calls == [(os.getpid(), n) for n in (10, 20, 40, 80)]
 
     def test_a_ragged_panel_is_estimated_from_complete_cases(self):
         panels = []
 
         def ragged(n_alphas, seed):
-            panel = one_factor_generator(0.3, 400)(n_alphas, seed)
+            panel = gen_one_factor_panel(SimConfig(n_alphas, 400, 1, 0.3, seed))
             values = panel.values.copy()  # the panel's own values are read-only
             values[np.arange(n_alphas), 7 * np.arange(n_alphas)] = np.nan  # a cell per series
             panels.append(TimeSeriesPanel(panel.series_ids, values))
             return panels[-1]
 
-        result = sweep_rho_star([6, 12], ragged, seed=4)
+        result = sweep_rho_star([6, 12], panel_source(ragged), seed=4)
         assert result.errors == ()
         # the generator is called once per N, in grid order
         assert [panel.n_series for panel in panels] == [6, 12]
@@ -322,12 +323,19 @@ class TestSweep:
             assert value == pytest.approx(complete, rel=1e-12)
             assert value != pytest.approx(pairwise, rel=1e-6)
 
+    def test_a_source_returning_a_panel_raises_type_error(self):
+        def panels(n_alphas, seed):
+            return gen_one_factor_panel(SimConfig(n_alphas, 50, 1, 0.3, seed))
+
+        with pytest.raises(TypeError, match="must return a CorrelationMatrix, got TimeSeriesPanel"):
+            sweep_rho_star([10, 20], panels, seed=3)
+
     def test_options_after_the_generator_are_keyword_only(self):
         with pytest.raises(TypeError):
-            sweep_rho_star([10, 20], one_factor_generator(0.3, 200), 5)
+            sweep_rho_star([10, 20], one_factor_source(0.3, 200), 5)
 
     def test_small_sweep_smoke(self):
-        result = sweep_rho_star([10, 20], one_factor_generator(0.3, 400), seed=5)
+        result = sweep_rho_star([10, 20], one_factor_source(0.3, 400), seed=5)
         assert result.grid == (10, 20)
         assert result.errors == ()
         assert all(math.isfinite(v) for v in result.rho_stars)
@@ -335,9 +343,9 @@ class TestSweep:
         assert result.f_statistic is None or result.f_statistic >= 0
 
     def test_deterministic(self):
-        gen = one_factor_generator(0.3, 300)
-        first = sweep_rho_star([10, 20, 40], gen, seed=9)
-        second = sweep_rho_star([10, 20, 40], gen, seed=9)
+        source = one_factor_source(0.3, 300)
+        first = sweep_rho_star([10, 20, 40], source, seed=9)
+        second = sweep_rho_star([10, 20, 40], source, seed=9)
         assert first == second
 
     def test_degenerate_top_changes_no_warning_filter(self, fixed_warning_filters):
@@ -350,13 +358,13 @@ class TestSweep:
             return TimeSeriesPanel(ids, hadamard[:n_alphas])
 
         with fixed_warning_filters():
-            result = sweep_rho_star([2, 3], orthogonal, seed=0)
+            result = sweep_rho_star([2, 3], panel_source(orthogonal), seed=0)
         assert result.solvers == ("full", "full") and result.errors == ()
         assert np.isfinite(result.rho_stars).all()  # values of an arbitrary basis
         assert result.degenerate_top == (True, True)
 
     def test_single_grid_point_slope_without_f(self):
-        result = sweep_rho_star([16], one_factor_generator(0.4, 300), seed=2)
+        result = sweep_rho_star([16], one_factor_source(0.4, 300), seed=2)
         assert result.f_statistic is None
         assert result.slope_no_intercept == pytest.approx(result.rho_stars[0])
 
@@ -364,7 +372,7 @@ class TestSweep:
         def flaky(n_alphas, seed):
             if n_alphas == 20:
                 raise RuntimeError("synthetic failure")
-            return one_factor_generator(0.3, 300)(n_alphas, seed)
+            return one_factor_source(0.3, 300)(n_alphas, seed)
 
         result = sweep_rho_star([10, 20, 40], flaky, seed=3)
         assert len(result.errors) == 1
@@ -376,7 +384,7 @@ class TestSweep:
         def flaky(n_alphas, seed):
             if n_alphas == 20:
                 raise RuntimeError("synthetic failure")
-            return one_factor_generator(0.3, 300)(n_alphas, seed)
+            return one_factor_source(0.3, 300)(n_alphas, seed)
 
         result = sweep_rho_star([10, 20, 40], flaky, seed=3)
         assert result.solvers == ("leading-pair", "failed", "leading-pair")
@@ -388,7 +396,7 @@ class TestSweep:
 
         monkeypatch.setattr(simulate, "_leading_pair", broken)
         with pytest.raises(TypeError, match="a bug"):
-            sweep_rho_star([10, 20], one_factor_generator(0.3, 300), seed=3)
+            sweep_rho_star([10, 20], one_factor_source(0.3, 300), seed=3)
 
     @pytest.mark.parametrize("error", [np.linalg.LinAlgError, ValueError, InvalidMatrixError])
     def test_numeric_errors_in_a_point_leave_a_nan_point(self, monkeypatch, error):
@@ -398,7 +406,7 @@ class TestSweep:
             return None
 
         monkeypatch.setattr(simulate, "_leading_pair", failing)
-        result = sweep_rho_star([10, 20, 40], one_factor_generator(0.3, 300), seed=3)
+        result = sweep_rho_star([10, 20, 40], one_factor_source(0.3, 300), seed=3)
         assert result.errors == ("N=20: synthetic numeric failure",)
         assert math.isnan(result.rho_stars[1])
         assert result.solvers == ("full", "failed", "full")
@@ -406,19 +414,19 @@ class TestSweep:
     @pytest.mark.parametrize("rho, n_periods", [(1.5, 100), (-0.2, 100), (0.3, 1)])
     def test_generator_checks_its_arguments_when_built(self, rho, n_periods):
         with pytest.raises(ValueError):
-            one_factor_generator(rho, n_periods)
+            one_factor_source(rho, n_periods)
 
     def test_grid_validation(self):
-        gen = one_factor_generator(0.2, 100)
+        source = one_factor_source(0.2, 100)
         with pytest.raises(ValueError):
-            sweep_rho_star([], gen)
+            sweep_rho_star([], source)
         with pytest.raises(ValueError):
-            sweep_rho_star([1, 10], gen)
+            sweep_rho_star([1, 10], source)
         with pytest.raises(ValueError):
-            sweep_rho_star([20, 10], gen)
+            sweep_rho_star([20, 10], source)
 
     def test_csv_layout(self, tmp_path):
-        result = sweep_rho_star([10, 20], one_factor_generator(0.3, 200), seed=1)
+        result = sweep_rho_star([10, 20], one_factor_source(0.3, 200), seed=1)
         buffer = io.StringIO()
         sweep_to_csv(result, buffer)
         sweep_to_csv(result, tmp_path / "sweep.csv")
@@ -429,7 +437,7 @@ class TestSweep:
         assert lines[1].startswith("10,")
 
     def test_csv_inf_sentinel(self):
-        result = sweep_rho_star([10, 20], one_factor_generator(0.3, 200), seed=1)
+        result = sweep_rho_star([10, 20], one_factor_source(0.3, 200), seed=1)
         exact = type(result)(
             grid=result.grid,
             rho_stars=result.rho_stars,
@@ -469,6 +477,72 @@ class TestSimConfigValidation:
             one_factor_correlation([0.5, math.nan])
 
 
+def sweep_point_values(source, n: int, seeds) -> np.ndarray:
+    """rho_star of a one-point sweep at N = ``n`` for every seed in ``seeds``."""
+    return np.array([sweep_rho_star([n], source, seed=seed).rho_stars[0] for seed in seeds])
+
+
+class TestWishartSource:
+    # K seeds per path; a sample mean over K draws has standard error sd / sqrt(K)
+    # and a sample sd a relative error of about 1 / sqrt(2K), so the ratio of two
+    # independent sds has one of about 1 / sqrt(K); both bands are SIGMAS of those
+    K = 400
+    SIGMAS = 4.0
+
+    @pytest.mark.parametrize("n, m", [(60, 300), (30, 20)], ids=["full-rank", "singular"])
+    def test_rho_star_has_the_panel_paths_law(self, n, m):
+        # the panel path, estimated from complete cases, against the Wishart
+        # draw, over disjoint seeds; (30, 20) has M - 1 < N, a singular matrix
+        def panels(n_alphas, seed):
+            return gen_one_factor_panel(SimConfig(n_alphas, m, 1, 0.25, seed))
+
+        from_panels = sweep_point_values(panel_source(panels), n, range(self.K))
+        drawn = sweep_point_values(one_factor_source(0.25, m), n, range(self.K, 2 * self.K))
+        assert np.isfinite(from_panels).all() and np.isfinite(drawn).all()
+        sd_panels, sd_drawn = from_panels.std(ddof=1), drawn.std(ddof=1)
+        mean_band = self.SIGMAS * math.sqrt((sd_panels**2 + sd_drawn**2) / self.K)
+        assert abs(drawn.mean() - from_panels.mean()) <= mean_band
+        assert abs(sd_drawn / sd_panels - 1.0) <= self.SIGMAS / math.sqrt(self.K)
+
+    def test_the_draw_does_not_grow_with_the_panel_length(self):
+        # the panel itself would be N x M; the draw holds (N + 1) x (N + 1) arrays
+        n = 200
+
+        def peak(m: int) -> int:
+            draw = one_factor_source(0.25, m)
+            draw(n, 0)  # numpy's first-call allocations are not the draw's
+            tracemalloc.start()
+            try:
+                draw(n, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(300), peak(30_000)
+        assert long <= 1.05 * short
+        assert long <= 2.5 * (n + 1) ** 2 * 8  # well under the 48 MB of the long panel
+
+    def test_singular_draws_have_rank_m_minus_1(self):
+        corr = one_factor_source(0.25, 20)(30, 4)
+        assert np.linalg.matrix_rank(corr.entries) == 19
+
+    def test_the_draw_is_deterministic_under_seed(self):
+        draw = one_factor_source(0.3, 500)
+        first, second, other = draw(40, 9), draw(40, 9), draw(40, 10)
+        assert first.entries.tobytes() == second.entries.tobytes()
+        assert not np.array_equal(first.entries, other.entries)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    def test_off_diagonal_mean_recovers_rho(self, rho):
+        corr = one_factor_source(rho, 10_000)(100, 20260810)
+        # the mean of 4950 correlations, each with sd below 1.1 / sqrt(M)
+        assert abs(float(off_diagonal(corr.entries).mean()) - rho) <= 0.03
+
+    def test_full_correlation_makes_a_matrix_of_ones(self):
+        corr = one_factor_source(1.0, 50)(5, 3)
+        np.testing.assert_allclose(corr.entries, 1.0, atol=1e-12)
+
+
 def full_path_point(corr: CorrelationMatrix, repair: bool, floor: float | None) -> float:
     """A grid point's rho_star by the full path alone: repair, eigh, sign basis."""
     if repair:
@@ -476,14 +550,6 @@ def full_path_point(corr: CorrelationMatrix, repair: bool, floor: float | None) 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateTopWarning)
         return rho_star(fix_sign_basis(eigendecompose(corr)))
-
-
-def point_from_matrix(
-    monkeypatch, entries: np.ndarray, repair: bool, floor: float | None
-) -> tuple[float, str, bool]:
-    """Run ``_sweep_point`` on a panel whose estimated correlation is ``entries``."""
-    monkeypatch.setattr(simulate, "sample_moments", lambda panel: CorrelationMatrix(entries))
-    return simulate._sweep_point(None, repair, floor)
 
 
 class TestSweepPointSolvers:
@@ -509,25 +575,25 @@ class TestSweepPointSolvers:
             (0.5, 1.0),  # a floor above the smallest eigenvalue: a real repair
         ],
     )
-    def test_uncertified_points_take_the_full_path_bit_for_bit(self, monkeypatch, floor, target):
+    def test_uncertified_points_take_the_full_path_bit_for_bit(self, floor, target):
         level = floor if floor is not None else default_floor(self.N)
         entries = self.boundary_matrix(min(level * target, 0.3))
-        value, solver, degenerate = point_from_matrix(monkeypatch, entries, True, floor)
+        value, solver, degenerate = simulate._sweep_point(CorrelationMatrix(entries), True, floor)
         assert solver == "full" and not degenerate
         assert value == full_path_point(CorrelationMatrix(entries), True, floor)
 
-    def test_points_clear_of_the_floor_take_the_leading_pair(self, monkeypatch):
+    def test_points_clear_of_the_floor_take_the_leading_pair(self):
         entries = self.boundary_matrix(1e-3)
         for floor in (None, 1e-10):
-            value, solver, degenerate = point_from_matrix(monkeypatch, entries, True, floor)
+            value, solver, degenerate = simulate._sweep_point(CorrelationMatrix(entries), True, floor)
             assert solver == "leading-pair" and not degenerate
             want = full_path_point(CorrelationMatrix(entries), True, floor)
             assert value == pytest.approx(want, rel=1e-12)
 
-    def test_unrepaired_degenerate_top_takes_the_full_path_bit_for_bit(self, monkeypatch):
+    def test_unrepaired_degenerate_top_takes_the_full_path_bit_for_bit(self):
         entries = np.kron(np.eye(2), np.full((self.N // 2, self.N // 2), 0.5))
         np.fill_diagonal(entries, 1.0)
-        value, solver, degenerate = point_from_matrix(monkeypatch, entries, False, None)
+        value, solver, degenerate = simulate._sweep_point(CorrelationMatrix(entries), False, None)
         assert solver == "full" and degenerate
         assert value == full_path_point(CorrelationMatrix(entries), False, None)
 
@@ -535,6 +601,6 @@ class TestSweepPointSolvers:
     def test_large_point_agrees_with_the_full_path(self, options):
         panel = gen_one_factor_panel(SimConfig(1200, 1500, target_correlation=0.25, master_seed=12))
         corr = sample_moments(panel, COMPLETE_CASES)
-        value, solver, degenerate = simulate._sweep_point(panel, **options)
+        value, solver, degenerate = simulate._sweep_point(corr, **options)
         assert solver == "leading-pair" and not degenerate
         assert value == pytest.approx(full_path_point(corr, **options), rel=1e-12)
