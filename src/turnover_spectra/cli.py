@@ -39,7 +39,19 @@ overwrite the CSV: ``main`` refuses it (exit 1) before any input is read.
 
 - ``analyze``: JSON ``config`` and ``report``: ``turnover.turnover_report``'s
   models, coefficients and ``warnings`` (which may hold ``degenerate-top``),
-  and the ``inputs`` digest that ``run_analyze`` adds.
+  and the ``inputs`` digest that ``run_analyze`` adds. Its keys, by source:
+  ``n_series`` (the matrix before pruning); ``n_kept`` and ``kept_indices``
+  (``prune_redundant``); ``n_timestamps`` (the panel's periods, ``null``
+  with ``--matrix``); ``estimation_mode``, ``prune_bound`` and ``repaired``
+  (the flags); ``residualized`` and ``factor_ids`` (``--factors`` and its
+  CSV's ids); ``repair_floor`` (``--floor`` or ``default_floor`` of the kept
+  count, ``null`` with ``--no-repair``); ``psd_status_input``
+  (``classify_definiteness`` of the pruned matrix); ``min_eigenvalue_input``
+  and ``repair_passes`` (the record of ``conditioning._condition``, 0
+  passes with ``--no-repair``); ``repair_shift_fro`` (the Frobenius norm of
+  what the repair moved); ``min_eigenvalue_output``, ``top_gap`` and
+  ``orthonormality_residual`` (``eigendecompose`` of the conditioned
+  matrix); and ``weights``, which names the uniform weights used.
 - ``repair``: CSV with the ids as header and one row of entries per id, the
   only copy of the repaired matrix; JSON ``config``, ``repair_floor`` and
   ``report`` with ``ids``, ``eigenvalues`` (descending) and ``psd_status``.
@@ -94,7 +106,7 @@ import numpy as np
 
 from .conditioning import (
     _check_floor,
-    _spectrum,
+    _condition,
     _square_from_csv,
     classify_definiteness,
     correlation_from_csv,
@@ -329,7 +341,7 @@ def run_analyze(args: argparse.Namespace) -> dict:
             "correlation matrix is not positive semi-definite; "
             "re-run with --repair to floor the spectrum"
         )
-    corr = rj_repair(pruned, floor) if args.repair else pruned
+    corr, record = _condition(pruned, floor if args.repair else None)
 
     # the classification's solve serves the repair's first pass, and the
     # repair hands its last solve on, so no spectrum below is solved again
@@ -346,10 +358,9 @@ def run_analyze(args: argparse.Namespace) -> dict:
         "repaired": bool(args.repair),
         "repair_floor": floor if args.repair else None,
         "psd_status_input": status_before,
-        "min_eigenvalue_input": float(_spectrum(pruned)[0].min()),
+        **record,
         "min_eigenvalue_output": float(decomposition.eigenvalues[-1]),
         "repair_shift_fro": float(np.linalg.norm(corr.entries - pruned.entries)),
-        "repair_passes": corr._repair_passes if args.repair else 0,
         "top_gap": decomposition.top_gap,
         "orthonormality_residual": decomposition.orthonormality_residual,
         "residualized": residualized,

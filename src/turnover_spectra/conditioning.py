@@ -210,12 +210,13 @@ def rj_repair(matrix: MatrixLike, floor: float) -> MatrixLike:
     exactly. The rescaling can push a lifted eigenvalue slightly back under
     the floor, so the pass is iterated until the spectrum clears the floor
     up to the rounding of ``eigh`` itself (:func:`_eigh_rounding`), below
-    which a further pass cannot move it. Input that clears the floor passes
-    through unchanged, so the operation is idempotent, and its output is
-    strictly positive definite whenever the floor exceeds that rounding.
+    which a further pass cannot move it. Input that already clears the
+    floor is returned itself, with no copy, so the operation is idempotent,
+    and its output is strictly positive definite whenever the floor exceeds
+    that rounding.
 
-    Returns the same kind of wrapper it was given (correlation in,
-    correlation out; covariance in, covariance out), whose construction
+    Any other input gives the same kind of wrapper it was given (correlation
+    in, correlation out; covariance in, covariance out), whose construction
     symmetrizes the last iterate. Each iterate is ``half @ half.T``, which
     numpy computes from one triangle and mirrors, and the solve reads one
     triangle, so no pass symmetrizes.
@@ -230,17 +231,31 @@ def rj_repair(matrix: MatrixLike, floor: float) -> MatrixLike:
     spectrum through :func:`_spectrum`, so a wrapper already classified
     costs no solve there. An output whose entries equal the final iterate
     bit for bit gets that iterate's eigensystem as its memo, so decomposing
-    or classifying it next costs no solve either. The output also records in
-    its ``_repair_passes`` slot how many eigen-passes the repair took, the
-    first included (1 for input that already clears the floor).
+    or classifying it next costs no solve either. The passes run in
+    :func:`_condition`, which also returns what they did.
+    """
+    return _condition(matrix, floor)[0]
+
+
+def _condition(matrix: MatrixLike, floor: float | None) -> tuple[MatrixLike, dict]:
+    """:func:`rj_repair`'s loop: the conditioned wrapper and a record of it.
+
+    The record holds what only the loop knows: ``repair_passes``, the
+    eigen-passes taken, the first included (1 for input that already clears
+    the floor), and ``min_eigenvalue_input``, the input's smallest
+    eigenvalue, from its memoized spectrum. A ``floor`` of None repairs
+    nothing: the input comes back itself, with ``repair_passes`` 0, and the
+    only solve is the memo's.
     """
     current = matrix.entries
     diag = np.diag(current).copy()
-    with np.errstate(over="ignore"):  # a trace past float64 is inf, which no floor exceeds
-        _check_floor(floor, float(diag.mean()))
+    if floor is not None:
+        with np.errstate(over="ignore"):  # a trace past float64 is inf, which no floor exceeds
+            _check_floor(floor, float(diag.mean()))
     values, vectors = _spectrum(matrix)
-    passes = 1
-    while float(values.min()) < floor - _eigh_rounding(values):
+    lowest = float(values.min())
+    passes = 0 if floor is None else 1
+    while floor is not None and float(values.min()) < floor - _eigh_rounding(values):
         if passes == _REPAIR_MAX_PASSES:
             raise InvalidMatrixError(
                 f"eigenvalue-floor repair did not converge in {_REPAIR_MAX_PASSES} passes"
@@ -255,11 +270,13 @@ def rj_repair(matrix: MatrixLike, floor: float) -> MatrixLike:
         np.fill_diagonal(current, diag)
         values, vectors = _eigh(current)
         passes += 1
+    record = {"min_eigenvalue_input": lowest, "repair_passes": passes}
+    if passes <= 1:
+        return matrix, record
     out = type(matrix)(current, ids=matrix.ids)
     if np.array_equal(out.entries, current):
         _remember(out, values, vectors)
-    object.__setattr__(out, "_repair_passes", passes)
-    return out
+    return out, record
 
 
 def _check_floor(floor: float, mean_diagonal: float) -> None:

@@ -237,8 +237,6 @@ class _Matrix:
     _eigensystem: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    # eigen-passes ``conditioning.rj_repair`` took to make this matrix, if it did
-    _repair_passes: int | None = field(default=None, init=False, repr=False, compare=False)
 
     __eq__ = _value_eq
     __hash__ = None

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,34 +20,27 @@ _DEGENERACY_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
-class SignedBasis:
-    """Decomposition re-signed so the leading eigenvector is componentwise >= 0.
+class SignedBasis(SpectralDecomposition):
+    """A decomposition re-signed so the leading eigenvector is componentwise
+    >= 0, built by :func:`fix_sign_basis`.
 
-    ``signs`` records the per-series reflection applied row-wise to every
-    eigenvector; eigenvalues are untouched. ``top_degenerate`` marks a
-    leading eigenvalue too close to the next one for leading-eigenvector
-    quantities to be well defined (see :func:`fix_sign_basis`).
+    It is the decomposition itself, its ``eigenvectors`` reflected row-wise
+    by ``signs``, the per-series reflection; its eigenvalues, ``top_gap`` and
+    ``orthonormality_residual`` are the source's, untouched.
+    ``top_degenerate`` marks a leading eigenvalue too close to the next one
+    for leading-eigenvector quantities to be well defined.
     """
 
     signs: np.ndarray
-    decomposition: SpectralDecomposition
     top_degenerate: bool
 
     @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.decomposition.eigenvalues
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        return self.decomposition.eigenvectors
-
-    @property
     def first_eigenvector(self) -> np.ndarray:
-        return self.decomposition.eigenvectors[:, 0]
+        return self.eigenvectors[:, 0]
 
     @property
     def size(self) -> int:
-        return self.decomposition.source_dim
+        return self.source_dim
 
     def reflect(self, matrix: MatrixLike) -> np.ndarray:
         """A wrapper's entries re-expressed in the re-signed series basis: a
@@ -69,8 +62,10 @@ def fix_sign_basis(decomp: SpectralDecomposition) -> SignedBasis:
     """
     tolerance = _DEGENERACY_RTOL * decomp.source_dim * abs(float(decomp.eigenvalues[0]))
     signs = np.where(decomp.eigenvectors[:, 0] < 0.0, -1.0, 1.0)
-    resigned = replace(decomp, eigenvectors=decomp.eigenvectors * signs[:, None])
-    return SignedBasis(signs, resigned, bool(decomp.top_gap <= tolerance))
+    return SignedBasis(
+        decomp.eigenvalues, decomp.eigenvectors * signs[:, None], decomp.top_gap,
+        decomp.orthonormality_residual, signs, bool(decomp.top_gap <= tolerance),
+    )
 
 
 def _as_turnovers(weighted_turnovers, n: int | None = None) -> np.ndarray:

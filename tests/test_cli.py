@@ -223,14 +223,28 @@ class TestAnalyze:
         inputs = json.loads(out.read_text(encoding="utf-8"))["report"]["inputs"]
         if passes is None:  # a real repair: the count the library reports
             corr = sample_moments(load_panel(panel), PAIRWISE_COMPLETE)
-            passes = conditioning.rj_repair(corr, inputs["repair_floor"])._repair_passes
+            passes = conditioning._condition(corr, inputs["repair_floor"])[1]["repair_passes"]
             assert passes >= 2
         assert inputs["repair_passes"] == passes
 
-    def test_positive_definite_panel_costs_one_eigensolve(self, tmp_path, eigensolves):
-        panel = write(tmp_path / "panel.csv", PANEL_CSV)
-        assert main(["analyze", "--input", panel, "--output", str(tmp_path / "r.json")]) == EXIT_OK
-        assert eigensolves == [(3, 3)]
+    @pytest.mark.parametrize(
+        "text, extra, solves",
+        [
+            (PANEL_CSV, [], 1),
+            (PANEL_CSV, ["--no-repair"], 1),
+            (NON_PSD_PANEL_CSV, ["--mode", "pairwise"], 3),
+        ],
+        ids=["positive-definite", "no-repair", "repaired"],
+    )
+    def test_eigensolves_are_the_repair_passes_or_the_classification(
+        self, tmp_path, eigensolves, text, extra, solves
+    ):
+        panel = write(tmp_path / "panel.csv", text)
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--input", panel, "--output", str(out), *extra]) == EXIT_OK
+        assert eigensolves == [(3, 3)] * solves
+        passes = json.loads(out.read_text(encoding="utf-8"))["report"]["inputs"]["repair_passes"]
+        assert solves == max(passes, 1)
 
     def test_report_carries_spectral_diagnostics(self, tmp_path):
         panel = write(tmp_path / "panel.csv", NON_PSD_PANEL_CSV)

@@ -34,7 +34,7 @@ from turnover_spectra import (
     sample_moments,
 )
 from turnover_spectra import conditioning
-from turnover_spectra.conditioning import _spectrum, _square_from_csv
+from turnover_spectra.conditioning import _condition, _spectrum, _square_from_csv
 
 # eigenvalues (1.9, 1.9, -0.8): verified against the characteristic
 # polynomial (trace 3, pairwise-product sum 0.57, determinant -2.888)
@@ -377,9 +377,25 @@ class TestRjRepair:
         assert eigensolves == []
 
     def test_a_floor_at_the_mean_diagonal_is_met(self):
-        repaired = rj_repair(CovarianceMatrix(2.0 * np.eye(3)), 2.0)
-        assert repaired._repair_passes == 1
+        repaired, record = _condition(CovarianceMatrix(2.0 * np.eye(3)), 2.0)
+        assert record["repair_passes"] == 1
         np.testing.assert_array_equal(repaired.entries, 2.0 * np.eye(3))
+
+    @pytest.mark.parametrize("kind", [CorrelationMatrix, CovarianceMatrix])
+    def test_input_that_clears_the_floor_is_returned_with_no_copy(self, kind, eigensolves):
+        n = 400
+        vols = np.linspace(0.5, 2.0, n) if kind is CovarianceMatrix else np.ones(n)
+        matrix = kind(uniform_correlation(n, 0.3) * np.outer(vols, vols))
+        classify_definiteness(matrix)
+        tracemalloc.start()
+        try:
+            repaired = rj_repair(matrix, default_floor(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert repaired is matrix
+        assert len(eigensolves) == 1  # the classification's, through the memo
+        assert peak < 0.1 * n * n * 8
 
     def test_a_spectrum_past_the_float64_limit_is_refused(self):
         # finite, symmetric, a positive diagonal, and eigenvalues inf, inf, -4.8e307
@@ -715,18 +731,21 @@ class TestLeadingPair:
 
 class TestRepairPasses:
     def test_wrapper_outputs_record_the_pass_count(self, eigensolves):
-        clear = rj_repair(CorrelationMatrix(uniform_correlation(4, 0.2)), 1e-6)
-        assert clear._repair_passes == len(eigensolves) == 1
-        repaired = rj_repair(CorrelationMatrix(NON_PSD), default_floor(3))
-        assert repaired._repair_passes == len(eigensolves) - 1 >= 2
+        _, clear = _condition(CorrelationMatrix(uniform_correlation(4, 0.2)), 1e-6)
+        assert clear["repair_passes"] == len(eigensolves) == 1
+        _, repaired = _condition(CorrelationMatrix(NON_PSD), default_floor(3))
+        assert repaired["repair_passes"] == len(eigensolves) - 1 >= 2
         vols = np.array([1.0, 2.0, 3.0])
         cov = CovarianceMatrix(NON_PSD * np.outer(vols, vols))
-        assert rj_repair(cov, default_floor(3))._repair_passes == repaired._repair_passes
+        assert _condition(cov, default_floor(3))[1]["repair_passes"] == repaired["repair_passes"]
 
-    def test_unrepaired_matrices_carry_no_count(self):
-        assert CorrelationMatrix(NON_PSD)._repair_passes is None
-        (slot,) = [f for f in dataclasses.fields(CorrelationMatrix) if f.name == "_repair_passes"]
-        assert not (slot.init or slot.repr or slot.compare)
+    def test_no_floor_returns_the_input_with_no_passes(self, eigensolves):
+        corr = CorrelationMatrix(NON_PSD)
+        out, record = _condition(corr, None)
+        assert out is corr
+        assert record == {"repair_passes": 0, "min_eigenvalue_input": _spectrum(corr)[0].min()}
+        assert record["min_eigenvalue_input"] == pytest.approx(-0.8, abs=1e-12)
+        assert len(eigensolves) == 1
 
 
 @pytest.mark.parametrize("n", [2, 7])

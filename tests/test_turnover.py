@@ -104,6 +104,16 @@ class TestFixSignBasis:
         np.testing.assert_array_equal(basis.signs, [1.0, 1.0])
         np.testing.assert_array_equal(basis.eigenvectors, decomp.eigenvectors)
 
+    def test_the_basis_is_the_decomposition_it_resigns(self):
+        vectors = np.array([[-0.6, 0.8], [-0.8, -0.6]])
+        decomp = SpectralDecomposition(np.array([1.5, 0.5]), vectors, 0.75, 3e-17)
+        basis = fix_sign_basis(decomp)
+        assert isinstance(basis, SpectralDecomposition)
+        assert basis.top_gap == decomp.top_gap
+        assert basis.orthonormality_residual == decomp.orthonormality_residual
+        assert basis.eigenvalues is decomp.eigenvalues
+        assert basis.source_dim == basis.size == 2
+
     def test_zero_component_gets_plus_one(self):
         decomp = self.decomposition_2x2((0.0, 1.0))
         basis = fix_sign_basis(decomp)
