@@ -22,12 +22,16 @@ symmetric, a correlation matrix whose diagonal is off 1 or whose entries
 leave [-1, 1] (``InvalidMatrixError``, from ``repair`` and ``analyze
 --matrix`` alike), a covariance matrix with a non-positive diagonal entry
 (``InvalidDiagonalError``), a matrix whose spectrum overflows float64, a
-repair floor above the matrix's mean diagonal (refused before any repair
-pass; ``analyze`` and ``sweep``, which repair only correlations, refuse a
-``--floor`` above 1 before any input is read or any matrix drawn, and
-write nothing), a repair that does not converge, a non-PSD matrix under
-``--no-repair``, a panel whose sample moments overflow float64 (also an
-``InvalidMatrixError``).
+repair floor above the matrix's mean diagonal, a repair floor too small for
+the spectrum to resolve, at or below ``2 * N * eps * trace``, where the
+repaired matrix could read as other than ``verified-PD`` (both refused
+before any repair pass; ``analyze`` and ``sweep``, which repair only
+correlations, refuse a ``--floor`` above 1, or at or below ``2 * eps``, a
+1 x 1 correlation's bound, before any input is read or any matrix drawn,
+and write nothing; a sweep point whose own bound refuses the floor fails
+as a ``NaN`` point), a repair that does not converge, a non-PSD matrix
+under ``--no-repair``, a panel whose sample moments overflow float64 (also
+an ``InvalidMatrixError``).
 
 Artifacts. Each command's runner returns the body of its JSON artifact,
 and ``main`` alone writes it, with sorted keys and the ``config`` block.
@@ -44,8 +48,8 @@ overwrite the CSV: ``main`` refuses it (exit 1) before any input is read.
   (``prune_redundant``); ``n_timestamps`` (the panel's periods, ``null``
   with ``--matrix``); ``estimation_mode``, ``prune_bound`` and ``repaired``
   (the flags); ``residualized`` and ``factor_ids`` (``--factors`` and its
-  CSV's ids); ``repair_floor`` (``--floor`` or ``default_floor`` of the kept
-  count, ``null`` with ``--no-repair``); ``psd_status_input``
+  CSV's ids); ``repair_floor`` (``--floor`` or ``default_floor`` of the
+  pruned matrix, ``null`` with ``--no-repair``); ``psd_status_input``
   (``classify_definiteness`` of the pruned matrix); ``min_eigenvalue_input``
   and ``repair_passes`` (the record of ``conditioning._condition``, 0
   passes with ``--no-repair``); ``repair_shift_fro`` (the Frobenius norm of
@@ -82,8 +86,8 @@ for inputs of a few thousand series, where more threads do pay off. The
 CSV reader uses the other cores through processes instead: it parses a
 large file in parts, one per usable CPU, all but the first in forked
 children that call no BLAS (``_grid._fork``); that changes no byte of any
-artifact. ``sweep`` draws and solves every grid point in its own process,
-in grid order.
+artifact. ``sweep`` draws and solves every grid point in the command's own
+process, in grid order.
 """
 
 from __future__ import annotations
@@ -143,6 +147,8 @@ EXIT_IO = 1
 EXIT_NUMERIC = 2
 
 _MODE_BY_FLAG = {"complete": COMPLETE_CASES, "pairwise": PAIRWISE_COMPLETE}
+# every command's default --floor (conditioning.default_floor)
+_FLOOR_DEFAULT = "default 1e-8 * trace, which is 1e-8 * N for a correlation"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -173,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--repair", action=argparse.BooleanOptionalAction, default=True,
                          help="floor the spectrum to force positive definiteness")
     analyze.add_argument("--floor", dest="repair_floor", type=float, default=None,
-                         help="eigenvalue floor <= 1, checked before any read (default 1e-8 * N)")
+                         help=f"eigenvalue floor <= 1, checked before any read ({_FLOOR_DEFAULT})")
     # factors residualize a panel, so they have nothing to act on in a matrix
     source = analyze.add_mutually_exclusive_group()
     source.add_argument("--factors", dest="factor_path", default=None, metavar="PATH",
@@ -185,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     repair.add_argument("--input", dest="input_path", required=True)
     repair.add_argument("--output", dest="output_path", required=True,
                         help="repaired matrix CSV (JSON summary alongside)")
-    repair.add_argument("--floor", dest="repair_floor", type=float, default=None)
+    repair.add_argument("--floor", dest="repair_floor", type=float, default=None,
+                        help=f"eigenvalue floor, at most the mean diagonal ({_FLOOR_DEFAULT})")
 
     sweep = sub.add_parser("sweep", help="rho_star * N versus N with through-origin fit")
     sweep.add_argument("--output", dest="output_path", required=True,
@@ -196,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="periods per grid point; the sample matrix is drawn from its Wishart law")
     sweep.add_argument("--repair", action=argparse.BooleanOptionalAction, default=True)
     sweep.add_argument("--floor", dest="repair_floor", type=float, default=None,
-                       help="eigenvalue floor <= 1, checked before any draw (default 1e-8 * N)")
+                       help=f"eigenvalue floor <= 1, checked before any draw ({_FLOOR_DEFAULT})")
     sweep.add_argument("--seed", type=int, default=0)
 
     simulate = sub.add_parser("simulate", help="Monte-Carlo trade-netting experiment")
@@ -311,7 +318,7 @@ def _parse_grid(spec: str) -> tuple[int, ...]:
 
 def run_analyze(args: argparse.Namespace) -> dict:
     if args.repair_floor is not None:  # every matrix repaired here is a correlation
-        _check_floor(args.repair_floor, 1.0)
+        _check_floor(args.repair_floor, 1, 1.0)
     residualized = False
     factor_ids: list[str] = []
     n_timestamps = None
@@ -334,7 +341,7 @@ def run_analyze(args: argparse.Namespace) -> dict:
             f"--prune {args.prune_bound} kept {pruned.n} of {n_input} series; "
             "the report needs at least 2"
         )
-    floor = args.repair_floor if args.repair_floor is not None else default_floor(pruned.n)
+    floor = args.repair_floor if args.repair_floor is not None else default_floor(pruned)
     status_before = classify_definiteness(pruned)
     if not args.repair and status_before == "verified-not-PSD":
         raise InvalidMatrixError(
@@ -376,7 +383,7 @@ def run_repair(args: argparse.Namespace) -> dict:
         matrix = CorrelationMatrix(entries, ids=ids)
     else:
         matrix = CovarianceMatrix(entries, ids=ids)
-    floor = args.repair_floor if args.repair_floor is not None else default_floor(matrix.n)
+    floor = args.repair_floor if args.repair_floor is not None else default_floor(matrix)
     repaired = rj_repair(matrix, floor)
     matrix_to_csv(repaired, args.output_path)
     return {"repair_floor": floor, "report": matrix_report(repaired)}

@@ -17,10 +17,18 @@ from .panel import CorrelationMatrix, CovarianceMatrix
 MatrixLike = CorrelationMatrix | CovarianceMatrix
 
 
-def default_floor(n: int) -> float:
+def default_floor(matrix: MatrixLike) -> float:
     """Eigenvalue floor that lifts rounding-level negatives without moving
-    the bulk spectrum."""
-    return 1e-8 * n
+    the bulk spectrum: 1e-8 times the matrix's trace, so that it scales with
+    the data. A correlation's trace is exactly N, so its floor is 1e-8 * N
+    bit for bit. The trace is taken as N times :func:`_mean_diagonal`, which
+    does not overflow.
+
+    The floor clears :func:`_check_floor`'s lower bound, ``2 * N * eps *
+    trace`` (:func:`_floor_bound`), for every N below 2.25e7, where
+    ``2 * N * eps`` reaches 1e-8.
+    """
+    return matrix.n * (1e-8 * _mean_diagonal(matrix))
 
 
 @dataclass(frozen=True)
@@ -81,7 +89,10 @@ def _spectrum(matrix: MatrixLike) -> tuple[np.ndarray, np.ndarray]:
 def _leading_pair(corr: CorrelationMatrix, floor: float | None) -> SpectralDecomposition | None:
     """The top eigenpair of a correlation matrix without a full solve, or None.
 
-    With a ``floor``, the spectrum must first be certified to clear it: a
+    A ``floor`` that :func:`rj_repair` refuses as too small to resolve
+    (:func:`_floor_bound`) is declined, so that the full path raises the
+    refusal and a sweep point has the same outcome on either path. Any other
+    ``floor`` must first be certified as cleared by the spectrum: a
     Cholesky factorisation of ``C - (floor + margin) I`` succeeds only when
     the true smallest eigenvalue is at least the floor (:func:`_cholesky_margin`),
     and then :func:`rj_repair`, whose stop test allows for ``eigh``'s rounding,
@@ -91,8 +102,9 @@ def _leading_pair(corr: CorrelationMatrix, floor: float | None) -> SpectralDecom
     and stops once the pair passes the residual test below, or gives up after
     ``_POWER_STEPS`` steps. The pair is accepted only when
 
-    * its residual ``|C u - theta u|`` is within :func:`_ritz_tolerance`, so
-      an eigenvalue ``lambda`` lies within that radius of ``theta``; and
+    * its residual ``|C u - theta u|`` is within the one resolution rule,
+      :func:`_resolution` at ``|theta|`` (what ``eigh`` itself can resolve),
+      so an eigenvalue ``lambda`` lies within that radius of ``theta``; and
     * ``lambda`` is isolated: the other eigenvalues' squares sum to
       ``|C|_F^2 - lambda^2``, which bounds each of them, and that bound is at
       most ``(1 - _TOP_GAP_RTOL) * lambda``. So ``lambda`` is the top
@@ -122,7 +134,8 @@ def _leading_pair(corr: CorrelationMatrix, floor: float | None) -> SpectralDecom
         return math.sqrt(max(fro2 - top * top, 0.0))
 
     top = min(float(np.linalg.norm(a, np.inf)), math.sqrt(fro2))
-    if runner_up(top) > (1.0 - _TOP_GAP_RTOL) * top:
+    refused = floor is not None and floor <= _floor_bound(n, 1.0)
+    if refused or runner_up(top) > (1.0 - _TOP_GAP_RTOL) * top:
         return None
     if floor is not None:
         shifted = a.copy()
@@ -137,12 +150,12 @@ def _leading_pair(corr: CorrelationMatrix, floor: float | None) -> SpectralDecom
         image = a @ u
         theta = float(u @ image)
         residual = float(np.linalg.norm(image - theta * u))
-        if residual <= _ritz_tolerance(n, theta):
+        if residual <= _resolution(n, abs(theta)):
             break
         u = image / np.linalg.norm(image)
     else:
         return None
-    low = theta - residual - _ritz_tolerance(n, theta)
+    low = theta - residual - _resolution(n, abs(theta))
     if runner_up(low) > (1.0 - _TOP_GAP_RTOL) * low:
         return None
     if u[np.argmax(np.abs(u))] < 0:
@@ -209,11 +222,12 @@ def rj_repair(matrix: MatrixLike, floor: float) -> MatrixLike:
     series by ``z_i = C_ii / sum_j U_ij^2 lifted_j`` so the diagonal is kept
     exactly. The rescaling can push a lifted eigenvalue slightly back under
     the floor, so the pass is iterated until the spectrum clears the floor
-    up to the rounding of ``eigh`` itself (:func:`_eigh_rounding`), below
-    which a further pass cannot move it. Input that already clears the
-    floor is returned itself, with no copy, so the operation is idempotent,
-    and its output is strictly positive definite whenever the floor exceeds
-    that rounding.
+    up to the one resolution rule (:func:`_resolution`, the rounding of
+    ``eigh`` itself), below which a further pass cannot move it. Input that
+    already clears the floor is returned itself, with no copy, so the
+    operation is idempotent. Every floor the repair accepts gives an output
+    that :func:`classify_definiteness` reads as ``verified-PD``
+    (:func:`_floor_bound`).
 
     Any other input gives the same kind of wrapper it was given (correlation
     in, correlation out; covariance in, covariance out), whose construction
@@ -224,8 +238,10 @@ def rj_repair(matrix: MatrixLike, floor: float) -> MatrixLike:
     Raises ``InvalidMatrixError``, before any solve, when the floor exceeds
     the mean diagonal (:func:`_check_floor`): the repair keeps the diagonal,
     and so the trace, and the smallest eigenvalue is at most trace / N, so
-    no pass can meet that floor. It raises the same error when a spectrum
-    overflows float64 (:func:`_eigh`) or the passes do not converge.
+    no pass can meet that floor. It raises the same error, also before any
+    solve, when the floor is too small for the spectrum to resolve, at or
+    below :func:`_floor_bound`; when a spectrum overflows float64
+    (:func:`_eigh`); or when the passes do not converge.
 
     Every pass solves by :func:`_eigh`. The first takes the wrapper's
     spectrum through :func:`_spectrum`, so a wrapper already classified
@@ -250,12 +266,11 @@ def _condition(matrix: MatrixLike, floor: float | None) -> tuple[MatrixLike, dic
     current = matrix.entries
     diag = np.diag(current).copy()
     if floor is not None:
-        with np.errstate(over="ignore"):  # a trace past float64 is inf, which no floor exceeds
-            _check_floor(floor, float(diag.mean()))
+        _check_floor(floor, matrix.n, _mean_diagonal(matrix))
     values, vectors = _spectrum(matrix)
     lowest = float(values.min())
     passes = 0 if floor is None else 1
-    while floor is not None and float(values.min()) < floor - _eigh_rounding(values):
+    while floor is not None and values.min() < floor - _resolution(values.size, abs(values).max()):
         if passes == _REPAIR_MAX_PASSES:
             raise InvalidMatrixError(
                 f"eigenvalue-floor repair did not converge in {_REPAIR_MAX_PASSES} passes"
@@ -279,13 +294,15 @@ def _condition(matrix: MatrixLike, floor: float | None) -> tuple[MatrixLike, dic
     return out, record
 
 
-def _check_floor(floor: float, mean_diagonal: float) -> None:
-    """The rule of every repair floor: ``ValueError`` unless it is positive
-    and finite, and ``InvalidMatrixError`` when it exceeds the mean diagonal,
-    which :func:`rj_repair` keeps and the smallest eigenvalue cannot exceed.
-    A correlation's mean diagonal is exactly 1, so a caller that repairs
-    only correlations checks its floor against 1.0 before it draws or reads
-    one."""
+def _check_floor(floor: float, n: int, mean_diagonal: float) -> None:
+    """The rule of every repair floor of an N x N matrix: ``ValueError``
+    unless it is positive and finite, and ``InvalidMatrixError`` when it
+    exceeds the mean diagonal, which :func:`rj_repair` keeps and the
+    smallest eigenvalue cannot exceed, or when it is at or below
+    :func:`_floor_bound`, where a repaired matrix could still read as other
+    than ``verified-PD``. A correlation's mean diagonal is exactly 1 and its
+    bound grows with N, so a caller that repairs only correlations checks
+    its floor as a 1 x 1 correlation's before it draws or reads one."""
     if not 0 < floor < math.inf:
         raise ValueError(f"floor must be positive and finite, got {floor}")
     if floor > mean_diagonal:
@@ -293,18 +310,51 @@ def _check_floor(floor: float, mean_diagonal: float) -> None:
             f"eigenvalue floor {floor!r} exceeds the mean diagonal {mean_diagonal!r}, "
             "which the repair keeps and the smallest eigenvalue cannot exceed"
         )
+    if floor <= (bound := _floor_bound(n, mean_diagonal)):
+        raise InvalidMatrixError(f"eigenvalue floor too small to resolve: {floor!r} <= {bound!r}")
 
 
-def _psd_tolerance(values: np.ndarray) -> float:
-    return 1e-12 * values.size * max(1.0, float(np.abs(values).max(initial=0.0)))
+def _mean_diagonal(matrix: MatrixLike) -> float:
+    """``np.diag(entries).mean()``, except that a trace past float64 does not
+    overflow: the diagonal is summed at a power-of-two scale below 1 / N.
+    Scaling by a power of two is exact, so the mean keeps every bit unless a
+    scaled entry falls below float64's normal range."""
+    scale = 2.0 ** -matrix.n.bit_length()
+    return float((np.diagonal(matrix.entries) * scale).mean()) / scale
 
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 
-def _eigh_rounding(values: np.ndarray) -> float:
-    """Rounding of eigenvalues computed by ``eigh``: N * eps * max|lambda|."""
-    return values.size * _EPS * float(np.abs(values).max(initial=0.0))
+def _resolution(n: int, scale: float) -> float:
+    """The package's one rule for a zero eigenvalue: ``n * eps * scale``.
+
+    It is what a solve can resolve (Higham 2002): an eigenvalue that
+    ``eigh`` computes for an N x N matrix whose largest |eigenvalue| is
+    ``scale`` is this close to the true one, so one within it of zero, or of
+    a floor, cannot be told from it. The repair's stop test
+    (:func:`_condition`), the classification (:func:`classify_definiteness`
+    and :func:`matrix_report`) and the leading pair's Ritz test
+    (:func:`_leading_pair`, with ``scale`` the Rayleigh quotient's
+    magnitude) all read it.
+    """
+    return n * _EPS * scale
+
+
+def _floor_bound(n: int, mean_diagonal: float) -> float:
+    """The largest floor the repair refuses as too small to resolve:
+    ``2 * _resolution(N, trace)``, with the trace taken as N times the mean
+    diagonal so that it cannot overflow.
+
+    Derived from the stop test and the classification. The repair stops
+    once the smallest eigenvalue is at least ``floor - r`` and the
+    classification reads ``verified-PD`` when it exceeds ``r``, both with
+    ``r = _resolution(N, max|lambda|)``, so a floor above ``2 r`` gives
+    ``verified-PD``. The output's eigenvalues are then positive and sum to
+    its trace, which the repair keeps, so ``max|lambda|`` is at most the
+    trace and a floor above this bound exceeds ``2 r``.
+    """
+    return 2 * n * _resolution(n, mean_diagonal)
 
 
 def _cholesky_margin(entries: np.ndarray) -> float:
@@ -319,12 +369,6 @@ def _cholesky_margin(entries: np.ndarray) -> float:
     """
     n = entries.shape[0]
     return (n + 1) ** 2 * _EPS * float(np.abs(np.diagonal(entries)).max(initial=0.0))
-
-
-def _ritz_tolerance(n: int, theta: float) -> float:
-    """Residual at which a Ritz pair (a Rayleigh quotient and its unit vector)
-    is as good as ``eigh``'s: N * eps * |theta|."""
-    return n * _EPS * abs(theta)
 
 
 # the leading pair is taken only when lambda_1 - lambda_2 >= this * lambda_1;
@@ -343,7 +387,10 @@ _POWER_STEPS = math.ceil(math.log(_EPS) / math.log(1.0 - _TOP_GAP_RTOL))
 def classify_definiteness(matrix: MatrixLike) -> str:
     """One of 'verified-PD', 'verified-not-PSD', 'unverified' (borderline).
 
-    The smallest eigenvalue is compared with ``1e-12 * N * max(1, max|lambda|)``.
+    The smallest eigenvalue is compared with the one resolution rule,
+    :func:`_resolution`: ``N * eps * max|lambda|``. Within it of zero the
+    matrix is borderline; every floor :func:`rj_repair` accepts gives an
+    output that reads ``verified-PD``.
     The eigenvalues come from the wrapper's memo (:func:`_spectrum`), so
     classifying a wrapper and then repairing or decomposing it shares one
     ``eigh``. A spectrum that overflows float64 raises ``InvalidMatrixError``.
@@ -352,7 +399,7 @@ def classify_definiteness(matrix: MatrixLike) -> str:
 
 
 def _definiteness(values: np.ndarray) -> str:
-    tol = _psd_tolerance(values)
+    tol = _resolution(values.size, abs(values).max())
     smallest = float(values.min())
     if smallest > tol:
         return "verified-PD"

@@ -326,19 +326,22 @@ def sweep_rho_star(
     correlation with ``source(n_alphas, point_seed)``
     (:func:`one_factor_source` draws it from its Wishart law; a panel
     generator goes through :func:`panel_source`), floor its spectrum at
-    ``floor`` when ``repair`` is set (``default_floor(N)`` when ``floor`` is
-    None), fix the sign basis and record rho_star * N (:func:`_sweep_point`
-    describes the two ways the spectrum is solved). With ``repair`` off the
-    matrix is used as drawn, and a ``floor`` is refused. The fitted slope
-    estimates the large-N limit of rho_star. Point seeds are derived by
-    hashing (seed, N) so results do not depend on the order in which points
-    are solved.
+    ``floor`` when ``repair`` is set (``default_floor``, 1e-8 * N, when
+    ``floor`` is None), fix the sign basis and record rho_star * N
+    (:func:`_sweep_point` describes the two ways the spectrum is solved).
+    With ``repair`` off the matrix is used as drawn, and a ``floor`` is
+    refused. The fitted slope estimates the large-N limit of rho_star. Point
+    seeds are derived by hashing (seed, N) so results do not depend on the
+    order in which points are solved.
 
     The grid and the floor are checked before the source is first called:
     a bad one raises ``ValueError``, and a floor above 1, the mean diagonal
-    of every correlation matrix, which no repair can meet, raises
-    ``InvalidMatrixError`` (:func:`conditioning._check_floor`). A point
-    whose source raises, or whose solve raises a package error,
+    of every correlation matrix, which no repair can meet, or at or below
+    ``2 * eps``, which every correlation's repair refuses as too small to
+    resolve, raises ``InvalidMatrixError`` (:func:`conditioning._check_floor`).
+    A floor that only some points' repairs refuse (at or below
+    ``2 * N * eps * N``) fails those points, alike on either solve path. A
+    point whose source raises, or whose solve raises a package error,
     ``ValueError`` or ``LinAlgError``, is recorded as NaN with its message
     in ``errors``; any other exception propagates. A source that returns
     anything but a ``CorrelationMatrix`` raises ``TypeError``, which is not
@@ -358,7 +361,7 @@ def sweep_rho_star(
     if floor is not None:
         if not repair:
             raise ValueError("a floor applies only with repair")
-        _check_floor(floor, 1.0)
+        _check_floor(floor, 1, 1.0)
 
     rho_stars = np.full(len(grid), np.nan)
     solvers = ["failed"] * len(grid)
@@ -404,14 +407,15 @@ def _sweep_point(
     produced it, and whether its top eigenvalue is degenerate.
 
     With ``repair`` on, the spectrum is floored at ``floor``
-    (``default_floor(N)`` when None); with it off, ``floor`` must be None,
-    as ``sweep_rho_star`` ensures.
+    (``default_floor``, 1e-8 * N, when None); with it off, ``floor`` must be
+    None, as ``sweep_rho_star`` ensures.
 
     rho_star needs only the top eigenpair, so the point first tries
     ``conditioning._leading_pair``: with repair on, a Cholesky certificate
     that the spectrum already clears the floor (so the repair would return
-    the matrix unchanged), then power iteration for the top pair alone
-    ("leading-pair"; equal to the full path up to rounding). When that
+    the matrix unchanged; a floor the repair refuses is declined, so that
+    the full path raises the refusal), then power iteration for the top pair
+    alone ("leading-pair"; equal to the full path up to rounding). When that
     declines, the point takes the full path: ``rj_repair``, a full
     ``eigh`` in ``eigendecompose``, then the sign basis ("full"; the same
     bits as a sweep that always takes it). A degenerate top is flagged, not
@@ -426,7 +430,7 @@ def _sweep_point(
     ``LinAlgError`` as the point's message.
     """
     if repair and floor is None:
-        floor = default_floor(corr.n)
+        floor = default_floor(corr)
     decomposition, solver = _leading_pair(corr, floor), "leading-pair"
     if decomposition is None:
         if floor is not None:

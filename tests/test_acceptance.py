@@ -122,7 +122,6 @@ def test_c01_uniform_correlation_exactness():
 
 def test_c02_repair_contract_on_non_psd_ensemble():
     with Criterion("C2 repair contract (100 non-PSD pairwise, N=50)", budget_seconds=10.0):
-        floor = default_floor(50)
         repaired_count = 0
         seed = 0
         while repaired_count < 100:
@@ -132,6 +131,7 @@ def test_c02_repair_contract_on_non_psd_ensemble():
             if np.linalg.eigvalsh(corr.entries).min() >= -1e-8:
                 continue
             repaired_count += 1
+            floor = default_floor(corr)
             repaired = rj_repair(corr, floor)
             assert np.linalg.eigvalsh(repaired.entries).min() >= floor / 2
             assert np.abs(np.diag(repaired.entries) - 1.0).max() <= 1e-12

@@ -361,11 +361,13 @@ def test_a_matrix_near_the_float64_limit_is_symmetrized_without_overflow(tmp_pat
 
 def test_a_repair_near_the_float64_limit_runs_without_overflow(tmp_path, capsys):
     # every repair pass's iterate has a 9.5e307 diagonal, whose doubling
-    # overflows float64; no pass symmetrizes, so nothing doubles it
+    # overflows float64; no pass symmetrizes, so nothing doubles it. The floor
+    # is 1e-13 of the scale, where the floor-free limit below holds to 1e-12:
+    # the default, 1e-8 * trace, moves the entries by 3e-8 of it
     text = "a,b,c\n9.5e307,6.65e307,6.65e307\n6.65e307,9.5e307,-6.65e307\n6.65e307,-6.65e307,9.5e307\n"
     matrix = write(tmp_path / "matrix.csv", text)
     output = tmp_path / "out.csv"
-    assert main(["repair", "--input", matrix, "--output", str(output)]) == EXIT_OK
+    assert main(["repair", "--input", matrix, "--output", str(output), "--floor", "1e295"]) == EXIT_OK
     assert capsys.readouterr().err == ""
     ids, entries = conditioning._square_from_csv(output)
     assert ids == ("a", "b", "c")
@@ -374,34 +376,86 @@ def test_a_repair_near_the_float64_limit_runs_without_overflow(tmp_path, capsys)
     np.testing.assert_allclose(entries, np.where(np.eye(3) == 1, 9.5e307, 4.75e307 * signs), rtol=1e-12)
     expected = io.StringIO()
     loaded = CovarianceMatrix(conditioning._square_from_csv(matrix)[1], ids=ids)
-    conditioning.matrix_to_csv(conditioning.rj_repair(loaded, conditioning.default_floor(3)), expected)
+    conditioning.matrix_to_csv(conditioning.rj_repair(loaded, 1e295), expected)
     assert output.read_text(encoding="utf-8") == expected.getvalue()
 
 
 @pytest.mark.parametrize(
-    "text, message",
+    "text, floor, message",
     [
         # finite, symmetric and a positive diagonal, but eigh's spectrum is inf, inf, -4.8e307
         (
             "a,b,c\n1.2e308,8.4e307,8.4e307\n8.4e307,1.2e308,-8.4e307\n8.4e307,-8.4e307,1.2e308\n",
+            [],
             "error: matrix spectrum overflows float64: an eigenvalue is not finite\n",
         ),
-        # positive definite, but the default floor 2e-08 exceeds the mean diagonal
+        # positive definite, but the floor exceeds the mean diagonal (the
+        # default, 1e-8 * trace, cannot)
         (
             "a,b\n1e-300,0\n0,1e-300\n",
+            ["--floor", "2e-08"],
             "error: eigenvalue floor 2e-08 exceeds the mean diagonal 1e-300, which the "
             "repair keeps and the smallest eigenvalue cannot exceed\n",
         ),
+        # eigenvalues 1.9, 1.9, -0.8: a floor this small could leave an output
+        # that reads as borderline, as the parent's did
+        (
+            "a,b,c\n1.0,0.9,-0.9\n0.9,1.0,0.9\n-0.9,0.9,1.0\n",
+            ["--floor", "1e-15"],
+            "error: eigenvalue floor too small to resolve: 1e-15 <= 3.9968028886505635e-15\n",
+        ),
     ],
-    ids=["spectrum-past-float64", "floor-above-the-mean-diagonal"],
+    ids=["spectrum-past-float64", "floor-above-the-mean-diagonal", "floor-too-small-to-resolve"],
 )
-def test_a_repair_that_cannot_succeed_is_a_numeric_refusal(tmp_path, capsys, eigensolves, text, message):
+def test_a_repair_that_cannot_succeed_is_a_numeric_refusal(
+    tmp_path, capsys, eigensolves, text, floor, message
+):
     matrix = write(tmp_path / "matrix.csv", text)
-    assert main(["repair", "--input", matrix, "--output", str(tmp_path / "out.csv")]) == EXIT_NUMERIC
+    argv = ["repair", "--input", matrix, "--output", str(tmp_path / "out.csv"), *floor]
+    assert main(argv) == EXIT_NUMERIC
     assert capsys.readouterr().err == message
     assert list(tmp_path.iterdir()) == [tmp_path / "matrix.csv"]
     # the overflowing spectrum is the input's one solve; the floor is refused before any
     assert len(eigensolves) == (1 if "overflows" in message else 0)
+
+
+@pytest.mark.parametrize(
+    "text, floor, default",
+    [
+        # variances in basis points squared: eigenvalues 15000, 15000 and -8000;
+        # the default floor, 1e-8 * trace, is 3e-4, where it was 3e-8 and the
+        # repaired matrix read as "unverified"
+        ("a,b,c\n10000,9000,9000\n9000,10000,-9000\n9000,-9000,10000\n", [], 3e-4),
+        # a floor far below the old 1e-12 * N * max|lambda| but above the one
+        # resolution rule's bound, 2 * N * eps * trace = 4.0e-15
+        ("a,b,c\n1.0,0.9,-0.9\n0.9,1.0,0.9\n-0.9,0.9,1.0\n", ["--floor", "1e-13"], None),
+    ],
+    ids=["covariance-default-floor", "correlation-small-floor"],
+)
+def test_a_repaired_matrix_reads_as_positive_definite(tmp_path, text, floor, default):
+    matrix = write(tmp_path / "matrix.csv", text)
+    out = tmp_path / "out.csv"
+    assert main(["repair", "--input", matrix, "--output", str(out), *floor]) == EXIT_OK
+    summary = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
+    assert summary["report"]["psd_status"] == "verified-PD"
+    if default is not None:
+        assert summary["repair_floor"] == pytest.approx(default, rel=1e-15)
+
+
+def test_a_positive_definite_covariance_of_small_returns_comes_back_unchanged(tmp_path):
+    # 100 series of daily returns with a 0.1 % volatility: the mean variance
+    # is 1.0027e-06, and the old absolute default floor, 1e-8 * N = 1e-6, sat
+    # at it, so the repair ran 1000 passes and exited 2 on a positive definite
+    # matrix whose smallest eigenvalue is 3.1e-07
+    returns = 0.001 * np.random.default_rng(0).standard_normal((100, 500))
+    text = io.StringIO()
+    conditioning.matrix_to_csv(CovarianceMatrix(np.cov(returns)), text)
+    matrix = write(tmp_path / "matrix.csv", text.getvalue())
+    out = tmp_path / "out.csv"
+    assert main(["repair", "--input", matrix, "--output", str(out)]) == EXIT_OK
+    assert out.read_text(encoding="utf-8") == text.getvalue()
+    summary = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
+    assert summary["report"]["psd_status"] == "verified-PD"
 
 
 @pytest.mark.parametrize(
@@ -529,7 +583,7 @@ class TestRepair:
         else:
             ids, entries = conditioning._square_from_csv(matrix)
             loaded = CovarianceMatrix(entries, ids=ids)
-        floor = conditioning.default_floor(loaded.n)
+        floor = conditioning.default_floor(loaded)
         repaired = conditioning.rj_repair(loaded, floor)
         expected_csv = io.StringIO()
         conditioning.matrix_to_csv(repaired, expected_csv)

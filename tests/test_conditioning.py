@@ -51,6 +51,11 @@ def unsolved(matrix):
     return type(matrix)(matrix.entries, ids=matrix.ids)
 
 
+def correlation_floor(n: int) -> float:
+    """``default_floor`` of every N x N correlation, whose trace is exactly N."""
+    return default_floor(CorrelationMatrix(np.eye(n)))
+
+
 def random_correlation(seed: int, n: int) -> CorrelationMatrix:
     rng = np.random.default_rng(seed)
     loadings = rng.standard_normal((n, max(2, n // 3)))
@@ -204,7 +209,7 @@ class TestSingleValidation:
         corr = random_correlation(3, 10)
         eigendecompose(corr)
         fresh = random_correlation(4, 10)
-        rj_repair(fresh, default_floor(10))
+        rj_repair(fresh, default_floor(fresh))
         cov = CovarianceMatrix(4.0 * np.eye(3))
         classify_definiteness(cov)
         assert len(seen) == 3
@@ -301,8 +306,9 @@ class TestRjRepair:
         assert classify_definiteness(repaired) == "verified-PD"
 
     def test_repaired_minimum_clears_half_floor(self):
-        floor = default_floor(3)
-        repaired = rj_repair(CorrelationMatrix(NON_PSD), floor)
+        corr = CorrelationMatrix(NON_PSD)
+        floor = default_floor(corr)
+        repaired = rj_repair(corr, floor)
         assert np.linalg.eigvalsh(repaired.entries).min() >= floor / 2
 
     def test_idempotent(self):
@@ -339,7 +345,7 @@ class TestRjRepair:
         ids, read = _square_from_csv(io.StringIO(buffer.getvalue()))
         loaded = CovarianceMatrix(read, ids=ids)
         np.testing.assert_array_equal(loaded.entries, cov.entries)
-        repaired = rj_repair(loaded, default_floor(8))
+        repaired = rj_repair(loaded, default_floor(loaded))
         for matrix in (cov, loaded, repaired):
             assert (vols**2).tobytes() == np.diag(matrix.entries).tobytes()
 
@@ -361,7 +367,7 @@ class TestRjRepair:
     @pytest.mark.parametrize(
         "matrix, floor",
         [
-            (CovarianceMatrix(1e-300 * np.eye(2)), default_floor(2)),
+            (CovarianceMatrix(1e-300 * np.eye(2)), 2e-8),
             (CovarianceMatrix(np.diag([3.0, 1.0, 2.0])), np.nextafter(2.0, 3.0)),
             (CorrelationMatrix(NON_PSD), 1.5),
         ],
@@ -389,7 +395,7 @@ class TestRjRepair:
         classify_definiteness(matrix)
         tracemalloc.start()
         try:
-            repaired = rj_repair(matrix, default_floor(n))
+            repaired = rj_repair(matrix, default_floor(matrix))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -401,7 +407,7 @@ class TestRjRepair:
         # finite, symmetric, a positive diagonal, and eigenvalues inf, inf, -4.8e307
         entries = np.array([[1.2, 0.84, 0.84], [0.84, 1.2, -0.84], [0.84, -0.84, 1.2]]) * 1e308
         for solve in (
-            lambda matrix: rj_repair(matrix, default_floor(3)),
+            lambda matrix: rj_repair(matrix, default_floor(matrix)),
             classify_definiteness,
             eigendecompose,
         ):
@@ -420,7 +426,7 @@ class TestRjRepair:
         mask &= rng.random((n, m)) >= 0.75 * missing / (1.0 - 0.25 * missing)
         panel = TimeSeriesPanel(tuple(f"s{i}" for i in range(n)), np.where(mask, values, np.nan))
         corr = sample_moments(panel, PAIRWISE_COMPLETE)
-        floor = default_floor(n)
+        floor = default_floor(corr)
         assert np.linalg.eigvalsh(corr.entries).min() < 0
 
         eigh = np.linalg.eigh
@@ -446,7 +452,7 @@ class TestSpectrumMemo:
     def test_classify_repair_decompose_share_one_solve(self, eigensolves):
         corr = random_correlation(5, 8)
         assert classify_definiteness(corr) == "verified-PD"
-        repaired = rj_repair(corr, default_floor(8))
+        repaired = rj_repair(corr, default_floor(corr))
         decomposition = eigendecompose(repaired)
         assert matrix_report(repaired)["psd_status"] == "verified-PD"
         assert len(eigensolves) == 1
@@ -455,7 +461,7 @@ class TestSpectrumMemo:
     def test_repair_passes_after_the_first_are_fresh_solves(self, eigensolves):
         corr = CorrelationMatrix(NON_PSD)
         classify_definiteness(corr)
-        repaired = rj_repair(corr, default_floor(3))
+        repaired = rj_repair(corr, default_floor(corr))
         passes = len(eigensolves)  # the first pass reused the classification's solve
         assert passes >= 2
         eigendecompose(repaired)
@@ -490,11 +496,16 @@ class TestSpectrumMemo:
         assert values.tobytes() == np.linalg.eigh(repaired.entries)[0].tobytes()
 
     def test_repair_label_agrees_with_classification_below_the_tolerance(self):
-        repaired = rj_repair(CorrelationMatrix(NON_PSD), 1e-15)
-        assert 0 < np.linalg.eigvalsh(repaired.entries).min() < 1e-12
+        # 1e-15 is at or below 2 * N * eps * trace = 4.0e-15 and refused;
+        # 1e-14, the smallest power of ten accepted, leaves a smallest
+        # eigenvalue below 1e-13 that still reads as positive definite
+        with pytest.raises(InvalidMatrixError, match="too small to resolve"):
+            rj_repair(CorrelationMatrix(NON_PSD), 1e-15)
+        repaired = rj_repair(CorrelationMatrix(NON_PSD), 1e-14)
+        assert 0 < np.linalg.eigvalsh(repaired.entries).min() < 1e-13
         # the memo the repair hands on classifies as a fresh solve does
-        assert classify_definiteness(repaired) == "unverified"
-        assert classify_definiteness(unsolved(repaired)) == "unverified"
+        assert classify_definiteness(repaired) == "verified-PD"
+        assert classify_definiteness(unsolved(repaired)) == "verified-PD"
 
     @pytest.mark.parametrize("n", [5, 12, 50])
     def test_default_floor_repair_is_verified_pd(self, n):
@@ -504,14 +515,21 @@ class TestSpectrumMemo:
         np.fill_diagonal(entries, 1.0)
         corr = CorrelationMatrix(entries)
         assert classify_definiteness(corr) == "verified-not-PSD"
-        repaired = rj_repair(corr, default_floor(n))
+        repaired = rj_repair(corr, default_floor(corr))
         assert classify_definiteness(repaired) == "verified-PD"
         assert classify_definiteness(unsolved(repaired)) == "verified-PD"
 
 
+def refusal_bound(matrix) -> float:
+    """2 * N * eps * trace: the repair refuses a floor at or below it."""
+    return 2 * matrix.n * np.finfo(float).eps * float(np.trace(matrix.entries))
+
+
 @st.composite
 def repair_inputs(draw):
-    """Correlation or covariance wrappers, positive definite or not, and a floor."""
+    """Correlation or covariance wrappers, positive definite or not, and a
+    floor the repair accepts: the default, 1e-3, or one a small multiple of
+    the bound below which it refuses."""
     n = draw(st.integers(2, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -520,11 +538,13 @@ def repair_inputs(draw):
         entries = rng.uniform(-1.0, 1.0, (n, n))
         entries = (entries + entries.T) / 2
         np.fill_diagonal(entries, 1.0)
-    floor = draw(st.sampled_from([default_floor(n), 1e-3, 1e-12, 1e-15]))
     if draw(st.booleans()):
-        return CorrelationMatrix(entries), floor
-    vols = rng.uniform(0.1, 10.0, n)
-    return CovarianceMatrix(entries * np.outer(vols, vols)), floor
+        matrix = CorrelationMatrix(entries)
+    else:
+        vols = rng.uniform(0.1, 10.0, n)
+        matrix = CovarianceMatrix(entries * np.outer(vols, vols))
+    bound = refusal_bound(matrix)
+    return matrix, draw(st.sampled_from([default_floor(matrix), 1e-3, 2 * bound, 1e3 * bound]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -540,6 +560,58 @@ def test_repair_memo_equals_a_fresh_solve_bit_for_bit(case, classify_first):
     assert vectors.tobytes() == fresh_vectors.tobytes()
     assert not values.flags.writeable and not vectors.flags.writeable
     assert classify_definiteness(repaired) == classify_definiteness(unsolved(repaired))
+
+
+@st.composite
+def scaled_repair_inputs(draw):
+    """A unit-diagonal matrix (full rank, rank-deficient, near rank one or
+    indefinite), as a correlation or as a covariance whose variances are
+    scaled by 1e-6 to 1e6, and a floor: the default, one near the refusal
+    bound, or one drawn log-uniformly from below the bound to half the
+    smallest variance (the smallest eigenvalue cannot exceed it)."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["full-rank", "rank-deficient", "near-rank-one", "indefinite"]))
+    if kind == "full-rank":
+        entries = np.corrcoef(rng.standard_normal((n, n + 10)))
+    elif kind == "rank-deficient":
+        entries = np.corrcoef(rng.standard_normal((n, max(2, n // 2))))
+    elif kind == "near-rank-one":
+        b = 1.0 - rng.uniform(0.0, 1e-6, n)
+        entries = np.outer(b, b)
+    else:
+        entries = rng.uniform(-1.0, 1.0, (n, n))
+    entries = np.clip((entries + entries.T) / 2, -1.0, 1.0)
+    np.fill_diagonal(entries, 1.0)
+    if draw(st.booleans()):
+        matrix = CorrelationMatrix(entries)
+    else:
+        vols = math.sqrt(10.0 ** draw(st.floats(-6.0, 6.0))) * rng.uniform(0.5, 2.0, n)
+        matrix = CovarianceMatrix(entries * np.outer(vols, vols))
+    bound = refusal_bound(matrix)
+    top = math.log10(0.5 * float(np.diag(matrix.entries).min()))
+    near = st.sampled_from([0.5, 1 - 1e-9, 1 + 1e-9, 1.5, 3.0]).map(lambda k: k * bound)
+    spread = st.floats(math.log10(bound) - 2.0, top).map(lambda e: 10.0**e)
+    return matrix, draw(st.just(default_floor(matrix)) | near | spread)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=scaled_repair_inputs())
+def test_every_floor_the_repair_accepts_gives_a_verified_pd_matrix(case):
+    matrix, floor = case
+    bound = refusal_bound(matrix)
+    if floor < bound * (1 - 1e-12):
+        with pytest.raises(InvalidMatrixError, match="too small to resolve"):
+            rj_repair(matrix, floor)
+        return
+    try:
+        repaired = rj_repair(matrix, floor)
+    except InvalidMatrixError:
+        # refused only at the bound itself, up to the rounding of its formula
+        assert floor <= bound * (1 + 1e-12)
+        return
+    assert classify_definiteness(repaired) == "verified-PD"
+    assert classify_definiteness(unsolved(repaired)) == "verified-PD"
 
 
 class TestSerialization:
@@ -615,7 +687,7 @@ def leading_pair_inputs(draw):
     n = draw(st.integers(2, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["one-factor", "multi-factor", "near-degenerate", "near-floor", "non-psd"]))
-    floor = draw(st.sampled_from([None, default_floor(n), 1e-3]))
+    floor = draw(st.sampled_from([None, correlation_floor(n), 1e-3]))
     if kind == "one-factor":
         b = rng.uniform(draw(st.sampled_from([0.0, 0.3, 0.7])), 1.0, n)
         entries = np.outer(b, b)
@@ -633,7 +705,7 @@ def leading_pair_inputs(draw):
         entries[half:, half:] = 0.5 + delta
     elif kind == "near-floor":
         entries = np.corrcoef(rng.standard_normal((n, n + 5)))
-        level = default_floor(n) if floor is None else floor
+        level = correlation_floor(n) if floor is None else floor
         scale = draw(st.sampled_from([1 - 1e-3, 1.0, 1 + 1e-12, 1 + 1e-3, 2.0]))
         entries = with_smallest_eigenvalue(entries, level * scale)
     else:
@@ -665,11 +737,11 @@ class TestLeadingPair:
     def test_base_clear_of_the_floor_is_certified(self):
         entries = with_smallest_eigenvalue(self.base(), 1e-3)
         assert conditioning._leading_pair(CorrelationMatrix(entries), 1e-10) is not None
-        assert leading_pair_rho_star(entries, default_floor(self.N)) is not None
+        assert leading_pair_rho_star(entries, correlation_floor(self.N)) is not None
 
     def test_solves_no_full_spectrum_and_fills_no_memo(self, eigensolves):
         corr = CorrelationMatrix(uniform_correlation(self.N, 0.3))
-        decomposition = conditioning._leading_pair(corr, default_floor(self.N))
+        decomposition = conditioning._leading_pair(corr, correlation_floor(self.N))
         assert decomposition.eigenvalues == pytest.approx([1 + (self.N - 1) * 0.3], rel=1e-14)
         assert decomposition.eigenvectors.shape == (self.N, 1)
         assert decomposition.source_dim == self.N
@@ -687,14 +759,14 @@ class TestLeadingPair:
 
     @pytest.mark.parametrize("where", ["below", "inside-margin"])
     def test_default_floor_boundary_is_never_certified(self, where):
-        floor = default_floor(self.N)
+        floor = correlation_floor(self.N)
         margin = conditioning._cholesky_margin(np.eye(self.N))
         target = floor * (1 - 1e-3) if where == "below" else floor + margin / 2
         entries = with_smallest_eigenvalue(self.base(), target)
         assert conditioning._leading_pair(CorrelationMatrix(entries), floor) is None
 
     def test_clear_of_the_floor_is_certified_and_agrees(self):
-        floor = default_floor(self.N)
+        floor = correlation_floor(self.N)
         entries = with_smallest_eigenvalue(uniform_correlation(self.N, 0.4), floor * (1 + 1e-3))
         got = leading_pair_rho_star(entries, floor)
         assert got == pytest.approx(full_path_rho_star(entries, floor), rel=1e-12)
@@ -710,14 +782,14 @@ class TestLeadingPair:
         np.fill_diagonal(entries, 1.0)
         values = np.linalg.eigvalsh(entries)
         assert values[-2] / values[-1] == pytest.approx(0.8, rel=1e-12)
-        got = leading_pair_rho_star(entries, default_floor(n))
+        got = leading_pair_rho_star(entries, correlation_floor(n))
         assert got is not None
-        assert got == pytest.approx(full_path_rho_star(entries, default_floor(n)), rel=1e-12)
+        assert got == pytest.approx(full_path_rho_star(entries, correlation_floor(n)), rel=1e-12)
 
     def test_degenerate_top_is_declined(self):
         entries = np.kron(np.eye(2), uniform_correlation(self.N // 2, 0.5))
         assert leading_pair_rho_star(entries, None) is None
-        assert leading_pair_rho_star(entries, default_floor(self.N)) is None
+        assert leading_pair_rho_star(entries, correlation_floor(self.N)) is None
 
     @pytest.mark.parametrize("rho", [0.2, 0.5, 0.9])
     def test_gap_is_a_lower_bound_on_the_top_gap(self, rho):
@@ -733,11 +805,11 @@ class TestRepairPasses:
     def test_wrapper_outputs_record_the_pass_count(self, eigensolves):
         _, clear = _condition(CorrelationMatrix(uniform_correlation(4, 0.2)), 1e-6)
         assert clear["repair_passes"] == len(eigensolves) == 1
-        _, repaired = _condition(CorrelationMatrix(NON_PSD), default_floor(3))
+        _, repaired = _condition(CorrelationMatrix(NON_PSD), correlation_floor(3))
         assert repaired["repair_passes"] == len(eigensolves) - 1 >= 2
         vols = np.array([1.0, 2.0, 3.0])
         cov = CovarianceMatrix(NON_PSD * np.outer(vols, vols))
-        assert _condition(cov, default_floor(3))[1]["repair_passes"] == repaired["repair_passes"]
+        assert _condition(cov, correlation_floor(3))[1]["repair_passes"] == repaired["repair_passes"]
 
     def test_no_floor_returns_the_input_with_no_passes(self, eigensolves):
         corr = CorrelationMatrix(NON_PSD)
@@ -754,7 +826,7 @@ def test_source_dim_is_the_length_of_the_vectors(n):
     assert "source_dim" not in {f.name for f in dataclasses.fields(SpectralDecomposition)}
     entries = uniform_correlation(n, 0.3)
     full = eigendecompose(CorrelationMatrix(entries))
-    leading = conditioning._leading_pair(CorrelationMatrix(entries), default_floor(n))
+    leading = conditioning._leading_pair(CorrelationMatrix(entries), correlation_floor(n))
     assert leading.eigenvectors.shape == (n, 1)
     for decomposition in (full, leading):
         assert decomposition.source_dim == decomposition.eigenvectors.shape[0] == n

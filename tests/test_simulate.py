@@ -411,6 +411,20 @@ class TestSweep:
         assert math.isnan(result.rho_stars[1])
         assert result.solvers == ("full", "failed", "full")
 
+    def test_a_floor_too_small_to_resolve_fails_each_point_alike_on_either_path(self, monkeypatch):
+        # 1e-14 passes the check made before any draw (a 1 x 1 correlation's
+        # bound, 2 * eps) but is at or below every point's 2 * N * eps * N; the
+        # leading pair declines it, so the full path's refusal is each point's
+        source = one_factor_source(0.3, 300)
+        first = sweep_rho_star([10, 20, 40], source, seed=3, floor=1e-14)
+        monkeypatch.setattr(simulate, "_leading_pair", lambda corr, floor: None)
+        second = sweep_rho_star([10, 20, 40], source, seed=3, floor=1e-14)
+        assert first.errors == second.errors
+        assert [error.split(":")[0] for error in first.errors] == ["N=10", "N=20", "N=40"]
+        assert all("too small to resolve" in error for error in first.errors)
+        np.testing.assert_array_equal(first.rho_stars, second.rho_stars)
+        assert first.solvers == second.solvers == ("failed",) * 3
+
     @pytest.mark.parametrize("rho, n_periods", [(1.5, 100), (-0.2, 100), (0.3, 1)])
     def test_generator_checks_its_arguments_when_built(self, rho, n_periods):
         with pytest.raises(ValueError):
@@ -546,7 +560,7 @@ class TestWishartSource:
 def full_path_point(corr: CorrelationMatrix, repair: bool, floor: float | None) -> float:
     """A grid point's rho_star by the full path alone: repair, eigh, sign basis."""
     if repair:
-        corr = rj_repair(corr, floor if floor is not None else default_floor(corr.n))
+        corr = rj_repair(corr, floor if floor is not None else default_floor(corr))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateTopWarning)
         return rho_star(fix_sign_basis(eigendecompose(corr)))
@@ -576,7 +590,7 @@ class TestSweepPointSolvers:
         ],
     )
     def test_uncertified_points_take_the_full_path_bit_for_bit(self, floor, target):
-        level = floor if floor is not None else default_floor(self.N)
+        level = floor if floor is not None else default_floor(CorrelationMatrix(np.eye(self.N)))
         entries = self.boundary_matrix(min(level * target, 0.3))
         value, solver, degenerate = simulate._sweep_point(CorrelationMatrix(entries), True, floor)
         assert solver == "full" and not degenerate
