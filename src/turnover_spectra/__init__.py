@@ -15,11 +15,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-# The variables by which BLAS reads its thread count when numpy loads: ``cli``
-# sets each to 1 before then. Here, so that they can be named without loading
-# numpy.
-_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
 # The public names, by the submodule that defines each. A name is imported on
 # first use (PEP 562), so ``import turnover_spectra`` loads no numpy, and the
 # command line can still choose numpy's BLAS thread count (see ``cli``).

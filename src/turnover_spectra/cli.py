@@ -100,9 +100,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import _THREAD_VARS
-
 # Threads, as the module docstring says: BLAS reads these when numpy loads.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 if "numpy" not in sys.modules and not any(var in os.environ for var in _THREAD_VARS):
     os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))
 
@@ -125,9 +124,9 @@ from .errors import InvalidMatrixError, TurnoverSpectraError
 from .panel import (
     COMPLETE_CASES,
     PAIRWISE_COMPLETE,
-    UNIT_DIAGONAL_TOL,
     CorrelationMatrix,
     CovarianceMatrix,
+    _unit_diagonal,
     load_panel,
     ols_residualize,
     sample_moments,
@@ -379,10 +378,8 @@ def run_analyze(args: argparse.Namespace) -> dict:
 
 def run_repair(args: argparse.Namespace) -> dict:
     ids, entries = _square_from_csv(args.input_path)
-    if np.all(np.abs(np.diag(entries) - 1.0) <= UNIT_DIAGONAL_TOL):
-        matrix = CorrelationMatrix(entries, ids=ids)
-    else:
-        matrix = CovarianceMatrix(entries, ids=ids)
+    kind = CorrelationMatrix if _unit_diagonal(entries) else CovarianceMatrix
+    matrix = kind(entries, ids=ids)
     floor = args.repair_floor if args.repair_floor is not None else default_floor(matrix)
     repaired = rj_repair(matrix, floor)
     matrix_to_csv(repaired, args.output_path)

@@ -16,6 +16,11 @@ from .panel import CorrelationMatrix, CovarianceMatrix
 
 MatrixLike = CorrelationMatrix | CovarianceMatrix
 
+# The default eigenvalue floor per unit of trace (``default_floor``): far
+# above what a solve can resolve (``_floor_bound``), and far below the bulk of
+# a sample spectrum, which it leaves where it is.
+_FLOOR_PER_TRACE = 1e-8
+
 
 def default_floor(matrix: MatrixLike) -> float:
     """Eigenvalue floor that lifts rounding-level negatives without moving
@@ -28,7 +33,7 @@ def default_floor(matrix: MatrixLike) -> float:
     trace`` (:func:`_floor_bound`), for every N below 2.25e7, where
     ``2 * N * eps`` reaches 1e-8.
     """
-    return matrix.n * (1e-8 * _mean_diagonal(matrix))
+    return matrix.n * (_FLOOR_PER_TRACE * _mean_diagonal(matrix))
 
 
 @dataclass(frozen=True)
@@ -110,8 +115,8 @@ def _leading_pair(corr: CorrelationMatrix, floor: float | None) -> SpectralDecom
       most ``(1 - _TOP_GAP_RTOL) * lambda``. So ``lambda`` is the top
       eigenvalue, ahead of the next by at least ``_TOP_GAP_RTOL * lambda``,
       which clears ``fix_sign_basis``'s degeneracy tolerance
-      ``1e-10 * N * lambda`` and pins the vector down well enough for this
-      solve and ``eigh`` to agree to rounding.
+      ``turnover._DEGENERACY_RTOL * N * lambda`` and pins the vector down
+      well enough for this solve and ``eigh`` to agree to rounding.
 
     The cap is derived from the isolation test, not tuned: an accepted top
     makes each step shrink the iterate's error by ``1 - _TOP_GAP_RTOL`` or

@@ -60,19 +60,21 @@ class CollinearFactorsError(TurnoverSpectraError):
 
 class InvalidMatrixError(TurnoverSpectraError, ValueError):
     """Matrix input violates a precondition on its values: it is not square,
-    not finite, or not symmetric within ``1e-12 * max(1, max|a|)``; or, for a
-    correlation matrix, its diagonal is off 1 or an entry leaves [-1, 1]; or,
-    for a covariance matrix, its diagonal is not strictly positive
-    (:class:`InvalidDiagonalError`).
+    empty (0 x 0), not finite, or not symmetric within
+    ``1e-12 * max(1, max|a|)``; or, for a correlation matrix, its diagonal is
+    off 1 or an entry leaves [-1, 1]; or, for a covariance matrix, its
+    diagonal is not strictly positive (:class:`InvalidDiagonalError`).
 
     The matrix wrappers raise it at construction; a matrix reaches the
     spectral layer only in a wrapper. The moments kernel raises it too, when
     a panel's covariances overflow float64, and ``conditioning`` when a
     wrapper's spectrum overflows float64 (an eigenvalue is not finite), when
-    a repair floor exceeds the mean diagonal, which no repair can reach, and
-    when a repair does not converge. A numeric-validity refusal, so the
-    command line exits 2 on it; also a ``ValueError``, as the wrappers'
-    other argument check (the number of ids) is.
+    a repair floor exceeds the mean diagonal, which no repair can reach, when
+    a repair floor is at or below ``2 * N * eps * trace``, too small for the
+    spectrum to resolve, and when a repair does not converge. A
+    numeric-validity refusal, so the command line exits 2 on it; also a
+    ``ValueError``, as the wrappers' other argument check (the number of
+    ids) is.
     """
 
 

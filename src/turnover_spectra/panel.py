@@ -26,11 +26,18 @@ COMPLETE_CASES = "complete-cases"
 PAIRWISE_COMPLETE = "pairwise-complete"
 ESTIMATION_MODES = (COMPLETE_CASES, PAIRWISE_COMPLETE)
 #: How far a correlation matrix's diagonal may sit from 1, and its entries
-#: outside [-1, 1], before the wrapper refuses it.
+#: outside [-1, 1], before the wrapper refuses it: room for another
+#: producer's rounding, which moves an entry by a few eps.
 UNIT_DIAGONAL_TOL = 1e-12
 
+# How far a matrix's two triangles may differ, relative to max(1, max|a|),
+# before it is refused as asymmetric: room for rounding, as products taken in
+# another order below the diagonal than above it differ by a few eps.
+_SYMMETRY_RTOL = 1e-12
+
 # A sample is treated as constant when its standard deviation falls below
-# this tolerance relative to the magnitude of its mean.
+# this tolerance relative to the magnitude of its mean: centering leaves a
+# constant series a standard deviation of a few eps times its mean, not 0.
 _CONSTANT_REL_TOL = 1e-13
 
 # The most column blocks the moments kernel sums a panel in (``_block_width``).
@@ -180,10 +187,11 @@ def write_panel(panel: TimeSeriesPanel, dest: str | Path | IO[str]) -> None:
 def _symmetric(entries, what: str = "matrix") -> np.ndarray:
     """A float copy of ``entries``, checked and made exactly symmetric.
 
-    The package's one validity rule for a matrix: square, finite, and
-    symmetric within ``1e-12 * max(1, max|a|)``, else ``InvalidMatrixError``
-    (``what`` names the matrix in the message); a gap between the triangles
-    past the float64 limit is refused as asymmetric, with no numpy warning.
+    The package's one validity rule for a matrix: square, not empty, finite,
+    and symmetric within ``_SYMMETRY_RTOL * max(1, max|a|)``, else
+    ``InvalidMatrixError`` (``what`` names the matrix in the message); a gap
+    between the triangles past the float64 limit is refused as asymmetric,
+    with no numpy warning.
     The two triangles are then averaged as ``0.5 * a + 0.5 * a^T``: halving
     each first cannot overflow near the float64 limit, where ``a + a^T``
     can, and is exact for normal numbers, so the average keeps the bits of
@@ -202,16 +210,18 @@ def _symmetric(entries, what: str = "matrix") -> np.ndarray:
     a = np.array(entries, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidMatrixError(f"{what} must be square, got shape {a.shape}")
+    if not a.size:  # no spectrum, trace or diagonal to check
+        raise InvalidMatrixError(f"{what} must not be empty")
     if not np.isfinite(a).all():
         raise InvalidMatrixError(f"{what} entries must be finite")
     if np.array_equal(a, a.T):
         return a
-    scale = max(1.0, float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
+    scale = max(1.0, float(a.max()), -float(a.min()))
     with np.errstate(over="ignore"):  # a gap past the float64 limit is inf, refused below
         gap = a - a.T
-    asymmetry = float(np.abs(gap, out=gap).max(initial=0.0))
+    asymmetry = float(np.abs(gap, out=gap).max())
     del gap
-    if asymmetry > 1e-12 * scale:
+    if asymmetry > _SYMMETRY_RTOL * scale:
         raise InvalidMatrixError(f"{what} is not symmetric within tolerance")
     return 0.5 * a + 0.5 * a.T
 
@@ -265,6 +275,13 @@ class CovarianceMatrix(_Matrix):
         return entries
 
 
+def _unit_diagonal(entries: np.ndarray) -> bool:
+    """Whether a 2-D array's diagonal is 1 within ``UNIT_DIAGONAL_TOL``:
+    the rule by which ``CorrelationMatrix`` refuses entries, and ``repair``
+    reads a matrix CSV as a correlation rather than a covariance."""
+    return bool((np.abs(np.diag(entries) - 1.0) <= UNIT_DIAGONAL_TOL).all())
+
+
 @dataclass(frozen=True, eq=False)
 class CorrelationMatrix(_Matrix):
     """Unit-diagonal correlation matrix: its diagonal must be 1 and its
@@ -275,14 +292,13 @@ class CorrelationMatrix(_Matrix):
     _kind = "correlation matrix"
 
     def _valued(self, entries: np.ndarray) -> np.ndarray:
-        if (np.abs(np.diag(entries) - 1.0) > UNIT_DIAGONAL_TOL).any():
+        if not _unit_diagonal(entries):
             raise InvalidMatrixError(
                 f"correlation matrix diagonal must be 1 within {UNIT_DIAGONAL_TOL:g}"
             )
-        # |a| > bound as two reductions, with no N x N temporary; ``_symmetric``
-        # has refused non-finite entries, and negation is exact
-        bound = 1.0 + UNIT_DIAGONAL_TOL
-        if entries.max(initial=0.0) > bound or entries.min(initial=0.0) < -bound:
+        # |a| > 1 + tol as two reductions, with no N x N temporary; ``_symmetric``
+        # has refused empty and non-finite entries, and negation is exact
+        if max(entries.max(), -entries.min()) > 1.0 + UNIT_DIAGONAL_TOL:
             raise InvalidMatrixError("correlation matrix entries must lie in [-1, 1]")
         np.clip(entries, -1.0, 1.0, out=entries)
         np.fill_diagonal(entries, 1.0)

@@ -147,8 +147,7 @@ def one_factor_correlation(loadings) -> np.ndarray:
     b = np.asarray(loadings, dtype=float)
     if b.ndim != 1 or b.size < 2:
         raise ValueError("loadings must be a vector of length >= 2")
-    if not ((b >= 0) & (b <= 1)).all():
-        raise ValueError("loadings must lie in [0, 1]")
+    SimConfig(b.size, 2, target_correlation=b)  # SimConfig's rule for loadings
     corr = np.outer(b, b)
     np.fill_diagonal(corr, 1.0)
     return corr
@@ -407,8 +406,8 @@ def _sweep_point(
     produced it, and whether its top eigenvalue is degenerate.
 
     With ``repair`` on, the spectrum is floored at ``floor``
-    (``default_floor``, 1e-8 * N, when None); with it off, ``floor`` must be
-    None, as ``sweep_rho_star`` ensures.
+    (``default_floor``, ``conditioning._FLOOR_PER_TRACE * N``, when None);
+    with it off, ``floor`` must be None, as ``sweep_rho_star`` ensures.
 
     rho_star needs only the top eigenpair, so the point first tries
     ``conditioning._leading_pair``: with repair on, a Cholesky certificate

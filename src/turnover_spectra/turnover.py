@@ -13,10 +13,22 @@ import numpy as np
 from .conditioning import MatrixLike, SpectralDecomposition
 from .errors import CalibrationError, DegenerateTopWarning
 
-_TRACE_RTOL = 1e-6
+# How far a basis may miss the matrix it is said to come from, relative to the
+# scale (its eigenvalues' sum against N; its top pair's residual on the
+# matrix): far above a solve's rounding, so it refuses a mismatched pair only.
+_BASIS_RTOL = 1e-6
+# the condition number of |V| at which calibration is refused: past it, a
+# solve's coefficients keep fewer than about 4 digits (cond * eps > 1e-4)
 _CONDITION_LIMIT = 1e12
-# the top eigenvalue is degenerate when lambda_1 - lambda_2 <= this * N * |lambda_1|
+# how far the calibrated model may miss 1 on a single-alpha input: a solve
+# that misses by more does not calibrate the model, whatever its condition
+_CALIBRATION_RESIDUAL = 1e-8
+# the top eigenvalue is degenerate when lambda_1 - lambda_2 <= this * N * |lambda_1|:
+# about 5e5 times what a solve resolves, so no rounding-level gap passes as isolated
 _DEGENERACY_RTOL = 1e-10
+# how far sum |w_i| may sit from 1: room for the rounding of weights that a
+# caller normalized in floats, about N * eps
+_WEIGHT_SUM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -37,10 +49,6 @@ class SignedBasis(SpectralDecomposition):
     @property
     def first_eigenvector(self) -> np.ndarray:
         return self.eigenvectors[:, 0]
-
-    @property
-    def size(self) -> int:
-        return self.source_dim
 
     def reflect(self, matrix: MatrixLike) -> np.ndarray:
         """A wrapper's entries re-expressed in the re-signed series basis: a
@@ -80,8 +88,8 @@ def _as_turnovers(weighted_turnovers, n: int | None = None) -> np.ndarray:
 
 
 def _require_correlation_basis(basis: SignedBasis) -> None:
-    n = basis.size
-    if abs(float(basis.eigenvalues.sum()) - n) > _TRACE_RTOL * n:
+    n = basis.source_dim
+    if abs(float(basis.eigenvalues.sum()) - n) > _BASIS_RTOL * n:
         raise ValueError(
             "basis must come from a correlation matrix (eigenvalues sum to N)"
         )
@@ -89,7 +97,7 @@ def _require_correlation_basis(basis: SignedBasis) -> None:
 
 def spectral_terms(basis: SignedBasis, weighted_turnovers) -> np.ndarray:
     """Per-component contributions ``w_p * |V^(p) . T|`` before normalization."""
-    t = _as_turnovers(weighted_turnovers, basis.size)
+    t = _as_turnovers(weighted_turnovers, basis.source_dim)
     projections = basis.eigenvectors.T @ t
     return basis.eigenvalues * np.abs(projections)
 
@@ -104,7 +112,7 @@ def spectral_turnover_full(basis: SignedBasis, weighted_turnovers) -> float:
     """
     _require_correlation_basis(basis)
     terms = spectral_terms(basis, weighted_turnovers)
-    return float(terms.sum() / math.sqrt(basis.size))
+    return float(terms.sum() / math.sqrt(basis.source_dim))
 
 
 def p1_share(basis: SignedBasis, weighted_turnovers) -> float:
@@ -124,7 +132,7 @@ def spectral_turnover_large_n(basis: SignedBasis, weighted_turnovers) -> float:
     degenerate leading eigenvalue makes the result basis-dependent; the
     value is still returned but flagged with :class:`DegenerateTopWarning`.
     """
-    t = _as_turnovers(weighted_turnovers, basis.size)
+    t = _as_turnovers(weighted_turnovers, basis.source_dim)
     _warn_if_degenerate(basis, "large-N turnover")
     return _large_n(basis, t)
 
@@ -144,7 +152,7 @@ def _warn_if_degenerate(basis: SignedBasis, quantity: str) -> None:
 def _large_n(basis: SignedBasis, t: np.ndarray) -> float:
     """:func:`spectral_turnover_large_n` on checked turnovers, without its warning."""
     return float(
-        basis.eigenvalues[0] * (basis.first_eigenvector @ t) / math.sqrt(basis.size)
+        basis.eigenvalues[0] * (basis.first_eigenvector @ t) / math.sqrt(basis.source_dim)
     )
 
 
@@ -161,7 +169,7 @@ def rho_star(basis: SignedBasis) -> float:
 def _rho_star(basis: SignedBasis) -> float:
     """:func:`rho_star` without its warning, for callers that record the
     degeneracy themselves."""
-    n = basis.size
+    n = basis.source_dim
     return float(
         basis.eigenvalues[0] * basis.first_eigenvector.sum() / (n * math.sqrt(n))
     )
@@ -208,7 +216,7 @@ def _check_matches_basis(basis: SignedBasis, reflected: np.ndarray) -> None:
     lead = float(basis.eigenvalues[0])
     v1 = basis.first_eigenvector
     residual = float(np.abs(reflected @ v1 - lead * v1).max())
-    if residual > 1e-6 * max(1.0, abs(lead)):
+    if residual > _BASIS_RTOL * max(1.0, abs(lead)):
         raise ValueError("correlation matrix does not match the supplied basis")
 
 
@@ -224,7 +232,7 @@ def rho_star_factored(basis: SignedBasis, corr: MatrixLike) -> FactoredRelation:
     reflected = basis.reflect(corr)
     _check_matches_basis(basis, reflected)
     psi_star, rho_p, rho_bar = _mean_proxies(reflected)
-    n = basis.size
+    n = basis.source_dim
     rho_one = float(basis.eigenvalues[0]) / n
     product = rho_one * rho_p
     factored = math.sqrt(product) if product >= 0 else math.nan
@@ -265,11 +273,11 @@ def calibrate_exact_B(basis: SignedBasis) -> ExactCalibration:
             f"(limit {_CONDITION_LIMIT:.0e}); single-alpha calibration is unsolvable"
         )
     try:
-        coefficients = np.linalg.solve(a, np.ones(basis.size))
+        coefficients = np.linalg.solve(a, np.ones(basis.source_dim))
     except np.linalg.LinAlgError as exc:
         raise CalibrationError("absolute-eigenvector matrix is singular") from exc
     residual = float(np.abs(a @ coefficients - 1.0).max())
-    if residual > 1e-8:
+    if residual > _CALIBRATION_RESIDUAL:
         raise CalibrationError(f"calibration residual {residual:.3e} exceeds 1e-8")
     return ExactCalibration(coefficients, bool((coefficients < 0).any()))
 
@@ -278,7 +286,7 @@ def turnover_exact_b(
     basis: SignedBasis, calibration: ExactCalibration, weighted_turnovers
 ) -> float:
     """Evaluate the calibrated model ``sum_p B_p |V^(p) . T|``."""
-    t = _as_turnovers(weighted_turnovers, basis.size)
+    t = _as_turnovers(weighted_turnovers, basis.source_dim)
     return float(calibration.coefficients @ np.abs(basis.eigenvectors.T @ t))
 
 
@@ -316,7 +324,7 @@ class TurnoverInputs:
             raise ValueError("individual turnovers must be positive and finite")
         if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
-        if abs(float(np.abs(w).sum()) - 1.0) > 1e-10:
+        if abs(float(np.abs(w).sum()) - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError("weights must satisfy sum |w_i| = 1")
         object.__setattr__(self, "individual_turnovers", tau)
         object.__setattr__(self, "weights", w)
@@ -347,7 +355,7 @@ def turnover_report(basis: SignedBasis, corr: MatrixLike, weighted_turnovers) ->
     :func:`spectral_turnover_full` and :func:`p1_share`, so the basis must
     come from a correlation matrix (eigenvalues summing to N).
     """
-    t = _as_turnovers(weighted_turnovers, basis.size)
+    t = _as_turnovers(weighted_turnovers, basis.source_dim)
     t_full = spectral_turnover_full(basis, t)
     t_large = _large_n(basis, t)
     relation = rho_star_factored(basis, corr)

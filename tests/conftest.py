@@ -1,16 +1,11 @@
 """Fixtures shared by the test modules."""
 
-import os
 import warnings
 from unittest import mock
 
-from turnover_spectra import _THREAD_VARS
-
-# BLAS on one thread unless the caller set a count, as a command runs it
-# (``cli``), so that a test's floats match a command's. Set before numpy
-# loads, which is when BLAS reads them.
-if not any(var in os.environ for var in _THREAD_VARS):
-    os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))
+# The command module, imported before numpy: its rule runs BLAS on one thread
+# unless the caller set a count, so that a test's floats match a command's.
+import turnover_spectra.cli  # noqa: F401
 
 import numpy as np
 import pytest

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ import pytest
 import turnover_spectra
 from turnover_spectra import (
     PAIRWISE_COMPLETE,
-    _THREAD_VARS,
+    CorrelationMatrix,
     CovarianceMatrix,
     SimConfig,
     TimeSeriesPanel,
@@ -28,7 +29,15 @@ from turnover_spectra import (
     simulate,
     write_panel,
 )
-from turnover_spectra.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, SEED_ENV_VAR, main
+from turnover_spectra.cli import (
+    _THREAD_VARS,
+    EXIT_IO,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    SEED_ENV_VAR,
+    main,
+)
+from turnover_spectra.panel import UNIT_DIAGONAL_TOL
 
 _rng = np.random.default_rng(12345)
 PANEL_CSV = "a1,a2,a3\n" + "\n".join(
@@ -500,6 +509,20 @@ def test_matrix_csv_header_follows_the_panel_rule(tmp_path, capsys, command, tex
     assert list(tmp_path.iterdir()) == [tmp_path / "matrix.csv"]
 
 
+def _off_unit_diagonal(offset: float) -> str:
+    """A 3 x 3 matrix CSV, not PSD, whose diagonal is ``1 + offset``."""
+    d = repr(1.0 + offset)
+    return f"a,b,c\n{d},0.9,-0.9\n0.9,{d},0.9\n-0.9,0.9,{d}\n"
+
+
+def test_help_states_the_default_floor_that_is_applied():
+    # --help spells the default floor as text, for every command that takes one
+    stated = {float(number) for number in re.findall(r"\d+e-\d+", cli._FLOOR_DEFAULT)}
+    assert stated == {conditioning._FLOOR_PER_TRACE}
+    # "1e-8 * N for a correlation", bit for bit
+    assert conditioning.default_floor(CorrelationMatrix(np.eye(3))) == 3 * stated.pop()
+
+
 class TestRepair:
     def test_positive_definite_matrix_costs_one_eigensolve(self, tmp_path, eigensolves):
         matrix = write(tmp_path / "corr.csv", "a,b,c\n1.0,0.3,0.2\n0.3,1.0,0.1\n0.2,0.1,1.0\n")
@@ -557,8 +580,13 @@ class TestRepair:
         [
             "a,b,c\n1.0,0.8,-0.8\n0.8,1.0,0.8\n-0.8,0.8,1.0\n",
             "a,b,c\n4.0,4.8,-1.6\n4.8,9.0,2.4\n-1.6,2.4,1.0\n",
+            # either side of the one unit-diagonal rule that CorrelationMatrix
+            # also applies (panel._unit_diagonal): within UNIT_DIAGONAL_TOL of 1
+            # is a correlation's diagonal, one past it a covariance's
+            _off_unit_diagonal(0.5 * UNIT_DIAGONAL_TOL),
+            _off_unit_diagonal(2.0 * UNIT_DIAGONAL_TOL),
         ],
-        ids=["correlation", "covariance"],
+        ids=["correlation", "covariance", "diagonal-within-tolerance", "diagonal-past-tolerance"],
     )
     def test_parses_input_once_and_matches_separate_loaders(self, tmp_path, monkeypatch, text):
         matrix = write(tmp_path / "in.csv", text)
@@ -588,6 +616,10 @@ class TestRepair:
         expected_csv = io.StringIO()
         conditioning.matrix_to_csv(repaired, expected_csv)
         assert out.read_text(encoding="utf-8") == expected_csv.getvalue()
+        # a correlation's diagonal is written as exactly 1; a covariance's is kept
+        kept = np.ones(3) if isinstance(loaded, CorrelationMatrix) else diagonal
+        written = np.loadtxt(out, delimiter=",", skiprows=1, encoding="utf-8")
+        np.testing.assert_array_equal(np.diag(written), kept)
         summary = json.loads((tmp_path / "repaired.json").read_text(encoding="utf-8"))
         assert summary["repair_floor"] == floor
         expected_report = json.loads(json.dumps(cli._jsonable(conditioning.matrix_report(repaired))))

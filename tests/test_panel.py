@@ -303,8 +303,14 @@ class TestMatrixTypes:
              InvalidDiagonalError, "covariance diagonal must be positive"),
             (lambda: CovarianceMatrix([[-4.0, 0.1], [0.1, 9.0]]),
              InvalidDiagonalError, "covariance diagonal must be positive"),
+            # no spectrum, trace or diagonal for the conditioning layer to read
+            (lambda: CorrelationMatrix(np.zeros((0, 0))),
+             InvalidMatrixError, "correlation matrix must not be empty"),
+            (lambda: CovarianceMatrix(np.zeros((0, 0))),
+             InvalidMatrixError, "covariance matrix must not be empty"),
         ],
-        ids=["unit-diagonal", "entry-range", "zero-diagonal", "negative-diagonal"],
+        ids=["unit-diagonal", "entry-range", "zero-diagonal", "negative-diagonal",
+             "empty-correlation", "empty-covariance"],
     )
     def test_value_checks_are_invalid_matrix_errors(self, build, error, message):
         with pytest.raises(error) as refused:

@@ -112,7 +112,7 @@ class TestFixSignBasis:
         assert basis.top_gap == decomp.top_gap
         assert basis.orthonormality_residual == decomp.orthonormality_residual
         assert basis.eigenvalues is decomp.eigenvalues
-        assert basis.source_dim == basis.size == 2
+        assert basis.source_dim == 2
 
     def test_zero_component_gets_plus_one(self):
         decomp = self.decomposition_2x2((0.0, 1.0))
@@ -464,7 +464,7 @@ class TestReport:
         basis = basis_of(corr)
         t = np.full(20, 1.0 / 20)
         report = turnover_report(basis, CorrelationMatrix(corr), t)
-        n = basis.size
+        n = basis.source_dim
         recomputed = float(
             basis.eigenvalues[0] * (basis.first_eigenvector @ t) / math.sqrt(n)
         )
