@@ -44,7 +44,7 @@ _EXPORTS = {
     "turnover": (
         "ExactCalibration", "FactoredRelation", "SignedBasis",
         "TurnoverInputs", "calibrate_exact_B", "fix_sign_basis",
-        "naive_turnover", "p1_share", "rho_prime", "rho_star",
+        "naive_turnover", "p1_share", "rho_star",
         "rho_star_factored", "spectral_terms", "spectral_turnover_full",
         "spectral_turnover_large_n", "turnover_exact_b", "turnover_report",
         "turnover_t2",

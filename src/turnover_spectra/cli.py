@@ -34,12 +34,16 @@ under ``--no-repair``, a panel whose sample moments overflow float64 (also
 an ``InvalidMatrixError``).
 
 Artifacts. Each command's runner returns the body of its JSON artifact,
-and ``main`` alone writes it, with sorted keys and the ``config`` block.
-``repair`` and ``sweep`` also write a CSV, and their JSON goes beside it,
-the CSV's path with a ``.json`` suffix (``_json_path``). So their
-``--output`` may not itself end in ``.json``, in any case (``.JSON`` names
-the same file on a case-insensitive file system), where the JSON would
-overwrite the CSV: ``main`` refuses it (exit 1) before any input is read.
+and for ``repair`` and ``sweep`` what their CSV holds, and writes no file:
+``main`` alone writes them once the runner has returned, the CSV first and
+then the JSON, with sorted keys and the ``config`` block. When a write
+fails, ``main`` removes every file it opened for the command, so a non-zero
+exit leaves no artifact behind. The JSON of ``repair`` and ``sweep`` goes
+beside their CSV, the CSV's path with a ``.json`` suffix (``_json_path``).
+So their ``--output`` may not itself end in ``.json``, in any case
+(``.JSON`` names the same file on a case-insensitive file system), where
+the JSON would overwrite the CSV: ``main`` refuses it (exit 1) before any
+input is read.
 
 - ``analyze``: JSON ``config`` and ``report``: ``turnover.turnover_report``'s
   models, coefficients and ``warnings`` (which may hold ``degenerate-top``),
@@ -65,7 +69,10 @@ overwrite the CSV: ``main`` refuses it (exit 1) before any input is read.
   ``residuals``, ``errors``, ``solvers`` and ``degenerate_top``.
 - ``simulate``: JSON ``config``, ``gross_traded``, ``netted_traded``,
   ``crossing_ratio``, ``mean``, ``std_error``, ``zero_gross_paths`` and
-  ``per_path_ratios``.
+  ``per_path_ratios``. ``crossing_ratio`` is the pooled ratio, the netted
+  dollars summed over paths against the gross dollars summed over paths;
+  ``mean`` is the mean of the per-path ratios, a different number, and
+  ``std_error`` the standard error of that mean (``simulate.SimResult``).
 
 Numbers as text: a CSV float is its shortest round-trip ``repr`` and a
 missing panel cell is empty (``_grid.write_csv``); in JSON, infinity is the
@@ -93,11 +100,13 @@ process, in grid order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 # Threads, as the module docstring says: BLAS reads these when numpy loads.
@@ -133,6 +142,7 @@ from .panel import (
 )
 from .simulate import (
     SimConfig,
+    SweepResult,
     one_factor_source,
     simulate_crossing_paths,
     sweep_rho_star,
@@ -268,23 +278,42 @@ def _jsonable(value):
     return value
 
 
-def _write_json(payload: dict, path: str | Path) -> None:
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+def _write_artifacts(args: argparse.Namespace, json_path: Path, body: dict, table) -> None:
+    """Write a runner's artifacts: the CSV of ``table`` for a command in
+    ``_CSV_WRITERS``, then the JSON of ``body`` with the ``config`` block,
+    each as UTF-8 with ``\n`` line ends. When a write raises, every file
+    opened here, the failing one included, is removed before the error goes
+    on, so a failed command leaves no artifact behind."""
+    text = json.dumps(_jsonable({"config": vars(args), **body}), indent=2, sort_keys=True)
+    writes = [(json_path, lambda handle: handle.write(text + "\n"))]
+    if table is not None:
+        writes.insert(0, (Path(args.output_path), partial(_CSV_WRITERS[args.command], table)))
+    opened = []
+    try:
+        for path, write in writes:
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                opened.append(path)
+                write(handle)
+    except BaseException:
+        for path in opened:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
 
 
-# the commands whose ``--output`` is a CSV, with the JSON artifact beside it
-_CSV_COMMANDS = ("repair", "sweep")
+# the commands whose ``--output`` is a CSV, by the function that writes it,
+# with the JSON artifact beside it
+_CSV_WRITERS = {"repair": matrix_to_csv, "sweep": sweep_to_csv}
 # the flags that name a file a command reads, by their ``dest``
 _INPUT_FLAGS = (("--input", "input_path"), ("--factors", "factor_path"))
 
 
 def _json_path(args: argparse.Namespace) -> Path:
     """Where the command's JSON artifact goes: ``--output`` itself, or for a
-    command in ``_CSV_COMMANDS`` the CSV's path with a ``.json`` suffix (a
+    command in ``_CSV_WRITERS`` the CSV's path with a ``.json`` suffix (a
     path with no name, ``.`` say, then fails where the CSV is written)."""
     output = Path(args.output_path)
-    return output.parent / f"{output.stem}.json" if args.command in _CSV_COMMANDS else output
+    return output.parent / f"{output.stem}.json" if args.command in _CSV_WRITERS else output
 
 
 def _refuse_overwriting_an_input(args: argparse.Namespace, json_path: Path) -> None:
@@ -310,12 +339,10 @@ def _parse_grid(spec: str) -> tuple[int, ...]:
         raise ValueError(f"grid must be comma-separated integers, got {spec!r}") from None
     if len(values) < 2:
         raise ValueError("grid needs at least two distinct N values")
-    if any(n < 2 for n in values):
-        raise ValueError("grid values must be at least 2")
     return tuple(values)
 
 
-def run_analyze(args: argparse.Namespace) -> dict:
+def run_analyze(args: argparse.Namespace) -> tuple[dict, None]:
     if args.repair_floor is not None:  # every matrix repaired here is a correlation
         _check_floor(args.repair_floor, 1, 1.0)
     residualized = False
@@ -328,7 +355,7 @@ def run_analyze(args: argparse.Namespace) -> dict:
         n_timestamps = panel.n_periods
         if args.factor_path:
             factors = load_panel(args.factor_path)
-            panel = ols_residualize(panel, factors, keep_intercept=True)
+            panel = ols_residualize(panel, factors)
             residualized = True
             factor_ids = list(factors.series_ids)
         corr = sample_moments(panel, args.estimation_mode)
@@ -373,29 +400,27 @@ def run_analyze(args: argparse.Namespace) -> dict:
         "factor_ids": factor_ids,
         "weights": "uniform (tau_i = 1, w_i = 1/N; turnovers are reduction factors)",
     }
-    return {"report": {**turnover_report(basis, corr, weighted), "inputs": digest}}
+    return {"report": {**turnover_report(basis, corr, weighted), "inputs": digest}}, None
 
 
-def run_repair(args: argparse.Namespace) -> dict:
+def run_repair(args: argparse.Namespace) -> tuple[dict, CorrelationMatrix | CovarianceMatrix]:
     ids, entries = _square_from_csv(args.input_path)
     kind = CorrelationMatrix if _unit_diagonal(entries) else CovarianceMatrix
     matrix = kind(entries, ids=ids)
     floor = args.repair_floor if args.repair_floor is not None else default_floor(matrix)
     repaired = rj_repair(matrix, floor)
-    matrix_to_csv(repaired, args.output_path)
-    return {"repair_floor": floor, "report": matrix_report(repaired)}
+    return {"repair_floor": floor, "report": matrix_report(repaired)}, repaired
 
 
-def run_sweep(args: argparse.Namespace) -> dict:
+def run_sweep(args: argparse.Namespace) -> tuple[dict, SweepResult]:
     source = one_factor_source(args.rho, args.n_periods)
     result = sweep_rho_star(
         args.grid, source, seed=args.seed, repair=args.repair, floor=args.repair_floor
     )
-    sweep_to_csv(result, args.output_path)
-    return {**asdict(result), "f_statistic": result.reported_f}
+    return {**asdict(result), "f_statistic": result.reported_f}, result
 
 
-def run_simulate(args: argparse.Namespace) -> dict:
+def run_simulate(args: argparse.Namespace) -> tuple[dict, None]:
     sim_config = SimConfig(
         n_alphas=args.n_alphas,
         n_periods=2,
@@ -404,9 +429,11 @@ def run_simulate(args: argparse.Namespace) -> dict:
         master_seed=args.seed,
         n_paths=args.n_paths,
     )
-    return asdict(simulate_crossing_paths(sim_config))
+    return asdict(simulate_crossing_paths(sim_config)), None
 
 
+# each command's runner returns its JSON body and, for a command in
+# ``_CSV_WRITERS``, what its CSV holds (None for the others)
 _RUNNERS = {
     "analyze": run_analyze,
     "repair": run_repair,
@@ -438,15 +465,14 @@ def main(argv: list[str] | None = None) -> int:
         json_path = _json_path(args)
         _refuse_overwriting_an_input(args, json_path)
         # compared without case, as a case-insensitive file system names files
-        if args.command in _CSV_COMMANDS and (
+        if args.command in _CSV_WRITERS and (
             json_path.name.lower() == Path(args.output_path).name.lower()
         ):
             raise ValueError(
                 f"--output {args.output_path} ends in .json, where the JSON summary "
                 "would overwrite the CSV; give the CSV another suffix"
             )
-        body = _RUNNERS[args.command](args)
-        _write_json({"config": vars(args), **body}, json_path)
+        _write_artifacts(args, json_path, *_RUNNERS[args.command](args))
         return EXIT_OK
     except InvalidMatrixError as exc:
         print(f"error: {exc}", file=sys.stderr)

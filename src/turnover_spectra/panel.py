@@ -558,20 +558,18 @@ def sample_moments(panel: TimeSeriesPanel, mode: str = COMPLETE_CASES) -> Correl
     return CorrelationMatrix(_moments(ids, panel.values, columns), ids=ids)
 
 
-def ols_residualize(
-    panel: TimeSeriesPanel,
-    factors: TimeSeriesPanel,
-    *,
-    keep_intercept: bool = False,
-) -> TimeSeriesPanel:
+def ols_residualize(panel: TimeSeriesPanel, factors: TimeSeriesPanel) -> TimeSeriesPanel:
     """Regress every series on a constant and the factor series and return
-    the residuals.
+    the residuals, each with its fitted intercept added back.
 
     Each series is fit over the timestamps where it and all factors are
-    observed. The fitted intercept is removed from the residual unless
-    ``keep_intercept`` is set, which adds it back (a pure level shift with no
-    effect on downstream correlations). The residuals are a fresh array,
-    locked and kept by the returned panel with no copy.
+    observed. The intercept keeps the series' level, which the degeneracy
+    rule of :func:`sample_moments` reads (a series is constant when its
+    spread is at most ``_CONSTANT_REL_TOL * max(1, |mean|)``): a series the
+    factors explain exactly leaves rounding noise about its level, refused
+    as constant, where without the level that noise would read as a
+    correlated series. The residuals are a fresh array, locked and kept by
+    the returned panel with no copy.
 
     Raises
     ------
@@ -603,8 +601,5 @@ def ols_residualize(
             raise CollinearFactorsError(
                 f"rank-deficient factor design for series {sid!r}"
             )
-        resid = y - design @ coef
-        if keep_intercept:
-            resid = resid + coef[0]
-        out_values[i, joint] = resid
+        out_values[i, joint] = (y - design @ coef) + coef[0]
     return TimeSeriesPanel(panel.series_ids, _readonly(out_values))

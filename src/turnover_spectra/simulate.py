@@ -171,7 +171,16 @@ def gen_trade_matrix(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Gross versus internally netted dollars traded."""
+    """Gross versus internally netted dollars traded.
+
+    ``gross_traded`` and ``netted_traded`` are summed over the paths, and
+    ``crossing_ratio`` is their pooled ratio, sum netted / sum gross.
+    ``per_path_ratios`` holds each path's own netted / gross, ``mean`` is
+    their mean, which weighs every path alike and so differs from the
+    pooled ratio, and ``std_error`` is the standard error of that mean (0
+    for one path). ``zero_gross_paths`` counts the paths with no gross
+    trade, whose ratio is 1 by convention.
+    """
 
     gross_traded: float
     netted_traded: float

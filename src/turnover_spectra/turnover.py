@@ -175,27 +175,6 @@ def _rho_star(basis: SignedBasis) -> float:
     )
 
 
-def rho_prime(corr: MatrixLike) -> tuple[float, float, float]:
-    """Mean-based proxies ``(psi_star, rho_prime, rho_bar)`` of a matrix wrapper.
-
-    ``psi_star = sum_ij corr_ij / N`` is the least-squares scalar matching
-    the row sums (i.e. their mean), ``rho_prime = psi_star / N`` and
-    ``rho_bar = (psi_star - 1) / (N - 1)`` is the mean off-diagonal
-    correlation. Assumes a unit-diagonal matrix.
-    """
-    return _mean_proxies(corr.entries)
-
-
-def _mean_proxies(entries: np.ndarray) -> tuple[float, float, float]:
-    """:func:`rho_prime` of entries already checked, such as the reflection
-    :func:`rho_star_factored` builds from a wrapper's."""
-    n = entries.shape[0]
-    if n < 2:
-        raise ValueError("mean off-diagonal correlation undefined for one series")
-    psi_star = float(entries.sum()) / n
-    return psi_star, psi_star / n, (psi_star - 1.0) / (n - 1)
-
-
 @dataclass(frozen=True)
 class FactoredRelation:
     """Comparison of rho_star with the factored value sqrt(rho_one * rho_prime)."""
@@ -224,15 +203,24 @@ def rho_star_factored(basis: SignedBasis, corr: MatrixLike) -> FactoredRelation:
     """Factored approximation ``sqrt((w_1 / N) * rho_prime)`` and its gap.
 
     ``corr`` must be the matrix the basis was computed from. The mean-based
-    quantities are evaluated in the re-signed basis, where the exact identity
-    ``rho_prime = sum_p (sum_i V^(p)_i)^2 w_p / N^2`` holds
-    (``rho_prime_spectral`` reports the right-hand side). When ``rho_star``
-    is zero the gap is reported as an absolute difference instead.
+    quantities are evaluated in the re-signed basis, so that, like the
+    turnover ``T_i = tau_i |w_i|``, they do not change when an alpha is
+    written with the opposite sign: ``psi_star = sum_ij C_ij / N``, the
+    least-squares scalar matching the row sums (their mean), ``rho_prime =
+    psi_star / N`` and ``rho_bar = (psi_star - 1) / (N - 1)``, the mean
+    off-diagonal correlation, of the reflected matrix ``C``. The identity
+    ``rho_prime = sum_p (sum_i V^(p)_i)^2 w_p / N^2`` holds in any
+    eigenbasis of ``C`` (``rho_prime_spectral`` reports the right-hand
+    side). When ``rho_star`` is zero the gap is reported as an absolute
+    difference instead.
     """
     reflected = basis.reflect(corr)
     _check_matches_basis(basis, reflected)
-    psi_star, rho_p, rho_bar = _mean_proxies(reflected)
     n = basis.source_dim
+    if n < 2:
+        raise ValueError("mean off-diagonal correlation undefined for one series")
+    psi_star = float(reflected.sum()) / n
+    rho_p, rho_bar = psi_star / n, (psi_star - 1.0) / (n - 1)
     rho_one = float(basis.eigenvalues[0]) / n
     product = rho_one * rho_p
     factored = math.sqrt(product) if product >= 0 else math.nan

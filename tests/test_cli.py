@@ -390,13 +390,14 @@ def test_a_repair_near_the_float64_limit_runs_without_overflow(tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
-    "text, floor, message",
+    "text, floor, message, solves",
     [
         # finite, symmetric and a positive diagonal, but eigh's spectrum is inf, inf, -4.8e307
         (
             "a,b,c\n1.2e308,8.4e307,8.4e307\n8.4e307,1.2e308,-8.4e307\n8.4e307,-8.4e307,1.2e308\n",
             [],
             "error: matrix spectrum overflows float64: an eigenvalue is not finite\n",
+            1,
         ),
         # positive definite, but the floor exceeds the mean diagonal (the
         # default, 1e-8 * trace, cannot)
@@ -405,6 +406,7 @@ def test_a_repair_near_the_float64_limit_runs_without_overflow(tmp_path, capsys)
             ["--floor", "2e-08"],
             "error: eigenvalue floor 2e-08 exceeds the mean diagonal 1e-300, which the "
             "repair keeps and the smallest eigenvalue cannot exceed\n",
+            0,
         ),
         # eigenvalues 1.9, 1.9, -0.8: a floor this small could leave an output
         # that reads as borderline, as the parent's did
@@ -412,20 +414,32 @@ def test_a_repair_near_the_float64_limit_runs_without_overflow(tmp_path, capsys)
             "a,b,c\n1.0,0.9,-0.9\n0.9,1.0,0.9\n-0.9,0.9,1.0\n",
             ["--floor", "1e-15"],
             "error: eigenvalue floor too small to resolve: 1e-15 <= 3.9968028886505635e-15\n",
+            0,
+        ),
+        # the same matrix needs more than the one pass the cap below allows
+        (
+            "a,b,c\n1.0,0.9,-0.9\n0.9,1.0,0.9\n-0.9,0.9,1.0\n",
+            [],
+            "error: eigenvalue-floor repair did not converge in 1 passes\n",
+            1,
         ),
     ],
-    ids=["spectrum-past-float64", "floor-above-the-mean-diagonal", "floor-too-small-to-resolve"],
+    ids=["spectrum-past-float64", "floor-above-the-mean-diagonal", "floor-too-small-to-resolve",
+         "no-convergence"],
 )
 def test_a_repair_that_cannot_succeed_is_a_numeric_refusal(
-    tmp_path, capsys, eigensolves, text, floor, message
+    tmp_path, capsys, monkeypatch, eigensolves, text, floor, message, solves
 ):
+    # a cap of one pass; every other case is refused before its first
+    monkeypatch.setattr(conditioning, "_REPAIR_MAX_PASSES", 1)
     matrix = write(tmp_path / "matrix.csv", text)
     argv = ["repair", "--input", matrix, "--output", str(tmp_path / "out.csv"), *floor]
     assert main(argv) == EXIT_NUMERIC
     assert capsys.readouterr().err == message
     assert list(tmp_path.iterdir()) == [tmp_path / "matrix.csv"]
-    # the overflowing spectrum is the input's one solve; the floor is refused before any
-    assert len(eigensolves) == (1 if "overflows" in message else 0)
+    # the overflowing spectrum and the unconverged repair solve the input once;
+    # a floor is refused before any solve
+    assert len(eigensolves) == solves
 
 
 @pytest.mark.parametrize(
@@ -718,8 +732,11 @@ class TestSweep:
             (["--rho", "1.5"], "--rho must lie in [0, 1], got 1.5"),
             (["--rho", "-0.2"], "--rho must lie in [0, 1], got -0.2"),
             (["--periods", "1"], "--periods must be at least 2, got 1"),
+            # the last --grid given is the one parsed
+            (["--grid", "1,5"], "grid values must be at least 2"),
+            (["--grid", "a,b"], "grid must be comma-separated integers, got 'a,b'"),
         ],
-        ids=["rho-1.5", "rho-neg", "periods-1"],
+        ids=["rho-1.5", "rho-neg", "periods-1", "grid-below-2", "grid-not-integers"],
     )
     def test_bad_generator_arguments_exit_1_before_any_output(self, tmp_path, capsys, extra, message):
         out = tmp_path / "s.csv"
@@ -927,6 +944,21 @@ def test_csv_output_with_no_name_fails_where_the_csv_is_written(tmp_path, capsys
     assert main([*argv, "--output", "."]) == EXIT_IO
     assert capsys.readouterr().err == "error: [Errno 21] Is a directory: '.'\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["corr.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["repair", "--input", "MATRIX"], ["sweep", "--grid", "10,20"]], ids=["repair", "sweep"]
+)
+def test_a_failed_json_write_leaves_no_csv_behind(tmp_path, capsys, argv):
+    # the CSV is written first, and the JSON beside it cannot be: the JSON
+    # path is a directory, so the CSV written for the command is removed too
+    matrix = write(tmp_path / "corr.csv", "a,b\n1.0,0.4\n0.4,1.0\n")
+    out = tmp_path / "out"
+    (out / "result.json").mkdir(parents=True)
+    argv = [matrix if arg == "MATRIX" else arg for arg in argv]
+    assert main([*argv, "--output", str(out / "result.csv")]) == EXIT_IO
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out / 'result.json'}'\n"
+    assert [path.name for path in out.iterdir()] == ["result.json"]
 
 
 @pytest.mark.parametrize(

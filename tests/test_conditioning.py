@@ -382,6 +382,14 @@ class TestRjRepair:
             rj_repair(matrix, floor)
         assert eigensolves == []
 
+    def test_a_repair_past_its_pass_cap_is_refused(self, monkeypatch):
+        # NON_PSD needs more than one pass, so a cap of one leaves it unconverged
+        monkeypatch.setattr(conditioning, "_REPAIR_MAX_PASSES", 1)
+        with pytest.raises(
+            InvalidMatrixError, match="^eigenvalue-floor repair did not converge in 1 passes$"
+        ):
+            rj_repair(CorrelationMatrix(NON_PSD), correlation_floor(3))
+
     def test_a_floor_at_the_mean_diagonal_is_met(self):
         repaired, record = _condition(CovarianceMatrix(2.0 * np.eye(3)), 2.0)
         assert record["repair_passes"] == 1

@@ -209,7 +209,8 @@ class TestResidualize:
         panel = self.one_series_panel(y)
         factors = self.one_series_panel(f, ids=("f",))
         resid = ols_residualize(panel, factors)
-        np.testing.assert_allclose(resid.values[0], 0.0, atol=1e-12)
+        # zero residuals about the fitted intercept, which is added back
+        np.testing.assert_allclose(resid.values[0], 1.0, atol=1e-12)
 
     def test_orthogonal_factor_leaves_demeaned_series(self):
         y = np.array([1.0, 2.0, 3.0, 4.0])
@@ -219,19 +220,19 @@ class TestResidualize:
         panel = self.one_series_panel(y)
         factors = self.one_series_panel(f, ids=("f",))
         resid = ols_residualize(panel, factors)
-        np.testing.assert_allclose(resid.values[0], y - y.mean(), atol=1e-12)
+        # the demeaned series plus the intercept, its mean, added back
+        np.testing.assert_allclose(resid.values[0], y, atol=1e-12)
 
-    def test_keep_intercept_only_shifts_levels(self):
-        rng = np.random.default_rng(3)
-        y = rng.standard_normal(12)
-        f = rng.standard_normal(12)
-        panel = self.one_series_panel(y)
+    def test_a_series_the_factors_explain_keeps_its_level_and_is_refused(self):
+        # what the fit leaves of 1e6 + 2 f is rounding noise about the level,
+        # constant by the degeneracy rule; about 0 it would read as a series
+        rng = np.random.default_rng(5)
+        f = rng.standard_normal(40)
+        panel = TimeSeriesPanel(("flat", "noise"), np.vstack([1e6 + 2.0 * f, rng.standard_normal(40)]))
         factors = self.one_series_panel(f, ids=("f",))
-        pure = ols_residualize(panel, factors)
-        kept = ols_residualize(panel, factors, keep_intercept=True)
-        shift = kept.values[0] - pure.values[0]
-        np.testing.assert_allclose(shift, shift[0], atol=1e-12)
-        assert abs(shift[0]) > 1e-6  # the fitted intercept is genuinely nonzero
+        with pytest.raises(DegenerateSeriesError) as refused:
+            sample_moments(ols_residualize(panel, factors))
+        assert refused.value.ids == ("flat",)
 
     def test_factor_rescaling_leaves_residuals(self):
         rng = np.random.default_rng(7)
@@ -320,11 +321,16 @@ class TestMatrixTypes:
 
     def test_shape_checks_stay_plain_value_errors(self):
         entries = np.eye(2)
-        for build in (
-            lambda: CovarianceMatrix(entries, ids=("a",)),
-            lambda: CorrelationMatrix(entries, ids=("a",)),
+        for build, message in (
+            (lambda: CovarianceMatrix(entries, ids=("a",)), "length"),
+            (lambda: CorrelationMatrix(entries, ids=("a",)), "length"),
+            (lambda: TimeSeriesPanel(("a",), np.arange(3.0)),
+             r"^values must be a 2-D array \(series x timestamps\)$"),
+            (lambda: TimeSeriesPanel((), np.zeros((0, 3))), "^panel needs at least one series$"),
+            (lambda: sample_moments(TimeSeriesPanel(("a",), np.arange(3.0)[None, :])),
+             "^sample moments need at least two series$"),
         ):
-            with pytest.raises(ValueError) as refused:
+            with pytest.raises(ValueError, match=message) as refused:
                 build()
             assert not isinstance(refused.value, InvalidMatrixError)
 

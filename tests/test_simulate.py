@@ -114,6 +114,9 @@ class TestOneFactorPanel:
             SimConfig(4, 10, target_correlation=1.5)
         with pytest.raises(ValueError):
             SimConfig(4, 10, target_correlation=-0.1)
+        for loadings in ([0.5], [[0.3, 0.6]]):
+            with pytest.raises(ValueError, match="^loadings must be a vector of length >= 2$"):
+                one_factor_correlation(loadings)
 
     def test_population_matrix_shape(self):
         corr = one_factor_correlation([0.3, 0.6, 0.9])
@@ -149,6 +152,11 @@ class TestSimulateCrossing:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             simulate_crossing([[np.nan, 1.0], [0.0, 2.0]])
+
+    @pytest.mark.parametrize("trades", [[1.0, -1.0], np.ones((2, 2, 2))], ids=["vector", "3-D"])
+    def test_trades_that_are_not_a_matrix_are_refused(self, trades):
+        with pytest.raises(ValueError, match=r"^trades must be a 2-D matrix \(alphas x instruments\)$"):
+            simulate_crossing(trades)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -268,6 +276,20 @@ class TestNoInterceptRegression:
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
             no_intercept_regression([1.0], [2.0])
+
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            ([[1.0, 2.0]], [[2.0, 4.0]], "^x and y must be 1-D vectors of equal length$"),
+            ([1.0, 2.0], [2.0, 4.0, 6.0], "^x and y must be 1-D vectors of equal length$"),
+            ([1.0, np.nan], [2.0, 4.0], "^regression inputs must be finite$"),
+            ([1.0, 2.0], [2.0, np.inf], "^regression inputs must be finite$"),
+        ],
+        ids=["2-D", "unequal-lengths", "nan-x", "inf-y"],
+    )
+    def test_malformed_inputs_are_refused(self, x, y, message):
+        with pytest.raises(ValueError, match=message):
+            no_intercept_regression(x, y)
 
 
 class TestSweep:

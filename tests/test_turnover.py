@@ -24,7 +24,6 @@ from turnover_spectra import (
     naive_turnover,
     one_factor_correlation,
     p1_share,
-    rho_prime,
     rho_star,
     rho_star_factored,
     spectral_turnover_full,
@@ -177,6 +176,8 @@ class TestFullModel:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             spectral_turnover_full(basis_of(np.eye(3)), [1.0, 2.0])
+        with pytest.raises(ValueError, match="^weighted turnovers must be a 1-D vector$"):
+            spectral_turnover_full(basis_of(np.eye(3)), np.ones((3, 1)))
 
     def test_negative_turnover_rejected(self):
         with pytest.raises(ValueError):
@@ -253,20 +254,28 @@ def test_the_degenerate_top_warning_points_at_the_caller(evaluate, quantity):
 
 
 class TestRhoPrime:
+    """``psi_star``, ``rho_prime`` and ``rho_bar``, which ``rho_star_factored``
+    computes in the sign-fixed basis, the one definition the report uses."""
+
+    @staticmethod
+    def mean_quantities(entries):
+        relation = rho_star_factored(basis_of(entries), CorrelationMatrix(entries))
+        return relation.psi_star, relation.rho_prime, relation.rho_bar
+
     def test_uniform(self):
-        psi, prime, bar = rho_prime(CorrelationMatrix(uniform_correlation(4, 0.5)))
+        psi, prime, bar = self.mean_quantities(uniform_correlation(4, 0.5))
         assert psi == pytest.approx(2.5, abs=1e-12)
         assert prime == pytest.approx(0.625, abs=1e-12)
         assert bar == pytest.approx(0.5, abs=1e-12)
 
     def test_identity(self):
-        psi, prime, bar = rho_prime(CorrelationMatrix(np.eye(5)))
-        assert (psi, prime, bar) == (1.0, 0.2, 0.0)
+        assert self.mean_quantities(np.eye(5)) == (1.0, 0.2, 0.0)
 
     def test_least_squares_minimizer(self):
         entries = random_pd_correlation(6, 9)
-        psi, _, _ = rho_prime(CorrelationMatrix(entries))
-        row_sums = entries.sum(axis=1)
+        basis = basis_of(entries)
+        psi = rho_star_factored(basis, CorrelationMatrix(entries)).psi_star
+        row_sums = basis.reflect(CorrelationMatrix(entries)).sum(axis=1)
 
         def objective(value):
             return float(((row_sums - value) ** 2).sum())
@@ -275,8 +284,8 @@ class TestRhoPrime:
         assert objective(psi - 0.01) > objective(psi)
 
     def test_single_series_rejected(self):
-        with pytest.raises(ValueError):
-            rho_prime(CorrelationMatrix(np.eye(1)))
+        with pytest.raises(ValueError, match="undefined for one series"):
+            self.mean_quantities(np.eye(1))
 
 
 class TestFactoredRelation:
@@ -310,6 +319,8 @@ class TestFactoredRelation:
         # identical to the unreflected run: the sign fix canonicalizes
         base = rho_star_factored(basis_of(corr), CorrelationMatrix(corr))
         assert relation.rho_prime == pytest.approx(base.rho_prime, abs=1e-10)
+        assert relation.psi_star == pytest.approx(base.psi_star, abs=1e-10)
+        assert relation.rho_bar == pytest.approx(base.rho_bar, abs=1e-10)
         assert relation.rho_star == pytest.approx(base.rho_star, abs=1e-10)
 
     def test_mismatched_matrix_rejected(self):
@@ -414,6 +425,13 @@ class TestSimpleModels:
             TurnoverInputs([0.1, -0.2], [0.5, 0.5])
         with pytest.raises(ValueError):
             TurnoverInputs([0.1, 0.2], [0.5, 0.6])
+        shape = "^turnovers and weights must be 1-D and equally long$"
+        with pytest.raises(ValueError, match=shape):
+            TurnoverInputs([[0.1, 0.2]], [[0.5, 0.5]])
+        with pytest.raises(ValueError, match=shape):
+            TurnoverInputs([0.1, 0.2], [0.5, 0.25, 0.25])
+        with pytest.raises(ValueError, match="^weights must be finite$"):
+            TurnoverInputs([0.1, 0.2], [0.5, np.nan])
 
 
 @settings(max_examples=60, deadline=None)
