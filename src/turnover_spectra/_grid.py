@@ -7,7 +7,8 @@ layout; the writer (:func:`write_csv`) owns the one rule from numbers to
 artifact text; and :func:`checked_ids` refuses an id the reader would not
 read back as written. A large file is parsed in byte-range parts, each by
 :func:`_file_part`, all but the first in forked children (:func:`_fork`) that
-send their rows back as raw float64 bytes.
+send their rows back as raw float64 bytes; an open handle, or a path that is
+not a regular file, is listed once and parsed from that list.
 """
 
 from __future__ import annotations
@@ -45,13 +46,6 @@ _QUOTED = re.compile('["\r\n]').search
 _Grid = tuple[tuple[str, ...], np.ndarray, np.ndarray]
 
 
-def _rewind_point(handle: IO[str]) -> int | None:
-    try:
-        return handle.tell() if handle.seekable() else None
-    except (AttributeError, OSError):  # a list of lines, or a file iterated with next()
-        return None
-
-
 def read_grid(source: str | Path | IO[str]) -> _Grid:
     """The package's one CSV reader, for panels and square matrices alike.
 
@@ -69,13 +63,14 @@ def read_grid(source: str | Path | IO[str]) -> _Grid:
     which sends its rows back as raw float64 bytes (:func:`_fast_file`); a
     smaller file, or any file on a platform without ``os.fork`` and
     ``os.sched_getaffinity``, is one part with no child. An open handle, or
-    a path that is not a regular file (a pipe, say), streams its lines
-    through the same parse as one part (:func:`_fast_grid`). When any part
-    declines, or a child does not exit 0 or sends a byte count that is not
-    whole rows, the whole text goes to the per-cell reference
-    :func:`_grid_from_rows`: a seekable handle is rewound to where the fast
-    pass started, and one that cannot seek is first read once into a list
-    of lines. The reference is the only one that raises on malformed input,
+    a path that is not a regular file (a pipe, say), is read once into a
+    list of lines from where it stands, and that list is parsed as one part
+    (:func:`_fast_grid`). When any part declines, or a child does not exit 0
+    or sends a byte count that is not whole rows, the whole text goes to the
+    per-cell reference :func:`_grid_from_rows`: a file's is read again from
+    its path, and a handle's is the same list of lines. The list holds the
+    whole text at once, so a large file is best passed by its path. The
+    reference is the only one that raises on malformed input,
     except for a line the ``csv`` reader itself rejects (a field over its
     size limit), which raises ``PanelFormatError`` with the reader's line
     number.
@@ -89,14 +84,8 @@ def read_grid(source: str | Path | IO[str]) -> _Grid:
             return result
         with open(source, "r", encoding="utf-8", newline="") as handle:
             return _grid_from_rows(_csv_rows(handle))
-    start = _rewind_point(source)
-    lines = source if start is not None else list(source)
-    result = _fast_grid(iter(lines))
-    if result is not None:
-        return result
-    if start is not None:
-        source.seek(start)
-    return _grid_from_rows(_csv_rows(lines))
+    lines = list(source)
+    return _fast_grid(iter(lines)) or _grid_from_rows(_csv_rows(lines))
 
 
 def write_csv(dest: str | Path | IO[str], header: Iterable, rows: Iterable) -> None:

@@ -36,14 +36,23 @@ an ``InvalidMatrixError``).
 Artifacts. Each command's runner returns the body of its JSON artifact,
 and for ``repair`` and ``sweep`` what their CSV holds, and writes no file:
 ``main`` alone writes them once the runner has returned, the CSV first and
-then the JSON, with sorted keys and the ``config`` block. When a write
-fails, ``main`` removes every file it opened for the command, so a non-zero
-exit leaves no artifact behind. The JSON of ``repair`` and ``sweep`` goes
-beside their CSV, the CSV's path with a ``.json`` suffix (``_json_path``).
-So their ``--output`` may not itself end in ``.json``, in any case
-(``.JSON`` names the same file on a case-insensitive file system), where
-the JSON would overwrite the CSV: ``main`` refuses it (exit 1) before any
-input is read.
+then the JSON, with sorted keys and the ``config`` block. Each is written
+to a temporary file beside its target and renamed over it only once every
+write has succeeded (``_write_artifacts``), so a failed write leaves no
+artifact behind, and a file that stood at an output path keeps its bytes.
+One window is left, for a permission change or a race between the two
+renames: the CSV has been renamed into place and the JSON's rename then
+fails, which leaves the new CSV beside the earlier JSON. An artifact is a
+new file, not the earlier one rewritten: it takes the earlier file's
+permission bits, and a symlinked output stays a link, now to the new file;
+but another hard link to the earlier file keeps the earlier bytes, and a
+read-only file is replaced wherever its directory may be written. An
+output that exists and is not a regular file (a FIFO, ``/dev/stdout``) is
+written in place. The JSON of ``repair`` and ``sweep`` goes beside their
+CSV, the CSV's path with a ``.json`` suffix (``_json_path``). So their
+``--output`` may not itself end in ``.json``, in any case (``.JSON`` names
+the same file on a case-insensitive file system), where the JSON would
+overwrite the CSV: ``main`` refuses it (exit 1) before any input is read.
 
 - ``analyze``: JSON ``config`` and ``report``: ``turnover.turnover_report``'s
   models, coefficients and ``warnings`` (which may hold ``degenerate-top``),
@@ -104,6 +113,7 @@ import contextlib
 import json
 import math
 import os
+import shutil
 import sys
 from dataclasses import asdict
 from functools import partial
@@ -281,23 +291,47 @@ def _jsonable(value):
 def _write_artifacts(args: argparse.Namespace, json_path: Path, body: dict, table) -> None:
     """Write a runner's artifacts: the CSV of ``table`` for a command in
     ``_CSV_WRITERS``, then the JSON of ``body`` with the ``config`` block,
-    each as UTF-8 with ``\n`` line ends. When a write raises, every file
-    opened here, the failing one included, is removed before the error goes
-    on, so a failed command leaves no artifact behind."""
+    each as UTF-8 with ``\n`` line ends.
+
+    Each artifact is written to a new temporary file beside its target (a
+    symlink's target, so the link stays), named for this process and created
+    only if no file has that name. It gets the mode a plain ``open`` gives
+    under the umask, or the permission bits of the file it replaces. Only
+    once every write has succeeded is each one renamed over its target, in
+    order; when anything raises, the temporaries still there are removed
+    before the error goes on. A target that exists and is not a regular file
+    (a FIFO, ``/dev/stdout``, a directory) is opened in place instead, where
+    a directory fails before any rename."""
     text = json.dumps(_jsonable({"config": vars(args), **body}), indent=2, sort_keys=True)
     writes = [(json_path, lambda handle: handle.write(text + "\n"))]
     if table is not None:
         writes.insert(0, (Path(args.output_path), partial(_CSV_WRITERS[args.command], table)))
-    opened = []
+    staged = []
     try:
         for path, write in writes:
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                opened.append(path)
+            if path.exists() and not path.is_file():
+                with open(path, "w", encoding="utf-8", newline="") as handle:
+                    write(handle)
+                continue
+            target = Path(os.path.realpath(path)) if path.is_symlink() else path
+            temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            # a missing or unwritable directory fails here: name the output, not its temporary
+            try:
+                handle = open(temporary, "x", encoding="utf-8", newline="")
+            except (FileNotFoundError, PermissionError) as exc:
+                exc.filename = str(path)
+                raise
+            with handle:
+                staged.append((temporary, target))
+                if target.exists():
+                    shutil.copymode(target, temporary)
                 write(handle)
+        for temporary, target in staged:
+            os.replace(temporary, target)
     except BaseException:
-        for path in opened:
+        for temporary, _ in staged:  # one already renamed is no longer there
             with contextlib.suppress(OSError):
-                path.unlink()
+                temporary.unlink()
         raise
 
 
@@ -345,7 +379,6 @@ def _parse_grid(spec: str) -> tuple[int, ...]:
 def run_analyze(args: argparse.Namespace) -> tuple[dict, None]:
     if args.repair_floor is not None:  # every matrix repaired here is a correlation
         _check_floor(args.repair_floor, 1, 1.0)
-    residualized = False
     factor_ids: list[str] = []
     n_timestamps = None
     if args.matrix_input:
@@ -356,7 +389,6 @@ def run_analyze(args: argparse.Namespace) -> tuple[dict, None]:
         if args.factor_path:
             factors = load_panel(args.factor_path)
             panel = ols_residualize(panel, factors)
-            residualized = True
             factor_ids = list(factors.series_ids)
         corr = sample_moments(panel, args.estimation_mode)
     n_input = corr.n
@@ -396,7 +428,7 @@ def run_analyze(args: argparse.Namespace) -> tuple[dict, None]:
         "repair_shift_fro": float(np.linalg.norm(corr.entries - pruned.entries)),
         "top_gap": decomposition.top_gap,
         "orthonormality_residual": decomposition.orthonormality_residual,
-        "residualized": residualized,
+        "residualized": bool(args.factor_path),
         "factor_ids": factor_ids,
         "weights": "uniform (tau_i = 1, w_i = 1/N; turnovers are reduction factors)",
     }

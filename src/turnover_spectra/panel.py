@@ -152,9 +152,11 @@ def load_panel(source: str | Path | IO[str]) -> TimeSeriesPanel:
     The text is read by the package's one CSV reader, which square-matrix
     CSVs share, header rule included; :func:`_grid.read_grid` states when it
     reads in parts and when its per-cell reference decides, so that every
-    error keeps its row and column. The panel's own cell rule then refuses a
-    non-finite value in a non-empty cell, quoting the value as parsed
-    (``'nan'``, ``'inf'``).
+    error keeps its row and column. A path to a regular file is read in
+    byte-range parts; an open handle is read once into a list of its lines,
+    from where it stands, so pass a large file by its path. The panel's own
+    cell rule then refuses a non-finite value in a non-empty cell, quoting
+    the value as parsed (``'nan'``, ``'inf'``).
 
     The reader's grid, one row per timestamp, is locked and handed to the
     panel transposed, so the panel's values are a read-only view of it in

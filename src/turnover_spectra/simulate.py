@@ -196,6 +196,22 @@ def _gross_and_netted(trades: np.ndarray) -> tuple[float, float]:
     return float(np.abs(trades).sum()), float(np.abs(trades.sum(axis=0)).sum())
 
 
+def _summary(totals: np.ndarray) -> SimResult:
+    """The result of the paths' gross and netted totals, the two rows of
+    ``totals`` with one column per path; a path with no gross trade has
+    ratio 1, and so does the pool."""
+    grosses, netteds = totals
+    zero = grosses == 0.0
+    ratios = np.divide(netteds, grosses, out=np.ones(grosses.size), where=~zero)
+    gross = float(np.sum(grosses))
+    netted = float(np.sum(netteds))
+    ratio = netted / gross if gross > 0 else 1.0
+    std_error = float(ratios.std(ddof=1) / math.sqrt(ratios.size)) if ratios.size > 1 else 0.0
+    return SimResult(
+        gross, netted, ratio, tuple(ratios), float(ratios.mean()), std_error, int(zero.sum())
+    )
+
+
 def simulate_crossing(trades) -> SimResult:
     """Net the desired trades instrument by instrument.
 
@@ -209,10 +225,7 @@ def simulate_crossing(trades) -> SimResult:
         raise ValueError("trades must be a 2-D matrix (alphas x instruments)")
     if not np.isfinite(d).all():
         raise ValueError("trades must be finite")
-    gross, netted = _gross_and_netted(d)
-    degenerate = gross == 0.0
-    ratio = 1.0 if degenerate else netted / gross
-    return SimResult(gross, netted, ratio, (ratio,), ratio, 0.0, int(degenerate))
+    return _summary(np.reshape(_gross_and_netted(d), (2, 1)))
 
 
 def simulate_crossing_paths(config: SimConfig) -> SimResult:
@@ -226,19 +239,7 @@ def simulate_crossing_paths(config: SimConfig) -> SimResult:
     totals = np.empty((2, config.n_paths))
     for p in range(config.n_paths):
         totals[:, p] = _gross_and_netted(gen_trade_matrix(config, _rng(config.master_seed, p)))
-    grosses, netteds = totals
-    zero = grosses == 0.0
-    ratios = np.divide(netteds, grosses, out=np.ones(config.n_paths), where=~zero)
-    gross = float(np.sum(grosses))
-    netted = float(np.sum(netteds))
-    ratio = netted / gross if gross > 0 else 1.0
-    mean = float(ratios.mean())
-    std_error = (
-        float(ratios.std(ddof=1) / math.sqrt(config.n_paths))
-        if config.n_paths > 1
-        else 0.0
-    )
-    return SimResult(gross, netted, ratio, tuple(ratios), mean, std_error, int(zero.sum()))
+    return _summary(totals)
 
 
 def no_intercept_regression(x, y) -> tuple[float, float]:

@@ -266,7 +266,7 @@ def calibrate_exact_B(basis: SignedBasis) -> ExactCalibration:
         raise CalibrationError("absolute-eigenvector matrix is singular") from exc
     residual = float(np.abs(a @ coefficients - 1.0).max())
     if residual > _CALIBRATION_RESIDUAL:
-        raise CalibrationError(f"calibration residual {residual:.3e} exceeds 1e-8")
+        raise CalibrationError(f"calibration residual {residual:.3e} exceeds {_CALIBRATION_RESIDUAL}")
     return ExactCalibration(coefficients, bool((coefficients < 0).any()))
 
 

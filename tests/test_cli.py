@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +221,14 @@ class TestAnalyze:
         bad = write(tmp_path / "bad.csv", "a,b\n1,2\n3\n")
         code = main(["analyze", "--input", bad, "--output", str(tmp_path / "r.json")])
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize("mode", ["complete", "pairwise"])
+    def test_empty_input_exits_1_and_writes_nothing(self, tmp_path, capsys, mode):
+        empty = write(tmp_path / "empty.csv", "")
+        argv = ["analyze", "--input", empty, "--output", str(tmp_path / "r.json"), "--mode", mode]
+        assert main(argv) == EXIT_IO
+        assert capsys.readouterr().err == "error: empty input: missing header row (row 0)\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "empty.csv"]
 
     @pytest.mark.parametrize(
         "text, extra, passes",
@@ -512,8 +521,9 @@ def test_overflowing_moments_exit_2_with_one_line(tmp_path, mode, text):
         ("a,\n1.0,0.2\n0.2,1.0\n", "header must name every series (row 0)"),
         ("\na,b\n1.0,0.2\n0.2,1.0\n", "header must name every series (row 0)"),
         ("a,b\n", "no data rows after the header (row 1)"),
+        ("", "empty input: missing header row (row 0)"),
     ],
-    ids=["duplicate-id", "blank-id", "blank-first-line", "header-only"],
+    ids=["duplicate-id", "blank-id", "blank-first-line", "header-only", "empty"],
 )
 def test_matrix_csv_header_follows_the_panel_rule(tmp_path, capsys, command, text, message):
     matrix = write(tmp_path / "matrix.csv", text)
@@ -959,6 +969,86 @@ def test_a_failed_json_write_leaves_no_csv_behind(tmp_path, capsys, argv):
     assert main([*argv, "--output", str(out / "result.csv")]) == EXIT_IO
     assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out / 'result.json'}'\n"
     assert [path.name for path in out.iterdir()] == ["result.json"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["repair", "--input", "MATRIX"], ["sweep", "--grid", "10,20"]], ids=["repair", "sweep"]
+)
+def test_a_failed_json_write_keeps_the_csv_that_was_there(tmp_path, capsys, argv):
+    # every artifact goes to a temporary file first, and none is renamed into
+    # place unless all were written, so the earlier CSV keeps its bytes
+    matrix = write(tmp_path / "corr.csv", "a,b\n1.0,0.4\n0.4,1.0\n")
+    out = tmp_path / "out"
+    (out / "result.json").mkdir(parents=True)
+    (out / "result.csv").write_bytes(b"earlier bytes\n")
+    argv = [matrix if arg == "MATRIX" else arg for arg in argv]
+    assert main([*argv, "--output", str(out / "result.csv")]) == EXIT_IO
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out / 'result.json'}'\n"
+    assert sorted(path.name for path in out.iterdir()) == ["result.csv", "result.json"]
+    assert (out / "result.csv").read_bytes() == b"earlier bytes\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="permission bits and a umask are POSIX")
+def test_an_artifact_keeps_the_mode_of_the_file_it_replaces_and_a_new_one_the_umasks(tmp_path):
+    matrix = write(tmp_path / "corr.csv", "a,b\n1.0,0.4\n0.4,1.0\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "result.csv").write_bytes(b"earlier bytes\n")
+    (out / "result.csv").chmod(0o600)
+    previous = os.umask(0o027)
+    try:
+        assert main(["repair", "--input", matrix, "--output", str(out / "result.csv")]) == EXIT_OK
+        with open(tmp_path / "plain", "w", encoding="utf-8"):  # a new file, under the same umask
+            pass
+    finally:
+        os.umask(previous)
+    assert sorted(path.name for path in out.iterdir()) == ["result.csv", "result.json"]
+    assert (out / "result.csv").read_bytes().startswith(b"a,b\n")
+    assert (out / "result.csv").stat().st_mode & 0o777 == 0o600
+    assert (out / "result.json").stat().st_mode & 0o777 == (tmp_path / "plain").stat().st_mode & 0o777
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symbolic links")
+def test_a_symlinked_output_stays_a_link_to_the_new_bytes(tmp_path):
+    matrix = write(tmp_path / "corr.csv", "a,b\n1.0,0.4\n0.4,1.0\n")
+    out, store = tmp_path / "out", tmp_path / "store"
+    out.mkdir()
+    store.mkdir()
+    (store / "kept.csv").write_bytes(b"earlier bytes\n")
+    (out / "result.csv").symlink_to(store / "kept.csv")
+    assert main(["repair", "--input", matrix, "--output", str(out / "result.csv")]) == EXIT_OK
+    assert (out / "result.csv").is_symlink()
+    assert os.readlink(out / "result.csv") == str(store / "kept.csv")
+    assert (store / "kept.csv").read_bytes() == (out / "result.csv").read_bytes()
+    assert (store / "kept.csv").read_bytes().startswith(b"a,b\n")
+    # no temporary is left beside the link's target or beside the link
+    assert [path.name for path in store.iterdir()] == ["kept.csv"]
+    assert sorted(path.name for path in out.iterdir()) == ["result.csv", "result.json"]
+
+
+def test_an_output_in_a_missing_directory_is_named_in_the_error(tmp_path, capsys):
+    panel = write(tmp_path / "panel.csv", PANEL_CSV)
+    out = tmp_path / "absent" / "r.json"
+    assert main(["analyze", "--input", panel, "--output", str(out)]) == EXIT_IO
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "panel.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_an_output_that_is_a_pipe_is_written_in_place(tmp_path):
+    panel = write(tmp_path / "panel.csv", PANEL_CSV)
+    fifo = tmp_path / "r.json"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert main(["analyze", "--input", panel, "--output", str(fifo)]) == EXIT_OK
+    finally:
+        reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert json.loads(received[0].decode("utf-8"))["report"]["inputs"]["n_series"] == 3
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["panel.csv", "r.json"]
 
 
 @pytest.mark.parametrize(

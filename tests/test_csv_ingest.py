@@ -324,6 +324,29 @@ def test_forked_parts_leave_no_child_and_no_open_descriptor(tmp_path, case):
     assert _open_fds() == before
 
 
+def _fork_fails():
+    raise OSError("no process can be made")
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or not os.path.isdir("/proc/self/fd"),
+    reason="forked parts need os.fork; the descriptor count needs /proc",
+)
+def test_a_fork_that_fails_reads_as_one_part_and_leaves_no_open_descriptor(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_text("a,b\n" + "".join(f"{i},{i / 7!r}\n" for i in range(300)), encoding="utf-8")
+    with _in_parts(1):
+        one_part = _outcome(lambda: _grid.read_grid(path))
+    before = _open_fds()
+    with mock.patch.object(os, "fork", _fork_fails), \
+            mock.patch.object(_grid, "_grid_from_rows", wraps=_grid._grid_from_rows) as reference, \
+            _in_parts(2):
+        outcome = _outcome(lambda: _grid.read_grid(path))
+    assert reference.called  # the fast pass declined, and the reference read the file
+    assert outcome == one_part
+    assert _open_fds() == before
+
+
 @pytest.mark.parametrize("mode", ["complete", "pairwise"])
 def test_analyze_reads_a_file_in_parts_by_the_real_part_rule_to_the_same_report(
     tmp_path, mode

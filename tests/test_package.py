@@ -1,6 +1,10 @@
 """The package's public names, which it imports from their submodules on first use."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +28,20 @@ def test_no_public_name_is_listed_under_two_submodules():
 @pytest.mark.parametrize("module", sorted(turnover_spectra._EXPORTS))
 def test_a_submodule_resolves_as_an_attribute(module):
     assert getattr(turnover_spectra, module) is importlib.import_module(f"turnover_spectra.{module}")
+
+
+@pytest.mark.parametrize("module", sorted(turnover_spectra._EXPORTS))
+def test_a_submodule_read_before_anything_imported_it_is_the_imported_module(module):
+    # a fresh interpreter, where the attribute goes through the package's __getattr__
+    probe = (
+        "import sys, turnover_spectra; "
+        f"name = 'turnover_spectra.{module}'; "
+        "assert name not in sys.modules, name; "
+        f"assert turnover_spectra.{module} is sys.modules[name], name"
+    )
+    src = str(Path(turnover_spectra.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=60)
 
 
 def test_an_unknown_name_is_an_attribute_error():

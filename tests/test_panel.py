@@ -95,6 +95,15 @@ class TestLoadPanel:
         with pytest.raises(PanelFormatError):
             panel_from_csv("a1,a1\n1,2\n3,4\n")
 
+    @pytest.mark.parametrize("source", ["handle", "file"])
+    def test_empty_input_is_missing_its_header_row(self, tmp_path, source):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        with pytest.raises(PanelFormatError) as excinfo:
+            load_panel(io.StringIO("") if source == "handle" else path)
+        assert str(excinfo.value) == "empty input: missing header row (row 0)"
+        assert excinfo.value.row == 0
+
     def test_roundtrip_through_write_panel(self, tmp_path):
         panel = random_masked_panel(11)
         buffer = io.StringIO()

@@ -32,6 +32,11 @@ from turnover_spectra import (
     turnover_report,
     turnover_t2,
 )
+from turnover_spectra import turnover as turnover_module
+
+def _singular_solve(a, b):
+    raise np.linalg.LinAlgError("Singular matrix")
+
 
 THREE_BY_THREE = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
 
@@ -385,6 +390,21 @@ class TestExactCalibration:
 
     def test_generic_matrix_has_negative_coefficients(self):
         assert calibrate_exact_B(basis_of(THREE_BY_THREE)).has_negative
+
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ((np.linalg, "solve", _singular_solve), "absolute-eigenvector matrix is singular"),
+            # the generic matrix's residual is a rounding error, which only a limit of 0 refuses
+            ((turnover_module, "_CALIBRATION_RESIDUAL", 0.0), r"calibration residual \S+ exceeds 0\.0"),
+        ],
+        ids=["solve-fails", "residual-over-limit"],
+    )
+    def test_a_well_conditioned_matrix_can_still_be_refused(self, monkeypatch, patch, message):
+        basis = basis_of(THREE_BY_THREE)
+        monkeypatch.setattr(*patch)
+        with pytest.raises(CalibrationError, match=f"^{message}$"):
+            calibrate_exact_B(basis)
 
 
 class TestSimpleModels:
