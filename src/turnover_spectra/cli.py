@@ -2,10 +2,11 @@
 reduction coefficient across N, and run crossing simulations.
 
 Each command reads its own parsed arguments, and its artifact's ``config``
-block echoes exactly those arguments (the flags' ``dest`` names), after
-``main`` has resolved the seed, the grid and ``analyze``'s estimation mode
-(``null`` for ``analyze --matrix``, whose estimator is unknown; its
-report's ``inputs`` names it ``external``). ``sweep`` takes no mode: it
+block echoes exactly those arguments (the flags' ``dest`` names) as given,
+with only the grid and ``analyze``'s estimation mode resolved by ``main``
+(the mode is ``null`` for ``analyze --matrix``, whose estimator is unknown;
+its report's ``inputs`` names it ``external``). ``sweep`` and ``simulate``
+take their seed from ``--seed`` alone. ``sweep`` takes no mode: it
 draws each grid point's complete-cases sample correlation of a one-factor
 panel straight from its Wishart law, with no panel to estimate from.
 
@@ -160,7 +161,6 @@ from .simulate import (
 )
 from .turnover import fix_sign_basis, turnover_report
 
-SEED_ENV_VAR = "TURNOVER_SPECTRA_SEED"
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_NUMERIC = 2
@@ -168,6 +168,7 @@ EXIT_NUMERIC = 2
 _MODE_BY_FLAG = {"complete": COMPLETE_CASES, "pairwise": PAIRWISE_COMPLETE}
 # every command's default --floor (conditioning.default_floor)
 _FLOOR_DEFAULT = "default 1e-8 * trace, which is 1e-8 * N for a correlation"
+_SEED_HELP = "seed of the draws, an unsigned 64-bit integer (default 0)"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -223,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--repair", action=argparse.BooleanOptionalAction, default=True)
     sweep.add_argument("--floor", dest="repair_floor", type=float, default=None,
                        help=f"eigenvalue floor <= 1, checked before any draw ({_FLOOR_DEFAULT})")
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
 
     simulate = sub.add_parser("simulate", help="Monte-Carlo trade-netting experiment")
     simulate.add_argument("--output", dest="output_path", required=True, help="JSON result path")
@@ -231,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--n-alphas", type=int, default=50)
     simulate.add_argument("--instruments", dest="n_instruments", type=int, default=4)
     simulate.add_argument("--paths", dest="n_paths", type=int, default=256)
-    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
 
     return parser
 
@@ -239,6 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 # Each numeric flag's refusal rule, the library's own, checked before a command
 # runs so that the message names the flag typed rather than a library field.
 _FLAG_RULES = {
+    # SimConfig's master_seed rule, which sweep shares
+    "seed": ("--seed", "must be an unsigned 64-bit integer", lambda v: not 0 <= v < 2**64),
     "rho": ("--rho", "must lie in [0, 1]", lambda v: not 0.0 <= v <= 1.0),
     "n_periods": ("--periods", "must be at least 2", lambda v: v < 2),
     "n_alphas": ("--n-alphas", "must be at least 2", lambda v: v < 2),
@@ -257,23 +260,6 @@ def _check_flags(args: argparse.Namespace) -> None:
             raise ValueError(f"{flag} {rule}, got {getattr(args, dest)}")
 
 
-def _resolve_seed(cli_seed: int) -> int:
-    """The seed from ``TURNOVER_SPECTRA_SEED`` when it is set, else ``--seed``;
-    either must be an unsigned 64-bit integer (``SimConfig``'s rule, which
-    ``sweep`` shares), and a refusal names the one that supplied it."""
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None or not raw.strip():
-        source, seed = "--seed", cli_seed
-    else:
-        try:
-            source, seed = SEED_ENV_VAR, int(raw)
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"{source} must be an unsigned 64-bit integer, got {seed}")
-    return seed
-
-
 def _jsonable(value):
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
@@ -284,7 +270,6 @@ def _jsonable(value):
             return "inf" if value > 0 else "-inf"
         if math.isnan(value):
             return None
-        return value
     return value
 
 
@@ -477,9 +462,6 @@ _RUNNERS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # only sweep and simulate draw random numbers, so only they take a seed
-        if "seed" in args:
-            args.seed = _resolve_seed(args.seed)
         if "grid" in args:
             args.grid = _parse_grid(args.grid)
         if args.command == "analyze" and args.matrix_input:

@@ -91,6 +91,14 @@ def _spectrum(matrix: MatrixLike) -> tuple[np.ndarray, np.ndarray]:
     return matrix._eigensystem
 
 
+def _oriented(vectors: np.ndarray) -> np.ndarray:
+    """The eigenvector orientation rule: ``vectors`` with each column whose
+    largest-magnitude component is negative negated (the first such
+    component on a tie), exactly, so no magnitude moves."""
+    flip = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])] < 0
+    return np.where(flip, -vectors, vectors)
+
+
 def _leading_pair(corr: CorrelationMatrix, floor: float | None) -> SpectralDecomposition | None:
     """The top eigenpair of a correlation matrix without a full solve, or None.
 
@@ -163,10 +171,10 @@ def _leading_pair(corr: CorrelationMatrix, floor: float | None) -> SpectralDecom
     low = theta - residual - _resolution(n, abs(theta))
     if runner_up(low) > (1.0 - _TOP_GAP_RTOL) * low:
         return None
-    if u[np.argmax(np.abs(u))] < 0:
-        u = -u
     gap = low - runner_up(low)
-    return SpectralDecomposition(np.array([theta]), u[:, None], gap, abs(float(u @ u) - 1.0))
+    return SpectralDecomposition(
+        np.array([theta]), _oriented(u[:, None]), gap, abs(float(u @ u) - 1.0)
+    )
 
 
 def eigendecompose(matrix: MatrixLike) -> SpectralDecomposition:
@@ -175,7 +183,7 @@ def eigendecompose(matrix: MatrixLike) -> SpectralDecomposition:
     The wrapper's entries are symmetric from construction and are solved as
     they are. Equal eigenvalues keep their solver order (stable sort) and
     each eigenvector is sign-fixed so its largest-magnitude component is
-    positive.
+    positive (:func:`_oriented`).
 
     The solve goes through the matrix's memo (:func:`_spectrum`): a wrapper
     already classified, repaired or decomposed costs no further ``eigh``. A
@@ -186,8 +194,7 @@ def eigendecompose(matrix: MatrixLike) -> SpectralDecomposition:
     values = values[order]
     vectors = vectors[:, order]
     n = values.size
-    flip = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(n)] < 0
-    vectors = np.where(flip[None, :], -vectors, vectors)
+    vectors = _oriented(vectors)
     residual = float(np.abs(vectors.T @ vectors - np.eye(n)).max())
     top_gap = float(values[0] - values[1]) if n > 1 else math.inf
     return SpectralDecomposition(values, vectors, top_gap, residual)

@@ -29,7 +29,13 @@ class SimConfig:
 
     ``target_correlation`` is either a scalar pairwise correlation in [0, 1]
     or a vector of per-series factor loadings in [0, 1] (population pairwise
-    correlation is then the product of the two loadings).
+    correlation is then the product of the two loadings). Every draw reads
+    ``n_alphas``, ``target_correlation`` and ``master_seed``. The panel
+    (:func:`gen_one_factor_panel`) and the Wishart draw
+    (:func:`_one_factor_wishart`) also read ``n_periods``; the crossing
+    simulator (:func:`gen_trade_matrix`, :func:`simulate_crossing_paths`)
+    reads ``n_instruments`` and ``n_paths`` instead, and needs
+    ``n_periods = 2``.
     """
 
     n_alphas: int
@@ -159,7 +165,14 @@ def gen_trade_matrix(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
     Each alpha's book follows its signal, so its trade is the one-period
     signal change, spread across instruments with positive random exposures;
     trades of different alphas inherit the one-factor correlation structure.
+    A trade is the change between two signal periods, so ``n_periods`` must
+    be 2; any other value raises ``ValueError`` before any draw.
     """
+    if config.n_periods != 2:
+        raise ValueError(
+            "a trade is the change between two signal periods, so n_periods must be 2, "
+            f"got {config.n_periods}"
+        )
     b = config.loadings()
     common = rng.standard_normal(2)
     idiosyncratic = rng.standard_normal((config.n_alphas, 2))

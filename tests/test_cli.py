@@ -35,7 +35,6 @@ from turnover_spectra.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
-    SEED_ENV_VAR,
     main,
 )
 from turnover_spectra.panel import UNIT_DIAGONAL_TOL
@@ -58,11 +57,6 @@ NON_PSD_PANEL_CSV = (
 FACTORS_CSV = "mkt\n" + "\n".join(
     f"{value:.6f}" for value in _rng.standard_normal(16)
 ) + "\n"
-
-
-@pytest.fixture(autouse=True)
-def clean_seed_env(monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
 
 
 def write(path, text):
@@ -306,7 +300,7 @@ class TestAnalyze:
         with pytest.raises(SystemExit) as usage:
             main(["analyze", "--input", panel, "--output", str(out), "--seed", "3"])
         assert usage.value.code == EXIT_IO
-        monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
+        monkeypatch.setenv("TURNOVER_SPECTRA_SEED", "not-a-number")
         assert main(["analyze", "--input", panel, "--output", str(out)]) == EXIT_OK
         assert "seed" not in json.loads(out.read_text(encoding="utf-8"))["config"]
 
@@ -759,26 +753,6 @@ class TestSweep:
         header = csv_bytes.decode().splitlines()[0]
         assert header == "N,rho_star,rho_star_times_n,slope,F"
 
-    def test_env_seed_overrides_flag(self, tmp_path, monkeypatch):
-        baseline_csv, _ = self.run_sweep(tmp_path, "base.csv")
-
-        monkeypatch.setenv(SEED_ENV_VAR, "7")
-        out = tmp_path / "env.csv"
-        code = main([
-            "sweep", "--output", str(out), "--grid", "8,16", "--rho", "0.3",
-            "--periods", "120", "--seed", "12345",
-        ])
-        assert code == EXIT_OK
-        assert out.read_bytes() == baseline_csv
-        assert json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))["config"]["seed"] == 7
-
-    def test_bad_env_seed_exits_1(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
-        code = main([
-            "sweep", "--output", str(tmp_path / "s.csv"), "--grid", "8,16",
-        ])
-        assert code == EXIT_IO
-
 
 @pytest.mark.parametrize(
     "argv, message",
@@ -1072,19 +1046,24 @@ def test_a_csv_that_begins_with_two_byte_order_marks_exits_1_and_writes_nothing(
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", [["simulate"], ["sweep", "--grid", "10,20"]],
-                         ids=["simulate", "sweep"])
-@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2**64"])
-def test_seed_out_of_range_from_the_environment_names_the_variable(
-    tmp_path, capsys, monkeypatch, command, seed
-):
-    monkeypatch.setenv(SEED_ENV_VAR, str(seed))
-    out = tmp_path / "out"
-    out.mkdir()
-    assert main([*command, "--seed", "3", "--output", str(out / "result.csv")]) == EXIT_IO
-    message = f"{SEED_ENV_VAR} must be an unsigned 64-bit integer, got {seed}"
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert list(out.iterdir()) == []
+@pytest.mark.parametrize(
+    "command, artifact",
+    [(["simulate", "--n-alphas", "6", "--paths", "8"], "result.json"),
+     (["sweep", "--grid", "8,16", "--periods", "40"], "result.csv")],
+    ids=["simulate", "sweep"],
+)
+@pytest.mark.parametrize("value", ["7", "not-a-number"])
+def test_the_seed_comes_from_the_flag_alone(tmp_path, monkeypatch, command, artifact, value):
+    # a run's seed is the one its command line states, whatever the environment holds
+    def run():
+        assert main([*command, "--seed", "3", "--output", str(tmp_path / artifact)]) == EXIT_OK
+        return {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+    monkeypatch.delenv("TURNOVER_SPECTRA_SEED", raising=False)
+    unset = run()
+    monkeypatch.setenv("TURNOVER_SPECTRA_SEED", value)
+    assert run() == unset
+    assert json.loads(unset["result.json"])["config"]["seed"] == 3
 
 
 class TestSimulate:

@@ -246,6 +246,38 @@ class TestCrossingPaths:
         assert trades.shape == (7, 5)
         assert np.isfinite(trades).all()
 
+    @pytest.mark.parametrize("target", [0.3, (0.2, 0.5, 0.9, 0.0, 1.0)], ids=["scalar", "vector"])
+    def test_trades_match_their_formula_bit_for_bit(self, target):
+        # path 4's stream: the signals' two periods, then the exposures
+        config = SimConfig(5, 2, 3, target, master_seed=17, n_paths=8)
+        rng = np.random.default_rng(np.random.SeedSequence([17, 4]))
+        common = rng.standard_normal(2)
+        idiosyncratic = rng.standard_normal((5, 2))
+        exposure = rng.uniform(0.5, 1.5, size=(5, 3))
+        b = config.loadings()
+        signal = np.multiply.outer(b, common) + np.sqrt(1.0 - b**2)[:, None] * idiosyncratic
+        expected = exposure / 3 * (signal[:, 0] - signal[:, 1])[:, None]
+        trades = gen_trade_matrix(config, simulate._rng(17, 4))
+        assert trades.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_periods", [3, 500])
+    def test_a_trade_needs_exactly_two_signal_periods(self, monkeypatch, n_periods):
+        config = SimConfig(10, n_periods, 3, 0.4, master_seed=11, n_paths=8)
+        message = (
+            "^a trade is the change between two signal periods, so n_periods must be 2, "
+            f"got {n_periods}$"
+        )
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            gen_trade_matrix(config, rng)
+        assert rng.bit_generator.state == state  # refused before any draw
+        netted = []
+        monkeypatch.setattr(simulate, "_gross_and_netted", netted.append)
+        with pytest.raises(ValueError, match=message):
+            simulate_crossing_paths(config)
+        assert netted == []  # on the first path, before any netting
+
 
 class TestNoInterceptRegression:
     def test_exact_fit_reports_infinite_f(self):
@@ -561,6 +593,31 @@ class TestWishartSource:
     def test_singular_draws_have_rank_m_minus_1(self):
         corr = one_factor_source(0.25, 20)(30, 4)
         assert np.linalg.matrix_rank(corr.entries) == 19
+
+    @pytest.mark.parametrize(
+        "target, m",
+        [(0.3, 40), ((0.2, 0.5, 0.9, 0.0, 1.0, 0.7), 40), (0.3, 5)],
+        ids=["scalar", "vector", "singular"],
+    )
+    def test_matches_its_formula_bit_for_bit(self, target, m):
+        # A rebuilt from the same stream, X = sqrt(1 - b^2) A[1:] + b (x) A[0]
+        # formed out of place, and W = X X^T scaled to a unit diagonal;
+        # "singular" has M - 1 < N + 1, so A has M - 1 columns
+        n = 6
+        config = SimConfig(n, m, 1, target, master_seed=23)
+        k = min(n + 1, m - 1)
+        rng = np.random.default_rng(np.random.SeedSequence([23]))
+        a = np.zeros((n + 1, k))
+        below = np.tri(n + 1, k, -1, dtype=bool)
+        a[below] = rng.standard_normal(np.count_nonzero(below))
+        a[np.arange(k), np.arange(k)] = np.sqrt(rng.chisquare(m - 1 - np.arange(k)))
+        b = config.loadings()
+        x = np.sqrt(1.0 - b**2)[:, None] * a[1:] + np.multiply.outer(b, a[0])
+        w = x @ x.T
+        scale = 1.0 / np.sqrt(np.diag(w))
+        expected = w * np.multiply.outer(scale, scale)
+        np.fill_diagonal(expected, 1.0)  # as the wrapper sets it
+        assert simulate._one_factor_wishart(config).entries.tobytes() == expected.tobytes()
 
     def test_the_draw_is_deterministic_under_seed(self):
         draw = one_factor_source(0.3, 500)
