@@ -26,9 +26,9 @@ _EXPORTS = {
     ),
     "errors": (
         "CalibrationError", "CollinearFactorsError", "CoverageError",
-        "DegenerateSeriesError", "DegenerateTopWarning",
-        "InvalidDiagonalError", "InvalidMatrixError", "PanelFormatError",
-        "RejectedSeriesError", "TurnoverSpectraError", "UndefinedRegressorError",
+        "DegenerateSeriesError", "InvalidDiagonalError", "InvalidMatrixError",
+        "PanelFormatError", "RejectedSeriesError", "TurnoverSpectraError",
+        "UndefinedRegressorError",
     ),
     "panel": (
         "COMPLETE_CASES", "PAIRWISE_COMPLETE",

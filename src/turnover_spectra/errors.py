@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 from __future__ import annotations
 
@@ -89,8 +89,3 @@ class CalibrationError(TurnoverSpectraError):
 
 class UndefinedRegressorError(TurnoverSpectraError):
     """Through-origin regression needs a regressor with nonzero norm."""
-
-
-class DegenerateTopWarning(UserWarning):
-    """Leading eigenvalue is not isolated; leading-eigenvector quantities
-    depend on an arbitrary basis choice."""

@@ -15,7 +15,7 @@ from ._grid import write_csv
 from .conditioning import _check_floor, _leading_pair, default_floor, eigendecompose, rj_repair
 from .errors import TurnoverSpectraError, UndefinedRegressorError
 from .panel import CorrelationMatrix, TimeSeriesPanel, _readonly, sample_moments
-from .turnover import _rho_star, fix_sign_basis
+from .turnover import fix_sign_basis, rho_star
 
 PanelGenerator = Callable[[int, int], TimeSeriesPanel]
 #: What ``sweep_rho_star`` draws each grid point from: ``(n, seed)`` to the
@@ -349,8 +349,10 @@ def sweep_rho_star(
     (:func:`one_factor_source` draws it from its Wishart law; a panel
     generator goes through :func:`panel_source`), floor its spectrum at
     ``floor`` when ``repair`` is set (``default_floor``, 1e-8 * N, when
-    ``floor`` is None), fix the sign basis and record rho_star * N
-    (:func:`_sweep_point` describes the two ways the spectrum is solved).
+    ``floor`` is None), fix the sign basis and record
+    :func:`turnover.rho_star` times N, with the basis's ``top_degenerate``
+    in ``degenerate_top`` (:func:`_sweep_point` describes the two ways the
+    spectrum is solved).
     With ``repair`` off the matrix is used as drawn, and a ``floor`` is
     refused. The fitted slope estimates the large-N limit of rho_star. Point
     seeds are derived by hashing (seed, N) so results do not depend on the
@@ -440,10 +442,10 @@ def _sweep_point(
     alone ("leading-pair"; equal to the full path up to rounding). When that
     declines, the point takes the full path: ``rj_repair``, a full
     ``eigh`` in ``eigendecompose``, then the sign basis ("full"; the same
-    bits as a sweep that always takes it). A degenerate top is flagged, not
-    warned about: the point's rho_star comes from ``turnover._rho_star``.
-    The leading pair accepts only an isolated top, so only a "full" point
-    can be flagged.
+    bits as a sweep that always takes it). The point's rho_star comes from
+    ``turnover.rho_star``, and ``basis.top_degenerate`` is its one report of
+    a degenerate top. The leading pair accepts only an isolated top, so only
+    a "full" point can be flagged.
 
     The matrices made here die with this call, and so does the drawn one,
     which ``sweep_rho_star`` passes straight in: no point's arrays are alive
@@ -459,7 +461,7 @@ def _sweep_point(
             corr = rj_repair(corr, floor)
         decomposition, solver = eigendecompose(corr), "full"
     basis = fix_sign_basis(decomposition)
-    return _rho_star(basis), solver, basis.top_degenerate
+    return rho_star(basis), solver, basis.top_degenerate
 
 
 def one_factor_source(rho: float, n_periods: int) -> MatrixSource:

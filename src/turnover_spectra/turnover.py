@@ -5,13 +5,12 @@ reduction coefficients and single-alpha calibration."""
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .conditioning import MatrixLike, SpectralDecomposition
-from .errors import CalibrationError, DegenerateTopWarning
+from .errors import CalibrationError
 
 # How far a basis may miss the matrix it is said to come from, relative to the
 # scale (its eigenvalues' sum against N; its top pair's residual on the
@@ -40,7 +39,9 @@ class SignedBasis(SpectralDecomposition):
     by ``signs``, the per-series reflection; its eigenvalues, ``top_gap`` and
     ``orthonormality_residual`` are the source's, untouched.
     ``top_degenerate`` marks a leading eigenvalue too close to the next one
-    for leading-eigenvector quantities to be well defined.
+    for leading-eigenvector quantities to be well defined; it is the
+    package's one report of that, and the functions that read the leading
+    pair return their value for this basis either way, with no warning.
     """
 
     signs: np.ndarray
@@ -87,6 +88,14 @@ def _as_turnovers(weighted_turnovers, n: int | None = None) -> np.ndarray:
     return t
 
 
+def _require_every_pair(basis: SignedBasis) -> None:
+    """Refuse a basis that holds only some eigenpairs (a top pair from
+    ``conditioning._leading_pair``, say) where every one is needed."""
+    held, n = basis.eigenvectors.shape[1], basis.source_dim
+    if held != n:
+        raise ValueError(f"basis holds {held} of its {n} eigenpairs; this quantity needs all {n}")
+
+
 def _require_correlation_basis(basis: SignedBasis) -> None:
     n = basis.source_dim
     if abs(float(basis.eigenvalues.sum()) - n) > _BASIS_RTOL * n:
@@ -96,7 +105,8 @@ def _require_correlation_basis(basis: SignedBasis) -> None:
 
 
 def spectral_terms(basis: SignedBasis, weighted_turnovers) -> np.ndarray:
-    """Per-component contributions ``w_p * |V^(p) . T|`` before normalization."""
+    """Per-component contributions ``w_p * |V^(p) . T|`` before normalization,
+    one for each eigenpair the basis holds."""
     t = _as_turnovers(weighted_turnovers, basis.source_dim)
     projections = basis.eigenvectors.T @ t
     return basis.eigenvalues * np.abs(projections)
@@ -110,6 +120,7 @@ def spectral_turnover_full(basis: SignedBasis, weighted_turnovers) -> float:
     matrices the finite-N value exceeds ``sum(T)/N`` (the model targets the
     large-N regime; the leading-component share quantifies how far off it is).
     """
+    _require_every_pair(basis)
     _require_correlation_basis(basis)
     terms = spectral_terms(basis, weighted_turnovers)
     return float(terms.sum() / math.sqrt(basis.source_dim))
@@ -117,7 +128,9 @@ def spectral_turnover_full(basis: SignedBasis, weighted_turnovers) -> float:
 
 def p1_share(basis: SignedBasis, weighted_turnovers) -> float:
     """Fraction of the full model carried by the leading component; NaN when
-    the model's total is not positive, where a share has no meaning."""
+    the model's total is not positive, where a share has no meaning. The
+    basis must hold every eigenpair."""
+    _require_every_pair(basis)
     terms = spectral_terms(basis, weighted_turnovers)
     total = float(terms.sum())
     if total <= 0.0:
@@ -128,29 +141,11 @@ def p1_share(basis: SignedBasis, weighted_turnovers) -> float:
 def spectral_turnover_large_n(basis: SignedBasis, weighted_turnovers) -> float:
     """Leading-component approximation ``w_1 (V^(1) . T) / sqrt(N)``.
 
-    Higher components shrink like 1/N for generic turnover profiles. A
-    degenerate leading eigenvalue makes the result basis-dependent; the
-    value is still returned but flagged with :class:`DegenerateTopWarning`.
+    Higher components shrink like 1/N for generic turnover profiles. When
+    ``basis.top_degenerate`` is set the leading eigenvector, and hence the
+    value, is an arbitrary choice within the top eigenspace.
     """
     t = _as_turnovers(weighted_turnovers, basis.source_dim)
-    _warn_if_degenerate(basis, "large-N turnover")
-    return _large_n(basis, t)
-
-
-def _warn_if_degenerate(basis: SignedBasis, quantity: str) -> None:
-    """Warn, at the public function's caller, that ``quantity`` depends on an
-    arbitrary basis choice when the leading eigenvalue is degenerate."""
-    if basis.top_degenerate:
-        warnings.warn(
-            f"leading eigenvalue is degenerate; {quantity} depends on an "
-            "arbitrary basis choice",
-            DegenerateTopWarning,
-            stacklevel=3,
-        )
-
-
-def _large_n(basis: SignedBasis, t: np.ndarray) -> float:
-    """:func:`spectral_turnover_large_n` on checked turnovers, without its warning."""
     return float(
         basis.eigenvalues[0] * (basis.first_eigenvector @ t) / math.sqrt(basis.source_dim)
     )
@@ -159,16 +154,10 @@ def _large_n(basis: SignedBasis, t: np.ndarray) -> float:
 def rho_star(basis: SignedBasis) -> float:
     """Turnover reduction coefficient ``w_1 * sum_i V^(1)_i / (N sqrt(N))``.
 
-    Nonnegative in the sign-fixed basis; warns when the leading eigenvalue
-    is degenerate (the eigenvector, and hence the value, is then arbitrary).
+    Nonnegative in the sign-fixed basis. When ``basis.top_degenerate`` is
+    set the leading eigenvector, and hence the value, is an arbitrary choice
+    within the top eigenspace.
     """
-    _warn_if_degenerate(basis, "rho_star")
-    return _rho_star(basis)
-
-
-def _rho_star(basis: SignedBasis) -> float:
-    """:func:`rho_star` without its warning, for callers that record the
-    degeneracy themselves."""
     n = basis.source_dim
     return float(
         basis.eigenvalues[0] * basis.first_eigenvector.sum() / (n * math.sqrt(n))
@@ -211,8 +200,10 @@ def rho_star_factored(basis: SignedBasis, corr: MatrixLike) -> FactoredRelation:
     off-diagonal correlation, of the reflected matrix ``C``. The identity
     ``rho_prime = sum_p (sum_i V^(p)_i)^2 w_p / N^2`` holds in any
     eigenbasis of ``C`` (``rho_prime_spectral`` reports the right-hand
-    side). When ``rho_star`` is zero the gap is reported as an absolute
-    difference instead.
+    side; NaN on a basis that holds only some eigenpairs, whose sum would
+    miss terms, while the fields read from ``C`` itself stay exact). When
+    ``rho_star`` is zero the gap is reported as an absolute difference
+    instead.
     """
     reflected = basis.reflect(corr)
     _check_matches_basis(basis, reflected)
@@ -224,9 +215,10 @@ def rho_star_factored(basis: SignedBasis, corr: MatrixLike) -> FactoredRelation:
     rho_one = float(basis.eigenvalues[0]) / n
     product = rho_one * rho_p
     factored = math.sqrt(product) if product >= 0 else math.nan
-    star = _rho_star(basis)
+    star = rho_star(basis)
     column_sums = basis.eigenvectors.sum(axis=0)
-    spectral = float((column_sums**2 * basis.eigenvalues).sum()) / n**2
+    held_sum = float((column_sums**2 * basis.eigenvalues).sum()) / n**2
+    spectral = held_sum if column_sums.size == n else math.nan
     if star > 0:
         gap, absolute = abs(star - factored) / star, False
     else:
@@ -251,8 +243,10 @@ def calibrate_exact_B(basis: SignedBasis) -> ExactCalibration:
     Fails when the absolute-eigenvector matrix is singular or has a
     condition number at or above 1e12. Any 2x2 correlation with a nonzero
     off-diagonal is unsolvable: both absolute columns coincide. For generic
-    matrices some coefficients come out negative (``has_negative``).
+    matrices some coefficients come out negative (``has_negative``). A basis
+    that holds only some eigenpairs raises ``ValueError``.
     """
+    _require_every_pair(basis)
     a = np.abs(basis.eigenvectors)
     condition = float(np.linalg.cond(a))
     if not math.isfinite(condition) or condition >= _CONDITION_LIMIT:
@@ -345,7 +339,6 @@ def turnover_report(basis: SignedBasis, corr: MatrixLike, weighted_turnovers) ->
     """
     t = _as_turnovers(weighted_turnovers, basis.source_dim)
     t_full = spectral_turnover_full(basis, t)
-    t_large = _large_n(basis, t)
     relation = rho_star_factored(basis, corr)
     notes: list[str] = []
     if basis.top_degenerate:
@@ -355,7 +348,7 @@ def turnover_report(basis: SignedBasis, corr: MatrixLike, weighted_turnovers) ->
         )
     return {
         "T_full": t_full,
-        "T_large_n": t_large,
+        "T_large_n": spectral_turnover_large_n(basis, t),
         "T_t2": turnover_t2(relation.rho_star, t),
         "rho_star": relation.rho_star,
         "rho_prime": relation.rho_prime,

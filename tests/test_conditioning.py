@@ -4,7 +4,6 @@ import dataclasses
 import io
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from turnover_spectra import (
     PAIRWISE_COMPLETE,
     CorrelationMatrix,
     CovarianceMatrix,
-    DegenerateTopWarning,
     InvalidDiagonalError,
     InvalidMatrixError,
     SpectralDecomposition,
@@ -679,9 +677,7 @@ def full_path_rho_star(entries: np.ndarray, floor: float | None) -> float:
     corr = CorrelationMatrix(entries)
     if floor is not None:
         corr = rj_repair(corr, floor)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateTopWarning)
-        return rho_star(fix_sign_basis(eigendecompose(corr)))
+    return rho_star(fix_sign_basis(eigendecompose(corr)))
 
 
 def leading_pair_rho_star(entries: np.ndarray, floor: float | None) -> float | None:

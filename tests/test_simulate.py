@@ -5,7 +5,6 @@ import io
 import math
 import os
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from hypothesis.extra.numpy import arrays
 from turnover_spectra import (
     COMPLETE_CASES,
     CorrelationMatrix,
-    DegenerateTopWarning,
     InvalidMatrixError,
     PAIRWISE_COMPLETE,
     SimConfig,
@@ -640,9 +638,7 @@ def full_path_point(corr: CorrelationMatrix, repair: bool, floor: float | None) 
     """A grid point's rho_star by the full path alone: repair, eigh, sign basis."""
     if repair:
         corr = rj_repair(corr, floor if floor is not None else default_floor(corr))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateTopWarning)
-        return rho_star(fix_sign_basis(eigendecompose(corr)))
+    return rho_star(fix_sign_basis(eigendecompose(corr)))
 
 
 class TestSweepPointSolvers:

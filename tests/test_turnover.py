@@ -3,7 +3,6 @@ single-alpha calibration."""
 
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from turnover_spectra import (
     CalibrationError,
     CorrelationMatrix,
     CovarianceMatrix,
-    DegenerateTopWarning,
     SpectralDecomposition,
     TurnoverInputs,
     calibrate_exact_B,
@@ -26,12 +24,14 @@ from turnover_spectra import (
     p1_share,
     rho_star,
     rho_star_factored,
+    spectral_terms,
     spectral_turnover_full,
     spectral_turnover_large_n,
     turnover_exact_b,
     turnover_report,
     turnover_t2,
 )
+from turnover_spectra import conditioning
 from turnover_spectra import turnover as turnover_module
 
 def _singular_solve(a, b):
@@ -130,9 +130,7 @@ class TestFixSignBasis:
         np.testing.assert_array_equal(twice, basis.eigenvectors)
 
     def test_degeneracy_flag(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateTopWarning)
-            assert basis_of(np.eye(4)).top_degenerate
+        assert basis_of(np.eye(4)).top_degenerate
         assert not basis_of(uniform_correlation(4, 0.5)).top_degenerate
 
     @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
@@ -215,12 +213,6 @@ class TestLargeNModel:
             3.0 * spectral_turnover_large_n(basis, t), rel=1e-15
         )
 
-    def test_degenerate_top_warns_but_returns(self):
-        basis = basis_of(np.eye(4))
-        with pytest.warns(DegenerateTopWarning):
-            value = spectral_turnover_large_n(basis, np.ones(4))
-        assert math.isfinite(value)
-
 
 class TestRhoStar:
     def test_uniform_four_alphas(self):
@@ -229,33 +221,25 @@ class TestRhoStar:
     def test_two_by_two(self):
         assert rho_star(basis_of([[1, 0.6], [0.6, 1]])) == pytest.approx(0.8, abs=1e-12)
 
-    def test_identity_warns_degenerate(self):
-        basis = basis_of(np.eye(5))
-        with pytest.warns(DegenerateTopWarning):
-            value = rho_star(basis)
-        assert value >= 0.0
-
     @pytest.mark.parametrize("seed", range(4))
     def test_nonnegative_on_generic_matrices(self, seed):
         assert rho_star(basis_of(random_pd_correlation(seed, 13))) >= 0.0
 
 
 @pytest.mark.parametrize(
-    "evaluate, quantity",
-    [
-        (lambda basis: rho_star(basis), "rho_star"),
-        (lambda basis: spectral_turnover_large_n(basis, np.ones(4)), "large-N turnover"),
-    ],
-    ids=["rho_star", "large_n"],
+    "entries, degenerate",
+    [(np.eye(5), True), (random_pd_correlation(4, 5), False)],
+    ids=["identity", "generic"],
 )
-def test_the_degenerate_top_warning_points_at_the_caller(evaluate, quantity):
-    with pytest.warns(DegenerateTopWarning) as record:
-        evaluate(basis_of(np.eye(4)))
-    [warning] = record
-    assert warning.filename == __file__
-    assert str(warning.message) == (
-        f"leading eigenvalue is degenerate; {quantity} depends on an arbitrary basis choice"
-    )
+def test_the_basis_flag_is_the_one_report_of_a_degenerate_top(entries, degenerate):
+    # filterwarnings = error is in force, so a warning from any call fails here
+    basis = basis_of(entries)
+    t = np.arange(1.0, 6.0) / 15.0
+    report = turnover_report(basis, CorrelationMatrix(entries), t)
+    assert basis.top_degenerate is degenerate
+    assert rho_star(basis) == report["rho_star"]
+    assert spectral_turnover_large_n(basis, t) == report["T_large_n"]
+    assert any("degenerate-top" in note for note in report["warnings"]) is degenerate
 
 
 class TestRhoPrime:
@@ -405,6 +389,44 @@ class TestExactCalibration:
         monkeypatch.setattr(*patch)
         with pytest.raises(CalibrationError, match=f"^{message}$"):
             calibrate_exact_B(basis)
+
+
+class TestTopPairBasis:
+    """A basis that holds the top eigenpair alone, as ``conditioning._leading_pair``
+    returns it: a quantity that needs every eigenpair refuses it."""
+
+    N = 30
+    ENTRIES = one_factor_correlation(np.random.default_rng(30).uniform(0.3, 0.9, N))
+
+    @pytest.fixture
+    def top_pair(self):
+        basis = fix_sign_basis(conditioning._leading_pair(CorrelationMatrix(self.ENTRIES), None))
+        assert basis.eigenvectors.shape == (self.N, 1)
+        return basis
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda basis: spectral_turnover_full(basis, np.full(30, 1.0 / 30)),
+            lambda basis: p1_share(basis, np.full(30, 1.0 / 30)),
+            calibrate_exact_B,
+        ],
+        ids=["T_full", "p1_share", "calibration"],
+    )
+    def test_a_quantity_of_every_pair_is_refused(self, top_pair, evaluate):
+        with pytest.raises(ValueError, match="^basis holds 1 of its 30 eigenpairs; this quantity needs all 30$"):
+            evaluate(top_pair)
+
+    def test_the_factored_relation_drops_only_the_spectral_sum(self, top_pair):
+        corr = CorrelationMatrix(self.ENTRIES)
+        full = rho_star_factored(basis_of(self.ENTRIES), corr)
+        relation = rho_star_factored(top_pair, corr)
+        assert math.isnan(relation.rho_prime_spectral)
+        assert (relation.psi_star, relation.rho_prime, relation.rho_bar) == (
+            full.psi_star, full.rho_prime, full.rho_bar
+        )
+        assert relation.rho_star == pytest.approx(full.rho_star, rel=1e-12)
+        assert spectral_terms(top_pair, np.full(self.N, 1.0 / self.N)).shape == (1,)
 
 
 class TestSimpleModels:
