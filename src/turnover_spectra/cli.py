@@ -18,21 +18,28 @@ link (each refused before any input is read, as ``--factors`` with
 ``--matrix`` is), a malformed CSV. Panels and matrix CSVs share one reader
 and one header rule, so a blank or repeated id, or a header with no data
 rows after it (a header-only matrix CSV included), exits 1 in either
-layout. 2 numeric-validity refusal: a matrix that is not square, finite and
-symmetric, a correlation matrix whose diagonal is off 1 or whose entries
-leave [-1, 1] (``InvalidMatrixError``, from ``repair`` and ``analyze
---matrix`` alike), a covariance matrix with a non-positive diagonal entry
-(``InvalidDiagonalError``), a matrix whose spectrum overflows float64, a
-repair floor above the matrix's mean diagonal, a repair floor too small for
-the spectrum to resolve, at or below ``2 * N * eps * trace``, where the
-repaired matrix could read as other than ``verified-PD`` (both refused
-before any repair pass; ``analyze`` and ``sweep``, which repair only
-correlations, refuse a ``--floor`` above 1, or at or below ``2 * eps``, a
-1 x 1 correlation's bound, before any input is read or any matrix drawn,
-and write nothing; a sweep point whose own bound refuses the floor fails
-as a ``NaN`` point), a repair that does not converge, a non-PSD matrix
-under ``--no-repair``, a panel whose sample moments overflow float64 (also
-an ``InvalidMatrixError``).
+layout. So do the data refusals: a constant series (``zero sample
+variance``, or constant on a pair's joint sample), a series with fewer
+than 2 observations, a pair with fewer than 2 joint observations
+(pairwise) or fewer than 2 timestamps observed across all series
+(complete cases), a ``--factors`` panel on another timestamp grid, a
+series with fewer rows jointly observed with the factors than their count
+plus 2, a rank-deficient factor design, and a ``--prune`` that keeps fewer
+than 2 series. 2 numeric-validity refusal: a matrix that is not square,
+finite and symmetric, a correlation matrix whose diagonal is off 1 or whose
+entries leave [-1, 1] (``InvalidMatrixError``, from ``repair`` and
+``analyze --matrix`` alike), a covariance matrix with a non-positive
+diagonal entry (``InvalidDiagonalError``), a matrix whose spectrum
+overflows float64, a repair floor above the matrix's mean diagonal, a
+repair floor too small for the spectrum to resolve, at or below ``2 * N *
+eps * trace``, where the repaired matrix could read as other than
+``verified-PD`` (both refused before any repair pass; ``analyze`` and
+``sweep``, which repair only correlations, refuse a ``--floor`` above 1, or
+at or below ``2 * eps``, a 1 x 1 correlation's bound, before any input is
+read or any matrix drawn, and write nothing; a sweep point whose own bound
+refuses the floor fails as a ``NaN`` point), a repair that does not
+converge, a non-PSD matrix under ``--no-repair``, a panel whose sample
+moments overflow float64 (also an ``InvalidMatrixError``).
 
 Artifacts. Each command's runner returns the body of its JSON artifact,
 and for ``repair`` and ``sweep`` what their CSV holds, and writes no file:
@@ -279,9 +286,11 @@ def _write_artifacts(args: argparse.Namespace, json_path: Path, body: dict, tabl
     each as UTF-8 with ``\n`` line ends.
 
     Each artifact is written to a new temporary file beside its target (a
-    symlink's target, so the link stays), named for this process and created
-    only if no file has that name. It gets the mode a plain ``open`` gives
-    under the umask, or the permission bits of the file it replaces. Only
+    symlink's target, so the link stays), named by at most 16 characters of
+    the target's name and a random token, so that neither a long name nor a
+    file left by a killed run stops the write, and created only if no file
+    has that name. It gets the mode a plain ``open`` gives under the umask,
+    or the permission bits of the file it replaces. Only
     once every write has succeeded is each one renamed over its target, in
     order; when anything raises, the temporaries still there are removed
     before the error goes on. A target that exists and is not a regular file
@@ -299,7 +308,7 @@ def _write_artifacts(args: argparse.Namespace, json_path: Path, body: dict, tabl
                     write(handle)
                 continue
             target = Path(os.path.realpath(path)) if path.is_symlink() else path
-            temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            temporary = target.with_name(f".{target.name[:16]}.{os.urandom(8).hex()}.tmp")
             # a missing or unwritable directory fails here: name the output, not its temporary
             try:
                 handle = open(temporary, "x", encoding="utf-8", newline="")

@@ -102,12 +102,10 @@ def _oriented(vectors: np.ndarray) -> np.ndarray:
 def _leading_pair(corr: CorrelationMatrix, floor: float | None) -> SpectralDecomposition | None:
     """The top eigenpair of a correlation matrix without a full solve, or None.
 
-    A ``floor`` that :func:`rj_repair` refuses as too small to resolve
-    (:func:`_floor_bound`) is declined, so that the full path raises the
-    refusal and a sweep point has the same outcome on either path. Any other
-    ``floor`` must first be certified as cleared by the spectrum: a
-    Cholesky factorisation of ``C - (floor + margin) I`` succeeds only when
-    the true smallest eigenvalue is at least the floor (:func:`_cholesky_margin`),
+    The caller has checked ``floor`` (:func:`_check_floor`), and the floor
+    must first be certified as cleared by the spectrum: a Cholesky
+    factorisation of ``C - (floor + margin) I`` succeeds only when the true
+    smallest eigenvalue is at least the floor (:func:`_cholesky_margin`),
     and then :func:`rj_repair`, whose stop test allows for ``eigh``'s rounding,
     would return ``C`` unchanged. The pair comes from power iteration started
     from the all-ones vector (no random numbers): each step maps the unit
@@ -147,8 +145,7 @@ def _leading_pair(corr: CorrelationMatrix, floor: float | None) -> SpectralDecom
         return math.sqrt(max(fro2 - top * top, 0.0))
 
     top = min(float(np.linalg.norm(a, np.inf)), math.sqrt(fro2))
-    refused = floor is not None and floor <= _floor_bound(n, 1.0)
-    if refused or runner_up(top) > (1.0 - _TOP_GAP_RTOL) * top:
+    if runner_up(top) > (1.0 - _TOP_GAP_RTOL) * top:
         return None
     if floor is not None:
         shifted = a.copy()

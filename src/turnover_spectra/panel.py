@@ -471,7 +471,7 @@ def _moments(
         center /= observations
         ragged = bool((observations < m).any())
 
-        prods, product = None, np.empty((n, n))
+        prods, product = np.zeros((n, n)), np.empty((n, n))
         count, sums, squares = (np.zeros((n, n if ragged else 1)) for _ in range(3))
         for block, out in blocks():
             o = np.isfinite(block) if ragged else None  # before a gathered block is centered
@@ -479,11 +479,7 @@ def _moments(
             if ragged:
                 x0[~o] = 0.0
                 o = o.astype(float)
-            if prods is None:  # the first block's product starts the total
-                prods = block_product = x0 @ x0.T
-            else:
-                block_product = np.matmul(x0, x0.T, out=product)
-                prods += block_product
+            prods += np.matmul(x0, x0.T, out=product)
             if ragged:
                 count += np.matmul(o, o.T, out=product)
                 sums += np.matmul(x0, o.T, out=product)
@@ -491,8 +487,8 @@ def _moments(
             else:
                 count += x0.shape[1]
                 sums += x0.sum(axis=1, keepdims=True)
-                squares += np.diagonal(block_product)[:, None]
-        del buffer, block, out, x0, o, block_product  # only N x N sums outlive the loop
+                squares += np.diagonal(product)[:, None]  # of the block's x0 @ x0.T
+        del buffer, block, out, x0, o  # only N x N sums outlive the loop
         scratch = product  # and the product's buffer, whose values are spent
 
         short = count < 2

@@ -431,14 +431,16 @@ def _sweep_point(
     produced it, and whether its top eigenvalue is degenerate.
 
     With ``repair`` on, the spectrum is floored at ``floor``
-    (``default_floor``, ``conditioning._FLOOR_PER_TRACE * N``, when None);
-    with it off, ``floor`` must be None, as ``sweep_rho_star`` ensures.
+    (``default_floor``, ``conditioning._FLOOR_PER_TRACE * N``, when None),
+    checked first by ``conditioning._check_floor`` for this N as
+    ``rj_repair`` would check it, so a floor the repair refuses fails the
+    point before either solve; with it off, ``floor`` must be None, as
+    ``sweep_rho_star`` ensures.
 
     rho_star needs only the top eigenpair, so the point first tries
     ``conditioning._leading_pair``: with repair on, a Cholesky certificate
     that the spectrum already clears the floor (so the repair would return
-    the matrix unchanged; a floor the repair refuses is declined, so that
-    the full path raises the refusal), then power iteration for the top pair
+    the matrix unchanged), then power iteration for the top pair
     alone ("leading-pair"; equal to the full path up to rounding). When that
     declines, the point takes the full path: ``rj_repair``, a full
     ``eigh`` in ``eigendecompose``, then the sign basis ("full"; the same
@@ -453,8 +455,9 @@ def _sweep_point(
     direct call; the sweep records a package error, ``ValueError`` or
     ``LinAlgError`` as the point's message.
     """
-    if repair and floor is None:
-        floor = default_floor(corr)
+    if repair:
+        floor = default_floor(corr) if floor is None else floor
+        _check_floor(floor, corr.n, 1.0)  # a correlation's mean diagonal
     decomposition, solver = _leading_pair(corr, floor), "leading-pair"
     if decomposition is None:
         if floor is not None:

@@ -204,6 +204,49 @@ class TestAnalyze:
         )
         assert [path.name for path in tmp_path.iterdir()] == ["input.csv"]
 
+    @pytest.mark.parametrize(
+        "text, factors, extra, message",
+        [
+            ("a,b\n1,1\n1,2\n1,3\n", None, [], "zero sample variance: a"),
+            (
+                "a,b\n1,\n2,\n,1\n,2\n", None, ["--mode", "pairwise"],
+                "series 'a' and 'b' share only 0 joint observations; need at least 2",
+            ),
+            ("a,b\n1,1\n2,\n3,\n", None, [], "series with fewer than 2 observations: b"),
+            (
+                "a,b\n1,\n2,\n,1\n,2\n", None, [],
+                "only 0 timestamps observed across all series; need at least 2",
+            ),
+            (
+                "a,b\n1,2\n2,1\n3,5\n4,3\n5,6\n", "f\n1\n1\n1\n1\n1\n", [],
+                "rank-deficient factor design for series 'a'",
+            ),
+            (
+                "a,b\n1,2\n2,1\n3,5\n4,3\n5,6\n", "f\n1\n2\n3\n4\n", [],
+                "factor panel must share the panel's timestamp grid",
+            ),
+            (
+                "a,b\n1,2\n2,1\n3,5\n,3\n,6\n", "f,g\n1,0.5\n2,1.5\n3,0.25\n4,2\n5,1\n", [],
+                "series 'a' has 3 rows jointly observed with the factors; need at least 4",
+            ),
+        ],
+        ids=[
+            "constant-series", "pair-coverage", "short-series", "no-complete-rows",
+            "collinear-factors", "factor-grid", "factor-coverage",
+        ],
+    )
+    def test_a_data_refusal_exits_1_with_one_line_and_writes_nothing(
+        self, tmp_path, capsys, text, factors, extra, message
+    ):
+        inputs = ["input.csv"]
+        argv = ["analyze", "--input", write(tmp_path / "input.csv", text), *extra]
+        if factors is not None:
+            inputs.append("factors.csv")
+            argv += ["--factors", write(tmp_path / "factors.csv", factors)]
+        assert main([*argv, "--output", str(tmp_path / "r.json")]) == EXIT_IO
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(inputs)
+
     def test_missing_input_exits_1(self, tmp_path):
         code = main([
             "analyze", "--input", str(tmp_path / "absent.csv"),
@@ -1006,6 +1049,26 @@ def test_an_output_in_a_missing_directory_is_named_in_the_error(tmp_path, capsys
     assert main(["analyze", "--input", panel, "--output", str(out)]) == EXIT_IO
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
     assert list(tmp_path.iterdir()) == [tmp_path / "panel.csv"]
+
+
+def test_a_temporary_left_by_a_killed_run_is_no_obstacle(tmp_path):
+    # a run killed mid-write left its temporary, and a container's entrypoint
+    # often gets the same pid on every run: the temporary's name is random
+    panel = write(tmp_path / "panel.csv", PANEL_CSV)
+    stray = tmp_path / f".r.json.{os.getpid()}.tmp"
+    stray.write_bytes(b"left by a killed run\n")
+    assert main(["analyze", "--input", panel, "--output", str(tmp_path / "r.json")]) == EXIT_OK
+    assert stray.read_bytes() == b"left by a killed run\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == [stray.name, "panel.csv", "r.json"]
+
+
+def test_an_output_whose_name_is_255_bytes_is_written(tmp_path):
+    # the temporary's name is bounded whatever the target's is
+    panel = write(tmp_path / "panel.csv", PANEL_CSV)
+    out = tmp_path / ("a" * 250 + ".json")
+    assert main(["analyze", "--input", panel, "--output", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text(encoding="utf-8"))["report"]["inputs"]["n_series"] == 3
+    assert sorted(path.name for path in tmp_path.iterdir()) == [out.name, "panel.csv"]
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
